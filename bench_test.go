@@ -244,12 +244,14 @@ END`
 	}
 }
 
-// buildFatTree assembles an n-host fat-tree testbed and forces the
-// build (fabric wiring, layer chains, static ARP).
-func buildFatTree(b *testing.B, n int, seed int64) *virtualwire.Testbed {
+// buildFatTree assembles an n-host fat-tree testbed on the given engine
+// (Config.Shards) and forces the build (fabric wiring, layer chains,
+// static ARP).
+func buildFatTree(b *testing.B, n int, seed int64, shards int) *virtualwire.Testbed {
 	b.Helper()
 	tb, err := virtualwire.New(virtualwire.Config{
 		Seed:     seed,
+		Shards:   shards,
 		Topology: &virtualwire.TopologySpec{Kind: virtualwire.TopoFatTree},
 	})
 	if err != nil {
@@ -272,7 +274,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("fattree/n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildFatTree(b, n, int64(i+1))
+				buildFatTree(b, n, int64(i+1), 0)
 			}
 		})
 	}
@@ -283,7 +285,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 func BenchmarkTopologyRun(b *testing.B) {
 	for _, n := range []int{100, 500, 1000} {
 		b.Run(fmt.Sprintf("fattree/n%d", n), func(b *testing.B) {
-			tb := buildFatTree(b, n, 1)
+			tb := buildFatTree(b, n, 1, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -309,18 +311,25 @@ func BenchmarkTopologyRun(b *testing.B) {
 
 // BenchmarkTopologyReset1000 isolates the rewind cost of a 1000-host
 // fat-tree testbed — the per-run overhead a campaign pays to reuse the
-// built fabric. scripts/check.sh gates its allocs/op.
+// built fabric — on both engines: the windowed one additionally reseeds
+// a generator per switch port and engine, which once cost 200x the
+// legacy rewind and went unseen while only shards0 was measured.
+// scripts/check.sh gates allocs/op on both and the shards1/shards0 ratio.
 func BenchmarkTopologyReset1000(b *testing.B) {
-	tb := buildFatTree(b, 1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tb.Reset(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-		if err := tb.RunFor(time.Microsecond); err != nil {
-			b.Fatal(err)
-		}
+	for _, shards := range []int{0, 1} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			tb := buildFatTree(b, 1000, 1, shards)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tb.Reset(int64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+				if err := tb.RunFor(time.Microsecond); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -230,11 +230,21 @@ func (b *SharedBus) collide() {
 // deferRetry re-kicks a NIC after d, bypassing the duplicate-suppression
 // in kick (the NIC is no longer listed as active or waiting).
 func (b *SharedBus) deferRetry(n *NIC, d time.Duration) {
-	b.sched.After(d, "bus.retry", func() {
-		if n.head() != nil {
-			b.kick(n)
-		}
-	})
+	b.sched.AfterCall(d, "bus.retry", busRetry, b, n, 0)
+}
+
+func busRetry(recv, arg any, _ int) {
+	if n := arg.(*NIC); n.head() != nil {
+		recv.(*SharedBus).kick(n)
+	}
+}
+
+// busDeliver hands a propagated copy to station i of the segment.
+func busDeliver(recv, arg any, i int) {
+	b, cp := recv.(*SharedBus), arg.(*Frame)
+	b.DeliveredFrames++
+	b.DeliveredBytes += uint64(len(cp.Data))
+	b.nics[i].deliver(cp)
 }
 
 func (b *SharedBus) finishTx(tx *activeTx) {
@@ -257,7 +267,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 	// original is dead once the copies exist — per the ownership
 	// protocol the sender relinquished it at Send — and is recycled.
 	bits := wireBytes(len(fr.Data)) * 8
-	for _, dst := range b.nics {
+	for i, dst := range b.nics {
 		if dst == tx.nic {
 			continue
 		}
@@ -266,12 +276,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 			cp.Corrupt = true
 			b.flipBit(cp)
 		}
-		dstNIC := dst
-		b.sched.After(b.cfg.Propagation, "bus.deliver", func() {
-			b.DeliveredFrames++
-			b.DeliveredBytes += uint64(len(cp.Data))
-			dstNIC.deliver(cp)
-		})
+		b.sched.AfterCall(b.cfg.Propagation, "bus.deliver", busDeliver, b, cp, i)
 	}
 	b.cfg.Pool.Put(fr)
 
@@ -293,12 +298,17 @@ func (b *SharedBus) recycle(tx *activeTx) {
 
 // Reset clears all transient medium state (active transmissions,
 // deferring stations, the inter-frame-gap clock) and the segment
-// counters. Frames referenced by aborted transmissions still sit at the
-// head of their NIC's transmit queue and are recycled by NIC.Reset;
-// pending bus events are assumed cancelled (scheduler reset).
+// counters, keeping both lists' capacity and returning in-flight
+// transmissions to the free list. Frames referenced by aborted
+// transmissions still sit at the head of their NIC's transmit queue and
+// are recycled by NIC.Reset; pending bus events are assumed cancelled
+// (scheduler reset).
 func (b *SharedBus) Reset() {
-	b.active = nil
-	b.waiting = nil
+	for _, tx := range b.active {
+		b.recycle(tx)
+	}
+	b.active = b.active[:0]
+	b.waiting = b.waiting[:0]
 	b.idleAt = 0
 	b.TotalCollisions = 0
 	b.DeliveredFrames = 0

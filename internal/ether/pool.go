@@ -117,6 +117,9 @@ func (p *FramePool) Reset() {
 	p.Puts = 0
 }
 
+// FreeFrames reports how many recycled frames the pool holds.
+func (p *FramePool) FreeFrames() int { return len(p.free) }
+
 // Snapshot implements the uniform metrics hook: recycling effectiveness
 // for the observability layer (surfaced as node="testbed", layer="pool").
 func (p *FramePool) Snapshot() metrics.Snapshot {

@@ -223,48 +223,53 @@ func (sw *Switch) ingress(idx int, fr *Frame) {
 		sw.cfg.Pool.Put(fr)
 		return
 	}
-	src := fr.Src()
-	sw.table[src] = idx
+	sw.table[fr.Src()] = idx
+	sw.sched.AfterCall(sw.cfg.Latency, "switch.forward", switchForward, sw, fr, idx)
+}
+
+func switchForward(recv, arg any, idx int) {
+	recv.(*Switch).forward(idx, arg.(*Frame))
+}
+
+// forward fires after the store-and-forward latency. The forwarding
+// decision is taken here, not at ingress: during the latency the switch
+// can crash, a trunk can fail, and a reconvergence can flush the table
+// or re-block the learned out-port. A decision snapshotted at ingress
+// would forward into a dead port.
+func (sw *Switch) forward(idx int, fr *Frame) {
+	if sw.down {
+		sw.DroppedFrames++
+		sw.cfg.Pool.Put(fr)
+		return
+	}
 	dst := fr.Dst()
-	sw.sched.After(sw.cfg.Latency, "switch.forward", func() {
-		// The forwarding decision is taken at fire time, not ingress
-		// time: during the store-and-forward latency the switch can
-		// crash, a trunk can fail, and a reconvergence can flush the
-		// table or re-block the learned out-port. A decision snapshotted
-		// at ingress would forward into a dead port.
-		if sw.down {
+	if out, known := sw.table[dst]; known && !dst.IsBroadcast() {
+		p := sw.ports[out]
+		if out == idx || p.blocked || p.failed {
 			sw.DroppedFrames++
 			sw.cfg.Pool.Put(fr)
 			return
 		}
-		if out, known := sw.table[dst]; known && !dst.IsBroadcast() {
-			p := sw.ports[out]
-			if out == idx || p.blocked || p.failed {
-				sw.DroppedFrames++
-				sw.cfg.Pool.Put(fr)
-				return
-			}
-			sw.ForwardedFrames++
-			p.nic.Send(fr)
-			return
+		sw.ForwardedFrames++
+		p.nic.Send(fr)
+		return
+	}
+	sent := false
+	for i, p := range sw.ports {
+		if i == idx || p.blocked || p.failed {
+			continue
 		}
-		sent := false
-		for i, p := range sw.ports {
-			if i == idx || p.blocked || p.failed {
-				continue
-			}
-			sent = true
-			p.nic.Send(sw.cfg.Pool.Clone(fr))
-		}
-		if sent {
-			sw.FloodedFrames++
-		} else {
-			// Every egress was blocked/failed: the frame went nowhere
-			// and must still be accounted for.
-			sw.DroppedFrames++
-		}
-		sw.cfg.Pool.Put(fr)
-	})
+		sent = true
+		p.nic.Send(sw.cfg.Pool.Clone(fr))
+	}
+	if sent {
+		sw.FloodedFrames++
+	} else {
+		// Every egress was blocked/failed: the frame went nowhere
+		// and must still be accounted for.
+		sw.DroppedFrames++
+	}
+	sw.cfg.Pool.Put(fr)
 }
 
 // Reset clears the learning table, forwarding counters, fault state
@@ -534,30 +539,40 @@ func (l *Link) pump(dir int) {
 	dur := txDuration(len(fr.Data), l.cfg.BitsPerSecond) + bitTime(IFGBits, l.cfg.BitsPerSecond)
 	l.active[dir] = true
 	l.busy[dir] = now + dur
-	l.sched.At(now+dur, "link.txEnd", func() {
-		out := src.dequeue()
-		src.txDone(out)
-		dst := l.ends[1-dir]
-		cp := l.cfg.Pool.Clone(out)
-		bits := wireBytes(len(out.Data)) * 8
-		if l.cfg.BitErrorRate > 0 {
-			p := float64(bits) * l.cfg.BitErrorRate
-			if p > 1 {
-				p = 1
-			}
-			if l.rand().Float64() < p {
-				cp.Corrupt = true
-				if len(cp.Data) > 12 {
-					i := 12 + l.rand().Intn(len(cp.Data)-12)
-					cp.Data[i] ^= 1 << uint(l.rand().Intn(8))
-				}
+	l.sched.AtCall(now+dur, "link.txEnd", linkTxEnd, l, nil, dir)
+}
+
+func linkTxEnd(recv, _ any, dir int) { recv.(*Link).txEnd(dir) }
+
+// txEnd finishes the serialization in direction dir: the copy starts
+// propagating and the next queued frame, if any, starts transmitting.
+func (l *Link) txEnd(dir int) {
+	src := l.ends[dir]
+	out := src.dequeue()
+	src.txDone(out)
+	cp := l.cfg.Pool.Clone(out)
+	bits := wireBytes(len(out.Data)) * 8
+	if l.cfg.BitErrorRate > 0 {
+		p := float64(bits) * l.cfg.BitErrorRate
+		if p > 1 {
+			p = 1
+		}
+		if l.rand().Float64() < p {
+			cp.Corrupt = true
+			if len(cp.Data) > 12 {
+				i := 12 + l.rand().Intn(len(cp.Data)-12)
+				cp.Data[i] ^= 1 << uint(l.rand().Intn(8))
 			}
 		}
-		// The delivery copy is on its way; the transmitted original is
-		// dead and goes back to the pool.
-		l.cfg.Pool.Put(out)
-		l.active[dir] = false
-		l.sched.After(l.cfg.Propagation, "link.deliver", func() { dst.deliver(cp) })
-		l.pump(dir)
-	})
+	}
+	// The delivery copy is on its way; the transmitted original is
+	// dead and goes back to the pool.
+	l.cfg.Pool.Put(out)
+	l.active[dir] = false
+	l.sched.AfterCall(l.cfg.Propagation, "link.deliver", nicDeliver, l.ends[1-dir], cp, 0)
+	l.pump(dir)
 }
+
+// nicDeliver is the arrival of a propagated frame at a NIC (links and
+// trunk channels).
+func nicDeliver(recv, arg any, _ int) { recv.(*NIC).deliver(arg.(*Frame)) }

@@ -2,6 +2,7 @@ package ether
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"virtualwire/internal/sim"
@@ -25,6 +26,10 @@ import (
 // true lower bound for any payload). Lookahead exposes that bound.
 type TrunkChannel struct {
 	ab, ba *trunkHalf
+
+	// Set by TrunkSet.Track; both belong to the coordinator.
+	order  int  // canonical (wiring) position
+	listed bool // on the set's busy list
 }
 
 // trunkDeposit is one cross-shard frame waiting at the barrier.
@@ -48,6 +53,15 @@ type trunkHalf struct {
 	active    bool // a txEnd event is pending
 	failed    bool // fault injection: no new transmissions start
 	outbox    []trunkDeposit
+
+	// Tracked halves (TrunkSet.Track) report going from silent to busy:
+	// the first pump of a busy period appends the channel to the source
+	// shard's wake list. awake holds from then until the coordinator
+	// drops the channel from its busy list, so a busy period costs one
+	// append however many frames it carries.
+	ch    *TrunkChannel
+	woken *[]*TrunkChannel
+	awake bool
 }
 
 var _ Medium = (*trunkHalf)(nil)
@@ -92,38 +106,45 @@ func (h *trunkHalf) pump() {
 	dur := txDuration(len(fr.Data), h.cfg.BitsPerSecond) + bitTime(IFGBits, h.cfg.BitsPerSecond)
 	h.active = true
 	h.busyUntil = now + dur
-	h.sched.At(now+dur, "trunk.txEnd", func() {
-		out := h.src.dequeue()
-		h.src.txDone(out)
-		cp := h.cfg.Pool.Clone(out)
-		bits := wireBytes(len(out.Data)) * 8
-		if h.cfg.BitErrorRate > 0 {
-			p := float64(bits) * h.cfg.BitErrorRate
-			if p > 1 {
-				p = 1
-			}
-			if h.rand().Float64() < p {
-				cp.Corrupt = true
-				if len(cp.Data) > 12 {
-					i := 12 + h.rand().Intn(len(cp.Data)-12)
-					cp.Data[i] ^= 1 << uint(h.rand().Intn(8))
-				}
+	if h.woken != nil && !h.awake {
+		h.awake = true
+		*h.woken = append(*h.woken, h.ch)
+	}
+	h.sched.AtCall(now+dur, "trunk.txEnd", trunkTxEnd, h, nil, 0)
+}
+
+func trunkTxEnd(recv, _ any, _ int) { recv.(*trunkHalf).txEnd() }
+
+// txEnd mirrors Link.txEnd, minus direct delivery.
+func (h *trunkHalf) txEnd() {
+	out := h.src.dequeue()
+	h.src.txDone(out)
+	cp := h.cfg.Pool.Clone(out)
+	bits := wireBytes(len(out.Data)) * 8
+	if h.cfg.BitErrorRate > 0 {
+		p := float64(bits) * h.cfg.BitErrorRate
+		if p > 1 {
+			p = 1
+		}
+		if h.rand().Float64() < p {
+			cp.Corrupt = true
+			if len(cp.Data) > 12 {
+				i := 12 + h.rand().Intn(len(cp.Data)-12)
+				cp.Data[i] ^= 1 << uint(h.rand().Intn(8))
 			}
 		}
-		h.cfg.Pool.Put(out)
-		h.active = false
-		h.outbox = append(h.outbox, trunkDeposit{fr: cp, at: h.sched.Now() + h.cfg.Propagation})
-		h.pump()
-	})
+	}
+	h.cfg.Pool.Put(out)
+	h.active = false
+	h.outbox = append(h.outbox, trunkDeposit{fr: cp, at: h.sched.Now() + h.cfg.Propagation})
+	h.pump()
 }
 
 // drain schedules every deposited frame onto the destination scheduler.
 // Only the coordinator calls this, at a barrier, with all shards parked.
 func (h *trunkHalf) drain() {
 	for i, d := range h.outbox {
-		fr := d.fr
-		dst := h.dst
-		h.dstSched.At(d.at, "trunk.deliver", func() { dst.deliver(fr) })
+		h.dstSched.AtCall(d.at, "trunk.deliver", nicDeliver, h.dst, d.fr, 0)
 		h.outbox[i] = trunkDeposit{}
 	}
 	h.outbox = h.outbox[:0]
@@ -203,6 +224,86 @@ func (t *TrunkChannel) EarliestPending() (time.Duration, bool) {
 		return tb, true
 	}
 	return 0, false
+}
+
+// TrunkSet is the windowed coordinator's view of a fabric's trunk
+// channels: the ones with a frame serializing or deposited, in canonical
+// order. A window touches a handful of a fat-tree's thousands of trunks,
+// and both the window bound (EarliestPending) and the barrier exchange
+// (Drain) only concern those, so the set spares the coordinator two full
+// scans per window. Drain order — and with it delivery scheduling order,
+// and every byte of output — is the order draining every channel in
+// wiring order would give, because a silent channel drains nothing.
+//
+// Halves report in through per-shard wake lists, each appended to only
+// by its shard's goroutine during a window; the coordinator merges them
+// at the barrier, when every shard is parked.
+type TrunkSet struct {
+	tracked int
+	busy    []*TrunkChannel   // sorted by order
+	woken   [][]*TrunkChannel // per source shard
+}
+
+// NewTrunkSet returns an empty set for a testbed of the given shard count.
+func NewTrunkSet(shards int) *TrunkSet {
+	return &TrunkSet{woken: make([][]*TrunkChannel, shards)}
+}
+
+// Track adds ch at the next canonical position. shardA and shardB are
+// the shards that run its A→B and B→A halves (the switches' shards).
+func (ts *TrunkSet) Track(ch *TrunkChannel, shardA, shardB int) {
+	ch.order = ts.tracked
+	ts.tracked++
+	ch.ab.ch, ch.ab.woken = ch, &ts.woken[shardA]
+	ch.ba.ch, ch.ba.woken = ch, &ts.woken[shardB]
+}
+
+// collect merges the shards' wake lists into the busy list, each new
+// channel inserted at its canonical position.
+func (ts *TrunkSet) collect() {
+	for i, w := range ts.woken {
+		for _, ch := range w {
+			if ch.listed {
+				continue
+			}
+			ch.listed = true
+			at, _ := slices.BinarySearchFunc(ts.busy, ch.order,
+				func(c *TrunkChannel, order int) int { return c.order - order })
+			ts.busy = slices.Insert(ts.busy, at, ch)
+		}
+		ts.woken[i] = w[:0]
+	}
+}
+
+// EarliestPending returns the earliest cross-trunk arrival still in
+// flight on any tracked channel, or false when every trunk is silent.
+func (ts *TrunkSet) EarliestPending() (time.Duration, bool) {
+	ts.collect()
+	var min time.Duration
+	any := false
+	for _, ch := range ts.busy {
+		if t, ok := ch.EarliestPending(); ok && (!any || t < min) {
+			min, any = t, true
+		}
+	}
+	return min, any
+}
+
+// Drain flushes every busy channel's mailboxes in canonical order and
+// forgets the channels that have fallen silent. Barrier-only.
+func (ts *TrunkSet) Drain() {
+	ts.collect()
+	keep := ts.busy[:0]
+	for _, ch := range ts.busy {
+		ch.Drain()
+		if ch.ab.active || ch.ba.active {
+			keep = append(keep, ch)
+		} else {
+			ch.listed, ch.ab.awake, ch.ba.awake = false, false, false
+		}
+	}
+	clear(ts.busy[len(keep):])
+	ts.busy = keep
 }
 
 // Lookahead returns the minimum delay between a transmission decision on

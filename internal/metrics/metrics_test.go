@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,6 +141,53 @@ func (f *fakeClock) runUntil(horizon time.Duration) {
 		f.evts = append(f.evts[:best], f.evts[best+1:]...)
 		f.now = e.at
 		e.fn()
+	}
+}
+
+// TestVisitOrder pins the walk Visit makes: direct instruments in key
+// order whatever order they were registered in (a later registration is
+// picked up by the next walk), then sources in registration order;
+// histograms report value 0; the return value counts every reading.
+func TestVisitOrder(t *testing.T) {
+	r := NewRegistry()
+	r.RegisterSource("node2", "rll", func() Snapshot {
+		var s Snapshot
+		s.Counter("data_sent", 9)
+		s.Gauge("inflight_frames", 2)
+		return s
+	})
+	r.Gauge("node2", "tcp", "cwnd_segments").Set(8)
+	r.Counter("node1", "nic", "tx_frames").Add(0.25)
+	r.RegisterSource("node1", "nic", func() Snapshot {
+		var s Snapshot
+		s.Counter("rx_frames", 4)
+		return s
+	})
+	walk := func() (keys []string, n int) {
+		n = r.Visit(func(node, layer, name string, kind Kind, v float64) {
+			keys = append(keys, fmt.Sprintf("%s/%s/%s %v %v", node, layer, name, kind, v))
+		})
+		return keys, n
+	}
+	got, n := walk()
+	want := []string{
+		"node1/nic/tx_frames counter 0.25",
+		"node2/tcp/cwnd_segments gauge 8",
+		"node2/rll/data_sent counter 9",
+		"node2/rll/inflight_frames gauge 2",
+		"node1/nic/rx_frames counter 4",
+	}
+	if n != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Visit walked %d readings:\n%q\nwant\n%q", n, got, want)
+	}
+	r.Histogram("node1", "app", "lat", []float64{1}).Observe(3)
+	got, n = walk()
+	want = append([]string{"node1/app/lat histogram 0"}, want...)
+	if n != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a registration Visit walked %d readings:\n%q\nwant\n%q", n, got, want)
+	}
+	if n != len(r.Gather()) {
+		t.Errorf("Visit counts %d readings, Gather returns %d", n, len(r.Gather()))
 	}
 }
 

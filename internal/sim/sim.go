@@ -56,11 +56,16 @@ const (
 type Event struct {
 	Name string
 
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	index int // heap index, -1 once removed
-	state uint8
+	at  time.Duration
+	seq uint64
+	// Exactly one of fn (At/After) and h (AtCall/AfterCall) is set while
+	// the event is scheduled; recv, arg and n are h's arguments.
+	fn        func()
+	h         Handler
+	recv, arg any
+	n         int
+	index     int // heap index, -1 once removed
+	state     uint8
 	// gen increments every time the struct is recycled for a new
 	// scheduling; holders that retain a handle across firings (Timer)
 	// capture it to detect staleness.
@@ -76,17 +81,25 @@ func (e *Event) Time() time.Duration { return e.at }
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.state == stateCancelled }
 
+// Handler is the closure-free callback form (see AtCall): a static
+// function that gets back the receiver, argument and integer it was
+// scheduled with. Pointers travel in the two interface words without
+// boxing, so a per-frame hop — component, frame, port index — schedules
+// without allocating where a closure capturing the same three would.
+type Handler func(recv, arg any, n int)
+
 // Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op. The callback closure is
-// released immediately — state captured by it (a retransmission timer's
-// frame, for instance) does not linger until the event's timestamp is
-// reached — and the event is removed from the queue right away.
+// fired (or was already cancelled) is a no-op. The callback and its
+// arguments are released immediately — state they hold (a retransmission
+// timer's frame, for instance) does not linger until the event's
+// timestamp is reached — and the event is removed from the queue right
+// away.
 func (e *Event) Cancel() {
 	if e.state != stateScheduled {
 		return
 	}
 	e.state = stateCancelled
-	e.fn = nil
+	e.release()
 	if e.s != nil && e.index >= 0 {
 		e.s.removeAt(e.index)
 		e.s.recycle(e)
@@ -140,6 +153,15 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Executed reports how many events have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
+// Scheduled reports how many events have ever been scheduled.
+func (s *Scheduler) Scheduled() uint64 { return s.seq }
+
+// Recycled reports how many of those were served from the free list.
+func (s *Scheduler) Recycled() uint64 { return s.recycled }
+
+// FreeListLen reports how many dead events wait on the free list.
+func (s *Scheduler) FreeListLen() int { return len(s.free) }
+
 // Pending reports how many events are scheduled and not yet fired.
 // Cancelled events are reaped eagerly, so they never linger here.
 func (s *Scheduler) Pending() int { return len(s.queue) }
@@ -168,10 +190,40 @@ func (s *Scheduler) Snapshot() metrics.Snapshot {
 	return sn
 }
 
+// release drops the callback and its arguments so a dead event pins
+// nothing.
+func (e *Event) release() {
+	e.fn, e.h, e.recv, e.arg = nil, nil, nil, nil
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) is a programming error and fires immediately at Now
 // instead, preserving the clock's monotonicity.
 func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
+	ev := s.schedule(t, name)
+	ev.fn = fn
+	return ev
+}
+
+// AtCall schedules h(recv, arg, n) at absolute virtual time t: At
+// without the closure. The arguments ride in the recycled Event, so a
+// steady-state call allocates nothing.
+func (s *Scheduler) AtCall(t time.Duration, name string, h Handler, recv, arg any, n int) *Event {
+	ev := s.schedule(t, name)
+	ev.h, ev.recv, ev.arg, ev.n = h, recv, arg, n
+	return ev
+}
+
+// AfterCall is AtCall relative to now. A negative d behaves like zero.
+func (s *Scheduler) AfterCall(d time.Duration, name string, h Handler, recv, arg any, n int) *Event {
+	if d < 0 {
+		d = 0
+	}
+	return s.AtCall(s.now+d, name, h, recv, arg, n)
+}
+
+// schedule queues a callback-less event at t; the caller fills in fn or h.
+func (s *Scheduler) schedule(t time.Duration, name string) *Event {
 	if t < s.now {
 		t = s.now
 	}
@@ -189,7 +241,6 @@ func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
 	ev.Name = name
 	ev.at = t
 	ev.seq = s.seq
-	ev.fn = fn
 	ev.state = stateScheduled
 	s.push(ev)
 	return ev
@@ -219,9 +270,7 @@ func (s *Scheduler) Reset(seed int64) {
 	}
 	for _, ev := range s.queue {
 		ev.state = stateCancelled
-		ev.fn = nil
-		ev.index = -1
-		s.free = append(s.free, ev)
+		s.recycle(ev)
 	}
 	s.queue = s.queue[:0]
 	s.now = 0
@@ -241,12 +290,16 @@ func (s *Scheduler) Step() bool {
 	ev := s.popMin()
 	s.now = ev.at
 	s.executed++
-	fn := ev.fn
-	ev.fn = nil
 	ev.state = stateFired
-	fn()
-	// Recycled only after fn returns: if fn re-arms a timer it must not
-	// be handed the very struct whose firing it is running inside.
+	fn, h, recv, arg := ev.fn, ev.h, ev.recv, ev.arg
+	ev.release()
+	if h != nil {
+		h(recv, arg, ev.n)
+	} else {
+		fn()
+	}
+	// Recycled only after the callback returns: if it re-arms a timer it
+	// must not be handed the very struct whose firing it is running inside.
 	s.recycle(ev)
 	return true
 }
@@ -297,7 +350,7 @@ func (s *Scheduler) RunUntil(horizon time.Duration) error {
 // bounded only by the maximum number of concurrently pending events,
 // which the media's finite queues already cap.
 func (s *Scheduler) recycle(ev *Event) {
-	ev.fn = nil
+	ev.release()
 	ev.index = -1
 	s.free = append(s.free, ev)
 }

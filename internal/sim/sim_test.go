@@ -273,3 +273,89 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// callLog is the receiver the AtCall tests schedule against.
+type callLog struct{ got []int }
+
+func logCall(recv, arg any, n int) {
+	l := recv.(*callLog)
+	l.got = append(l.got, *arg.(*int)+n)
+}
+
+// TestAtCallInterleavesWithAt: the closure-free form shares the queue
+// and the tie-break with At — same-instant events fire in scheduling
+// order whichever form scheduled them — and hands back exactly the
+// receiver, argument and integer it was given.
+func TestAtCallInterleavesWithAt(t *testing.T) {
+	s := NewScheduler(1)
+	l := &callLog{}
+	hundred := 100
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			s.AtCall(time.Millisecond, "call", logCall, l, &hundred, i)
+		} else {
+			i := i
+			s.At(time.Millisecond, "fn", func() { l.got = append(l.got, i) })
+		}
+	}
+	s.AfterCall(-time.Second, "clamped", logCall, l, &hundred, 50) // fires first, at Now
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{150, 100, 1, 102, 3, 104, 5}
+	if len(l.got) != len(want) {
+		t.Fatalf("fired %v, want %v", l.got, want)
+	}
+	for i := range want {
+		if l.got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", l.got, want)
+		}
+	}
+}
+
+// TestAtCallCancelAndReset: a cancelled or reset-away AtCall event never
+// fires and pins none of its arguments.
+func TestAtCallCancelAndReset(t *testing.T) {
+	s := NewScheduler(1)
+	l := &callLog{}
+	v := 1
+	ev := s.AfterCall(time.Millisecond, "cancelled", logCall, l, &v, 0)
+	ev.Cancel()
+	if ev.h != nil || ev.recv != nil || ev.arg != nil {
+		t.Error("Cancel left the handler or its arguments on the event")
+	}
+	pending := s.AfterCall(time.Millisecond, "reset away", logCall, l, &v, 0)
+	s.Reset(1)
+	if pending.h != nil || pending.recv != nil || pending.arg != nil {
+		t.Error("Reset left the handler or its arguments on the event")
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.got) != 0 {
+		t.Errorf("cancelled events fired: %v", l.got)
+	}
+}
+
+// TestAtCallDoesNotAllocate: with the free list warm, scheduling and
+// firing through the closure-free form allocates nothing, where a
+// closure capturing the same receiver, argument and integer costs one
+// object per event.
+func TestAtCallDoesNotAllocate(t *testing.T) {
+	s := NewScheduler(1)
+	l := &callLog{got: make([]int, 0, 1024)}
+	v := 1
+	step := func() {
+		l.got = l.got[:0]
+		for i := 0; i < 8; i++ {
+			s.AfterCall(time.Duration(i), "hop", logCall, l, &v, i)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("AfterCall + fire allocates %.1f objects per 8 events, want 0", allocs)
+	}
+}

@@ -76,25 +76,31 @@ type MetricsSummary struct {
 	Totals map[string]float64 `json:"totals,omitempty"`
 }
 
-// MarshalJSON writes the summary without reflection. A summary rides in
-// every campaign record, and encoding/json's map encoder (sort + copy
-// every key and value through reflect.Value) dominated the per-run
-// allocation profile. Output is identical to the reflected encoding:
-// fields in declaration order, zero values omitted, Totals keys sorted.
+// MarshalJSON writes the summary without reflection (a summary rides in
+// every campaign record); see NodeReport.appendJSON for the layouts.
 func (m MetricsSummary) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 40+len(m.Totals)*40)
-	b = append(b, `{"instruments":`...)
+	return m.appendJSON(make([]byte, 0, 40+len(m.Totals)*40), -1), nil
+}
+
+func (m MetricsSummary) appendJSON(b []byte, depth int) []byte {
+	d1 := deeper(depth)
+	b = append(b, '{')
+	b = appendMember(b, d1, "instruments")
 	b = strconv.AppendInt(b, int64(m.Instruments), 10)
 	if m.SampledPoints != 0 {
-		b = append(b, `,"sampled_points":`...)
+		b = append(b, ',')
+		b = appendMember(b, d1, "sampled_points")
 		b = strconv.AppendInt(b, int64(m.SampledPoints), 10)
 	}
 	if m.SampleInterval != 0 {
-		b = append(b, `,"sample_interval_ns":`...)
+		b = append(b, ',')
+		b = appendMember(b, d1, "sample_interval_ns")
 		b = strconv.AppendInt(b, int64(m.SampleInterval), 10)
 	}
 	if len(m.Totals) != 0 {
-		b = append(b, `,"totals":{`...)
+		b = append(b, ',')
+		b = appendMember(b, d1, "totals")
+		b = append(b, '{')
 		keys := make([]string, 0, len(m.Totals))
 		for k := range m.Totals {
 			keys = append(keys, k)
@@ -104,17 +110,14 @@ func (m MetricsSummary) MarshalJSON() ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			// Keys are "layer/name" identifiers: no characters that
-			// JSON string encoding would escape.
-			b = append(b, '"')
-			b = append(b, k...)
-			b = append(b, `":`...)
+			b = appendMember(b, deeper(d1), k)
 			b = appendJSONFloat(b, m.Totals[k])
 		}
+		b = appendBreak(b, d1)
 		b = append(b, '}')
 	}
-	b = append(b, '}')
-	return b, nil
+	b = appendBreak(b, depth)
+	return append(b, '}')
 }
 
 // appendJSONFloat formats a float64 exactly as encoding/json does, so
@@ -154,26 +157,22 @@ func (tb *Testbed) totalsKey(layer, name string) string {
 }
 
 func (tb *Testbed) metricsSummary() MetricsSummary {
-	final := tb.reg.Gather()
-	sum := MetricsSummary{
-		Instruments: len(final),
-		Totals:      make(map[string]float64, 64),
-	}
-	for _, s := range final {
-		if s.Kind != metrics.KindCounter {
-			continue
+	sum := MetricsSummary{Totals: make(map[string]float64, 64)}
+	sum.Instruments = tb.reg.Visit(func(_, layer, name string, kind metrics.Kind, v float64) {
+		if kind != metrics.KindCounter {
+			return
 		}
 		// Free-list hit counters depend on whether the run started from a
 		// fresh or a reused (Reset) testbed — the only observable the warm
 		// pools change. Excluding them keeps RunReports bit-identical
 		// across the two paths; the full readings stay available from
 		// Metrics()/MetricsSeries.
-		if (s.Layer == "pool" && s.Name == "hits") ||
-			(s.Layer == "scheduler" && s.Name == "events_recycled") {
-			continue
+		if (layer == "pool" && name == "hits") ||
+			(layer == "scheduler" && name == "events_recycled") {
+			return
 		}
-		sum.Totals[tb.totalsKey(s.Layer, s.Name)] += s.Value
-	}
+		sum.Totals[tb.totalsKey(layer, name)] += v
+	})
 	if tb.sampler != nil {
 		sum.SampledPoints = tb.sampler.Len()
 		sum.SampleInterval = tb.sampler.Interval()

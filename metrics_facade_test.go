@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"virtualwire/internal/metrics"
 )
 
 // runRetransmission builds and runs the tcp_retransmission.fsl scenario
@@ -217,4 +219,133 @@ func TestWorkloadHistogram(t *testing.T) {
 		}
 	}
 	t.Error("udp_echo_rtt_seconds histogram not gathered")
+}
+
+// visitReading is one reading as Registry.Visit reports it (and as a
+// Gather sample reduces to).
+type visitReading struct {
+	node, layer, name string
+	kind              metrics.Kind
+	value             float64
+}
+
+// TestRegistryVisitMatchesGather is the property behind the sort-free
+// run digest: on a bus, a single switch and a fat-tree (both engines),
+// after real traffic, Visit yields exactly Gather's multiset of (node,
+// layer, name, kind, value) and the same reading count — direct
+// instruments included, one of them a non-integer counter — and the
+// digest built on it is the one Gather-then-sum gives, with bit-equal
+// float sums on every repeat.
+func TestRegistryVisitMatchesGather(t *testing.T) {
+	fattree := func(shards int) Config {
+		return Config{Seed: 5, Shards: shards, Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 4}}
+	}
+	cases := map[string]func(t *testing.T) *Testbed{
+		"bus": func(t *testing.T) *Testbed {
+			tb, _ := fig6Testbed(t, 3)
+			return tb
+		},
+		"switch": func(t *testing.T) *Testbed {
+			tb, _ := fig5Testbed(t, 1, false)
+			return tb
+		},
+		"fattree-legacy":   func(t *testing.T) *Testbed { return manyFlowTestbed(t, fattree(0), 16) },
+		"fattree-windowed": func(t *testing.T) *Testbed { return manyFlowTestbed(t, fattree(2), 16) },
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			tb := build(t)
+			// Direct instruments of every kind, registered out of key
+			// order; 0.1 and 0.7 do not sum exactly, so the order of the
+			// walk is visible in the total's bits.
+			first := tb.Nodes()[0].Name()
+			tb.Metrics().Counter("zz", "probe", "score").Add(0.7)
+			tb.Metrics().Counter(first, "probe", "score").Add(0.1)
+			tb.Metrics().Counter("mm", "probe", "score").Add(1e-9)
+			tb.Metrics().Gauge(first, "probe", "level").Set(-2.5)
+			tb.Metrics().Histogram(first, "probe", "lat", []float64{1, 2}).Observe(1.5)
+			rep, err := tb.Run(30 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var want []visitReading
+			wantTotals := map[string]float64{}
+			for _, s := range tb.Metrics().Gather() {
+				want = append(want, visitReading{s.Node, s.Layer, s.Name, s.Kind, s.Value})
+			}
+			var got []visitReading
+			n := tb.Metrics().Visit(func(node, layer, name string, kind metrics.Kind, v float64) {
+				got = append(got, visitReading{node, layer, name, kind, v})
+			})
+			if n != len(want) || len(got) != len(want) {
+				t.Fatalf("Visit returned %d and made %d calls, Gather has %d samples", n, len(got), len(want))
+			}
+			if rep.Metrics.Instruments != len(want) {
+				t.Errorf("report counts %d instruments, Gather %d", rep.Metrics.Instruments, len(want))
+			}
+			less := func(rs []visitReading) func(i, j int) bool {
+				return func(i, j int) bool {
+					a, b := rs[i], rs[j]
+					if a.node != b.node {
+						return a.node < b.node
+					}
+					if a.layer != b.layer {
+						return a.layer < b.layer
+					}
+					return a.name < b.name
+				}
+			}
+			sort.SliceStable(got, less(got))
+			sort.SliceStable(want, less(want))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("reading %d: Visit %+v, Gather %+v", i, got[i], want[i])
+				}
+			}
+
+			// The digest: same keys as Gather-then-sum; integer counters
+			// (everything the layers report) sum exactly in any order.
+			for _, r := range want {
+				if r.kind == metrics.KindCounter && !(r.layer == "pool" && r.name == "hits") &&
+					!(r.layer == "scheduler" && r.name == "events_recycled") {
+					wantTotals[r.layer+"/"+r.name] += r.value
+				}
+			}
+			if len(rep.Metrics.Totals) != len(wantTotals) {
+				t.Fatalf("digest has %d totals, Gather-then-sum %d", len(rep.Metrics.Totals), len(wantTotals))
+			}
+			for k, v := range wantTotals {
+				if got := rep.Metrics.Totals[k]; got != v && k != "probe/score" {
+					t.Errorf("total %s = %v, Gather-then-sum %v", k, got, v)
+				}
+			}
+			// The non-integer sum is whatever the walk order makes it —
+			// and the same bits every time.
+			score := rep.Metrics.Totals["probe/score"]
+			if score < 0.8 || score > 0.80001 {
+				t.Errorf("probe/score = %v, want ~0.8", score)
+			}
+			for i := 0; i < 3; i++ {
+				if again := tb.metricsSummary().Totals["probe/score"]; again != score {
+					t.Fatalf("probe/score changed between digests: %x vs %x", again, score)
+				}
+			}
+		})
+	}
+}
+
+// manyFlowTestbed is a scriptless fabric testbed with a ManyFlow mesh
+// staged on it.
+func manyFlowTestbed(t *testing.T, cfg Config, hosts int) *Testbed {
+	t.Helper()
+	tb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, hosts)
+	if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: hosts / 2, Bytes: 2 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }

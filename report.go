@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -55,57 +56,154 @@ type RunReport struct {
 
 // NodeReport is one host's slice of a RunReport: its terminal state and
 // every layer's instrument readings (the same values Node.Snapshot
-// returns, keyed layer then metric name).
+// returns). It encodes as {"name", "crashed", "layers": {layer: {name:
+// value}}} with layers and names in sorted order.
 type NodeReport struct {
-	Name    string                        `json:"name"`
-	Crashed bool                          `json:"crashed,omitempty"`
-	Layers  map[string]map[string]float64 `json:"layers,omitempty"`
+	Name    string
+	Crashed bool
+	// Layers lists the layers the node runs, sorted by name.
+	Layers []LayerReport
 }
 
-// MarshalJSON writes the report without reflection, like
-// MetricsSummary.MarshalJSON: the nested Layers maps otherwise dominate
-// per-record encoding cost in campaigns. Output matches the reflected
-// encoding (declaration order, omitted zero values, sorted map keys).
+// LayerReport is one layer's readings: Values[i] is the reading called
+// Names[i], names in sorted order. Names comes from the testbed's
+// report schema and is shared by every report it produces — read-only.
+type LayerReport struct {
+	Layer  string
+	Names  []string
+	Values []float64
+}
+
+// Layer returns the named layer's readings; ok is false when the node
+// does not run it.
+func (n NodeReport) Layer(name string) (l LayerReport, ok bool) {
+	for _, l := range n.Layers {
+		if l.Layer == name {
+			return l, true
+		}
+	}
+	return LayerReport{}, false
+}
+
+// Value returns the named reading, or 0 when the layer has none.
+func (l LayerReport) Value(name string) float64 {
+	if i := sort.SearchStrings(l.Names, name); i < len(l.Names) && l.Names[i] == name {
+		return l.Values[i]
+	}
+	return 0
+}
+
+// The report encoders below write JSON without reflection, in either of
+// encoding/json's two layouts: compact (depth < 0), which is what
+// json.Marshal produces and every campaign record carries, or the
+// SetIndent("", "  ") layout with the value's closing bracket at the
+// given depth, which RunReport.WriteJSON emits directly instead of
+// encoding compactly and re-indenting the whole document. Output is
+// byte-identical to the reflected encoding of the same shape.
+
+const jsonIndents = "                " // 8 levels; reports nest 5 deep
+
+// appendMember starts an object member at depth: line break and indent
+// (when indenting), the quoted key, the colon.
+func appendMember(b []byte, depth int, key string) []byte {
+	b = appendBreak(b, depth)
+	b = appendJSONString(b, key)
+	if depth < 0 {
+		return append(b, ':')
+	}
+	return append(b, ": "...)
+}
+
+// appendBreak starts a new line at depth; compact output has none.
+func appendBreak(b []byte, depth int) []byte {
+	if depth < 0 {
+		return b
+	}
+	b = append(b, '\n')
+	return append(b, jsonIndents[:2*depth]...)
+}
+
+// deeper is the depth of a value's members given the value's own.
+func deeper(depth int) int {
+	if depth < 0 {
+		return depth
+	}
+	return depth + 1
+}
+
+// MarshalJSON writes the compact form; see appendJSON.
 func (n NodeReport) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 64+len(n.Layers)*256)
-	b = append(b, `{"name":`...)
+	return n.appendJSON(make([]byte, 0, 64+len(n.Layers)*512), -1), nil
+}
+
+func (n NodeReport) appendJSON(b []byte, depth int) []byte {
+	d1 := deeper(depth)
+	d2 := deeper(d1)
+	d3 := deeper(d2)
+	b = append(b, '{')
+	b = appendMember(b, d1, "name")
 	b = appendJSONString(b, n.Name)
 	if n.Crashed {
-		b = append(b, `,"crashed":true`...)
+		b = append(b, ',')
+		b = appendMember(b, d1, "crashed")
+		b = append(b, "true"...)
 	}
 	if len(n.Layers) != 0 {
-		b = append(b, `,"layers":{`...)
-		layers := make([]string, 0, len(n.Layers))
-		for l := range n.Layers {
-			layers = append(layers, l)
-		}
-		sort.Strings(layers)
-		for i, l := range layers {
+		b = append(b, ',')
+		b = appendMember(b, d1, "layers")
+		b = append(b, '{')
+		for i, l := range n.Layers {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, l)
-			b = append(b, `:{`...)
-			vals := n.Layers[l]
-			names := make([]string, 0, len(vals))
-			for name := range vals {
-				names = append(names, name)
+			b = appendMember(b, d2, l.Layer)
+			if len(l.Values) == 0 {
+				b = append(b, "{}"...)
+				continue
 			}
-			sort.Strings(names)
-			for j, name := range names {
+			b = append(b, '{')
+			for j, v := range l.Values {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendJSONString(b, name)
-				b = append(b, ':')
-				b = appendJSONFloat(b, vals[name])
+				b = appendMember(b, d3, l.Names[j])
+				b = appendJSONFloat(b, v)
 			}
+			b = appendBreak(b, d2)
 			b = append(b, '}')
 		}
+		b = appendBreak(b, d1)
 		b = append(b, '}')
 	}
-	b = append(b, '}')
-	return b, nil
+	b = appendBreak(b, depth)
+	return append(b, '}')
+}
+
+// UnmarshalJSON reads the encoded form back (journaled campaign records
+// are decoded on resume), restoring the sorted layer and name order.
+func (n *NodeReport) UnmarshalJSON(b []byte) error {
+	var raw struct {
+		Name    string                        `json:"name"`
+		Crashed bool                          `json:"crashed"`
+		Layers  map[string]map[string]float64 `json:"layers"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	*n = NodeReport{Name: raw.Name, Crashed: raw.Crashed}
+	for layer, vals := range raw.Layers {
+		l := LayerReport{Layer: layer, Names: make([]string, 0, len(vals)), Values: make([]float64, len(vals))}
+		for name := range vals {
+			l.Names = append(l.Names, name)
+		}
+		sort.Strings(l.Names)
+		for i, name := range l.Names {
+			l.Values[i] = vals[name]
+		}
+		n.Layers = append(n.Layers, l)
+	}
+	sort.Slice(n.Layers, func(i, j int) bool { return n.Layers[i].Layer < n.Layers[j].Layer })
+	return nil
 }
 
 // appendJSONString quotes s the way encoding/json would. Identifiers —
@@ -146,12 +244,86 @@ func verdict(r Result, hasScenario bool) string {
 }
 
 // WriteJSON writes the report as indented JSON. The encoding is
-// deterministic: slices preserve run order and maps marshal with sorted
-// keys, so equal runs produce byte-identical documents.
+// deterministic: slices preserve run order and layers, reading names
+// and totals keys are sorted, so equal runs produce byte-identical
+// documents — the bytes json.Encoder with SetIndent("", "  ") writes,
+// produced in one pass (at a thousand nodes the document is over a
+// megabyte, nearly all of it per-node readings).
 func (r RunReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	size := 1024 + 64*len(r.Faults)
+	for _, n := range r.Nodes {
+		size += 96
+		for _, l := range n.Layers {
+			size += 48 + 40*len(l.Values)
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(b, '{')
+	if r.Scenario != "" {
+		b = appendMember(b, 1, "scenario")
+		b = appendJSONString(b, r.Scenario)
+		b = append(b, ',')
+	}
+	b = appendMember(b, 1, "seed")
+	b = strconv.AppendInt(b, r.Seed, 10)
+	b = append(b, ',')
+	b = appendMember(b, 1, "verdict")
+	b = appendJSONString(b, r.Verdict)
+	b, err := appendReflected(b, "result", r.Result)
+	b = append(b, ',')
+	b = appendMember(b, 1, "passed")
+	b = strconv.AppendBool(b, r.Passed)
+	b = append(b, ',')
+	b = appendMember(b, 1, "virtual_ns")
+	b = strconv.AppendInt(b, int64(r.Duration), 10)
+	b = append(b, ',')
+	b = appendMember(b, 1, "events")
+	b = strconv.AppendUint(b, r.Events, 10)
+	if len(r.Faults) != 0 && err == nil {
+		b, err = appendReflected(b, "faults", r.Faults)
+	}
+	if len(r.Errors) != 0 && err == nil {
+		b, err = appendReflected(b, "errors", r.Errors)
+	}
+	if len(r.Unreachable) != 0 && err == nil {
+		b, err = appendReflected(b, "unreachable", r.Unreachable)
+	}
+	if err != nil {
+		return err
+	}
+	if len(r.Nodes) != 0 {
+		b = append(b, ',')
+		b = appendMember(b, 1, "nodes")
+		b = append(b, '[')
+		for i, n := range r.Nodes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendBreak(b, 2)
+			b = n.appendJSON(b, 2)
+		}
+		b = appendBreak(b, 1)
+		b = append(b, ']')
+	}
+	b = append(b, ',')
+	b = appendMember(b, 1, "metrics")
+	b = r.Metrics.appendJSON(b, 1)
+	b = append(b, "\n}\n"...)
+	_, err = w.Write(b)
+	return err
+}
+
+// appendReflected appends a depth-1 member of the report document whose
+// value is small and irregular (the scenario result, the fault and
+// error lists): encoding/json encodes it, indented to sit at depth 1.
+func appendReflected(b []byte, key string, v any) ([]byte, error) {
+	enc, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		return b, err
+	}
+	b = append(b, ',')
+	b = appendMember(b, 1, key)
+	return append(b, enc...), nil
 }
 
 // Text renders the report for humans: verdict, flagged errors, fault
@@ -174,9 +346,9 @@ func (r RunReport) Text() string {
 		r.Duration, r.Events, len(r.Faults))
 	for _, n := range r.Nodes {
 		fmt.Fprintf(&b, "%-8s", n.Name)
-		if eng, ok := n.Layers["engine"]; ok {
+		if eng, ok := n.Layer("engine"); ok {
 			fmt.Fprintf(&b, " engine: %.0f intercepted, %.0f matched, %.0f actions",
-				eng["packets_intercepted"], eng["packets_matched"], eng["actions_fired"])
+				eng.Value("packets_intercepted"), eng.Value("packets_matched"), eng.Value("actions_fired"))
 		}
 		if n.Crashed {
 			b.WriteString(" [CRASHED by FAIL]")
@@ -186,27 +358,73 @@ func (r RunReport) Text() string {
 	return b.String()
 }
 
-// nodeReports gathers every host's layer snapshots for the report.
-func (tb *Testbed) nodeReports() []NodeReport {
-	out := make([]NodeReport, 0, len(tb.nodes))
+// layerSchema is one node layer's slot in the testbed's report schema:
+// its reading names in sorted order, and where Snapshot puts each.
+type layerSchema struct {
+	layer string
+	names []string // sorted
+	order []int    // order[i] = index in Snapshot().Values of names[i]
+}
+
+// buildReportSchema fixes, once per testbed, the layer order and the
+// per-layer name order every NodeReport uses. A layer's Snapshot lists a
+// fixed set of readings in a fixed order, so one node's snapshot stands
+// for all and a run-end report copies values straight into sorted
+// position instead of building and sorting maps for every node.
+func (tb *Testbed) buildReportSchema() {
+	seen := make(map[string]bool)
 	for _, n := range tb.nodes {
-		nr := NodeReport{
-			Name:    n.name,
-			Crashed: n.engine.Failed(),
-			Layers:  make(map[string]map[string]float64),
-		}
 		for _, layer := range n.SnapshotLayers() {
-			snap, ok := n.Snapshot(layer)
+			if seen[layer] {
+				continue
+			}
+			seen[layer] = true
+			snap, _ := n.Snapshot(layer)
+			sc := layerSchema{layer: layer, order: make([]int, len(snap.Values))}
+			for i := range sc.order {
+				sc.order[i] = i
+			}
+			sort.Slice(sc.order, func(i, j int) bool {
+				return snap.Values[sc.order[i]].Name < snap.Values[sc.order[j]].Name
+			})
+			for _, j := range sc.order {
+				sc.names = append(sc.names, snap.Values[j].Name)
+			}
+			tb.reportSchema = append(tb.reportSchema, sc)
+		}
+	}
+	sort.Slice(tb.reportSchema, func(i, j int) bool { return tb.reportSchema[i].layer < tb.reportSchema[j].layer })
+}
+
+// nodeReports gathers every host's layer snapshots for the report. All
+// nodes' layers and values are carved from two backing arrays.
+func (tb *Testbed) nodeReports() []NodeReport {
+	perNode := 0
+	for _, sc := range tb.reportSchema {
+		perNode += len(sc.names)
+	}
+	// Upper bounds, so the carved sub-slices never move.
+	layers := make([]LayerReport, 0, len(tb.nodes)*len(tb.reportSchema))
+	vals := make([]float64, 0, len(tb.nodes)*perNode)
+	out := make([]NodeReport, len(tb.nodes))
+	for i, n := range tb.nodes {
+		first := len(layers)
+		for _, sc := range tb.reportSchema {
+			snap, ok := n.Snapshot(sc.layer)
 			if !ok {
 				continue
 			}
-			vals := make(map[string]float64, len(snap.Values))
-			for _, v := range snap.Values {
-				vals[v.Name] = v.Value
+			if len(snap.Values) != len(sc.order) {
+				panic(fmt.Sprintf("virtualwire: %s/%s snapshot has %d readings, report schema %d",
+					n.name, sc.layer, len(snap.Values), len(sc.order)))
 			}
-			nr.Layers[layer] = vals
+			base := len(vals)
+			for _, j := range sc.order {
+				vals = append(vals, snap.Values[j].Value)
+			}
+			layers = append(layers, LayerReport{Layer: sc.layer, Names: sc.names, Values: vals[base:len(vals):len(vals)]})
 		}
-		out = append(out, nr)
+		out[i] = NodeReport{Name: n.name, Crashed: n.engine.Failed(), Layers: layers[first:len(layers):len(layers)]}
 	}
 	return out
 }

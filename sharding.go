@@ -32,11 +32,20 @@ package virtualwire
 // property reduces to Shards:1 vs Shards:K of the same algorithm.
 // Shards:0 (the default) keeps the classic single-queue engine
 // untouched, bit-compatible with every previous release.
+//
+// The component generators are PCG streams (pcgSource below). Earlier
+// releases used math/rand's default source for them; moving to PCG
+// changed, once, the backoff, bit-error and CORRUPT draws of Shards >= 1
+// runs — and nothing else: Shards:0 output is byte-for-byte what it was,
+// and the four determinism contracts (same seed → same bytes, reset ≡
+// fresh, 1 ≡ K shards, resumed ≡ uninterrupted) compare runs of the
+// same build with each other, so they hold unchanged.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"time"
 
@@ -60,12 +69,12 @@ const shardWindowCap = time.Millisecond
 
 // shardRuntime is the sharded engine's state, created at build time.
 type shardRuntime struct {
-	count    int
-	scheds   []*sim.Scheduler   // scheds[0] == tb.sched
-	pools    []*ether.FramePool // pools[0] == tb.pool
-	channels []*ether.TrunkChannel
-	swShard  []int // switch index -> shard (planner output)
-	set      *sim.ShardSet
+	count   int
+	scheds  []*sim.Scheduler   // scheds[0] == tb.sched
+	pools   []*ether.FramePool // pools[0] == tb.pool
+	trunks  *ether.TrunkSet    // every fabric trunk, in wiring order
+	swShard []int              // switch index -> shard (planner output)
+	set     *sim.ShardSet
 
 	// lookahead is min over channels of Lookahead(); 0 when no channels.
 	lookahead time.Duration
@@ -105,7 +114,7 @@ func (tb *Testbed) resolveShardCount(edges int) int {
 // reuses the testbed's own, so on a one-shard testbed the windowed
 // engine touches exactly the objects the legacy engine would.
 func (tb *Testbed) initShardRuntime(k int) {
-	sr := &shardRuntime{count: k}
+	sr := &shardRuntime{count: k, trunks: ether.NewTrunkSet(k)}
 	sr.scheds = make([]*sim.Scheduler, k)
 	sr.pools = make([]*ether.FramePool, k)
 	sr.scheds[0] = tb.sched
@@ -160,12 +169,25 @@ func deriveShardSeed(seed int64, id uint64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// pcgSource is a component generator's stream: the standard library's
+// PCG (16 bytes of state, seeded in O(1), the same stream on every
+// platform) behind math/rand's Source64. A fat-tree pins thousands of
+// these — one per switch port and engine — and Reset reseeds them all,
+// which the 607-word default source made the dominant cost of a
+// 1000-host Reset. Uint64 is the embedded PCG's.
+type pcgSource struct{ randv2.PCG }
+
+func (p *pcgSource) Seed(seed int64) { p.PCG.Seed(uint64(seed), 0) }
+func (p *pcgSource) Int63() int64    { return int64(p.Uint64() >> 1) }
+
 // assignComponentRands pins a deterministic generator on every
 // randomness-drawing component, in a fixed construction-order walk:
 // switch port segments (switches in index order, ports in index order),
 // then engines in node order. In the legacy engine those draws share
 // the scheduler's single stream, whose draw order depends on event
 // interleaving — fine serially, partition-dependent under sharding.
+// Here every backoff, bit-error and CORRUPT draw comes from the
+// component's own PCG stream, seeded from (run seed, construction id).
 // First call allocates the generators; later calls (Reset) reseed them
 // in place, keeping the reset path allocation-free.
 func (tb *Testbed) assignComponentRands(seed int64) {
@@ -173,15 +195,11 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 	alloc := sr.rands == nil
 	id := uint64(0)
 	next := func() *rand.Rand {
-		s := deriveShardSeed(seed, id)
-		var r *rand.Rand
 		if alloc {
-			r = rand.New(rand.NewSource(s))
-			sr.rands = append(sr.rands, r)
-		} else {
-			r = sr.rands[id]
-			r.Seed(s)
+			sr.rands = append(sr.rands, rand.New(new(pcgSource)))
 		}
+		r := sr.rands[id]
+		r.Seed(deriveShardSeed(seed, id))
 		id++
 		return r
 	}
@@ -227,21 +245,21 @@ func validateShardConfig(cfg *Config) error {
 // totals equal the legacy engine's single-queue readings at any shard
 // count.
 func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
-	var exec, schd, rec, pend, free float64
+	var exec, schd, rec uint64
+	var pend, free int
 	for _, s := range tb.shards.scheds {
-		sn := s.Snapshot()
-		exec += snapVal(sn, "events_executed")
-		schd += snapVal(sn, "events_scheduled")
-		rec += snapVal(sn, "events_recycled")
-		pend += snapVal(sn, "events_pending")
-		free += snapVal(sn, "free_list_len")
+		exec += s.Executed()
+		schd += s.Scheduled()
+		rec += s.Recycled()
+		pend += s.Pending()
+		free += s.FreeListLen()
 	}
 	var out MetricsSnapshot
-	out.Counter("events_executed", uint64(exec))
-	out.Counter("events_scheduled", uint64(schd))
-	out.Counter("events_recycled", uint64(rec))
-	out.Gauge("events_pending", pend)
-	out.Gauge("free_list_len", free)
+	out.Counter("events_executed", exec)
+	out.Counter("events_scheduled", schd)
+	out.Counter("events_recycled", rec)
+	out.Gauge("events_pending", float64(pend))
+	out.Gauge("free_list_len", float64(free))
 	return out
 }
 
@@ -249,24 +267,19 @@ func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
 // single "testbed"/"pool" source.
 func (tb *Testbed) shardPoolSnapshot() MetricsSnapshot {
 	var gets, hits, puts uint64
-	var free float64
+	var free int
 	for _, p := range tb.shards.pools {
 		gets += p.Gets
 		hits += p.Hits
 		puts += p.Puts
-		free += snapVal(p.Snapshot(), "free_frames")
+		free += p.FreeFrames()
 	}
 	var out MetricsSnapshot
 	out.Counter("gets", gets)
 	out.Counter("hits", hits)
 	out.Counter("puts", puts)
-	out.Gauge("free_frames", free)
+	out.Gauge("free_frames", float64(free))
 	return out
-}
-
-func snapVal(sn MetricsSnapshot, name string) float64 {
-	v, _ := sn.Get(name)
-	return v
 }
 
 // finishShardBuild completes sharded wiring after the layer chains are
@@ -279,18 +292,6 @@ func (tb *Testbed) finishShardBuild() {
 	}
 	tb.recomputeShardLookahead()
 	tb.assignComponentRands(tb.cfg.Seed)
-}
-
-// earliestTrunk returns the earliest in-flight cross-trunk arrival.
-func (sr *shardRuntime) earliestTrunk() (time.Duration, bool) {
-	var min time.Duration
-	any := false
-	for _, ch := range sr.channels {
-		if t, ok := ch.EarliestPending(); ok && (!any || t < min) {
-			min, any = t, true
-		}
-	}
-	return min, any
 }
 
 // dispatchWorkloads runs every workload's setup at a barrier (shards
@@ -394,15 +395,13 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration) (err
 				end = la
 			}
 		}
-		// The in-flight-arrival bound applies whenever trunks exist, not
-		// only when lookahead is positive: with every trunk failed the
-		// lookahead is zero, yet frames committed before the failure are
-		// still propagating and must be delivered before any event at or
-		// after their arrival runs.
-		if len(sr.channels) > 0 {
-			if t, ok := sr.earliestTrunk(); ok && t < end {
-				end = t
-			}
+		// The in-flight-arrival bound applies whether or not lookahead is
+		// positive: with every trunk failed the lookahead is zero, yet
+		// frames committed before the failure are still propagating and
+		// must be delivered before any event at or after their arrival
+		// runs.
+		if t, ok := sr.trunks.EarliestPending(); ok && t < end {
+			end = t
 		}
 		// Never let a window cross the next fault or reconvergence time:
 		// the live-trunk set (and lookahead) must be constant within a
@@ -427,9 +426,7 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration) (err
 		if err := sr.set.RunWindow(end, clockTo); err != nil {
 			return nil, err
 		}
-		for _, ch := range sr.channels {
-			ch.Drain()
-		}
+		sr.trunks.Drain()
 		if past {
 			return nil, nil
 		}

@@ -355,7 +355,7 @@ func (tb *Testbed) buildFabric() error {
 					BitErrorRate:  tb.cfg.BitErrorRate,
 					Pool:          tb.shardPool(shardOf[w.b]),
 				})
-			tb.shards.channels = append(tb.shards.channels, tr.ch)
+			tb.shards.trunks.Track(tr.ch, shardOf[w.a], shardOf[w.b])
 		} else {
 			tr.link, tr.pa, tr.pb = ether.ConnectTrunk(tb.fabric[w.a], tb.fabric[w.b], ether.LinkConfig{
 				BitsPerSecond: trunkRate,

@@ -339,7 +339,8 @@ type Testbed struct {
 	reg      *metrics.Registry
 	sampler  *metrics.Sampler
 
-	totalsKeys map[[2]string]string // interned "layer/name" summary keys
+	totalsKeys   map[[2]string]string // interned "layer/name" summary keys
+	reportSchema []layerSchema        // NodeReport layer/name order (build)
 
 	retherRing []string
 	retherCfg  rether.Config
@@ -664,6 +665,7 @@ func (tb *Testbed) build() error {
 		tb.finishShardBuild()
 	}
 	tb.registerMetricSources()
+	tb.buildReportSchema()
 	return nil
 }
 
