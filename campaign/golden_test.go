@@ -3,6 +3,7 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"regexp"
 	"testing"
 )
 
@@ -11,7 +12,10 @@ import (
 // summary. Testbeds are reused across runs, so the reset path, report
 // assembly and record encoding are all inside the hash; see
 // TestGoldenReports in the facade package for the indented-document
-// counterpart.
+// counterpart. As there, a second digest covers the same bytes without
+// the frame pool's pool/gets and pool/puts totals and predates the one
+// re-pinning of the full digest: the mechanism's bookkeeping moved,
+// nothing simulated did.
 func TestGoldenCampaignJSONL(t *testing.T) {
 	spec := quickstartSpec(8, []float64{0, 1e-6})
 	if spec.Runs() != 16 {
@@ -24,5 +28,13 @@ func TestGoldenCampaignJSONL(t *testing.T) {
 	const want = "8dd2cc3fc15d213eb4261a12c438c99992c936738d6f241de04f538c9601f3ba"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("campaign digest %s, want %s (%d JSONL bytes)", got, want, len(jsonl))
+	}
+	poolTotals := regexp.MustCompile(`"pool/(gets|puts)": ?[0-9]+,?`)
+	h.Reset()
+	h.Write(poolTotals.ReplaceAll(jsonl, nil))
+	h.Write(poolTotals.ReplaceAll(sum, nil))
+	const wantNoPool = "e8ca4eaf562e9a7a89cbc48daea5e095c840627cdafaee366b6fee98f46d3f0a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantNoPool {
+		t.Errorf("campaign digest without pool totals %s, want %s", got, wantNoPool)
 	}
 }

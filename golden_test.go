@@ -5,9 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"regexp"
 	"testing"
 	"time"
 )
+
+// poolTotals matches the two frame-pool bookkeeping totals of a report
+// document. They count how often the recycling mechanism ran, not
+// anything simulated, so a change to buffer ownership moves them and
+// nothing else; see TestGoldenReports.
+var poolTotals = regexp.MustCompile(`"pool/(gets|puts)": ?[0-9]+,?`)
 
 // TestGoldenReports pins the exact bytes RunReport.WriteJSON produces on
 // the legacy engine (Shards: 0) for the paper's three figure scenarios.
@@ -16,6 +23,13 @@ import (
 // encoder and the reset path are all inside the hash. The digests were
 // recorded before the report/encode/reset paths were rewritten for
 // speed; a change here is an output change, not a refactor.
+//
+// Each case carries a second digest, of the same bytes with the
+// pool/gets and pool/puts totals cut out. It was recorded before frames
+// started moving across point-to-point hops instead of being cloned, and
+// it did not change when they did: that is the proof that the one
+// re-pinning of the full digests moved the pool's bookkeeping and no
+// simulated quantity.
 func TestGoldenReports(t *testing.T) {
 	fig8 := func(t testing.TB, seed int64) (*Testbed, func()) {
 		src, err := os.ReadFile("bench/testdata/fig8_filters25_actions25.fsl")
@@ -58,16 +72,20 @@ func TestGoldenReports(t *testing.T) {
 		horizon time.Duration
 		build   func(t testing.TB, seed int64) (*Testbed, func())
 		want    string
+		noPool  string
 	}{
 		{"fig5", 1, 60 * time.Second, func(t testing.TB, seed int64) (*Testbed, func()) {
 			tb, _ := fig5Testbed(t, seed, false)
 			return tb, bulk(t, tb, "node2", 80*1024)
-		}, "0f4f0fdb4fd8d3b27f6158d3eeb9aed647349210470a920dbc4614f025ac54a7"},
+		}, "0f4f0fdb4fd8d3b27f6158d3eeb9aed647349210470a920dbc4614f025ac54a7",
+			"fd79c763c513247b1d881c96e2c0a6702403bfb40f72f067a22fc0f02536e73f"},
 		{"fig6", 3, 120 * time.Second, func(t testing.TB, seed int64) (*Testbed, func()) {
 			tb, _ := fig6Testbed(t, seed)
 			return tb, bulk(t, tb, "node4", 4<<20)
-		}, "729b09268e9cac72a01fa07788ce859ac5d6e2f65e67c5409784e8f10c49cbd9"},
-		{"fig8iii", 8, 60 * time.Second, fig8, "4a608f688faf635485f67f4d49c30a65e62aadb22197fd9ccea2c612c8ae586d"},
+		}, "729b09268e9cac72a01fa07788ce859ac5d6e2f65e67c5409784e8f10c49cbd9",
+			"c797fadab71ce4d00d9ef053ea792efe2d4630c94e2fca6380a249aa6e005b22"},
+		{"fig8iii", 8, 60 * time.Second, fig8, "4a608f688faf635485f67f4d49c30a65e62aadb22197fd9ccea2c612c8ae586d",
+			"a116917235e6cb0f9780e28d76ea78a57cfd9d19e0984835a72a1b4b60c4c17e"},
 	}
 	for _, c := range cases {
 		c := c
@@ -95,6 +113,10 @@ func TestGoldenReports(t *testing.T) {
 			sum := sha256.Sum256(doc.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != c.want {
 				t.Errorf("report digest %s, want %s (%d bytes)", got, c.want, doc.Len())
+			}
+			sum = sha256.Sum256(poolTotals.ReplaceAll(doc.Bytes(), nil))
+			if got := hex.EncodeToString(sum[:]); got != c.noPool {
+				t.Errorf("report digest without pool totals %s, want %s", got, c.noPool)
 			}
 		})
 	}
