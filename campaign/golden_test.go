@@ -25,7 +25,7 @@ func TestGoldenCampaignJSONL(t *testing.T) {
 	h := sha256.New()
 	h.Write(jsonl)
 	h.Write(sum)
-	const want = "8dd2cc3fc15d213eb4261a12c438c99992c936738d6f241de04f538c9601f3ba"
+	const want = "6442e7ea2d1c529791c8bed29a9407abad6b0d8293762bcc07880aef8f4e3f16"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("campaign digest %s, want %s (%d JSONL bytes)", got, want, len(jsonl))
 	}

@@ -77,14 +77,14 @@ func TestGoldenReports(t *testing.T) {
 		{"fig5", 1, 60 * time.Second, func(t testing.TB, seed int64) (*Testbed, func()) {
 			tb, _ := fig5Testbed(t, seed, false)
 			return tb, bulk(t, tb, "node2", 80*1024)
-		}, "0f4f0fdb4fd8d3b27f6158d3eeb9aed647349210470a920dbc4614f025ac54a7",
+		}, "5d30a39ba116b2653710255160c915611a32fb5581665cb7374ccb5da2e0301e",
 			"fd79c763c513247b1d881c96e2c0a6702403bfb40f72f067a22fc0f02536e73f"},
 		{"fig6", 3, 120 * time.Second, func(t testing.TB, seed int64) (*Testbed, func()) {
 			tb, _ := fig6Testbed(t, seed)
 			return tb, bulk(t, tb, "node4", 4<<20)
-		}, "729b09268e9cac72a01fa07788ce859ac5d6e2f65e67c5409784e8f10c49cbd9",
+		}, "e41c812f26db9a5a264b04b2acd235c9645e264795ded6196e51522247bece8b",
 			"c797fadab71ce4d00d9ef053ea792efe2d4630c94e2fca6380a249aa6e005b22"},
-		{"fig8iii", 8, 60 * time.Second, fig8, "4a608f688faf635485f67f4d49c30a65e62aadb22197fd9ccea2c612c8ae586d",
+		{"fig8iii", 8, 60 * time.Second, fig8, "65f68a8230a882458958ffa80f684ea971af263e5672fcbc3a7b1fa985741949",
 			"a116917235e6cb0f9780e28d76ea78a57cfd9d19e0984835a72a1b4b60c4c17e"},
 	}
 	for _, c := range cases {

@@ -66,12 +66,20 @@ type Msg struct {
 	AtNanos int64
 }
 
-// encodeMsg wraps a Msg in a control frame addressed dst <- src. The
-// payload is a hand-rolled varint encoding: control messages are on the
-// simulation hot path (counter pushes fire per intercepted packet), and
-// a gob codec pays a decoder-compilation tax on every frame.
-func encodeMsg(src, dst packet.MAC, m *Msg) (*ether.Frame, error) {
-	b := make([]byte, packet.EthHeaderLen, packet.EthHeaderLen+64+len(m.ChunkData)+len(m.Message))
+// msgFixedMax bounds the encoded size of a Msg's thirteen varint fields
+// and its status byte.
+const msgFixedMax = 13*binary.MaxVarintLen64 + 1
+
+// encodeMsg wraps a Msg in a control frame addressed dst <- src, cut
+// from pool (nil: plain allocation). The payload is a hand-rolled
+// varint encoding: control messages are on the simulation hot path
+// (counter pushes fire per intercepted packet), and a gob codec pays a
+// decoder-compilation tax on every frame.
+func encodeMsg(pool *ether.FramePool, src, dst packet.MAC, m *Msg) (*ether.Frame, error) {
+	// Get a frame with room for the largest encoding, append within
+	// that room, then trim the frame to what was written.
+	fr := pool.Get(packet.EthHeaderLen + msgFixedMax + len(m.ChunkData) + len(m.Message))
+	b := fr.Data[:packet.EthHeaderLen]
 	b = binary.AppendVarint(b, int64(m.Kind))
 	b = binary.AppendVarint(b, int64(m.From))
 	b = binary.AppendVarint(b, int64(m.ChunkIndex))
@@ -93,14 +101,16 @@ func encodeMsg(src, dst packet.MAC, m *Msg) (*ether.Frame, error) {
 	b = append(b, m.Message...)
 	b = binary.AppendVarint(b, m.AtNanos)
 	packet.PutEth(b, packet.Eth{Dst: dst, Src: src, Type: packet.EtherTypeVWCtl})
-	return &ether.Frame{Data: b}, nil
+	fr.Data = b
+	return fr, nil
 }
 
 var errBadCtlFrame = fmt.Errorf("malformed control frame")
 
 // decodeMsg extracts a Msg from a control frame into m. ChunkData and
-// Message are copied out: the frame's buffer returns to the pool after
-// delivery, while an INIT chunk is retained until reassembly completes.
+// Message are copied out: the engine recycles the frame as soon as the
+// message is handled, while an INIT chunk is retained until reassembly
+// completes.
 func decodeMsg(fr *ether.Frame, m *Msg) error {
 	b := fr.Data
 	if len(b) <= packet.EthHeaderLen {

@@ -316,7 +316,7 @@ func (c *Controller) sendInit(nid NodeID) error {
 			ControlNode: c.self,
 			NodeID:      nid,
 		}
-		fr, err := encodeMsg(c.engine.mac, c.prog.Nodes[nid].MAC, m)
+		fr, err := encodeMsg(c.engine.pool, c.engine.mac, c.prog.Nodes[nid].MAC, m)
 		if err != nil {
 			return err
 		}

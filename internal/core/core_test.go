@@ -16,8 +16,11 @@ import (
 
 // rig is a small testbed: n hosts on a shared bus, each with exactly the
 // engine between NIC and IP, plus UDP endpoints to generate traffic.
+// Bus, engines and hosts share a frame pool, as on a real testbed, so
+// every test here also runs with received frames being recycled.
 type rig struct {
 	sched   *sim.Scheduler
+	pool    *ether.FramePool
 	hosts   []*stack.Host
 	engines []*core.Engine
 	ctl     *core.Controller
@@ -48,14 +51,16 @@ func newRig(t testing.TB, seed int64, nHosts int, script string) *rig {
 		t.Fatalf("compile: %v", err)
 	}
 	s := sim.NewScheduler(seed)
-	bus := ether.NewSharedBus(s, ether.BusConfig{})
-	r := &rig{sched: s, prog: prog}
+	pool := ether.NewFramePool()
+	bus := ether.NewSharedBus(s, ether.BusConfig{Pool: pool})
+	r := &rig{sched: s, pool: pool, prog: prog}
 	for i := 0; i < nHosts; i++ {
 		mac := packet.MAC{0, 0, 0, 0, 0, byte(i + 1)}
 		ip := packet.IP{10, 0, 0, byte(i + 1)}
 		h := stack.NewHost(s, fmt.Sprintf("node%d", i+1), mac, ip)
 		bus.Attach(h.NIC)
 		eng := core.NewEngine(s, mac)
+		eng.SetPool(pool)
 		h.Build(eng)
 		r.hosts = append(r.hosts, h)
 		r.engines = append(r.engines, eng)
@@ -95,9 +100,10 @@ func (r *rig) sendUDP(t testing.TB, i, j int, dstPort uint16, payload []byte) {
 	t.Helper()
 	h := r.hosts[i]
 	dst := r.hosts[j]
-	fr := packet.BuildUDPFrame(h.MAC, dst.MAC, h.IP, dst.IP,
+	fr := r.pool.Get(packet.UDPFrameLen(len(payload)))
+	packet.PutUDPFrame(fr.Data, h.MAC, dst.MAC, h.IP, dst.IP,
 		packet.UDP{SrcPort: 5000, DstPort: dstPort}, payload)
-	h.SendFrame(&ether.Frame{Data: fr})
+	h.SendFrame(fr)
 }
 
 // bindSink binds a UDP port on host j and counts deliveries.
@@ -268,6 +274,37 @@ END`
 	// Frame offset 42 is UDP payload byte 0 (14+20+8).
 	if len(payload) < 2 || payload[0] != 0xde || payload[1] != 0xad {
 		t.Errorf("MODIFY payload = %x, want 0xdead prefix", payload)
+	}
+}
+
+// TestDupOnReceiveDeliversIntactCopies: the receiving stack recycles a
+// frame as soon as its handler returns, so the engine must take the DUP
+// copy before it passes the original up. Taken afterwards, the copy is
+// of a dead (emptied, possibly reused) frame and the second datagram
+// arrives mangled or not at all.
+func TestDupOnReceiveDeliversIntactCopies(t *testing.T) {
+	script := header(2, 1) + `
+SCENARIO dup_recv
+C: (p0, node1, node2, RECV)
+(TRUE) >> ENABLE_CNTR( C );
+((C = 1)) >> DUP( p0, node1, node2, RECV );
+END`
+	for _, cost := range []time.Duration{0, time.Microsecond} { // inline and delayed-cost path
+		r := newRig(t, 3, 2, script)
+		r.engines[1].Cost = core.CostModel{Base: cost}
+		sock, err := r.hosts[1].UDP.Bind(7000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		sock.OnDatagram = func(_ packet.IP, _ uint16, p []byte) { got = append(got, string(p)) }
+		r.launch(t)
+		const payload = "a datagram that must arrive twice, byte for byte"
+		r.sendUDP(t, 0, 1, 7000, []byte(payload))
+		r.run(t, time.Second)
+		if len(got) != 2 || got[0] != payload || got[1] != payload {
+			t.Errorf("cost %v: DUP delivered %q, want two copies of %q", cost, got, payload)
+		}
 	}
 }
 

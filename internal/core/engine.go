@@ -76,6 +76,7 @@ type packetCtx struct {
 	from, to NodeID
 	dir      Direction
 	consumed bool
+	dropped  bool // consumed by DROP: dead once the cascade has run
 	dup      bool
 }
 
@@ -94,7 +95,8 @@ type Engine struct {
 	base  stack.Base
 	sched *sim.Scheduler
 	mac   packet.MAC
-	rng   *rand.Rand // optional pinned fault-randomness source (SetRand)
+	rng   *rand.Rand       // optional pinned fault-randomness source (SetRand)
+	pool  *ether.FramePool // the node's frame pool (SetPool); nil allocates
 
 	prog        *Program
 	self        NodeID
@@ -180,6 +182,12 @@ func NewEngine(sched *sim.Scheduler, mac packet.MAC) *Engine {
 // shard's event queue; fault timers are created lazily, so a pre-run
 // rebind is safe.
 func (e *Engine) SetScheduler(s *sim.Scheduler) { e.sched = s }
+
+// SetPool wires the node's frame pool into the engine: frames whose
+// journey ends here (DROP, a FAIL-crashed node, consumed control frames)
+// are recycled into it, and control frames and DUP copies are cut from
+// it. Safe to leave unset: a nil pool degrades to plain allocation.
+func (e *Engine) SetPool(p *ether.FramePool) { e.pool = p }
 
 // SetRand pins the random source for probabilistic faults (CORRUPT byte
 // draws). When unset, draws come from the scheduler's shared generator
@@ -387,6 +395,7 @@ func (e *Engine) SendDown(fr *ether.Frame) {
 	}
 	if e.failed {
 		e.Stats.FailConsumed++
+		e.pool.Put(fr)
 		return
 	}
 	if !e.active {
@@ -401,10 +410,12 @@ func (e *Engine) SendDown(fr *ether.Frame) {
 func (e *Engine) DeliverUp(fr *ether.Frame) {
 	if fr.EtherType() == packet.EtherTypeVWCtl {
 		e.handleControlFrame(fr)
+		e.pool.Put(fr) // decodeMsg copied out everything that is kept
 		return
 	}
 	if e.failed {
 		e.Stats.FailConsumed++
+		e.pool.Put(fr)
 		return
 	}
 	if !e.active {
@@ -416,7 +427,9 @@ func (e *Engine) DeliverUp(fr *ether.Frame) {
 }
 
 // forward continues a frame's journey, charging the cost model's virtual
-// processing delay and emitting DUP copies.
+// processing delay and emitting DUP copies. A consumed frame was either
+// dropped — process recycled it — or parked by DELAY/REORDER, which own
+// it until they inject it.
 func (e *Engine) forward(fr *ether.Frame, dir Direction, consumed bool, cost time.Duration, dup bool) {
 	if consumed {
 		return
@@ -425,23 +438,29 @@ func (e *Engine) forward(fr *ether.Frame, dir Direction, consumed bool, cost tim
 		// A FAIL fired while this very packet was being processed: the
 		// crash takes effect immediately.
 		e.Stats.FailConsumed++
+		e.pool.Put(fr)
 		return
 	}
 	if cost > 0 {
 		// Only the delayed path pays for a closure; the common zero-cost
 		// path emits inline, allocation-free.
-		e.sched.After(cost, "vw.cost", func() {
-			e.inject(fr, dir)
-			if dup {
-				e.inject(fr.Clone(), dir)
-			}
-		})
+		e.sched.After(cost, "vw.cost", func() { e.emit(fr, dir, dup) })
 		return
 	}
-	e.inject(fr, dir)
-	if dup {
-		e.inject(fr.Clone(), dir)
+	e.emit(fr, dir, dup)
+}
+
+// emit injects fr and, for DUP, a copy of it. The copy is taken first:
+// injecting hands fr to the next layer, and the end of the chain recycles
+// it before inject returns.
+func (e *Engine) emit(fr *ether.Frame, dir Direction, dup bool) {
+	if !dup {
+		e.inject(fr, dir)
+		return
 	}
+	cp := e.pool.Clone(fr)
+	e.inject(fr, dir)
+	e.inject(cp, dir)
 }
 
 // inject re-introduces a frame beyond the engine in the given direction.
@@ -513,6 +532,9 @@ func (e *Engine) process(fr *ether.Frame, dir Direction) (consumed bool, cost ti
 		e.cur = nil
 		consumed = ctx.consumed
 		dup = ctx.dup
+		if ctx.dropped {
+			e.pool.Put(fr)
+		}
 		if !nested {
 			e.matchScratch = matched[:0]
 		}
@@ -619,7 +641,10 @@ func (e *Engine) operandValue(o Operand) int64 {
 // tests (Figure 6's TokensTo2 does exactly this), and the later rule
 // must still see the pre-action state.
 func (e *Engine) sweepConds(conds []CondID) {
-	var fired []CondID
+	// Stack-backed and per-call, like reevalTerms' scratch: fireCond can
+	// cascade into another sweep.
+	var buf [8]CondID
+	fired := buf[:0]
 	for _, c := range conds {
 		if !e.condHere[c] {
 			continue
@@ -803,6 +828,7 @@ func (e *Engine) applyFault(id ActionID, ctx *packetCtx) {
 	case ActDrop:
 		e.Stats.Drops++
 		ctx.consumed = true
+		ctx.dropped = true
 	case ActDelay:
 		e.Stats.Delays++
 		ctx.consumed = true
@@ -913,7 +939,7 @@ func (e *Engine) sendCtl(to NodeID, m *Msg) {
 		e.handleCtl(m)
 		return
 	}
-	fr, err := encodeMsg(e.mac, e.prog.Nodes[to].MAC, m)
+	fr, err := encodeMsg(e.pool, e.mac, e.prog.Nodes[to].MAC, m)
 	if err != nil {
 		return
 	}

@@ -20,9 +20,9 @@ type BusConfig struct {
 	// BitErrorRate is the independent per-bit flip probability applied
 	// to each delivery (default 0: clean wire).
 	BitErrorRate float64
-	// Pool, when non-nil, recycles frames on the segment: the transmitted
-	// original is returned once its delivery clones are made, and the
-	// clones draw from recycled buffers. Nil keeps plain allocation.
+	// Pool, when non-nil, recycles frames on the segment: the copies a
+	// segment with several listeners makes draw from it, and frames the
+	// NICs drop return to it. Nil keeps plain allocation.
 	Pool *FramePool
 }
 
@@ -262,23 +262,34 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 	fr := tx.nic.dequeue()
 	tx.nic.txDone(fr)
 
-	// Deliver to every other station after the propagation delay. Each
-	// station gets its own copy (drawn from the pool); the transmitted
-	// original is dead once the copies exist — per the ownership
-	// protocol the sender relinquished it at Send — and is recycled.
+	// Deliver to every other station after the propagation delay. The
+	// sender relinquished the frame at Send, so the last station gets
+	// the transmitted frame itself and only the stations before it get
+	// copies (drawn from the pool): a two-station segment — one switch
+	// port — copies nothing. Stations are visited, and bit errors drawn,
+	// in attachment order either way.
 	bits := wireBytes(len(fr.Data)) * 8
+	last := len(b.nics) - 1
+	if b.nics[last] == tx.nic {
+		last--
+	}
 	for i, dst := range b.nics {
 		if dst == tx.nic {
 			continue
 		}
-		cp := b.cfg.Pool.Clone(fr)
+		cp := fr
+		if i != last {
+			cp = b.cfg.Pool.Clone(fr)
+		}
 		if b.corrupts(bits) {
 			cp.Corrupt = true
 			b.flipBit(cp)
 		}
 		b.sched.AfterCall(b.cfg.Propagation, "bus.deliver", busDeliver, b, cp, i)
 	}
-	b.cfg.Pool.Put(fr)
+	if last < 0 {
+		b.cfg.Pool.Put(fr) // nobody else on the segment
+	}
 
 	// More traffic from this NIC or deferred stations?
 	if tx.nic.head() != nil {

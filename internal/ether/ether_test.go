@@ -32,11 +32,6 @@ func TestFrameAccessors(t *testing.T) {
 	if fr.EtherType() != 0x0800 {
 		t.Errorf("EtherType() = %#x", fr.EtherType())
 	}
-	cp := fr.Clone()
-	cp.Data[20] ^= 0xff
-	if fr.Data[20] == cp.Data[20] {
-		t.Error("Clone shares backing array")
-	}
 }
 
 func TestBusDeliversToDestination(t *testing.T) {
@@ -379,8 +374,9 @@ func BenchmarkBusForwarding(b *testing.B) {
 }
 
 // BenchmarkBusForwardingPooled is the same frame path drawing from a
-// FramePool, as a Testbed's media do — the delivery clones and the
-// transmitted originals recycle instead of hitting the allocator.
+// FramePool, as a Testbed's stacks do: the frame is cut from the pool,
+// handed across the two-station segment as it is, and recycled by the
+// receiver.
 func BenchmarkBusForwardingPooled(b *testing.B) {
 	benchBusForwarding(b, NewFramePool())
 }
@@ -397,7 +393,8 @@ func benchBusForwarding(b *testing.B, pool *FramePool) {
 		a.Send(fr)
 	}
 	n := 0
-	c.SetRecv(func(*Frame) {
+	c.SetRecv(func(fr *Frame) {
+		pool.Put(fr)
 		n++
 		if n < b.N {
 			send()

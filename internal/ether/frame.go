@@ -32,14 +32,6 @@ type Frame struct {
 	ID uint64
 }
 
-// Clone returns a deep copy of the frame. Media deliver clones so that a
-// receiver (for example a MODIFY fault) can mutate its copy freely.
-func (f *Frame) Clone() *Frame {
-	d := make([]byte, len(f.Data))
-	copy(d, f.Data)
-	return &Frame{Data: d, Corrupt: f.Corrupt, ID: f.ID}
-}
-
 // Dst returns the destination MAC.
 func (f *Frame) Dst() packet.MAC {
 	var m packet.MAC

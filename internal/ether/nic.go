@@ -83,6 +83,11 @@ func (n *NIC) Scheduler() *sim.Scheduler { return n.sched }
 // shard's event queue; rebinding mid-run would strand pending events.
 func (n *NIC) SetScheduler(s *sim.Scheduler) { n.sched = s }
 
+// Pool returns the frame pool of the medium the NIC is attached to (nil
+// before Attach, or on a bare medium). The host stack above the NIC
+// builds its outbound frames in it and recycles inbound frames into it.
+func (n *NIC) Pool() *FramePool { return n.pool }
+
 // QueueLen reports the current transmit queue depth.
 func (n *NIC) QueueLen() int { return len(n.txq) - n.txhead }
 

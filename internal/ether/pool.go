@@ -5,23 +5,35 @@ import (
 )
 
 // FramePool recycles Frame structs together with their Data buffers, so
-// the per-hop clone-on-delivery the media perform does not hit the
-// garbage collector on every frame. One pool serves one testbed: all
-// media of a testbed share it, and — like the Scheduler — it is
-// single-goroutine by construction, so it needs no locking. Independent
-// testbeds (parallel sweep points) each own a private pool.
+// that a frame's journey from the stack that builds it to the stack that
+// consumes it touches the allocator at neither end. One pool serves one
+// testbed (one shard of a sharded testbed): like the Scheduler it is
+// single-goroutine by construction and needs no locking. A frame that
+// crosses a shard boundary is cut from the sender's pool and recycled
+// into the receiver's; each pool only ever sees its own goroutine.
 //
-// Ownership protocol (see docs/PERFORMANCE.md for the full statement):
+// Ownership protocol (see docs/PERFORMANCE.md for the full statement).
+// A frame has one owner at a time, and whoever ends its life recycles it:
 //
-//   - A frame passed to NIC.Send is owned by the medium. The sender must
-//     not retain it (the RLL clones before transmitting for exactly this
-//     reason). The medium recycles it once it has been serialized and
-//     cloned for delivery.
-//   - A frame handed to a NIC's receive upcall is owned by the receiver
-//     forever: protocol stacks keep sub-slices of Data (IP payloads, TCP
-//     segments), so delivered frames are never recycled.
-//   - Frames the NIC drops before the upcall (destination filter, FCS
-//     check, transmit-queue overflow, collision expiry) are recycled.
+//   - Transmit: a frame passed to NIC.Send — or to SendDown of any layer
+//     — belongs to the callee. The sender must not touch it again (the
+//     RLL keeps its retransmission store and sends clones for exactly
+//     this reason).
+//   - Hops: a medium with one receiver (Link, trunk, a two-station bus
+//     segment, the switch's unicast path) hands the transmitted frame
+//     itself to that receiver. Copies are made only where the model fans
+//     out: a flood, a bus with several listeners, an engine DUP.
+//   - Receive: a frame handed to a receive upcall belongs to the
+//     receiver, and the layer where its journey ends recycles it — the
+//     NIC for frames it filters, the RLL for acks and spent
+//     encapsulations, the engine for drops and control frames, Rether
+//     for its control frames, IPStack.DeliverUp once the transport
+//     handler has returned. Handlers must copy what they keep: payload
+//     slices are valid for the duration of the call only.
+//
+// Forgetting to recycle costs a garbage-collected buffer; recycling too
+// early corrupts a frame still in flight (the poison hook in
+// export_test.go exists to catch that).
 //
 // The zero value of the containing media's pool pointer (nil) disables
 // recycling entirely: Get falls back to plain allocation and Put is a
@@ -33,50 +45,60 @@ type FramePool struct {
 	// arbitrary amount of buffer memory.
 	maxFree int
 
+	// poison, when set (tests only), overwrites a returned frame's bytes
+	// so that anything still reading them diverges visibly.
+	poison bool
+
 	// Gets counts frames handed out (pool hits and misses).
 	Gets uint64
 	// Hits counts Gets served from the free list.
 	Hits uint64
-	// Puts counts frames returned.
+	// Puts counts frames returned, kept or not: like Gets it depends on
+	// the traffic alone, not on how warm the free list is.
 	Puts uint64
 }
 
-// maxPooledCap bounds the Data capacity of buffers kept in the pool;
-// anything larger (never produced by the simulated Ethernet, which is
-// MTU-bounded) is left to the garbage collector.
-const maxPooledCap = 4096
+// frameCap is the Data capacity of every pooled buffer: room for a
+// full-size frame under every encapsulation the testbed uses, so any
+// free frame serves any Get. (A pool of exact-size buffers fills with
+// 54-byte acknowledgements that no data frame can use.)
+const frameCap = 1536
+
+// poisonNewPools is written by tests only (export_test.go): pools
+// created while it is set poison what is returned to them.
+var poisonNewPools bool
 
 // NewFramePool returns an empty pool.
 func NewFramePool() *FramePool {
-	return &FramePool{maxFree: 4096}
+	return &FramePool{maxFree: 4096, poison: poisonNewPools}
 }
 
 // Get returns a frame with Data of length n (zeroed ID and Corrupt; Data
-// contents are unspecified — callers overwrite it). Safe on a nil pool.
+// contents are unspecified — callers overwrite every byte). Safe on a
+// nil pool.
 func (p *FramePool) Get(n int) *Frame {
 	if p == nil {
 		return &Frame{Data: make([]byte, n)}
 	}
 	p.Gets++
+	if n > frameCap {
+		// Larger than anything the MTU-bounded media carry: not pooled.
+		return &Frame{Data: make([]byte, n)}
+	}
 	if m := len(p.free); m > 0 {
 		fr := p.free[m-1]
 		p.free[m-1] = nil
 		p.free = p.free[:m-1]
-		if cap(fr.Data) >= n {
-			p.Hits++
-			fr.Data = fr.Data[:n]
-			return fr
-		}
-		// Undersized buffer: keep the struct, replace the backing array.
-		fr.Data = make([]byte, n)
+		p.Hits++
+		fr.Data = fr.Data[:n]
 		return fr
 	}
-	return &Frame{Data: make([]byte, n)}
+	return &Frame{Data: make([]byte, n, frameCap)}
 }
 
-// Clone returns a copy of fr backed by a recycled buffer when one is
-// available — the allocation-free replacement for Frame.Clone on the
-// media's delivery paths. Safe on a nil pool (plain deep copy).
+// Clone returns a deep copy of fr, backed by a recycled buffer when one
+// is available: what the media and the engine use where the model fans a
+// frame out. Safe on a nil pool (plain allocation).
 func (p *FramePool) Clone(fr *Frame) *Frame {
 	cp := p.Get(len(fr.Data))
 	copy(cp.Data, fr.Data)
@@ -86,21 +108,31 @@ func (p *FramePool) Clone(fr *Frame) *Frame {
 }
 
 // Put returns a dead frame to the pool. The caller asserts nothing
-// retains fr or any slice of fr.Data. Safe on a nil pool and on a nil
-// frame (both no-ops).
+// retains fr or any slice of fr.Data. Frames the pool did not cut (a
+// test's hand-built frame, an oversized Get) are left to the garbage
+// collector. Safe on a nil pool and on a nil frame (both no-ops).
 func (p *FramePool) Put(fr *Frame) {
 	if p == nil || fr == nil {
 		return
 	}
-	if cap(fr.Data) > maxPooledCap || len(p.free) >= p.maxFree {
+	p.Puts++
+	if p.poison {
+		data := fr.Data[:cap(fr.Data)]
+		for i := range data {
+			data[i] = poisonByte
+		}
+	}
+	if cap(fr.Data) != frameCap || len(p.free) >= p.maxFree {
 		return
 	}
-	p.Puts++
 	fr.Corrupt = false
 	fr.ID = 0
 	fr.Data = fr.Data[:0]
 	p.free = append(p.free, fr)
 }
+
+// poisonByte is what a poisoned pool fills returned buffers with.
+const poisonByte = 0xA5
 
 // Reset zeroes the pool's counters for a fresh run while keeping the
 // free list warm: a reset pool serves the next run's frames without

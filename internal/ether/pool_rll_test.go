@@ -22,8 +22,8 @@ func (s *upcallSink) DeliverUp(fr *ether.Frame) { s.frames = append(s.frames, fr
 // TestFramePoolRLLUpcall runs the full NIC ← RLL ← sink stack over a
 // pooled bus and checks that the RLL's decapsulation upcall participates
 // in the recycling protocol: spent outer encapsulations and ack frames
-// flow back into the shared pool while the frames handed to the sink stay
-// intact and owned by the receiver.
+// flow back into the shared pool while the frames handed to the sink —
+// which keeps them, as the top of a chain may — stay intact.
 func TestFramePoolRLLUpcall(t *testing.T) {
 	s := sim.NewScheduler(31)
 	pool := ether.NewFramePool()

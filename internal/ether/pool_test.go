@@ -33,16 +33,19 @@ func TestFramePoolReuse(t *testing.T) {
 	}
 }
 
-func TestFramePoolUndersizedBufferGrows(t *testing.T) {
+// TestFramePoolAnyFrameServesAnyGet: every pooled buffer has full-frame
+// capacity, so the buffer of a recycled acknowledgement serves a
+// full-size data frame — a pool of exact-size buffers would miss here.
+func TestFramePoolAnyFrameServesAnyGet(t *testing.T) {
 	p := NewFramePool()
-	small := p.Get(16)
+	small := p.Get(54)
 	p.Put(small)
-	big := p.Get(1500)
-	if len(big.Data) != 1500 {
-		t.Fatalf("Get(1500) Data len = %d", len(big.Data))
+	big := p.Get(1514)
+	if len(big.Data) != 1514 {
+		t.Fatalf("Get(1514) Data len = %d", len(big.Data))
 	}
-	if big != small {
-		t.Error("struct not reused when the buffer had to grow")
+	if big != small || p.Hits != 1 {
+		t.Errorf("recycled 54-byte frame did not serve Get(1514): hits=%d", p.Hits)
 	}
 }
 
@@ -71,12 +74,45 @@ func TestFramePoolClone(t *testing.T) {
 	}
 }
 
+// TestFramePoolSkipsOversizedBuffers: only buffers of the pool's own
+// capacity are kept. A frame larger than anything the media carry is
+// allocated outside the pool and dropped on return, as is a hand-built
+// frame of any other size.
 func TestFramePoolSkipsOversizedBuffers(t *testing.T) {
 	p := NewFramePool()
-	huge := &Frame{Data: make([]byte, maxPooledCap+1)}
+	huge := p.Get(frameCap + 1)
+	if len(huge.Data) != frameCap+1 {
+		t.Fatalf("Get(%d) Data len = %d", frameCap+1, len(huge.Data))
+	}
 	p.Put(huge)
-	if p.Puts != 0 || len(p.free) != 0 {
-		t.Error("oversized buffer was pooled")
+	p.Put(&Frame{Data: make([]byte, 64)})
+	if len(p.free) != 0 {
+		t.Error("foreign-sized buffer was pooled")
+	}
+	if p.Puts != 2 {
+		t.Errorf("Puts = %d, want 2: returns are counted whether kept or not", p.Puts)
+	}
+}
+
+// TestFramePoolPoison: the lifetime oracle's hook overwrites a returned
+// frame's whole buffer, so a reader that held on to it sees the poison.
+func TestFramePoolPoison(t *testing.T) {
+	PoisonNewPools(true)
+	p := NewFramePool()
+	PoisonNewPools(false)
+	fr := p.Get(64)
+	held := fr.Data
+	for i := range held {
+		held[i] = byte(i)
+	}
+	p.Put(fr)
+	for i, b := range held {
+		if b != poisonByte {
+			t.Fatalf("byte %d = %#x after Put, want poison %#x", i, b, poisonByte)
+		}
+	}
+	if q := NewFramePool(); q.poison {
+		t.Error("pool created after the switch went off is poisoned")
 	}
 }
 
@@ -93,49 +129,71 @@ func TestFramePoolNilSafe(t *testing.T) {
 	p.Put(fr) // must not panic
 }
 
-// End-to-end: frames delivered across a pooled bus must survive intact
-// even while the transmitted originals and dropped copies are recycled
-// underneath — the receiver owns its upcall frame forever.
+// TestFramePoolBusDeliveryIntegrity: a segment hands the transmitted
+// frame itself to its last listener and pooled copies to the others. On
+// a two-station segment (one switch port) that is a plain hand-over — no
+// copy, no pool traffic; with three stations the first listener's copy
+// comes from, and on recycling returns to, the pool. Either way every
+// listener sees every payload intact while buffers are recycled under it.
 func TestFramePoolBusDeliveryIntegrity(t *testing.T) {
-	s := sim.NewScheduler(1)
-	pool := NewFramePool()
-	bus := NewSharedBus(s, BusConfig{Pool: pool})
-	a := NewNIC(s, packet.MAC{0, 0, 0, 0, 0, 1}, 16)
-	b := NewNIC(s, packet.MAC{0, 0, 0, 0, 0, 2}, 16)
-	bus.Attach(a)
-	bus.Attach(b)
-
-	var delivered []*Frame
-	b.SetRecv(func(fr *Frame) { delivered = append(delivered, fr) })
-
-	const frames = 20
-	for i := 0; i < frames; i++ {
-		fr := pool.Get(64)
-		copy(fr.Data[0:6], b.MAC[:])
-		copy(fr.Data[6:12], a.MAC[:])
-		for j := 14; j < 64; j++ {
-			fr.Data[j] = byte(i)
+	for _, stations := range []int{2, 3} {
+		s := sim.NewScheduler(1)
+		pool := NewFramePool()
+		bus := NewSharedBus(s, BusConfig{Pool: pool})
+		nics := make([]*NIC, stations)
+		for i := range nics {
+			nics[i] = NewNIC(s, packet.MAC{0, 0, 0, 0, 0, byte(i + 1)}, 16)
+			nics[i].Promiscuous = true
+			bus.Attach(nics[i])
 		}
-		i := i
-		s.After(time.Duration(i)*time.Millisecond, "send", func() { a.Send(fr) })
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(delivered) != frames {
-		t.Fatalf("delivered %d frames, want %d", len(delivered), frames)
-	}
-	for i, fr := range delivered {
-		for j := 14; j < 64; j++ {
-			if fr.Data[j] != byte(i) {
-				t.Fatalf("frame %d payload corrupted at byte %d: got %d", i, j, fr.Data[j])
+		const frames = 20
+		sent := make([]*Frame, frames)
+		handedOver := 0
+		seen := make([]int, stations)
+		for i := 1; i < stations; i++ {
+			i := i
+			nics[i].SetRecv(func(fr *Frame) {
+				n := seen[i]
+				seen[i]++
+				for j := 14; j < 64; j++ {
+					if fr.Data[j] != byte(n) {
+						t.Fatalf("%d stations: listener %d, frame %d corrupted at byte %d: got %d",
+							stations, i, n, j, fr.Data[j])
+					}
+				}
+				if fr == sent[n] {
+					handedOver++
+					if i != stations-1 {
+						t.Errorf("%d stations: listener %d got the original, want the last listener", stations, i)
+					}
+				}
+				pool.Put(fr) // the receiver ends the frame's life
+			})
+		}
+		for i := 0; i < frames; i++ {
+			fr := pool.Get(64)
+			copy(fr.Data[0:6], nics[1].MAC[:])
+			copy(fr.Data[6:12], nics[0].MAC[:])
+			for j := 14; j < 64; j++ {
+				fr.Data[j] = byte(i)
+			}
+			sent[i] = fr
+			s.After(time.Duration(i)*time.Millisecond, "send", func() { nics[0].Send(fr) })
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		for i := 1; i < stations; i++ {
+			if seen[i] != frames {
+				t.Fatalf("%d stations: listener %d saw %d frames, want %d", stations, i, seen[i], frames)
 			}
 		}
-	}
-	if pool.Puts == 0 {
-		t.Error("bus recycled no frames")
-	}
-	if pool.Hits == 0 {
-		t.Error("pool served no recycled buffers")
+		if handedOver != frames {
+			t.Errorf("%d stations: %d of %d originals handed over", stations, handedOver, frames)
+		}
+		// The senders' Gets, plus one copy per frame per extra listener.
+		if want := uint64(frames * (stations - 1)); pool.Gets != want {
+			t.Errorf("%d stations: pool.Gets = %d, want %d", stations, pool.Gets, want)
+		}
 	}
 }

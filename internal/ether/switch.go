@@ -210,8 +210,8 @@ func (sw *Switch) FlushTable() {
 }
 
 // ingress handles a frame received on port idx after full reassembly.
-// The ingress frame is owned by the switch (the segment delivered this
-// copy to the port NIC and nothing else holds it): a unicast forward
+// The ingress frame is owned by the switch (the segment handed it to
+// the port NIC and nothing else holds it): a unicast forward
 // hands it onward without a copy, a flood clones per output port, and
 // whatever is left is recycled.
 func (sw *Switch) ingress(idx int, fr *Frame) {
@@ -544,13 +544,14 @@ func (l *Link) pump(dir int) {
 
 func linkTxEnd(recv, _ any, dir int) { recv.(*Link).txEnd(dir) }
 
-// txEnd finishes the serialization in direction dir: the copy starts
+// txEnd finishes the serialization in direction dir: the frame starts
 // propagating and the next queued frame, if any, starts transmitting.
+// A link has one receiver, so the transmitted frame itself travels on —
+// the sender gave it up at Send — and no copy is made.
 func (l *Link) txEnd(dir int) {
 	src := l.ends[dir]
 	out := src.dequeue()
 	src.txDone(out)
-	cp := l.cfg.Pool.Clone(out)
 	bits := wireBytes(len(out.Data)) * 8
 	if l.cfg.BitErrorRate > 0 {
 		p := float64(bits) * l.cfg.BitErrorRate
@@ -558,18 +559,15 @@ func (l *Link) txEnd(dir int) {
 			p = 1
 		}
 		if l.rand().Float64() < p {
-			cp.Corrupt = true
-			if len(cp.Data) > 12 {
-				i := 12 + l.rand().Intn(len(cp.Data)-12)
-				cp.Data[i] ^= 1 << uint(l.rand().Intn(8))
+			out.Corrupt = true
+			if len(out.Data) > 12 {
+				i := 12 + l.rand().Intn(len(out.Data)-12)
+				out.Data[i] ^= 1 << uint(l.rand().Intn(8))
 			}
 		}
 	}
-	// The delivery copy is on its way; the transmitted original is
-	// dead and goes back to the pool.
-	l.cfg.Pool.Put(out)
 	l.active[dir] = false
-	l.sched.AfterCall(l.cfg.Propagation, "link.deliver", nicDeliver, l.ends[1-dir], cp, 0)
+	l.sched.AfterCall(l.cfg.Propagation, "link.deliver", nicDeliver, l.ends[1-dir], out, 0)
 	l.pump(dir)
 }
 

@@ -11,10 +11,9 @@ import (
 // TrunkChannel is the shard-boundary replacement for a trunk Link: a
 // full-duplex inter-switch wire whose two directions are independent
 // halves, each owned entirely by the transmitting switch's scheduler.
-// Serialization, bit errors and the transmit-side frame lifecycle all
-// run on the source shard; the finished copy is deposited into a
-// timestamped outbox instead of being scheduled directly onto the
-// destination scheduler. The sharded coordinator drains every outbox at
+// Serialization and bit errors run on the source shard; the transmitted
+// frame is deposited into a timestamped outbox instead of being
+// scheduled directly onto the destination scheduler. The sharded coordinator drains every outbox at
 // each window barrier — in fixed trunk order, A→B before B→A, FIFO
 // within a half — so delivery scheduling is identical regardless of how
 // switches are partitioned across shards. That invariance is what makes
@@ -81,8 +80,7 @@ func (h *trunkHalf) rand() *rand.Rand {
 	return h.sched.Rand()
 }
 
-// pump mirrors Link.pump, minus direct delivery: the finished copy goes
-// to the outbox with its arrival timestamp.
+// pump mirrors Link.pump; txEnd deposits instead of delivering.
 func (h *trunkHalf) pump() {
 	if h.failed {
 		// A dead wire starts nothing new; queued frames were dropped by
@@ -115,11 +113,12 @@ func (h *trunkHalf) pump() {
 
 func trunkTxEnd(recv, _ any, _ int) { recv.(*trunkHalf).txEnd() }
 
-// txEnd mirrors Link.txEnd, minus direct delivery.
+// txEnd mirrors Link.txEnd, minus direct delivery: the transmitted frame
+// itself crosses, from the source shard's pool into the hands (and, at
+// the end of its life, the pool) of the destination shard.
 func (h *trunkHalf) txEnd() {
 	out := h.src.dequeue()
 	h.src.txDone(out)
-	cp := h.cfg.Pool.Clone(out)
 	bits := wireBytes(len(out.Data)) * 8
 	if h.cfg.BitErrorRate > 0 {
 		p := float64(bits) * h.cfg.BitErrorRate
@@ -127,16 +126,15 @@ func (h *trunkHalf) txEnd() {
 			p = 1
 		}
 		if h.rand().Float64() < p {
-			cp.Corrupt = true
-			if len(cp.Data) > 12 {
-				i := 12 + h.rand().Intn(len(cp.Data)-12)
-				cp.Data[i] ^= 1 << uint(h.rand().Intn(8))
+			out.Corrupt = true
+			if len(out.Data) > 12 {
+				i := 12 + h.rand().Intn(len(out.Data)-12)
+				out.Data[i] ^= 1 << uint(h.rand().Intn(8))
 			}
 		}
 	}
-	h.cfg.Pool.Put(out)
 	h.active = false
-	h.outbox = append(h.outbox, trunkDeposit{fr: cp, at: h.sched.Now() + h.cfg.Propagation})
+	h.outbox = append(h.outbox, trunkDeposit{fr: out, at: h.sched.Now() + h.cfg.Propagation})
 	h.pump()
 }
 

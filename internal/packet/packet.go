@@ -339,10 +339,16 @@ func FlagString(flags byte) string {
 	return string(out)
 }
 
-// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame.
-func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + TCPHeaderLen + len(payload)
-	b := make([]byte, total)
+// TCPFrameLen is the length of an Ethernet+IPv4+TCP frame carrying
+// payloadLen bytes.
+func TCPFrameLen(payloadLen int) int {
+	return EthHeaderLen + IPv4HeaderLen + TCPHeaderLen + payloadLen
+}
+
+// PutTCPFrame writes a complete Ethernet+IPv4+TCP frame into
+// b[:TCPFrameLen(len(payload))]. Every byte of that range is stored, so
+// b may be a recycled buffer with stale contents.
+func PutTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) {
 	PutEth(b, Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4})
 	PutIPv4(b[OffIPHeader:], IPv4{
 		TotalLen: uint16(IPv4HeaderLen + TCPHeaderLen + len(payload)),
@@ -352,13 +358,25 @@ func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) [
 	})
 	PutTCP(b[OffIPHeader+IPv4HeaderLen:], h)
 	copy(b[OffIPHeader+IPv4HeaderLen+TCPHeaderLen:], payload)
+}
+
+// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame in a fresh
+// buffer (tests and tools; the stacks write into pooled frames).
+func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) []byte {
+	b := make([]byte, TCPFrameLen(len(payload)))
+	PutTCPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
 	return b
 }
 
-// BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame.
-func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + len(payload)
-	b := make([]byte, total)
+// UDPFrameLen is the length of an Ethernet+IPv4+UDP frame carrying
+// payloadLen bytes.
+func UDPFrameLen(payloadLen int) int {
+	return EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + payloadLen
+}
+
+// PutUDPFrame writes a complete Ethernet+IPv4+UDP frame into
+// b[:UDPFrameLen(len(payload))], storing every byte of that range.
+func PutUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) {
 	PutEth(b, Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4})
 	PutIPv4(b[OffIPHeader:], IPv4{
 		TotalLen: uint16(IPv4HeaderLen + UDPHeaderLen + len(payload)),
@@ -369,5 +387,12 @@ func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) [
 	h.Length = uint16(UDPHeaderLen + len(payload))
 	PutUDP(b[OffIPHeader+IPv4HeaderLen:], h)
 	copy(b[OffIPHeader+IPv4HeaderLen+UDPHeaderLen:], payload)
+}
+
+// BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame in a fresh
+// buffer (tests and tools; the stacks write into pooled frames).
+func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) []byte {
+	b := make([]byte, UDPFrameLen(len(payload)))
+	PutUDPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
 	return b
 }

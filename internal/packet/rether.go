@@ -58,14 +58,28 @@ func DecodeRether(b []byte) (Rether, error) {
 	}, nil
 }
 
-// BuildRetherFrame assembles a complete Rether control frame. payload
-// carries optional ring-membership data (a sequence of 6-byte MACs).
-func BuildRetherFrame(src, dst MAC, h Rether, payload []byte) []byte {
+// RetherFrameLen is the length of a Rether control frame carrying
+// payloadLen bytes of ring-membership data.
+func RetherFrameLen(payloadLen int) int {
+	return EthHeaderLen + RetherHeaderLen + payloadLen
+}
+
+// PutRetherFrame writes a complete Rether control frame into
+// b[:RetherFrameLen(len(payload))], storing every byte of that range.
+// payload carries optional ring-membership data (a sequence of 6-byte
+// MACs).
+func PutRetherFrame(b []byte, src, dst MAC, h Rether, payload []byte) {
 	h.PayloadLen = uint16(len(payload))
-	b := make([]byte, EthHeaderLen+RetherHeaderLen+len(payload))
 	PutEth(b, Eth{Dst: dst, Src: src, Type: EtherTypeRether})
 	PutRether(b[EthHeaderLen:], h)
 	copy(b[EthHeaderLen+RetherHeaderLen:], payload)
+}
+
+// BuildRetherFrame assembles a complete Rether control frame in a fresh
+// buffer (tests and tools; the layer writes into pooled frames).
+func BuildRetherFrame(src, dst MAC, h Rether, payload []byte) []byte {
+	b := make([]byte, RetherFrameLen(len(payload)))
+	PutRetherFrame(b, src, dst, h, payload)
 	return b
 }
 

@@ -120,6 +120,7 @@ type Layer struct {
 	cfg   Config
 	sched *sim.Scheduler
 	self  packet.MAC
+	pool  *ether.FramePool // the node's frame pool (SetPool); nil allocates
 
 	ring        []packet.MAC
 	ringVersion uint32
@@ -178,6 +179,12 @@ func New(sched *sim.Scheduler, self packet.MAC, cfg Config) *Layer {
 	return l
 }
 
+// SetPool wires the node's frame pool into the layer: control frames
+// are cut from it, and the frames whose journey ends here (consumed
+// control frames, queue overflow) are recycled into it. Safe to leave
+// unset: a nil pool degrades to plain allocation.
+func (l *Layer) SetPool(p *ether.FramePool) { l.pool = p }
+
 // Reset rewinds the layer to its pre-Start state: initial ring
 // membership, zero token state, empty queues, cleared counters, and any
 // reservation grant undone. The caller must invoke Start again (after
@@ -197,11 +204,13 @@ func (l *Layer) Reset() {
 		l.reserveTimer.Disarm()
 	}
 	l.started = false
-	for i := range l.beQueue {
+	for i, fr := range l.beQueue {
+		l.pool.Put(fr)
 		l.beQueue[i] = nil
 	}
 	l.beQueue = l.beQueue[:0]
-	for i := range l.rtQueue {
+	for i, fr := range l.rtQueue {
+		l.pool.Put(fr)
 		l.rtQueue[i] = nil
 	}
 	l.rtQueue = l.rtQueue[:0]
@@ -281,6 +290,7 @@ func (l *Layer) SendDown(fr *ether.Frame) {
 	if l.ClassifyRT != nil && l.ClassifyRT(fr) {
 		if len(l.rtQueue) >= l.cfg.QueueFrames {
 			l.Stats.DataDropped++
+			l.pool.Put(fr)
 			return
 		}
 		l.Stats.DataQueuedRT++
@@ -289,6 +299,7 @@ func (l *Layer) SendDown(fr *ether.Frame) {
 	}
 	if len(l.beQueue) >= l.cfg.QueueFrames {
 		l.Stats.DataDropped++
+		l.pool.Put(fr)
 		return
 	}
 	l.Stats.DataQueuedBE++
@@ -298,12 +309,18 @@ func (l *Layer) SendDown(fr *ether.Frame) {
 // --- inbound path ---
 
 // DeliverUp implements stack.Layer: consume Rether control traffic,
-// deliver everything else.
+// deliver everything else. A control frame's journey ends here, so it is
+// recycled once handled (the handlers copy what they keep).
 func (l *Layer) DeliverUp(fr *ether.Frame) {
 	if fr.EtherType() != packet.EtherTypeRether {
 		l.base.PassUp(fr)
 		return
 	}
+	l.handleControl(fr)
+	l.pool.Put(fr)
+}
+
+func (l *Layer) handleControl(fr *ether.Frame) {
 	hdr, err := packet.DecodeRether(fr.Data[packet.EthHeaderLen:])
 	if err != nil {
 		return
@@ -526,10 +543,11 @@ func (l *Layer) sendCtl(dst packet.MAC, typ uint16, seq uint32, payload []byte) 
 	if idx < 0 {
 		idx = 0
 	}
-	fr := packet.BuildRetherFrame(l.self, dst, packet.Rether{
+	fr := l.pool.Get(packet.RetherFrameLen(len(payload)))
+	packet.PutRetherFrame(fr.Data, l.self, dst, packet.Rether{
 		Type:     typ,
 		TokenSeq: seq,
 		Origin:   uint16(idx),
 	}, payload)
-	l.base.PassDown(&ether.Frame{Data: fr})
+	l.base.PassDown(fr)
 }

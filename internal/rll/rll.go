@@ -225,9 +225,6 @@ func (r *RLL) SendDown(fr *ether.Frame) {
 	dst := fr.Dst()
 	if dst.IsBroadcast() {
 		r.Stats.Unreliable++
-		// The original is copied into enc but NOT recycled here: callers
-		// above (the engine's DUP action) may still clone it synchronously
-		// after PassDown returns, exactly as they may with a raw NIC send.
 		r.base.PassDown(r.encap(fr, typeUnreliable, 0, 0))
 		return
 	}
@@ -335,7 +332,7 @@ func serialLT(a, b uint32) bool { return int32(a-b) < 0 }
 // bytes) and passes it up. The upcall frame comes from the pool and the
 // spent outer frame goes back to it: the inner bytes are copied out, so
 // nothing retains the outer buffer, while the upcall frame transfers to
-// the receiver per the ownership protocol (never recycled by us).
+// the layers above, the last of which recycles it.
 func (r *RLL) deliverInner(outer *ether.Frame, inner []byte) {
 	up := r.pool.Get(12 + len(inner))
 	copy(up.Data, outer.Data[0:12]) // dst + src are shared with the outer frame
@@ -490,6 +487,8 @@ func (r *RLL) transmit(enc *ether.Frame) {
 	r.base.PassDown(r.pool.Clone(enc))
 }
 
+// encap wraps fr in a fresh RLL frame and recycles fr: the layer above
+// gave it up at SendDown, and its bytes now live in the encapsulation.
 func (r *RLL) encap(fr *ether.Frame, typ byte, seq, ack uint32) *ether.Frame {
 	inner := fr.Data[12:] // from the inner ethertype onward
 	enc := r.pool.Get(packet.EthHeaderLen + headerLen + len(inner))
@@ -502,6 +501,7 @@ func (r *RLL) encap(fr *ether.Frame, typ byte, seq, ack uint32) *ether.Frame {
 	binary.BigEndian.PutUint32(hdr[9:], frameCRC(hdr[:9], inner))
 	copy(b[packet.EthHeaderLen+headerLen:], inner)
 	enc.ID = fr.ID
+	r.pool.Put(fr)
 	return enc
 }
 

@@ -207,6 +207,7 @@ func TestRLLDeliverInnerUsesPool(t *testing.T) {
 	ra := New(s, macA, Config{})
 	rb := New(s, macB, Config{})
 	pool := ether.NewFramePool()
+	ra.SetPool(pool) // the pool only keeps buffers it cut itself
 	rb.SetPool(pool)
 	up := &sink{}
 	down := &downSink{}

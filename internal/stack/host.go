@@ -135,13 +135,22 @@ func (s *IPStack) Register(proto byte, fn func(src, dst packet.IP, payload []byt
 
 // RegisterRaw installs a handler for a non-IP ethertype (for example
 // Rether control frames when the Rether layer sits at the stack top in
-// tests).
+// tests). The frame is valid for the duration of the call.
 func (s *IPStack) RegisterRaw(ethertype uint16, fn func(fr *ether.Frame)) {
 	s.rawHandlers[ethertype] = fn
 }
 
-// DeliverUp implements Up: it is the final stop of the inbound path.
+// DeliverUp implements Up: it is the final stop of the inbound path, so
+// the frame's life ends here. Whatever becomes of it — handled, not
+// ours, malformed — it is recycled into the host's pool once the handler
+// has returned; handlers see slices of its buffer and must copy what
+// they keep.
 func (s *IPStack) DeliverUp(fr *ether.Frame) {
+	s.demux(fr)
+	s.host.NIC.Pool().Put(fr)
+}
+
+func (s *IPStack) demux(fr *ether.Frame) {
 	et := fr.EtherType()
 	if h, ok := s.rawHandlers[et]; ok {
 		h(fr)
@@ -192,6 +201,10 @@ type UDPSocket struct {
 	stack *UDPStack
 	Port  uint16
 	// OnDatagram is invoked for each datagram received on the port.
+	// payload is a slice of the received frame, valid for the duration
+	// of the call: the frame is recycled when the handler returns, so a
+	// handler copies what it keeps (sending it back out with SendTo
+	// inside the call is such a copy).
 	OnDatagram func(src packet.IP, srcPort uint16, payload []byte)
 }
 
@@ -211,16 +224,17 @@ func (s *UDPSocket) Close() {
 }
 
 // SendTo transmits a datagram to dst:dstPort through the full layer
-// chain.
+// chain. payload is copied into the frame before SendTo returns.
 func (s *UDPSocket) SendTo(dst packet.IP, dstPort uint16, payload []byte) error {
 	h := s.stack.host
 	dstMAC, err := h.LookupMAC(dst)
 	if err != nil {
 		return err
 	}
-	fr := packet.BuildUDPFrame(h.MAC, dstMAC, h.IP, dst,
+	fr := h.NIC.Pool().Get(packet.UDPFrameLen(len(payload)))
+	packet.PutUDPFrame(fr.Data, h.MAC, dstMAC, h.IP, dst,
 		packet.UDP{SrcPort: s.Port, DstPort: dstPort}, payload)
-	h.SendFrame(&ether.Frame{Data: fr})
+	h.SendFrame(fr)
 	return nil
 }
 

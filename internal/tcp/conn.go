@@ -48,7 +48,10 @@ type Conn struct {
 
 	// OnConnected fires when the handshake completes (both roles).
 	OnConnected func()
-	// OnData fires with each chunk of in-order application data.
+	// OnData fires with each chunk of in-order application data. data
+	// is a slice of the received frame (or of the reassembly store),
+	// valid for the duration of the call: the frame is recycled once the
+	// segment has been processed, so a handler copies what it keeps.
 	OnData func(data []byte)
 	// OnClose fires when the peer's FIN has been consumed.
 	OnClose func()
@@ -63,6 +66,13 @@ type Conn struct {
 	sndNxt uint32
 	rcvNxt uint32
 
+	// sndBuf holds the unsent application data. It is also the
+	// retransmission store: a segment's rtxSeg.data is a slice of the
+	// array sndBuf pointed into when the segment was first sent. That is
+	// sound because the buffer is only ever consumed from the front and
+	// appended past its end — sent bytes are never overwritten, and an
+	// append that reallocates leaves the old array to the slices that
+	// still reference it.
 	sndBuf  []byte
 	rtxQ    []rtxSeg
 	closing bool
@@ -82,6 +92,7 @@ type Conn struct {
 	rttValid bool
 
 	rtx        *sim.Timer
+	onRTOFn    func() // c.onRTO, bound once: a method value allocates
 	synRetries int
 
 	oo       map[uint32][]byte
@@ -125,10 +136,21 @@ func (c *Conn) RemoteAddr() (packet.IP, uint16) { return c.key.remoteIP, c.key.r
 // BufferedBytes reports unsent application data.
 func (c *Conn) BufferedBytes() int { return len(c.sndBuf) }
 
-// Send appends application data to the send buffer; it is segmented and
-// transmitted as the congestion and receive windows allow.
+// Send queues application data; it is segmented and transmitted as the
+// congestion and receive windows allow. Send takes ownership of data:
+// when nothing is buffered the connection sends (and retransmits)
+// straight out of the caller's slice instead of copying it, so the
+// caller must not modify it afterwards. The connection itself never
+// writes to it — many connections may be handed the same read-only
+// source.
 func (c *Conn) Send(data []byte) {
-	c.sndBuf = append(c.sndBuf, data...)
+	if len(c.sndBuf) == 0 {
+		// Capacity is clipped so that a later Send appending to the
+		// buffer reallocates instead of writing past the caller's slice.
+		c.sndBuf = data[:len(data):len(data)]
+	} else {
+		c.sndBuf = append(c.sndBuf, data...)
+	}
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
@@ -475,8 +497,7 @@ func (c *Conn) trySend() {
 			}
 			n = int(rem)
 		}
-		data := make([]byte, n)
-		copy(data, c.sndBuf[:n])
+		data := c.sndBuf[:n:n]
 		c.sndBuf = c.sndBuf[n:]
 		seq := c.sndNxt
 		c.sndNxt += uint32(n)
@@ -521,7 +542,7 @@ func (c *Conn) emit(seq uint32, data []byte, isRtx bool) {
 }
 
 func (c *Conn) armRTO() {
-	c.rtx.Arm(c.rto, c.onRTO)
+	c.rtx.Arm(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {

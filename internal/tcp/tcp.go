@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"virtualwire/internal/ether"
 	"virtualwire/internal/metrics"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/sim"
@@ -170,6 +169,7 @@ func (s *Stack) newConn(key connKey) *Conn {
 		oo:       make(map[uint32][]byte),
 	}
 	c.rtx = sim.NewTimer(s.host.Sched, "tcp.rto")
+	c.onRTOFn = c.onRTO
 	s.conns[key] = c
 	return c
 }
@@ -276,6 +276,7 @@ func (s *Stack) sendRaw(dst packet.IP, hdr packet.TCP, data []byte) {
 		return
 	}
 	hdr.Window = DefaultWindow
-	fr := packet.BuildTCPFrame(s.host.MAC, mac, s.host.IP, dst, hdr, data)
-	s.host.SendFrame(&ether.Frame{Data: fr})
+	fr := s.host.NIC.Pool().Get(packet.TCPFrameLen(len(data)))
+	packet.PutTCPFrame(fr.Data, s.host.MAC, mac, s.host.IP, dst, hdr, data)
+	s.host.SendFrame(fr)
 }

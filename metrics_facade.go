@@ -231,9 +231,9 @@ func (tb *Testbed) registerMetricSources() {
 	if tb.shards != nil {
 		// Sharded engine: one aggregate source each for the per-shard
 		// schedulers and pools. Counter sums are shard-count invariant
-		// (every event executes on exactly one queue, every frame cycles
-		// through exactly one pool), so reports match the single-queue
-		// readings byte for byte.
+		// (every event executes on exactly one queue; every frame is cut
+		// from one pool and returned to one, counted once each), so
+		// reports match the single-queue readings byte for byte.
 		tb.reg.RegisterSource(MetricsNode, "scheduler", tb.shardSchedulerSnapshot)
 		tb.reg.RegisterSource(MetricsNode, "pool", tb.shardPoolSnapshot)
 	} else {

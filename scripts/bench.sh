@@ -1,6 +1,7 @@
 #!/bin/sh
 # Benchmark suite: measures the hot paths (scheduler, classifier, frame
-# path, engine interception, Figure 5/6 scenarios) and the campaign
+# path, engine interception, Figure 5/6 scenarios built fresh, the
+# Figure 5 data path on a reused testbed) and the campaign
 # executor's end-to-end throughput, recording the results as
 # BENCH_core.json and BENCH_campaign.json at the repository root.
 #
@@ -67,7 +68,7 @@ trap 'rm -f "$RAW"' EXIT
     run_bench ./internal/sim 'BenchmarkScheduler'
     run_bench ./internal/core 'BenchmarkClassifier'
     run_bench ./internal/ether 'BenchmarkBusForwarding'
-    run_bench . 'BenchmarkEngineInterception|BenchmarkFig5Scenario|BenchmarkFig6Scenario|BenchmarkTopology|BenchmarkSharded'
+    run_bench . 'BenchmarkEngineInterception|BenchmarkFig5Scenario|BenchmarkFig5Steady|BenchmarkFig6Scenario|BenchmarkTopology|BenchmarkSharded'
 } > "$RAW"
 emit_json "$RAW" BENCH_core.json
 

@@ -252,6 +252,30 @@ if [ "$ALLOCS" -gt "$ALLOC_LIMIT" ]; then
 fi
 echo "campaign allocations: $ALLOCS allocs/op (limit $ALLOC_LIMIT)"
 
+echo "== data path copy gate =="
+# BenchmarkFig5Steady moves 1 MiB over TCP on a testbed built once and
+# reset per iteration, so its B/op is what the data path itself
+# allocates. Per payload byte that is how many times a byte is still
+# copied into fresh memory on the way: 4.3 when the payload was
+# materialised by the workload, the send buffer, the retransmission
+# queue and the frame builder in turn; 0.04 now that the send buffer is
+# the retransmission store and frames are built in, moved through and
+# recycled into pooled buffers. The limit of 0.25 trips on the first
+# per-byte copy that comes back. A ratio of two byte counts from one
+# run, so hardware-independent.
+COPY_BYTES=1048576 # fig5SteadyBytes in bench_test.go
+STEADY_BOP="$(go test -run '^$' -bench 'BenchmarkFig5Steady$' -benchmem -benchtime 20x . \
+    | awk '/^BenchmarkFig5Steady/ { for (i = 2; i <= NF; i++) if ($(i) == "B/op") print $(i - 1) }')"
+if [ -z "$STEADY_BOP" ]; then
+    echo "data path copy gate: failed to measure B/op" >&2
+    exit 1
+fi
+if ! awk -v b="$STEADY_BOP" -v p="$COPY_BYTES" 'BEGIN { exit !(b <= 0.25 * p) }'; then
+    echo "data path copies regressed: $STEADY_BOP B/op for a $COPY_BYTES-byte transfer (limit 0.25 B per payload byte)" >&2
+    exit 1
+fi
+echo "data path: $STEADY_BOP B/op for a $COPY_BYTES-byte transfer (limit 0.25 B per payload byte)"
+
 echo "== compiled dispatch flatness gate =="
 # The compiled classifier's selling point is flat per-packet cost in the
 # filter count: classifying against 512 filters must cost no more than

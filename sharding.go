@@ -144,18 +144,18 @@ func (tb *Testbed) shardPool(i int) *ether.FramePool {
 	return tb.shards.pools[i]
 }
 
-// bindNodeShard rebinds a host's stack onto its shard's scheduler and
-// pool. Called from buildFabric before the host is attached to its edge
+// bindNodeShard rebinds a host's stack onto its shard's scheduler.
+// Called from buildFabric before the host is attached to its edge
 // switch and before any layer chain is assembled, so no timers or
 // events exist yet; layers constructed later (taps, rether, TCP) read
-// the host's scheduler and land on the right shard automatically.
+// the host's scheduler and land on the right shard automatically, and
+// build wires every layer to the pool the edge switch hands the NIC.
 func (tb *Testbed) bindNodeShard(n *Node, sid int) {
 	sched := tb.shardSched(sid)
 	n.host.SetScheduler(sched)
 	n.engine.SetScheduler(sched)
 	if n.rll != nil {
 		n.rll.SetScheduler(sched)
-		n.rll.SetPool(tb.shardPool(sid))
 	}
 }
 

@@ -349,9 +349,26 @@ type Testbed struct {
 	workloads []workload
 	built     bool
 
+	// zeros is the read-only payload source of the TCP workloads (see
+	// zeroPayload).
+	zeros []byte
+
 	// shards is the windowed parallel engine's runtime (nil unless
 	// Config.Shards is set); created in build.
 	shards *shardRuntime
+}
+
+// zeroPayload returns n zero bytes for a TCP workload to send. Every
+// connection of the testbed is handed a slice of the same array —
+// tcp.Conn.Send never writes to what it is given — which grows to the
+// largest request made of this testbed and dies with it. Workloads call
+// this while they are being started, before any shard runs; the slice
+// they get is only ever read.
+func (tb *Testbed) zeroPayload(n int) []byte {
+	if n > len(tb.zeros) {
+		tb.zeros = make([]byte, n)
+	}
+	return tb.zeros[:n:n]
 }
 
 type portPair struct {
@@ -459,7 +476,6 @@ func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, er
 	n.engine.ClassifyStrategy = tb.cfg.Classifier
 	if tb.cfg.RLL {
 		n.rll = rll.New(tb.sched, m, rll.Config{Window: tb.cfg.RLLWindow})
-		n.rll.SetPool(tb.pool)
 		h.NIC.DeliverCorrupt = true // the RLL validates its own CRC
 	}
 	tb.nodes = append(tb.nodes, n)
@@ -593,7 +609,9 @@ func (tb *Testbed) build() error {
 	for _, n := range tb.nodes {
 		// Layers run on the node's scheduler — tb.sched everywhere except
 		// sharded fabrics, where buildFabric has rebound each host to its
-		// shard's queue.
+		// shard's queue. Likewise the pool: every layer recycles into the
+		// one the host's medium handed its NIC (the shard's).
+		pool := n.host.NIC.Pool()
 		var layers []stack.Layer
 		if tb.tracing != nil {
 			layers = append(layers, trace.NewTap(n.host.Sched, n.name, tb.tracing))
@@ -602,13 +620,16 @@ func (tb *Testbed) build() error {
 			layers = append(layers, trace.NewPcapTap(n.host.Sched, pcapWriter))
 		}
 		if n.rll != nil {
+			n.rll.SetPool(pool)
 			layers = append(layers, n.rll)
 		}
+		n.engine.SetPool(pool)
 		layers = append(layers, n.engine)
 		if inRing[n.name] {
 			rcfg := tb.retherCfg
 			rcfg.Ring = ringMACs
 			n.rether = rether.New(n.host.Sched, n.host.MAC, rcfg)
+			n.rether.SetPool(pool)
 			if len(tb.rtStreams) > 0 {
 				streams := append([]portPair(nil), tb.rtStreams...)
 				n.rether.ClassifyRT = func(fr *ether.Frame) bool {

@@ -38,6 +38,10 @@ type TCPBulkConfig struct {
 type TCPBulk struct {
 	cfg  TCPBulkConfig
 	conn *tcp.Conn
+	// payload is what the sender writes: all of Bytes at once, or one
+	// pacing tick's worth again and again. Cut from the testbed's zero
+	// source while the workload is being started.
+	payload []byte
 
 	connected   bool
 	delivered   int
@@ -105,10 +109,11 @@ func (w *TCPBulk) start(tb *Testbed) error {
 		conn.DisableCongestionControl()
 	}
 	conn.OnFail = func() { w.failed = true }
+	w.stagePayload(tb)
 	conn.OnConnected = func() {
 		w.connected = true
 		if w.cfg.Bytes > 0 {
-			conn.Send(make([]byte, w.cfg.Bytes))
+			conn.Send(w.payload)
 			if w.cfg.CloseWhenDone {
 				conn.Close()
 			}
@@ -119,16 +124,28 @@ func (w *TCPBulk) start(tb *Testbed) error {
 	return nil
 }
 
-// pace writes at the offered rate in 1 ms ticks, with bounded buffering
-// so an overloaded connection exerts backpressure instead of growing the
-// send buffer without limit.
-func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
-	const tick = time.Millisecond
-	const maxBuffered = 512 * 1024
-	perTick := int(w.cfg.RateBitsPerSecond * tick.Seconds() / 8)
-	if perTick <= 0 {
-		perTick = 1
+// paceTick is the pacing loop's period and paceMaxBuffered its bound on
+// unsent data: an overloaded connection exerts backpressure instead of
+// growing the send buffer without limit.
+const (
+	paceTick        = time.Millisecond
+	paceMaxBuffered = 512 * 1024
+)
+
+// stagePayload cuts the sender's payload from the testbed's zero source.
+func (w *TCPBulk) stagePayload(tb *Testbed) {
+	n := w.cfg.Bytes
+	if n <= 0 {
+		n = int(w.cfg.RateBitsPerSecond * paceTick.Seconds() / 8)
+		if n <= 0 {
+			n = 1
+		}
 	}
+	w.payload = tb.zeroPayload(n)
+}
+
+// pace writes at the offered rate, one payload per tick.
+func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
 	var step func()
 	step = func() {
 		if w.failed || w.closed {
@@ -140,10 +157,10 @@ func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
 			}
 			return
 		}
-		if w.conn.BufferedBytes() < maxBuffered {
-			w.conn.Send(make([]byte, perTick))
+		if w.conn.BufferedBytes() < paceMaxBuffered {
+			w.conn.Send(w.payload)
 		}
-		tb.sched.After(tick, "tcpbulk.pace", step)
+		tb.sched.After(paceTick, "tcpbulk.pace", step)
 	}
 	step()
 }
@@ -175,6 +192,7 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 		}
 	}
 	cliSched := from.host.Sched
+	w.stagePayload(tb)
 	run := func() {
 		conn, err := from.tcp.Connect(w.cfg.SrcPort, to.host.IP, w.cfg.DstPort)
 		if err != nil {
@@ -189,7 +207,7 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 		conn.OnConnected = func() {
 			w.connected = true
 			if w.cfg.Bytes > 0 {
-				conn.Send(make([]byte, w.cfg.Bytes))
+				conn.Send(w.payload)
 				if w.cfg.CloseWhenDone {
 					conn.Close()
 				}
@@ -205,12 +223,6 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 // client-local clientClosed flag (set when this loop itself closes the
 // connection) instead of the server-written closed marker.
 func (w *TCPBulk) paceSharded(sched *sim.Scheduler, started time.Duration) {
-	const tick = time.Millisecond
-	const maxBuffered = 512 * 1024
-	perTick := int(w.cfg.RateBitsPerSecond * tick.Seconds() / 8)
-	if perTick <= 0 {
-		perTick = 1
-	}
 	var step func()
 	step = func() {
 		if w.failed || w.clientClosed {
@@ -223,10 +235,10 @@ func (w *TCPBulk) paceSharded(sched *sim.Scheduler, started time.Duration) {
 			}
 			return
 		}
-		if w.conn.BufferedBytes() < maxBuffered {
-			w.conn.Send(make([]byte, perTick))
+		if w.conn.BufferedBytes() < paceMaxBuffered {
+			w.conn.Send(w.payload)
 		}
-		sched.After(tick, "tcpbulk.pace", step)
+		sched.After(paceTick, "tcpbulk.pace", step)
 	}
 	step()
 }

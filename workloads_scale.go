@@ -143,8 +143,10 @@ func (w *Incast) setupReceiver(tb *Testbed) error {
 }
 
 // connectFunc returns sender i's connect-and-send closure. It touches
-// only sender-local TCP state and the sender's own failure slot.
+// only sender-local TCP state and the sender's own failure slot; the
+// payload is cut here, while the workload is being started.
 func (w *Incast) connectFunc(i int, from, to *Node) func() {
+	payload := from.tb.zeroPayload(w.cfg.Bytes)
 	return func() {
 		conn, err := from.tcp.Connect(w.cfg.SrcPort, to.host.IP, w.cfg.DstPort)
 		if err != nil {
@@ -153,7 +155,7 @@ func (w *Incast) connectFunc(i int, from, to *Node) func() {
 		}
 		conn.OnFail = func() { w.senderFail[i]++ }
 		conn.OnConnected = func() {
-			conn.Send(make([]byte, w.cfg.Bytes))
+			conn.Send(payload)
 			conn.Close()
 		}
 	}
@@ -331,8 +333,10 @@ func (w *ManyFlow) setupFlowListener(f int, dst *Node, port uint16) error {
 }
 
 // connectFunc returns flow f's connect-and-send closure, touching only
-// source-local TCP state and flow f's failure slot.
+// source-local TCP state and flow f's failure slot; the payload is cut
+// here, while the workload is being started.
 func (w *ManyFlow) connectFunc(f int, src, dst *Node, port uint16) func() {
+	payload := src.tb.zeroPayload(w.conf.Bytes)
 	return func() {
 		conn, err := src.tcp.Connect(port, dst.host.IP, port)
 		if err != nil {
@@ -341,7 +345,7 @@ func (w *ManyFlow) connectFunc(f int, src, dst *Node, port uint16) func() {
 		}
 		conn.OnFail = func() { w.flowFailed[f]++ }
 		conn.OnConnected = func() {
-			conn.Send(make([]byte, w.conf.Bytes))
+			conn.Send(payload)
 			conn.Close()
 		}
 	}
