@@ -257,9 +257,12 @@ END`
 	if echo.Received() < b.N {
 		b.Fatalf("echo received %d/%d", echo.Received(), b.N)
 	}
-	n1, _ := tb.Node("node1")
-	n2, _ := tb.Node("node2")
-	total := float64(n1.EngineStats().CtlBytes + n2.EngineStats().CtlBytes)
+	total := 0.0
+	for _, n := range tb.Nodes() {
+		sn, _ := n.Snapshot("engine")
+		v, _ := sn.Get("ctl_bytes")
+		total += v
+	}
 	b.ReportMetric(total/float64(b.N), "ctl-B/op")
 }
 
@@ -307,14 +310,12 @@ END`
 	}
 }
 
-// buildFatTree assembles an n-host fat-tree testbed on the given engine
-// (Config.Shards) and forces the build (fabric wiring, layer chains,
-// static ARP).
-func buildFatTree(b *testing.B, n int, seed int64, shards int) *virtualwire.Testbed {
+// buildFatTree assembles an n-host fat-tree testbed and forces the build
+// (fabric wiring, layer chains, static ARP).
+func buildFatTree(b *testing.B, n int, seed int64) *virtualwire.Testbed {
 	b.Helper()
 	tb, err := virtualwire.New(virtualwire.Config{
 		Seed:     seed,
-		Shards:   shards,
 		Topology: &virtualwire.TopologySpec{Kind: virtualwire.TopoFatTree},
 	})
 	if err != nil {
@@ -337,7 +338,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("fattree/n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildFatTree(b, n, int64(i+1), 0)
+				buildFatTree(b, n, int64(i+1))
 			}
 		})
 	}
@@ -348,7 +349,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 func BenchmarkTopologyRun(b *testing.B) {
 	for _, n := range []int{100, 500, 1000} {
 		b.Run(fmt.Sprintf("fattree/n%d", n), func(b *testing.B) {
-			tb := buildFatTree(b, n, 1, 0)
+			tb := buildFatTree(b, n, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -374,33 +375,27 @@ func BenchmarkTopologyRun(b *testing.B) {
 
 // BenchmarkTopologyReset1000 isolates the rewind cost of a 1000-host
 // fat-tree testbed — the per-run overhead a campaign pays to reuse the
-// built fabric — on both engines: the windowed one additionally reseeds
-// a generator per switch port and engine, which once cost 200x the
-// legacy rewind and went unseen while only shards0 was measured.
-// scripts/check.sh gates allocs/op on both and the shards1/shards0 ratio.
+// built fabric, which includes reseeding a generator per switch port and
+// engine. scripts/check.sh gates it at 0 allocs/op.
 func BenchmarkTopologyReset1000(b *testing.B) {
-	for _, shards := range []int{0, 1} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			tb := buildFatTree(b, 1000, 1, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tb.Reset(int64(i + 1)); err != nil {
-					b.Fatal(err)
-				}
-				if err := tb.RunFor(time.Microsecond); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	tb := buildFatTree(b, 1000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tb.Reset(int64(i + 1)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.RunFor(time.Microsecond); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkShardedFatTree measures the windowed parallel engine on a
-// 1000-host fat-tree with campus-length trunks (10µs propagation, so
-// the conservative lookahead buys usefully wide windows). The serial
-// sub-benchmark is the same windowed engine at one shard; shards/2 and
-// shards/4 split the fabric across goroutines. Reports are
+// BenchmarkShardedFatTree measures what more shards buy on a 1000-host
+// fat-tree with campus-length trunks (10µs propagation, so the
+// conservative lookahead buys usefully wide windows). The serial
+// sub-benchmark, the baseline, is one shard; shards/2 and shards/4 split
+// the fabric across goroutines. Reports are
 // byte-identical at every shard count (TestShardedMatchesSerialAcrossSeeds);
 // this benchmark measures only the wall-clock side of that bargain.
 // scripts/check.sh gates shards/4 at >=1.8x serial on >=4-core machines.

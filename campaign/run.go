@@ -121,11 +121,11 @@ type Options struct {
 // normalize resolves every defaultable option in one place, so the
 // zero value of Options is usable and both executor paths (serial,
 // pooled) agree on the effective settings. maxShards is the widest
-// per-run shard count in the matrix (1 for legacy runs): when any run
-// shards, the worker pool shrinks so workers x shards stays within
+// per-run shard count in the matrix: when any run has more than one
+// shard, the worker pool shrinks so workers x shards stays within
 // GOMAXPROCS — every goroutine in a sharded run computes, so
 // oversubscribing the pool just adds barrier contention. A matrix of
-// purely legacy runs keeps the classic one-worker-per-CPU sizing (the
+// one-shard runs keeps the classic one-worker-per-CPU sizing (the
 // worker count never affects output bytes either way).
 func (o *Options) normalize(matrixSize, maxShards int) {
 	if o.Workers <= 0 {
@@ -151,8 +151,8 @@ func (o *Options) normalize(matrixSize, maxShards int) {
 }
 
 // maxShards reports the widest shard request across the matrix, for
-// worker budgeting: auto counts as GOMAXPROCS (its upper bound), legacy
-// as 1.
+// worker budgeting: auto counts as GOMAXPROCS (its upper bound), an
+// unset or zero count as 1.
 func maxShards(points []point) int {
 	max := 1
 	for i := range points {

@@ -90,8 +90,7 @@ func TestClassifierAxisEquivalence(t *testing.T) {
 
 // shardAxisSpec is a scriptless fabric campaign whose config label is
 // pinned, so the emitted records carry no trace of the shard count: the
-// JSONL stream and summary must come out byte-identical whichever
-// engine ran them.
+// JSONL stream and summary must come out byte-identical at any count.
 func shardAxisSpec(shards int) Spec {
 	sh := shards
 	return Spec{
@@ -111,15 +110,15 @@ func shardAxisSpec(shards int) Spec {
 
 // TestShardAxisIdentity extends the determinism guarantee through the
 // campaign layer: the same matrix produces byte-identical JSONL and
-// summary whether each run executes on the windowed engine at 1, 2 or
-// 4 shards, and regardless of executor worker count.
+// summary whether each run executes at 1, 2 or 4 shards — or at 0, which
+// is one shard — and regardless of executor worker count.
 func TestShardAxisIdentity(t *testing.T) {
 	spec := shardAxisSpec(1)
 	refSink, refSum := runToBytes(t, spec, 1)
 	if got := bytes.Count(refSink, []byte("\n")); got != spec.Runs() {
 		t.Fatalf("sink lines = %d, want %d", got, spec.Runs())
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{0, 2, 4} {
 		gotSink, gotSum := runToBytes(t, shardAxisSpec(shards), 1)
 		if !bytes.Equal(gotSink, refSink) {
 			t.Errorf("JSONL at %d shards differs from 1 shard", shards)

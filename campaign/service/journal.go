@@ -3,7 +3,8 @@ package service
 // On-disk journal layout, one directory per job under <Dir>/jobs/<id>/:
 //
 //	job.json     submit-time header: tenant, worker grant, normalized
-//	             spec and its canonical hash. Written once, atomically.
+//	             spec and its canonical hash, and the output generation
+//	             of the build that writes runs.jsonl. Written atomically.
 //	runs.jsonl   the record stream, appended one line per finished run
 //	             in run-index order — always a contiguous prefix of the
 //	             matrix (campaign.Options.StrictOrder). This is the
@@ -19,7 +20,10 @@ package service
 // indexes count 0,1,2,…, truncates the file after it (a SIGKILL can
 // land mid-write), and hands campaign.Run FirstIndex = len(prefix) and
 // the prefix as Prior. Byte-identity across the kill is then exactly
-// the campaign executor's resume invariant.
+// the campaign executor's resume invariant — between runs of one output
+// generation (campaign.OutputGeneration). A prefix journaled by a build
+// of another generation is not a prefix of what this build would write,
+// so such a job is re-run from index 0 instead of resumed.
 
 import (
 	"bufio"
@@ -42,12 +46,16 @@ const (
 
 // jobHeader is the durable submit record.
 type jobHeader struct {
-	ID       string        `json:"id"`
-	Seq      int           `json:"seq"`
-	Tenant   string        `json:"tenant"`
-	Workers  int           `json:"workers"`
-	SpecHash string        `json:"spec_hash"`
-	Spec     campaign.Spec `json:"spec"`
+	ID       string `json:"id"`
+	Seq      int    `json:"seq"`
+	Tenant   string `json:"tenant"`
+	Workers  int    `json:"workers"`
+	SpecHash string `json:"spec_hash"`
+	// Generation is the campaign.OutputGeneration of the build that
+	// wrote (or is writing) runs.jsonl; absent in journals older than
+	// the stamp, which were all generation 1.
+	Generation int           `json:"generation,omitempty"`
+	Spec       campaign.Spec `json:"spec"`
 }
 
 // statusRecord is the durable terminal state.
@@ -103,12 +111,13 @@ func writeJobHeader(j *Job) error {
 		return fmt.Errorf("service: %w", err)
 	}
 	return writeJSONFile(j.dir, jobFile, jobHeader{
-		ID:       j.id,
-		Seq:      j.seq,
-		Tenant:   j.tenant,
-		Workers:  j.workers,
-		SpecHash: j.specHash,
-		Spec:     j.spec,
+		ID:         j.id,
+		Seq:        j.seq,
+		Tenant:     j.tenant,
+		Workers:    j.workers,
+		SpecHash:   j.specHash,
+		Generation: campaign.OutputGeneration,
+		Spec:       j.spec,
 	})
 }
 
@@ -177,7 +186,11 @@ func (m *Manager) loadJournal() error {
 			change:   make(chan struct{}),
 		}
 		j.cost = m.slotCost(&j.spec, j.workers)
-		if err := m.restoreJob(j); err != nil {
+		gen := hdr.Generation
+		if gen == 0 {
+			gen = 1
+		}
+		if err := m.restoreJob(j, gen); err != nil {
 			j.state = StateFailed
 			j.errText = err.Error()
 			close(j.done)
@@ -203,8 +216,11 @@ func (m *Manager) loadJournal() error {
 // restoreJob classifies one journaled job and prepares it for serving
 // or resumption. The spec hash is re-derived and checked so a spec
 // edited (or corrupted) between daemon runs fails loudly instead of
-// resuming against a different matrix.
-func (m *Manager) restoreJob(j *Job) error {
+// resuming against a different matrix. generation is the output
+// generation the journal was written under: a terminal job is served as
+// written whatever it is, an interrupted one is resumed only if this
+// build writes the same bytes.
+func (m *Manager) restoreJob(j *Job, generation int) error {
 	if got := j.spec.Hash(); got != j.specHash {
 		return fmt.Errorf("service: journal spec hash mismatch for %s: header says %s, spec hashes to %s", j.id, j.specHash, got)
 	}
@@ -232,8 +248,23 @@ func (m *Manager) restoreJob(j *Job) error {
 	case os.IsNotExist(err):
 		// Interrupted (or never started): resume. Truncate anything
 		// after the contiguous prefix so the append continues it.
+		stale := generation != campaign.OutputGeneration
+		if stale {
+			m.cfg.Logf("service: job %s (tenant %s): journal is output generation %d, this build writes %d: discarding %d journaled runs, re-running from run 0",
+				j.id, j.tenant, generation, campaign.OutputGeneration, len(prior))
+			prior, goodLen = nil, 0
+			j.completed, j.passed, j.failed = 0, 0, 0
+			j.safeLen.Store(0)
+		}
 		if err := os.Truncate(filepath.Join(j.dir, recordsFile), goodLen); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("service: truncate journal for %s: %w", j.id, err)
+		}
+		if stale {
+			// Only now that no old byte is left: a kill between the two
+			// steps finds the old stamp again and truncates again.
+			if err := writeJobHeader(j); err != nil {
+				return err
+			}
 		}
 		j.state = StateQueued
 		j.firstIndex = len(prior)

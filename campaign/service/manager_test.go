@@ -3,8 +3,10 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -322,5 +324,111 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	}
 	if jobs := m.List(""); len(jobs) != 0 {
 		t.Errorf("rejected submit left %d jobs", len(jobs))
+	}
+}
+
+// agedJournal rewrites a finished job's directory into what a build of
+// output generation 1 would have left: job.json without a generation
+// stamp and the first cut records of runs.jsonl (all of them for cut < 0)
+// with bytes this build would not write — still well-formed records with
+// the right indexes, so only the stamp can tell them from a resumable
+// prefix. interrupted also removes the terminal status and summary.
+func agedJournal(t *testing.T, dir, id string, cut int, interrupted bool) (journal []byte) {
+	t.Helper()
+	job := filepath.Join(dir, "jobs", id)
+	hdr, err := os.ReadFile(filepath.Join(job, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := []byte(`"generation":2,`)
+	if !bytes.Contains(hdr, stamp) {
+		t.Fatalf("job.json carries no generation stamp: %s", hdr)
+	}
+	if err := os.WriteFile(filepath.Join(job, "job.json"), bytes.Replace(hdr, stamp, nil, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(readJournal(t, dir, id), []byte("\n"))
+	if cut < 0 {
+		cut = len(lines) - 1 // SplitAfter leaves an empty tail
+	}
+	for _, line := range lines[:cut] {
+		journal = append(journal, bytes.Replace(line, []byte(`{"`), []byte(`{ "`), 1)...)
+	}
+	if err := os.WriteFile(filepath.Join(job, "runs.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if interrupted {
+		for _, name := range []string{"status.json", "summary.json"} {
+			if err := os.Remove(filepath.Join(job, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return journal
+}
+
+// A job journaled by a build of another output generation must never be
+// resumed into a journal of mixed bytes: interrupted at any cut point it
+// is re-run from index 0 and ends with exactly the bytes of an
+// uninterrupted run of this build; finished, it is served as written.
+func TestReopenAcrossOutputGenerations(t *testing.T) {
+	spec := testSpec(6)
+	wantJSONL, _ := inProcessBytes(t, spec)
+	finish := func(t *testing.T) (dir, id string) {
+		dir = t.TempDir()
+		m := openManager(t, dir, 2)
+		st, err := m.Submit("acme", spec, 1)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if _, err := m.Wait(context.Background(), st.ID); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		m.Close()
+		return dir, st.ID
+	}
+	for _, cut := range []int{1, 3, spec.Runs() - 1} {
+		dir, id := finish(t)
+		agedJournal(t, dir, id, cut, true)
+		var logged bytes.Buffer
+		m, err := service.Open(service.Config{Dir: dir, Budget: 2, Logf: func(f string, a ...any) {
+			fmt.Fprintf(&logged, f+"\n", a...)
+		}})
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		final, err := m.Wait(context.Background(), id)
+		if err != nil || final.State != service.StateDone {
+			t.Fatalf("cut %d: re-run ended %v, %+v", cut, err, final)
+		}
+		m.Close()
+		if final.ResumedFrom != 0 {
+			t.Errorf("cut %d: ResumedFrom = %d, want 0 (old-generation runs must re-run)", cut, final.ResumedFrom)
+		}
+		if got := readJournal(t, dir, id); !bytes.Equal(got, wantJSONL) {
+			t.Errorf("cut %d: re-run journal differs from an uninterrupted run (%d vs %d bytes)", cut, len(got), len(wantJSONL))
+		}
+		if n := strings.Count(logged.String(), "output generation 1"); n != 1 {
+			t.Errorf("cut %d: %d log lines name the generation, want 1:\n%s", cut, n, logged.String())
+		}
+		// The re-run is stamped with this build's generation: reopened
+		// again it is a finished job like any other.
+		m = openManager(t, dir, 2)
+		if again, err := m.Get(id); err != nil || again.State != service.StateDone || again.Completed != spec.Runs() {
+			t.Errorf("cut %d: second reopen: %v, %+v", cut, err, again)
+		}
+		m.Close()
+	}
+
+	dir, id := finish(t)
+	old := agedJournal(t, dir, id, -1, false)
+	m := openManager(t, dir, 2)
+	defer m.Close()
+	got, err := m.Get(id)
+	if err != nil || got.State != service.StateDone || got.Completed != spec.Runs() {
+		t.Fatalf("finished old-generation job after reopen: %v, %+v", err, got)
+	}
+	if !bytes.Equal(readJournal(t, dir, id), old) {
+		t.Error("finished old-generation journal was rewritten")
 	}
 }

@@ -136,8 +136,8 @@ type ConfigOverride struct {
 	// Classifier selects the classification strategy axis value:
 	// "default", "linear", "indexed", "compiled" or "auto".
 	Classifier string `json:"classifier,omitempty"`
-	// Shards selects the sharded windowed engine for this axis value:
-	// 0/nil legacy single-queue, -1 auto, >= 1 explicit shard count (see
+	// Shards is this axis value's shard count: nil, 0 and 1 all one
+	// shard, -1 auto, > 1 explicit (see
 	// virtualwire.Config.Shards). The executor budgets the worker pool so
 	// workers x shards stays within GOMAXPROCS.
 	Shards *int `json:"shards,omitempty"`

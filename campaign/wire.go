@@ -39,6 +39,15 @@ import (
 // SpecVersion is the wire-schema version this build reads and writes.
 const SpecVersion = 1
 
+// OutputGeneration numbers the deliberate breaks of run-record bytes:
+// two builds of the same generation write byte-identical records for the
+// same spec, so a record stream begun by one may be continued by the
+// other; across generations it may not. The service journal stamps each
+// job with it. Generation 1 had a separate single-queue engine behind
+// Shards: 0; generation 2 runs every testbed on the windowed engine.
+// Raise it in the change that moves the bytes, never otherwise.
+const OutputGeneration = 2
+
 // FieldError is a spec validation error located by its JSON field path,
 // e.g. "configs[2].medium" or "variants[0].workload.kind".
 type FieldError struct {
@@ -111,7 +120,7 @@ func (s *Spec) Hash() string {
 
 // MaxShards reports the widest per-run shard request across the spec's
 // axes — the per-run CPU footprint a scheduler should budget for. Auto
-// counts as GOMAXPROCS (its upper bound), legacy single-queue runs as 1.
+// counts as GOMAXPROCS (its upper bound), an unset or zero count as 1.
 func (s *Spec) MaxShards() int {
 	max := 1
 	consider := func(o *ConfigOverride) {

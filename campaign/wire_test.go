@@ -179,7 +179,7 @@ func TestHashDiscriminates(t *testing.T) {
 func TestMaxShards(t *testing.T) {
 	s := Spec{Seed: 1, Hosts: 2, Horizon: Duration(time.Second)}
 	if got := s.MaxShards(); got != 1 {
-		t.Errorf("MaxShards (legacy) = %d, want 1", got)
+		t.Errorf("MaxShards (shards unset) = %d, want 1", got)
 	}
 	four := 4
 	s.Configs = []ConfigOverride{{}, {Shards: &four}}

@@ -86,7 +86,7 @@ func run() (code int, retErr error) {
 	summaryMode := flag.String("summary", "text", "summary format: text, json or none")
 	summaryOut := flag.String("summary-out", "", "write the summary here instead of stdout")
 	progress := flag.Bool("progress", false, "print per-run progress lines to stderr")
-	shardsFlag := flag.String("shards", "", "sharded engine for quick-flag campaigns: a shard count or auto (empty = legacy)")
+	shardsFlag := flag.String("shards", "", "shards per run for quick-flag campaigns: a shard count or auto (empty, 0 and 1 are all one shard)")
 	trunkFail := flag.String("trunk-fail", "", "comma-separated trunk failures idx@at (e.g. 0@500ms; requires -topology)")
 	trunkFlap := flag.String("trunk-flap", "", "comma-separated trunk flaps idx@at:period:count (e.g. 0@500ms:200ms:3; requires -topology)")
 	addr := flag.String("addr", "", "vwcampaignd address (host:port or URL): submit to the daemon instead of running in-process")

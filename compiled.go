@@ -125,10 +125,8 @@ func (tb *Testbed) Reset(seed int64) error {
 	}
 	tb.cfg.Seed = seed
 	tb.sched.Reset(seed)
-	if tb.shards != nil {
-		for i := 1; i < tb.shards.count; i++ {
-			tb.shards.scheds[i].Reset(deriveShardSeed(seed, uint64(i)))
-		}
+	for i := 1; i < tb.shards.count; i++ {
+		tb.shards.scheds[i].Reset(deriveShardSeed(seed, uint64(i)))
 	}
 	if tb.sw != nil {
 		tb.sw.Reset()
@@ -146,11 +144,7 @@ func (tb *Testbed) Reset(seed int64) error {
 		if tb.trunkBlocked(i) == tr.inTree {
 			tb.setTrunkBlocked(i, !tr.inTree)
 		}
-		if tr.ch != nil {
-			tr.ch.SetProfile(tr.baseProp, tr.baseBER)
-		} else if tr.link != nil {
-			tr.link.SetProfile(tr.baseProp, tr.baseBER)
-		}
+		tr.ch.SetProfile(tr.baseProp, tr.baseBER)
 	}
 	tb.resetTopoFaults()
 	if tb.bus != nil {
@@ -173,21 +167,19 @@ func (tb *Testbed) Reset(seed int64) error {
 	// frames back (NIC transmit queues, RLL windows): those Puts belong
 	// to the run being discarded, not the next one.
 	tb.pool.Reset()
-	if tb.shards != nil {
-		// Extra shard pools reset under the same ordering rule; trunk
-		// mailbox frames were recycled by the switch resets above (the
-		// trunkHalf case drains undelivered deposits into their source
-		// pool). Component generators reseed in place (no allocation) and
-		// the workload start flag clears with the discarded run.
-		for i := 1; i < tb.shards.count; i++ {
-			tb.shards.pools[i].Reset()
-		}
-		tb.assignComponentRands(seed)
-		tb.shards.startPending = false
-		// Trunk fail/degrade faults moved the conservative lookahead during
-		// the discarded run; the restored fabric re-derives it.
-		tb.recomputeShardLookahead()
+	// Extra shard pools reset under the same ordering rule; trunk mailbox
+	// frames were recycled by the switch resets above (the trunkHalf case
+	// drains undelivered deposits into their source pool). Component
+	// generators reseed in place (no allocation) and the workload start
+	// flag clears with the discarded run.
+	for i := 1; i < tb.shards.count; i++ {
+		tb.shards.pools[i].Reset()
 	}
+	tb.assignComponentRands(seed)
+	tb.shards.startPending = false
+	// Trunk fail/degrade faults moved the conservative lookahead during
+	// the discarded run; the restored fabric re-derives it.
+	tb.recomputeShardLookahead()
 	// Restart the token ring only after every member is back to zero.
 	for _, name := range tb.retherRing {
 		tb.byName[name].rether.Start()

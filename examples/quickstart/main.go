@@ -71,8 +71,10 @@ func run() error {
 		bulk.SenderStats().Retransmissions)
 
 	node2, _ := tb.Node("node2")
-	fmt.Printf("  engine at node2: %d packets matched, %d dropped by the fault\n",
-		node2.EngineStats().PacketsMatched, node2.EngineStats().Drops)
+	engine, _ := node2.Snapshot("engine")
+	matched, _ := engine.Get("packets_matched")
+	drops, _ := engine.Get("drops")
+	fmt.Printf("  engine at node2: %.0f packets matched, %.0f dropped by the fault\n", matched, drops)
 
 	fmt.Println("\nfirst data packets on the wire (tcpdump-style trace):")
 	n := 0

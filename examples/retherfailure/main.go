@@ -74,7 +74,9 @@ func run() error {
 	fmt.Printf("  token sends toward node3:     %d (the paper's 3-transmission detection)\n", tokensFrom2)
 	for _, name := range ring {
 		n, _ := tb.Node(name)
-		fmt.Printf("  %s ring membership size:   %d\n", name, n.RetherRingSize())
+		sn, _ := n.Snapshot("rether")
+		size, _ := sn.Get("ring_size")
+		fmt.Printf("  %s ring membership size:   %.0f\n", name, size)
 	}
 	fmt.Printf("  scenario: %s\n", rep.Result)
 

@@ -90,8 +90,8 @@ func TestRetherWithRLLUnderBitErrors(t *testing.T) {
 	}
 	for _, name := range []string{"node1", "node2", "node3", "node4"} {
 		n, _ := tb.Node(name)
-		if got := n.RetherRingSize(); got != 4 {
-			t.Errorf("%s ring size = %d; bit errors leaked past the RLL into failure detection", name, got)
+		if got := retherRingSize(t, n); got != 4 {
+			t.Errorf("%s ring size = %v; bit errors leaked past the RLL into failure detection", name, got)
 		}
 	}
 }
@@ -177,8 +177,8 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Failed() {
 		t.Error("fresh node failed")
 	}
-	if n.RetherRingSize() != 0 {
-		t.Error("ring size without rether")
+	if _, ok := n.Snapshot("rether"); ok {
+		t.Error("rether snapshot without rether")
 	}
 	if _, ok := n.CounterValue("nope"); ok {
 		t.Error("counter value without a program")
@@ -219,4 +219,19 @@ END
 	if len(scs) != 1 || !strings.Contains(scs[0].Script, "DROP") {
 		t.Errorf("scenarios: %+v", scs)
 	}
+}
+
+// retherRingSize reads a node's ring membership size from its Rether
+// snapshot.
+func retherRingSize(t *testing.T, n *Node) float64 {
+	t.Helper()
+	sn, ok := n.Snapshot("rether")
+	if !ok {
+		t.Fatalf("%s runs no Rether", n.Name())
+	}
+	size, ok := sn.Get("ring_size")
+	if !ok {
+		t.Fatalf("%s: rether snapshot has no ring_size", n.Name())
+	}
+	return size
 }

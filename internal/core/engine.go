@@ -190,9 +190,9 @@ func (e *Engine) SetScheduler(s *sim.Scheduler) { e.sched = s }
 func (e *Engine) SetPool(p *ether.FramePool) { e.pool = p }
 
 // SetRand pins the random source for probabilistic faults (CORRUPT byte
-// draws). When unset, draws come from the scheduler's shared generator
-// (legacy behavior); the sharded engine derives one generator per
-// engine from (seed, node order) so draws are interleaving-independent.
+// draws). When unset, draws come from the scheduler's shared generator;
+// the testbed derives one generator per engine from (seed, node order)
+// so draws are interleaving-independent.
 func (e *Engine) SetRand(r *rand.Rand) { e.rng = r }
 
 func (e *Engine) rand() *rand.Rand {

@@ -90,9 +90,9 @@ func NewSharedBus(sched *sim.Scheduler, cfg BusConfig) *SharedBus {
 }
 
 // SetRand pins the random source for backoff and bit-error draws. When
-// unset, draws come from the scheduler's shared generator (legacy
-// behavior). The sharded engine pins per-segment generators so draw
-// sequences do not depend on cross-shard event interleaving.
+// unset, draws come from the scheduler's shared generator. The testbed
+// pins per-segment generators so draw sequences do not depend on
+// cross-shard event interleaving.
 func (b *SharedBus) SetRand(r *rand.Rand) { b.rng = r }
 
 func (b *SharedBus) rand() *rand.Rand {

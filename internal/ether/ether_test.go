@@ -457,7 +457,8 @@ func TestSwitchTrunkLearningAcrossFabric(t *testing.T) {
 	s := sim.NewScheduler(1)
 	swA := NewSwitch(s, SwitchConfig{ID: 0})
 	swB := NewSwitch(s, SwitchConfig{ID: 1})
-	ConnectTrunk(swA, swB, LinkConfig{})
+	tr := newTrunkRig(s)
+	tr.connect(swA, swB, LinkConfig{})
 	a, b := NewNIC(s, mac(1), 0), NewNIC(s, mac(2), 0)
 	bystander := NewNIC(s, mac(3), 0)
 	bystander.Promiscuous = true
@@ -470,21 +471,21 @@ func TestSwitchTrunkLearningAcrossFabric(t *testing.T) {
 	bystander.SetRecv(func(*Frame) { gotBy++ })
 
 	a.Send(testFrame(mac(1), mac(2), 200)) // unknown: floods across the trunk
-	if err := s.Run(); err != nil {
+	if err := tr.run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if gotB != 1 || gotBy != 1 {
 		t.Fatalf("flood across trunk: b=%d bystander=%d", gotB, gotBy)
 	}
 	b.Send(testFrame(mac(2), mac(1), 200)) // teaches both switches mac(2)
-	if err := s.Run(); err != nil {
+	if err := tr.run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if gotA != 1 {
 		t.Fatalf("reply not delivered: a=%d", gotA)
 	}
 	a.Send(testFrame(mac(1), mac(2), 200)) // unicast end to end now
-	if err := s.Run(); err != nil {
+	if err := tr.run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if gotB != 2 {
@@ -504,9 +505,10 @@ func TestSwitchBlockedTrunkBreaksLoop(t *testing.T) {
 	for i := range sws {
 		sws[i] = NewSwitch(s, SwitchConfig{ID: i})
 	}
-	ConnectTrunk(sws[0], sws[1], LinkConfig{})
-	ConnectTrunk(sws[1], sws[2], LinkConfig{})
-	_, p2, p0 := ConnectTrunk(sws[2], sws[0], LinkConfig{})
+	tr := newTrunkRig(s)
+	tr.connect(sws[0], sws[1], LinkConfig{})
+	tr.connect(sws[1], sws[2], LinkConfig{})
+	p2, p0 := tr.connect(sws[2], sws[0], LinkConfig{})
 	sws[2].SetPortBlocked(p2, true)
 	sws[0].SetPortBlocked(p0, true)
 
@@ -521,7 +523,7 @@ func TestSwitchBlockedTrunkBreaksLoop(t *testing.T) {
 			n.Send(testFrame(mac(10), packet.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 100))
 		}
 	}
-	if err := s.Run(); err != nil {
+	if err := tr.run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if got[1] != 1 || got[2] != 1 {

@@ -59,6 +59,52 @@ func newHopRig(attach func(s *sim.Scheduler, pool *FramePool, a, b *NIC) (run fu
 	return r
 }
 
+// trunkRig is the windowed run loop cut down to one scheduler, for tests
+// that join switches with trunks: events run in lookahead-bounded
+// windows and the trunks' mailboxes drain between them.
+type trunkRig struct {
+	s         *sim.Scheduler
+	ts        *TrunkSet
+	lookahead time.Duration
+}
+
+func newTrunkRig(s *sim.Scheduler) *trunkRig {
+	return &trunkRig{s: s, ts: NewTrunkSet(1)}
+}
+
+// connect joins two switches and returns the new port index on each.
+func (r *trunkRig) connect(a, b *Switch, cfg LinkConfig) (aPort, bPort int) {
+	ch, aPort, bPort := ConnectTrunkChannel(a, b, cfg, cfg)
+	r.ts.Track(ch, 0, 0)
+	if la := ch.Lookahead(); r.lookahead == 0 || la < r.lookahead {
+		r.lookahead = la
+	}
+	return aPort, bPort
+}
+
+// run advances the simulation until done reports true (nil: never) or
+// nothing is queued or in flight.
+func (r *trunkRig) run(done func() bool) error {
+	for done == nil || !done() {
+		m, ok := r.s.PeekTime()
+		if !ok {
+			return nil
+		}
+		end := m + r.lookahead
+		if t, ok := r.ts.EarliestPending(); ok && t < end {
+			end = t
+		}
+		if end <= m {
+			end = m + 1
+		}
+		if err := r.s.RunWindow(end, end); err != nil {
+			return err
+		}
+		r.ts.Drain()
+	}
+	return nil
+}
+
 // TestSteadyStateHopsDoNotAllocate pins the closure-free hop path: once
 // the event free list, the frame pool and the MAC tables are warm, moving
 // a frame NIC → switch → NIC, across a shared bus, or across a mailbox
@@ -87,32 +133,11 @@ func TestSteadyStateHopsDoNotAllocate(t *testing.T) {
 		"trunk": newHopRig(func(s *sim.Scheduler, pool *FramePool, a, b *NIC) func(func() bool) {
 			sa := NewSwitch(s, SwitchConfig{Pool: pool, ID: 1})
 			sb := NewSwitch(s, SwitchConfig{Pool: pool, ID: 2})
-			lc := LinkConfig{BitsPerSecond: 1e9, Propagation: 10 * time.Microsecond, Pool: pool}
-			ch, _, _ := ConnectTrunkChannel(sa, sb, lc, lc)
-			ts := NewTrunkSet(1)
-			ts.Track(ch, 0, 0)
+			tr := newTrunkRig(s)
+			tr.connect(sa, sb, LinkConfig{BitsPerSecond: 1e9, Propagation: 10 * time.Microsecond, Pool: pool})
 			sa.AttachHost(a)
 			sb.AttachHost(b)
-			// The windowed coordinator, cut down to one trunk.
-			return func(done func() bool) {
-				for !done() {
-					m, ok := s.PeekTime()
-					if !ok {
-						return
-					}
-					end := m + ch.Lookahead()
-					if t, ok := ts.EarliestPending(); ok && t < end {
-						end = t
-					}
-					if end <= m {
-						end = m + 1
-					}
-					if err := s.RunWindow(end, end); err != nil {
-						return
-					}
-					ts.Drain()
-				}
-			}
+			return func(done func() bool) { _ = tr.run(done) }
 		}),
 	}
 	for name, r := range rigs {

@@ -1,9 +1,5 @@
 package ether
 
-import (
-	"virtualwire/internal/metrics"
-)
-
 // FramePool recycles Frame structs together with their Data buffers, so
 // that a frame's journey from the stack that builds it to the stack that
 // consumes it touches the allocator at neither end. One pool serves one
@@ -151,14 +147,3 @@ func (p *FramePool) Reset() {
 
 // FreeFrames reports how many recycled frames the pool holds.
 func (p *FramePool) FreeFrames() int { return len(p.free) }
-
-// Snapshot implements the uniform metrics hook: recycling effectiveness
-// for the observability layer (surfaced as node="testbed", layer="pool").
-func (p *FramePool) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
-	sn.Counter("gets", p.Gets)
-	sn.Counter("hits", p.Hits)
-	sn.Counter("puts", p.Puts)
-	sn.Gauge("free_frames", float64(len(p.free)))
-	return sn
-}

@@ -55,7 +55,7 @@ func (c *SwitchConfig) fill() {
 type switchPort struct {
 	segment Medium
 	nic     *NIC // the switch's own NIC on this segment
-	// trunk marks an inter-switch port (ConnectTrunk).
+	// trunk marks an inter-switch port (ConnectTrunkChannel).
 	trunk bool
 	// blocked removes the port from forwarding (spanning-tree style):
 	// ingress frames are discarded and floods skip it. Blocking is
@@ -147,22 +147,6 @@ func (sw *Switch) addPort(seg Medium, trunk bool) int {
 	pn.SetRecv(func(fr *Frame) { sw.ingress(idx, fr) })
 	sw.ports = append(sw.ports, port)
 	return idx
-}
-
-// ConnectTrunk joins two switches with a dedicated full-duplex link and
-// returns the link plus the new port index on each. MAC learning extends
-// across trunks naturally: a frame arriving on a trunk port teaches the
-// switch that its source lives behind that trunk. Fabrics with redundant
-// trunks (rings, fat-trees) must block the non-tree links on both ends —
-// see SetPortBlocked — or floods will storm.
-func ConnectTrunk(a, b *Switch, cfg LinkConfig) (link *Link, aPort, bPort int) {
-	if cfg.Pool == nil {
-		cfg.Pool = a.cfg.Pool
-	}
-	link = NewLink(a.sched, cfg)
-	aPort = a.addPort(link, true)
-	bPort = b.addPort(link, true)
-	return link, aPort, bPort
 }
 
 // SetPortBlocked marks a port blocked (spanning-tree style): ingress
@@ -306,11 +290,10 @@ func (sw *Switch) Reset() {
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // SetPortRand pins the random source used by port idx's segment. The
-// sharded engine derives one generator per segment from (seed, segment
+// testbed derives one generator per segment from (seed, segment
 // construction order) so random draws do not depend on event
-// interleaving across shards; a segment shared by two ports (a Link)
-// takes the last assignment. Buses and links fall back to their
-// scheduler's generator when unset, which is the legacy behavior.
+// interleaving across shards. Segments fall back to their scheduler's
+// generator when unset.
 func (sw *Switch) SetPortRand(idx int, r *rand.Rand) {
 	switch seg := sw.ports[idx].segment.(type) {
 	case *SharedBus:
@@ -405,7 +388,6 @@ type Link struct {
 	busy   [2]time.Duration // per-direction: when the current tx ends
 	active [2]bool          // per-direction: a txEnd event is pending
 	rng    *rand.Rand       // optional pinned source (see SetRand)
-	failed bool             // fault injection: no new transmissions start
 }
 
 var _ Medium = (*Link)(nil)
@@ -444,59 +426,12 @@ func (l *Link) kick(n *NIC) {
 func (l *Link) Reset() {
 	l.busy = [2]time.Duration{}
 	l.active = [2]bool{}
-	l.failed = false
-}
-
-// SetFailed fails or restores the link (trunk fault injection). Failing
-// drops every queued frame on both ends — except an in-flight head,
-// whose txEnd is already committed; its delivery still arrives and is
-// discarded at the far (failed) port — and refuses new transmissions.
-// Restoring re-kicks both directions. Returns the number of frames
-// dropped (counted in the owning NICs' QueueDrops).
-func (l *Link) SetFailed(failed bool) int {
-	if l.failed == failed {
-		return 0
-	}
-	l.failed = failed
-	dropped := 0
-	if failed {
-		for dir, n := range l.ends {
-			dropped += n.dropQueued(l.active[dir])
-		}
-		return dropped
-	}
-	for dir := range l.ends {
-		l.pump(dir)
-	}
-	return 0
-}
-
-// Failed reports the link's fault state.
-func (l *Link) Failed() bool { return l.failed }
-
-// SetProfile overrides the link's propagation delay and bit error rate
-// in place (per-trunk degradation axis). Zero propagation keeps the
-// current value; a negative BER keeps the current rate, so BER can be
-// restored to a clean 0. The new profile applies from the next
-// transmission's end (propagation and BER are read at txEnd).
-func (l *Link) SetProfile(propagation time.Duration, ber float64) {
-	if propagation > 0 {
-		l.cfg.Propagation = propagation
-	}
-	if ber >= 0 {
-		l.cfg.BitErrorRate = ber
-	}
-}
-
-// Profile reports the link's current propagation delay and BER.
-func (l *Link) Profile() (time.Duration, float64) {
-	return l.cfg.Propagation, l.cfg.BitErrorRate
 }
 
 // SetRand pins the bit-error random source. When unset, draws come from
-// the scheduler's shared generator (legacy behavior). The sharded
-// engine pins per-segment generators so draw sequences are independent
-// of cross-shard event interleaving.
+// the scheduler's shared generator. The testbed pins per-segment
+// generators so draw sequences are independent of cross-shard event
+// interleaving.
 func (l *Link) SetRand(r *rand.Rand) { l.rng = r }
 
 func (l *Link) rand() *rand.Rand {
@@ -517,11 +452,6 @@ func (l *Link) dirOf(n *NIC) int {
 
 // pump transmits queued frames in the given direction, one at a time.
 func (l *Link) pump(dir int) {
-	if l.failed {
-		// A dead wire starts nothing new; queued frames were dropped by
-		// SetFailed and restore re-kicks.
-		return
-	}
 	src := l.ends[dir]
 	fr := src.head()
 	if fr == nil {

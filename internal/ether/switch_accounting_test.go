@@ -41,9 +41,10 @@ func TestSwitchAccountingIdentityUnderFaults(t *testing.T) {
 			port int
 		}
 		var trunkPorts []portRef
+		tr := newTrunkRig(s)
 		for i := 1; i < nsw; i++ {
 			parent := rng.Intn(i)
-			_, pa, pb := ConnectTrunk(sws[parent], sws[i], LinkConfig{})
+			pa, pb := tr.connect(sws[parent], sws[i], LinkConfig{})
 			trunkPorts = append(trunkPorts, portRef{sws[parent], pa}, portRef{sws[i], pb})
 		}
 		// Two hosts per switch.
@@ -109,7 +110,7 @@ func TestSwitchAccountingIdentityUnderFaults(t *testing.T) {
 			s.At(at+time.Duration(500+rng.Intn(1000))*time.Microsecond, "test.restart",
 				func() { sw.SetDown(false) })
 		}
-		if err := s.Run(); err != nil {
+		if err := tr.run(nil); err != nil {
 			t.Fatalf("trial %d: run: %v", trial, err)
 		}
 		for i, sw := range sws {

@@ -8,16 +8,16 @@ import (
 	"virtualwire/internal/sim"
 )
 
-// TrunkChannel is the shard-boundary replacement for a trunk Link: a
-// full-duplex inter-switch wire whose two directions are independent
-// halves, each owned entirely by the transmitting switch's scheduler.
-// Serialization and bit errors run on the source shard; the transmitted
-// frame is deposited into a timestamped outbox instead of being
-// scheduled directly onto the destination scheduler. The sharded coordinator drains every outbox at
-// each window barrier — in fixed trunk order, A→B before B→A, FIFO
-// within a half — so delivery scheduling is identical regardless of how
-// switches are partitioned across shards. That invariance is what makes
-// sharded output byte-identical to serial.
+// TrunkChannel is the inter-switch trunk: a full-duplex wire whose two
+// directions are independent halves, each owned entirely by the
+// transmitting switch's scheduler. Serialization and bit errors run on
+// the source shard; the transmitted frame is deposited into a
+// timestamped outbox instead of being scheduled directly onto the
+// destination scheduler. The run loop drains every outbox at each window
+// barrier — in fixed trunk order, A→B before B→A, FIFO within a half —
+// so delivery scheduling is identical regardless of how switches are
+// partitioned across shards. That invariance is what makes output
+// byte-identical at any shard count.
 //
 // The conservative window guarantee relies on two properties of a half:
 // deposits are timestamped txEnd+Propagation, and a transmission takes

@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"virtualwire/internal/metrics"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -176,18 +174,6 @@ func (s *Scheduler) PeekTime() (time.Duration, bool) {
 		return 0, false
 	}
 	return s.queue[0].at, true
-}
-
-// Snapshot implements the uniform metrics hook for the scheduler itself:
-// how much work the simulation has done and how much is queued.
-func (s *Scheduler) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
-	sn.Counter("events_executed", s.executed)
-	sn.Counter("events_scheduled", s.seq)
-	sn.Counter("events_recycled", s.recycled)
-	sn.Gauge("events_pending", float64(len(s.queue)))
-	sn.Gauge("free_list_len", float64(len(s.free)))
-	return sn
 }
 
 // release drops the callback and its arguments so a dead event pins

@@ -183,8 +183,7 @@ func (tb *Testbed) metricsSummary() MetricsSummary {
 // Snapshot returns this node's current instrument readings for one
 // layer. Valid layers are "engine", "nic", "ip", "tcp", "rll" and
 // "rether"; ok is false for a layer the node does not run (and for "tcp"
-// before the testbed is built). This is the uniform replacement for the
-// per-layer one-off accessors (EngineStats, RetherRingSize, ...).
+// before the testbed is built).
 func (n *Node) Snapshot(layer string) (MetricsSnapshot, bool) {
 	switch layer {
 	case "engine":
@@ -228,18 +227,12 @@ func (n *Node) SnapshotLayers() []string {
 // registerMetricSources wires every built layer into the registry with
 // the uniform Snapshot hook; called once from build().
 func (tb *Testbed) registerMetricSources() {
-	if tb.shards != nil {
-		// Sharded engine: one aggregate source each for the per-shard
-		// schedulers and pools. Counter sums are shard-count invariant
-		// (every event executes on exactly one queue; every frame is cut
-		// from one pool and returned to one, counted once each), so
-		// reports match the single-queue readings byte for byte.
-		tb.reg.RegisterSource(MetricsNode, "scheduler", tb.shardSchedulerSnapshot)
-		tb.reg.RegisterSource(MetricsNode, "pool", tb.shardPoolSnapshot)
-	} else {
-		tb.reg.RegisterSource(MetricsNode, "scheduler", tb.sched.Snapshot)
-		tb.reg.RegisterSource(MetricsNode, "pool", tb.pool.Snapshot)
-	}
+	// One aggregate source each for the per-shard schedulers and pools.
+	// Counter sums are shard-count invariant (every event executes on
+	// exactly one queue; every frame is cut from one pool and returned to
+	// one, counted once each).
+	tb.reg.RegisterSource(MetricsNode, "scheduler", tb.shardSchedulerSnapshot)
+	tb.reg.RegisterSource(MetricsNode, "pool", tb.shardPoolSnapshot)
 	if tb.ctl != nil {
 		tb.reg.RegisterSource(MetricsNode, "controller", tb.ctl.Snapshot)
 	}

@@ -40,8 +40,8 @@ func runRetransmission(t *testing.T, cfg Config) (*Testbed, RunReport) {
 	return tb, rep
 }
 
-// TestReportCarriesFaultsAndErrors asserts the enriched Report agrees
-// with the legacy accessors it supersedes.
+// TestReportCarriesFaultsAndErrors asserts the Report's journal agrees
+// with the accessor and the scenario result it is assembled from.
 func TestReportCarriesFaultsAndErrors(t *testing.T) {
 	tb, rep := runRetransmission(t, Config{Seed: 71})
 	if len(rep.Faults) == 0 {
@@ -51,15 +51,8 @@ func TestReportCarriesFaultsAndErrors(t *testing.T) {
 		t.Errorf("Report.Faults diverges from InjectedFaults():\n%v\nvs\n%v",
 			rep.Faults, tb.InjectedFaults())
 	}
-	legacyErrs := tb.ScenarioResult().Errors
-	if len(rep.Errors) != len(legacyErrs) {
-		t.Fatalf("Report.Errors has %d entries, ScenarioResult().Errors %d",
-			len(rep.Errors), len(legacyErrs))
-	}
-	for i := range rep.Errors {
-		if !reflect.DeepEqual(rep.Errors[i], legacyErrs[i]) {
-			t.Errorf("Report.Errors[%d] = %v, legacy %v", i, rep.Errors[i], legacyErrs[i])
-		}
+	if !reflect.DeepEqual(rep.Errors, rep.Result.Errors) {
+		t.Errorf("Report.Errors = %v, Report.Result.Errors = %v", rep.Errors, rep.Result.Errors)
 	}
 	if !sort.SliceIsSorted(rep.Faults, func(i, j int) bool {
 		if rep.Faults[i].At != rep.Faults[j].At {
@@ -179,11 +172,10 @@ func TestNodeSnapshotUniform(t *testing.T) {
 	if _, ok := n.Snapshot("bogus"); ok {
 		t.Error("Snapshot(bogus) ok")
 	}
-	// The uniform accessor agrees with the deprecated one-offs.
-	es := n.EngineStats()
+	// The uniform accessor reads the engine's own counters.
 	sn, _ := n.Snapshot("engine")
-	if v, ok := sn.Get("packets_intercepted"); !ok || v != float64(es.PacketsIntercepted) {
-		t.Errorf("engine snapshot packets_intercepted = %v, EngineStats = %d", v, es.PacketsIntercepted)
+	if v, ok := sn.Get("packets_intercepted"); !ok || v != float64(n.engine.Stats.PacketsIntercepted) {
+		t.Errorf("engine snapshot packets_intercepted = %v, engine counted %d", v, n.engine.Stats.PacketsIntercepted)
 	}
 }
 
@@ -230,16 +222,14 @@ type visitReading struct {
 }
 
 // TestRegistryVisitMatchesGather is the property behind the sort-free
-// run digest: on a bus, a single switch and a fat-tree (both engines),
+// run digest: on a bus, a single switch and a two-shard fat-tree,
 // after real traffic, Visit yields exactly Gather's multiset of (node,
 // layer, name, kind, value) and the same reading count — direct
 // instruments included, one of them a non-integer counter — and the
 // digest built on it is the one Gather-then-sum gives, with bit-equal
 // float sums on every repeat.
 func TestRegistryVisitMatchesGather(t *testing.T) {
-	fattree := func(shards int) Config {
-		return Config{Seed: 5, Shards: shards, Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 4}}
-	}
+	fattree := Config{Seed: 5, Shards: 2, Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 4}}
 	cases := map[string]func(t *testing.T) *Testbed{
 		"bus": func(t *testing.T) *Testbed {
 			tb, _ := fig6Testbed(t, 3)
@@ -249,8 +239,7 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 			tb, _ := fig5Testbed(t, 1, false)
 			return tb
 		},
-		"fattree-legacy":   func(t *testing.T) *Testbed { return manyFlowTestbed(t, fattree(0), 16) },
-		"fattree-windowed": func(t *testing.T) *Testbed { return manyFlowTestbed(t, fattree(2), 16) },
+		"fattree": func(t *testing.T) *Testbed { return manyFlowTestbed(t, fattree, 16) },
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {

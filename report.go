@@ -13,9 +13,7 @@ import (
 // RunReport is the unified outcome of a Run/RunContext: one
 // JSON-marshalable value carrying the full result — scenario verdict,
 // injection journal, flagged errors, unreachable nodes, per-node layer
-// readings and a metrics digest — so callers no longer stitch it
-// together from ScenarioResult, Summary, InjectedFaults and per-node
-// accessors.
+// readings and a metrics digest.
 type RunReport struct {
 	// Scenario is the staged scenario's name; empty when no script was
 	// loaded.

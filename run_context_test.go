@@ -57,10 +57,9 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if rep.Passed {
 		t.Error("canceled run reported passed")
 	}
-	// The poll granularity is 64 events; a pre-canceled context must
-	// stop the run within one poll window, long before the transfer
-	// completes.
-	if rep.Events > 2*ctxPollEvents {
+	// The context is polled at every window barrier, the first time
+	// before any window runs.
+	if rep.Events != 0 {
 		t.Errorf("canceled run executed %d events", rep.Events)
 	}
 }
@@ -89,8 +88,8 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 // TestRunContextMidRunCancel cancels from a scheduled callback, at a
-// known virtual time, and checks the loop stops within the poll
-// granularity instead of running to the horizon.
+// known virtual time, and checks the loop stops at the next window
+// barrier instead of running to the horizon.
 func TestRunContextMidRunCancel(t *testing.T) {
 	tb := ctxTestbed(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,13 +1,16 @@
 package virtualwire
 
-// Sharded conservative parallel execution.
+// The run loop: conservative windowed execution, at one shard or many.
 //
-// Config.Shards selects the windowed multi-queue engine: the fabric's
-// switches — each with its attached hosts, NICs, stacks and engine
-// state — are partitioned into shards, every shard owns a scheduler
-// (the same monomorphic 4-ary heap) and a frame pool, and shards run on
-// parallel goroutines synchronized by conservative time windows. Each
-// window executes all events strictly below
+// Every testbed runs on this one engine. The fabric's switches — each
+// with its attached hosts, NICs, stacks and engine state — are
+// partitioned into Config.Shards shards (a bus or a single switch is one
+// shard; so is any fabric at Shards: 0 or 1), every shard owns a
+// scheduler (the same monomorphic 4-ary heap) and a frame pool, and
+// shards run in conservative time windows: shard 0 inline on the calling
+// goroutine, the others on parallel goroutines, so one shard costs no
+// goroutine or channel operation at all. Each window executes all events
+// strictly below
 //
 //	E = min( m + L,  earliest in-flight trunk arrival,  m + cap )
 //
@@ -18,28 +21,24 @@ package virtualwire
 // cap bounds the window when the fabric has no trunks at all. Frames
 // crossing a trunk are deposited into timestamped per-trunk mailboxes
 // and drained at the barrier in canonical order (trunk wiring order,
-// A→B before B→A, FIFO within a direction).
+// A→B before B→A, FIFO within a direction). Everything that is not a
+// shard's own event happens at a barrier, single-threaded: workload
+// start, topology faults and reconvergence, the scenario-finished and
+// cancellation checks.
 //
-// The central design decision is that the windowed engine is
-// *shard-count invariant*: every trunk becomes a mailbox channel even
-// when both ends land in the same shard, the window bound E is computed
-// from global, partition-independent quantities, and every random draw
-// comes from a per-component generator derived from (seed, construction
-// order) rather than from a scheduler's shared stream. The partition
-// therefore only chooses which goroutine executes which switch's
-// events — unobservable in any output — so a run is byte-identical at
-// 1, 2, 4 or any other shard count, and the serial-vs-sharded identity
-// property reduces to Shards:1 vs Shards:K of the same algorithm.
-// Shards:0 (the default) keeps the classic single-queue engine
-// untouched, bit-compatible with every previous release.
+// The central design decision is that the engine is *shard-count
+// invariant*: every trunk is a mailbox channel even when both ends land
+// in the same shard, the window bound E is computed from global,
+// partition-independent quantities, and every random draw comes from a
+// per-component generator derived from (seed, construction order)
+// rather than from a scheduler's shared stream. The partition therefore
+// only chooses which goroutine executes which switch's events —
+// unobservable in any output — so a run is byte-identical at 1, 2, 4 or
+// any other shard count, and the one identity property tests keep is
+// K shards ≡ 1 shard.
 //
-// The component generators are PCG streams (pcgSource below). Earlier
-// releases used math/rand's default source for them; moving to PCG
-// changed, once, the backoff, bit-error and CORRUPT draws of Shards >= 1
-// runs — and nothing else: Shards:0 output is byte-for-byte what it was,
-// and the four determinism contracts (same seed → same bytes, reset ≡
-// fresh, 1 ≡ K shards, resumed ≡ uninterrupted) compare runs of the
-// same build with each other, so they hold unchanged.
+// The component generators are PCG streams (pcgSource below), one per
+// switch port, bus and engine.
 
 import (
 	"context"
@@ -54,27 +53,26 @@ import (
 )
 
 // ShardsAuto asks the testbed to pick the shard count: min(GOMAXPROCS,
-// edge switches). On a single-CPU machine — or a single-switch fabric —
-// auto resolves to one shard, which runs inline with no goroutines or
-// barriers, so auto is always safe to set.
+// edge switches). On a single-CPU machine, on a single switch or a bus,
+// and whenever tracing or metrics sampling is on, auto resolves to one
+// shard, so auto is always safe to set.
 const ShardsAuto = -1
 
 // shardWindowCap bounds a window when the fabric has no trunk channels
-// (single switch, Shards >= 1): without a lookahead constraint a window
+// (a single switch or a bus): without a lookahead constraint a window
 // could swallow the whole horizon, delaying scenario-finish and
 // cancellation checks, which happen at barriers. The cap is a constant,
 // so it is shard-count invariant. With trunks, the lookahead L (tens of
 // microseconds at most) is always the tighter bound.
 const shardWindowCap = time.Millisecond
 
-// shardRuntime is the sharded engine's state, created at build time.
+// shardRuntime is the engine's state, created at build time.
 type shardRuntime struct {
-	count   int
-	scheds  []*sim.Scheduler   // scheds[0] == tb.sched
-	pools   []*ether.FramePool // pools[0] == tb.pool
-	trunks  *ether.TrunkSet    // every fabric trunk, in wiring order
-	swShard []int              // switch index -> shard (planner output)
-	set     *sim.ShardSet
+	count  int
+	scheds []*sim.Scheduler   // scheds[0] == tb.sched
+	pools  []*ether.FramePool // pools[0] == tb.pool
+	trunks *ether.TrunkSet    // every fabric trunk, in wiring order
+	set    *sim.ShardSet
 
 	// lookahead is min over channels of Lookahead(); 0 when no channels.
 	lookahead time.Duration
@@ -86,20 +84,22 @@ type shardRuntime struct {
 
 	// startPending is set by the controller's OnStarted upcall (which
 	// fires on the control node's shard mid-window) and consumed by the
-	// coordinator at the next barrier, where workload setup can run
+	// run loop at the next barrier, where workload setup can run
 	// single-threaded with every shard parked.
 	startPending bool
 }
 
-// shardMode reports whether this testbed uses the windowed engine.
-func (tb *Testbed) shardMode() bool { return tb.cfg.Shards != 0 }
-
 // resolveShardCount maps Config.Shards to a concrete count given the
-// number of host-bearing switches.
+// number of host-bearing switches. The trace buffer and the metrics
+// sampler are shared, unsynchronized state, so auto yields one shard
+// when either is on (validateShardConfig rejects an explicit K > 1).
 func (tb *Testbed) resolveShardCount(edges int) int {
 	k := tb.cfg.Shards
 	if k == ShardsAuto {
 		k = runtime.GOMAXPROCS(0)
+		if tb.cfg.TraceCapacity > 0 || tb.cfg.MetricsSampleInterval > 0 {
+			k = 1
+		}
 	}
 	if k > edges {
 		k = edges
@@ -111,8 +111,7 @@ func (tb *Testbed) resolveShardCount(edges int) int {
 }
 
 // initShardRuntime creates the per-shard schedulers and pools. Shard 0
-// reuses the testbed's own, so on a one-shard testbed the windowed
-// engine touches exactly the objects the legacy engine would.
+// reuses the testbed's own.
 func (tb *Testbed) initShardRuntime(k int) {
 	sr := &shardRuntime{count: k, trunks: ether.NewTrunkSet(k)}
 	sr.scheds = make([]*sim.Scheduler, k)
@@ -120,28 +119,13 @@ func (tb *Testbed) initShardRuntime(k int) {
 	sr.scheds[0] = tb.sched
 	sr.pools[0] = tb.pool
 	for i := 1; i < k; i++ {
-		// Shard schedulers never serve Rand() draws in sharded mode
-		// (components carry pinned generators), but seed them
-		// deterministically anyway.
+		// Schedulers never serve Rand() draws (components carry pinned
+		// generators), but seed them deterministically anyway.
 		sr.scheds[i] = sim.NewScheduler(deriveShardSeed(tb.cfg.Seed, uint64(i)))
 		sr.pools[i] = ether.NewFramePool()
 	}
 	sr.set = sim.NewShardSet(sr.scheds)
 	tb.shards = sr
-}
-
-func (tb *Testbed) shardSched(i int) *sim.Scheduler {
-	if tb.shards == nil {
-		return tb.sched
-	}
-	return tb.shards.scheds[i]
-}
-
-func (tb *Testbed) shardPool(i int) *ether.FramePool {
-	if tb.shards == nil {
-		return tb.pool
-	}
-	return tb.shards.pools[i]
 }
 
 // bindNodeShard rebinds a host's stack onto its shard's scheduler.
@@ -151,7 +135,7 @@ func (tb *Testbed) shardPool(i int) *ether.FramePool {
 // the host's scheduler and land on the right shard automatically, and
 // build wires every layer to the pool the edge switch hands the NIC.
 func (tb *Testbed) bindNodeShard(n *Node, sid int) {
-	sched := tb.shardSched(sid)
+	sched := tb.shards.scheds[sid]
 	n.host.SetScheduler(sched)
 	n.engine.SetScheduler(sched)
 	if n.rll != nil {
@@ -182,12 +166,12 @@ func (p *pcgSource) Int63() int64    { return int64(p.Uint64() >> 1) }
 
 // assignComponentRands pins a deterministic generator on every
 // randomness-drawing component, in a fixed construction-order walk:
-// switch port segments (switches in index order, ports in index order),
-// then engines in node order. In the legacy engine those draws share
-// the scheduler's single stream, whose draw order depends on event
-// interleaving — fine serially, partition-dependent under sharding.
-// Here every backoff, bit-error and CORRUPT draw comes from the
-// component's own PCG stream, seeded from (run seed, construction id).
+// switch port segments (switches in index order, ports in index order)
+// or the bus, then engines in node order. A scheduler's single stream
+// would make draw order depend on event interleaving, which depends on
+// the partition; here every backoff, bit-error and CORRUPT draw comes
+// from the component's own PCG stream, seeded from (run seed,
+// construction id).
 // First call allocates the generators; later calls (Reset) reseed them
 // in place, keeping the reset path allocation-free.
 func (tb *Testbed) assignComponentRands(seed int64) {
@@ -214,36 +198,33 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 	for _, sw := range tb.fabric {
 		assign(sw)
 	}
+	if tb.bus != nil {
+		tb.bus.SetRand(next())
+	}
 	for _, n := range tb.nodes {
 		n.engine.SetRand(next())
 	}
 }
 
-// validateShardConfig rejects configurations the windowed engine cannot
-// run with shard-count-invariant (or data-race-free) semantics.
+// validateShardConfig rejects shard counts that make no sense, and more
+// than one shard where the trace buffer or the metrics sampler — both
+// shared across shards, neither synchronized — is on.
 func validateShardConfig(cfg *Config) error {
-	if cfg.Shards == 0 {
-		return nil
-	}
 	if cfg.Shards < ShardsAuto {
 		return fmt.Errorf("virtualwire: invalid shard count %d", cfg.Shards)
 	}
-	if cfg.Medium == MediumBus {
-		return fmt.Errorf("virtualwire: sharded execution requires a switch medium (a shared bus is one segment)")
+	if cfg.Shards > 1 && cfg.TraceCapacity > 0 {
+		return fmt.Errorf("virtualwire: TraceCapacity needs one shard, not %d (the trace buffer is shared across shards)", cfg.Shards)
 	}
-	if cfg.TraceCapacity > 0 {
-		return fmt.Errorf("virtualwire: sharded execution does not support TraceCapacity (the trace buffer is shared across shards)")
-	}
-	if cfg.MetricsSampleInterval > 0 {
-		return fmt.Errorf("virtualwire: sharded execution does not support MetricsSampleInterval (sampling gathers cross-shard state mid-run)")
+	if cfg.Shards > 1 && cfg.MetricsSampleInterval > 0 {
+		return fmt.Errorf("virtualwire: MetricsSampleInterval needs one shard, not %d (sampling gathers cross-shard state mid-run)", cfg.Shards)
 	}
 	return nil
 }
 
 // shardSchedulerSnapshot aggregates the per-shard schedulers into the
 // single "testbed"/"scheduler" source, summing counters and gauges so
-// totals equal the legacy engine's single-queue readings at any shard
-// count.
+// totals are the same at any shard count.
 func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
 	var exec, schd, rec uint64
 	var pend, free int
@@ -282,18 +263,6 @@ func (tb *Testbed) shardPoolSnapshot() MetricsSnapshot {
 	return out
 }
 
-// finishShardBuild completes sharded wiring after the layer chains are
-// assembled: ensures the runtime exists even without a fabric (single
-// switch, Shards >= 1), computes the fabric-wide lookahead and pins the
-// per-component generators.
-func (tb *Testbed) finishShardBuild() {
-	if tb.shards == nil {
-		tb.initShardRuntime(1)
-	}
-	tb.recomputeShardLookahead()
-	tb.assignComponentRands(tb.cfg.Seed)
-}
-
 // dispatchWorkloads runs every workload's setup at a barrier (shards
 // parked, all clocks equal) and schedules its per-node run parts onto
 // the owning shards. Setup — Listen/Bind registrations, histogram
@@ -303,11 +272,7 @@ func (tb *Testbed) finishShardBuild() {
 func (tb *Testbed) dispatchWorkloads() error {
 	at := tb.sched.Now()
 	for _, w := range tb.workloads {
-		sw, ok := w.(shardedWorkload)
-		if !ok {
-			return fmt.Errorf("virtualwire: workload %T does not support sharded execution", w)
-		}
-		parts, err := sw.parts(tb)
+		parts, err := w.parts(tb)
 		if err != nil {
 			return err
 		}
@@ -327,24 +292,23 @@ type workloadPart struct {
 	run  func()
 }
 
-// shardedWorkload is implemented by workloads that can decompose into
-// per-shard parts. parts is called at a barrier: setup may touch any
-// testbed state; the returned run closures may not reach across shards.
-type shardedWorkload interface {
-	workload
+// workload is a traffic source decomposed into per-shard parts. parts is
+// called at a barrier: setup may touch any testbed state; the returned
+// run closures may not reach across shards.
+type workload interface {
 	parts(tb *Testbed) ([]workloadPart, error)
 }
 
 // runWindowed drives the conservative window loop until the deadline,
-// the scenario finishes, or the context fires. It returns (ctxErr,
-// fatal): ctxErr is the context's error when cancellation interrupted
-// the run (the caller assembles a partial report, mirroring the legacy
-// engine); fatal aborts the run.
+// the context fires or — for a scenario run, not for RunFor, which
+// advances the clock regardless — the scenario finishes. It returns
+// (ctxErr, fatal): ctxErr is the context's error when cancellation interrupted
+// the run (the caller assembles a partial report); fatal aborts the run.
 //
 // Events at exactly the deadline execute (RunUntil semantics: the final
 // window ends at deadline+1ns) and every shard clock lands on the
 // deadline, so a subsequent RunFor/Run continues from there.
-func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration) (error, error) {
+func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration, scenario bool) (error, error) {
 	sr := tb.shards
 	done := ctx.Done()
 	sr.set.Start()
@@ -357,7 +321,7 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration) (err
 			default:
 			}
 		}
-		if tb.ctl != nil && tb.ctl.Finished() {
+		if scenario && tb.ctl != nil && tb.ctl.Finished() {
 			return nil, nil
 		}
 		if sr.startPending {
@@ -431,25 +395,4 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration) (err
 			return nil, nil
 		}
 	}
-}
-
-// runShardedContext is RunContext's windowed-engine counterpart.
-func (tb *Testbed) runShardedContext(ctx context.Context, horizon time.Duration) (RunReport, error) {
-	sr := tb.shards
-	start := tb.sched.Now()
-	sr.startPending = false
-	if tb.ctl != nil {
-		tb.ctl.OnStarted = func() { sr.startPending = true }
-		if err := tb.ctl.Launch(); err != nil {
-			return RunReport{}, err
-		}
-	} else {
-		sr.startPending = true
-	}
-	ctxErr, err := tb.runWindowed(ctx, start+horizon)
-	if err != nil {
-		return RunReport{}, err
-	}
-	rep := tb.assembleRunReport(start, sr.set.Executed())
-	return finishRunReport(rep, ctxErr)
 }

@@ -111,11 +111,47 @@ func TestShardedScriptedMatchesSerial(t *testing.T) {
 }
 
 // TestShardedWorkloadsMatchSerial sweeps the remaining workload kinds
-// (TCP bulk with pacing, UDP echo, UDP stream, incast) through the
-// sharded engine at 1 vs 4 shards on a star fabric.
+// (TCP bulk with pacing, UDP echo, UDP stream, incast) on a star fabric,
+// then the two kinds of testbed that only ever run as one shard: a bus
+// carrying Rether, and a traced and sampled run. Every case must give
+// the same bytes at one shard and at its wide setting, and a testbed
+// Reset to the seed must give the bytes of one built fresh under it.
 func TestShardedWorkloadsMatchSerial(t *testing.T) {
-	addLoad := map[string]func(t *testing.T, tb *Testbed, nodes []*Node){
-		"tcpbulk-paced": func(t *testing.T, tb *Testbed, nodes []*Node) {
+	const seed = 21
+	// wideOr1 is a case's shard setting: wide, or 1.
+	wideOr1 := func(wide bool, count int) int {
+		if wide {
+			return count
+		}
+		return 1
+	}
+	star := func(t *testing.T, seed int64, wide bool) (*Testbed, []*Node) {
+		tb, err := New(Config{
+			Seed: seed, Shards: wideOr1(wide, 4),
+			Topology: &TopologySpec{Kind: TopoStar, Switches: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb, addGroupHosts(t, tb, 16)
+	}
+	udpStream := func(t *testing.T, tb *Testbed, nodes []*Node) {
+		if _, err := tb.AddUDPStream(UDPStreamConfig{
+			From: nodes[0].Name(), To: nodes[1].Name(),
+			Port: 0x5400, Count: 50,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := map[string]struct {
+		// build returns a testbed at one shard or at the case's wide
+		// setting.
+		build func(t *testing.T, seed int64, wide bool) (*Testbed, []*Node)
+		load  func(t *testing.T, tb *Testbed, nodes []*Node)
+		// after checks what the report bytes do not carry.
+		after func(t *testing.T, tb *Testbed, rep RunReport)
+	}{
+		"tcpbulk-paced": {build: star, load: func(t *testing.T, tb *Testbed, nodes []*Node) {
 			if _, err := tb.AddTCPBulk(TCPBulkConfig{
 				From: nodes[0].Name(), To: nodes[1].Name(),
 				SrcPort: 0x6000, DstPort: 0x4000,
@@ -124,53 +160,107 @@ func TestShardedWorkloadsMatchSerial(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"udpecho": func(t *testing.T, tb *Testbed, nodes []*Node) {
+		}},
+		"udpecho": {build: star, load: func(t *testing.T, tb *Testbed, nodes []*Node) {
 			if _, err := tb.AddUDPEcho(UDPEchoConfig{
 				Client: nodes[0].Name(), Server: nodes[1].Name(),
 				ServerPort: 0x5300, Count: 50,
 			}); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"udpstream": func(t *testing.T, tb *Testbed, nodes []*Node) {
-			if _, err := tb.AddUDPStream(UDPStreamConfig{
-				From: nodes[0].Name(), To: nodes[1].Name(),
-				Port: 0x5400, Count: 50,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"incast": func(t *testing.T, tb *Testbed, nodes []*Node) {
+		}},
+		"udpstream": {build: star, load: udpStream},
+		"incast": {build: star, load: func(t *testing.T, tb *Testbed, nodes []*Node) {
 			if _, err := tb.AddIncast(IncastConfig{Bytes: 4 << 10}); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		// A bus is one segment: any shard count builds it as one shard.
+		"bus-rether": {
+			build: func(t *testing.T, seed int64, wide bool) (*Testbed, []*Node) {
+				tb, err := New(Config{Seed: seed, Shards: wideOr1(wide, 4), Medium: MediumBus})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := addGroupHosts(t, tb, 4)
+				var ring []string
+				for _, n := range nodes {
+					ring = append(ring, n.Name())
+				}
+				if err := tb.InstallRether(ring, RetherConfig{}); err != nil {
+					t.Fatal(err)
+				}
+				return tb, nodes
+			},
+			load: func(t *testing.T, tb *Testbed, nodes []*Node) {
+				if _, err := tb.AddTCPBulk(TCPBulkConfig{
+					From: nodes[0].Name(), To: nodes[3].Name(),
+					SrcPort: 0x6000, DstPort: 0x4000, Bytes: 64 << 10,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			after: func(t *testing.T, tb *Testbed, rep RunReport) {
+				if tb.shards.count != 1 {
+					t.Fatalf("bus built %d shards, want 1", tb.shards.count)
+				}
+				if rep.Metrics.Totals["rether/tokens_sent"] == 0 {
+					t.Fatal("no Rether token was sent")
+				}
+			},
 		},
-	}
-	for name, load := range addLoad {
-		t.Run(name, func(t *testing.T) {
-			run := func(shards int) []byte {
+		// The trace buffer and the sampler are shared state: a fabric
+		// that uses them runs as one shard, which ShardsAuto resolves to.
+		"traced-sampled": {
+			build: func(t *testing.T, seed int64, wide bool) (*Testbed, []*Node) {
 				tb, err := New(Config{
-					Seed:   21,
-					Shards: shards,
-					Topology: &TopologySpec{
-						Kind: TopoStar, Switches: 4,
-					},
+					Seed: seed, Shards: wideOr1(wide, ShardsAuto),
+					TraceCapacity: 256, MetricsSampleInterval: 5 * time.Millisecond,
+					Topology: &TopologySpec{Kind: TopoStar, Switches: 4},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				nodes := addGroupHosts(t, tb, 16)
-				load(t, tb, nodes)
+				return tb, addGroupHosts(t, tb, 16)
+			},
+			load: udpStream,
+			after: func(t *testing.T, tb *Testbed, _ RunReport) {
+				if tb.shards.count != 1 {
+					t.Fatalf("traced fabric built %d shards, want 1", tb.shards.count)
+				}
+				if len(tb.Trace()) == 0 {
+					t.Fatal("trace is empty")
+				}
+				if len(tb.MetricsSeries().Points) == 0 {
+					t.Fatal("no metrics point was sampled")
+				}
+			},
+		},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			run := func(tb *Testbed, nodes []*Node) []byte {
+				c.load(t, tb, nodes)
 				rep, err := tb.Run(2 * time.Second)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if c.after != nil {
+					c.after(t, tb, rep)
+				}
 				return reportBytes(t, rep)
 			}
-			serial := run(1)
-			if got := run(4); !bytes.Equal(got, serial) {
-				t.Fatalf("4-shard report diverges from serial\nserial:\n%s\nsharded:\n%s", serial, got)
+			serial := run(c.build(t, seed, false))
+			if got := run(c.build(t, seed, true)); !bytes.Equal(got, serial) {
+				t.Fatalf("wide report diverges from one shard\none shard:\n%s\nwide:\n%s", serial, got)
+			}
+			reused, nodes := c.build(t, seed+1, true)
+			run(reused, nodes)
+			if err := reused.Reset(seed); err != nil {
+				t.Fatal(err)
+			}
+			if got := run(reused, nodes); !bytes.Equal(got, serial) {
+				t.Fatalf("run after Reset diverges from a fresh testbed\nfresh:\n%s\nreset:\n%s", serial, got)
 			}
 		})
 	}
@@ -276,17 +366,40 @@ func TestShardedRunForAndAuto(t *testing.T) {
 	}
 }
 
-// TestShardConfigValidation pins the rejected configurations.
+// TestShardConfigValidation pins what New rejects and what it resolves:
+// only a shard count that is no count, or more than one shard with the
+// trace buffer or the sampler they would share.
 func TestShardConfigValidation(t *testing.T) {
+	star := &TopologySpec{Kind: TopoStar, Switches: 4}
 	bad := []Config{
 		{Shards: -2},
-		{Shards: 2, Medium: MediumBus},
 		{Shards: 2, TraceCapacity: 64},
-		{Shards: 2, MetricsSampleInterval: time.Millisecond},
+		{Shards: 2, MetricsSampleInterval: time.Millisecond, Topology: star},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %+v accepted, want error", cfg)
+		}
+	}
+	oneShard := []Config{
+		{Shards: 4, Medium: MediumBus},
+		{Shards: 4},
+		{Shards: ShardsAuto, TraceCapacity: 64, Topology: star},
+		{Shards: ShardsAuto, MetricsSampleInterval: time.Millisecond, Topology: star},
+		{TraceCapacity: 64, MetricsSampleInterval: time.Millisecond, Topology: star},
+		{Shards: 1, TraceCapacity: 64, Topology: star},
+	}
+	for _, cfg := range oneShard {
+		tb, err := New(cfg)
+		if err != nil {
+			t.Fatalf("config %+v: %v", cfg, err)
+		}
+		addGroupHosts(t, tb, 8)
+		if err := tb.RunFor(time.Millisecond); err != nil {
+			t.Fatalf("config %+v: %v", cfg, err)
+		}
+		if tb.shards.count != 1 {
+			t.Fatalf("config %+v built %d shards, want 1", cfg, tb.shards.count)
 		}
 	}
 }

@@ -3,12 +3,10 @@ package virtualwire
 // Topology fault engine: the fabric itself as a fault surface. Trunk
 // failure/restore/flap, per-trunk latency/BER degradation and switch
 // crash/restart are scheduled in virtual time from
-// Config.TopologyFaults and applied deterministically by both engines:
-// the legacy single-queue engine schedules them as ordinary events,
-// while the sharded windowed engine applies them at window barriers —
-// window ends never cross a pending fault time, so the live-trunk set
-// (and with it the conservative lookahead) is constant within any
-// window and the output stays byte-identical at every shard count.
+// Config.TopologyFaults and applied at window barriers — window ends
+// never cross a pending fault time, so the live-trunk set (and with it
+// the conservative lookahead) is constant within any window and the
+// output stays byte-identical at every shard count.
 //
 // A topology change triggers STP-style reconvergence after the spec's
 // ReconvergeDelay: the spanning forest over live trunks is recomputed
@@ -129,8 +127,7 @@ type topoFaultState struct {
 	// events is the expanded schedule, sorted by time; built once at
 	// stage time and reused across Reset.
 	events []topoEvent
-	// next indexes the first unapplied event (sharded engine; the
-	// legacy engine applies events via the scheduler).
+	// next indexes the first unapplied event.
 	next int
 	// delay is the resolved reconvergence latency.
 	delay time.Duration
@@ -224,24 +221,12 @@ func (tb *Testbed) stageTopoFaults() error {
 	sort.SliceStable(tb.topo.events, func(i, j int) bool {
 		return tb.topo.events[i].at < tb.topo.events[j].at
 	})
-	if !tb.shardMode() {
-		tb.scheduleTopoEvents()
-	}
 	return nil
 }
 
-// scheduleTopoEvents arms the staged schedule on the legacy engine's
-// scheduler (build and every Reset).
-func (tb *Testbed) scheduleTopoEvents() {
-	for i := range tb.topo.events {
-		ev := tb.topo.events[i]
-		tb.sched.At(ev.at, "fabric.fault", func() { tb.applyTopoFault(ev) })
-	}
-}
-
 // resetTopoFaults rewinds the fault engine (Reset): counters and journal
-// clear, the schedule re-arms. The caller has already restored trunk
-// block/fail/profile state and the scheduler.
+// clear, the schedule rewinds to its first event. The caller has already
+// restored trunk block/fail/profile state.
 func (tb *Testbed) resetTopoFaults() {
 	st := &tb.topo
 	st.next = 0
@@ -250,14 +235,10 @@ func (tb *Testbed) resetTopoFaults() {
 	st.failovers = 0
 	st.reconvergeTotal, st.reconvergeLast = 0, 0
 	st.log = st.log[:0]
-	if !tb.shardMode() && len(st.events) > 0 {
-		tb.scheduleTopoEvents()
-	}
 }
 
-// applyTopoFault mutates the fabric for one staged event. Runs as a
-// scheduler event (legacy) or at a window barrier with every shard
-// parked (sharded) — single-threaded either way.
+// applyTopoFault mutates the fabric for one staged event. Runs at a
+// window barrier with every shard parked.
 func (tb *Testbed) applyTopoFault(ev topoEvent) {
 	switch ev.kind {
 	case TrunkDown:
@@ -288,11 +269,7 @@ func (tb *Testbed) applyTrunkFailed(ti int, failed bool, at time.Duration) {
 	// Dead or freshly restored, the trunk is out of the active tree
 	// until reconvergence says otherwise.
 	tb.setTrunkBlocked(ti, true)
-	if tr.ch != nil {
-		tr.ch.SetFailed(failed)
-	} else if tr.link != nil {
-		tr.link.SetFailed(failed)
-	}
+	tr.ch.SetFailed(failed)
 	kind := "trunk_up"
 	if failed {
 		kind = "trunk_down"
@@ -307,11 +284,7 @@ func (tb *Testbed) applyTrunkFailed(ti int, failed bool, at time.Duration) {
 // propagation buys longer windows; a shorter one must tighten them).
 func (tb *Testbed) applyTrunkDegrade(ti int, prop time.Duration, ber float64, at time.Duration) {
 	tr := &tb.trunks[ti]
-	if tr.ch != nil {
-		tr.ch.SetProfile(prop, ber)
-	} else if tr.link != nil {
-		tr.link.SetProfile(prop, ber)
-	}
+	tr.ch.SetProfile(prop, ber)
 	tb.logTopoFault(at, "trunk_degrade", ti, -1)
 	tb.recomputeShardLookahead()
 }
@@ -353,9 +326,6 @@ func (tb *Testbed) scheduleReconverge(at time.Duration) {
 	st.reconvergePending = true
 	st.reconvergeFrom = at
 	st.reconvergeAt = at + st.delay
-	if !tb.shardMode() {
-		tb.sched.At(st.reconvergeAt, "fabric.reconverge", tb.activateReconverge)
-	}
 }
 
 // activateReconverge recomputes the spanning forest over the live fabric
@@ -411,8 +381,8 @@ func (tb *Testbed) logTopoFault(at time.Duration, kind string, trunk, sw int) {
 }
 
 // applyTopoFaultsUpTo applies every staged fault and pending
-// reconvergence due at or before bound, in time order. The sharded
-// coordinator calls it at each window barrier with all shards parked;
+// reconvergence due at or before bound, in time order. The run loop
+// calls it at each window barrier with all shards parked;
 // window ends are capped at nextTopoBoundary so no simulation event at
 // or after a fault time can execute before the fault applies. Reports
 // whether anything was applied.
@@ -440,7 +410,7 @@ func (tb *Testbed) applyTopoFaultsUpTo(bound time.Duration) bool {
 }
 
 // nextTopoBoundary reports the next unapplied fault or pending
-// reconvergence time (sharded window bound).
+// reconvergence time (a window bound).
 func (tb *Testbed) nextTopoBoundary() (time.Duration, bool) {
 	st := &tb.topo
 	t, ok := time.Duration(0), false
@@ -459,13 +429,10 @@ func (tb *Testbed) nextTopoBoundary() (time.Duration, bool) {
 // frames are covered by the unconditional earliest-trunk-arrival bound.
 func (tb *Testbed) recomputeShardLookahead() {
 	sr := tb.shards
-	if sr == nil {
-		return
-	}
 	sr.lookahead = 0
 	for i := range tb.trunks {
 		tr := &tb.trunks[i]
-		if tr.ch == nil || tr.failed {
+		if tr.failed {
 			continue
 		}
 		if la := tr.ch.Lookahead(); sr.lookahead == 0 || la < sr.lookahead {

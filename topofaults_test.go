@@ -218,60 +218,58 @@ func TestTopologyFaultShardIdentity(t *testing.T) {
 
 // TestTopologyFaultResetMatchesFresh extends the reset-vs-fresh identity
 // to faulted fabrics: after a run that killed and flapped trunks, Reset
-// must restore the build-time tree, clear fault state, re-arm the fault
-// schedule, and reproduce a fresh testbed's bytes — in both engines.
+// must restore the build-time tree, clear fault state, rewind the fault
+// schedule, and reproduce a fresh testbed's bytes.
 func TestTopologyFaultResetMatchesFresh(t *testing.T) {
 	faults := []TopologyFaultSpec{
 		{Kind: TrunkDown, Trunk: 0, At: 100 * time.Millisecond},
 		{Kind: TrunkFlap, Trunk: 1, At: 300 * time.Millisecond, Period: 120 * time.Millisecond, Count: 2},
 		{Kind: TrunkDegrade, Trunk: 3, At: 150 * time.Millisecond, Propagation: 30 * time.Microsecond},
 	}
-	for _, shards := range []int{0, 2} {
-		build := func() *Testbed {
-			topo := TopologySpec{Kind: TopoRing, Switches: 4}
-			tb, err := New(Config{
-				Seed:           17,
-				Shards:         shards,
-				Topology:       &topo,
-				TopologyFaults: faults,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			addGroupHosts(t, tb, 24)
-			return tb
-		}
-		runOnce := func(tb *Testbed) []byte {
-			if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 12, Bytes: 2 << 10}); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := tb.Run(2 * time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return reportBytes(t, rep)
-		}
-		tb := build()
-		first := runOnce(tb)
-		if err := tb.Reset(17); err != nil {
+	build := func() *Testbed {
+		topo := TopologySpec{Kind: TopoRing, Switches: 4}
+		tb, err := New(Config{
+			Seed:           17,
+			Shards:         2,
+			Topology:       &topo,
+			TopologyFaults: faults,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		st0, _ := tb.TrunkStatus(0)
-		if st0.Failed || st0.Blocked {
-			t.Fatalf("shards=%d: trunk 0 after Reset: %+v, want pristine forwarding", shards, st0)
+		addGroupHosts(t, tb, 24)
+		return tb
+	}
+	runOnce := func(tb *Testbed) []byte {
+		if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 12, Bytes: 2 << 10}); err != nil {
+			t.Fatal(err)
 		}
-		st3, _ := tb.TrunkStatus(3)
-		if st3.Propagation != 0 && st3.Propagation == 30*time.Microsecond {
-			t.Fatalf("shards=%d: trunk 3 kept degraded propagation across Reset", shards)
+		rep, err := tb.Run(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-		reset := runOnce(tb)
-		if !bytes.Equal(first, reset) {
-			t.Fatalf("shards=%d: reset faulted run diverges from first\nfirst:\n%s\nreset:\n%s", shards, first, reset)
-		}
-		fresh := runOnce(build())
-		if !bytes.Equal(first, fresh) {
-			t.Fatalf("shards=%d: fresh faulted run diverges from first", shards)
-		}
+		return reportBytes(t, rep)
+	}
+	tb := build()
+	first := runOnce(tb)
+	if err := tb.Reset(17); err != nil {
+		t.Fatal(err)
+	}
+	st0, _ := tb.TrunkStatus(0)
+	if st0.Failed || st0.Blocked {
+		t.Fatalf("trunk 0 after Reset: %+v, want pristine forwarding", st0)
+	}
+	st3, _ := tb.TrunkStatus(3)
+	if st3.Propagation == 30*time.Microsecond {
+		t.Fatal("trunk 3 kept degraded propagation across Reset")
+	}
+	reset := runOnce(tb)
+	if !bytes.Equal(first, reset) {
+		t.Fatalf("reset faulted run diverges from first\nfirst:\n%s\nreset:\n%s", first, reset)
+	}
+	fresh := runOnce(build())
+	if !bytes.Equal(first, fresh) {
+		t.Fatal("fresh faulted run diverges from first")
 	}
 }
 

@@ -94,8 +94,8 @@ type TopologySpec struct {
 	// 10x the host link rate).
 	TrunkBitsPerSecond float64
 	// TrunkPropagation is the inter-switch cable delay (default: the
-	// host segment propagation, i.e. Config.Propagation). Sharded runs
-	// derive their conservative window lookahead from this value, so
+	// host segment propagation, i.e. Config.Propagation). The engine
+	// derives its conservative window lookahead from this value, so
 	// campus-length trunks (microseconds) buy proportionally longer
 	// parallel windows — see docs/PERFORMANCE.md, "Sharded execution".
 	TrunkPropagation time.Duration
@@ -127,18 +127,16 @@ func (tb *Testbed) topologyActive() bool {
 type trunkWire struct{ a, b int }
 
 // fabricTrunk is one built inter-switch link: its wiring, the port index
-// on each end switch, the medium handle (link in the legacy engine,
-// mailbox channel in the sharded one) and its fault state. Unlike the
-// original count-only bookkeeping, trunks persist so the topology fault
-// engine can fail, restore and degrade them at runtime.
+// on each end switch, its mailbox channel and its fault state. Trunks
+// persist so the topology fault engine can fail, restore and degrade
+// them at runtime.
 type fabricTrunk struct {
 	wire   trunkWire
 	pa, pb int // port index on switch wire.a / wire.b
 	// inTree marks membership in the build-time spanning tree (the
 	// pristine blocked/forwarding layout Reset restores).
 	inTree bool
-	link   *ether.Link         // legacy engine medium (nil when sharded)
-	ch     *ether.TrunkChannel // sharded medium (nil in legacy mode)
+	ch     *ether.TrunkChannel
 	// baseProp/baseBER are the built profile, restored by Reset after
 	// degrade faults.
 	baseProp time.Duration
@@ -307,72 +305,50 @@ func (tb *Testbed) buildFabric() error {
 	if spec.ReconvergeDelay > 0 {
 		tb.topo.delay = spec.ReconvergeDelay
 	}
-	// Shard planning (sharded mode only): every switch — and with it the
-	// hosts it serves — is assigned to one shard before anything is
-	// wired, so each switch is constructed directly on its shard's
-	// scheduler and pool. Legacy mode assigns everything to shard 0,
-	// where shardSched/shardPool resolve to tb.sched/tb.pool.
+	// Shard planning: every switch — and with it the hosts it serves — is
+	// assigned to one shard before anything is wired, so each switch is
+	// constructed directly on its shard's scheduler and pool.
 	hostsPer := make([]int, plan.switches)
 	for i := range tb.nodes {
 		hostsPer[plan.edges[i%len(plan.edges)]]++
 	}
-	shardOf := make([]int, plan.switches)
-	if tb.shardMode() {
-		tb.initShardRuntime(tb.resolveShardCount(len(plan.edges)))
-		shardOf = planShards(plan, hostsPer, tb.shards.count)
-	}
+	tb.initShardRuntime(tb.resolveShardCount(len(plan.edges)))
+	shardOf := planShards(plan, hostsPer, tb.shards.count)
 	tb.fabric = make([]*ether.Switch, plan.switches)
 	for i := range tb.fabric {
-		tb.fabric[i] = ether.NewSwitch(tb.shardSched(shardOf[i]), ether.SwitchConfig{
+		tb.fabric[i] = ether.NewSwitch(tb.shards.scheds[shardOf[i]], ether.SwitchConfig{
 			BitsPerSecond: tb.cfg.BitsPerSecond,
 			Propagation:   tb.cfg.Propagation,
 			BitErrorRate:  tb.cfg.BitErrorRate,
 			FullDuplex:    tb.cfg.Medium == MediumSwitchFullDuplex,
-			Pool:          tb.shardPool(shardOf[i]),
+			Pool:          tb.shards.pools[shardOf[i]],
 			ID:            i,
 		})
+	}
+	trunkCfg := ether.LinkConfig{
+		BitsPerSecond: trunkRate,
+		Propagation:   trunkProp,
+		BitErrorRate:  tb.cfg.BitErrorRate,
 	}
 	tb.trunks = make([]fabricTrunk, len(plan.trunks))
 	tb.fabricAdj = make([][]int, plan.switches) // trunk indices per switch
 	for ti, w := range plan.trunks {
 		tr := &tb.trunks[ti]
 		tr.wire = w
-		if tb.shardMode() {
-			// Every trunk becomes a mailbox channel regardless of whether
-			// its ends share a shard: the windowed engine's behavior must
-			// not depend on the partition, or shard counts would produce
-			// different outputs.
-			tr.ch, tr.pa, tr.pb = ether.ConnectTrunkChannel(tb.fabric[w.a], tb.fabric[w.b],
-				ether.LinkConfig{
-					BitsPerSecond: trunkRate,
-					Propagation:   trunkProp,
-					BitErrorRate:  tb.cfg.BitErrorRate,
-					Pool:          tb.shardPool(shardOf[w.a]),
-				},
-				ether.LinkConfig{
-					BitsPerSecond: trunkRate,
-					Propagation:   trunkProp,
-					BitErrorRate:  tb.cfg.BitErrorRate,
-					Pool:          tb.shardPool(shardOf[w.b]),
-				})
-			tb.shards.trunks.Track(tr.ch, shardOf[w.a], shardOf[w.b])
-		} else {
-			tr.link, tr.pa, tr.pb = ether.ConnectTrunk(tb.fabric[w.a], tb.fabric[w.b], ether.LinkConfig{
-				BitsPerSecond: trunkRate,
-				Propagation:   trunkProp,
-				BitErrorRate:  tb.cfg.BitErrorRate,
-				Pool:          tb.pool,
-			})
-		}
+		// Every trunk is a mailbox channel regardless of whether its ends
+		// share a shard: the engine's behavior must not depend on the
+		// partition, or shard counts would produce different outputs.
+		// Each direction cuts its frames from the transmitting shard's pool.
+		ab, ba := trunkCfg, trunkCfg
+		ab.Pool = tb.shards.pools[shardOf[w.a]]
+		ba.Pool = tb.shards.pools[shardOf[w.b]]
+		tr.ch, tr.pa, tr.pb = ether.ConnectTrunkChannel(tb.fabric[w.a], tb.fabric[w.b], ab, ba)
+		tb.shards.trunks.Track(tr.ch, shardOf[w.a], shardOf[w.b])
 		// The base profile Reset restores after degrade faults is read back
 		// from the built medium (post-default-fill), not from the spec: a
 		// zero spec propagation means "LinkConfig default", and restoring a
 		// raw zero would keep the degraded value instead.
-		if tr.ch != nil {
-			tr.baseProp, tr.baseBER = tr.ch.Profile()
-		} else {
-			tr.baseProp, tr.baseBER = tr.link.Profile()
-		}
+		tr.baseProp, tr.baseBER = tr.ch.Profile()
 		tb.fabricAdj[w.a] = append(tb.fabricAdj[w.a], ti)
 		tb.fabricAdj[w.b] = append(tb.fabricAdj[w.b], ti)
 	}
@@ -408,9 +384,7 @@ func (tb *Testbed) buildFabric() error {
 	}
 	for i, n := range tb.nodes {
 		edge := plan.edges[i%len(plan.edges)]
-		if tb.shardMode() {
-			tb.bindNodeShard(n, shardOf[edge])
-		}
+		tb.bindNodeShard(n, shardOf[edge])
 		tb.fabric[edge].AttachHost(n.host.NIC)
 	}
 	return nil
@@ -655,11 +629,7 @@ func (tb *Testbed) TrunkStatus(i int) (TrunkStatus, error) {
 		Blocked: tb.trunkBlocked(i),
 		Failed:  tr.failed,
 	}
-	if tr.ch != nil {
-		st.Propagation, st.BitErrorRate = tr.ch.Profile()
-	} else if tr.link != nil {
-		st.Propagation, st.BitErrorRate = tr.link.Profile()
-	}
+	st.Propagation, st.BitErrorRate = tr.ch.Profile()
 	return st, nil
 }
 

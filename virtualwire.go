@@ -154,15 +154,16 @@ type Config struct {
 	// tie-break by wiring order) and stale MAC entries flush. Requires a
 	// multi-switch Topology. See docs/TOPOLOGIES.md, "Fault axes".
 	TopologyFaults []TopologyFaultSpec
-	// Shards selects the conservative-windowed parallel engine: the
-	// fabric is partitioned into this many shards, each running its own
-	// event queue on its own goroutine, synchronized at trunk-lookahead
-	// window barriers. Output is byte-identical at any shard count.
-	// 0 (the default) keeps the classic single-queue engine; ShardsAuto
+	// Shards is how many shards the conservative-windowed engine — the
+	// only engine — partitions the fabric into; each runs its own event
+	// queue, synchronized at trunk-lookahead window barriers. Output is
+	// byte-identical at any shard count. 0 (the default) and 1 are the
+	// same run: one shard, inline on the calling goroutine. ShardsAuto
 	// picks min(GOMAXPROCS, edge switches); explicit counts are clamped
-	// to the fabric size. Requires a switch medium and is incompatible
-	// with TraceCapacity and MetricsSampleInterval. See
-	// docs/PERFORMANCE.md, "Sharded execution".
+	// to the fabric size, so a bus or a single switch is always one
+	// shard. TraceCapacity and MetricsSampleInterval need one shard: an
+	// explicit count above 1 is rejected with either, and ShardsAuto
+	// resolves to 1. See docs/PERFORMANCE.md, "Sharded execution".
 	Shards int
 	// TraceCapacity, when positive, records a tcpdump-like trace of up
 	// to this many frames (tap directly above each NIC).
@@ -227,18 +228,6 @@ func (n *Node) CounterValue(name string) (int64, bool) {
 // Failed reports whether a FAIL action crashed this node.
 func (n *Node) Failed() bool { return n.engine.Failed() }
 
-// RetherRingSize reports the node's current ring membership size (0 if
-// Rether is not installed).
-//
-// Deprecated: read the "ring_size" gauge of Node.Snapshot("rether")
-// instead; this one-off accessor is kept for compatibility.
-func (n *Node) RetherRingSize() int {
-	if n.rether == nil {
-		return 0
-	}
-	return len(n.rether.Ring())
-}
-
 // RequestRTSlots asks the Rether ring monitor to reserve per-cycle
 // real-time transmission slots for this node (admission control). The
 // callback fires inside the simulation with the grant outcome. Valid
@@ -255,12 +244,6 @@ func (n *Node) RequestRTSlots(slots int, cb func(granted bool, slots int)) error
 	})
 	return nil
 }
-
-// EngineStats returns a snapshot of the node's engine counters.
-//
-// Deprecated: use Node.Snapshot("engine") for the uniform metrics view;
-// this one-off accessor is kept for compatibility.
-func (n *Node) EngineStats() core.EngineStats { return n.engine.Stats }
 
 // InjectedFault describes one fault an engine applied, for reports.
 type InjectedFault struct {
@@ -353,8 +336,7 @@ type Testbed struct {
 	// zeroPayload).
 	zeros []byte
 
-	// shards is the windowed parallel engine's runtime (nil unless
-	// Config.Shards is set); created in build.
+	// shards is the windowed engine's runtime; created in build.
 	shards *shardRuntime
 }
 
@@ -373,10 +355,6 @@ func (tb *Testbed) zeroPayload(n int) []byte {
 
 type portPair struct {
 	srcPort, dstPort uint16
-}
-
-type workload interface {
-	start(tb *Testbed) error
 }
 
 // New creates an empty testbed.
@@ -584,6 +562,9 @@ func (tb *Testbed) build() error {
 		if err := tb.buildFabric(); err != nil {
 			return err
 		}
+	} else {
+		// A single switch or a bus is one segment: one shard.
+		tb.initShardRuntime(1)
 	}
 	if err := tb.stageTopoFaults(); err != nil {
 		return err
@@ -682,9 +663,8 @@ func (tb *Testbed) build() error {
 		}
 		tb.ctl = ctl
 	}
-	if tb.shardMode() {
-		tb.finishShardBuild()
-	}
+	tb.recomputeShardLookahead()
+	tb.assignComponentRands(tb.cfg.Seed)
 	tb.registerMetricSources()
 	tb.buildReportSchema()
 	return nil
@@ -717,17 +697,11 @@ func (tb *Testbed) Run(horizon time.Duration) (RunReport, error) {
 	return tb.RunContext(context.Background(), horizon)
 }
 
-// ctxPollEvents is how many simulation events RunContext executes
-// between context polls. Events are sub-microsecond of real time, so
-// cancellation still lands within a fraction of a millisecond while the
-// hot loop stays free of per-event channel operations.
-const ctxPollEvents = 64
-
 // RunContext is Run with cooperative cancellation: the context is
-// polled at event-loop granularity (between simulation events, never
-// mid-event), so cancelling it — or letting its deadline expire — stops
-// the run promptly with a partial RunReport describing everything that
-// happened up to the interruption.
+// polled at every window barrier (windows span at most 1 ms of virtual
+// time, never mid-event), so cancelling it — or letting its deadline
+// expire — stops the run promptly with a partial RunReport describing
+// everything that happened up to the interruption.
 //
 // The returned error is nil for a run that reached its horizon or
 // finished its scenario (inspect the report for the verdict). When the
@@ -739,77 +713,36 @@ func (tb *Testbed) RunContext(ctx context.Context, horizon time.Duration) (RunRe
 	if err := tb.build(); err != nil {
 		return RunReport{}, err
 	}
-	if tb.shardMode() {
-		return tb.runShardedContext(ctx, horizon)
-	}
+	sr := tb.shards
 	start := tb.sched.Now()
+	sr.startPending = false
 	if tb.ctl != nil {
-		startWorkloads := func() {
-			for _, w := range tb.workloads {
-				w := w
-				tb.sched.After(0, "vw.workload", func() {
-					_ = w.start(tb)
-				})
-			}
-		}
-		tb.ctl.OnStarted = startWorkloads
+		tb.ctl.OnStarted = func() { sr.startPending = true }
 		if err := tb.ctl.Launch(); err != nil {
 			return RunReport{}, err
 		}
 	} else {
-		for _, w := range tb.workloads {
-			if err := w.start(tb); err != nil {
-				return RunReport{}, err
-			}
-		}
+		sr.startPending = true
 	}
-	// The run loop: execute events up to the horizon, stopping early if
-	// the scenario finishes, the queue drains, or the context fires.
-	// Events strictly past the horizon are never executed (RunUntil
-	// semantics); on a clean exit the clock is advanced to the horizon so
-	// a subsequent RunFor continues from there.
-	deadline := start + horizon
-	done := ctx.Done() // nil for context.Background(): polling elides
-	countdown := ctxPollEvents
-	var ctxErr error
-	for {
-		if done != nil {
-			countdown--
-			if countdown <= 0 {
-				countdown = ctxPollEvents
-				select {
-				case <-done:
-					ctxErr = ctx.Err()
-				default:
-				}
-				if ctxErr != nil {
-					break
-				}
-			}
-		}
-		if tb.ctl != nil && tb.ctl.Finished() {
-			break
-		}
-		next, ok := tb.sched.PeekTime()
-		if !ok || next > deadline {
-			// Drained or nothing left before the horizon: idle time
-			// still passes.
-			if tb.sched.Now() < deadline {
-				if err := tb.sched.RunUntil(deadline); err != nil {
-					return RunReport{}, err
-				}
-			}
-			break
-		}
-		tb.sched.Step()
+	ctxErr, err := tb.runWindowed(ctx, start+horizon, true)
+	if err != nil {
+		return RunReport{}, err
 	}
-	rep := tb.assembleRunReport(start, tb.sched.Executed())
-	return finishRunReport(rep, ctxErr)
+	rep := tb.assembleRunReport(start, sr.set.Executed())
+	if ctxErr != nil {
+		rep.Passed = false
+		if errors.Is(ctxErr, context.DeadlineExceeded) {
+			return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w: %w",
+				rep.Duration, ErrHorizonExceeded, ctxErr)
+		}
+		return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w",
+			rep.Duration, ctxErr)
+	}
+	return rep, nil
 }
 
-// assembleRunReport gathers the run outcome shared by the legacy and
-// sharded engines: duration, scenario verdict, fault journal, per-node
-// reports and the metrics digest.
+// assembleRunReport gathers the run outcome: duration, scenario
+// verdict, fault journal, per-node reports and the metrics digest.
 func (tb *Testbed) assembleRunReport(start time.Duration, events uint64) RunReport {
 	rep := RunReport{
 		Seed:     tb.cfg.Seed,
@@ -834,21 +767,6 @@ func (tb *Testbed) assembleRunReport(start time.Duration, events uint64) RunRepo
 	return rep
 }
 
-// finishRunReport applies the context-interruption error wrapping shared
-// by both engines.
-func finishRunReport(rep RunReport, ctxErr error) (RunReport, error) {
-	if ctxErr != nil {
-		rep.Passed = false
-		if errors.Is(ctxErr, context.DeadlineExceeded) {
-			return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w: %w",
-				rep.Duration, ErrHorizonExceeded, ctxErr)
-		}
-		return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w",
-			rep.Duration, ctxErr)
-	}
-	return rep, nil
-}
-
 // RunFor advances the simulation by d. It builds the testbed if needed,
 // so staged experiments can warm traffic up (through the node-level
 // APIs) before Run launches the scenario; note that neither the staged
@@ -857,14 +775,8 @@ func (tb *Testbed) RunFor(d time.Duration) error {
 	if err := tb.build(); err != nil {
 		return err
 	}
-	if tb.shardMode() {
-		ctxErr, err := tb.runWindowed(context.Background(), tb.sched.Now()+d)
-		if err != nil {
-			return err
-		}
-		return ctxErr
-	}
-	return tb.sched.RunUntil(tb.sched.Now() + d)
+	_, err := tb.runWindowed(context.Background(), tb.sched.Now()+d, false)
+	return err
 }
 
 // Now returns the current virtual time.
@@ -886,18 +798,6 @@ func (tb *Testbed) TraceFilter(substrings ...string) []TraceEntry {
 		return nil
 	}
 	return tb.tracing.Filter(substrings...)
-}
-
-// ScenarioResult returns the scenario outcome so far (valid after Run).
-//
-// Deprecated: the RunReport returned by Run/RunContext carries the same
-// data in RunReport.Result and RunReport.Errors; this accessor remains
-// as a thin shim for existing callers.
-func (tb *Testbed) ScenarioResult() Result {
-	if tb.ctl == nil {
-		return Result{}
-	}
-	return tb.ctl.Result()
 }
 
 // DumpTables renders the compiled six tables of the loaded script.

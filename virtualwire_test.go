@@ -174,8 +174,8 @@ func TestFigure6RetherRecovery(t *testing.T) {
 	// Survivors reconstructed a 3-node ring.
 	for _, name := range []string{"node1", "node2", "node4"} {
 		n, _ := tb.Node(name)
-		if got := n.RetherRingSize(); got != 3 {
-			t.Errorf("%s ring size = %d, want 3", name, got)
+		if got := retherRingSize(t, n); got != 3 {
+			t.Errorf("%s ring size = %v, want 3", name, got)
 		}
 	}
 	// The data crossing threshold really was reached.

@@ -47,21 +47,14 @@ type TCPBulk struct {
 	delivered   int
 	firstByteAt time.Duration
 	lastByteAt  time.Duration
-	closed      bool
 	failed      bool
 
-	// clientClosed is the client-side "transfer finished" marker the
-	// sharded pace loop watches. The legacy loop reads closed, which the
-	// server's OnClose sets — a cross-shard read under sharded execution,
-	// where the observed value would depend on the partition rather than
-	// on virtual time.
+	// clientClosed is the client-side "transfer finished" marker the pace
+	// loop watches. The server's OnClose runs on another shard, so what
+	// the client observed of a flag set there would depend on the
+	// partition rather than on virtual time.
 	clientClosed bool
 }
-
-var (
-	_ workload        = (*TCPBulk)(nil)
-	_ shardedWorkload = (*TCPBulk)(nil)
-)
 
 // AddTCPBulk stages a bulk TCP workload; it starts when the scenario
 // starts (or immediately when no script is loaded).
@@ -78,50 +71,6 @@ func (tb *Testbed) AddTCPBulk(cfg TCPBulkConfig) (*TCPBulk, error) {
 	w := &TCPBulk{cfg: cfg}
 	tb.workloads = append(tb.workloads, w)
 	return w, nil
-}
-
-func (w *TCPBulk) start(tb *Testbed) error {
-	from := tb.byName[w.cfg.From]
-	to := tb.byName[w.cfg.To]
-	lst, err := to.tcp.Listen(w.cfg.DstPort)
-	if err != nil {
-		return err
-	}
-	lst.OnAccept = func(c *tcp.Conn) {
-		c.OnData = func(d []byte) {
-			if w.delivered == 0 {
-				w.firstByteAt = tb.sched.Now()
-			}
-			w.delivered += len(d)
-			w.lastByteAt = tb.sched.Now()
-		}
-		c.OnClose = func() {
-			w.closed = true
-			c.Close()
-		}
-	}
-	conn, err := from.tcp.Connect(w.cfg.SrcPort, to.host.IP, w.cfg.DstPort)
-	if err != nil {
-		return err
-	}
-	w.conn = conn
-	if w.cfg.DisableCongestionControl {
-		conn.DisableCongestionControl()
-	}
-	conn.OnFail = func() { w.failed = true }
-	w.stagePayload(tb)
-	conn.OnConnected = func() {
-		w.connected = true
-		if w.cfg.Bytes > 0 {
-			conn.Send(w.payload)
-			if w.cfg.CloseWhenDone {
-				conn.Close()
-			}
-			return
-		}
-		w.pace(tb, tb.sched.Now())
-	}
-	return nil
 }
 
 // paceTick is the pacing loop's period and paceMaxBuffered its bound on
@@ -144,30 +93,9 @@ func (w *TCPBulk) stagePayload(tb *Testbed) {
 	w.payload = tb.zeroPayload(n)
 }
 
-// pace writes at the offered rate, one payload per tick.
-func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
-	var step func()
-	step = func() {
-		if w.failed || w.closed {
-			return
-		}
-		if w.cfg.Duration > 0 && tb.sched.Now()-started >= w.cfg.Duration {
-			if w.cfg.CloseWhenDone {
-				w.conn.Close()
-			}
-			return
-		}
-		if w.conn.BufferedBytes() < paceMaxBuffered {
-			w.conn.Send(w.payload)
-		}
-		tb.sched.After(paceTick, "tcpbulk.pace", step)
-	}
-	step()
-}
-
-// parts decomposes the transfer for sharded execution: the listener is
-// installed here at the barrier (every shard parked), the connect-and-
-// send loop runs on the client's shard. Server-side callbacks touch
+// parts decomposes the transfer: the listener is installed here at the
+// barrier (every shard parked), the connect-and-send loop runs on the
+// client's shard. Server-side callbacks touch
 // only server-written fields and read the server shard's clock; the
 // client side owns everything else.
 func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
@@ -186,10 +114,7 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 			w.delivered += len(d)
 			w.lastByteAt = srvSched.Now()
 		}
-		c.OnClose = func() {
-			w.closed = true
-			c.Close()
-		}
+		c.OnClose = func() { c.Close() }
 	}
 	cliSched := from.host.Sched
 	w.stagePayload(tb)
@@ -213,16 +138,16 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 				}
 				return
 			}
-			w.paceSharded(cliSched, cliSched.Now())
+			w.pace(cliSched, cliSched.Now())
 		}
 	}
 	return []workloadPart{{node: from, run: run}}, nil
 }
 
-// paceSharded is pace on the client shard's scheduler. It stops on the
-// client-local clientClosed flag (set when this loop itself closes the
-// connection) instead of the server-written closed marker.
-func (w *TCPBulk) paceSharded(sched *sim.Scheduler, started time.Duration) {
+// pace writes at the offered rate, one payload per tick, on the client
+// shard's scheduler. It stops on the client-local clientClosed flag, set
+// when this loop itself closes the connection.
+func (w *TCPBulk) pace(sched *sim.Scheduler, started time.Duration) {
 	var step func()
 	step = func() {
 		if w.failed || w.clientClosed {
@@ -272,8 +197,14 @@ func (w *TCPBulk) Ssthresh() int { return w.conn.Ssthresh() }
 // InSlowStart reports the sender's congestion regime.
 func (w *TCPBulk) InSlowStart() bool { return w.conn.InSlowStart() }
 
-// SenderStats returns the client connection's protocol counters.
-func (w *TCPBulk) SenderStats() tcp.Stats { return w.conn.Stats }
+// SenderStats returns the client connection's protocol counters (zero
+// if the run was interrupted before the workload started).
+func (w *TCPBulk) SenderStats() tcp.Stats {
+	if w.conn == nil {
+		return tcp.Stats{}
+	}
+	return w.conn.Stats
+}
 
 // UDPEchoConfig describes the UDP ping/echo workload behind Figure 8's
 // round-trip-latency measurement.
@@ -302,11 +233,6 @@ type UDPEcho struct {
 	pending map[uint64]time.Duration
 }
 
-var (
-	_ workload        = (*UDPEcho)(nil)
-	_ shardedWorkload = (*UDPEcho)(nil)
-)
-
 // AddUDPEcho stages a UDP echo workload.
 func (tb *Testbed) AddUDPEcho(cfg UDPEchoConfig) (*UDPEcho, error) {
 	if _, ok := tb.byName[cfg.Client]; !ok {
@@ -333,53 +259,6 @@ func (tb *Testbed) AddUDPEcho(cfg UDPEchoConfig) (*UDPEcho, error) {
 // distribution, in seconds (100 µs .. 100 ms).
 var echoRTTBuckets = []float64{
 	100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
-}
-
-func (w *UDPEcho) start(tb *Testbed) error {
-	client := tb.byName[w.cfg.Client]
-	server := tb.byName[w.cfg.Server]
-	rttHist := tb.reg.Histogram(w.cfg.Client, "workload", "udp_echo_rtt_seconds", echoRTTBuckets)
-	srv, err := server.host.UDP.Bind(w.cfg.ServerPort)
-	if err != nil {
-		return err
-	}
-	srv.OnDatagram = func(src packet.IP, srcPort uint16, payload []byte) {
-		_ = srv.SendTo(src, srcPort, payload)
-	}
-	cli, err := client.host.UDP.Bind(w.cfg.ClientPort)
-	if err != nil {
-		return err
-	}
-	cli.OnDatagram = func(_ packet.IP, _ uint16, payload []byte) {
-		if len(payload) < 8 {
-			return
-		}
-		seq := binary.BigEndian.Uint64(payload)
-		sentAt, ok := w.pending[seq]
-		if !ok {
-			return
-		}
-		delete(w.pending, seq)
-		w.recvd++
-		rtt := tb.sched.Now() - sentAt
-		w.rtts = append(w.rtts, rtt)
-		rttHist.Observe(rtt.Seconds())
-	}
-	var ping func()
-	ping = func() {
-		if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
-			return
-		}
-		w.sent++
-		seq := uint64(w.sent)
-		payload := make([]byte, w.cfg.Size)
-		binary.BigEndian.PutUint64(payload, seq)
-		w.pending[seq] = tb.sched.Now()
-		_ = cli.SendTo(server.host.IP, w.cfg.ServerPort, payload)
-		tb.sched.After(w.cfg.Interval, "udpecho.ping", ping)
-	}
-	ping()
-	return nil
 }
 
 // parts decomposes the echo workload: both sockets bind here at the
@@ -489,11 +368,6 @@ type UDPStream struct {
 	firstSet bool
 }
 
-var (
-	_ workload        = (*UDPStream)(nil)
-	_ shardedWorkload = (*UDPStream)(nil)
-)
-
 // AddUDPStream stages a one-way constant-bit-rate datagram stream.
 func (tb *Testbed) AddUDPStream(cfg UDPStreamConfig) (*UDPStream, error) {
 	if _, ok := tb.byName[cfg.From]; !ok {
@@ -514,42 +388,6 @@ func (tb *Testbed) AddUDPStream(cfg UDPStreamConfig) (*UDPStream, error) {
 	w := &UDPStream{cfg: cfg}
 	tb.workloads = append(tb.workloads, w)
 	return w, nil
-}
-
-func (w *UDPStream) start(tb *Testbed) error {
-	from := tb.byName[w.cfg.From]
-	to := tb.byName[w.cfg.To]
-	sink, err := to.host.UDP.Bind(w.cfg.Port)
-	if err != nil {
-		return err
-	}
-	sink.OnDatagram = func(packet.IP, uint16, []byte) {
-		now := tb.sched.Now()
-		if w.firstSet {
-			if gap := now - w.lastAt; gap > w.maxGap {
-				w.maxGap = gap
-			}
-		}
-		w.firstSet = true
-		w.lastAt = now
-		w.recvd++
-	}
-	src, err := from.host.UDP.Bind(w.cfg.SrcPort)
-	if err != nil {
-		return err
-	}
-	payload := make([]byte, w.cfg.Size)
-	var tick func()
-	tick = func() {
-		if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
-			return
-		}
-		w.sent++
-		_ = src.SendTo(to.host.IP, w.cfg.Port, payload)
-		tb.sched.After(w.cfg.Interval, "udpstream.tick", tick)
-	}
-	tick()
-	return nil
 }
 
 // parts decomposes the stream: the sink binds here at the barrier and

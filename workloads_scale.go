@@ -42,17 +42,11 @@ type Incast struct {
 	senders   []string
 	delivered int
 	completed int
-	// senderFail holds one failure counter per sender. Under sharded
-	// execution each sender's shard writes only its own slot (a shared
-	// counter would be a cross-shard race); the legacy path uses the same
-	// slots so Failed() sums identically either way.
+	// senderFail holds one failure counter per sender: each sender's
+	// shard writes only its own slot (a shared counter would be a
+	// cross-shard race).
 	senderFail []int
 }
-
-var (
-	_ workload        = (*Incast)(nil)
-	_ shardedWorkload = (*Incast)(nil)
-)
 
 // AddIncast stages an N-to-1 TCP incast workload.
 func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
@@ -106,20 +100,8 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 	return w, nil
 }
 
-func (w *Incast) start(tb *Testbed) error {
-	if err := w.setupReceiver(tb); err != nil {
-		return err
-	}
-	for i, name := range w.senders {
-		from := tb.byName[name]
-		delay := time.Duration(i) * w.cfg.Stagger
-		tb.sched.After(delay, "incast.connect", w.connectFunc(i, from, tb.byName[w.cfg.To]))
-	}
-	return nil
-}
-
 // setupReceiver installs the listener and allocates the per-sender
-// failure slots; shared by the legacy and sharded paths.
+// failure slots.
 func (w *Incast) setupReceiver(tb *Testbed) error {
 	to := tb.byName[w.cfg.To]
 	lst, err := to.tcp.Listen(w.cfg.DstPort)
@@ -161,9 +143,9 @@ func (w *Incast) connectFunc(i int, from, to *Node) func() {
 	}
 }
 
-// parts decomposes the incast for sharded execution: the receiver's
-// listener is installed at the barrier; each sender gets one part on
-// its own shard that schedules the staggered connect locally.
+// parts decomposes the incast: the receiver's listener is installed at
+// the barrier; each sender gets one part on its own shard that schedules
+// the staggered connect locally.
 func (w *Incast) parts(tb *Testbed) ([]workloadPart, error) {
 	if err := w.setupReceiver(tb); err != nil {
 		return nil, err
@@ -228,17 +210,11 @@ type ManyFlow struct {
 	flows int
 	// Per-flow result slots: delivered/completed are written by the
 	// flow's destination shard, failed by its source shard. Distinct
-	// slots keep every write single-owner under sharded execution; the
-	// legacy path uses the same slots so the accessors sum identically.
+	// slots keep every write single-owner.
 	flowDelivered []int
 	flowCompleted []int
 	flowFailed    []int
 }
-
-var (
-	_ workload        = (*ManyFlow)(nil)
-	_ shardedWorkload = (*ManyFlow)(nil)
-)
 
 // AddManyFlow stages a mesh of independent point-to-point TCP flows over
 // random host pairs.
@@ -280,28 +256,6 @@ func (tb *Testbed) AddManyFlow(cfg ManyFlowConfig) (*ManyFlow, error) {
 	}
 	tb.workloads = append(tb.workloads, w)
 	return w, nil
-}
-
-func (w *ManyFlow) start(tb *Testbed) error {
-	w.allocSlots()
-	rng := rand.New(rand.NewSource(w.conf.PairSeed))
-	n := len(w.hosts)
-	for f := 0; f < w.flows; f++ {
-		si := rng.Intn(n)
-		di := rng.Intn(n - 1)
-		if di >= si {
-			di++
-		}
-		src := tb.byName[w.hosts[si]]
-		dst := tb.byName[w.hosts[di]]
-		port := w.conf.BasePort + uint16(f)
-		if err := w.setupFlowListener(f, dst, port); err != nil {
-			return err
-		}
-		delay := time.Duration(f) * w.conf.Stagger
-		tb.sched.After(delay, "manyflow.connect", w.connectFunc(f, src, dst, port))
-	}
-	return nil
 }
 
 func (w *ManyFlow) allocSlots() {
@@ -351,11 +305,9 @@ func (w *ManyFlow) connectFunc(f int, src, dst *Node, port uint16) func() {
 	}
 }
 
-// parts decomposes the mesh for sharded execution: pair selection and
-// every listener registration happen at the barrier (the pair RNG is
-// seeded from PairSeed, so the flow matrix matches the legacy path);
-// each flow gets one part on its source's shard that schedules the
-// staggered connect locally.
+// parts decomposes the mesh: pair selection (from PairSeed) and every
+// listener registration happen at the barrier; each flow gets one part
+// on its source's shard that schedules the staggered connect locally.
 func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
 	w.allocSlots()
 	rng := rand.New(rand.NewSource(w.conf.PairSeed))
