@@ -7,12 +7,14 @@ package virtualwire_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"testing"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 	"virtualwire/internal/experiments"
 )
 
@@ -158,11 +160,11 @@ func BenchmarkFig6Scenario(b *testing.B) {
 func BenchmarkFig7Throughput(b *testing.B) {
 	var last experiments.Fig7Point
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig7(experiments.Fig7Config{
+		pts, _, err := experiments.RunFig7(context.Background(), experiments.Fig7Config{
 			Seed:        int64(i + 1),
 			OfferedMbps: []float64{60, 100},
 			Duration:    500 * time.Millisecond,
-		})
+		}, campaign.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,11 +180,11 @@ func BenchmarkFig7Throughput(b *testing.B) {
 func BenchmarkFig8Latency(b *testing.B) {
 	var last experiments.Fig8Point
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8(experiments.Fig8Config{
+		pts, _, err := experiments.RunFig8(context.Background(), experiments.Fig8Config{
 			Seed:         int64(i + 1),
 			FilterCounts: []int{25},
 			Pings:        100,
-		})
+		}, campaign.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,6 +72,10 @@ type RunRecord struct {
 	// Report is the run's full RunReport (faults, flagged errors,
 	// per-node metrics). Nil only when the run never produced one.
 	Report *virtualwire.RunReport `json:"report,omitempty"`
+	// Series is the run's sampled metrics time series plus a final
+	// gather; set only when the run's config sampled
+	// (ConfigOverride.MetricsSampleInterval).
+	Series *virtualwire.MetricsSeries `json:"series,omitempty"`
 }
 
 // runFunc executes one attempt of one matrix point; tests substitute it
@@ -504,6 +508,10 @@ func finishRun(ctx context.Context, spec *Spec, p point, rec *RunRecord, tb *vir
 	}
 	rep, err := tb.RunContext(runCtx, spec.Horizon.D())
 	rec.Report = &rep
+	if p.cfg.MetricsSampleInterval > 0 {
+		series := tb.MetricsSeries()
+		rec.Series = &series
+	}
 	if m != nil {
 		m.measure(rec)
 	}

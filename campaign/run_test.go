@@ -148,6 +148,38 @@ func TestRecordFields(t *testing.T) {
 	}
 }
 
+// A run whose config samples carries the series on its record, and the
+// record still decodes (the service's resume scan reads journaled lines
+// back) and re-encodes to the same bytes; an unsampled run's record has
+// no series member at all.
+func TestSampledRecordCarriesSeries(t *testing.T) {
+	spec := quickstartSpec(1, []float64{0, 0})
+	spec.Configs[1].MetricsSampleInterval = Duration(time.Second)
+	sink, _ := runToBytes(t, spec, 1)
+	lines := bytes.Split(bytes.TrimSpace(sink), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d", len(lines))
+	}
+	if bytes.Contains(lines[0], []byte(`"series"`)) {
+		t.Errorf("unsampled record has a series member: %.200s", lines[0])
+	}
+	var rec RunRecord
+	if err := json.Unmarshal(lines[1], &rec); err != nil {
+		t.Fatalf("sampled record does not decode: %v", err)
+	}
+	if rec.Series == nil || len(rec.Series.Points) == 0 || len(rec.Series.Final) == 0 ||
+		rec.Series.Interval != time.Second {
+		t.Fatalf("sampled record's series = %+v", rec.Series)
+	}
+	again, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, lines[1]) {
+		t.Error("sampled record does not re-encode to the bytes it was decoded from")
+	}
+}
+
 // TestCancellationMidCampaign cancels from OnRecord and checks the
 // partial flush: a contiguous prefix of records is in the sink, the
 // summary is marked interrupted, and Run returns context.Canceled.

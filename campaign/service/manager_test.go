@@ -210,6 +210,63 @@ func TestCloseReopenResumesInterruptedJob(t *testing.T) {
 	}
 }
 
+// A job journaled by a build that spoke spec version 1 keeps its stamp
+// and therefore its hash: reopened by this build, interrupted after three
+// runs, it resumes at run 3 instead of failing the header's hash check,
+// and ends with the bytes of an uninterrupted run.
+func TestReopenResumesVersion1Job(t *testing.T) {
+	spec := testSpec(6)
+	spec.Version = 1
+	// testSpec(6) as the last version-1 build (0cef8f8) hashed it.
+	const v1Hash = "af03618a915982e4dfcbe3150eae77d95dfdd26facc6b55be20af857b3f73d0b"
+	if got := spec.Hash(); got != v1Hash {
+		t.Fatalf("version-1 spec hashes to %s, the build that wrote it said %s", got, v1Hash)
+	}
+	wantJSONL, _ := inProcessBytes(t, spec)
+
+	dir := t.TempDir()
+	m := openManager(t, dir, 2)
+	st, err := m.Submit("acme", spec, 1)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := m.Wait(context.Background(), st.ID); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	m.Close()
+
+	job := filepath.Join(dir, "jobs", st.ID)
+	hdr, err := os.ReadFile(filepath.Join(job, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(hdr, []byte(`"version":1,`)) || !bytes.Contains(hdr, []byte(v1Hash)) {
+		t.Fatalf("job.json lost the version-1 stamp or hash: %s", hdr)
+	}
+	lines := bytes.SplitAfter(wantJSONL, []byte("\n"))
+	if err := os.WriteFile(filepath.Join(job, "runs.jsonl"), bytes.Join(lines[:3], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"status.json", "summary.json"} {
+		if err := os.Remove(filepath.Join(job, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m = openManager(t, dir, 2)
+	defer m.Close()
+	final, err := m.Wait(context.Background(), st.ID)
+	if err != nil || final.State != service.StateDone {
+		t.Fatalf("resumed version-1 job ended %v, %+v", err, final)
+	}
+	if final.ResumedFrom != 3 {
+		t.Errorf("ResumedFrom = %d, want 3", final.ResumedFrom)
+	}
+	if got := readJournal(t, dir, st.ID); !bytes.Equal(got, wantJSONL) {
+		t.Errorf("resumed journal differs from an uninterrupted run (%d vs %d bytes)", len(got), len(wantJSONL))
+	}
+}
+
 // A terminal job must survive a reopen as readable history: status,
 // journal and summary served from disk, nothing re-run.
 func TestReopenServesTerminalJob(t *testing.T) {

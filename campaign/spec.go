@@ -131,10 +131,8 @@ type ConfigOverride struct {
 	BitsPerSecond float64 `json:"bits_per_second,omitempty"`
 	// Propagation overrides the per-segment delay when positive.
 	Propagation Duration `json:"propagation,omitempty"`
-	// IndexedClassifier toggles the classifier ablation.
-	IndexedClassifier *bool `json:"indexed_classifier,omitempty"`
 	// Classifier selects the classification strategy axis value:
-	// "default", "linear", "indexed", "compiled" or "auto".
+	// "linear" (also the meaning of "") or "compiled".
 	Classifier string `json:"classifier,omitempty"`
 	// Shards is this axis value's shard count: nil, 0 and 1 all one
 	// shard, -1 auto, > 1 explicit (see
@@ -236,9 +234,6 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	}
 	if o.Propagation > 0 {
 		cfg.Propagation = o.Propagation.D()
-	}
-	if o.IndexedClassifier != nil {
-		cfg.IndexedClassifier = *o.IndexedClassifier
 	}
 	if o.Classifier != "" {
 		strat, err := virtualwire.ParseClassifierStrategy(o.Classifier)

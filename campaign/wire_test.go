@@ -202,3 +202,33 @@ func TestParseSpecAcceptsVersionlessSpec(t *testing.T) {
 		t.Fatalf("parsed spec does not run: %v", err)
 	}
 }
+
+// Version 2 removed the indexed_classifier field and the classifier names
+// "default", "indexed" and "auto". A spec stamped version 1 (or none)
+// still parses, keeping its stamp, unless it uses one of them; those are
+// rejected at submit time naming the field.
+func TestParseSpecVersion1(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"version": 1, "hosts": 2, "horizon": "1s", "configs": [{"classifier": "compiled"}, {"classifier": "linear"}]}`))
+	if err != nil {
+		t.Fatalf("version-1 spec rejected: %v", err)
+	}
+	if spec.Version != 1 {
+		t.Errorf("Version = %d, want the spec's own stamp 1", spec.Version)
+	}
+
+	for _, version := range []string{`"version": 1, `, ``} {
+		_, err := ParseSpec([]byte(`{` + version + `"hosts": 2, "horizon": "1s", "configs": [{"indexed_classifier": true}]}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "indexed_classifier"`) {
+			t.Errorf("indexed_classifier (%q): err = %v, want the unknown-field error", version, err)
+		}
+		for _, name := range []string{"default", "indexed", "auto"} {
+			_, err := ParseSpec([]byte(`{` + version + `"hosts": 2, "horizon": "1s", "configs": [{}, {"classifier": "` + name + `"}]}`))
+			var fe *FieldError
+			if !errors.As(err, &fe) || fe.Path != "configs[1].classifier" {
+				t.Errorf("classifier %q (%q): err = %v, want FieldError at configs[1].classifier", name, version, err)
+			} else if msg := fe.Error(); !strings.Contains(msg, "linear") || !strings.Contains(msg, "compiled") {
+				t.Errorf("classifier %q: error does not name the two strategies: %v", name, err)
+			}
+		}
+	}
+}

@@ -10,40 +10,43 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 	"virtualwire/internal/experiments"
 	"virtualwire/internal/profiling"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vwbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
-	fig := flag.String("fig", "all", "which figure to regenerate: 7, 8 or all")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	duration := flag.Duration("duration", 2*time.Second, "fig 7: paced-transmission window per point")
-	rates := flag.String("rates", "", "fig 7: comma-separated offered rates in Mbps (default 10..100)")
-	pings := flag.Int("pings", 300, "fig 8: echo round trips per point")
-	filters := flag.String("filters", "", "fig 8: comma-separated filter counts (default 1,5,10,15,20,25)")
-	metricsOut := flag.String("metrics-out", "", "write per-sub-run metrics time series to this JSON file")
-	metricsInterval := flag.Duration("metrics-interval", 50*time.Millisecond, "virtual-time sampling interval for -metrics-out")
-	parallel := flag.Int("parallel", 1, "sweep points run concurrently (0 = GOMAXPROCS); results are identical to -parallel 1")
+func run(args []string, stdout io.Writer) (retErr error) {
+	flags := flag.NewFlagSet("vwbench", flag.ExitOnError)
+	fig := flags.String("fig", "all", "which figure to regenerate: 7, 8 or all")
+	seed := flags.Int64("seed", 1, "simulation seed")
+	duration := flags.Duration("duration", 2*time.Second, "fig 7: paced-transmission window per point")
+	rates := flags.String("rates", "", "fig 7: comma-separated offered rates in Mbps (default 10..100)")
+	pings := flags.Int("pings", 300, "fig 8: echo round trips per point")
+	filters := flags.String("filters", "", "fig 8: comma-separated filter counts (default 1,5,10,15,20,25)")
+	metricsOut := flags.String("metrics-out", "", "write per-sub-run metrics time series to this JSON file")
+	metricsInterval := flags.Duration("metrics-interval", 50*time.Millisecond, "virtual-time sampling interval for -metrics-out")
+	parallel := flags.Int("parallel", 1, "sweep points run concurrently (0 = GOMAXPROCS); results are identical to -parallel 1")
 	var prof profiling.Flags
-	prof.Register()
-	flag.Parse()
+	prof.Register(flags)
+	flags.Parse(args)
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -55,34 +58,31 @@ func run() (retErr error) {
 		}
 	}()
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	want7 := *fig == "7" || *fig == "all"
 	want8 := *fig == "8" || *fig == "all"
 	if !want7 && !want8 {
 		return fmt.Errorf("unknown -fig %q (want 7, 8 or all)", *fig)
 	}
 
-	// With -metrics-out, every sub-run reports its sampled series under a
-	// label like "vw+rll@90Mbps" or "actions@n=10".
+	// With -metrics-out, every sub-run's record carries its sampled series;
+	// they are reported under the record's label, like "vw+rll@90Mbps" or
+	// "actions@n=10".
 	type labeledSeries struct {
-		Label  string                    `json:"label"`
-		Series virtualwire.MetricsSeries `json:"series"`
+		Label  string                     `json:"label"`
+		Series *virtualwire.MetricsSeries `json:"series"`
 	}
 	var collected []labeledSeries
-	observe := func(label string, tb *virtualwire.Testbed) {
-		collected = append(collected, labeledSeries{Label: label, Series: tb.MetricsSeries()})
+	opts := campaign.Options{Workers: *parallel}
+	var sample time.Duration
+	if *metricsOut != "" {
+		sample = *metricsInterval
+		opts.OnRecord = func(r campaign.RunRecord) {
+			collected = append(collected, labeledSeries{Label: r.Label, Series: r.Series})
+		}
 	}
 
 	if want7 {
-		cfg := experiments.Fig7Config{Seed: *seed, Duration: *duration, Parallel: workers}
-		if *metricsOut != "" {
-			cfg.MetricsInterval = *metricsInterval
-			cfg.Observe = observe
-		}
+		cfg := experiments.Fig7Config{Seed: *seed, Duration: *duration, MetricsInterval: sample}
 		if *rates != "" {
 			rs, err := parseFloats(*rates)
 			if err != nil {
@@ -90,18 +90,14 @@ func run() (retErr error) {
 			}
 			cfg.OfferedMbps = rs
 		}
-		pts, err := experiments.RunFig7(cfg)
+		pts, _, err := experiments.RunFig7(context.Background(), cfg, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatFig7(pts))
+		fmt.Fprintln(stdout, experiments.FormatFig7(pts))
 	}
 	if want8 {
-		cfg := experiments.Fig8Config{Seed: *seed, Pings: *pings, Parallel: workers}
-		if *metricsOut != "" {
-			cfg.MetricsInterval = *metricsInterval
-			cfg.Observe = observe
-		}
+		cfg := experiments.Fig8Config{Seed: *seed, Pings: *pings, MetricsInterval: sample}
 		if *filters != "" {
 			fs, err := parseInts(*filters)
 			if err != nil {
@@ -109,11 +105,11 @@ func run() (retErr error) {
 			}
 			cfg.FilterCounts = fs
 		}
-		pts, err := experiments.RunFig8(cfg)
+		pts, _, err := experiments.RunFig8(context.Background(), cfg, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatFig8(pts))
+		fmt.Fprintln(stdout, experiments.FormatFig8(pts))
 	}
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -131,7 +127,7 @@ func run() (retErr error) {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("metrics written to %s (%d sub-runs)\n", *metricsOut, len(collected))
+		fmt.Fprintf(stdout, "metrics written to %s (%d sub-runs)\n", *metricsOut, len(collected))
 	}
 	return nil
 }

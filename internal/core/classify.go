@@ -2,82 +2,43 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 
 	"virtualwire/internal/ether"
 )
 
-// Strategy selects how the classifier searches the filter table. All
+// Strategy selects how the classifier searches the filter table. Both
 // strategies implement identical semantics — same winning filter, same
 // committed bindings — and differ only in work per packet (see
-// docs/PERFORMANCE.md for the measured crossover).
+// docs/PERFORMANCE.md for the measured numbers).
 type Strategy int
 
 const (
-	// StrategyDefault resolves to linear, or indexed when the engine's
-	// UseIndexedClassifier compatibility flag is set.
-	StrategyDefault Strategy = iota
-	// StrategyLinear is the paper's: a scan in table order with
-	// first-match priority ("the current VirtualWire implementation
-	// searches linearly through the packet type definitions", Section 7 —
-	// the cause of Figure 8's linear overhead growth). Fastest at
-	// testbed-typical table sizes.
-	StrategyLinear
-	// StrategyIndexed buckets filters by a literal ethertype tuple — the
-	// ablation DESIGN.md describes.
-	StrategyIndexed
+	// StrategyLinear, the zero value and the default, is the paper's: a
+	// scan in table order with first-match priority ("the current
+	// VirtualWire implementation searches linearly through the packet type
+	// definitions", Section 7 — the cause of Figure 8's linear overhead
+	// growth). Its tuple count is what the Figure 8 cost model charges,
+	// and it is the oracle of the equivalence property test.
+	StrategyLinear Strategy = iota
 	// StrategyCompiled walks the program's compiled dispatch tree
 	// (dispatch.go): flat in #filters.
 	StrategyCompiled
-	// StrategyAuto picks compiled for tables of AutoCompileThreshold or
-	// more filters, linear below.
-	StrategyAuto
 )
-
-// AutoCompileThreshold is the table size at which StrategyAuto switches
-// from the linear scan to compiled dispatch. Below it the scan's lack of
-// per-node probes wins; see the BenchmarkClassifierSize sweep.
-const AutoCompileThreshold = 16
 
 // String names the strategy as config surfaces spell it.
 func (s Strategy) String() string {
 	switch s {
-	case StrategyDefault:
-		return "default"
 	case StrategyLinear:
 		return "linear"
-	case StrategyIndexed:
-		return "indexed"
 	case StrategyCompiled:
 		return "compiled"
-	case StrategyAuto:
-		return "auto"
 	}
 	return "unknown"
 }
 
-// Resolve maps Default/Auto onto a concrete strategy for a table of
-// nFilters entries (indexedCompat is the legacy UseIndexedClassifier
-// flag).
-func (s Strategy) Resolve(indexedCompat bool, nFilters int) Strategy {
-	switch s {
-	case StrategyDefault:
-		if indexedCompat {
-			return StrategyIndexed
-		}
-		return StrategyLinear
-	case StrategyAuto:
-		if nFilters >= AutoCompileThreshold {
-			return StrategyCompiled
-		}
-		return StrategyLinear
-	}
-	return s
-}
-
 // Classifier matches raw frames against the filter table under one of the
-// strategies above. Matching stages variable bindings and commits only
-// the winning filter's, so every strategy reproduces linear first-match
+// two strategies above. Matching stages variable bindings and commits only
+// the winning filter's, so compiled dispatch reproduces linear first-match
 // semantics exactly.
 type Classifier struct {
 	filters []FilterEntry
@@ -85,15 +46,8 @@ type Classifier struct {
 	// means unbound. Bindings are engine-local.
 	vars [][]byte
 
-	// Strategy selects the search (a concrete strategy; Default behaves
-	// as linear).
+	// Strategy selects the search.
 	Strategy Strategy
-
-	// buckets maps the 2-byte ethertype to candidate filter indices;
-	// filters without a literal (12 2 pattern) tuple go to anyBucket.
-	// Built lazily on the first indexed classification.
-	buckets   map[uint16][]int
-	anyBucket []int
 
 	// dispatch is the compiled decision tree, shared immutably across
 	// engines when adopted from Program.CompiledDispatch; built lazily
@@ -113,13 +67,10 @@ type Classifier struct {
 	NodeTests uint64
 
 	// scratch holds the not-yet-committed variable bindings of the filter
-	// currently being matched; stash parks the winning candidate's
-	// pending bindings while lower-priority table order is still being
-	// ruled out (indexed strategy). Classification is strictly sequential
-	// per engine, so two reusable slices replace per-call allocations on
-	// the interception hot path.
+	// currently being matched. Classification is strictly sequential per
+	// engine, so one reusable slice replaces per-call allocations on the
+	// interception hot path.
 	scratch []binding
-	stash   []binding
 }
 
 // binding is a variable binding pending commit until the whole filter
@@ -129,10 +80,9 @@ type binding struct {
 	val []byte
 }
 
-// NewClassifier builds a classifier over the program's filter table. The
-// ethertype index and the (local) dispatch tree build lazily on first use
-// of their strategies, so the default pays nothing for ablations it does
-// not use.
+// NewClassifier builds a classifier over the program's filter table. A
+// (local) dispatch tree builds lazily on first use of the compiled
+// strategy, so the default pays nothing for it.
 func NewClassifier(p *Program) *Classifier {
 	return &Classifier{
 		filters: p.Filters,
@@ -143,31 +93,9 @@ func NewClassifier(p *Program) *Classifier {
 // UseDispatch adopts a pre-built (shared, immutable) dispatch tree.
 func (c *Classifier) UseDispatch(d *Dispatch) { c.dispatch = d }
 
-// buildIndex populates the ethertype buckets for the indexed strategy.
-func (c *Classifier) buildIndex() {
-	c.buckets = make(map[uint16][]int)
-	c.anyBucket = nil
-	for i := range c.filters {
-		f := &c.filters[i]
-		keyed := false
-		for ti := range f.Tuples {
-			tu := &f.Tuples[ti]
-			if tu.Off == 12 && tu.Len == 2 && tu.Var < 0 && tu.Mask == nil {
-				et := binary.BigEndian.Uint16(tu.Pattern)
-				c.buckets[et] = append(c.buckets[et], i)
-				keyed = true
-				break
-			}
-		}
-		if !keyed {
-			c.anyBucket = append(c.anyBucket, i)
-		}
-	}
-}
-
 // Reset clears all run-time state — variable bindings and work counters —
-// so the classifier (and its lazily built structures) can be reused for a
-// fresh run over the same filter table.
+// so the classifier (and its lazily built dispatch tree) can be reused for
+// a fresh run over the same filter table.
 func (c *Classifier) Reset() {
 	for i := range c.vars {
 		c.vars[i] = nil
@@ -176,7 +104,6 @@ func (c *Classifier) Reset() {
 	c.FiltersScanned = 0
 	c.NodeTests = 0
 	c.scratch = c.scratch[:0]
-	c.stash = c.stash[:0]
 }
 
 // VarBinding returns the current binding of a variable (nil if unbound).
@@ -192,10 +119,7 @@ func (c *Classifier) VarBinding(v VarID) []byte {
 // whole filter matches AND wins first-match priority; once bound they
 // require byte equality.
 func (c *Classifier) Classify(fr *ether.Frame) FilterID {
-	switch c.Strategy {
-	case StrategyIndexed:
-		return c.classifyIndexed(fr)
-	case StrategyCompiled:
+	if c.Strategy == StrategyCompiled {
 		return c.classifyCompiled(fr)
 	}
 	for i := range c.filters {
@@ -206,41 +130,6 @@ func (c *Classifier) Classify(fr *ether.Frame) FilterID {
 		}
 	}
 	return -1
-}
-
-func (c *Classifier) classifyIndexed(fr *ether.Frame) FilterID {
-	if c.buckets == nil {
-		c.buildIndex()
-	}
-	et := fr.EtherType()
-	best := -1
-	for _, i := range c.buckets[et] {
-		c.FiltersScanned++
-		if c.match(i, fr) {
-			best = i
-			c.stashPending()
-			break
-		}
-	}
-	// A lower-index unbucketed filter may still outrank the bucket match;
-	// its bindings must not see (and must override) the loser's, so the
-	// bucket winner's bindings sit in the stash, uncommitted, until the
-	// scan settles.
-	for _, i := range c.anyBucket {
-		if best >= 0 && i > best {
-			break
-		}
-		c.FiltersScanned++
-		if c.match(i, fr) {
-			best = i
-			c.stashPending()
-			break
-		}
-	}
-	if best >= 0 {
-		c.commitStash()
-	}
-	return FilterID(best)
 }
 
 func (c *Classifier) classifyCompiled(fr *ether.Frame) FilterID {
@@ -280,7 +169,7 @@ func (c *Classifier) classifyCompiled(fr *ether.Frame) FilterID {
 
 // match applies all tuples of filter i, staging any new variable bindings
 // in c.scratch without committing them. The caller commits the winner's
-// via commit (or parks them with stashPending while the scan continues).
+// via commit.
 func (c *Classifier) match(i int, fr *ether.Frame) bool {
 	f := &c.filters[i]
 	pending := c.scratch[:0]
@@ -325,20 +214,6 @@ func (c *Classifier) commit() {
 		c.vars[b.v] = b.val
 	}
 	c.scratch = c.scratch[:0]
-}
-
-// stashPending parks the current staged bindings as the best candidate so
-// far, replacing any earlier stash (a lower-priority match that lost).
-func (c *Classifier) stashPending() {
-	c.scratch, c.stash = c.stash[:0], c.scratch
-}
-
-// commitStash installs the stashed winner's bindings.
-func (c *Classifier) commitStash() {
-	for _, b := range c.stash {
-		c.vars[b.v] = b.val
-	}
-	c.stash = c.stash[:0]
 }
 
 func bytesEqualMasked(got, want, mask []byte) bool {

@@ -131,28 +131,6 @@ func TestClassifierMaskSemantics(t *testing.T) {
 	}
 }
 
-// Property: the indexed classifier agrees with the linear one on
-// arbitrary frames (same program, fresh variable state each trial).
-func TestIndexedClassifierEquivalence(t *testing.T) {
-	prop := func(sportSel, flagSel uint8, seq uint32) bool {
-		ports := []uint16{0x6000, 0x4000, 0x1234}
-		flags := []byte{packet.TCPSyn, packet.TCPSyn | packet.TCPAck, packet.TCPAck, packet.TCPAck | packet.TCPPsh, packet.TCPFin}
-		sport := ports[int(sportSel)%len(ports)]
-		dport := ports[(int(sportSel)+1)%len(ports)]
-		fl := flags[int(flagSel)%len(flags)]
-		fr := tcpFrame(sport, dport, seq, seq+1, fl)
-
-		lin := NewClassifier(fig2Program())
-		idx := NewClassifier(fig2Program())
-		idx.Strategy = StrategyIndexed
-		return lin.Classify(fr) == idx.Classify(fr)
-	}
-	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(31))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: classification is insensitive to payload bytes beyond the
 // matched offsets.
 func TestClassifierPayloadInsensitive(t *testing.T) {
@@ -180,10 +158,6 @@ func TestClassifierPayloadInsensitive(t *testing.T) {
 
 func BenchmarkClassifierLinear(b *testing.B) {
 	benchClassifier(b, StrategyLinear)
-}
-
-func BenchmarkClassifierIndexed(b *testing.B) {
-	benchClassifier(b, StrategyIndexed)
 }
 
 func BenchmarkClassifierCompiled(b *testing.B) {

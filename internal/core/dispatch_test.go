@@ -11,21 +11,22 @@ import (
 	"virtualwire/internal/packet"
 )
 
-// Regression for the indexed classifier committing a non-winner's
-// bindings: a bucketed filter that matches first must not commit its VAR
-// bindings when a lower-index anyBucket filter wins first-match priority.
-func TestIndexedDoesNotCommitLosingBindings(t *testing.T) {
+// Guards compiled dispatch against committing a non-winner's bindings: a
+// filter reached through its ethertype edge must not commit its VAR
+// bindings when a lower-index residual filter (no literal at the split
+// field, so merged into every child) wins first-match priority.
+func TestCompiledDoesNotCommitLosingBindings(t *testing.T) {
 	p := &Program{
 		Vars: []string{"winner_var", "loser_var"},
 		Filters: []FilterEntry{
-			// Filter 0: no ethertype literal -> anyBucket. Binds var 0.
+			// Filter 0: no ethertype literal -> residual. Binds var 0.
 			{Name: "any_wins", Tuples: []FilterTuple{
 				{Off: 20, Len: 1, Pattern: []byte{0xAA}, Var: -1},
 				{Off: 30, Len: 2, Var: 0},
 			}},
-			// Filter 1: ethertype-keyed -> bucket. Binds var 1. Matches
+			// Filter 1: ethertype-keyed -> edge. Binds var 1. Matches
 			// the same frame but loses on priority.
-			{Name: "bucket_loses", Tuples: []FilterTuple{
+			{Name: "keyed_loses", Tuples: []FilterTuple{
 				{Off: 12, Len: 2, Pattern: []byte{0x08, 0x00}, Var: -1},
 				{Off: 32, Len: 2, Var: 1},
 			}},
@@ -37,7 +38,7 @@ func TestIndexedDoesNotCommitLosingBindings(t *testing.T) {
 	fr.Data[30], fr.Data[31] = 0x11, 0x22
 	fr.Data[32], fr.Data[33] = 0x33, 0x44
 
-	for _, strat := range []Strategy{StrategyLinear, StrategyIndexed, StrategyCompiled} {
+	for _, strat := range []Strategy{StrategyLinear, StrategyCompiled} {
 		c := NewClassifier(p)
 		c.Strategy = strat
 		if got := c.Classify(fr); got != 0 {
@@ -108,7 +109,7 @@ func randFrame(rng *rand.Rand) *ether.Frame {
 	return &ether.Frame{Data: data}
 }
 
-// Property: linear, indexed and compiled strategies agree on the winning
+// Property: the linear and compiled strategies agree on the winning
 // filter and the committed bindings over randomized tables and frame
 // sequences, and compiled never scans more filters or compares more
 // per-filter tuples than linear.
@@ -118,8 +119,6 @@ func TestClassifierStrategyEquivalence(t *testing.T) {
 		p := randProgram(rng)
 		lin := NewClassifier(p)
 		lin.Strategy = StrategyLinear
-		idx := NewClassifier(p)
-		idx.Strategy = StrategyIndexed
 		cmp := NewClassifier(p)
 		cmp.Strategy = StrategyCompiled
 		cmp.UseDispatch(p.CompiledDispatch())
@@ -129,17 +128,15 @@ func TestClassifierStrategyEquivalence(t *testing.T) {
 			linBefore := struct{ t, f uint64 }{lin.TuplesCompared, lin.FiltersScanned}
 			cmpBefore := struct{ t, f uint64 }{cmp.TuplesCompared, cmp.FiltersScanned}
 			want := lin.Classify(fr)
-			gotIdx := idx.Classify(fr)
-			gotCmp := cmp.Classify(fr)
-			if gotIdx != want || gotCmp != want {
-				t.Fatalf("trial %d frame %d: linear=%d indexed=%d compiled=%d\ntable: %+v",
-					trial, fi, want, gotIdx, gotCmp, p.Filters)
+			if got := cmp.Classify(fr); got != want {
+				t.Fatalf("trial %d frame %d: linear=%d compiled=%d\ntable: %+v",
+					trial, fi, want, got, p.Filters)
 			}
 			for v := range p.Vars {
-				lb, ib, cb := lin.VarBinding(VarID(v)), idx.VarBinding(VarID(v)), cmp.VarBinding(VarID(v))
-				if !bytes.Equal(lb, ib) || !bytes.Equal(lb, cb) {
-					t.Fatalf("trial %d frame %d: var %d bindings diverge: linear=%x indexed=%x compiled=%x",
-						trial, fi, v, lb, ib, cb)
+				lb, cb := lin.VarBinding(VarID(v)), cmp.VarBinding(VarID(v))
+				if !bytes.Equal(lb, cb) {
+					t.Fatalf("trial %d frame %d: var %d bindings diverge: linear=%x compiled=%x",
+						trial, fi, v, lb, cb)
 				}
 			}
 			if cs, ls := cmp.FiltersScanned-cmpBefore.f, lin.FiltersScanned-linBefore.f; cs > ls {
@@ -196,17 +193,6 @@ func TestDispatchShape(t *testing.T) {
 	if s.Degenerate() {
 		t.Fatalf("fig2 table compiled to a degenerate tree: %+v", s)
 	}
-	// Resolve(auto) picks linear for small tables and compiled at the
-	// threshold.
-	if got := StrategyAuto.Resolve(false, AutoCompileThreshold-1); got != StrategyLinear {
-		t.Fatalf("auto below threshold = %v", got)
-	}
-	if got := StrategyAuto.Resolve(false, AutoCompileThreshold); got != StrategyCompiled {
-		t.Fatalf("auto at threshold = %v", got)
-	}
-	if got := StrategyDefault.Resolve(true, 3); got != StrategyIndexed {
-		t.Fatalf("default+compat = %v", got)
-	}
 }
 
 // sweepProgram builds an n-filter table in the Figure 8 style: shared
@@ -242,7 +228,7 @@ func sweepFrame(n int) *ether.Frame {
 // gates compiled/n512 within 2x compiled/n8 (flatness), and bench.sh
 // records the full sweep into BENCH_core.json.
 func BenchmarkClassifierSize(b *testing.B) {
-	for _, strat := range []Strategy{StrategyLinear, StrategyIndexed, StrategyCompiled} {
+	for _, strat := range []Strategy{StrategyLinear, StrategyCompiled} {
 		for _, n := range []int{8, 64, 512} {
 			b.Run(fmt.Sprintf("%s/n%d", strat, n), func(b *testing.B) {
 				p := sweepProgram(n)

@@ -147,13 +147,8 @@ type Engine struct {
 	Cost CostModel
 	// Stats accumulates counters.
 	Stats EngineStats
-	// UseIndexedClassifier selects the ablation classifier when
-	// ClassifyStrategy is StrategyDefault (legacy knob).
-	UseIndexedClassifier bool
-	// ClassifyStrategy selects the classifier search strategy
-	// (default/linear/indexed/compiled/auto); Default defers to
-	// UseIndexedClassifier. Resolved against the loaded program's table
-	// size at load time.
+	// ClassifyStrategy selects the classifier search strategy (linear,
+	// the zero value, or compiled), applied when a program is loaded.
 	ClassifyStrategy Strategy
 
 	controller *Controller
@@ -248,6 +243,17 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 	return sn
 }
 
+// ClassifierWork reports the loaded classifier's cumulative work: filter
+// entries visited, per-filter tuple comparisons, and dispatch-tree probes
+// (always zero under the linear strategy). The cost model charges the
+// last two at PerTuple.
+func (e *Engine) ClassifierWork() (filtersScanned, tuplesCompared, nodeTests uint64) {
+	if e.classifier == nil {
+		return 0, 0, 0
+	}
+	return e.classifier.FiltersScanned, e.classifier.TuplesCompared, e.classifier.NodeTests
+}
+
 // CounterValue returns a counter's current value at this engine (the
 // authoritative value when the counter is homed here).
 func (e *Engine) CounterValue(id CounterID) int64 {
@@ -277,9 +283,8 @@ func (e *Engine) LoadLocal(p *Program, self, controlNode NodeID) {
 }
 
 func (e *Engine) load(p *Program, self, controlNode NodeID) {
-	strategy := e.ClassifyStrategy.Resolve(e.UseIndexedClassifier, len(p.Filters))
 	if e.prog == p && e.self == self && e.controlNode == controlNode &&
-		e.classifier != nil && e.classifier.Strategy == strategy {
+		e.classifier != nil && e.classifier.Strategy == e.ClassifyStrategy {
 		// Same tables, same identity (a reused testbed re-running the
 		// scenario): rewind the execution state in place instead of
 		// reallocating every table-sized slice and map.
@@ -307,8 +312,8 @@ func (e *Engine) load(p *Program, self, controlNode NodeID) {
 	e.self = self
 	e.controlNode = controlNode
 	e.classifier = NewClassifier(p)
-	e.classifier.Strategy = strategy
-	if strategy == StrategyCompiled {
+	e.classifier.Strategy = e.ClassifyStrategy
+	if e.ClassifyStrategy == StrategyCompiled {
 		// Adopt the program's shared immutable tree (built once per
 		// Program) instead of compiling a private copy per engine.
 		e.classifier.UseDispatch(p.CompiledDispatch())

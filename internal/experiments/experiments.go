@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's evaluation section: the
 // Figure 7 TCP-throughput-vs-offered-load sweep and the Figure 8
-// UDP-echo-latency-overhead sweep, using the public virtualwire API the
-// way a tester would.
+// UDP-echo-latency-overhead sweep, each a campaign spec run by the public
+// campaign executor the way a tester would run it.
 //
 // Absolute numbers come from the simulated substrate, not the authors'
 // Pentium-4 testbed; what must (and does) reproduce is the shape — see
@@ -103,24 +103,4 @@ func fig7Script(nFilters, nActions int) string {
 	}
 	b.WriteString("END\n")
 	return b.String()
-}
-
-// buildPair assembles the two-node experiment testbed.
-func buildPair(cfg virtualwire.Config, script string) (*virtualwire.Testbed, error) {
-	tb, err := virtualwire.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := tb.AddHost("node1", node1MAC, node1IP); err != nil {
-		return nil, err
-	}
-	if _, err := tb.AddHost("node2", node2MAC, node2IP); err != nil {
-		return nil, err
-	}
-	if script != "" {
-		if err := tb.LoadScript(script); err != nil {
-			return nil, err
-		}
-	}
-	return tb, nil
 }

@@ -1,26 +1,22 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 )
 
-// TestFig8Shape asserts the properties the paper reports for Figure 8:
-// the RTT overhead grows (close to linearly) with the number of packet
-// definitions, the three curves are ordered (filters < +actions < +RLL),
-// and the worst case stays in single digits ("never goes beyond 7%" in
-// the paper; we allow a little slack for the simulated substrate).
-func TestFig8Shape(t *testing.T) {
-	pts, err := RunFig8(Fig8Config{Pings: 150, FilterCounts: []int{1, 10, 25}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
+// checkFig8Curves asserts what the paper reports of any Figure 8 sweep:
+// the three curves are ordered (filters < +actions < +RLL), the overhead
+// grows with the number of packet definitions, and the worst case stays
+// in single digits ("never goes beyond 7%" in the paper; we allow a
+// little slack for the simulated substrate).
+func checkFig8Curves(t *testing.T, pts []Fig8Point) {
+	t.Helper()
 	for _, p := range pts {
 		if !(p.PctFilters <= p.PctActions && p.PctActions <= p.PctRLL) {
 			t.Errorf("curves out of order at n=%d: %+v", p.Filters, p)
@@ -41,6 +37,50 @@ func TestFig8Shape(t *testing.T) {
 			t.Errorf("curve (ii) not growing: %+v then %+v", pts[i-1], pts[i])
 		}
 	}
+}
+
+// checkFig7Linear asserts what the paper reports of every Figure 7 point:
+// up to 60 Mbps offered every mode carries the offered load, and no mode
+// ever exceeds line rate.
+func checkFig7Linear(t *testing.T, pts []Fig7Point) {
+	t.Helper()
+	for _, p := range pts {
+		if p.OfferedMbps <= 60 {
+			for name, v := range map[string]float64{
+				"baseline": p.BaselineMbps, "vw": p.VWMbps, "vw+rll": p.VWRLLMbps,
+			} {
+				if v < p.OfferedMbps*0.95 || v > p.OfferedMbps*1.05 {
+					t.Errorf("%s @%0.f Mbps offered: %0.1f Mbps", name, p.OfferedMbps, v)
+				}
+			}
+		}
+		if p.BaselineMbps > 100 || p.VWRLLMbps > 100 {
+			t.Errorf("goodput above line rate: %+v", p)
+		}
+	}
+}
+
+func runFig7(t *testing.T, cfg Fig7Config) []Fig7Point {
+	t.Helper()
+	pts, _, err := RunFig7(context.Background(), cfg, campaign.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return pts
+}
+
+// TestFig8Shape asserts the properties the paper reports for Figure 8:
+// checkFig8Curves' claims, and growth that is close to linear in the
+// number of packet definitions.
+func TestFig8Shape(t *testing.T) {
+	pts, _, err := RunFig8(context.Background(), Fig8Config{Pings: 150, FilterCounts: []int{1, 10, 25}}, campaign.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(pts) != 3 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	checkFig8Curves(t, pts)
 	// Roughly linear: overhead at 25 filters is several times that at 1
 	// (the linear-scan term dominates the fixed cost).
 	if pts[2].PctFilters < 3*pts[0].PctFilters {
@@ -58,28 +98,11 @@ func TestFig8Shape(t *testing.T) {
 // rate, and the VirtualWire+RLL curve stays within ~10% of the baseline
 // with a visible knee at high offered load.
 func TestFig7Shape(t *testing.T) {
-	pts, err := RunFig7(Fig7Config{
+	pts := runFig7(t, Fig7Config{
 		OfferedMbps: []float64{30, 60, 90, 100},
 		Duration:    time.Second,
 	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, p := range pts {
-		if p.OfferedMbps <= 60 {
-			// Linear region: every mode must carry the offered load.
-			for name, v := range map[string]float64{
-				"baseline": p.BaselineMbps, "vw": p.VWMbps, "vw+rll": p.VWRLLMbps,
-			} {
-				if v < p.OfferedMbps*0.95 || v > p.OfferedMbps*1.05 {
-					t.Errorf("%s @%0.f Mbps offered: %0.1f Mbps", name, p.OfferedMbps, v)
-				}
-			}
-		}
-		if p.BaselineMbps > 100 || p.VWRLLMbps > 100 {
-			t.Errorf("goodput above line rate: %+v", p)
-		}
-	}
+	checkFig7Linear(t, pts)
 	last := pts[len(pts)-1]
 	if last.BaselineMbps < 80 {
 		t.Errorf("baseline saturation %0.1f Mbps; switch model too lossy", last.BaselineMbps)
@@ -116,12 +139,12 @@ func TestScriptGenerators(t *testing.T) {
 	if !strings.Contains(s7, "TCP_data") {
 		t.Errorf("fig7 script:\n%s", s7)
 	}
-	// Both must compile through the facade loader.
-	if _, err := buildPair(virtualwire.Config{}, s8); err != nil {
-		t.Fatalf("fig8 script does not load: %v", err)
+	// Both must compile through the facade.
+	if _, err := virtualwire.CompileScript(s8); err != nil {
+		t.Fatalf("fig8 script does not compile: %v", err)
 	}
-	if _, err := buildPair(virtualwire.Config{}, s7); err != nil {
-		t.Fatalf("fig7 script does not load: %v", err)
+	if _, err := virtualwire.CompileScript(s7); err != nil {
+		t.Fatalf("fig7 script does not compile: %v", err)
 	}
 }
 
@@ -129,14 +152,8 @@ func TestScriptGenerators(t *testing.T) {
 // segment for the RLL ACKs to contend on, so the knee flattens — the
 // saturated RLL goodput must beat its half-duplex counterpart.
 func TestFig7FullDuplexAblation(t *testing.T) {
-	half, err := RunFig7(Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second})
-	if err != nil {
-		t.Fatalf("half: %v", err)
-	}
-	full, err := RunFig7(Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second, FullDuplex: true})
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
+	half := runFig7(t, Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second})
+	full := runFig7(t, Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second, FullDuplex: true})
 	h, f := half[0], full[0]
 	if f.VWRLLMbps <= h.VWRLLMbps {
 		t.Errorf("full duplex did not help the RLL: half=%.1f full=%.1f Mbps",

@@ -28,18 +28,9 @@ type Fig7Config struct {
 	// ablation that removes the contention behind the paper's knee.
 	FullDuplex bool
 	// MetricsInterval, when positive, samples each sub-run's metrics
-	// registry at this virtual-time cadence (vwbench's --metrics-out).
+	// registry at this virtual-time cadence; the series rides on the
+	// run's record (vwbench's --metrics-out).
 	MetricsInterval time.Duration
-	// Observe, when non-nil, is invoked after each sub-run with a label
-	// like "vw+rll@90Mbps" and the finished testbed, before it is
-	// discarded — the hook metrics collection rides on. Observe always
-	// runs on the caller's goroutine in sweep order, even under Parallel
-	// (finished testbeds are held until their turn comes).
-	Observe func(label string, tb *virtualwire.Testbed)
-	// Parallel is the number of sweep points evaluated concurrently,
-	// each in its own private testbed/scheduler. <= 1 runs serially.
-	// Results are bit-for-bit identical to a serial sweep.
-	Parallel int
 }
 
 func (c *Fig7Config) fill() {
@@ -72,95 +63,6 @@ type Fig7Point struct {
 	// VWRLLMbps additionally enables the Reliable Link Layer — the
 	// paper's headline curve with the ACK-contention knee past 90 Mbps.
 	VWRLLMbps float64
-}
-
-// RunFig7 executes the sweep and returns one point per offered rate.
-// With cfg.Parallel > 1 independent rate points run concurrently; the
-// per-point seeds are derived from the point index exactly as in the
-// serial sweep, so the returned points (and any Observe-collected
-// metrics) are bit-for-bit identical regardless of worker count.
-func RunFig7(cfg Fig7Config) ([]Fig7Point, error) {
-	cfg.fill()
-	script := fig7Script(cfg.Filters, cfg.Actions)
-	type pointResult struct {
-		point Fig7Point
-		obs   []observation
-	}
-	results, err := RunParallel(cfg.Parallel, len(cfg.OfferedMbps), func(i int) (pointResult, error) {
-		rate := cfg.OfferedMbps[i]
-		seed := cfg.Seed + int64(i)*100
-		pcfg := cfg
-		var obs []observation
-		if cfg.Observe != nil {
-			pcfg.Observe = func(label string, tb *virtualwire.Testbed) {
-				obs = append(obs, observation{label, tb})
-			}
-		}
-		base, err := fig7Point(seed+1, rate, pcfg, "", false, fmt.Sprintf("baseline@%vMbps", rate))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig7 baseline @%vMbps: %w", rate, err)
-		}
-		vw, err := fig7Point(seed+2, rate, pcfg, script, false, fmt.Sprintf("vw@%vMbps", rate))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig7 vw @%vMbps: %w", rate, err)
-		}
-		vwrll, err := fig7Point(seed+3, rate, pcfg, script, true, fmt.Sprintf("vw+rll@%vMbps", rate))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig7 vw+rll @%vMbps: %w", rate, err)
-		}
-		return pointResult{point: Fig7Point{
-			OfferedMbps:  rate,
-			BaselineMbps: base,
-			VWMbps:       vw,
-			VWRLLMbps:    vwrll,
-		}, obs: obs}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig7Point, len(results))
-	for i, r := range results {
-		out[i] = r.point
-		for _, o := range r.obs {
-			cfg.Observe(o.label, o.tb)
-		}
-	}
-	return out, nil
-}
-
-func fig7Point(seed int64, offeredMbps float64, cfg Fig7Config, script string, withRLL bool, label string) (float64, error) {
-	tbCfg := virtualwire.Config{
-		Seed:                  seed,
-		RLL:                   withRLL,
-		MetricsSampleInterval: cfg.MetricsInterval,
-	}
-	if cfg.FullDuplex {
-		tbCfg.Medium = virtualwire.MediumSwitchFullDuplex
-	}
-	if script != "" {
-		tbCfg.Cost = *cfg.Cost
-	}
-	tb, err := buildPair(tbCfg, script)
-	if err != nil {
-		return 0, err
-	}
-	bulk, err := tb.AddTCPBulk(virtualwire.TCPBulkConfig{
-		From: "node1", To: "node2",
-		SrcPort: 0x6000, DstPort: 0x4000,
-		RateBitsPerSecond: offeredMbps * 1e6,
-		Duration:          cfg.Duration,
-	})
-	if err != nil {
-		return 0, err
-	}
-	// Horizon: pacing window plus drain time.
-	if _, err := tb.Run(cfg.Duration + 5*time.Second); err != nil {
-		return 0, err
-	}
-	if cfg.Observe != nil {
-		cfg.Observe(label, tb)
-	}
-	return bulk.GoodputBitsPerSecond() / 1e6, nil
 }
 
 // FormatFig7 renders the sweep as the table Figure 7 plots.

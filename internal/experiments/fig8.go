@@ -29,17 +29,9 @@ type Fig8Config struct {
 	// Cost is the engine cost model (default DefaultCost).
 	Cost *virtualwire.CostModel
 	// MetricsInterval, when positive, samples each sub-run's metrics
-	// registry at this virtual-time cadence (vwbench's --metrics-out).
+	// registry at this virtual-time cadence; the series rides on the
+	// run's record (vwbench's --metrics-out).
 	MetricsInterval time.Duration
-	// Observe, when non-nil, is invoked after each sub-run with a label
-	// like "actions@n=10" and the finished testbed, before it is
-	// discarded. Observe always runs on the caller's goroutine in sweep
-	// order, even under Parallel.
-	Observe func(label string, tb *virtualwire.Testbed)
-	// Parallel is the number of sweep points evaluated concurrently,
-	// each in its own private testbed/scheduler. <= 1 runs serially.
-	// Results are bit-for-bit identical to a serial sweep.
-	Parallel int
 }
 
 func (c *Fig8Config) fill() {
@@ -77,100 +69,6 @@ type Fig8Point struct {
 }
 
 const fig8EchoPort = 9000
-
-// RunFig8 executes the sweep. The shared baseline always runs first on
-// the caller's goroutine; with cfg.Parallel > 1 the per-count points then
-// run concurrently, bit-for-bit identical to the serial sweep.
-func RunFig8(cfg Fig8Config) ([]Fig8Point, error) {
-	cfg.fill()
-	// One shared baseline: no VirtualWire, no RLL.
-	baseRTT, err := fig8Point(cfg.Seed+1, cfg, "", false, "baseline")
-	if err != nil {
-		return nil, fmt.Errorf("fig8 baseline: %w", err)
-	}
-	type pointResult struct {
-		point Fig8Point
-		obs   []observation
-	}
-	results, err := RunParallel(cfg.Parallel, len(cfg.FilterCounts), func(i int) (pointResult, error) {
-		n := cfg.FilterCounts[i]
-		seed := cfg.Seed + int64(i+1)*100
-		scriptPlain := fig8Script(n, 0, fig8EchoPort)
-		scriptActs := fig8Script(n, cfg.Actions, fig8EchoPort)
-		pcfg := cfg
-		var obs []observation
-		if cfg.Observe != nil {
-			pcfg.Observe = func(label string, tb *virtualwire.Testbed) {
-				obs = append(obs, observation{label, tb})
-			}
-		}
-		rttF, err := fig8Point(seed+1, pcfg, scriptPlain, false, fmt.Sprintf("filters@n=%d", n))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig8 filters n=%d: %w", n, err)
-		}
-		rttA, err := fig8Point(seed+2, pcfg, scriptActs, false, fmt.Sprintf("actions@n=%d", n))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig8 actions n=%d: %w", n, err)
-		}
-		rttR, err := fig8Point(seed+3, pcfg, scriptActs, true, fmt.Sprintf("rll@n=%d", n))
-		if err != nil {
-			return pointResult{}, fmt.Errorf("fig8 rll n=%d: %w", n, err)
-		}
-		pct := func(rtt time.Duration) float64 {
-			return (float64(rtt) - float64(baseRTT)) / float64(baseRTT) * 100
-		}
-		return pointResult{point: Fig8Point{
-			Filters:     n,
-			BaselineRTT: baseRTT,
-			PctFilters:  pct(rttF),
-			PctActions:  pct(rttA),
-			PctRLL:      pct(rttR),
-		}, obs: obs}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig8Point, len(results))
-	for i, r := range results {
-		out[i] = r.point
-		for _, o := range r.obs {
-			cfg.Observe(o.label, o.tb)
-		}
-	}
-	return out, nil
-}
-
-func fig8Point(seed int64, cfg Fig8Config, script string, withRLL bool, label string) (time.Duration, error) {
-	tbCfg := virtualwire.Config{Seed: seed, RLL: withRLL, MetricsSampleInterval: cfg.MetricsInterval}
-	if script != "" {
-		tbCfg.Cost = *cfg.Cost
-	}
-	tb, err := buildPair(tbCfg, script)
-	if err != nil {
-		return 0, err
-	}
-	echo, err := tb.AddUDPEcho(virtualwire.UDPEchoConfig{
-		Client: "node1", Server: "node2",
-		ServerPort: fig8EchoPort,
-		Size:       cfg.Size,
-		Interval:   cfg.Interval,
-		Count:      cfg.Pings,
-	})
-	if err != nil {
-		return 0, err
-	}
-	horizon := time.Duration(cfg.Pings)*cfg.Interval + 5*time.Second
-	if _, err := tb.Run(horizon); err != nil {
-		return 0, err
-	}
-	if echo.Received() < cfg.Pings {
-		return 0, fmt.Errorf("echo received %d/%d", echo.Received(), cfg.Pings)
-	}
-	if cfg.Observe != nil {
-		cfg.Observe(label, tb)
-	}
-	return echo.MeanRTT(), nil
-}
 
 // FormatFig8 renders the sweep as the table Figure 8 plots.
 func FormatFig8(points []Fig8Point) string {

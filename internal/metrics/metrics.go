@@ -57,6 +57,18 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
+// UnmarshalJSON decodes what MarshalJSON writes, so an exported series (a
+// journaled campaign record carries one) reads back.
+func (k *Kind) UnmarshalJSON(b []byte) error {
+	for c := KindCounter; c <= KindHistogram; c++ {
+		if string(b) == `"`+c.String()+`"` {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("metrics: unknown instrument kind %s", b)
+}
+
 // Key identifies one instrument: which host, which protocol layer, which
 // quantity. Testbed-global instruments (the scheduler, the medium) use a
 // sentinel node name such as "testbed".

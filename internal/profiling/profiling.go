@@ -20,12 +20,11 @@ type Flags struct {
 	Trace string
 }
 
-// Register binds the three flags on the default flag set. Call before
-// flag.Parse.
-func (f *Flags) Register() {
-	flag.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")
-	flag.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
+// Register binds the three flags on fs. Call before fs.Parse.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
 }
 
 // Start begins whichever collectors the flags request and returns a

@@ -3,43 +3,62 @@ package virtualwire
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// Classifier strategies must be observationally equivalent: the same
-// scenario under linear, indexed, compiled and auto dispatch produces
-// byte-identical RunReports (same faults, verdict, metrics). The
-// strategies differ only in classification cost, which the default
-// zero-cost model does not surface.
+// The two classifier strategies must be observationally equivalent: the
+// same scenario under linear and compiled dispatch produces
+// byte-identical RunReports (same faults, verdict, metrics). They differ
+// only in classification work, which a non-zero Cost turns into virtual
+// time and so into output bytes. That is why the default must stay
+// linear, and the second half pins it: the zero Config does exactly the
+// explicit linear run's work and never probes a dispatch node.
 func TestClassifierStrategiesByteIdentical(t *testing.T) {
-	script := readScript(t, "quickstart_drop.fsl")
+	// Two decoys ahead of the data filter give the dispatch tree a field
+	// to split on; the stock one-filter table compiles to a single leaf.
+	script := strings.Replace(readScript(t, "quickstart_drop.fsl"), "FILTER_TABLE\n",
+		"FILTER_TABLE\ndecoy0: (36 2 0x1f40)\ndecoy1: (36 2 0x1f41)\n", 1)
 	cs, err := CompileScript(script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	for _, strat := range []ClassifierStrategy{
-		ClassifierDefault, ClassifierLinear, ClassifierIndexed,
-		ClassifierCompiled, ClassifierAuto,
-	} {
-		tb := buildQuickstart(t, cs, Config{Seed: 77, Classifier: strat})
+	type work struct{ filters, tuples, probes uint64 }
+	run := func(cfg Config) ([]byte, work) {
+		t.Helper()
+		cfg.Seed = 77
+		tb := buildQuickstart(t, cs, cfg)
 		addQuickstartBulk(t, tb)
 		rep, err := tb.Run(resetTestHorizon)
 		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("%v: %v", cfg.Classifier, err)
 		}
 		if !rep.Passed {
-			t.Fatalf("%v: scenario failed: %+v", strat, rep.Result)
+			t.Fatalf("%v: scenario failed: %+v", cfg.Classifier, rep.Result)
 		}
-		got := reportBytes(t, rep)
-		if want == nil {
-			want = got
-			continue
+		var w work
+		for _, n := range tb.nodes {
+			f, tu, p := n.engine.ClassifierWork()
+			w.filters, w.tuples, w.probes = w.filters+f, w.tuples+tu, w.probes+p
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("strategy %v changed the run output", strat)
-		}
+		return reportBytes(t, rep), w
+	}
+	linear, _ := run(Config{Classifier: ClassifierLinear})
+	compiled, _ := run(Config{Classifier: ClassifierCompiled})
+	if !bytes.Equal(linear, compiled) {
+		t.Fatal("the compiled strategy changed the run output")
+	}
+
+	cost := CostModel{Base: 200 * time.Nanosecond, PerTuple: 70 * time.Nanosecond}
+	_, zero := run(Config{Cost: cost})
+	_, lin := run(Config{Cost: cost, Classifier: ClassifierLinear})
+	_, cmp := run(Config{Cost: cost, Classifier: ClassifierCompiled})
+	if zero != lin || zero.tuples == 0 || zero.probes != 0 {
+		t.Errorf("zero Config classified with %+v, explicit linear with %+v", zero, lin)
+	}
+	if cmp.probes == 0 {
+		t.Errorf("compiled run probed no dispatch node (%+v): the comparison above proves nothing", cmp)
 	}
 }
 

@@ -67,39 +67,30 @@ type (
 // algorithm (re-export of core.Strategy).
 type ClassifierStrategy = core.Strategy
 
-// Classifier strategies.
+// Classifier strategies. Both pick the same filter and commit the same
+// bindings for every frame; they differ in work per packet, and so in
+// the engine's tuple counters and — under a non-zero Cost — in virtual
+// time.
 const (
-	// ClassifierDefault keeps the historical behavior: linear scan
-	// unless Config.IndexedClassifier is set.
-	ClassifierDefault = core.StrategyDefault
-	// ClassifierLinear forces the paper's linear first-match scan.
+	// ClassifierLinear, the zero value and the default, is the paper's
+	// linear first-match scan; its tuple count drives Figure 8's cost
+	// model.
 	ClassifierLinear = core.StrategyLinear
-	// ClassifierIndexed forces the ethertype-indexed ablation.
-	ClassifierIndexed = core.StrategyIndexed
 	// ClassifierCompiled installs the dispatch tree compiled once per
 	// program (CompileScript) and shared across all engines.
 	ClassifierCompiled = core.StrategyCompiled
-	// ClassifierAuto picks compiled for tables of
-	// core.AutoCompileThreshold+ filters, linear below.
-	ClassifierAuto = core.StrategyAuto
 )
 
-// ParseClassifierStrategy resolves a strategy name ("", "default",
-// "linear", "indexed", "compiled", "auto").
+// ParseClassifierStrategy resolves a strategy name: "" or "linear", or
+// "compiled". Anything else is an error.
 func ParseClassifierStrategy(s string) (ClassifierStrategy, error) {
 	switch s {
-	case "", "default":
-		return ClassifierDefault, nil
-	case "linear":
+	case "", "linear":
 		return ClassifierLinear, nil
-	case "indexed":
-		return ClassifierIndexed, nil
 	case "compiled":
 		return ClassifierCompiled, nil
-	case "auto":
-		return ClassifierAuto, nil
 	}
-	return ClassifierDefault, fmt.Errorf("virtualwire: unknown classifier strategy %q", s)
+	return ClassifierLinear, fmt.Errorf("virtualwire: unknown classifier strategy %q (want linear or compiled)", s)
 }
 
 // MediumKind selects the testbed wiring.
@@ -134,12 +125,9 @@ type Config struct {
 	RLLWindow int
 	// Cost is the engine processing-cost model (zero = free).
 	Cost CostModel
-	// IndexedClassifier enables the ethertype-indexed classifier
-	// ablation instead of the paper's linear scan.
-	IndexedClassifier bool
-	// Classifier selects the classification strategy explicitly
-	// (overrides IndexedClassifier when non-default); ClassifierCompiled
-	// installs the dispatch tree compiled once per script.
+	// Classifier selects the classification strategy: the paper's
+	// linear scan (ClassifierLinear, the zero value) or the dispatch
+	// tree compiled once per script (ClassifierCompiled).
 	Classifier ClassifierStrategy
 	// Topology, when non-nil with a Kind other than TopoSingle, replaces
 	// the single switch with a generated multi-switch fabric (star,
@@ -450,7 +438,6 @@ func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, er
 		engine: core.NewEngine(tb.sched, m),
 	}
 	n.engine.Cost = tb.cfg.Cost
-	n.engine.UseIndexedClassifier = tb.cfg.IndexedClassifier
 	n.engine.ClassifyStrategy = tb.cfg.Classifier
 	if tb.cfg.RLL {
 		n.rll = rll.New(tb.sched, m, rll.Config{Window: tb.cfg.RLLWindow})
