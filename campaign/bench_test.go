@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"runtime"
 	"testing"
@@ -54,3 +55,35 @@ func BenchmarkCampaignParallel(b *testing.B) { benchCampaign(b, runtime.GOMAXPRO
 func BenchmarkCampaignWorkers2(b *testing.B) { benchCampaign(b, 2) }
 func BenchmarkCampaignWorkers4(b *testing.B) { benchCampaign(b, 4) }
 func BenchmarkCampaignWorkers8(b *testing.B) { benchCampaign(b, 8) }
+
+// BenchmarkRecordEncode encodes one two-host record the two ways there
+// are: "append" is the collector's path, appendJSON into a line buffer
+// it reuses; "marshal" is json.Marshal, which calls the same encoder
+// through MarshalJSON and then runs encoding/json's own validating
+// compaction over the result (most of its time) and copies it out.
+func BenchmarkRecordEncode(b *testing.B) {
+	var rec RunRecord
+	spec := quickstartSpec(1, []float64{0})
+	if _, err := Run(context.Background(), spec, Options{Workers: 1, OnRecord: func(r RunRecord) { rec = r }}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var line []byte
+		for i := 0; i < b.N; i++ {
+			var err error
+			if line, err = rec.appendJSON(line[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(line)))
+	})
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(&rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

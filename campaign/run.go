@@ -2,16 +2,17 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"virtualwire"
+	"virtualwire/internal/jsonenc"
 	"virtualwire/internal/metrics"
 )
 
@@ -76,6 +77,67 @@ type RunRecord struct {
 	// gather; set only when the run's config sampled
 	// (ConfigOverride.MetricsSampleInterval).
 	Series *virtualwire.MetricsSeries `json:"series,omitempty"`
+}
+
+// MarshalJSON writes the record as appendJSON does, so json.Marshal of a
+// record and the line the collector hands the sink are the same bytes.
+func (r RunRecord) MarshalJSON() ([]byte, error) {
+	return r.appendJSON(make([]byte, 0, 4096))
+}
+
+// appendJSON appends the record's compact encoding — exactly what
+// encoding/json would derive from the field tags — without reflection:
+// the scalar members here, the report through its own append encoder.
+// Only Series, when a run sampled, is left to encoding/json.
+func (r RunRecord) appendJSON(b []byte) ([]byte, error) {
+	str := func(key, v string, omitEmpty bool) {
+		if v != "" || !omitEmpty {
+			b = jsonenc.AppendString(jsonenc.AppendMember(append(b, ','), -1, key), v)
+		}
+	}
+	num := func(key string, v int64, omitEmpty bool) {
+		if v != 0 || !omitEmpty {
+			b = strconv.AppendInt(jsonenc.AppendMember(append(b, ','), -1, key), v, 10)
+		}
+	}
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(r.Index), 10)
+	str("label", r.Label, false)
+	str("config", r.Config, true)
+	str("workload", r.Workload, true)
+	num("seed_index", int64(r.SeedIndex), false)
+	num("seed", r.Seed, false)
+	num("attempts", int64(r.Attempts), false)
+	str("outcome", r.Outcome, false)
+	str("error", r.Error, true)
+	num("delivered_bytes", int64(r.DeliveredBytes), true)
+	if r.GoodputMbps != 0 {
+		var ok bool
+		if b, ok = jsonenc.AppendFloat(append(b, `,"goodput_mbps":`...), r.GoodputMbps); !ok {
+			return b, fmt.Errorf("campaign: record %d: goodput %v is not a JSON number", r.Index, r.GoodputMbps)
+		}
+	}
+	num("retransmissions", int64(r.Retransmissions), true)
+	num("sent", int64(r.Sent), true)
+	num("received", int64(r.Received), true)
+	if r.MeanRTT != 0 {
+		str("mean_rtt", r.MeanRTT.String(), false)
+	}
+	if r.MaxInterArrival != 0 {
+		str("max_inter_arrival", r.MaxInterArrival.String(), false)
+	}
+	var err error
+	if r.Report != nil {
+		if b, err = r.Report.AppendJSON(append(b, `,"report":`...)); err != nil {
+			return b, err
+		}
+	}
+	if r.Series != nil {
+		if b, err = jsonenc.AppendValue(append(b, `,"series":`...), -1, r.Series); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // runFunc executes one attempt of one matrix point; tests substitute it
@@ -531,6 +593,7 @@ type aggregator struct {
 	goodputs []float64
 	rtts     []float64
 	rollup   *metrics.Rollup
+	line     []byte // the sink's current line; reused record to record
 }
 
 func newAggregator(spec *Spec, runs int) *aggregator {
@@ -542,6 +605,7 @@ func newAggregator(spec *Spec, runs int) *aggregator {
 			Outcomes: make(map[string]int),
 		},
 		rollup: metrics.NewRollup(),
+		line:   make([]byte, 0, 4096), // a two-host record is ~3.4 KB
 	}
 }
 
@@ -584,12 +648,14 @@ func (a *aggregator) collect(rec RunRecord, opts *Options) error {
 		a.rtts = append(a.rtts, float64(rec.MeanRTT))
 	}
 	if opts.Sink != nil {
-		line, err := json.Marshal(rec)
+		// One Write per record, whole lines only: a journaling sink counts
+		// on every byte it has accepted being part of a complete record.
+		line, err := rec.appendJSON(a.line[:0])
 		if err != nil {
 			return fmt.Errorf("campaign: marshal record %d: %w", rec.Index, err)
 		}
-		line = append(line, '\n')
-		if _, err := opts.Sink.Write(line); err != nil {
+		a.line = append(line, '\n')
+		if _, err := opts.Sink.Write(a.line); err != nil {
 			return fmt.Errorf("campaign: sink write: %w", err)
 		}
 	}

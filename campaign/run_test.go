@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -506,6 +507,41 @@ func TestSummaryText(t *testing.T) {
 	for _, want := range []string{"quickstart-matrix", "2/2 runs completed", "2 pass", "goodput Mbps", "engine/drops"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("summary text missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestCollectAllocsPerRecord is the allocation gate on the record path:
+// once the collector's line buffer has grown to fit, flushing a record
+// to the sink costs a fixed handful of allocations — the few members
+// still left to encoding/json (the scenario result, the fault list) —
+// whether the record carries 2 hosts' readings or 24. (Through
+// json.Marshal, a fresh line per record and a buffer per node row, it
+// was 6 for the 2-host record and 28 for the 24-host one.)
+func TestCollectAllocsPerRecord(t *testing.T) {
+	for name, spec := range map[string]Spec{
+		"2 hosts":  quickstartSpec(2, []float64{0, 1e-6}),
+		"24 hosts": scaleSpec(24, 2),
+	} {
+		var recs []RunRecord
+		opts := Options{Workers: 1, OnRecord: func(r RunRecord) { recs = append(recs, r) }}
+		if _, err := Run(context.Background(), spec, opts); err != nil {
+			t.Fatal(err)
+		}
+		agg := newAggregator(&spec, len(recs))
+		sink := Options{Sink: io.Discard}
+		i := 0
+		collect := func() {
+			if err := agg.collect(recs[i%len(recs)], &sink); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		collect()
+		// 4 and 2 today; the race detector turns sync.Pool off, which
+		// costs encoding/json an encoder state per call on top.
+		if n := testing.AllocsPerRun(100, collect); n > 8 {
+			t.Errorf("%s: collect allocates %v times per record, want at most 8", name, n)
 		}
 	}
 }

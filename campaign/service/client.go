@@ -139,9 +139,10 @@ func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, o
 		return err
 	}
 	defer resp.Body.Close()
-	r := bufio.NewReaderSize(resp.Body, 1<<20)
+	r := bufio.NewReaderSize(resp.Body, lineBufSize)
+	var long []byte
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := readLine(r, &long)
 		if len(line) > 0 {
 			if sink != nil {
 				if _, werr := sink.Write(line); werr != nil {

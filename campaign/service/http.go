@@ -228,7 +228,7 @@ func (h *handler) records(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if sse {
-				lineBuf = bufio.NewReaderSize(f, 1<<20)
+				lineBuf = bufio.NewReaderSize(f, lineBufSize)
 			}
 		}
 		if off < safe {
@@ -266,8 +266,9 @@ func (h *handler) records(w http.ResponseWriter, r *http.Request) {
 
 // copySSE re-frames n bytes of JSONL as SSE data events.
 func copySSE(w io.Writer, r *bufio.Reader, n int64) bool {
+	var long []byte
 	for n > 0 {
-		line, err := r.ReadBytes('\n')
+		line, err := readLine(r, &long)
 		if err != nil {
 			return false
 		}

@@ -121,6 +121,29 @@ func writeJobHeader(j *Job) error {
 	})
 }
 
+// lineBufSize is the buffer a record stream is read through. Records of
+// small testbeds (a few KB each) fit many times over and are handed out
+// as slices of it, uncopied; only a longer line is assembled on the side.
+const lineBufSize = 64 << 10
+
+// readLine returns r's next line with its '\n', valid until the next
+// read from r. A line longer than r's buffer is accumulated in *long,
+// whose storage is reused from call to call. At the end of the stream
+// the bytes after the last newline — none, or a torn line — come back
+// with io.EOF.
+func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
+}
+
 // scanRecords replays a journal's record stream and returns the longest
 // contiguous well-formed prefix plus its byte length. Anything after it
 // — a torn last line from a kill mid-write, or records past a
@@ -134,9 +157,10 @@ func scanRecords(path string) (prior []campaign.RunRecord, goodLen int64, err er
 		return nil, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, lineBufSize)
+	var long []byte
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := readLine(r, &long)
 		if err == io.EOF {
 			// No trailing newline: a torn final write. Drop it.
 			return prior, goodLen, nil

@@ -214,8 +214,7 @@ func (e *Engine) Failed() bool { return e.failed }
 
 // Snapshot implements the uniform metrics hook: classification work,
 // fault injection counts and control-plane traffic.
-func (e *Engine) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (e *Engine) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("packets_intercepted", e.Stats.PacketsIntercepted)
 	sn.Counter("packets_matched", e.Stats.PacketsMatched)
 	sn.Counter("counter_updates", e.Stats.CounterUpdates)
@@ -240,7 +239,6 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 	} else {
 		sn.Gauge("failed", 0)
 	}
-	return sn
 }
 
 // ClassifierWork reports the loaded classifier's cumulative work: filter

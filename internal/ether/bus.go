@@ -330,8 +330,7 @@ func (b *SharedBus) Reset() {
 // Snapshot implements the uniform metrics hook: segment counters plus a
 // utilization gauge (fraction of elapsed virtual time the wire spent
 // serializing successful transmissions — collision episodes excluded).
-func (b *SharedBus) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (b *SharedBus) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("collisions", b.TotalCollisions)
 	sn.Counter("delivered_frames", b.DeliveredFrames)
 	sn.Counter("delivered_bytes", b.DeliveredBytes)
@@ -341,7 +340,6 @@ func (b *SharedBus) Snapshot() metrics.Snapshot {
 	} else {
 		sn.Gauge("utilization", 0)
 	}
-	return sn
 }
 
 // corrupts decides whether a frame of the given wire length suffers at

@@ -130,8 +130,7 @@ func (n *NIC) Reset() {
 
 // Snapshot implements the uniform metrics hook: every Stats field plus
 // the instantaneous transmit queue depth.
-func (n *NIC) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (n *NIC) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("tx_frames", n.Stats.TxFrames)
 	sn.Counter("tx_bytes", n.Stats.TxBytes)
 	sn.Counter("rx_frames", n.Stats.RxFrames)
@@ -141,7 +140,6 @@ func (n *NIC) Snapshot() metrics.Snapshot {
 	sn.Counter("collisions", n.Stats.Collisions)
 	sn.Counter("tx_expired", n.Stats.TxExpired)
 	sn.Gauge("txq_len", float64(n.QueueLen()))
-	return sn
 }
 
 // dropQueued discards the transmit queue (fault injection: the medium

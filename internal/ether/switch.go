@@ -314,11 +314,20 @@ func (sw *Switch) PortStats(idx int) (Stats, error) {
 	return sw.ports[idx].nic.Stats, nil
 }
 
+// PortQueueDrops sums the egress-queue drops over the switch's ports
+// (the port_queue_drops reading, for a caller that wants only that).
+func (sw *Switch) PortQueueDrops() uint64 {
+	var drops uint64
+	for _, p := range sw.ports {
+		drops += p.nic.Stats.QueueDrops
+	}
+	return drops
+}
+
 // Snapshot implements the uniform metrics hook: forwarding counters,
 // port-aggregate drops, and a downlink utilization gauge (fraction of the
 // aggregate switch→host capacity spent serializing frames so far).
-func (sw *Switch) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (sw *Switch) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("ingress_frames", sw.IngressFrames)
 	sn.Counter("forwarded_frames", sw.ForwardedFrames)
 	sn.Counter("flooded_frames", sw.FloodedFrames)
@@ -358,7 +367,6 @@ func (sw *Switch) Snapshot() metrics.Snapshot {
 	} else {
 		sn.Gauge("utilization", 0)
 	}
-	return sn
 }
 
 // LinkConfig parametrizes a full-duplex point-to-point link.

@@ -8,10 +8,12 @@
 // every other internal package — including the simulation core itself —
 // can implement the uniform hook
 //
-//	Snapshot() metrics.Snapshot
+//	Snapshot(sn *metrics.Snapshot)
 //
-// without an import cycle. Layers that keep their own cumulative Stats
-// structs expose them through that hook as pull sources; code that wants
+// without an import cycle. The hook appends the layer's readings to a
+// Snapshot the caller owns and reuses, so reading a layer allocates
+// nothing. Layers that keep their own cumulative Stats structs expose
+// them through that hook as pull sources; code that wants
 // push-style instruments (for example a workload observing RTT samples
 // into a histogram) creates them directly on the Registry.
 //
@@ -175,35 +177,25 @@ type SnapshotValue struct {
 	Value float64
 }
 
-// Snapshot is one layer's instrument readings at a point in virtual
-// time — the uniform currency every layer's Snapshot() hook returns.
-// Build one with the Counter and Gauge helpers; order is preserved.
+// Snapshot is instrument readings at a point in virtual time — the
+// uniform currency every layer's Snapshot(*Snapshot) hook appends to
+// with the Counter and Gauge helpers; order is preserved. The caller
+// owns it: Reset between layers and one Snapshot serves a whole walk.
 type Snapshot struct {
 	Values []SnapshotValue
 }
 
-// snapshotCap is the room a snapshot's first reading allocates. The
-// per-node layers report at most 20 readings, so building one is a
-// single allocation instead of append's doubling series — which, at two
-// snapshots per layer per node, was most of a large run's report cost.
-// A longer snapshot grows as usual.
-const snapshotCap = 24
-
-func (s *Snapshot) add(v SnapshotValue) {
-	if s.Values == nil {
-		s.Values = make([]SnapshotValue, 0, snapshotCap)
-	}
-	s.Values = append(s.Values, v)
-}
+// Reset empties the snapshot, keeping its storage.
+func (s *Snapshot) Reset() { s.Values = s.Values[:0] }
 
 // Counter appends a cumulative count reading.
 func (s *Snapshot) Counter(name string, v uint64) {
-	s.add(SnapshotValue{Name: name, Kind: KindCounter, Value: float64(v)})
+	s.Values = append(s.Values, SnapshotValue{Name: name, Kind: KindCounter, Value: float64(v)})
 }
 
 // Gauge appends an instantaneous reading.
 func (s *Snapshot) Gauge(name string, v float64) {
-	s.add(SnapshotValue{Name: name, Kind: KindGauge, Value: v})
+	s.Values = append(s.Values, SnapshotValue{Name: name, Kind: KindGauge, Value: v})
 }
 
 // Get looks a reading up by name.
@@ -238,7 +230,7 @@ type instrument struct {
 
 type source struct {
 	node, layer string
-	fn          func() Snapshot
+	fn          func(*Snapshot)
 }
 
 // Registry holds every instrument and pull source of one testbed.
@@ -249,6 +241,9 @@ type Registry struct {
 	// keys caches the instrument keys in sorted order for Visit, which
 	// rebuilds it when instruments were registered since.
 	keys []Key
+	// scratch is the one Snapshot every pull source appends to, on every
+	// Visit and Gather.
+	scratch Snapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -329,9 +324,12 @@ func (r *Registry) Reset() {
 	}
 }
 
-// RegisterSource installs a pull hook: fn is invoked on every Gather and
-// its readings are reported under (node, layer).
-func (r *Registry) RegisterSource(node, layer string, fn func() Snapshot) {
+// RegisterSource installs a pull hook: on every Visit and Gather, fn
+// appends the source's readings — reported under (node, layer) — to the
+// Snapshot it is handed. That Snapshot is the registry's own scratch,
+// reused for every source of every walk: fn may only append to it
+// (Counter, Gauge) and must not keep it, or its Values, past the call.
+func (r *Registry) RegisterSource(node, layer string, fn func(*Snapshot)) {
 	r.sources = append(r.sources, source{node: node, layer: layer, fn: fn})
 }
 
@@ -339,16 +337,25 @@ func (r *Registry) RegisterSource(node, layer string, fn func() Snapshot) {
 // contribute to Gather but are not counted until gathered).
 func (r *Registry) Instruments() int { return len(r.instruments) }
 
-// Visit calls fn with every reading Gather would return — the same
-// (node, layer, name, kind, value) multiset, histograms as value 0 —
-// without building or sorting a sample slice: direct instruments first,
-// in key order, then each pull source's readings in registration order.
-// That order is fixed for a given registry, so a caller summing floats
-// gets the same bits every time. It returns the number of readings.
+// Sources reports how many pull sources are registered: the index Visit
+// will give the next one.
+func (r *Registry) Sources() int { return len(r.sources) }
+
+// Visit walks every reading Gather would return — the same (node,
+// layer, name, kind, value) multiset, histograms as value 0 — without
+// building or sorting a sample slice or allocating at all: inst sees
+// each direct instrument, in key order, then src each pull source, in
+// registration order (i counts them from 0), with the readings it
+// appended. Those are the registry's scratch and die when src returns.
+// The order is fixed for a given registry, so a caller summing floats
+// gets the same bits every time, and a caller may key tables on i and
+// on a reading's position. It returns the number of readings.
 //
-// A run-end digest over a 1000-host fabric reads ~30k values to keep
-// 60 sums; Visit is for that, Gather for exports that need the samples.
-func (r *Registry) Visit(fn func(node, layer, name string, kind Kind, value float64)) int {
+// A run-end report over a 1000-host fabric reads ~30k values to fill
+// its node rows and keep 60 sums; Visit is for that, Gather for exports
+// that need the samples.
+func (r *Registry) Visit(inst func(k Key, kind Kind, value float64),
+	src func(i int, node, layer string, readings []SnapshotValue)) int {
 	if len(r.keys) != len(r.instruments) {
 		r.keys = r.keys[:0]
 		for k := range r.instruments {
@@ -366,15 +373,14 @@ func (r *Registry) Visit(fn func(node, layer, name string, kind Kind, value floa
 		case KindGauge:
 			v = in.g.Value()
 		}
-		fn(k.Node, k.Layer, k.Name, in.kind, v)
+		inst(k, in.kind, v)
 	}
 	for i := range r.sources {
-		src := &r.sources[i]
-		sn := src.fn()
-		n += len(sn.Values)
-		for _, v := range sn.Values {
-			fn(src.node, src.layer, v.Name, v.Kind, v.Value)
-		}
+		s := &r.sources[i]
+		r.scratch.Reset()
+		s.fn(&r.scratch)
+		n += len(r.scratch.Values)
+		src(i, s.node, s.layer, r.scratch.Values)
 	}
 	return n
 }
@@ -400,8 +406,9 @@ func (r *Registry) Gather() []Sample {
 		out = append(out, s)
 	}
 	for _, src := range r.sources {
-		sn := src.fn()
-		for _, v := range sn.Values {
+		r.scratch.Reset()
+		src.fn(&r.scratch)
+		for _, v := range r.scratch.Values {
 			out = append(out, Sample{
 				Node: src.node, Layer: src.layer, Name: v.Name,
 				Kind: v.Kind, Value: v.Value,

@@ -66,11 +66,9 @@ func TestGatherDeterministic(t *testing.T) {
 			func() { r.Gauge("node2", "tcp", "cwnd_segments").Set(8) },
 			func() { r.Counter("node1", "engine", "drops").Add(1) },
 			func() {
-				r.RegisterSource("node2", "rll", func() Snapshot {
-					var s Snapshot
+				r.RegisterSource("node2", "rll", func(s *Snapshot) {
 					s.Counter("data_sent", 9)
 					s.Gauge("inflight_frames", 2)
-					return s
 				})
 			},
 		}
@@ -150,22 +148,22 @@ func (f *fakeClock) runUntil(horizon time.Duration) {
 // histograms report value 0; the return value counts every reading.
 func TestVisitOrder(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterSource("node2", "rll", func() Snapshot {
-		var s Snapshot
+	r.RegisterSource("node2", "rll", func(s *Snapshot) {
 		s.Counter("data_sent", 9)
 		s.Gauge("inflight_frames", 2)
-		return s
 	})
 	r.Gauge("node2", "tcp", "cwnd_segments").Set(8)
 	r.Counter("node1", "nic", "tx_frames").Add(0.25)
-	r.RegisterSource("node1", "nic", func() Snapshot {
-		var s Snapshot
+	r.RegisterSource("node1", "nic", func(s *Snapshot) {
 		s.Counter("rx_frames", 4)
-		return s
 	})
 	walk := func() (keys []string, n int) {
-		n = r.Visit(func(node, layer, name string, kind Kind, v float64) {
-			keys = append(keys, fmt.Sprintf("%s/%s/%s %v %v", node, layer, name, kind, v))
+		n = r.Visit(func(k Key, kind Kind, v float64) {
+			keys = append(keys, fmt.Sprintf("%s/%s/%s %v %v", k.Node, k.Layer, k.Name, kind, v))
+		}, func(i int, node, layer string, readings []SnapshotValue) {
+			for _, v := range readings {
+				keys = append(keys, fmt.Sprintf("%d:%s/%s/%s %v %v", i, node, layer, v.Name, v.Kind, v.Value))
+			}
 		})
 		return keys, n
 	}
@@ -173,9 +171,9 @@ func TestVisitOrder(t *testing.T) {
 	want := []string{
 		"node1/nic/tx_frames counter 0.25",
 		"node2/tcp/cwnd_segments gauge 8",
-		"node2/rll/data_sent counter 9",
-		"node2/rll/inflight_frames gauge 2",
-		"node1/nic/rx_frames counter 4",
+		"0:node2/rll/data_sent counter 9",
+		"0:node2/rll/inflight_frames gauge 2",
+		"1:node1/nic/rx_frames counter 4",
 	}
 	if n != len(want) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Visit walked %d readings:\n%q\nwant\n%q", n, got, want)
@@ -377,4 +375,46 @@ func promLineOK(line string) bool {
 		return false
 	}
 	return line[close+1] == ' '
+}
+
+// TestWalksReuseOneScratch: every pull source appends to the registry's
+// one scratch snapshot, so a Visit allocates nothing however many
+// sources there are, a Gather only its sample slice, and a hook sees an
+// empty snapshot each time — never a previous source's readings.
+func TestWalksReuseOneScratch(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("n0", "app", "direct").Add(1)
+	const sources = 50
+	for i := 0; i < sources; i++ {
+		i := i
+		r.RegisterSource(fmt.Sprintf("n%d", i), "nic", func(s *Snapshot) {
+			if len(s.Values) != 0 {
+				t.Errorf("source %d handed a snapshot holding %d readings", i, len(s.Values))
+			}
+			s.Counter("tx_frames", uint64(i))
+			s.Gauge("txq_len", 1)
+		})
+	}
+	var sum float64
+	visit := func() {
+		sum = 0
+		r.Visit(func(Key, Kind, float64) {}, func(_ int, _, _ string, readings []SnapshotValue) {
+			for _, v := range readings {
+				sum += v.Value
+			}
+		})
+	}
+	visit()
+	if n := testing.AllocsPerRun(20, visit); n != 0 {
+		t.Errorf("Visit over %d sources allocates %v times", sources, n)
+	}
+	if want := float64(sources*(sources-1)/2 + sources); sum != want {
+		t.Errorf("a walk summed %v over the sources, want %v", sum, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { r.Gather() }); n > 4 {
+		t.Errorf("Gather over %d sources allocates %v times", sources, n)
+	}
+	if got := len(r.Gather()); got != 1+2*sources {
+		t.Errorf("Gather returned %d samples, want %d", got, 1+2*sources)
+	}
 }

@@ -238,8 +238,7 @@ func (l *Layer) Holding() bool { return l.holder }
 
 // Snapshot implements the uniform metrics hook: token rotation,
 // membership and reservation counters plus instantaneous queue depths.
-func (l *Layer) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (l *Layer) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("tokens_sent", l.Stats.TokensSent)
 	sn.Counter("token_retransmissions", l.Stats.TokenRetransmissions)
 	sn.Counter("tokens_received", l.Stats.TokensReceived)
@@ -260,7 +259,6 @@ func (l *Layer) Snapshot() metrics.Snapshot {
 	sn.Gauge("ring_size", float64(len(l.ring)))
 	sn.Gauge("be_queue_len", float64(len(l.beQueue)))
 	sn.Gauge("rt_queue_len", float64(len(l.rtQueue)))
-	return sn
 }
 
 // Start begins protocol operation: ring index 0 creates the initial

@@ -164,8 +164,7 @@ func (r *RLL) SetScheduler(s *sim.Scheduler) { r.sched = s }
 
 // Snapshot implements the uniform metrics hook: every Stats field plus
 // the instantaneous window occupancy summed over peers.
-func (r *RLL) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (r *RLL) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("data_sent", r.Stats.DataSent)
 	sn.Counter("data_retrans", r.Stats.DataRetrans)
 	sn.Counter("acks_sent", r.Stats.AcksSent)
@@ -185,7 +184,6 @@ func (r *RLL) Snapshot() metrics.Snapshot {
 	}
 	sn.Gauge("inflight_frames", float64(inflight))
 	sn.Gauge("backlog_frames", float64(backlog))
-	return sn
 }
 
 // Reset discards all per-peer window state and counters, recycling every

@@ -116,7 +116,6 @@ type Scheduler struct {
 	seq     uint64
 	queue   []*Event // 4-ary min-heap on (at, seq)
 	free    []*Event // recycled Event structs
-	rng     *rand.Rand
 	stopped bool
 	running bool
 
@@ -129,15 +128,21 @@ type Scheduler struct {
 	// Limit, when non-zero, aborts Run with an error after that many
 	// events. It exists so a buggy protocol cannot spin a test forever.
 	Limit uint64
+
+	// The random source is seeded by the first Rand call after
+	// NewScheduler or Reset, not by them: seeding math/rand fills 607
+	// words, and a testbed whose components all carry their own pinned
+	// generators — every one the facade builds — never draws from it.
+	rng      *rand.Rand
+	seed     int64
+	rngStale bool // rng does not reflect seed yet
 }
 
 // NewScheduler returns a scheduler whose clock starts at zero and whose
 // random source is seeded with seed. Two schedulers constructed with the
 // same seed and fed the same scheduling calls produce identical runs.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	return &Scheduler{seed: seed, rngStale: true}
 }
 
 // Now returns the current virtual time, measured from simulation start.
@@ -145,8 +150,19 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Rand returns the scheduler's deterministic random source. Components
 // must draw all randomness (backoff jitter, bit errors, byte perturbation)
-// from this source to stay reproducible.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// from this source to stay reproducible, asking for it at each draw: the
+// stream restarts at the first call after a Reset.
+func (s *Scheduler) Rand() *rand.Rand {
+	if s.rngStale {
+		s.rngStale = false
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.seed))
+		} else {
+			s.rng.Seed(s.seed)
+		}
+	}
+	return s.rng
+}
 
 // Executed reports how many events have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -264,7 +280,7 @@ func (s *Scheduler) Reset(seed int64) {
 	s.executed = 0
 	s.recycled = 0
 	s.stopped = false
-	s.rng.Seed(seed)
+	s.seed, s.rngStale = seed, true
 }
 
 // Step fires the single earliest pending event and advances the clock.

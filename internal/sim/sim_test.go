@@ -359,3 +359,36 @@ func TestAtCallDoesNotAllocate(t *testing.T) {
 		t.Errorf("AfterCall + fire allocates %.1f objects per 8 events, want 0", allocs)
 	}
 }
+
+// TestRandSeededOnFirstDraw: the random source is seeded by the first
+// Rand call after NewScheduler or Reset, not by them — so a run that
+// never draws pays nothing — and the stream a drawing caller sees is
+// math/rand's for that seed, from its start, after either.
+func TestRandSeededOnFirstDraw(t *testing.T) {
+	draws := func(r *rand.Rand) (out [4]int64) {
+		for i := range out {
+			out[i] = r.Int63()
+		}
+		return out
+	}
+	s := NewScheduler(7)
+	if got, want := draws(s.Rand()), draws(rand.New(rand.NewSource(7))); got != want {
+		t.Fatalf("after NewScheduler(7): %v, want math/rand's stream %v", got, want)
+	}
+	s.Reset(9)
+	s.Reset(11) // an undrawn seed leaves no trace
+	if got, want := draws(s.Rand()), draws(rand.New(rand.NewSource(11))); got != want {
+		t.Fatalf("after Reset(11): %v, want math/rand's stream %v", got, want)
+	}
+	// Asking again does not restart the stream.
+	if got, fresh := draws(s.Rand()), draws(rand.New(rand.NewSource(11))); got == fresh {
+		t.Fatal("second Rand call reseeded the source")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Reset(3) }); n != 0 {
+		t.Errorf("Reset allocates %v times", n)
+	}
+	var fresh *Scheduler
+	if n := testing.AllocsPerRun(10, func() { fresh = NewScheduler(5) }); n > 1 || fresh == nil {
+		t.Errorf("NewScheduler allocates %v times; the random source should wait for a draw", n)
+	}
+}

@@ -120,12 +120,10 @@ func newIPStack(h *Host) *IPStack {
 }
 
 // Snapshot implements the uniform metrics hook for the IP layer.
-func (s *IPStack) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (s *IPStack) Snapshot(sn *metrics.Snapshot) {
 	sn.Counter("rx_packets", s.RxPackets)
 	sn.Counter("rx_header_errors", s.RxHeaderErrors)
 	sn.Counter("rx_no_handler", s.RxNoHandler)
-	return sn
 }
 
 // Register installs the handler for an IP protocol number.

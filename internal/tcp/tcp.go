@@ -245,9 +245,8 @@ func (s *Stack) TotalStats() Stats {
 // Snapshot implements the uniform metrics hook: aggregate protocol
 // counters plus instantaneous congestion state summed over live
 // connections.
-func (s *Stack) Snapshot() metrics.Snapshot {
+func (s *Stack) Snapshot(sn *metrics.Snapshot) {
 	st := s.TotalStats()
-	var sn metrics.Snapshot
 	sn.Counter("segments_sent", st.SegmentsSent)
 	sn.Counter("segments_rcvd", st.SegmentsRcvd)
 	sn.Counter("bytes_sent", st.BytesSent)
@@ -267,7 +266,6 @@ func (s *Stack) Snapshot() metrics.Snapshot {
 	sn.Gauge("cwnd_segments", float64(cwnd))
 	sn.Gauge("ssthresh_segments", float64(ssthresh))
 	sn.Gauge("send_buffered_bytes", float64(buffered))
-	return sn
 }
 
 func (s *Stack) sendRaw(dst packet.IP, hdr packet.TCP, data []byte) {

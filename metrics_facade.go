@@ -3,11 +3,11 @@ package virtualwire
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"time"
 
+	"virtualwire/internal/jsonenc"
 	"virtualwire/internal/metrics"
 )
 
@@ -74,138 +74,100 @@ type MetricsSummary struct {
 	// "layer/name" (gauges and histograms are omitted: summing
 	// instantaneous values across nodes rarely means anything).
 	Totals map[string]float64 `json:"totals,omitempty"`
+
+	keys []string // Totals' keys, sorted (see totalKeys)
 }
 
 // MarshalJSON writes the summary without reflection (a summary rides in
 // every campaign record); see NodeReport.appendJSON for the layouts.
 func (m MetricsSummary) MarshalJSON() ([]byte, error) {
-	return m.appendJSON(make([]byte, 0, 40+len(m.Totals)*40), -1), nil
+	return m.appendJSON(make([]byte, 0, 40+len(m.Totals)*40), -1)
 }
 
-func (m MetricsSummary) appendJSON(b []byte, depth int) []byte {
-	d1 := deeper(depth)
+func (m MetricsSummary) appendJSON(b []byte, depth int) ([]byte, error) {
+	d1 := jsonenc.Deeper(depth)
 	b = append(b, '{')
-	b = appendMember(b, d1, "instruments")
+	b = jsonenc.AppendMember(b, d1, "instruments")
 	b = strconv.AppendInt(b, int64(m.Instruments), 10)
 	if m.SampledPoints != 0 {
 		b = append(b, ',')
-		b = appendMember(b, d1, "sampled_points")
+		b = jsonenc.AppendMember(b, d1, "sampled_points")
 		b = strconv.AppendInt(b, int64(m.SampledPoints), 10)
 	}
 	if m.SampleInterval != 0 {
 		b = append(b, ',')
-		b = appendMember(b, d1, "sample_interval_ns")
+		b = jsonenc.AppendMember(b, d1, "sample_interval_ns")
 		b = strconv.AppendInt(b, int64(m.SampleInterval), 10)
 	}
 	if len(m.Totals) != 0 {
 		b = append(b, ',')
-		b = appendMember(b, d1, "totals")
+		b = jsonenc.AppendMember(b, d1, "totals")
 		b = append(b, '{')
-		keys := make([]string, 0, len(m.Totals))
-		for k := range m.Totals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
+		for i, k := range m.totalKeys() {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendMember(b, deeper(d1), k)
-			b = appendJSONFloat(b, m.Totals[k])
+			b = jsonenc.AppendMember(b, jsonenc.Deeper(d1), k)
+			var ok bool
+			if b, ok = jsonenc.AppendFloat(b, m.Totals[k]); !ok {
+				return b, errNonFinite
+			}
 		}
-		b = appendBreak(b, d1)
+		b = jsonenc.AppendBreak(b, d1)
 		b = append(b, '}')
 	}
-	b = appendBreak(b, depth)
-	return append(b, '}')
+	b = jsonenc.AppendBreak(b, depth)
+	return append(b, '}'), nil
 }
 
-// appendJSONFloat formats a float64 exactly as encoding/json does, so
-// the custom marshaller above stays byte-compatible with the reflected
-// one.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json trims "e-09" style exponents to "e-9".
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+// totalKeys returns Totals' keys in sorted order: the list the testbed's
+// report schema shares with every summary it produces, unless the map's
+// key set has been edited since; then, and for a summary that was
+// decoded or built by hand, the keys are sorted afresh.
+func (m MetricsSummary) totalKeys() []string {
+	if len(m.keys) == len(m.Totals) {
+		current := true
+		for _, k := range m.keys {
+			if _, current = m.Totals[k]; !current {
+				break
+			}
+		}
+		if current {
+			return m.keys
 		}
 	}
-	return b
-}
-
-// totalsKey returns the interned "layer/name" Totals key, so a summary
-// gathered every run concatenates each distinct key once per testbed
-// lifetime instead of once per counter per run.
-func (tb *Testbed) totalsKey(layer, name string) string {
-	k := [2]string{layer, name}
-	if s, ok := tb.totalsKeys[k]; ok {
-		return s
+	keys := make([]string, 0, len(m.Totals))
+	for k := range m.Totals {
+		keys = append(keys, k)
 	}
-	if tb.totalsKeys == nil {
-		tb.totalsKeys = make(map[[2]string]string)
-	}
-	s := layer + "/" + name
-	tb.totalsKeys[k] = s
-	return s
-}
-
-func (tb *Testbed) metricsSummary() MetricsSummary {
-	sum := MetricsSummary{Totals: make(map[string]float64, 64)}
-	sum.Instruments = tb.reg.Visit(func(_, layer, name string, kind metrics.Kind, v float64) {
-		if kind != metrics.KindCounter {
-			return
-		}
-		// Free-list hit counters depend on whether the run started from a
-		// fresh or a reused (Reset) testbed — the only observable the warm
-		// pools change. Excluding them keeps RunReports bit-identical
-		// across the two paths; the full readings stay available from
-		// Metrics()/MetricsSeries.
-		if (layer == "pool" && name == "hits") ||
-			(layer == "scheduler" && name == "events_recycled") {
-			return
-		}
-		sum.Totals[tb.totalsKey(layer, name)] += v
-	})
-	if tb.sampler != nil {
-		sum.SampledPoints = tb.sampler.Len()
-		sum.SampleInterval = tb.sampler.Interval()
-	}
-	return sum
+	sort.Strings(keys)
+	return keys
 }
 
 // Snapshot returns this node's current instrument readings for one
-// layer. Valid layers are "engine", "nic", "ip", "tcp", "rll" and
-// "rether"; ok is false for a layer the node does not run (and for "tcp"
-// before the testbed is built).
+// layer, a copy the caller owns. Valid layers are "engine", "nic", "ip",
+// "tcp", "rll" and "rether"; ok is false for a layer the node does not
+// run (and for "tcp" before the testbed is built).
 func (n *Node) Snapshot(layer string) (MetricsSnapshot, bool) {
-	switch layer {
-	case "engine":
-		return n.engine.Snapshot(), true
-	case "nic":
-		return n.host.NIC.Snapshot(), true
-	case "ip":
-		return n.host.IPv4.Snapshot(), true
-	case "tcp":
-		if n.tcp != nil {
-			return n.tcp.Snapshot(), true
-		}
-	case "rll":
-		if n.rll != nil {
-			return n.rll.Snapshot(), true
-		}
-	case "rether":
-		if n.rether != nil {
-			return n.rether.Snapshot(), true
-		}
+	sn := &n.tb.snap
+	sn.Reset()
+	switch {
+	case layer == "engine":
+		n.engine.Snapshot(sn)
+	case layer == "nic":
+		n.host.NIC.Snapshot(sn)
+	case layer == "ip":
+		n.host.IPv4.Snapshot(sn)
+	case layer == "tcp" && n.tcp != nil:
+		n.tcp.Snapshot(sn)
+	case layer == "rll" && n.rll != nil:
+		n.rll.Snapshot(sn)
+	case layer == "rether" && n.rether != nil:
+		n.rether.Snapshot(sn)
+	default:
+		return MetricsSnapshot{}, false
 	}
-	return MetricsSnapshot{}, false
+	return MetricsSnapshot{Values: append([]metrics.SnapshotValue(nil), sn.Values...)}, true
 }
 
 // SnapshotLayers lists the layers Node.Snapshot can report for this node
@@ -225,7 +187,9 @@ func (n *Node) SnapshotLayers() []string {
 }
 
 // registerMetricSources wires every built layer into the registry with
-// the uniform Snapshot hook; called once from build().
+// the uniform Snapshot hook; called once from build(). The hosts' layer
+// hooks go in back to back, in node order: the report schema finds a
+// host's rows by those source indices.
 func (tb *Testbed) registerMetricSources() {
 	// One aggregate source each for the per-shard schedulers and pools.
 	// Counter sums are shard-count invariant (every event executes on
@@ -248,6 +212,7 @@ func (tb *Testbed) registerMetricSources() {
 	if tb.bus != nil {
 		tb.reg.RegisterSource(MetricsNode, "bus", tb.bus.Snapshot)
 	}
+	tb.nodeSources[0] = tb.reg.Sources()
 	for _, n := range tb.nodes {
 		tb.reg.RegisterSource(n.name, "nic", n.host.NIC.Snapshot)
 		tb.reg.RegisterSource(n.name, "ip", n.host.IPv4.Snapshot)
@@ -260,6 +225,7 @@ func (tb *Testbed) registerMetricSources() {
 			tb.reg.RegisterSource(n.name, "rether", n.rether.Snapshot)
 		}
 	}
+	tb.nodeSources[1] = tb.reg.Sources()
 	if tb.cfg.MetricsSampleInterval > 0 {
 		tb.sampler = metrics.NewSampler(tb.reg,
 			tb.cfg.MetricsSampleInterval, tb.cfg.MetricsRingCapacity,

@@ -264,8 +264,12 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 				want = append(want, visitReading{s.Node, s.Layer, s.Name, s.Kind, s.Value})
 			}
 			var got []visitReading
-			n := tb.Metrics().Visit(func(node, layer, name string, kind metrics.Kind, v float64) {
-				got = append(got, visitReading{node, layer, name, kind, v})
+			n := tb.Metrics().Visit(func(k metrics.Key, kind metrics.Kind, v float64) {
+				got = append(got, visitReading{k.Node, k.Layer, k.Name, kind, v})
+			}, func(_ int, node, layer string, readings []metrics.SnapshotValue) {
+				for _, r := range readings {
+					got = append(got, visitReading{node, layer, r.Name, r.Kind, r.Value})
+				}
 			})
 			if n != len(want) || len(got) != len(want) {
 				t.Fatalf("Visit returned %d and made %d calls, Gather has %d samples", n, len(got), len(want))
@@ -316,7 +320,8 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 				t.Errorf("probe/score = %v, want ~0.8", score)
 			}
 			for i := 0; i < 3; i++ {
-				if again := tb.metricsSummary().Totals["probe/score"]; again != score {
+				_, sum := tb.gatherReport()
+				if again := sum.Totals["probe/score"]; again != score {
 					t.Fatalf("probe/score changed between digests: %x vs %x", again, score)
 				}
 			}
@@ -337,4 +342,47 @@ func manyFlowTestbed(t *testing.T, cfg Config, hosts int) *Testbed {
 		t.Fatal(err)
 	}
 	return tb
+}
+
+// TestRunEpilogueAllocsIndependentOfSize is the allocation gate on the
+// run epilogue: with no traffic, what one Reset+Run allocates is the
+// report — the node rows' three arrays, the digest's map — and that
+// count must not depend on how many hosts the testbed has nor on how
+// many layers each runs. (Reading every layer into a snapshot of its
+// own, once for the node rows and once for the digest, it grew by
+// 2 × layers × hosts: 74 allocations at 8 hosts, 650 at 64 with RLL.)
+func TestRunEpilogueAllocsIndependentOfSize(t *testing.T) {
+	measure := func(hosts int, rll bool) float64 {
+		tb, err := New(Config{Seed: 1, RLL: rll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addGroupHosts(t, tb, hosts)
+		run := func() {
+			rep, err := tb.Run(time.Millisecond)
+			if err != nil || len(rep.Nodes) != hosts {
+				t.Fatalf("run: %v, %d node rows", err, len(rep.Nodes))
+			}
+		}
+		run()
+		return testing.AllocsPerRun(10, func() {
+			if err := tb.Reset(2); err != nil {
+				t.Fatal(err)
+			}
+			run()
+		})
+	}
+	small := measure(8, false)
+	for _, c := range []struct {
+		hosts int
+		rll   bool
+	}{{64, false}, {8, true}, {64, true}} {
+		if n := measure(c.hosts, c.rll); n > small+1 {
+			t.Errorf("Reset+Run allocates %v times at %d hosts (RLL %v), %v at 8 hosts without",
+				n, c.hosts, c.rll, small)
+		}
+	}
+	if small > 16 {
+		t.Errorf("Reset+Run of an idle 8-host testbed allocates %v times", small)
+	}
 }

@@ -2,12 +2,16 @@ package virtualwire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"virtualwire/internal/jsonenc"
+	"virtualwire/internal/metrics"
 )
 
 // RunReport is the unified outcome of a Run/RunContext: one
@@ -92,69 +96,50 @@ func (l LayerReport) Value(name string) float64 {
 }
 
 // The report encoders below write JSON without reflection, in either of
-// encoding/json's two layouts: compact (depth < 0), which is what
-// json.Marshal produces and every campaign record carries, or the
-// SetIndent("", "  ") layout with the value's closing bracket at the
-// given depth, which RunReport.WriteJSON emits directly instead of
-// encoding compactly and re-indenting the whole document. Output is
-// byte-identical to the reflected encoding of the same shape.
+// encoding/json's two layouts (see internal/jsonenc): compact, which
+// every campaign record carries, or indented, which RunReport.WriteJSON
+// emits directly instead of encoding compactly and re-indenting the
+// whole document. Output is byte-identical to the reflected encoding of
+// the same shape, and an encoder fails exactly where that would: on a
+// reading that is NaN or infinite.
 
-const jsonIndents = "                " // 8 levels; reports nest 5 deep
-
-// appendMember starts an object member at depth: line break and indent
-// (when indenting), the quoted key, the colon.
-func appendMember(b []byte, depth int, key string) []byte {
-	b = appendBreak(b, depth)
-	b = appendJSONString(b, key)
-	if depth < 0 {
-		return append(b, ':')
-	}
-	return append(b, ": "...)
-}
-
-// appendBreak starts a new line at depth; compact output has none.
-func appendBreak(b []byte, depth int) []byte {
-	if depth < 0 {
-		return b
-	}
-	b = append(b, '\n')
-	return append(b, jsonIndents[:2*depth]...)
-}
-
-// deeper is the depth of a value's members given the value's own.
-func deeper(depth int) int {
-	if depth < 0 {
-		return depth
-	}
-	return depth + 1
-}
+var errNonFinite = errors.New("virtualwire: report carries a NaN or infinite reading, which JSON cannot encode")
 
 // MarshalJSON writes the compact form; see appendJSON.
 func (n NodeReport) MarshalJSON() ([]byte, error) {
-	return n.appendJSON(make([]byte, 0, 64+len(n.Layers)*512), -1), nil
+	return n.appendJSON(make([]byte, 0, n.jsonSize()), -1)
 }
 
-func (n NodeReport) appendJSON(b []byte, depth int) []byte {
-	d1 := deeper(depth)
-	d2 := deeper(d1)
-	d3 := deeper(d2)
+// jsonSize is an upper estimate of the node's encoded length, indented.
+func (n NodeReport) jsonSize() int {
+	size := 96
+	for _, l := range n.Layers {
+		size += 48 + 40*len(l.Values)
+	}
+	return size
+}
+
+func (n NodeReport) appendJSON(b []byte, depth int) ([]byte, error) {
+	d1 := jsonenc.Deeper(depth)
+	d2 := jsonenc.Deeper(d1)
+	d3 := jsonenc.Deeper(d2)
 	b = append(b, '{')
-	b = appendMember(b, d1, "name")
-	b = appendJSONString(b, n.Name)
+	b = jsonenc.AppendMember(b, d1, "name")
+	b = jsonenc.AppendString(b, n.Name)
 	if n.Crashed {
 		b = append(b, ',')
-		b = appendMember(b, d1, "crashed")
+		b = jsonenc.AppendMember(b, d1, "crashed")
 		b = append(b, "true"...)
 	}
 	if len(n.Layers) != 0 {
 		b = append(b, ',')
-		b = appendMember(b, d1, "layers")
+		b = jsonenc.AppendMember(b, d1, "layers")
 		b = append(b, '{')
 		for i, l := range n.Layers {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendMember(b, d2, l.Layer)
+			b = jsonenc.AppendMember(b, d2, l.Layer)
 			if len(l.Values) == 0 {
 				b = append(b, "{}"...)
 				continue
@@ -164,17 +149,20 @@ func (n NodeReport) appendJSON(b []byte, depth int) []byte {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendMember(b, d3, l.Names[j])
-				b = appendJSONFloat(b, v)
+				b = jsonenc.AppendMember(b, d3, l.Names[j])
+				var ok bool
+				if b, ok = jsonenc.AppendFloat(b, v); !ok {
+					return b, errNonFinite
+				}
 			}
-			b = appendBreak(b, d2)
+			b = jsonenc.AppendBreak(b, d2)
 			b = append(b, '}')
 		}
-		b = appendBreak(b, d1)
+		b = jsonenc.AppendBreak(b, d1)
 		b = append(b, '}')
 	}
-	b = appendBreak(b, depth)
-	return append(b, '}')
+	b = jsonenc.AppendBreak(b, depth)
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON reads the encoded form back (journaled campaign records
@@ -204,23 +192,6 @@ func (n *NodeReport) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// appendJSONString quotes s the way encoding/json would. Identifiers —
-// the overwhelmingly common case for node, layer and metric names — take
-// the allocation-free fast path; anything needing escapes falls back to
-// the real encoder.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s)
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
 // verdict condenses a result into RunReport.Verdict.
 func verdict(r Result, hasScenario bool) string {
 	switch {
@@ -241,87 +212,137 @@ func verdict(r Result, hasScenario bool) string {
 	}
 }
 
+// reportChunk bounds the buffer WriteJSON stages a report in.
+const reportChunk = 64 << 10
+
 // WriteJSON writes the report as indented JSON. The encoding is
 // deterministic: slices preserve run order and layers, reading names
 // and totals keys are sorted, so equal runs produce byte-identical
 // documents — the bytes json.Encoder with SetIndent("", "  ") writes,
-// produced in one pass (at a thousand nodes the document is over a
-// megabyte, nearly all of it per-node readings).
+// produced in one pass and, past reportChunk, handed to w a chunk at a
+// time (at a thousand nodes the document is over a megabyte, nearly all
+// of it per-node readings).
 func (r RunReport) WriteJSON(w io.Writer) error {
-	size := 1024 + 64*len(r.Faults)
-	for _, n := range r.Nodes {
-		size += 96
-		for _, l := range n.Layers {
-			size += 48 + 40*len(l.Values)
+	size := r.jsonSize()
+	var flush func([]byte) []byte
+	var werr error
+	if size > reportChunk {
+		size = reportChunk
+		flush = func(b []byte) []byte {
+			if werr == nil {
+				_, werr = w.Write(b)
+			}
+			return b[:0]
 		}
 	}
-	b := make([]byte, 0, size)
-	b = append(b, '{')
-	if r.Scenario != "" {
-		b = appendMember(b, 1, "scenario")
-		b = appendJSONString(b, r.Scenario)
-		b = append(b, ',')
-	}
-	b = appendMember(b, 1, "seed")
-	b = strconv.AppendInt(b, r.Seed, 10)
-	b = append(b, ',')
-	b = appendMember(b, 1, "verdict")
-	b = appendJSONString(b, r.Verdict)
-	b, err := appendReflected(b, "result", r.Result)
-	b = append(b, ',')
-	b = appendMember(b, 1, "passed")
-	b = strconv.AppendBool(b, r.Passed)
-	b = append(b, ',')
-	b = appendMember(b, 1, "virtual_ns")
-	b = strconv.AppendInt(b, int64(r.Duration), 10)
-	b = append(b, ',')
-	b = appendMember(b, 1, "events")
-	b = strconv.AppendUint(b, r.Events, 10)
-	if len(r.Faults) != 0 && err == nil {
-		b, err = appendReflected(b, "faults", r.Faults)
-	}
-	if len(r.Errors) != 0 && err == nil {
-		b, err = appendReflected(b, "errors", r.Errors)
-	}
-	if len(r.Unreachable) != 0 && err == nil {
-		b, err = appendReflected(b, "unreachable", r.Unreachable)
+	b, err := r.appendJSON(make([]byte, 0, size), 0, flush)
+	if err == nil {
+		err = werr
 	}
 	if err != nil {
 		return err
 	}
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// MarshalJSON writes the compact form — what json.Marshal would derive
+// from the field tags, without the reflection.
+func (r RunReport) MarshalJSON() ([]byte, error) {
+	return r.appendJSON(make([]byte, 0, r.jsonSize()), -1, nil)
+}
+
+// AppendJSON appends the compact form to b: the encoder under
+// MarshalJSON, for a caller (the campaign record writer) that owns and
+// reuses its buffer.
+func (r RunReport) AppendJSON(b []byte) ([]byte, error) {
+	return r.appendJSON(b, -1, nil)
+}
+
+// jsonSize is an upper estimate of the report's encoded length.
+func (r RunReport) jsonSize() int {
+	size := 1024 + 64*len(r.Faults) + 40*len(r.Metrics.Totals)
+	for _, n := range r.Nodes {
+		size += n.jsonSize()
+	}
+	return size
+}
+
+// appendJSON is the one report encoder: the document in either layout,
+// its closing brace at depth. A non-nil flush is offered the buffer
+// between node rows once little room is left, and returns the buffer to
+// continue in.
+func (r RunReport) appendJSON(b []byte, depth int, flush func([]byte) []byte) ([]byte, error) {
+	d1 := jsonenc.Deeper(depth)
+	d2 := jsonenc.Deeper(d1)
+	var err error
+	// Small, irregular members stay on encoding/json.
+	reflected := func(key string, v any) {
+		if err == nil {
+			b = append(b, ',')
+			b = jsonenc.AppendMember(b, d1, key)
+			b, err = jsonenc.AppendValue(b, d1, v)
+		}
+	}
+	b = append(b, '{')
+	if r.Scenario != "" {
+		b = jsonenc.AppendMember(b, d1, "scenario")
+		b = jsonenc.AppendString(b, r.Scenario)
+		b = append(b, ',')
+	}
+	b = jsonenc.AppendMember(b, d1, "seed")
+	b = strconv.AppendInt(b, r.Seed, 10)
+	b = append(b, ',')
+	b = jsonenc.AppendMember(b, d1, "verdict")
+	b = jsonenc.AppendString(b, r.Verdict)
+	reflected("result", r.Result)
+	b = append(b, ',')
+	b = jsonenc.AppendMember(b, d1, "passed")
+	b = strconv.AppendBool(b, r.Passed)
+	b = append(b, ',')
+	b = jsonenc.AppendMember(b, d1, "virtual_ns")
+	b = strconv.AppendInt(b, int64(r.Duration), 10)
+	b = append(b, ',')
+	b = jsonenc.AppendMember(b, d1, "events")
+	b = strconv.AppendUint(b, r.Events, 10)
+	if len(r.Faults) != 0 {
+		reflected("faults", r.Faults)
+	}
+	if len(r.Errors) != 0 {
+		reflected("errors", r.Errors)
+	}
+	if len(r.Unreachable) != 0 {
+		reflected("unreachable", r.Unreachable)
+	}
+	if err != nil {
+		return b, err
+	}
 	if len(r.Nodes) != 0 {
 		b = append(b, ',')
-		b = appendMember(b, 1, "nodes")
+		b = jsonenc.AppendMember(b, d1, "nodes")
 		b = append(b, '[')
 		for i, n := range r.Nodes {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendBreak(b, 2)
-			b = n.appendJSON(b, 2)
+			b = jsonenc.AppendBreak(b, d2)
+			if b, err = n.appendJSON(b, d2); err != nil {
+				return b, err
+			}
+			if flush != nil && cap(b)-len(b) < reportChunk/8 {
+				b = flush(b)
+			}
 		}
-		b = appendBreak(b, 1)
+		b = jsonenc.AppendBreak(b, d1)
 		b = append(b, ']')
 	}
 	b = append(b, ',')
-	b = appendMember(b, 1, "metrics")
-	b = r.Metrics.appendJSON(b, 1)
-	b = append(b, "\n}\n"...)
-	_, err = w.Write(b)
-	return err
-}
-
-// appendReflected appends a depth-1 member of the report document whose
-// value is small and irregular (the scenario result, the fault and
-// error lists): encoding/json encodes it, indented to sit at depth 1.
-func appendReflected(b []byte, key string, v any) ([]byte, error) {
-	enc, err := json.MarshalIndent(v, "  ", "  ")
-	if err != nil {
+	b = jsonenc.AppendMember(b, d1, "metrics")
+	if b, err = r.Metrics.appendJSON(b, d1); err != nil {
 		return b, err
 	}
-	b = append(b, ',')
-	b = appendMember(b, 1, key)
-	return append(b, enc...), nil
+	b = jsonenc.AppendBreak(b, depth)
+	return append(b, '}'), nil
 }
 
 // Text renders the report for humans: verdict, flagged errors, fault
@@ -356,73 +377,227 @@ func (r RunReport) Text() string {
 	return b.String()
 }
 
-// layerSchema is one node layer's slot in the testbed's report schema:
-// its reading names in sorted order, and where Snapshot puts each.
-type layerSchema struct {
-	layer string
-	names []string // sorted
-	order []int    // order[i] = index in Snapshot().Values of names[i]
+// reportSchema is the testbed's slot tables for the run-end walk: where
+// each reading Registry.Visit yields goes in a report. Reading sets are
+// fixed per layer and the walk's order per registry, so the tables are
+// computed once and a run-end report is one pass that stores and adds
+// floats by index — no name is compared, hashed or sorted per reading.
+// The walk checks every reading against its slot as it goes and
+// gatherReport rebuilds the tables when one does not fit: an instrument
+// or a source was registered since.
+type reportSchema struct {
+	// rows is every node's layer rows back to back, each node's sorted
+	// by layer, with Names set (sorted) and Values unset; row i's values
+	// are rowVals[i]:rowVals[i+1] of a run's value array, and node i's
+	// rows are nodeRows[i]:nodeRows[i+1].
+	rows     []LayerReport
+	rowVals  []int
+	nodeRows []int
+
+	insts   []instSlot    // direct instruments, in Visit order
+	sources []sourceSlots // pull sources, in registration order
+
+	// totalKeys[i] is the "layer/name" key of MetricsSummary.Totals that
+	// slot i of totals sums; sortedKeys is the same keys sorted, shared
+	// read-only with every summary (see MetricsSummary.totalKeys).
+	totalKeys  []string
+	sortedKeys []string
+	totals     []float64 // per-run scratch
 }
 
-// buildReportSchema fixes, once per testbed, the layer order and the
-// per-layer name order every NodeReport uses. A layer's Snapshot lists a
-// fixed set of readings in a fixed order, so one node's snapshot stands
-// for all and a run-end report copies values straight into sorted
-// position instead of building and sorting maps for every node.
+// instSlot places one direct instrument: it only counts toward a total.
+type instSlot struct {
+	layer, name string
+	kind        metrics.Kind
+	total       int // slot in totals; -1 for a reading the digest leaves out
+}
+
+// readingSlot places one reading of a pull source.
+type readingSlot struct {
+	name  string
+	kind  metrics.Kind
+	total int // as instSlot.total
+	pos   int // position among its layer row's sorted names
+}
+
+// sourceSlots places one pull source's readings, in the order its hook
+// appends them. Every node's source of one layer shares one readings
+// table.
+type sourceSlots struct {
+	readings []readingSlot
+	vals     int // index in the value array of the source's layer row; -1 when it has none
+}
+
+// buildReportSchema computes the slot tables from a walk of the registry
+// as it stands.
 func (tb *Testbed) buildReportSchema() {
-	seen := make(map[string]bool)
-	for _, n := range tb.nodes {
-		for _, layer := range n.SnapshotLayers() {
-			if seen[layer] {
-				continue
-			}
-			seen[layer] = true
-			snap, _ := n.Snapshot(layer)
-			sc := layerSchema{layer: layer, order: make([]int, len(snap.Values))}
-			for i := range sc.order {
-				sc.order[i] = i
-			}
-			sort.Slice(sc.order, func(i, j int) bool {
-				return snap.Values[sc.order[i]].Name < snap.Values[sc.order[j]].Name
-			})
-			for _, j := range sc.order {
-				sc.names = append(sc.names, snap.Values[j].Name)
-			}
-			tb.reportSchema = append(tb.reportSchema, sc)
+	sc := reportSchema{}
+	slotOf := make(map[[2]string]int)
+	totalSlot := func(layer, name string, kind metrics.Kind) int {
+		// Free-list hit counters depend on whether the run started from a
+		// fresh or a reused (Reset) testbed — the only observable the warm
+		// pools change. Excluding them keeps RunReports bit-identical
+		// across the two paths; the full readings stay available from
+		// Metrics()/MetricsSeries.
+		if kind != metrics.KindCounter || (layer == "pool" && name == "hits") ||
+			(layer == "scheduler" && name == "events_recycled") {
+			return -1
 		}
+		k := [2]string{layer, name}
+		slot, ok := slotOf[k]
+		if !ok {
+			slot = len(sc.totalKeys)
+			slotOf[k] = slot
+			sc.totalKeys = append(sc.totalKeys, layer+"/"+name)
+		}
+		return slot
 	}
-	sort.Slice(tb.reportSchema, func(i, j int) bool { return tb.reportSchema[i].layer < tb.reportSchema[j].layer })
+	// A node layer's row, found while walking: which source fills it.
+	type nodeRow struct {
+		layer string
+		names []string // sorted
+		src   int
+	}
+	nodeLayers := make([][]nodeRow, len(tb.nodes))
+	type layerTable struct {
+		names    []string
+		readings []readingSlot
+	}
+	layers := make(map[string]layerTable)
+	ni := 0 // the node whose hooks the walk has reached
+	tb.reg.Visit(func(k metrics.Key, kind metrics.Kind, _ float64) {
+		sc.insts = append(sc.insts, instSlot{layer: k.Layer, name: k.Name, kind: kind,
+			total: totalSlot(k.Layer, k.Name, kind)})
+	}, func(i int, node, layer string, readings []metrics.SnapshotValue) {
+		// The hosts' layer hooks, registered back to back and in node
+		// order by registerMetricSources, fill the node rows; any other
+		// source under a host's name only counts toward the digest.
+		isNodeLayer := tb.nodeSources[0] <= i && i < tb.nodeSources[1]
+		lt, shared := layerTable{}, false
+		if isNodeLayer {
+			lt, shared = layers[layer]
+		}
+		if !shared {
+			lt.readings = make([]readingSlot, len(readings))
+			order := make([]int, len(readings))
+			for j, r := range readings {
+				lt.readings[j] = readingSlot{name: r.Name, kind: r.Kind, total: totalSlot(layer, r.Name, r.Kind)}
+				order[j] = j
+			}
+			sort.Slice(order, func(a, b int) bool { return readings[order[a]].Name < readings[order[b]].Name })
+			lt.names = make([]string, len(order))
+			for pos, j := range order {
+				lt.readings[j].pos = pos
+				lt.names[pos] = readings[j].Name
+			}
+		}
+		if isNodeLayer {
+			layers[layer] = lt
+			for tb.nodes[ni].name != node {
+				ni++
+			}
+			nodeLayers[ni] = append(nodeLayers[ni], nodeRow{layer: layer, names: lt.names, src: i})
+		}
+		sc.sources = append(sc.sources, sourceSlots{readings: lt.readings, vals: -1})
+	})
+	sc.rowVals = append(sc.rowVals, 0)
+	sc.nodeRows = append(sc.nodeRows, 0)
+	for _, rows := range nodeLayers {
+		sort.Slice(rows, func(a, b int) bool { return rows[a].layer < rows[b].layer })
+		for _, r := range rows {
+			sc.sources[r.src].vals = sc.rowVals[len(sc.rowVals)-1]
+			sc.rows = append(sc.rows, LayerReport{Layer: r.layer, Names: r.names})
+			sc.rowVals = append(sc.rowVals, sc.sources[r.src].vals+len(r.names))
+		}
+		sc.nodeRows = append(sc.nodeRows, len(sc.rows))
+	}
+	sc.sortedKeys = append([]string(nil), sc.totalKeys...)
+	sort.Strings(sc.sortedKeys)
+	sc.totals = make([]float64, len(sc.totalKeys))
+	tb.schema = sc
 }
 
-// nodeReports gathers every host's layer snapshots for the report. All
-// nodes' layers and values are carved from two backing arrays.
-func (tb *Testbed) nodeReports() []NodeReport {
-	perNode := 0
-	for _, sc := range tb.reportSchema {
-		perNode += len(sc.names)
-	}
-	// Upper bounds, so the carved sub-slices never move.
-	layers := make([]LayerReport, 0, len(tb.nodes)*len(tb.reportSchema))
-	vals := make([]float64, 0, len(tb.nodes)*perNode)
-	out := make([]NodeReport, len(tb.nodes))
-	for i, n := range tb.nodes {
-		first := len(layers)
-		for _, sc := range tb.reportSchema {
-			snap, ok := n.Snapshot(sc.layer)
-			if !ok {
-				continue
-			}
-			if len(snap.Values) != len(sc.order) {
-				panic(fmt.Sprintf("virtualwire: %s/%s snapshot has %d readings, report schema %d",
-					n.name, sc.layer, len(snap.Values), len(sc.order)))
-			}
-			base := len(vals)
-			for _, j := range sc.order {
-				vals = append(vals, snap.Values[j].Value)
-			}
-			layers = append(layers, LayerReport{Layer: sc.layer, Names: sc.names, Values: vals[base:len(vals):len(vals)]})
+// gatherReport reads every instrument once, at run end, into both halves
+// of the report that carry readings: each host's layer rows (the values
+// Node.Snapshot returns, carved from one array) and the metrics digest.
+func (tb *Testbed) gatherReport() ([]NodeReport, MetricsSummary) {
+	vals, n, ok := tb.walkReport()
+	if !ok {
+		tb.buildReportSchema()
+		if vals, n, ok = tb.walkReport(); !ok {
+			panic("virtualwire: a metrics source changed its readings between two walks of the registry")
 		}
-		out[i] = NodeReport{Name: n.name, Crashed: n.engine.Failed(), Layers: layers[first:len(layers):len(layers)]}
 	}
-	return out
+	sc := &tb.schema
+	rows := make([]LayerReport, len(sc.rows))
+	copy(rows, sc.rows)
+	for i := range rows {
+		rows[i].Values = vals[sc.rowVals[i]:sc.rowVals[i+1]:sc.rowVals[i+1]]
+	}
+	nodes := make([]NodeReport, len(tb.nodes))
+	for i, nd := range tb.nodes {
+		nodes[i] = NodeReport{Name: nd.name, Crashed: nd.engine.Failed(),
+			Layers: rows[sc.nodeRows[i]:sc.nodeRows[i+1]:sc.nodeRows[i+1]]}
+	}
+	sum := MetricsSummary{Instruments: n, Totals: make(map[string]float64, len(sc.totalKeys)), keys: sc.sortedKeys}
+	for i, k := range sc.totalKeys {
+		sum.Totals[k] = sc.totals[i]
+	}
+	if tb.sampler != nil {
+		sum.SampledPoints = tb.sampler.Len()
+		sum.SampleInterval = tb.sampler.Interval()
+	}
+	return nodes, sum
+}
+
+// walkReport is the one registry walk: it fills a fresh value array for
+// the node rows and the schema's totals, summing in walk order so the
+// float sums repeat bit for bit. ok is false when a reading did not
+// match its slot; the results are then meaningless.
+func (tb *Testbed) walkReport() (vals []float64, n int, ok bool) {
+	sc := &tb.schema
+	if len(sc.rowVals) == 0 {
+		return nil, 0, false // never built
+	}
+	vals = make([]float64, sc.rowVals[len(sc.rowVals)-1])
+	totals := sc.totals
+	for i := range totals {
+		totals[i] = 0
+	}
+	ok = true
+	insts, sources := 0, 0
+	n = tb.reg.Visit(func(k metrics.Key, kind metrics.Kind, v float64) {
+		insts++
+		if insts > len(sc.insts) {
+			ok = false
+			return
+		}
+		s := &sc.insts[insts-1]
+		if s.layer != k.Layer || s.name != k.Name || s.kind != kind {
+			ok = false
+		} else if s.total >= 0 {
+			totals[s.total] += v
+		}
+	}, func(i int, _, _ string, readings []metrics.SnapshotValue) {
+		sources++
+		if i >= len(sc.sources) || len(readings) != len(sc.sources[i].readings) {
+			ok = false
+			return
+		}
+		src := &sc.sources[i]
+		for j := range readings {
+			r, s := &readings[j], &src.readings[j]
+			if s.name != r.Name || s.kind != r.Kind {
+				ok = false
+				return
+			}
+			if s.total >= 0 {
+				totals[s.total] += r.Value
+			}
+			if src.vals >= 0 {
+				vals[src.vals+s.pos] = r.Value
+			}
+		}
+	})
+	return vals, n, ok && insts == len(sc.insts) && sources == len(sc.sources)
 }

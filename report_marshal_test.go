@@ -3,6 +3,8 @@ package virtualwire
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -28,6 +30,41 @@ type reflectedMetricsSummary struct {
 	SampledPoints  int                `json:"sampled_points,omitempty"`
 	SampleInterval time.Duration      `json:"sample_interval_ns,omitempty"`
 	Totals         map[string]float64 `json:"totals,omitempty"`
+}
+
+// reflectedRunReport is RunReport's wire shape: the same members in the
+// same order under the same tags (TestWriteJSONMatchesEncoder compares
+// them), with the shadows above for the members that have encoders.
+type reflectedRunReport struct {
+	Scenario    string                  `json:"scenario,omitempty"`
+	Seed        int64                   `json:"seed"`
+	Verdict     string                  `json:"verdict"`
+	Result      Result                  `json:"result"`
+	Passed      bool                    `json:"passed"`
+	Duration    time.Duration           `json:"virtual_ns"`
+	Events      uint64                  `json:"events"`
+	Faults      []InjectedFault         `json:"faults,omitempty"`
+	Errors      []ErrorReport           `json:"errors,omitempty"`
+	Unreachable []string                `json:"unreachable,omitempty"`
+	Nodes       []reflectedNodeReport   `json:"nodes,omitempty"`
+	Metrics     reflectedMetricsSummary `json:"metrics"`
+}
+
+func (r RunReport) reflected() reflectedRunReport {
+	out := reflectedRunReport{
+		Scenario: r.Scenario, Seed: r.Seed, Verdict: r.Verdict, Result: r.Result,
+		Passed: r.Passed, Duration: r.Duration, Events: r.Events,
+		Faults: r.Faults, Errors: r.Errors, Unreachable: r.Unreachable,
+		Metrics: r.Metrics.reflected(),
+	}
+	for _, n := range r.Nodes {
+		out.Nodes = append(out.Nodes, n.reflected())
+	}
+	return out
+}
+
+func (m MetricsSummary) reflected() reflectedMetricsSummary {
+	return reflectedMetricsSummary{m.Instruments, m.SampledPoints, m.SampleInterval, m.Totals}
 }
 
 func (n NodeReport) reflected() reflectedNodeReport {
@@ -109,7 +146,7 @@ func TestMetricsSummaryMarshalMatchesReflect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
-		want, err := json.Marshal(reflectedMetricsSummary(c))
+		want, err := json.Marshal(c.reflected())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,14 +156,22 @@ func TestMetricsSummaryMarshalMatchesReflect(t *testing.T) {
 	}
 }
 
-// TestWriteJSONMatchesEncoder holds the one-pass indented writer to the
-// bytes json.Encoder with SetIndent produces for the same report (which
-// is how WriteJSON used to be implemented), over every optional member.
+// TestWriteJSONMatchesEncoder holds the one report encoder to the bytes
+// encoding/json produces for the same shape over every optional member,
+// in both layouts: WriteJSON against json.Encoder with SetIndent (which
+// is how it used to be implemented), json.Marshal and AppendJSON
+// against json.Marshal of the shadow.
 func TestWriteJSONMatchesEncoder(t *testing.T) {
-	// WriteJSON names each member by hand: a new RunReport field must be
-	// added there (and to a case below) before this count is raised.
-	if n := reflect.TypeOf(RunReport{}).NumField(); n != 12 {
-		t.Fatalf("RunReport has %d fields; WriteJSON and this test know 12", n)
+	// appendJSON names each member by hand: a new RunReport field must
+	// be added there, to the shadow and to a case below.
+	rt, st := reflect.TypeOf(RunReport{}), reflect.TypeOf(reflectedRunReport{})
+	if rt.NumField() != st.NumField() {
+		t.Fatalf("RunReport has %d fields, its shadow %d", rt.NumField(), st.NumField())
+	}
+	for i := 0; i < rt.NumField(); i++ {
+		if rf, sf := rt.Field(i), st.Field(i); rf.Name != sf.Name || rf.Tag != sf.Tag {
+			t.Fatalf("field %d: RunReport has %s `%s`, its shadow %s `%s`", i, rf.Name, rf.Tag, sf.Name, sf.Tag)
+		}
 	}
 	full := RunReport{
 		Scenario: `odd "name" <&>`, Seed: -7, Verdict: "flagged",
@@ -148,20 +193,67 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 			Totals: map[string]float64{"tcp/segments_sent": 12345, "engine/drops": 4.5, "small/counter": 3e-9},
 		},
 	}
-	cases := []RunReport{{}, {Verdict: "no_scenario", Passed: true, Metrics: MetricsSummary{Instruments: 1}}, full}
+	// Long enough for WriteJSON to hand the document over in chunks.
+	big := full
+	for len(big.Nodes)*64 < 4*reportChunk {
+		big.Nodes = append(big.Nodes, nodeReportCases...)
+	}
+	cases := []RunReport{{}, {Verdict: "no_scenario", Passed: true, Metrics: MetricsSummary{Instruments: 1}}, full, big}
 	for i, c := range cases {
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(c); err != nil {
+		if err := enc.Encode(c.reflected()); err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
+		var got writeCounter
 		if err := c.WriteJSON(&got); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
-			t.Errorf("case %d:\ngot  %s\nwant %s", i, got.String(), want.String())
+			t.Errorf("case %d, indented:\ngot  %s\nwant %s", i, got.String(), want.String())
+		}
+		if chunked := want.Len() > 2*reportChunk; (got.writes > 1) != chunked {
+			t.Errorf("case %d: %d bytes written in %d calls", i, want.Len(), got.writes)
+		}
+
+		compact, err := json.Marshal(c.reflected())
+		if err != nil {
+			t.Fatal(err)
+		}
+		marshalled, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended, err := c.AppendJSON([]byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(marshalled) != string(compact) || string(appended) != "x"+string(compact) {
+			t.Errorf("case %d, compact:\nMarshal    %s\nAppendJSON %s\nwant       %s", i, marshalled, appended, compact)
 		}
 	}
+	// A reading JSON cannot carry is an error, as it is for encoding/json.
+	bad := RunReport{Metrics: MetricsSummary{Totals: map[string]float64{"a/b": math.NaN()}}}
+	if _, err := json.Marshal(bad.reflected()); err == nil {
+		t.Fatal("encoding/json encoded NaN")
+	}
+	if _, err := bad.AppendJSON(nil); err == nil {
+		t.Error("AppendJSON encoded a NaN total")
+	}
+	bad = RunReport{Nodes: []NodeReport{{Layers: []LayerReport{{Layer: "l", Names: []string{"n"}, Values: []float64{math.Inf(1)}}}}}}
+	if err := bad.WriteJSON(io.Discard); err == nil {
+		t.Error("WriteJSON encoded an infinite reading")
+	}
+}
+
+// writeCounter is a buffer that counts the Write calls filling it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
 }

@@ -225,7 +225,7 @@ func validateShardConfig(cfg *Config) error {
 // shardSchedulerSnapshot aggregates the per-shard schedulers into the
 // single "testbed"/"scheduler" source, summing counters and gauges so
 // totals are the same at any shard count.
-func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
+func (tb *Testbed) shardSchedulerSnapshot(out *MetricsSnapshot) {
 	var exec, schd, rec uint64
 	var pend, free int
 	for _, s := range tb.shards.scheds {
@@ -235,18 +235,16 @@ func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
 		pend += s.Pending()
 		free += s.FreeListLen()
 	}
-	var out MetricsSnapshot
 	out.Counter("events_executed", exec)
 	out.Counter("events_scheduled", schd)
 	out.Counter("events_recycled", rec)
 	out.Gauge("events_pending", float64(pend))
 	out.Gauge("free_list_len", float64(free))
-	return out
 }
 
 // shardPoolSnapshot aggregates the per-shard frame pools into the
 // single "testbed"/"pool" source.
-func (tb *Testbed) shardPoolSnapshot() MetricsSnapshot {
+func (tb *Testbed) shardPoolSnapshot(out *MetricsSnapshot) {
 	var gets, hits, puts uint64
 	var free int
 	for _, p := range tb.shards.pools {
@@ -255,12 +253,10 @@ func (tb *Testbed) shardPoolSnapshot() MetricsSnapshot {
 		puts += p.Puts
 		free += p.FreeFrames()
 	}
-	var out MetricsSnapshot
 	out.Counter("gets", gets)
 	out.Counter("hits", hits)
 	out.Counter("puts", puts)
 	out.Gauge("free_frames", float64(free))
-	return out
 }
 
 // dispatchWorkloads runs every workload's setup at a barrier (shards

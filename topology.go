@@ -549,11 +549,9 @@ const (
 // engine's failover counters and the fabric's live trunk state — the
 // blocked_trunks gauge tracks runtime block/unblock, not the build-time
 // layout, so spanning-tree failover is observable.
-func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
-	var sn MetricsSnapshot
-	var ingress, fwd, flood, blockedFr, dropped uint64
+func (tb *Testbed) fabricSnapshot(sn *MetricsSnapshot) {
+	var ingress, fwd, flood, blockedFr, dropped, drops uint64
 	downSwitches := 0
-	var drops float64
 	for _, sw := range tb.fabric {
 		ingress += sw.IngressFrames
 		fwd += sw.ForwardedFrames
@@ -563,16 +561,14 @@ func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
 		if sw.Down() {
 			downSwitches++
 		}
-		if v, ok := sw.Snapshot().Get("port_queue_drops"); ok {
-			drops += v
-		}
+		drops += sw.PortQueueDrops()
 	}
 	sn.Counter("ingress_frames", ingress)
 	sn.Counter("forwarded_frames", fwd)
 	sn.Counter("flooded_frames", flood)
 	sn.Counter("blocked_frames", blockedFr)
 	sn.Counter("dropped_frames", dropped)
-	sn.Counter("port_queue_drops", uint64(drops))
+	sn.Counter("port_queue_drops", drops)
 	sn.Counter("failovers", tb.topo.failovers)
 	sn.Counter("reconverge_ns_total", uint64(tb.topo.reconvergeTotal))
 	sn.Gauge("reconverge_last_ns", float64(tb.topo.reconvergeLast))
@@ -597,7 +593,6 @@ func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
 		}
 		sn.Gauge(name, float64(state))
 	}
-	return sn
 }
 
 // TrunkCount reports the number of trunks in the built fabric.

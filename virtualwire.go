@@ -310,8 +310,9 @@ type Testbed struct {
 	reg      *metrics.Registry
 	sampler  *metrics.Sampler
 
-	totalsKeys   map[[2]string]string // interned "layer/name" summary keys
-	reportSchema []layerSchema        // NodeReport layer/name order (build)
+	snap        metrics.Snapshot // Node.Snapshot's scratch
+	schema      reportSchema     // run-end walk's slot tables (see gatherReport)
+	nodeSources [2]int           // registry source indices [first, end) of the hosts' layer hooks
 
 	retherRing []string
 	retherCfg  rether.Config
@@ -653,7 +654,6 @@ func (tb *Testbed) build() error {
 	tb.recomputeShardLookahead()
 	tb.assignComponentRands(tb.cfg.Seed)
 	tb.registerMetricSources()
-	tb.buildReportSchema()
 	return nil
 }
 
@@ -749,8 +749,7 @@ func (tb *Testbed) assembleRunReport(start time.Duration, events uint64) RunRepo
 	rep.Verdict = verdict(rep.Result, tb.ctl != nil)
 	rep.Faults = tb.InjectedFaults()
 	rep.Errors = append([]ErrorReport(nil), rep.Result.Errors...)
-	rep.Nodes = tb.nodeReports()
-	rep.Metrics = tb.metricsSummary()
+	rep.Nodes, rep.Metrics = tb.gatherReport()
 	return rep
 }
 
