@@ -241,11 +241,11 @@ func maxShards(points []point) int {
 // substitute when set, otherwise a compile-once/reset-to-reuse executor
 // owning its private testbed cache. Each worker gets its own runner, so
 // testbeds are never shared across goroutines.
-func (o *Options) newRunner(spec *Spec) runFunc {
+func (o *Options) newRunner() runFunc {
 	if o.run != nil {
 		return o.run
 	}
-	return newTestbedCache(spec).run
+	return testbedCache{}.run
 }
 
 // Run executes the spec's matrix and returns its Summary. The context
@@ -286,7 +286,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 	}
 
 	if workers <= 1 {
-		run := opts.newRunner(&spec)
+		run := opts.newRunner()
 		for _, p := range todo {
 			if ctx.Err() != nil {
 				break
@@ -313,7 +313,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := opts.newRunner(&spec)
+			run := opts.newRunner()
 			for {
 				select {
 				case sem <- struct{}{}:
@@ -453,102 +453,54 @@ func Transient(err error) bool {
 // of rebuilding the whole stack. Reset-vs-fresh determinism is a tested
 // invariant of the facade, so which path a given run takes — and
 // therefore the worker count — never changes the record bytes.
-type testbedCache struct {
-	spec *Spec
-	tbs  map[int]*virtualwire.Testbed // shapeID → reusable testbed
-}
+type testbedCache map[int]*virtualwire.Testbed // shapeID → reusable testbed
 
-func newTestbedCache(spec *Spec) *testbedCache {
-	return &testbedCache{spec: spec, tbs: make(map[int]*virtualwire.Testbed)}
-}
-
-// run executes one attempt of one point, reusing the shape's testbed
-// when possible. Compiled-script points reuse via the staged tables;
-// scriptless host-group points (Spec.Hosts) reuse their generated hosts
-// and fabric. Remaining shapes (hosts from a separate Spec.Nodes source)
-// fall back to a fresh build per run.
-func (c *testbedCache) run(ctx context.Context, spec *Spec, p point, rec *RunRecord) error {
-	hostGroup := p.compiled == nil && p.script == "" && spec.Nodes == "" && spec.Hosts > 0
-	if !hostGroup && (p.compiled == nil || (spec.Nodes != "" && spec.Nodes != p.script)) {
-		return runOnce(ctx, spec, p, rec)
-	}
-	tb := c.tbs[p.shapeID]
+// run executes one attempt of one point on the shape's testbed, building
+// it on the shape's first run and rewinding it on every later one.
+func (c testbedCache) run(ctx context.Context, spec *Spec, p point, rec *RunRecord) error {
+	tb := c[p.shapeID]
 	if tb != nil {
 		if err := tb.Reset(p.seed); err != nil {
 			// A testbed that cannot be rewound (never built) is dropped,
 			// not reused dirty.
-			delete(c.tbs, p.shapeID)
+			delete(c, p.shapeID)
 			tb = nil
 		}
 	}
 	if tb == nil {
-		cfg := virtualwire.Config{Seed: p.seed}
-		if err := p.cfg.apply(&cfg); err != nil {
+		var err error
+		if tb, err = newTestbed(spec, p); err != nil {
 			return err
 		}
-		fresh, err := virtualwire.New(cfg)
-		if err != nil {
-			return err
-		}
-		if hostGroup {
-			if _, err := fresh.AddHostGroup("h", spec.Hosts); err != nil {
-				return err
-			}
-		} else {
-			if err := fresh.AddNodesFromCompiled(p.compiled); err != nil {
-				return err
-			}
-			if err := fresh.LoadCompiled(p.compiled); err != nil {
-				return err
-			}
-		}
-		tb = fresh
-		c.tbs[p.shapeID] = tb
+		c[p.shapeID] = tb
 	}
 	return finishRun(ctx, spec, p, rec, tb)
 }
 
-// runOnce builds a private testbed for the point and runs it to the
-// horizon under the per-run wall-clock timeout. It is the fallback (and
-// test-visible) per-run path; the campaign executor normally routes
-// through testbedCache.run instead.
-func runOnce(ctx context.Context, spec *Spec, p point, rec *RunRecord) error {
+// newTestbed builds the point's shape: its config, its hosts — from
+// Spec.Nodes when that names them, else from the script's NODE_TABLE,
+// else Spec.Hosts generated ones — and its compiled scenario, staged.
+func newTestbed(spec *Spec, p point) (*virtualwire.Testbed, error) {
 	cfg := virtualwire.Config{Seed: p.seed}
 	if err := p.cfg.apply(&cfg); err != nil {
-		return err
+		return nil, err
 	}
 	tb, err := virtualwire.New(cfg)
 	if err != nil {
-		return err
-	}
-	nodeSrc := spec.Nodes
-	if nodeSrc == "" {
-		nodeSrc = p.script
+		return nil, err
 	}
 	switch {
-	case nodeSrc == "" && spec.Hosts > 0:
-		_, err = tb.AddHostGroup("h", spec.Hosts)
-	case p.compiled != nil && nodeSrc == p.script:
+	case spec.Nodes != "" && spec.Nodes != p.script:
+		err = tb.AddNodesFromScript(spec.Nodes)
+	case p.compiled != nil:
 		err = tb.AddNodesFromCompiled(p.compiled)
 	default:
-		err = tb.AddNodesFromScript(nodeSrc)
+		_, err = tb.AddHostGroup("h", spec.Hosts)
 	}
-	if err != nil {
-		return err
+	if err == nil && p.compiled != nil {
+		err = tb.LoadCompiled(p.compiled)
 	}
-	if p.script != "" {
-		if p.compiled != nil {
-			err = tb.LoadCompiled(p.compiled)
-		} else if p.scenario != "" {
-			err = tb.LoadScriptScenario(p.script, p.scenario)
-		} else {
-			err = tb.LoadScript(p.script)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return finishRun(ctx, spec, p, rec, tb)
+	return tb, err
 }
 
 // finishRun installs the point's workload on a staged testbed, runs it

@@ -262,7 +262,7 @@ func TestRetryOnTransient(t *testing.T) {
 			if n == 1 {
 				return fmt.Errorf("flaky launch: %w", virtualwire.ErrLaunchFailed)
 			}
-			return runOnce(ctx, s, p, rec)
+			return testbedCache{}.run(ctx, s, p, rec)
 		},
 	}
 	var sink bytes.Buffer
@@ -493,6 +493,56 @@ func TestVariantMatrix(t *testing.T) {
 	}
 	if faulted.Report.Scenario != "quickstart_drop_fifth" || len(faulted.Report.Faults) == 0 {
 		t.Errorf("faulted record = %+v", faulted)
+	}
+}
+
+// A worker builds one testbed per shape and rewinds it for every later
+// run of that shape — scripted, generated hosts, or a scriptless baseline
+// on a separate node table (which used to be rebuilt for every run) —
+// and a matrix compiles its one script once.
+func TestOneBuildPerShape(t *testing.T) {
+	noScript := ""
+	wl := tcpWorkload(8 * 1024)
+	specs := map[string]Spec{
+		"scripted":   quickstartSpec(3, []float64{0, 1e-6}),
+		"host-group": scaleSpec(24, 3),
+		"separate-nodes": {
+			Seed: 1, SeedCount: 3,
+			Nodes: quickstartScript, Script: quickstartScript,
+			Horizon: Duration(30 * time.Second),
+			Variants: []Variant{
+				{Label: "baseline", Script: &noScript, Workload: &wl},
+				{Label: "faulted", Workload: &wl},
+			},
+		},
+	}
+	for name, spec := range specs {
+		points, err := spec.expand()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compiled := make(map[*virtualwire.CompiledScript]bool)
+		built := make(map[int]*virtualwire.Testbed)
+		cache := testbedCache{}
+		for _, p := range points {
+			if p.compiled != nil {
+				compiled[p.compiled] = true
+			}
+			var rec RunRecord
+			if err := cache.run(context.Background(), &spec, p, &rec); err != nil {
+				t.Fatalf("%s: run %d: %v", name, p.index, err)
+			}
+			if tb, seen := built[p.shapeID]; seen && tb != cache[p.shapeID] {
+				t.Errorf("%s: run %d rebuilt the testbed of shape %d", name, p.index, p.shapeID)
+			}
+			built[p.shapeID] = cache[p.shapeID]
+		}
+		if len(compiled) > 1 {
+			t.Errorf("%s: one script compiled %d times", name, len(compiled))
+		}
+		if len(points) != 3*len(built) {
+			t.Errorf("%s: %d runs over %d testbeds, want three runs on each", name, len(points), len(built))
+		}
 	}
 }
 

@@ -19,9 +19,8 @@ func scaleSpec(hosts, seeds int) Spec {
 		Hosts:     hosts,
 		Horizon:   Duration(5 * time.Second),
 		Configs: []ConfigOverride{{
-			Label:      "star/compiled",
-			Classifier: "compiled",
-			Topology:   &TopologyOverride{Kind: "star", Switches: 3},
+			Label:    "star",
+			Topology: &TopologyOverride{Kind: "star", Switches: 3},
 		}},
 		Workloads: []WorkloadSpec{{
 			Kind: "incast", Count: 8, Bytes: 4 << 10,
@@ -69,22 +68,6 @@ func TestHostGroupCampaign(t *testing.T) {
 		if rec.DeliveredBytes != 8*(4<<10) {
 			t.Fatalf("record %d: delivered %d bytes", rec.Index, rec.DeliveredBytes)
 		}
-	}
-}
-
-// The classifier axis composes with scripted campaigns: linear and
-// compiled strategies produce byte-identical records.
-func TestClassifierAxisEquivalence(t *testing.T) {
-	base := quickstartSpec(2, nil)
-	mk := func(strategy string) Spec {
-		s := base
-		s.Configs = []ConfigOverride{{Classifier: strategy}}
-		return s
-	}
-	linSink, _ := runToBytes(t, mk("linear"), 1)
-	cmpSink, _ := runToBytes(t, mk("compiled"), 1)
-	if !bytes.Equal(linSink, cmpSink) {
-		t.Fatal("compiled classifier changed campaign records vs linear")
 	}
 }
 
@@ -146,15 +129,10 @@ func TestShardAxisIdentity(t *testing.T) {
 	}
 }
 
-// Topology/classifier validation fails fast at expand time, before any
+// Topology and workload validation fails fast at expand time, before any
 // run starts.
 func TestScaleSpecValidation(t *testing.T) {
 	bad := scaleSpec(24, 1)
-	bad.Configs[0].Classifier = "warp"
-	if _, err := Run(context.Background(), bad, Options{Workers: 1}); err == nil {
-		t.Error("unknown classifier accepted")
-	}
-	bad = scaleSpec(24, 1)
 	bad.Configs[0].Topology.Kind = "moebius"
 	if _, err := Run(context.Background(), bad, Options{Workers: 1}); err == nil {
 		t.Error("unknown topology kind accepted")

@@ -99,7 +99,7 @@ func TestHTTPSubmitRejectsBadSpecs(t *testing.T) {
 		{"bad-medium", `{"hosts": 2, "horizon": "1s", "configs": [{"medium": "pigeon"}]}`, "configs[0].medium"},
 		{"future-version", `{"version": 99, "hosts": 2, "horizon": "1s"}`, "version"},
 		{"removed-field", `{"version": 1, "hosts": 2, "horizon": "1s", "configs": [{"indexed_classifier": true}]}`, "indexed_classifier"},
-		{"removed-classifier", `{"version": 1, "hosts": 2, "horizon": "1s", "configs": [{"classifier": "auto"}]}`, "configs[0].classifier"},
+		{"removed-classifier", `{"version": 2, "hosts": 2, "horizon": "1s", "configs": [{"classifier": "compiled"}]}`, `unknown field "classifier"`},
 		{"no-horizon", `{"hosts": 2}`, "horizon"},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,13 +139,28 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// interruptRef is TestCloseReopenResumesInterruptedJob's uninterrupted
+// in-process reference, computed once per test binary.
+var interruptRef struct {
+	once           sync.Once
+	jsonl, summary []byte
+}
+
 // Closing the manager mid-campaign and reopening over the same journal
 // root must resume the interrupted job where its journal ends — without
 // re-running completed runs — and finish with the same bytes as one
 // uninterrupted run. This is the daemon kill+restart path.
 func TestCloseReopenResumesInterruptedJob(t *testing.T) {
-	spec := testSpec(60)
-	wantJSONL, wantSummary := inProcessBytes(t, spec)
+	// 2 000 runs take ~130 ms, over a hundred times the poll interval
+	// below: by the time three records are seen and Close is called the
+	// job cannot have finished. (At 60 runs it took ~6 ms and sometimes
+	// had.) The reference bytes are the same on every -count iteration.
+	spec := testSpec(2000)
+	interruptRef.once.Do(func() { interruptRef.jsonl, interruptRef.summary = inProcessBytes(t, spec) })
+	wantJSONL, wantSummary := interruptRef.jsonl, interruptRef.summary
+	if wantJSONL == nil {
+		t.Fatal("reference run failed in an earlier iteration")
+	}
 
 	dir := t.TempDir()
 	m1 := openManager(t, dir, 2)
@@ -163,15 +179,17 @@ func TestCloseReopenResumesInterruptedJob(t *testing.T) {
 		if cur.Completed >= 3 {
 			break
 		}
-		if cur.State == service.StateDone {
-			t.Skip("campaign finished before it could be interrupted")
-		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no progress before deadline: %+v", cur)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	m1.Close()
+	// A job Close interrupted stays "running" (resumable); any other
+	// state means it ended first and there is nothing to resume.
+	if cur, err := m1.Get(st.ID); err != nil || cur.State != service.StateRunning {
+		t.Fatalf("job was not interrupted by Close: %+v (err %v)", cur, err)
+	}
 
 	partial := readJournal(t, dir, st.ID)
 	if len(partial) == 0 || len(partial) >= len(wantJSONL) {

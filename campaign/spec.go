@@ -131,9 +131,6 @@ type ConfigOverride struct {
 	BitsPerSecond float64 `json:"bits_per_second,omitempty"`
 	// Propagation overrides the per-segment delay when positive.
 	Propagation Duration `json:"propagation,omitempty"`
-	// Classifier selects the classification strategy axis value:
-	// "linear" (also the meaning of "") or "compiled".
-	Classifier string `json:"classifier,omitempty"`
 	// Shards is this axis value's shard count: nil, 0 and 1 all one
 	// shard, -1 auto, > 1 explicit (see
 	// virtualwire.Config.Shards). The executor budgets the worker pool so
@@ -234,13 +231,6 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	}
 	if o.Propagation > 0 {
 		cfg.Propagation = o.Propagation.D()
-	}
-	if o.Classifier != "" {
-		strat, err := virtualwire.ParseClassifierStrategy(o.Classifier)
-		if err != nil {
-			return prefixField("classifier", err)
-		}
-		cfg.Classifier = strat
 	}
 	if o.Shards != nil {
 		cfg.Shards = *o.Shards

@@ -7,13 +7,13 @@ package campaign
 // vwcampaignd submit endpoint — and one consumer, the executor. All of
 // them speak the same schema, identified by the "version" field:
 //
-//   - Version 2 is the schema documented in docs/CAMPAIGNS.md. A spec
+//   - Version 3 is the schema documented in docs/CAMPAIGNS.md. A spec
 //     that omits "version" is the current version (Normalize stamps it).
-//   - Version 2 removed one config field and three classifier names
-//     from version 1 (docs/SERVICE.md lists them). A spec stamped
-//     version 1 that uses none of them means the same under version 2
-//     and still parses; one that does is rejected at submit time like
-//     any other unknown field or value.
+//   - Versions 2 and 3 each removed names from the one before
+//     (docs/SERVICE.md lists them). A spec stamped with an older version
+//     that uses none of them means the same today, still parses and keeps
+//     its stamp, so its Hash does not move; one that does is rejected at
+//     submit time like any other unknown field.
 //   - Unknown fields are rejected, not ignored: a typoed axis name must
 //     fail at submit time, never silently shrink a matrix.
 //   - A build rejects every version newer than SpecVersion. Within one
@@ -42,7 +42,7 @@ import (
 )
 
 // SpecVersion is the wire-schema version this build reads and writes.
-const SpecVersion = 2
+const SpecVersion = 3
 
 // OutputGeneration numbers the deliberate breaks of run-record bytes:
 // two builds of the same generation write byte-identical records for the

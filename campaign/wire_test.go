@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,6 @@ func TestValidateNamesFieldPaths(t *testing.T) {
 		{"horizon", func(s *Spec) { s.Horizon = 0 }, "horizon"},
 		{"retries", func(s *Spec) { s.Retries = -1 }, "retries"},
 		{"medium", func(s *Spec) { s.Configs[1].Medium = "pigeon" }, "configs[1].medium"},
-		{"classifier", func(s *Spec) { s.Configs[0].Classifier = "warp" }, "configs[0].classifier"},
 		{"workload", func(s *Spec) { s.Workloads[0].Kind = "stampede" }, "workloads[0].kind"},
 		{"trunkfault", func(s *Spec) {
 			s.Configs[0].Topology = &TopologyOverride{Kind: "ring"}
@@ -203,31 +203,35 @@ func TestParseSpecAcceptsVersionlessSpec(t *testing.T) {
 	}
 }
 
-// Version 2 removed the indexed_classifier field and the classifier names
-// "default", "indexed" and "auto". A spec stamped version 1 (or none)
-// still parses, keeping its stamp, unless it uses one of them; those are
-// rejected at submit time naming the field.
+// Version 2 removed indexed_classifier and version 3 removed classifier.
+// A spec stamped with an older version (or none) that names neither still
+// parses, keeps its stamp and hashes as the build that wrote it did — the
+// two hashes below are commit d766a99's, which still had the field — and
+// one that names either gets the unknown-field error at every version.
 func TestParseSpecVersion1(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{"version": 1, "hosts": 2, "horizon": "1s", "configs": [{"classifier": "compiled"}, {"classifier": "linear"}]}`))
-	if err != nil {
-		t.Fatalf("version-1 spec rejected: %v", err)
-	}
-	if spec.Version != 1 {
-		t.Errorf("Version = %d, want the spec's own stamp 1", spec.Version)
+	const body = `"name": "old", "seed": 5, "seed_count": 2, "hosts": 2, "horizon": "1s", "configs": [{"label": "a"}, {"label": "b", "medium": "bus"}]}`
+	for version, hash := range map[int]string{
+		1: "022a38d7ba032dad9fee30a2e8ec065767703c78ab28868fd82ba7a019ed4105",
+		2: "6542cc9097bb62a7977c1c8fb232677136492b7ff2b2a8cc354c3dd521afb005",
+	} {
+		spec, err := ParseSpec([]byte(fmt.Sprintf(`{"version": %d, %s`, version, body)))
+		if err != nil {
+			t.Fatalf("version-%d spec rejected: %v", version, err)
+		}
+		if spec.Version != version {
+			t.Errorf("Version = %d, want the spec's own stamp %d", spec.Version, version)
+		}
+		if got := spec.Hash(); got != hash {
+			t.Errorf("version-%d spec hashes to %s, want %s", version, got, hash)
+		}
 	}
 
-	for _, version := range []string{`"version": 1, `, ``} {
-		_, err := ParseSpec([]byte(`{` + version + `"hosts": 2, "horizon": "1s", "configs": [{"indexed_classifier": true}]}`))
-		if err == nil || !strings.Contains(err.Error(), `unknown field "indexed_classifier"`) {
-			t.Errorf("indexed_classifier (%q): err = %v, want the unknown-field error", version, err)
-		}
-		for _, name := range []string{"default", "indexed", "auto"} {
-			_, err := ParseSpec([]byte(`{` + version + `"hosts": 2, "horizon": "1s", "configs": [{}, {"classifier": "` + name + `"}]}`))
-			var fe *FieldError
-			if !errors.As(err, &fe) || fe.Path != "configs[1].classifier" {
-				t.Errorf("classifier %q (%q): err = %v, want FieldError at configs[1].classifier", name, version, err)
-			} else if msg := fe.Error(); !strings.Contains(msg, "linear") || !strings.Contains(msg, "compiled") {
-				t.Errorf("classifier %q: error does not name the two strategies: %v", name, err)
+	for _, version := range []string{`"version": 1, `, `"version": 2, `, `"version": 3, `, ``} {
+		for _, member := range []string{`"indexed_classifier": true`, `"classifier": "linear"`, `"classifier": "compiled"`} {
+			_, err := ParseSpec([]byte(`{` + version + `"hosts": 2, "horizon": "1s", "configs": [{` + member + `}]}`))
+			name := member[:strings.Index(member, ":")]
+			if err == nil || !strings.Contains(err.Error(), "unknown field "+name) {
+				t.Errorf("%s (%q): err = %v, want the unknown-field error", member, version, err)
 			}
 		}
 	}

@@ -1,10 +1,11 @@
 // Command fslcheck parses a Fault Specification Language script and
 // prints the six tables the VirtualWire front-end compiles it into
 // (filter, node, counter, term, condition, action — Figure 3 of the
-// paper), followed by the compiled classifier dispatch shape (tree
-// depth, fanout, worst-case tuple comparisons). It is the quickest way
-// to validate a script — and to see whether its filter table compiles
-// into an effective dispatch tree — before running it.
+// paper), followed by the shape of the dispatch tree every engine
+// classifies with unless the run charges Cost.PerTuple (tree depth,
+// fanout, worst-case tuple comparisons). It is the quickest way to
+// validate a script — and to see whether its filter table compiles into
+// an effective dispatch tree — before running it.
 //
 // Usage:
 //
@@ -49,9 +50,8 @@ func run(args []string) error {
 }
 
 // printDispatchShape reports the compiled classifier dispatch tree: how
-// the filter table will classify under Config.Classifier =
-// compiled/auto, and whether the table has discriminating literal
-// fields at all.
+// the engines will classify the filter table, and whether the table has
+// discriminating literal fields at all.
 func printDispatchShape(p *core.Program) {
 	s := p.CompiledDispatch().Shape()
 	fmt.Println("COMPILED DISPATCH")

@@ -75,7 +75,6 @@ func run() (code int, retErr error) {
 	echoSpec := flag.String("echo", "", "UDP echo workload: client-server:port:count")
 	hosts := flag.Int("hosts", 0, "scriptless runs over this many generated hosts (alternative to -script)")
 	topology := flag.String("topology", "", "multi-switch fabric: kind[:switches], kind = star, ring, fattree or random")
-	classifier := flag.String("classifier", "", "classifier strategy: linear or compiled")
 	incastSpec := flag.String("incast", "", "incast workload: senders:bytes (N-to-1 onto the first host)")
 	manyflowSpec := flag.String("manyflow", "", "many-flow workload: flows:bytes (random pairs across all hosts)")
 	horizon := flag.Duration("horizon", 60*time.Second, "virtual-time horizon per run")
@@ -202,19 +201,15 @@ func run() (code int, retErr error) {
 				spec.Configs[i].RLL = &on
 			}
 		}
-		if *topology != "" || *classifier != "" {
+		if *topology != "" {
 			if len(spec.Configs) == 0 {
 				spec.Configs = []campaign.ConfigOverride{{Medium: *medium}}
 			}
-			var topo *campaign.TopologyOverride
-			if *topology != "" {
-				var err error
-				if topo, err = parseTopology(*topology); err != nil {
-					return 1, fmt.Errorf("-topology: %w", err)
-				}
+			topo, err := parseTopology(*topology)
+			if err != nil {
+				return 1, fmt.Errorf("-topology: %w", err)
 			}
 			for i := range spec.Configs {
-				spec.Configs[i].Classifier = *classifier
 				spec.Configs[i].Topology = topo
 			}
 		}

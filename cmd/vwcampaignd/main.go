@@ -30,6 +30,27 @@ import (
 	"virtualwire/campaign/service"
 )
 
+// The two http.Server timeouts that bound what an idle or stalled client
+// may hold. Not ReadTimeout or WriteTimeout: those run over the whole
+// request and response, and would cut a submit body of up to 64 MiB and
+// every record stream that outlives them.
+const (
+	// readHeaderTimeout is how long a connection may take to send its
+	// request line and headers before the server closes it.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout is how long a keep-alive connection may sit between
+	// requests.
+	idleTimeout = 2 * time.Minute
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "vwcampaignd:", err)
@@ -69,7 +90,7 @@ func run() error {
 	log.Printf("vwcampaignd: listening on %s (budget %d slots, %d cpus)",
 		ln.Addr(), m.Budget(), runtime.GOMAXPROCS(0))
 
-	srv := &http.Server{Handler: service.NewHandler(m)}
+	srv := newServer(service.NewHandler(m))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

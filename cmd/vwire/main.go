@@ -113,11 +113,7 @@ func run() error {
 		}
 		tb.AddRTStream(sp, dp)
 	}
-	if *scenario != "" {
-		if err := tb.LoadScriptScenario(script, *scenario); err != nil {
-			return err
-		}
-	} else if err := tb.LoadScript(script); err != nil {
+	if err := tb.LoadScriptScenario(script, *scenario); err != nil {
 		return err
 	}
 	if *showTables {

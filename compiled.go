@@ -55,7 +55,7 @@ func newCompiledScript(src string, prog *core.Program) (*CompiledScript, error) 
 	}
 	// Build the classifier dispatch tree eagerly, alongside the INIT
 	// blob: compile-once artifacts both, shared read-only by every engine
-	// that adopts this program (Config.Classifier: compiled/auto).
+	// that adopts this program.
 	prog.CompiledDispatch()
 	return &CompiledScript{src: src, prog: prog, initBlob: blob}, nil
 }
@@ -86,11 +86,29 @@ func (tb *Testbed) AddNodesFromCompiled(cs *CompiledScript) error {
 	return nil
 }
 
-// LoadCompiled stages a pre-compiled scenario — LoadScript without the
-// per-testbed compile. Every node of the script's NODE_TABLE must
-// already exist with matching identity. The staged tables stay shared:
-// the testbed never mutates them, and the controller distributes the
-// script's pre-encoded INIT blob instead of re-encoding per launch.
+// LoadScript compiles an FSL script with exactly one SCENARIO block and
+// stages it: CompileScript followed by LoadCompiled.
+func (tb *Testbed) LoadScript(src string) error {
+	return tb.LoadScriptScenario(src, "")
+}
+
+// LoadScriptScenario compiles a (possibly multi-scenario) script and
+// stages the named scenario: CompileScriptScenario followed by
+// LoadCompiled.
+func (tb *Testbed) LoadScriptScenario(src, scenario string) error {
+	cs, err := CompileScriptScenario(src, scenario)
+	if err != nil {
+		return err
+	}
+	return tb.LoadCompiled(cs)
+}
+
+// LoadCompiled stages a compiled scenario — the one way a script reaches
+// the engines. Every node of the script's NODE_TABLE must already exist
+// with matching identity. The staged tables stay shared: the testbed
+// never mutates them, the controller distributes the script's pre-encoded
+// INIT blob, and every engine adopts the one program and its one dispatch
+// tree.
 func (tb *Testbed) LoadCompiled(cs *CompiledScript) error {
 	for _, nd := range cs.prog.Nodes {
 		n, ok := tb.byName[nd.Name]
@@ -102,8 +120,7 @@ func (tb *Testbed) LoadCompiled(cs *CompiledScript) error {
 				nd.Name, nd.MAC, nd.IP, n.MAC(), n.IP())
 		}
 	}
-	tb.prog = cs.prog
-	tb.compiled = cs
+	tb.script = cs
 	return nil
 }
 

@@ -6,32 +6,33 @@ import (
 	"virtualwire/internal/ether"
 )
 
-// Strategy selects how the classifier searches the filter table. Both
-// strategies implement identical semantics — same winning filter, same
-// committed bindings — and differ only in work per packet (see
-// docs/PERFORMANCE.md for the measured numbers).
+// Strategy is how a classifier searches the filter table. Both
+// strategies pick the same winning filter and commit the same bindings
+// for every frame; they differ only in work per packet (see
+// docs/PERFORMANCE.md, "Classifier"). No configuration selects one: an
+// engine reads it off its cost model (Engine.load).
 type Strategy int
 
 const (
-	// StrategyLinear, the zero value and the default, is the paper's: a
-	// scan in table order with first-match priority ("the current
-	// VirtualWire implementation searches linearly through the packet type
-	// definitions", Section 7 — the cause of Figure 8's linear overhead
-	// growth). Its tuple count is what the Figure 8 cost model charges,
+	// StrategyCompiled, the zero value, walks the program's compiled
+	// dispatch tree (dispatch.go): flat in #filters.
+	StrategyCompiled Strategy = iota
+	// StrategyLinear is the paper's: a scan in table order with
+	// first-match priority ("the current VirtualWire implementation
+	// searches linearly through the packet type definitions", Section 7 —
+	// the cause of Figure 8's linear overhead growth). Its per-frame tuple
+	// count, short-circuits included, is what CostModel.PerTuple charges,
 	// and it is the oracle of the equivalence property test.
-	StrategyLinear Strategy = iota
-	// StrategyCompiled walks the program's compiled dispatch tree
-	// (dispatch.go): flat in #filters.
-	StrategyCompiled
+	StrategyLinear
 )
 
-// String names the strategy as config surfaces spell it.
+// String names the strategy.
 func (s Strategy) String() string {
 	switch s {
-	case StrategyLinear:
-		return "linear"
 	case StrategyCompiled:
 		return "compiled"
+	case StrategyLinear:
+		return "linear"
 	}
 	return "unknown"
 }
@@ -49,9 +50,8 @@ type Classifier struct {
 	// Strategy selects the search.
 	Strategy Strategy
 
-	// dispatch is the compiled decision tree, shared immutably across
-	// engines when adopted from Program.CompiledDispatch; built lazily
-	// (privately) if the compiled strategy is selected without one.
+	// dispatch is the program's compiled decision tree, shared immutably
+	// by every classifier over the program.
 	dispatch *Dispatch
 
 	// TuplesCompared counts tuple comparisons (the unit of the Figure 8
@@ -61,9 +61,8 @@ type Classifier struct {
 	// scans a subset of the linear scan's filters for every frame.
 	FiltersScanned uint64
 	// NodeTests counts dispatch-tree field probes (compiled strategy
-	// only). Kept separate from TuplesCompared so the per-filter
-	// comparison counts stay strategy-monotone; the engine cost model
-	// charges both at PerTuple.
+	// only), kept apart from TuplesCompared so the per-filter comparison
+	// counts stay strategy-monotone.
 	NodeTests uint64
 
 	// scratch holds the not-yet-committed variable bindings of the filter
@@ -80,22 +79,19 @@ type binding struct {
 	val []byte
 }
 
-// NewClassifier builds a classifier over the program's filter table. A
-// (local) dispatch tree builds lazily on first use of the compiled
-// strategy, so the default pays nothing for it.
+// NewClassifier builds a classifier over the program's filter table and
+// its shared dispatch tree (built on the program's first use).
 func NewClassifier(p *Program) *Classifier {
 	return &Classifier{
-		filters: p.Filters,
-		vars:    make([][]byte, len(p.Vars)),
+		filters:  p.Filters,
+		vars:     make([][]byte, len(p.Vars)),
+		dispatch: p.CompiledDispatch(),
 	}
 }
 
-// UseDispatch adopts a pre-built (shared, immutable) dispatch tree.
-func (c *Classifier) UseDispatch(d *Dispatch) { c.dispatch = d }
-
 // Reset clears all run-time state — variable bindings and work counters —
-// so the classifier (and its lazily built dispatch tree) can be reused for
-// a fresh run over the same filter table.
+// so the classifier can be reused for a fresh run over the same filter
+// table.
 func (c *Classifier) Reset() {
 	for i := range c.vars {
 		c.vars[i] = nil
@@ -133,9 +129,6 @@ func (c *Classifier) Classify(fr *ether.Frame) FilterID {
 }
 
 func (c *Classifier) classifyCompiled(fr *ether.Frame) FilterID {
-	if c.dispatch == nil {
-		c.dispatch = BuildDispatch(c.filters)
-	}
 	d := c.dispatch
 	if len(d.nodes) == 0 {
 		return -1

@@ -121,7 +121,6 @@ func TestClassifierStrategyEquivalence(t *testing.T) {
 		lin.Strategy = StrategyLinear
 		cmp := NewClassifier(p)
 		cmp.Strategy = StrategyCompiled
-		cmp.UseDispatch(p.CompiledDispatch())
 
 		for fi := 0; fi < 30; fi++ {
 			fr := randFrame(rng)
@@ -162,7 +161,6 @@ func TestDispatchSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			c := NewClassifier(p)
 			c.Strategy = StrategyCompiled
-			c.UseDispatch(p.CompiledDispatch())
 			fr := tcpFrame(0x4000, 0x6000, 100, 200, packet.TCPAck)
 			var last FilterID
 			for i := 0; i < 200; i++ {
@@ -234,9 +232,6 @@ func BenchmarkClassifierSize(b *testing.B) {
 				p := sweepProgram(n)
 				c := NewClassifier(p)
 				c.Strategy = strat
-				if strat == StrategyCompiled {
-					c.UseDispatch(p.CompiledDispatch())
-				}
 				fr := sweepFrame(n)
 				want := FilterID(n - 1)
 				b.ReportAllocs()

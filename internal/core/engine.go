@@ -24,8 +24,10 @@ const Jiffy = 10 * time.Millisecond
 type CostModel struct {
 	// Base is charged for every intercepted packet.
 	Base time.Duration
-	// PerTuple is charged per filter tuple compared during
-	// classification (the linear-search term).
+	// PerTuple is charged per filter tuple the paper's linear scan
+	// compares for the frame (the linear-search term). Charging it makes
+	// the engine run that scan; with it zero no run output depends on the
+	// search, and the engine walks the compiled dispatch tree instead.
 	PerTuple time.Duration
 	// PerCounterUpdate is charged per counter update (table walk).
 	PerCounterUpdate time.Duration
@@ -147,9 +149,6 @@ type Engine struct {
 	Cost CostModel
 	// Stats accumulates counters.
 	Stats EngineStats
-	// ClassifyStrategy selects the classifier search strategy (linear,
-	// the zero value, or compiled), applied when a program is loaded.
-	ClassifyStrategy Strategy
 
 	controller *Controller
 	faultLog   []FaultEvent
@@ -243,8 +242,8 @@ func (e *Engine) Snapshot(sn *metrics.Snapshot) {
 
 // ClassifierWork reports the loaded classifier's cumulative work: filter
 // entries visited, per-filter tuple comparisons, and dispatch-tree probes
-// (always zero under the linear strategy). The cost model charges the
-// last two at PerTuple.
+// (zero whenever Cost.PerTuple is charged: that engine runs the linear
+// scan).
 func (e *Engine) ClassifierWork() (filtersScanned, tuplesCompared, nodeTests uint64) {
 	if e.classifier == nil {
 		return 0, 0, 0
@@ -281,8 +280,14 @@ func (e *Engine) LoadLocal(p *Program, self, controlNode NodeID) {
 }
 
 func (e *Engine) load(p *Program, self, controlNode NodeID) {
+	// The cost model picks the scan: PerTuple charges the linear scan's
+	// per-frame tuple count, so charging it means running that scan.
+	strategy := StrategyCompiled
+	if e.Cost.PerTuple > 0 {
+		strategy = StrategyLinear
+	}
 	if e.prog == p && e.self == self && e.controlNode == controlNode &&
-		e.classifier != nil && e.classifier.Strategy == e.ClassifyStrategy {
+		e.classifier != nil && e.classifier.Strategy == strategy {
 		// Same tables, same identity (a reused testbed re-running the
 		// scenario): rewind the execution state in place instead of
 		// reallocating every table-sized slice and map.
@@ -310,12 +315,7 @@ func (e *Engine) load(p *Program, self, controlNode NodeID) {
 	e.self = self
 	e.controlNode = controlNode
 	e.classifier = NewClassifier(p)
-	e.classifier.Strategy = e.ClassifyStrategy
-	if e.ClassifyStrategy == StrategyCompiled {
-		// Adopt the program's shared immutable tree (built once per
-		// Program) instead of compiling a private copy per engine.
-		e.classifier.UseDispatch(p.CompiledDispatch())
-	}
+	e.classifier.Strategy = strategy
 	e.macToNode = make(map[packet.MAC]NodeID, len(p.Nodes))
 	for i, n := range p.Nodes {
 		e.macToNode[n.MAC] = NodeID(i)
@@ -481,7 +481,7 @@ func (e *Engine) inject(fr *ether.Frame, dir Direction) {
 // one-shot faults.
 func (e *Engine) process(fr *ether.Frame, dir Direction) (consumed bool, cost time.Duration, dup bool) {
 	e.Stats.PacketsIntercepted++
-	tuplesBefore := e.classifier.TuplesCompared + e.classifier.NodeTests
+	tuplesBefore := e.classifier.TuplesCompared
 	updatesBefore := e.Stats.CounterUpdates
 	actionsBefore := e.Stats.ActionsFired
 
@@ -544,11 +544,8 @@ func (e *Engine) process(fr *ether.Frame, dir Direction) (consumed bool, cost ti
 	}
 
 	if e.Cost.enabled() {
-		// Dispatch-tree field probes are comparisons too: charging them
-		// at PerTuple keeps the cost model honest across strategies (and
-		// is what flattens the Figure 8 curve rather than zeroing it).
 		cost = e.Cost.Base +
-			time.Duration(e.classifier.TuplesCompared+e.classifier.NodeTests-tuplesBefore)*e.Cost.PerTuple +
+			time.Duration(e.classifier.TuplesCompared-tuplesBefore)*e.Cost.PerTuple +
 			time.Duration(e.Stats.CounterUpdates-updatesBefore)*e.Cost.PerCounterUpdate +
 			time.Duration(e.Stats.ActionsFired-actionsBefore)*e.Cost.PerAction
 	}

@@ -17,12 +17,21 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== fuzz (10 s) =="
-# The record encoder is hand-written and must stay byte-for-byte what
-# encoding/json would write: ten seconds of coverage-guided inputs on top
-# of the seed corpus `go test` already ran. Minimising each newly covered
-# input is capped, or it would eat the whole budget.
+echo "== bench/ module (vet + test) =="
+# bench/ is a module of its own, so nothing above enters it, yet it calls
+# root, campaign, service and internal/core API by name: a deletion there
+# has to fail here, not in the next benchmark run.
+(cd bench && go vet ./... && go test ./...)
+
+echo "== fuzz (2 x 10 s) =="
+# Ten seconds of coverage-guided inputs each, on top of the seed corpora
+# `go test` already ran. Minimising each newly covered input is capped,
+# or it would eat the whole budget. The record encoder is hand-written and
+# must stay byte-for-byte what encoding/json would write; the FSL front
+# end takes tenant-written source and must answer it with an error or a
+# program that builds, dumps and encodes — never a panic.
 go test -run '^$' -fuzz '^FuzzRunRecordJSON$' -fuzztime 10s -fuzzminimizetime 1s ./campaign
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fsl
 
 echo "== campaign smoke (-race, small matrix) =="
 # An end-to-end campaign through the real CLI: 8 runs (4 seeds x 2 bit
@@ -285,10 +294,11 @@ fi
 echo "data path: $STEADY_BOP B/op for a $COPY_BYTES-byte transfer (limit 0.25 B per payload byte)"
 
 echo "== compiled dispatch flatness gate =="
-# The compiled classifier's selling point is flat per-packet cost in the
-# filter count: classifying against 512 filters must cost no more than
-# 2x classifying against 8. (Linear is ~60x at this spread.) Guards the
-# dispatch tree from quietly degenerating into a residual linear scan.
+# The compiled classifier — what every engine without a per-tuple cost
+# charge runs — is flat per packet in the filter count: classifying
+# against 512 filters must cost no more than 2x classifying against 8.
+# (Linear is ~60x at this spread.) Guards the dispatch tree from quietly
+# degenerating into a residual linear scan.
 SWEEP="$(go test -run '^$' -bench 'BenchmarkClassifierSize/compiled' -benchtime 0.2s ./internal/core)"
 echo "$SWEEP" | grep '^Benchmark' || true
 N8="$(echo "$SWEEP" | awk '/compiled\/n8-/ || /compiled\/n8 / { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i - 1) }')"

@@ -39,30 +39,3 @@ func CheckScript(src, name string) error {
 	}
 	return scriptErr(fmt.Errorf("script has no scenario %q", name))
 }
-
-// LoadScriptScenario compiles a multi-scenario script and stages the
-// named scenario (LoadScript requires exactly one SCENARIO block).
-func (tb *Testbed) LoadScriptScenario(src, name string) error {
-	progs, err := fsl.CompileAll(src)
-	if err != nil {
-		return scriptErr(err)
-	}
-	for _, p := range progs {
-		if p.Name != name {
-			continue
-		}
-		for _, nd := range p.Nodes {
-			n, ok := tb.byName[nd.Name]
-			if !ok {
-				return fmt.Errorf("virtualwire: script node %q not in testbed", nd.Name)
-			}
-			if n.host.MAC != nd.MAC || n.host.IP != nd.IP {
-				return fmt.Errorf("virtualwire: script node %q identity mismatch", nd.Name)
-			}
-		}
-		tb.prog = p
-		tb.compiled = nil
-		return nil
-	}
-	return scriptErr(fmt.Errorf("script has no scenario %q", name))
-}

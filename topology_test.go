@@ -2,20 +2,22 @@ package virtualwire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The two classifier strategies must be observationally equivalent: the
-// same scenario under linear and compiled dispatch produces
-// byte-identical RunReports (same faults, verdict, metrics). They differ
-// only in classification work, which a non-zero Cost turns into virtual
-// time and so into output bytes. That is why the default must stay
-// linear, and the second half pins it: the zero Config does exactly the
-// explicit linear run's work and never probes a dispatch node.
-func TestClassifierStrategiesByteIdentical(t *testing.T) {
+// No option selects a classifier: the engines read the choice off the
+// cost model. Cost.PerTuple charges the paper's linear scan's per-frame
+// tuple count, so charging it runs that scan; with it zero no output byte
+// depends on the search and the engines walk the script's dispatch tree.
+// Every digest below is of the parent commit's run under its linear
+// default, when the choice was still Config.Classifier — the rule moved
+// no byte on either side of it.
+func TestCostModelPicksTheScan(t *testing.T) {
 	// Two decoys ahead of the data filter give the dispatch tree a field
 	// to split on; the stock one-filter table compiles to a single leaf.
 	script := strings.Replace(readScript(t, "quickstart_drop.fsl"), "FILTER_TABLE\n",
@@ -24,41 +26,51 @@ func TestClassifierStrategiesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type work struct{ filters, tuples, probes uint64 }
-	run := func(cfg Config) ([]byte, work) {
-		t.Helper()
-		cfg.Seed = 77
-		tb := buildQuickstart(t, cs, cfg)
-		addQuickstartBulk(t, tb)
-		rep, err := tb.Run(resetTestHorizon)
-		if err != nil {
-			t.Fatalf("%v: %v", cfg.Classifier, err)
-		}
-		if !rep.Passed {
-			t.Fatalf("%v: scenario failed: %+v", cfg.Classifier, rep.Result)
-		}
-		var w work
-		for _, n := range tb.nodes {
-			f, tu, p := n.engine.ClassifierWork()
-			w.filters, w.tuples, w.probes = w.filters+f, w.tuples+tu, w.probes+p
-		}
-		return reportBytes(t, rep), w
+	cases := []struct {
+		name   string
+		cost   CostModel
+		linear bool
+		digest string
+	}{
+		{"free", CostModel{}, false,
+			"efb9afbd248a1486f310e6a9d17ce69aac9ddb0a0bd7fd2b5a0a16f3888b1b43"},
+		{"per-tuple", CostModel{Base: 200 * time.Nanosecond, PerTuple: 70 * time.Nanosecond}, true,
+			"7a27f4cf8788020546ddabf1cf7dcbf315bd32c5128160b4f102f656a9bada2d"},
+		{"base-only", CostModel{Base: 200 * time.Nanosecond}, false,
+			"d0001a874fbc411c447732ae1b0ea03e21f7bed2ad7399ce7e2ee18d68df63ee"},
 	}
-	linear, _ := run(Config{Classifier: ClassifierLinear})
-	compiled, _ := run(Config{Classifier: ClassifierCompiled})
-	if !bytes.Equal(linear, compiled) {
-		t.Fatal("the compiled strategy changed the run output")
-	}
-
-	cost := CostModel{Base: 200 * time.Nanosecond, PerTuple: 70 * time.Nanosecond}
-	_, zero := run(Config{Cost: cost})
-	_, lin := run(Config{Cost: cost, Classifier: ClassifierLinear})
-	_, cmp := run(Config{Cost: cost, Classifier: ClassifierCompiled})
-	if zero != lin || zero.tuples == 0 || zero.probes != 0 {
-		t.Errorf("zero Config classified with %+v, explicit linear with %+v", zero, lin)
-	}
-	if cmp.probes == 0 {
-		t.Errorf("compiled run probed no dispatch node (%+v): the comparison above proves nothing", cmp)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := buildQuickstart(t, cs, Config{Seed: 77, Cost: c.cost})
+			addQuickstartBulk(t, tb)
+			rep, err := tb.Run(resetTestHorizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Passed {
+				t.Fatalf("scenario failed: %+v", rep.Result)
+			}
+			var filters, tuples, probes uint64
+			for _, n := range tb.nodes {
+				f, tu, p := n.engine.ClassifierWork()
+				filters, tuples, probes = filters+f, tuples+tu, probes+p
+			}
+			if c.linear {
+				// The parent's linear run of this table: every filter
+				// visited in order, every tuple up to the first mismatch.
+				if filters != 168 || tuples != 228 || probes != 0 {
+					t.Errorf("charged run did %d filters / %d tuples / %d probes, want the linear scan's 168 / 228 / 0",
+						filters, tuples, probes)
+				}
+			} else if probes == 0 {
+				t.Errorf("uncharged run probed no dispatch node (%d filters, %d tuples): it ran the linear scan",
+					filters, tuples)
+			}
+			sum := sha256.Sum256(reportBytes(t, rep))
+			if got := hex.EncodeToString(sum[:]); got != c.digest {
+				t.Errorf("report digest %s, want the parent's linear run's %s", got, c.digest)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 //	tb, _ := virtualwire.New(virtualwire.Config{})
 //	tb.AddNodesFromScript(script)    // hosts from the NODE_TABLE
-//	tb.LoadScript(script)            // compile + stage the scenario
+//	tb.LoadScript(script)            // CompileScript + LoadCompiled
 //	tb.AddTCPBulk(virtualwire.TCPBulkConfig{From: "node1", To: "node2",
 //	    SrcPort: 0x6000, DstPort: 0x4000, Bytes: 1 << 20})
 //	report, _ := tb.Run(30 * time.Second)
@@ -63,36 +63,6 @@ type (
 // RunReport.Text (the structured replacement for Summary) or marshal it
 // with RunReport.WriteJSON.
 
-// ClassifierStrategy selects the per-engine packet classification
-// algorithm (re-export of core.Strategy).
-type ClassifierStrategy = core.Strategy
-
-// Classifier strategies. Both pick the same filter and commit the same
-// bindings for every frame; they differ in work per packet, and so in
-// the engine's tuple counters and — under a non-zero Cost — in virtual
-// time.
-const (
-	// ClassifierLinear, the zero value and the default, is the paper's
-	// linear first-match scan; its tuple count drives Figure 8's cost
-	// model.
-	ClassifierLinear = core.StrategyLinear
-	// ClassifierCompiled installs the dispatch tree compiled once per
-	// program (CompileScript) and shared across all engines.
-	ClassifierCompiled = core.StrategyCompiled
-)
-
-// ParseClassifierStrategy resolves a strategy name: "" or "linear", or
-// "compiled". Anything else is an error.
-func ParseClassifierStrategy(s string) (ClassifierStrategy, error) {
-	switch s {
-	case "", "linear":
-		return ClassifierLinear, nil
-	case "compiled":
-		return ClassifierCompiled, nil
-	}
-	return ClassifierLinear, fmt.Errorf("virtualwire: unknown classifier strategy %q (want linear or compiled)", s)
-}
-
 // MediumKind selects the testbed wiring.
 type MediumKind int
 
@@ -123,12 +93,11 @@ type Config struct {
 	RLL bool
 	// RLLWindow is the RLL go-back-N window (default 32).
 	RLLWindow int
-	// Cost is the engine processing-cost model (zero = free).
+	// Cost is the engine processing-cost model (zero = free). It also
+	// picks the classifier: engines run the paper's linear scan exactly
+	// when Cost.PerTuple charges for it, and the script's compiled
+	// dispatch tree otherwise (docs/PERFORMANCE.md, "Classifier").
 	Cost CostModel
-	// Classifier selects the classification strategy: the paper's
-	// linear scan (ClassifierLinear, the zero value) or the dispatch
-	// tree compiled once per script (ClassifierCompiled).
-	Classifier ClassifierStrategy
 	// Topology, when non-nil with a Kind other than TopoSingle, replaces
 	// the single switch with a generated multi-switch fabric (star,
 	// ring, fat-tree, random) joined by trunk links — the 1000-node
@@ -254,8 +223,8 @@ func (tb *Testbed) InjectedFaults() []InjectedFault {
 	for _, n := range tb.nodes {
 		for _, f := range n.engine.FaultLog() {
 			pkt := ""
-			if tb.prog != nil && f.Filter >= 0 && int(f.Filter) < len(tb.prog.Filters) {
-				pkt = tb.prog.Filters[f.Filter].Name
+			if tb.script != nil && f.Filter >= 0 && int(f.Filter) < len(tb.script.prog.Filters) {
+				pkt = tb.script.prog.Filters[f.Filter].Name
 			}
 			out = append(out, InjectedFault{
 				At: f.At, Node: n.name, Kind: f.Kind.String(), PacketType: pkt,
@@ -303,12 +272,11 @@ type Testbed struct {
 	// failure/flap schedules, pending reconvergence, failover metrics).
 	topo topoFaultState
 
-	prog     *core.Program
-	compiled *CompiledScript // non-nil when prog came from LoadCompiled
-	ctl      *core.Controller
-	tracing  *trace.Buffer
-	reg      *metrics.Registry
-	sampler  *metrics.Sampler
+	script  *CompiledScript // the staged scenario (LoadCompiled); nil for none
+	ctl     *core.Controller
+	tracing *trace.Buffer
+	reg     *metrics.Registry
+	sampler *metrics.Sampler
 
 	snap        metrics.Snapshot // Node.Snapshot's scratch
 	schema      reportSchema     // run-end walk's slot tables (see gatherReport)
@@ -439,7 +407,6 @@ func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, er
 		engine: core.NewEngine(tb.sched, m),
 	}
 	n.engine.Cost = tb.cfg.Cost
-	n.engine.ClassifyStrategy = tb.cfg.Classifier
 	if tb.cfg.RLL {
 		n.rll = rll.New(tb.sched, m, rll.Config{Window: tb.cfg.RLLWindow})
 		h.NIC.DeliverCorrupt = true // the RLL validates its own CRC
@@ -515,29 +482,6 @@ type RetherConfig struct {
 // ports as real-time for Rether's reservation queue.
 func (tb *Testbed) AddRTStream(srcPort, dstPort uint16) {
 	tb.rtStreams = append(tb.rtStreams, portPair{srcPort, dstPort})
-}
-
-// LoadScript compiles an FSL script and stages its (single) scenario.
-// Every node in the script's NODE_TABLE must already exist with matching
-// MAC and IP.
-func (tb *Testbed) LoadScript(src string) error {
-	prog, err := fsl.Compile(src)
-	if err != nil {
-		return scriptErr(err)
-	}
-	for _, nd := range prog.Nodes {
-		n, ok := tb.byName[nd.Name]
-		if !ok {
-			return fmt.Errorf("virtualwire: script node %q not in testbed", nd.Name)
-		}
-		if n.host.MAC != nd.MAC || n.host.IP != nd.IP {
-			return fmt.Errorf("virtualwire: script node %q identity mismatch (script %s/%s, testbed %s/%s)",
-				nd.Name, nd.MAC, nd.IP, n.MAC(), n.IP())
-		}
-	}
-	tb.prog = prog
-	tb.compiled = nil
-	return nil
 }
 
 // build assembles every host's layer chain and the controller.
@@ -619,16 +563,17 @@ func (tb *Testbed) build() error {
 	for _, name := range tb.retherRing {
 		tb.byName[name].rether.Start()
 	}
-	if tb.prog != nil {
+	if tb.script != nil {
+		prog := tb.script.prog
 		ctlName := tb.cfg.ControlNode
 		if ctlName == "" {
-			ctlName = tb.prog.Nodes[0].Name
+			ctlName = prog.Nodes[0].Name
 		}
-		ctlID, ok := tb.prog.NodeByName(ctlName)
+		ctlID, ok := prog.NodeByName(ctlName)
 		if !ok {
 			return fmt.Errorf("virtualwire: control node %q not in script", ctlName)
 		}
-		ctl, err := core.NewController(tb.byName[ctlName].host.Sched, tb.prog, tb.byName[ctlName].engine, ctlID)
+		ctl, err := core.NewController(tb.byName[ctlName].host.Sched, prog, tb.byName[ctlName].engine, ctlID)
 		if err != nil {
 			return err
 		}
@@ -641,13 +586,12 @@ func (tb *Testbed) build() error {
 		if tb.cfg.LaunchDeadline > 0 {
 			ctl.LaunchDeadline = tb.cfg.LaunchDeadline
 		}
-		if tb.compiled != nil && tb.compiled.prog == tb.prog {
-			ctl.SetInitBlob(tb.compiled.initBlob)
-			// Engines receiving that blob over the wire can adopt the
-			// shared program without ever gob-decoding it.
-			for _, n := range tb.nodes {
-				n.engine.SeedProgramCache(tb.compiled.initBlob, tb.compiled.prog)
-			}
+		ctl.SetInitBlob(tb.script.initBlob)
+		// Engines receiving that blob over the wire adopt the shared
+		// program — and with it the one dispatch tree — without
+		// gob-decoding a private copy.
+		for _, n := range tb.nodes {
+			n.engine.SeedProgramCache(tb.script.initBlob, prog)
 		}
 		tb.ctl = ctl
 	}
@@ -737,11 +681,12 @@ func (tb *Testbed) assembleRunReport(start time.Duration, events uint64) RunRepo
 		Events:   events,
 	}
 	if tb.ctl != nil {
-		rep.Scenario = tb.prog.Name
+		prog := tb.script.prog
+		rep.Scenario = prog.Name
 		rep.Result = tb.ctl.Result()
-		rep.Passed = rep.Result.Passed(tb.prog.InactivityTimeout > 0)
+		rep.Passed = rep.Result.Passed(prog.InactivityTimeout > 0)
 		for _, nid := range rep.Result.Unreachable {
-			rep.Unreachable = append(rep.Unreachable, tb.prog.Nodes[nid].Name)
+			rep.Unreachable = append(rep.Unreachable, prog.Nodes[nid].Name)
 		}
 	} else {
 		rep.Passed = true
@@ -788,8 +733,8 @@ func (tb *Testbed) TraceFilter(substrings ...string) []TraceEntry {
 
 // DumpTables renders the compiled six tables of the loaded script.
 func (tb *Testbed) DumpTables() string {
-	if tb.prog == nil {
+	if tb.script == nil {
 		return ""
 	}
-	return tb.prog.Dump()
+	return tb.script.prog.Dump()
 }
