@@ -157,11 +157,6 @@ type Options struct {
 	// to the sink, in run-index order (progress bars, live dashboards,
 	// tests that cancel mid-campaign).
 	OnRecord func(RunRecord)
-	// Window bounds how far ahead of the oldest unflushed run a worker
-	// may start (default 4×Workers), keeping memory O(workers), not
-	// O(runs), even when one slow run holds up the ordered flush.
-	Window int
-
 	// FirstIndex resumes an interrupted campaign: runs with index below
 	// it are taken as already recorded by a previous invocation — they
 	// are neither executed nor written, and the sink continues at
@@ -207,12 +202,6 @@ func (o *Options) normalize(matrixSize, maxShards int) {
 	}
 	if o.Workers > matrixSize && matrixSize > 0 {
 		o.Workers = matrixSize
-	}
-	if o.Window <= 0 {
-		o.Window = 4 * o.Workers
-	}
-	if o.Window < o.Workers {
-		o.Window = o.Workers
 	}
 }
 
@@ -299,7 +288,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 		return agg.finish(), ctx.Err()
 	}
 
-	window := opts.Window
+	// The reorder window bounds how far ahead of the oldest unflushed run
+	// a worker may start, keeping memory O(workers), not O(runs), even
+	// when one slow run holds up the ordered flush.
+	window := 4 * workers
 
 	// Workers acquire a window slot BEFORE taking a run index, so the
 	// worker that ends up with the lowest outstanding index can never

@@ -143,11 +143,14 @@ func (h *handler) get(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) cancel(w http.ResponseWriter, r *http.Request) {
 	st, err := h.m.Cancel(r.PathValue("id"))
-	if err != nil {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, st)
+	case st.ID == "":
 		writeError(w, http.StatusNotFound, "%v", err)
-		return
+	default: // canceled, but the journal does not say so
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (h *handler) summary(w http.ResponseWriter, r *http.Request) {

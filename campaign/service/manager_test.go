@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,6 +137,75 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Canceling a terminal job is a no-op, not an error.
 	if st, err := m.Cancel(blocker.ID); err != nil || st.State != service.StateCanceled {
 		t.Errorf("re-cancel: %v, %+v", err, st)
+	}
+}
+
+// A queued cancel that cannot write status.json is not durable — the next
+// Open finds a header without a terminal state and queues the job again —
+// so Cancel must say so: an error beside the canceled status, the text on
+// the job, and a log line.
+func TestCancelQueuedJobReportsJournalFailure(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logged []string
+	m, err := service.Open(service.Config{Dir: dir, Budget: 1, Logf: func(f string, a ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(f, a...))
+	}})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close()
+
+	blocker, err := m.Submit("a", testSpec(100000), 1)
+	if err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	queued, err := m.Submit("a", testSpec(1), 1)
+	if err != nil {
+		t.Fatalf("submit queued: %v", err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "jobs", queued.ID)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Cancel(queued.ID)
+	if err == nil {
+		t.Fatal("Cancel reported success though status.json could not be written")
+	}
+	if st.State != service.StateCanceled || st.Error == "" {
+		t.Errorf("status = %+v, want canceled with the journal failure as Error", st)
+	}
+	if got, _ := m.Get(queued.ID); got.Error != st.Error {
+		t.Errorf("Get().Error = %q, want %q", got.Error, st.Error)
+	}
+	mu.Lock()
+	found := false
+	for _, line := range logged {
+		found = found || strings.Contains(line, queued.ID) && strings.Contains(line, "not journaled")
+	}
+	mu.Unlock()
+	if !found {
+		t.Errorf("no log line for the failed cancel in %q", logged)
+	}
+	// Over HTTP the same failure is a 500, not the unknown-job 404.
+	queued2, err := m.Submit("a", testSpec(1), 1)
+	if err != nil {
+		t.Fatalf("submit queued2: %v", err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "jobs", queued2.ID)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(service.NewHandler(m))
+	defer ts.Close()
+	if _, err := service.NewClient(ts.URL).Cancel(context.Background(), queued2.ID); err == nil || !strings.Contains(err.Error(), "500") {
+		t.Errorf("HTTP cancel: %v, want HTTP 500", err)
+	}
+	if _, err := m.Cancel(blocker.ID); err != nil {
+		t.Fatalf("cancel blocker: %v", err)
+	}
+	if _, err := m.Wait(context.Background(), blocker.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -67,13 +67,13 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string            // job IDs in submit order
-	tenants  []string            // tenant names in first-appearance order
-	queues   map[string][]*Job   // tenant → queued jobs, FIFO
-	rrNext   int                 // round-robin cursor into tenants
-	free     int                 // free worker slots
-	nextSeq  int                 // next job sequence number
-	startSeq int                 // scheduler start counter (fairness observable)
+	order    []string          // job IDs in submit order
+	tenants  []string          // tenant names in first-appearance order
+	queues   map[string][]*Job // tenant → queued jobs, FIFO
+	rrNext   int               // round-robin cursor into tenants
+	free     int               // free worker slots
+	nextSeq  int               // next job sequence number
+	startSeq int               // scheduler start counter (fairness observable)
 	closed   bool
 
 	closedCh chan struct{}
@@ -478,7 +478,8 @@ func (m *Manager) List(tenant string) []JobStatus {
 }
 
 // Cancel stops a queued or running job. Canceling a terminal job is a
-// no-op returning its status.
+// no-op returning its status. An error beside a non-empty status means
+// the job is canceled here but the journal could not be told.
 func (m *Manager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -497,12 +498,22 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		}
 		j.state = StateCanceled
 		m.bumpLocked(j)
+		m.mu.Unlock()
+		// The job will not run in this process either way (it is off the
+		// queue), but only status.json keeps a reopened manager from
+		// re-queueing it: a cancel that is not journaled is not durable,
+		// and the caller must hear that.
+		err := writeJSONFile(j.dir, statusFile, statusRecord{State: StateCanceled})
+		m.mu.Lock()
+		if err != nil {
+			err = fmt.Errorf("service: job %s canceled but not journaled, a reopened manager will run it: %w", id, err)
+			j.errText = err.Error()
+			m.cfg.Logf("%v", err)
+		}
 		st := j.statusLocked()
-		dir := j.dir
 		close(j.done)
 		m.mu.Unlock()
-		_ = writeJSONFile(dir, statusFile, statusRecord{State: StateCanceled})
-		return st, nil
+		return st, err
 	case StateRunning:
 		j.state = StateCanceled // finishJob sees this and journals it
 		cancel := j.cancel

@@ -185,8 +185,8 @@ func (tb *Testbed) Reset(seed int64) error {
 	// to the run being discarded, not the next one.
 	tb.pool.Reset()
 	// Extra shard pools reset under the same ordering rule; trunk mailbox
-	// frames were recycled by the switch resets above (the trunkHalf case
-	// drains undelivered deposits into their source pool). Component
+	// frames were recycled by the switch resets above (a trunk wire's reset
+	// returns undelivered deposits to their source pool). Component
 	// generators reseed in place (no allocation) and the workload start
 	// flag clears with the discarded run.
 	for i := 1; i < tb.shards.count; i++ {

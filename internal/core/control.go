@@ -188,6 +188,12 @@ func decodeMsg(fr *ether.Frame, m *Msg) error {
 // the Ethernet MTU even after RLL encapsulation.
 const initChunkSize = 1000
 
+// maxInitChunks bounds the chunk count an engine will reassemble: the
+// count arrives off the wire and sizes an allocation. 64 Ki chunks is a
+// 65 MB program, more than the daemon's 64 MiB request body can carry;
+// Launch refuses a larger blob, so no controller ever sends more.
+const maxInitChunks = 1 << 16
+
 // EncodeProgram gob-encodes a Program into the INIT distribution wire
 // format. The facade's CompileScript pre-computes this blob once so that
 // every Launch of a shared compiled script skips the per-run encode

@@ -267,6 +267,9 @@ func (c *Controller) Launch() error {
 		}
 		c.initBlob = blob
 	}
+	if n := c.chunkTotal(); n > maxInitChunks {
+		return fmt.Errorf("core: program needs %d INIT chunks, engines accept at most %d", n, maxInitChunks)
+	}
 	c.launched = true
 	c.retryIval = c.InitRetryInterval
 	for n := range c.prog.Nodes {

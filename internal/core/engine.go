@@ -978,13 +978,13 @@ func (e *Engine) handleCtl(m *Msg) {
 	case MsgShutdown:
 		e.Deactivate()
 	case MsgCounterValue:
-		if e.prog == nil || int(m.Counter) >= len(e.values) {
+		if e.prog == nil || m.Counter < 0 || int(m.Counter) >= len(e.values) {
 			return
 		}
 		e.values[m.Counter] = m.Value
 		e.reevalTerms(e.prog.Counters[m.Counter].Terms)
 	case MsgTermStatus:
-		if e.prog == nil || int(m.Term) >= len(e.termStatus) {
+		if e.prog == nil || m.Term < 0 || int(m.Term) >= len(e.termStatus) {
 			return
 		}
 		if e.termStatus[m.Term] == m.Status {
@@ -1015,7 +1015,7 @@ func (e *Engine) SeedProgramCache(blob []byte, p *Program) {
 // loaded, any further chunk — a retry racing the ack, or a second Launch
 // — is answered with a fresh ack rather than a destructive re-assembly.
 func (e *Engine) handleInitChunk(m *Msg) {
-	if m.ChunkTotal <= 0 || m.ChunkIndex < 0 || m.ChunkIndex >= m.ChunkTotal {
+	if m.ChunkTotal <= 0 || m.ChunkTotal > maxInitChunks || m.ChunkIndex < 0 || m.ChunkIndex >= m.ChunkTotal {
 		return
 	}
 	e.Stats.InitChunksRcvd++
@@ -1054,6 +1054,11 @@ func (e *Engine) handleInitChunk(m *Msg) {
 		p = decoded
 		e.cachedBlob = blob
 		e.cachedProg = p
+	}
+	if n := NodeID(len(p.Nodes)); m.NodeID < 0 || m.NodeID >= n || m.ControlNode < 0 || m.ControlNode >= n {
+		// Identities the node table does not have: every later sendCtl
+		// would index past it.
+		return
 	}
 	e.load(p, m.NodeID, m.ControlNode)
 	e.initDone = true

@@ -93,14 +93,9 @@ func NewSharedBus(sched *sim.Scheduler, cfg BusConfig) *SharedBus {
 // unset, draws come from the scheduler's shared generator. The testbed
 // pins per-segment generators so draw sequences do not depend on
 // cross-shard event interleaving.
-func (b *SharedBus) SetRand(r *rand.Rand) { b.rng = r }
+func (b *SharedBus) SetRand(r *rand.Rand) { b.setRand(r) }
 
-func (b *SharedBus) rand() *rand.Rand {
-	if b.rng != nil {
-		return b.rng
-	}
-	return b.sched.Rand()
-}
+func (b *SharedBus) setRand(r *rand.Rand) { b.rng = r }
 
 // Attach implements Medium.
 func (b *SharedBus) Attach(n *NIC) {
@@ -221,7 +216,7 @@ func (b *SharedBus) collide() {
 		if n.backoff > maxBackoffExp {
 			slots = 1 << maxBackoffExp
 		}
-		wait := time.Duration(b.rand().Intn(slots)) * bitTime(SlotBits, b.cfg.BitsPerSecond)
+		wait := time.Duration(randOf(b.rng, b.sched).Intn(slots)) * bitTime(SlotBits, b.cfg.BitsPerSecond)
 		b.deferRetry(n, jam+wait)
 	}
 	b.scheduleRelease()
@@ -268,7 +263,6 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 	// copies (drawn from the pool): a two-station segment — one switch
 	// port — copies nothing. Stations are visited, and bit errors drawn,
 	// in attachment order either way.
-	bits := wireBytes(len(fr.Data)) * 8
 	last := len(b.nics) - 1
 	if b.nics[last] == tx.nic {
 		last--
@@ -281,10 +275,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 		if i != last {
 			cp = b.cfg.Pool.Clone(fr)
 		}
-		if b.corrupts(bits) {
-			cp.Corrupt = true
-			b.flipBit(cp)
-		}
+		corrupt(randOf(b.rng, b.sched), b.cfg.BitErrorRate, cp)
 		b.sched.AfterCall(b.cfg.Propagation, "bus.deliver", busDeliver, b, cp, i)
 	}
 	if last < 0 {
@@ -314,7 +305,9 @@ func (b *SharedBus) recycle(tx *activeTx) {
 // transmissions still sit at the head of their NIC's transmit queue and
 // are recycled by NIC.Reset; pending bus events are assumed cancelled
 // (scheduler reset).
-func (b *SharedBus) Reset() {
+func (b *SharedBus) Reset() { b.reset() }
+
+func (b *SharedBus) reset() {
 	for _, tx := range b.active {
 		b.recycle(tx)
 	}
@@ -340,33 +333,4 @@ func (b *SharedBus) Snapshot(sn *metrics.Snapshot) {
 	} else {
 		sn.Gauge("utilization", 0)
 	}
-}
-
-// corrupts decides whether a frame of the given wire length suffers at
-// least one bit error on this delivery.
-func (b *SharedBus) corrupts(bits int) bool {
-	if b.cfg.BitErrorRate <= 0 {
-		return false
-	}
-	// P(at least one flip) = 1 - (1-ber)^bits ≈ bits*ber for the small
-	// rates the testbed uses.
-	p := float64(bits) * b.cfg.BitErrorRate
-	if p > 1 {
-		p = 1
-	}
-	return b.rand().Float64() < p
-}
-
-// flipBit flips one random bit past the address fields so that corruption
-// is observable in the bytes, not only in the Corrupt flag. Addresses are
-// spared so that a corrupt frame still reaches the NIC whose FCS check
-// accounts for it (a real NIC would miss a frame whose destination got
-// mangled; the Reliable Link Layer recovers either way via timeout).
-func (b *SharedBus) flipBit(fr *Frame) {
-	if len(fr.Data) <= 12 {
-		return
-	}
-	i := 12 + b.rand().Intn(len(fr.Data)-12)
-	bit := byte(1) << uint(b.rand().Intn(8))
-	fr.Data[i] ^= bit
 }

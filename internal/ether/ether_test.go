@@ -424,12 +424,21 @@ func TestLinkBitErrors(t *testing.T) {
 	if !sawCorrupt {
 		t.Error("link at BER=1 delivered a clean frame")
 	}
-	// A third attachment is ignored rather than silently eating frames.
-	c := NewNIC(s, mac(3), 0)
-	l.Attach(c)
-	if len(l.ends) != 2 {
-		t.Error("link accepted a third endpoint")
-	}
+}
+
+// A third attachment would silently eat the NIC's traffic (it could
+// neither transmit nor be delivered to): it is a wiring bug and panics.
+func TestLinkThirdAttachPanics(t *testing.T) {
+	s := sim.NewScheduler(11)
+	l := NewLink(s, LinkConfig{})
+	l.Attach(NewNIC(s, mac(1), 0))
+	l.Attach(NewNIC(s, mac(2), 0))
+	defer func() {
+		if recover() == nil {
+			t.Error("link accepted a third endpoint")
+		}
+	}()
+	l.Attach(NewNIC(s, mac(3), 0))
 }
 
 func TestNICFrameIDAssignment(t *testing.T) {

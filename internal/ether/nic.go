@@ -1,6 +1,8 @@
 package ether
 
 import (
+	"math/rand"
+
 	"virtualwire/internal/metrics"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/sim"
@@ -21,13 +23,21 @@ type Stats struct {
 
 // Medium is the wire a NIC is attached to. Media call back into the NIC
 // for queue access and delivery; NICs call kick to announce pending
-// frames.
+// frames. The last two methods are what a medium's owner (a switch port,
+// the testbed) needs of it without knowing which medium it is.
 type Medium interface {
 	// Attach registers the NIC on the medium. A NIC is attached to
 	// exactly one medium.
 	Attach(n *NIC)
 	// kick tells the medium that n has at least one frame queued.
 	kick(n *NIC)
+	// reset clears all run state (transmissions in progress, fault
+	// state, counters). Attached NICs are reset by their owners, and
+	// pending medium events are assumed cancelled (scheduler reset).
+	reset()
+	// setRand pins the medium's random source (bit errors, backoff);
+	// unset, draws come from the scheduler's shared generator.
+	setRand(r *rand.Rand)
 }
 
 // NIC is a simulated network interface: a bounded transmit queue, carrier

@@ -275,14 +275,7 @@ func (sw *Switch) Reset() {
 	for _, p := range sw.ports {
 		p.failed = false
 		p.nic.Reset()
-		switch seg := p.segment.(type) {
-		case *SharedBus:
-			seg.Reset()
-		case *Link:
-			seg.Reset()
-		case *trunkHalf:
-			seg.reset()
-		}
+		p.segment.reset()
 	}
 }
 
@@ -295,14 +288,7 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 // interleaving across shards. Segments fall back to their scheduler's
 // generator when unset.
 func (sw *Switch) SetPortRand(idx int, r *rand.Rand) {
-	switch seg := sw.ports[idx].segment.(type) {
-	case *SharedBus:
-		seg.SetRand(r)
-	case *Link:
-		seg.SetRand(r)
-	case *trunkHalf:
-		seg.rng = r
-	}
+	sw.ports[idx].segment.setRand(r)
 }
 
 // PortStats returns the internal NIC stats for a port (for tests and
@@ -369,33 +355,13 @@ func (sw *Switch) Snapshot(sn *metrics.Snapshot) {
 	}
 }
 
-// LinkConfig parametrizes a full-duplex point-to-point link.
-type LinkConfig struct {
-	BitsPerSecond float64
-	Propagation   time.Duration
-	BitErrorRate  float64
-	// Pool, when non-nil, recycles frames on the link (see BusConfig.Pool).
-	Pool *FramePool
-}
-
-func (c *LinkConfig) fill() {
-	if c.BitsPerSecond <= 0 {
-		c.BitsPerSecond = 100e6
-	}
-	if c.Propagation <= 0 {
-		c.Propagation = 500 * time.Nanosecond
-	}
-}
-
-// Link is a full-duplex point-to-point medium between exactly two NICs.
-// Each direction serializes independently; there are no collisions.
+// Link is a full-duplex point-to-point medium between exactly two NICs:
+// two wires, one per direction, on one scheduler. Each direction
+// serializes independently; there are no collisions. Both directions
+// draw bit errors from one generator, in txEnd order.
 type Link struct {
-	cfg    LinkConfig
-	sched  *sim.Scheduler
-	ends   []*NIC
-	busy   [2]time.Duration // per-direction: when the current tx ends
-	active [2]bool          // per-direction: a txEnd event is pending
-	rng    *rand.Rand       // optional pinned source (see SetRand)
+	w    [2]wire // w[i] transmits from the i-th attached NIC to the other
+	ends int     // NICs attached so far
 }
 
 var _ Medium = (*Link)(nil)
@@ -403,112 +369,44 @@ var _ Medium = (*Link)(nil)
 // NewLink returns an empty link; attach exactly two NICs.
 func NewLink(sched *sim.Scheduler, cfg LinkConfig) *Link {
 	cfg.fill()
-	return &Link{cfg: cfg, sched: sched}
+	l := new(Link)
+	for i := range l.w {
+		l.w[i].cfg, l.w[i].sched = cfg, sched
+	}
+	return l
 }
 
-// Attach implements Medium.
+// Attach implements Medium. A link has exactly two ends: a third
+// attachment is a wiring bug that would silently eat the NIC's traffic.
 func (l *Link) Attach(n *NIC) {
-	if len(l.ends) >= 2 {
-		// A link has exactly two ends; extra attachments are a
-		// programming error that would silently eat traffic, so make
-		// it loud in tests via panic-free accounting: drop attach.
-		return
+	if l.ends == 2 {
+		panic("ether: Link.Attach: a link has exactly two ends")
 	}
 	n.medium = l
-	n.pool = l.cfg.Pool
-	l.ends = append(l.ends, n)
+	n.pool = l.w[0].cfg.Pool
+	l.w[l.ends].src = n
+	l.w[1-l.ends].dst = n
+	l.ends++
 }
 
-// kick implements Medium.
+// kick implements Medium. A half-wired link transmits nothing.
 func (l *Link) kick(n *NIC) {
-	dir := l.dirOf(n)
-	if dir < 0 || len(l.ends) < 2 {
+	if l.ends < 2 {
 		return
 	}
-	l.pump(dir)
-}
-
-// Reset clears the per-direction serializer state. The attached NICs
-// are reset separately by their owners; pending tx/deliver events are
-// assumed cancelled (scheduler reset).
-func (l *Link) Reset() {
-	l.busy = [2]time.Duration{}
-	l.active = [2]bool{}
-}
-
-// SetRand pins the bit-error random source. When unset, draws come from
-// the scheduler's shared generator. The testbed pins per-segment
-// generators so draw sequences are independent of cross-shard event
-// interleaving.
-func (l *Link) SetRand(r *rand.Rand) { l.rng = r }
-
-func (l *Link) rand() *rand.Rand {
-	if l.rng != nil {
-		return l.rng
+	if n == l.w[0].src {
+		l.w[0].pump()
+	} else {
+		l.w[1].pump()
 	}
-	return l.sched.Rand()
 }
 
-func (l *Link) dirOf(n *NIC) int {
-	for i, e := range l.ends {
-		if e == n {
-			return i
-		}
-	}
-	return -1
+func (l *Link) reset() {
+	l.w[0].reset()
+	l.w[1].reset()
 }
 
-// pump transmits queued frames in the given direction, one at a time.
-func (l *Link) pump(dir int) {
-	src := l.ends[dir]
-	fr := src.head()
-	if fr == nil {
-		return
-	}
-	// Guard on the pending-txEnd flag, not the clock: an event with a
-	// smaller sequence number can fire at exactly busy[dir] ahead of
-	// the txEnd sharing that timestamp, and a time comparison would
-	// admit its kick and double-schedule txEnd (double-dequeuing the
-	// in-flight frame). The txEnd re-pumps, so returning is lossless.
-	if l.active[dir] {
-		return
-	}
-	now := l.sched.Now()
-	dur := txDuration(len(fr.Data), l.cfg.BitsPerSecond) + bitTime(IFGBits, l.cfg.BitsPerSecond)
-	l.active[dir] = true
-	l.busy[dir] = now + dur
-	l.sched.AtCall(now+dur, "link.txEnd", linkTxEnd, l, nil, dir)
+func (l *Link) setRand(r *rand.Rand) {
+	l.w[0].setRand(r)
+	l.w[1].setRand(r)
 }
-
-func linkTxEnd(recv, _ any, dir int) { recv.(*Link).txEnd(dir) }
-
-// txEnd finishes the serialization in direction dir: the frame starts
-// propagating and the next queued frame, if any, starts transmitting.
-// A link has one receiver, so the transmitted frame itself travels on —
-// the sender gave it up at Send — and no copy is made.
-func (l *Link) txEnd(dir int) {
-	src := l.ends[dir]
-	out := src.dequeue()
-	src.txDone(out)
-	bits := wireBytes(len(out.Data)) * 8
-	if l.cfg.BitErrorRate > 0 {
-		p := float64(bits) * l.cfg.BitErrorRate
-		if p > 1 {
-			p = 1
-		}
-		if l.rand().Float64() < p {
-			out.Corrupt = true
-			if len(out.Data) > 12 {
-				i := 12 + l.rand().Intn(len(out.Data)-12)
-				out.Data[i] ^= 1 << uint(l.rand().Intn(8))
-			}
-		}
-	}
-	l.active[dir] = false
-	l.sched.AfterCall(l.cfg.Propagation, "link.deliver", nicDeliver, l.ends[1-dir], out, 0)
-	l.pump(dir)
-}
-
-// nicDeliver is the arrival of a propagated frame at a NIC (links and
-// trunk channels).
-func nicDeliver(recv, arg any, _ int) { recv.(*NIC).deliver(arg.(*Frame)) }

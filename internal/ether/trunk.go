@@ -1,30 +1,27 @@
 package ether
 
 import (
-	"math/rand"
 	"slices"
 	"time"
-
-	"virtualwire/internal/sim"
 )
 
-// TrunkChannel is the inter-switch trunk: a full-duplex wire whose two
-// directions are independent halves, each owned entirely by the
+// TrunkChannel is the inter-switch trunk: a link plus a mailbox. Its two
+// directions are independent wires, each owned entirely by the
 // transmitting switch's scheduler. Serialization and bit errors run on
 // the source shard; the transmitted frame is deposited into a
 // timestamped outbox instead of being scheduled directly onto the
 // destination scheduler. The run loop drains every outbox at each window
-// barrier — in fixed trunk order, A→B before B→A, FIFO within a half —
+// barrier — in fixed trunk order, A→B before B→A, FIFO within a wire —
 // so delivery scheduling is identical regardless of how switches are
 // partitioned across shards. That invariance is what makes output
 // byte-identical at any shard count.
 //
-// The conservative window guarantee relies on two properties of a half:
+// The conservative window guarantee relies on two properties of a wire:
 // deposits are timestamped txEnd+Propagation, and a transmission takes
 // at least txDuration(0)+IFG (wire padding to MinFrame makes that a
 // true lower bound for any payload). Lookahead exposes that bound.
 type TrunkChannel struct {
-	ab, ba *trunkHalf
+	ab, ba *wire
 
 	// Set by TrunkSet.Track; both belong to the coordinator.
 	order  int  // canonical (wiring) position
@@ -37,139 +34,25 @@ type trunkDeposit struct {
 	at time.Duration // absolute delivery time (txEnd + propagation)
 }
 
-// trunkHalf carries one direction. It implements Medium for the source
-// switch's port NIC; the destination NIC is wired in by
-// ConnectTrunkChannel once both ports exist.
-type trunkHalf struct {
-	cfg      LinkConfig
-	sched    *sim.Scheduler // source side
-	dstSched *sim.Scheduler // destination side
-	src      *NIC
-	dst      *NIC
-	rng      *rand.Rand
-
-	busyUntil time.Duration
-	active    bool // a txEnd event is pending
-	failed    bool // fault injection: no new transmissions start
-	outbox    []trunkDeposit
-
-	// Tracked halves (TrunkSet.Track) report going from silent to busy:
-	// the first pump of a busy period appends the channel to the source
-	// shard's wake list. awake holds from then until the coordinator
-	// drops the channel from its busy list, so a busy period costs one
-	// append however many frames it carries.
-	ch    *TrunkChannel
-	woken *[]*TrunkChannel
-	awake bool
-}
-
-var _ Medium = (*trunkHalf)(nil)
-
-func (h *trunkHalf) Attach(n *NIC) {
-	n.medium = h
-	n.pool = h.cfg.Pool
-	h.src = n
-}
-
-func (h *trunkHalf) kick(*NIC) { h.pump() }
-
-func (h *trunkHalf) rand() *rand.Rand {
-	if h.rng != nil {
-		return h.rng
-	}
-	return h.sched.Rand()
-}
-
-// pump mirrors Link.pump; txEnd deposits instead of delivering.
-func (h *trunkHalf) pump() {
-	if h.failed {
-		// A dead wire starts nothing new; queued frames were dropped by
-		// SetFailed and restore re-kicks.
-		return
-	}
-	fr := h.src.head()
-	if fr == nil {
-		return
-	}
-	// A pending txEnd always re-pumps when it fires, so any kick that
-	// arrives mid-transmission is redundant. The guard must be the
-	// pending-event flag, not a clock comparison: an event scheduled
-	// before the transmission began (smaller seq) can fire at exactly
-	// busyUntil, ahead of the txEnd sharing that timestamp, and a time
-	// guard would admit it and double-schedule txEnd.
-	if h.active {
-		return
-	}
-	now := h.sched.Now()
-	dur := txDuration(len(fr.Data), h.cfg.BitsPerSecond) + bitTime(IFGBits, h.cfg.BitsPerSecond)
-	h.active = true
-	h.busyUntil = now + dur
-	if h.woken != nil && !h.awake {
-		h.awake = true
-		*h.woken = append(*h.woken, h.ch)
-	}
-	h.sched.AtCall(now+dur, "trunk.txEnd", trunkTxEnd, h, nil, 0)
-}
-
-func trunkTxEnd(recv, _ any, _ int) { recv.(*trunkHalf).txEnd() }
-
-// txEnd mirrors Link.txEnd, minus direct delivery: the transmitted frame
-// itself crosses, from the source shard's pool into the hands (and, at
-// the end of its life, the pool) of the destination shard.
-func (h *trunkHalf) txEnd() {
-	out := h.src.dequeue()
-	h.src.txDone(out)
-	bits := wireBytes(len(out.Data)) * 8
-	if h.cfg.BitErrorRate > 0 {
-		p := float64(bits) * h.cfg.BitErrorRate
-		if p > 1 {
-			p = 1
-		}
-		if h.rand().Float64() < p {
-			out.Corrupt = true
-			if len(out.Data) > 12 {
-				i := 12 + h.rand().Intn(len(out.Data)-12)
-				out.Data[i] ^= 1 << uint(h.rand().Intn(8))
-			}
-		}
-	}
-	h.active = false
-	h.outbox = append(h.outbox, trunkDeposit{fr: out, at: h.sched.Now() + h.cfg.Propagation})
-	h.pump()
-}
-
 // drain schedules every deposited frame onto the destination scheduler.
 // Only the coordinator calls this, at a barrier, with all shards parked.
-func (h *trunkHalf) drain() {
-	for i, d := range h.outbox {
-		h.dstSched.AtCall(d.at, "trunk.deliver", nicDeliver, h.dst, d.fr, 0)
-		h.outbox[i] = trunkDeposit{}
+func (w *wire) drain() {
+	for i, d := range w.outbox {
+		w.dstSched.AtCall(d.at, "wire.deliver", nicDeliver, w.dst, d.fr, 0)
+		w.outbox[i] = trunkDeposit{}
 	}
-	h.outbox = h.outbox[:0]
+	w.outbox = w.outbox[:0]
 }
 
-// reset clears serializer state and recycles any undrained deposits into
-// the source-side pool.
-func (h *trunkHalf) reset() {
-	h.busyUntil = 0
-	h.active = false
-	h.failed = false
-	for i, d := range h.outbox {
-		h.cfg.Pool.Put(d.fr)
-		h.outbox[i] = trunkDeposit{}
-	}
-	h.outbox = h.outbox[:0]
-}
-
-// earliest returns the arrival time of the half's earliest in-flight or
+// earliest returns the arrival time of the wire's earliest in-flight or
 // deposited frame, or false when the direction is silent.
-func (h *trunkHalf) earliest() (time.Duration, bool) {
+func (w *wire) earliest() (time.Duration, bool) {
 	t := time.Duration(0)
 	ok := false
-	if h.active {
-		t, ok = h.busyUntil+h.cfg.Propagation, true
+	if w.active {
+		t, ok = w.busyUntil+w.cfg.Propagation, true
 	}
-	for _, d := range h.outbox {
+	for _, d := range w.outbox {
 		if !ok || d.at < t {
 			t, ok = d.at, true
 		}
@@ -190,8 +73,8 @@ func ConnectTrunkChannel(a, b *Switch, acfg, bcfg LinkConfig) (*TrunkChannel, in
 	if bcfg.Pool == nil {
 		bcfg.Pool = b.cfg.Pool
 	}
-	ab := &trunkHalf{cfg: acfg, sched: a.sched, dstSched: b.sched}
-	ba := &trunkHalf{cfg: bcfg, sched: b.sched, dstSched: a.sched}
+	ab := &wire{cfg: acfg, sched: a.sched, dstSched: b.sched}
+	ba := &wire{cfg: bcfg, sched: b.sched, dstSched: a.sched}
 	aPort := a.addPort(ab, true)
 	bPort := b.addPort(ba, true)
 	ab.dst = b.ports[bPort].nic
@@ -209,19 +92,10 @@ func (t *TrunkChannel) Drain() {
 // flight in either direction, or false when the trunk is silent.
 func (t *TrunkChannel) EarliestPending() (time.Duration, bool) {
 	ta, oka := t.ab.earliest()
-	tb, okb := t.ba.earliest()
-	switch {
-	case oka && okb:
-		if tb < ta {
-			return tb, true
-		}
-		return ta, true
-	case oka:
-		return ta, true
-	case okb:
+	if tb, okb := t.ba.earliest(); okb && (!oka || tb < ta) {
 		return tb, true
 	}
-	return 0, false
+	return ta, oka
 }
 
 // TrunkSet is the windowed coordinator's view of a fabric's trunk
@@ -233,7 +107,7 @@ func (t *TrunkChannel) EarliestPending() (time.Duration, bool) {
 // and every byte of output — is the order draining every channel in
 // wiring order would give, because a silent channel drains nothing.
 //
-// Halves report in through per-shard wake lists, each appended to only
+// Wires report in through per-shard wake lists, each appended to only
 // by its shard's goroutine during a window; the coordinator merges them
 // at the barrier, when every shard is parked.
 type TrunkSet struct {
@@ -248,7 +122,7 @@ func NewTrunkSet(shards int) *TrunkSet {
 }
 
 // Track adds ch at the next canonical position. shardA and shardB are
-// the shards that run its A→B and B→A halves (the switches' shards).
+// the shards that run its A→B and B→A wires (the switches' shards).
 func (ts *TrunkSet) Track(ch *TrunkChannel, shardA, shardB int) {
 	ch.order = ts.tracked
 	ts.tracked++
@@ -316,8 +190,8 @@ func (t *TrunkChannel) Lookahead() time.Duration {
 	return la
 }
 
-func (h *trunkHalf) lookahead() time.Duration {
-	return h.cfg.Propagation + txDuration(0, h.cfg.BitsPerSecond) + bitTime(IFGBits, h.cfg.BitsPerSecond)
+func (w *wire) lookahead() time.Duration {
+	return w.cfg.Propagation + txDuration(0, w.cfg.BitsPerSecond) + bitTime(IFGBits, w.cfg.BitsPerSecond)
 }
 
 // PendingDeposits reports queued mailbox frames across both directions
@@ -334,20 +208,20 @@ func (t *TrunkChannel) PendingDeposits() int {
 // number of frames dropped (counted in the port NICs' QueueDrops).
 //
 // Only the sharded coordinator calls this, at a window barrier with all
-// shards parked, so touching both halves' source-side state is safe.
+// shards parked, so touching both wires' source-side state is safe.
 func (t *TrunkChannel) SetFailed(failed bool) int {
 	dropped := 0
-	for _, h := range []*trunkHalf{t.ab, t.ba} {
-		if h.failed == failed {
+	for _, w := range []*wire{t.ab, t.ba} {
+		if w.failed == failed {
 			continue
 		}
-		h.failed = failed
+		w.failed = failed
 		if failed {
-			if h.src != nil {
-				dropped += h.src.dropQueued(h.active)
+			if w.src != nil {
+				dropped += w.src.dropQueued(w.active)
 			}
 		} else {
-			h.pump()
+			w.pump()
 		}
 	}
 	return dropped
@@ -362,12 +236,12 @@ func (t *TrunkChannel) Failed() bool { return t.ab.failed || t.ba.failed }
 // from the next txEnd; callers re-derive the shard lookahead after a
 // propagation change.
 func (t *TrunkChannel) SetProfile(propagation time.Duration, ber float64) {
-	for _, h := range []*trunkHalf{t.ab, t.ba} {
+	for _, w := range []*wire{t.ab, t.ba} {
 		if propagation > 0 {
-			h.cfg.Propagation = propagation
+			w.cfg.Propagation = propagation
 		}
 		if ber >= 0 {
-			h.cfg.BitErrorRate = ber
+			w.cfg.BitErrorRate = ber
 		}
 	}
 }

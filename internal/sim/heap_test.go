@@ -60,9 +60,9 @@ func (r *refScheduler) run() {
 // schedDriver abstracts the two schedulers behind the operations the
 // workload script needs: schedule-after and cancel-by-handle.
 type schedDriver struct {
-	after  func(d time.Duration, fn func()) (cancel func())
-	run    func()
-	now    func() time.Duration
+	after func(d time.Duration, fn func()) (cancel func())
+	run   func()
+	now   func() time.Duration
 }
 
 func realDriver() *schedDriver {

@@ -11,6 +11,16 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every tracked .go file, both modules; the benchmark's build and run
+# output is not source.
+UNFORMATTED="$(gofmt -l . | grep -v -e '^bench/out/' -e '^\.bench_build/' || true)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l names:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
@@ -23,15 +33,18 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (2 x 10 s) =="
+echo "== fuzz (3 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder is hand-written and
 # must stay byte-for-byte what encoding/json would write; the FSL front
 # end takes tenant-written source and must answer it with an error or a
-# program that builds, dumps and encodes — never a panic.
+# program that builds, dumps and encodes — never a panic; the engine is
+# handed MODIFY-mangled and bit-flipped control frames by design and must
+# drop what it cannot index, loaded or not.
 go test -run '^$' -fuzz '^FuzzRunRecordJSON$' -fuzztime 10s -fuzzminimizetime 1s ./campaign
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fsl
+go test -run '^$' -fuzz '^FuzzControlFrame$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 echo "== campaign smoke (-race, small matrix) =="
 # An end-to-end campaign through the real CLI: 8 runs (4 seeds x 2 bit

@@ -207,9 +207,9 @@ func TestTopologyGenerators(t *testing.T) {
 		hosts    int
 		switches int
 	}{
-		{TopologySpec{Kind: TopoStar}, 100, 4},                           // ceil(100/48)=3 edges + core
-		{TopologySpec{Kind: TopoRing}, 100, 3},                           // ceil(100/48)=3
-		{TopologySpec{Kind: TopoFatTree, FatTreeK: 4}, 16, 20},           // 4 cores + 4*(2+2)
+		{TopologySpec{Kind: TopoStar}, 100, 4},                 // ceil(100/48)=3 edges + core
+		{TopologySpec{Kind: TopoRing}, 100, 3},                 // ceil(100/48)=3
+		{TopologySpec{Kind: TopoFatTree, FatTreeK: 4}, 16, 20}, // 4 cores + 4*(2+2)
 		{TopologySpec{Kind: TopoRandom, Switches: 7, ExtraTrunks: 3}, 50, 7},
 	}
 	for _, tc := range cases {
