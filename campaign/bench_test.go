@@ -16,6 +16,18 @@ func benchSpec() Spec {
 	return spec
 }
 
+// runBenchSpec is one iteration of the campaign benchmarks: the whole
+// matrix into a discarding sink, every run passing.
+func runBenchSpec(tb testing.TB, spec Spec, workers int) {
+	sum, err := Run(context.Background(), spec, Options{Workers: workers, Sink: io.Discard})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if runs := spec.Runs(); sum.Passed != runs {
+		tb.Fatalf("passed %d/%d", sum.Passed, runs)
+	}
+}
+
 func benchCampaign(b *testing.B, workers int) {
 	// Asking for more workers than CPUs measures goroutine interleaving
 	// noise, not executor scaling: on a 1-CPU box an 8-worker figure once
@@ -29,16 +41,25 @@ func benchCampaign(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := Run(context.Background(), spec, Options{Workers: workers, Sink: io.Discard})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.Passed != runs {
-			b.Fatalf("passed %d/%d", sum.Passed, runs)
-		}
+		runBenchSpec(b, spec, workers)
 	}
 	b.ReportMetric(float64(runs*b.N)/b.Elapsed().Seconds(), "runs/s")
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
+}
+
+// TestCampaignSerialAllocs is the allocation gate on the executor, on
+// what BenchmarkCampaignSerial runs. The executor compiles each scenario
+// variant once and resets long-lived worker testbeds between runs; if a
+// change quietly reverts to per-run testbed construction (or brings
+// reflection or gob back to the record path), allocations jump an order
+// of magnitude: 1 729 per 16-run matrix today (two testbed builds and 16
+// runs), 45k before the reuse pipeline. The limit is today's count x 1.25.
+func TestCampaignSerialAllocs(t *testing.T) {
+	const limit = 2150
+	spec := benchSpec()
+	if n := testing.AllocsPerRun(3, func() { runBenchSpec(t, spec, 1) }); n > limit {
+		t.Errorf("the %d-run matrix allocates %.0f times at one worker (limit %d)", spec.Runs(), n, limit)
+	}
 }
 
 // BenchmarkCampaignSerial measures per-run cost without pool overhead.

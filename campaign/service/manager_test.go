@@ -105,6 +105,58 @@ func TestManagerJournalMatchesInProcess(t *testing.T) {
 	}
 }
 
+// A spec that parses and validates but whose testbed cannot be built (a
+// trunk fault past the end of the fabric) costs one error record per
+// run, not the daemon: the job reaches a terminal state with every run
+// failed, and the manager goes on answering. (The shape's second run used
+// to panic on a worker goroutine.)
+func TestUnbuildableSpecFailsItsRunsNotTheDaemon(t *testing.T) {
+	spec, err := campaign.ParseSpec([]byte(`{"seed_count":3,"hosts":8,"horizon":"1s",
+	 "configs":[{"topology":{"kind":"ring","switches":4},
+	             "trunk_faults":[{"kind":"trunk_down","trunk":99,"at":"1ms"}]}],
+	 "workloads":[{"kind":"manyflow","flows":4,"bytes":4096}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m := openManager(t, dir, 4)
+	defer m.Close()
+	for _, workers := range []int{1, 4} {
+		st, err := m.Submit("acme", spec, workers)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		final, err := m.Wait(context.Background(), st.ID)
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if final.State != service.StateDone || final.Completed != 3 || final.Failed != 3 || final.Passed != 0 {
+			t.Fatalf("workers=%d: final status %+v, want done with failed: 3", workers, final)
+		}
+		if got, err := m.Get(st.ID); err != nil || got.State != final.State {
+			t.Fatalf("Get after the job: %+v, %v", got, err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(readJournal(t, dir, st.ID)), []byte("\n"))
+		if len(lines) != 3 {
+			t.Fatalf("workers=%d: journal holds %d records, want 3", workers, len(lines))
+		}
+		for _, l := range lines {
+			if !bytes.Contains(l, []byte(`"outcome":"error"`)) || !bytes.Contains(l, []byte("targets trunk 99")) {
+				t.Errorf("workers=%d: journal line %s", workers, l)
+			}
+		}
+	}
+	// The daemon is still in business: a good job submitted next runs.
+	good := testSpec(2)
+	st, err := m.Submit("acme", good, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := m.Wait(context.Background(), st.ID); err != nil || final.Passed != 2 {
+		t.Fatalf("job after the unbuildable one: %+v, %v", final, err)
+	}
+}
+
 // Canceling a queued job must dequeue it without ever running a run;
 // canceling the running blocker lets the manager drain.
 func TestCancelQueuedJob(t *testing.T) {

@@ -115,7 +115,7 @@ func (tb *Testbed) LoadCompiled(cs *CompiledScript) error {
 		if !ok {
 			return fmt.Errorf("virtualwire: script node %q not in testbed", nd.Name)
 		}
-		if n.host.MAC != nd.MAC || n.host.IP != nd.IP {
+		if n.mac != nd.MAC || n.ip != nd.IP {
 			return fmt.Errorf("virtualwire: script node %q identity mismatch (script %s/%s, testbed %s/%s)",
 				nd.Name, nd.MAC, nd.IP, n.MAC(), n.IP())
 		}
@@ -138,15 +138,15 @@ func (tb *Testbed) LoadCompiled(cs *CompiledScript) error {
 // already written. Reset before the first Run/RunFor is an error.
 func (tb *Testbed) Reset(seed int64) error {
 	if !tb.built {
+		if tb.buildErr != nil {
+			return tb.buildErr
+		}
 		return fmt.Errorf("virtualwire: Reset before the testbed was built (call Run first)")
 	}
 	tb.cfg.Seed = seed
 	tb.sched.Reset(seed)
 	for i := 1; i < tb.shards.count; i++ {
 		tb.shards.scheds[i].Reset(deriveShardSeed(seed, uint64(i)))
-	}
-	if tb.sw != nil {
-		tb.sw.Reset()
 	}
 	for _, sw := range tb.fabric {
 		// Clears learned MACs, counters and fault state (down switches,

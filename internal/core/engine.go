@@ -171,12 +171,6 @@ func NewEngine(sched *sim.Scheduler, mac packet.MAC) *Engine {
 	return &Engine{sched: sched, mac: mac, self: -1, controlNode: -1}
 }
 
-// SetScheduler rebinds the engine to another scheduler. The sharded
-// engine uses this before the run starts to move a node onto its
-// shard's event queue; fault timers are created lazily, so a pre-run
-// rebind is safe.
-func (e *Engine) SetScheduler(s *sim.Scheduler) { e.sched = s }
-
 // SetPool wires the node's frame pool into the engine: frames whose
 // journey ends here (DROP, a FAIL-crashed node, consumed control frames)
 // are recycled into it, and control frames and DUP copies are cut from

@@ -88,11 +88,6 @@ func (n *NIC) SetRecv(fn func(*Frame)) { n.recv = fn }
 // Scheduler returns the simulation scheduler the NIC runs on.
 func (n *NIC) Scheduler() *sim.Scheduler { return n.sched }
 
-// SetScheduler rebinds the NIC to another scheduler. The sharded engine
-// uses this before any traffic flows to move a host's NIC onto its
-// shard's event queue; rebinding mid-run would strand pending events.
-func (n *NIC) SetScheduler(s *sim.Scheduler) { n.sched = s }
-
 // Pool returns the frame pool of the medium the NIC is attached to (nil
 // before Attach, or on a bare medium). The host stack above the NIC
 // builds its outbound frames in it and recycles inbound frames into it.

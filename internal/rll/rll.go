@@ -157,11 +157,6 @@ func New(sched *sim.Scheduler, mac packet.MAC, cfg Config) *RLL {
 // every pool operation degrades to plain allocation.
 func (r *RLL) SetPool(p *ether.FramePool) { r.pool = p }
 
-// SetScheduler rebinds the layer to another scheduler. The sharded
-// engine calls this before the run starts; per-peer retransmission
-// timers are created lazily on first send, so a pre-run rebind is safe.
-func (r *RLL) SetScheduler(s *sim.Scheduler) { r.sched = s }
-
 // Snapshot implements the uniform metrics hook: every Stats field plus
 // the instantaneous window occupancy summed over peers.
 func (r *RLL) Snapshot(sn *metrics.Snapshot) {

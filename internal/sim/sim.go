@@ -466,9 +466,8 @@ func (s *Scheduler) siftDown(i int) {
 }
 
 // Timer is a restartable one-shot timer, the moral equivalent of the
-// kernel software timers the paper's DELAY primitive is built on. The
-// zero value is ready to use after SetScheduler (or construct via
-// NewTimer).
+// kernel software timers the paper's DELAY primitive is built on.
+// Construct one with NewTimer.
 //
 // Timer is the sanctioned way to retain an event handle across firings:
 // it captures the event's generation when arming and verifies it before

@@ -45,15 +45,6 @@ func NewHost(sched *sim.Scheduler, name string, mac packet.MAC, ip packet.IP) *H
 	return h
 }
 
-// SetScheduler rebinds the host (and its NIC) to another scheduler. The
-// sharded engine calls this before the host is attached to its switch;
-// TCP and UDP timers resolve h.Sched lazily, so a pre-traffic rebind is
-// safe.
-func (h *Host) SetScheduler(s *sim.Scheduler) {
-	h.Sched = s
-	h.NIC.SetScheduler(s)
-}
-
 // Build wires NIC ← layers[0] ← ... ← IPv4. Call exactly once, after the
 // NIC has been attached to a medium.
 func (h *Host) Build(layers ...Layer) {

@@ -147,8 +147,11 @@ func (m MetricsSummary) totalKeys() []string {
 // Snapshot returns this node's current instrument readings for one
 // layer, a copy the caller owns. Valid layers are "engine", "nic", "ip",
 // "tcp", "rll" and "rether"; ok is false for a layer the node does not
-// run (and for "tcp" before the testbed is built).
+// run, and for every layer before the testbed is built.
 func (n *Node) Snapshot(layer string) (MetricsSnapshot, bool) {
+	if n.host == nil {
+		return MetricsSnapshot{}, false
+	}
 	sn := &n.tb.snap
 	sn.Reset()
 	switch {
@@ -158,7 +161,7 @@ func (n *Node) Snapshot(layer string) (MetricsSnapshot, bool) {
 		n.host.NIC.Snapshot(sn)
 	case layer == "ip":
 		n.host.IPv4.Snapshot(sn)
-	case layer == "tcp" && n.tcp != nil:
+	case layer == "tcp":
 		n.tcp.Snapshot(sn)
 	case layer == "rll" && n.rll != nil:
 		n.rll.Snapshot(sn)
@@ -171,12 +174,12 @@ func (n *Node) Snapshot(layer string) (MetricsSnapshot, bool) {
 }
 
 // SnapshotLayers lists the layers Node.Snapshot can report for this node
-// right now.
+// right now: none before the testbed is built.
 func (n *Node) SnapshotLayers() []string {
-	layers := []string{"engine", "nic", "ip"}
-	if n.tcp != nil {
-		layers = append(layers, "tcp")
+	if n.host == nil {
+		return nil
 	}
+	layers := []string{"engine", "nic", "ip", "tcp"}
 	if n.rll != nil {
 		layers = append(layers, "rll")
 	}
@@ -200,17 +203,16 @@ func (tb *Testbed) registerMetricSources() {
 	if tb.ctl != nil {
 		tb.reg.RegisterSource(MetricsNode, "controller", tb.ctl.Snapshot)
 	}
-	if tb.sw != nil {
-		tb.reg.RegisterSource(MetricsNode, "switch", tb.sw.Snapshot)
-	}
-	if len(tb.fabric) > 0 {
-		// The fabric registers as one aggregate source: per-switch sources
-		// at fat-tree scale (hundreds of switches) would swamp every
-		// gather and RunReport with keys nobody compares.
-		tb.reg.RegisterSource(MetricsNode, "fabric", tb.fabricSnapshot)
-	}
-	if tb.bus != nil {
+	switch {
+	case tb.bus != nil:
 		tb.reg.RegisterSource(MetricsNode, "bus", tb.bus.Snapshot)
+	case tb.topologyActive():
+		// A generated fabric registers as one aggregate source: per-switch
+		// sources at fat-tree scale (hundreds of switches) would swamp
+		// every gather and RunReport with keys nobody compares.
+		tb.reg.RegisterSource(MetricsNode, "fabric", tb.fabricSnapshot)
+	default:
+		tb.reg.RegisterSource(MetricsNode, "switch", tb.fabric[0].Snapshot)
 	}
 	tb.nodeSources[0] = tb.reg.Sources()
 	for _, n := range tb.nodes {
@@ -228,7 +230,7 @@ func (tb *Testbed) registerMetricSources() {
 	tb.nodeSources[1] = tb.reg.Sources()
 	if tb.cfg.MetricsSampleInterval > 0 {
 		tb.sampler = metrics.NewSampler(tb.reg,
-			tb.cfg.MetricsSampleInterval, tb.cfg.MetricsRingCapacity,
+			tb.cfg.MetricsSampleInterval, metrics.DefaultRingCapacity,
 			tb.sched.Now,
 			func(d time.Duration, fn func()) { tb.sched.After(d, "metrics.sample", fn) })
 		tb.sampler.Start()

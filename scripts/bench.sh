@@ -75,8 +75,8 @@ emit_json "$RAW" BENCH_core.json
 # Campaign throughput: whole 16-run matrices per iteration — serial, the
 # default worker pool, and the fixed 2/4/8-worker scaling curve
 # (BenchmarkCampaignWorkersN). runs_per_sec is the figure to watch;
-# allocs_per_op guards the compile-once/reset-to-reuse pipeline (see the
-# gate in scripts/check.sh).
+# allocs_per_op guards the compile-once/reset-to-reuse pipeline (gated
+# by TestCampaignSerialAllocs).
 : > "$RAW"
 run_bench ./campaign 'BenchmarkCampaign' > "$RAW"
 emit_json "$RAW" BENCH_campaign.json

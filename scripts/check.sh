@@ -22,6 +22,9 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 
 echo "== go test =="
+# Includes the three allocation gates — TestCampaignSerialAllocs,
+# TestFig5SteadyCopiesPerPayloadByte, TestTopologyReset1000DoesNotAllocate
+# — which are tests because allocation counts are deterministic.
 go test ./...
 
 echo "== go test -race =="
@@ -261,51 +264,6 @@ else
     echo "sharded speedup gate: skipped ($NCPU CPUs; needs >= 4 to express the parallelism)"
 fi
 
-echo "== campaign allocation gate =="
-# The campaign executor compiles each scenario variant once and resets
-# long-lived worker testbeds between runs; if a change quietly reverts to
-# per-run testbed construction (or re-introduces reflection/gob on the
-# record path), allocations jump an order of magnitude. Gate on the
-# serial 16-run benchmark: 1 713 allocs/op today (two testbed builds and
-# 16 runs), 45k before the reuse pipeline; the limit is that x 1.25.
-# Allocation counts are deterministic, so a short run suffices.
-ALLOC_LIMIT=2150
-ALLOCS="$(go test -run '^$' -bench 'BenchmarkCampaignSerial$' -benchmem -benchtime 3x ./campaign \
-    | awk '/^BenchmarkCampaignSerial/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i - 1) }')"
-if [ -z "$ALLOCS" ]; then
-    echo "campaign allocation gate: failed to measure allocs/op" >&2
-    exit 1
-fi
-if [ "$ALLOCS" -gt "$ALLOC_LIMIT" ]; then
-    echo "campaign allocations regressed: $ALLOCS allocs/op on the 16-run matrix (limit $ALLOC_LIMIT)" >&2
-    exit 1
-fi
-echo "campaign allocations: $ALLOCS allocs/op (limit $ALLOC_LIMIT)"
-
-echo "== data path copy gate =="
-# BenchmarkFig5Steady moves 1 MiB over TCP on a testbed built once and
-# reset per iteration, so its B/op is what the data path itself
-# allocates. Per payload byte that is how many times a byte is still
-# copied into fresh memory on the way: 4.3 when the payload was
-# materialised by the workload, the send buffer, the retransmission
-# queue and the frame builder in turn; 0.04 now that the send buffer is
-# the retransmission store and frames are built in, moved through and
-# recycled into pooled buffers. The limit of 0.25 trips on the first
-# per-byte copy that comes back. A ratio of two byte counts from one
-# run, so hardware-independent.
-COPY_BYTES=1048576 # fig5SteadyBytes in bench_test.go
-STEADY_BOP="$(go test -run '^$' -bench 'BenchmarkFig5Steady$' -benchmem -benchtime 20x . \
-    | awk '/^BenchmarkFig5Steady/ { for (i = 2; i <= NF; i++) if ($(i) == "B/op") print $(i - 1) }')"
-if [ -z "$STEADY_BOP" ]; then
-    echo "data path copy gate: failed to measure B/op" >&2
-    exit 1
-fi
-if ! awk -v b="$STEADY_BOP" -v p="$COPY_BYTES" 'BEGIN { exit !(b <= 0.25 * p) }'; then
-    echo "data path copies regressed: $STEADY_BOP B/op for a $COPY_BYTES-byte transfer (limit 0.25 B per payload byte)" >&2
-    exit 1
-fi
-echo "data path: $STEADY_BOP B/op for a $COPY_BYTES-byte transfer (limit 0.25 B per payload byte)"
-
 echo "== compiled dispatch flatness gate =="
 # The compiled classifier — what every engine without a per-tuple cost
 # charge runs — is flat per packet in the filter count: classifying
@@ -325,23 +283,6 @@ if ! awk -v a="$N512" -v b="$N8" 'BEGIN { exit !(a <= 2.0 * b) }'; then
     exit 1
 fi
 echo "compiled dispatch flat: n8 = $N8 ns/op, n512 = $N512 ns/op"
-
-echo "== 1000-node topology reset gate =="
-# Campaigns at 1000-node scale rewind the built fabric between runs; the
-# reset path (scheduler, media, layers, a generator per switch port and
-# engine, trunk mailboxes) allocates nothing.
-RESET="$(go test -run '^$' -bench 'BenchmarkTopologyReset1000$' -benchmem -benchtime 200x .)"
-echo "$RESET" | grep '^Benchmark' || true
-RESET_ALLOCS="$(echo "$RESET" | awk '/^BenchmarkTopologyReset1000/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i - 1) }')"
-if [ -z "$RESET_ALLOCS" ]; then
-    echo "topology reset gate: failed to measure allocs/op" >&2
-    exit 1
-fi
-if [ "$RESET_ALLOCS" -ne 0 ]; then
-    echo "1000-node reset allocations regressed: $RESET_ALLOCS allocs/op (want 0)" >&2
-    exit 1
-fi
-echo "1000-node reset: 0 allocs/op"
 
 echo "== bench smoke (one iteration) =="
 # Each benchmark runs exactly once: catches benchmarks that no longer

@@ -128,21 +128,6 @@ func (tb *Testbed) initShardRuntime(k int) {
 	tb.shards = sr
 }
 
-// bindNodeShard rebinds a host's stack onto its shard's scheduler.
-// Called from buildFabric before the host is attached to its edge
-// switch and before any layer chain is assembled, so no timers or
-// events exist yet; layers constructed later (taps, rether, TCP) read
-// the host's scheduler and land on the right shard automatically, and
-// build wires every layer to the pool the edge switch hands the NIC.
-func (tb *Testbed) bindNodeShard(n *Node, sid int) {
-	sched := tb.shards.scheds[sid]
-	n.host.SetScheduler(sched)
-	n.engine.SetScheduler(sched)
-	if n.rll != nil {
-		n.rll.SetScheduler(sched)
-	}
-}
-
 // deriveShardSeed is the splitmix64 finalizer over (seed, id): fixed,
 // platform-independent, and scrambling enough that per-component
 // streams are uncorrelated.
@@ -187,16 +172,10 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 		id++
 		return r
 	}
-	assign := func(sw *ether.Switch) {
+	for _, sw := range tb.fabric {
 		for p := 0; p < sw.NumPorts(); p++ {
 			sw.SetPortRand(p, next())
 		}
-	}
-	if tb.sw != nil {
-		assign(tb.sw)
-	}
-	for _, sw := range tb.fabric {
-		assign(sw)
 	}
 	if tb.bus != nil {
 		tb.bus.SetRand(next())

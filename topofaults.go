@@ -154,7 +154,7 @@ func (tb *Testbed) stageTopoFaults() error {
 	if len(specs) == 0 {
 		return nil
 	}
-	if len(tb.fabric) == 0 {
+	if !tb.topologyActive() {
 		return fmt.Errorf("virtualwire: TopologyFaults require a multi-switch Topology")
 	}
 	checkTrunk := func(i int) error {

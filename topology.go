@@ -117,8 +117,11 @@ type TopologySpec struct {
 // between a trunk death and failover.
 const DefaultReconvergeDelay = time.Millisecond
 
-// topologyActive reports whether build() must wire a fabric instead of
-// the single pre-created medium.
+// topologyActive reports whether the configuration asks for a generated
+// multi-switch fabric. Construction does not care — a single switch is
+// the one-switch fabric — but two things a user sees do: the switches'
+// metric source ("switch" rows or the "fabric" aggregate) and whether
+// TopologyFaults have anything to target.
 func (tb *Testbed) topologyActive() bool {
 	return tb.cfg.Topology != nil && tb.cfg.Topology.Kind != TopoSingle
 }
@@ -178,8 +181,15 @@ type fabricPlan struct {
 	edges    []int
 }
 
-// planFabric generates the wiring for n hosts.
+// planFabric generates the wiring for n hosts. No spec, or TopoSingle,
+// is the one-switch fabric: one switch, no trunks, every host on it.
 func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
+	if spec == nil || spec.Kind == TopoSingle {
+		return fabricPlan{switches: 1, edges: []int{0}}, nil
+	}
+	if n == 0 {
+		return fabricPlan{}, fmt.Errorf("virtualwire: topology %v needs hosts before build", spec.Kind)
+	}
 	autoEdges := func(min int) int {
 		e := (n + 47) / 48
 		if e < min {
@@ -275,19 +285,25 @@ func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
 	return fabricPlan{}, fmt.Errorf("virtualwire: topology kind %v has no generator", spec.Kind)
 }
 
-// buildFabric wires the planned fabric and attaches every host: switches
-// in index order, trunks in wiring order, hosts round-robin across the
-// edge switches in addition order. Non-spanning-tree trunks are blocked
-// on both ends. Called once from build(); the wiring then persists across
-// Reset.
-func (tb *Testbed) buildFabric() error {
+// buildMedia plans the wiring, creates the shard runtime and constructs
+// the media on it: the fabric's switches in index order and trunks in
+// wiring order, each switch directly on the scheduler and pool of the
+// shard that owns it, with non-spanning-tree trunks blocked on both ends
+// — or, on a bus testbed, no switch at all and the one bus. Called once
+// from build; the wiring then persists across Reset. The function it
+// returns places host i (add order): the edge switch it attaches to
+// (round-robin across the edge switches; nil on a bus) and the shard it
+// lives on.
+func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err error) {
 	spec := tb.cfg.Topology
-	if len(tb.nodes) == 0 {
-		return fmt.Errorf("virtualwire: topology %v needs hosts before build", spec.Kind)
+	var plan fabricPlan // a bus testbed's fabric is empty
+	if tb.cfg.Medium != MediumBus {
+		if plan, err = planFabric(spec, len(tb.nodes)); err != nil {
+			return nil, err
+		}
 	}
-	plan, err := planFabric(spec, len(tb.nodes))
-	if err != nil {
-		return err
+	if spec == nil {
+		spec = &TopologySpec{}
 	}
 	hostRate := tb.cfg.BitsPerSecond
 	if hostRate <= 0 {
@@ -309,8 +325,10 @@ func (tb *Testbed) buildFabric() error {
 	// assigned to one shard before anything is wired, so each switch is
 	// constructed directly on its shard's scheduler and pool.
 	hostsPer := make([]int, plan.switches)
-	for i := range tb.nodes {
-		hostsPer[plan.edges[i%len(plan.edges)]]++
+	if len(plan.edges) > 0 {
+		for i := range tb.nodes {
+			hostsPer[plan.edges[i%len(plan.edges)]]++
+		}
 	}
 	tb.initShardRuntime(tb.resolveShardCount(len(plan.edges)))
 	shardOf := planShards(plan, hostsPer, tb.shards.count)
@@ -363,7 +381,7 @@ func (tb *Testbed) buildFabric() error {
 	tb.spanningForest()
 	for i, v := range tb.forestVisited {
 		if !v {
-			return fmt.Errorf("virtualwire: topology %v left switch %d disconnected", spec.Kind, i)
+			return nil, fmt.Errorf("virtualwire: topology %v left switch %d disconnected", spec.Kind, i)
 		}
 	}
 	for ti := range tb.trunks {
@@ -382,12 +400,19 @@ func (tb *Testbed) buildFabric() error {
 			tb.trunkStateNames[i] = fmt.Sprintf("trunk%02d_state", i)
 		}
 	}
-	for i, n := range tb.nodes {
-		edge := plan.edges[i%len(plan.edges)]
-		tb.bindNodeShard(n, shardOf[edge])
-		tb.fabric[edge].AttachHost(n.host.NIC)
+	if tb.cfg.Medium == MediumBus {
+		tb.bus = ether.NewSharedBus(tb.sched, ether.BusConfig{
+			BitsPerSecond: tb.cfg.BitsPerSecond,
+			Propagation:   tb.cfg.Propagation,
+			BitErrorRate:  tb.cfg.BitErrorRate,
+			Pool:          tb.pool,
+		})
+		return func(int) (*ether.Switch, int) { return nil, 0 }, nil
 	}
-	return nil
+	return func(i int) (*ether.Switch, int) {
+		edge := plan.edges[i%len(plan.edges)]
+		return tb.fabric[edge], shardOf[edge]
+	}, nil
 }
 
 // planShards assigns every switch to one of k shards. Edge switches are
@@ -408,6 +433,9 @@ func planShards(plan fabricPlan, hostsPer []int, k int) []int {
 		k = 1
 	}
 	shard := make([]int, plan.switches)
+	if k == 1 {
+		return shard // one shard owns everything (and a bus plan has no switch to walk)
+	}
 	for i := range shard {
 		shard[i] = -1
 	}
@@ -424,7 +452,7 @@ func planShards(plan fabricPlan, hostsPer []int, k int) []int {
 			s++
 		}
 	}
-	// Spanning tree (same BFS as buildFabric: from switch 0 in wiring
+	// Spanning tree (same BFS as buildMedia: from switch 0 in wiring
 	// order) to find each interior switch's children.
 	adj := make([][]int, plan.switches)
 	for ti, w := range plan.trunks {
@@ -628,8 +656,8 @@ func (tb *Testbed) TrunkStatus(i int) (TrunkStatus, error) {
 	return st, nil
 }
 
-// FabricSwitches reports the number of switches in the built fabric (0
-// for single-switch or bus testbeds, or before build).
+// FabricSwitches reports the number of switches in the built fabric (1
+// for the single switch; 0 on a bus testbed, or before build).
 func (tb *Testbed) FabricSwitches() int { return len(tb.fabric) }
 
 // AddHostGroup adds n hosts named <prefix><seq> (four-digit sequence)

@@ -151,15 +151,19 @@ type Config struct {
 	// instrument at this virtual-time cadence into a ring of time-series
 	// points (read back with MetricsSeries; see docs/OBSERVABILITY.md).
 	MetricsSampleInterval time.Duration
-	// MetricsRingCapacity bounds the sampled points kept (default 4096;
-	// when full the oldest point is overwritten).
-	MetricsRingCapacity int
 }
 
-// Node is one testbed host.
+// Node is one testbed host. AddHost* declares it — a name and an
+// identity; the first Run or RunFor constructs its layer chain (see
+// Testbed.build), and until then the node answers as a host that has
+// seen no traffic.
 type Node struct {
-	tb     *Testbed
-	name   string
+	tb   *Testbed
+	name string
+	mac  packet.MAC
+	ip   packet.IP
+
+	// The chain NIC ← RLL ← engine ← [Rether] ← IP/TCP; nil before build.
 	host   *stack.Host
 	engine *core.Engine
 	rll    *rll.RLL
@@ -171,19 +175,22 @@ type Node struct {
 func (n *Node) Name() string { return n.name }
 
 // MAC returns the hardware address as a string.
-func (n *Node) MAC() string { return n.host.MAC.String() }
+func (n *Node) MAC() string { return n.mac.String() }
 
 // IP returns the IPv4 address as a string.
-func (n *Node) IP() string { return n.host.IP.String() }
+func (n *Node) IP() string { return n.ip.String() }
 
 // CounterValue reads a scenario counter homed on this node (0, false if
-// the scenario has no such counter).
+// the scenario has no such counter, or before the testbed is built).
 func (n *Node) CounterValue(name string) (int64, bool) {
+	if n.engine == nil {
+		return 0, false
+	}
 	return n.engine.CounterValueByName(name)
 }
 
 // Failed reports whether a FAIL action crashed this node.
-func (n *Node) Failed() bool { return n.engine.Failed() }
+func (n *Node) Failed() bool { return n.engine != nil && n.engine.Failed() }
 
 // RequestRTSlots asks the Rether ring monitor to reserve per-cycle
 // real-time transmission slots for this node (admission control). The
@@ -221,6 +228,9 @@ func (tb *Testbed) InjectedFaults() []InjectedFault {
 	// fault surface composes instead of bypassing the FSL reporting.
 	out = append(out, tb.topo.log...)
 	for _, n := range tb.nodes {
+		if n.engine == nil {
+			continue // declared, not built yet
+		}
 		for _, f := range n.engine.FaultLog() {
 			pkt := ""
 			if tb.script != nil && f.Filter >= 0 && int(f.Filter) < len(tb.script.prog.Filters) {
@@ -246,17 +256,17 @@ func (tb *Testbed) InjectedFaults() []InjectedFault {
 // optional RLL/Rether, workloads and one staged scenario.
 type Testbed struct {
 	cfg   Config
-	sched *sim.Scheduler
-	pool  *ether.FramePool
-	sw    *ether.Switch
-	bus   *ether.SharedBus
+	sched *sim.Scheduler   // shard 0's queue, and the testbed's clock
+	pool  *ether.FramePool // shard 0's pool
 
 	nodes  []*Node
 	byName map[string]*Node
 
-	// fabric is the generated multi-switch topology (empty for the
-	// classic single switch / bus); wired once by build, kept by Reset.
+	// The media, constructed by build and kept by Reset: fabric is every
+	// switch in plan order — the classic single switch is the one-switch
+	// fabric — and is empty on a bus testbed, where bus is the medium.
 	fabric    []*ether.Switch
+	bus       *ether.SharedBus
 	trunks    []fabricTrunk // built trunks in wiring order
 	fabricAdj [][]int       // switch index -> trunk indices, wiring order
 	hostSeq   int           // AddHostGroup identity sequence
@@ -287,7 +297,10 @@ type Testbed struct {
 	rtStreams  []portPair
 
 	workloads []workload
-	built     bool
+	// built is set by the one successful build; buildErr by the one
+	// failed build, which every later Run/RunFor/Reset returns again.
+	built    bool
+	buildErr error
 
 	// zeros is the read-only payload source of the TCP workloads (see
 	// zeroPayload).
@@ -314,13 +327,23 @@ type portPair struct {
 	srcPort, dstPort uint16
 }
 
-// New creates an empty testbed.
+// New creates an empty testbed: a clock and the recorded configuration.
+// No medium and no host exists until the first Run or RunFor builds them.
 func New(cfg Config) (*Testbed, error) {
 	if cfg.Medium == 0 {
 		cfg.Medium = MediumSwitch
 	}
 	if err := validateShardConfig(&cfg); err != nil {
 		return nil, err
+	}
+	switch cfg.Medium {
+	case MediumSwitch, MediumSwitchFullDuplex:
+	case MediumBus:
+		if t := cfg.Topology; t != nil && t.Kind != TopoSingle {
+			return nil, fmt.Errorf("virtualwire: topology %v requires a switch medium", t.Kind)
+		}
+	default:
+		return nil, fmt.Errorf("virtualwire: unknown medium %d", cfg.Medium)
 	}
 	tb := &Testbed{
 		cfg:    cfg,
@@ -329,47 +352,15 @@ func New(cfg Config) (*Testbed, error) {
 		byName: make(map[string]*Node),
 		reg:    metrics.NewRegistry(),
 	}
-	switch cfg.Medium {
-	case MediumSwitch, MediumSwitchFullDuplex:
-		if tb.topologyActive() {
-			// The fabric's switches are created in build(), once the host
-			// count (which sizes auto topologies) is known.
-			break
-		}
-		tb.sw = ether.NewSwitch(tb.sched, ether.SwitchConfig{
-			BitsPerSecond: cfg.BitsPerSecond,
-			Propagation:   cfg.Propagation,
-			BitErrorRate:  cfg.BitErrorRate,
-			FullDuplex:    cfg.Medium == MediumSwitchFullDuplex,
-			Pool:          tb.pool,
-		})
-	case MediumBus:
-		if tb.topologyActive() {
-			return nil, fmt.Errorf("virtualwire: topology %v requires a switch medium", cfg.Topology.Kind)
-		}
-		tb.bus = ether.NewSharedBus(tb.sched, ether.BusConfig{
-			BitsPerSecond: cfg.BitsPerSecond,
-			Propagation:   cfg.Propagation,
-			BitErrorRate:  cfg.BitErrorRate,
-			Pool:          tb.pool,
-		})
-	default:
-		return nil, fmt.Errorf("virtualwire: unknown medium %d", cfg.Medium)
-	}
 	if cfg.TraceCapacity > 0 {
 		tb.tracing = trace.NewBuffer(cfg.TraceCapacity)
 	}
 	return tb, nil
 }
 
-// AddHost adds a host with the given identity. Must be called before Run.
+// AddHost declares a host with the given identity. Must be called before
+// Run.
 func (tb *Testbed) AddHost(name, mac, ip string) (*Node, error) {
-	if tb.built {
-		return nil, fmt.Errorf("virtualwire: testbed already built")
-	}
-	if _, dup := tb.byName[name]; dup {
-		return nil, fmt.Errorf("virtualwire: host %q already added", name)
-	}
 	m, err := packet.ParseMAC(mac)
 	if err != nil {
 		return nil, err
@@ -382,38 +373,28 @@ func (tb *Testbed) AddHost(name, mac, ip string) (*Node, error) {
 }
 
 // addHost is AddHost after identity parsing — also the entry point for
-// compiled scripts, whose NODE_TABLE already carries parsed addresses.
+// compiled scripts, whose NODE_TABLE already carries parsed addresses,
+// and for AddHostGroup. It records the node; build constructs it.
 func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, error) {
-	if tb.built {
-		return nil, fmt.Errorf("virtualwire: testbed already built")
+	if err := tb.sealed(); err != nil {
+		return nil, err
 	}
 	if _, dup := tb.byName[name]; dup {
 		return nil, fmt.Errorf("virtualwire: host %q already added", name)
 	}
-	h := stack.NewHost(tb.sched, name, m, addr)
-	switch {
-	case tb.topologyActive():
-		// Attachment is deferred to buildFabric, which round-robins hosts
-		// across the fabric's edge switches once their count is known.
-	case tb.sw != nil:
-		tb.sw.AttachHost(h.NIC)
-	default:
-		tb.bus.Attach(h.NIC)
-	}
-	n := &Node{
-		tb:     tb,
-		name:   name,
-		host:   h,
-		engine: core.NewEngine(tb.sched, m),
-	}
-	n.engine.Cost = tb.cfg.Cost
-	if tb.cfg.RLL {
-		n.rll = rll.New(tb.sched, m, rll.Config{Window: tb.cfg.RLLWindow})
-		h.NIC.DeliverCorrupt = true // the RLL validates its own CRC
-	}
+	n := &Node{tb: tb, name: name, mac: m, ip: addr}
 	tb.nodes = append(tb.nodes, n)
 	tb.byName[name] = n
 	return n, nil
+}
+
+// sealed reports why the host set and the Rether ring can no longer
+// change: the testbed was built from them, or failed to be.
+func (tb *Testbed) sealed() error {
+	if tb.built {
+		return fmt.Errorf("virtualwire: testbed already built")
+	}
+	return tb.buildErr
 }
 
 // AddNodesFromScript creates one host per NODE_TABLE row of an FSL
@@ -448,8 +429,8 @@ func (tb *Testbed) Nodes() []*Node {
 // hosts, in the given ring order. RT port pairs registered with
 // AddRTStream are served from the real-time queue.
 func (tb *Testbed) InstallRether(ringOrder []string, cfg RetherConfig) error {
-	if tb.built {
-		return fmt.Errorf("virtualwire: testbed already built")
+	if err := tb.sealed(); err != nil {
+		return err
 	}
 	for _, name := range ringOrder {
 		if _, ok := tb.byName[name]; !ok {
@@ -484,19 +465,28 @@ func (tb *Testbed) AddRTStream(srcPort, dstPort uint16) {
 	tb.rtStreams = append(tb.rtStreams, portPair{srcPort, dstPort})
 }
 
-// build assembles every host's layer chain and the controller.
+// build is the single assembly point, run by the first Run or RunFor. It
+// plans the wiring, creates the shard runtime, and then constructs every
+// medium and every host's chain NIC ← [RLL] ← engine ← [Rether] ← IP/TCP
+// directly on the scheduler and pool of the shard it lives on. A build
+// that fails is not retried: the testbed stays unbuilt and every later
+// call returns the same error.
 func (tb *Testbed) build() error {
-	if tb.built {
-		return nil
+	if !tb.built && tb.buildErr == nil {
+		tb.buildErr = tb.assemble()
+		tb.built = tb.buildErr == nil
 	}
-	tb.built = true
-	if tb.topologyActive() {
-		if err := tb.buildFabric(); err != nil {
-			return err
-		}
-	} else {
-		// A single switch or a bus is one segment: one shard.
-		tb.initShardRuntime(1)
+	return tb.buildErr
+}
+
+// assemble does build's work. Order is the determinism contract: switch
+// ports are numbered in host add order, component generators are handed
+// out in construction order, and metric sources register in the order
+// reports print them.
+func (tb *Testbed) assemble() error {
+	segmentOf, err := tb.buildMedia()
+	if err != nil {
+		return err
 	}
 	if err := tb.stageTopoFaults(); err != nil {
 		return err
@@ -505,7 +495,7 @@ func (tb *Testbed) build() error {
 	var ringMACs []packet.MAC
 	for _, name := range tb.retherRing {
 		inRing[name] = true
-		ringMACs = append(ringMACs, tb.byName[name].host.MAC)
+		ringMACs = append(ringMACs, tb.byName[name].mac)
 	}
 	var pcapWriter *trace.PcapWriter
 	if tb.cfg.Pcap != nil {
@@ -519,29 +509,42 @@ func (tb *Testbed) build() error {
 	if pcapNode == "" && len(tb.nodes) > 0 {
 		pcapNode = tb.nodes[0].name
 	}
-	for _, n := range tb.nodes {
-		// Layers run on the node's scheduler — tb.sched everywhere except
-		// sharded fabrics, where buildFabric has rebound each host to its
-		// shard's queue. Likewise the pool: every layer recycles into the
-		// one the host's medium handed its NIC (the shard's).
+	for i, n := range tb.nodes {
+		// The host lives on the shard of its segment — the bus, or a port
+		// of the edge switch round-robin hands it — and attaches in add
+		// order, which numbers the ports.
+		sw, shard := segmentOf(i)
+		sched := tb.shards.scheds[shard]
+		n.host = stack.NewHost(sched, n.name, n.mac, n.ip)
+		if sw != nil {
+			sw.AttachHost(n.host.NIC)
+		} else {
+			tb.bus.Attach(n.host.NIC)
+		}
+		// Every layer recycles into the pool the medium handed the NIC
+		// (the shard's).
 		pool := n.host.NIC.Pool()
 		var layers []stack.Layer
 		if tb.tracing != nil {
-			layers = append(layers, trace.NewTap(n.host.Sched, n.name, tb.tracing))
+			layers = append(layers, trace.NewTap(sched, n.name, tb.tracing))
 		}
 		if pcapWriter != nil && n.name == pcapNode {
-			layers = append(layers, trace.NewPcapTap(n.host.Sched, pcapWriter))
+			layers = append(layers, trace.NewPcapTap(sched, pcapWriter))
 		}
-		if n.rll != nil {
+		if tb.cfg.RLL {
+			n.rll = rll.New(sched, n.mac, rll.Config{Window: tb.cfg.RLLWindow})
 			n.rll.SetPool(pool)
+			n.host.NIC.DeliverCorrupt = true // the RLL validates its own CRC
 			layers = append(layers, n.rll)
 		}
+		n.engine = core.NewEngine(sched, n.mac)
+		n.engine.Cost = tb.cfg.Cost
 		n.engine.SetPool(pool)
 		layers = append(layers, n.engine)
 		if inRing[n.name] {
 			rcfg := tb.retherCfg
 			rcfg.Ring = ringMACs
-			n.rether = rether.New(n.host.Sched, n.host.MAC, rcfg)
+			n.rether = rether.New(sched, n.mac, rcfg)
 			n.rether.SetPool(pool)
 			if len(tb.rtStreams) > 0 {
 				streams := append([]portPair(nil), tb.rtStreams...)
@@ -557,7 +560,7 @@ func (tb *Testbed) build() error {
 	// Static ARP: everyone knows everyone (the Node Table).
 	for _, a := range tb.nodes {
 		for _, b := range tb.nodes {
-			a.host.Neighbors[b.host.IP] = b.host.MAC
+			a.host.Neighbors[b.ip] = b.mac
 		}
 	}
 	for _, name := range tb.retherRing {

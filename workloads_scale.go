@@ -12,7 +12,104 @@ import (
 // on one receiver — the classic many-to-one switch-buffer stress) and
 // ManyFlow (hundreds of independent TCP transfers spread over the
 // fabric). Both derive their host sets from the testbed so campaigns can
-// say "incast over 500 hosts" without naming 500 nodes.
+// say "incast over 500 hosts" without naming 500 nodes, and both are one
+// flowSet: they differ only in how many flows share a listener.
+
+// flowSet is the TCP core of Incast and ManyFlow: bulk flows of a fixed
+// size, each one connect-send-close from its source to a listener that
+// counts what arrives. Result slots are single-owner so shards never
+// share a counter: a listener's delivered/completed are written by its
+// destination's shard, a flow's failed slot by its source's shard.
+type flowSet struct {
+	bytes     int    // per-flow transfer size
+	label     string // event label of the staggered connects
+	listeners []flowListener
+	failed    []int // per flow, in connect order
+	parts     []workloadPart
+}
+
+type flowListener struct{ delivered, completed int }
+
+// start begins a run's flow set, sized for its flows and listeners. It
+// runs at the barrier, as listen and connect do.
+func (s *flowSet) start(flows, listeners int) {
+	s.listeners = make([]flowListener, 0, listeners)
+	s.failed = make([]int, 0, flows)
+	s.parts = make([]workloadPart, 0, flows)
+}
+
+// listen installs a counting listener on dst:port, for any number of
+// connects to it.
+func (s *flowSet) listen(dst *Node, port uint16) error {
+	lst, err := dst.tcp.Listen(port)
+	if err != nil {
+		return err
+	}
+	li := len(s.listeners)
+	s.listeners = append(s.listeners, flowListener{})
+	lst.OnAccept = func(c *tcp.Conn) {
+		got := 0
+		c.OnData = func(d []byte) {
+			l := &s.listeners[li]
+			l.delivered += len(d)
+			before := got
+			got += len(d)
+			if before < s.bytes && got >= s.bytes {
+				l.completed++
+			}
+		}
+		c.OnClose = func() { c.Close() }
+	}
+	return nil
+}
+
+// connect adds one flow from src:srcPort to dst:dstPort, where a listener
+// of this set waits: a part on the source's shard that schedules the
+// connect delay after the workload starts. The connect closure touches
+// only source-local TCP state and the flow's own failure slot; the
+// payload is cut here, while the workload is being started.
+func (s *flowSet) connect(src, dst *Node, srcPort, dstPort uint16, delay time.Duration) {
+	f := len(s.failed)
+	s.failed = append(s.failed, 0)
+	payload := src.tb.zeroPayload(s.bytes)
+	connect := func() {
+		conn, err := src.tcp.Connect(srcPort, dst.ip, dstPort)
+		if err != nil {
+			s.failed[f]++
+			return
+		}
+		conn.OnFail = func() { s.failed[f]++ }
+		conn.OnConnected = func() {
+			conn.Send(payload)
+			conn.Close()
+		}
+	}
+	sched := src.host.Sched
+	s.parts = append(s.parts, workloadPart{node: src, run: func() {
+		sched.After(delay, s.label, connect)
+	}})
+}
+
+func (s *flowSet) deliveredBytes() (n int) {
+	for i := range s.listeners {
+		n += s.listeners[i].delivered
+	}
+	return n
+}
+
+func (s *flowSet) completedFlows() (n int) {
+	for i := range s.listeners {
+		n += s.listeners[i].completed
+	}
+	return n
+}
+
+func (s *flowSet) failedFlows() (n int) {
+	for _, v := range s.failed {
+		n += v
+	}
+	return n
+}
 
 // IncastConfig describes an N-to-1 TCP convergence workload.
 type IncastConfig struct {
@@ -38,14 +135,9 @@ type IncastConfig struct {
 
 // Incast is a running N-to-1 workload handle.
 type Incast struct {
-	cfg       IncastConfig
-	senders   []string
-	delivered int
-	completed int
-	// senderFail holds one failure counter per sender: each sender's
-	// shard writes only its own slot (a shared counter would be a
-	// cross-shard race).
-	senderFail []int
+	cfg     IncastConfig
+	senders []string
+	set     flowSet
 }
 
 // AddIncast stages an N-to-1 TCP incast workload.
@@ -71,7 +163,7 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 	if cfg.Stagger <= 0 {
 		cfg.Stagger = 100 * time.Microsecond
 	}
-	w := &Incast{cfg: cfg}
+	w := &Incast{cfg: cfg, set: flowSet{bytes: cfg.Bytes, label: "incast.connect"}}
 	if len(cfg.Senders) > 0 {
 		for _, name := range cfg.Senders {
 			if _, ok := tb.byName[name]; !ok {
@@ -100,87 +192,33 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 	return w, nil
 }
 
-// setupReceiver installs the listener and allocates the per-sender
-// failure slots.
-func (w *Incast) setupReceiver(tb *Testbed) error {
-	to := tb.byName[w.cfg.To]
-	lst, err := to.tcp.Listen(w.cfg.DstPort)
-	if err != nil {
-		return err
-	}
-	lst.OnAccept = func(c *tcp.Conn) {
-		got := 0
-		c.OnData = func(d []byte) {
-			w.delivered += len(d)
-			before := got
-			got += len(d)
-			if before < w.cfg.Bytes && got >= w.cfg.Bytes {
-				w.completed++
-			}
-		}
-		c.OnClose = func() { c.Close() }
-	}
-	w.senderFail = make([]int, len(w.senders))
-	return nil
-}
-
-// connectFunc returns sender i's connect-and-send closure. It touches
-// only sender-local TCP state and the sender's own failure slot; the
-// payload is cut here, while the workload is being started.
-func (w *Incast) connectFunc(i int, from, to *Node) func() {
-	payload := from.tb.zeroPayload(w.cfg.Bytes)
-	return func() {
-		conn, err := from.tcp.Connect(w.cfg.SrcPort, to.host.IP, w.cfg.DstPort)
-		if err != nil {
-			w.senderFail[i]++
-			return
-		}
-		conn.OnFail = func() { w.senderFail[i]++ }
-		conn.OnConnected = func() {
-			conn.Send(payload)
-			conn.Close()
-		}
-	}
-}
-
-// parts decomposes the incast: the receiver's listener is installed at
-// the barrier; each sender gets one part on its own shard that schedules
-// the staggered connect locally.
+// parts decomposes the incast: the receiver's one listener is installed
+// at the barrier; each sender gets one part on its own shard that
+// schedules the staggered connect locally.
 func (w *Incast) parts(tb *Testbed) ([]workloadPart, error) {
-	if err := w.setupReceiver(tb); err != nil {
+	to := tb.byName[w.cfg.To]
+	w.set.start(len(w.senders), 1)
+	if err := w.set.listen(to, w.cfg.DstPort); err != nil {
 		return nil, err
 	}
-	to := tb.byName[w.cfg.To]
-	parts := make([]workloadPart, 0, len(w.senders))
 	for i, name := range w.senders {
-		from := tb.byName[name]
-		delay := time.Duration(i) * w.cfg.Stagger
-		connect := w.connectFunc(i, from, to)
-		sched := from.host.Sched
-		parts = append(parts, workloadPart{node: from, run: func() {
-			sched.After(delay, "incast.connect", connect)
-		}})
+		w.set.connect(tb.byName[name], to, w.cfg.SrcPort, w.cfg.DstPort,
+			time.Duration(i)*w.cfg.Stagger)
 	}
-	return parts, nil
+	return w.set.parts, nil
 }
 
 // Senders reports how many senders the workload targets.
 func (w *Incast) Senders() int { return len(w.senders) }
 
 // Completed reports senders whose full transfer arrived at the receiver.
-func (w *Incast) Completed() int { return w.completed }
+func (w *Incast) Completed() int { return w.set.completedFlows() }
 
 // DeliveredBytes reports total application bytes received.
-func (w *Incast) DeliveredBytes() int { return w.delivered }
+func (w *Incast) DeliveredBytes() int { return w.set.deliveredBytes() }
 
 // Failed reports connections that failed to establish or aborted.
-func (w *Incast) Failed() int {
-	n := 0
-	for _, f := range w.senderFail {
-		n += f
-	}
-	return n
-}
+func (w *Incast) Failed() int { return w.set.failedFlows() }
 
 // ManyFlowConfig describes a fabric-wide mesh of independent TCP flows.
 type ManyFlowConfig struct {
@@ -208,12 +246,7 @@ type ManyFlow struct {
 	conf  ManyFlowConfig
 	hosts []string
 	flows int
-	// Per-flow result slots: delivered/completed are written by the
-	// flow's destination shard, failed by its source shard. Distinct
-	// slots keep every write single-owner.
-	flowDelivered []int
-	flowCompleted []int
-	flowFailed    []int
+	set   flowSet
 }
 
 // AddManyFlow stages a mesh of independent point-to-point TCP flows over
@@ -254,65 +287,18 @@ func (tb *Testbed) AddManyFlow(cfg ManyFlowConfig) (*ManyFlow, error) {
 	if w.conf.Stagger <= 0 {
 		w.conf.Stagger = 50 * time.Microsecond
 	}
+	w.set = flowSet{bytes: w.conf.Bytes, label: "manyflow.connect"}
 	tb.workloads = append(tb.workloads, w)
 	return w, nil
 }
 
-func (w *ManyFlow) allocSlots() {
-	w.flowDelivered = make([]int, w.flows)
-	w.flowCompleted = make([]int, w.flows)
-	w.flowFailed = make([]int, w.flows)
-}
-
-// setupFlowListener installs flow f's listener on its destination; the
-// accept callbacks write only flow f's destination-owned slots.
-func (w *ManyFlow) setupFlowListener(f int, dst *Node, port uint16) error {
-	lst, err := dst.tcp.Listen(port)
-	if err != nil {
-		return err
-	}
-	lst.OnAccept = func(c *tcp.Conn) {
-		got := 0
-		c.OnData = func(d []byte) {
-			w.flowDelivered[f] += len(d)
-			before := got
-			got += len(d)
-			if before < w.conf.Bytes && got >= w.conf.Bytes {
-				w.flowCompleted[f]++
-			}
-		}
-		c.OnClose = func() { c.Close() }
-	}
-	return nil
-}
-
-// connectFunc returns flow f's connect-and-send closure, touching only
-// source-local TCP state and flow f's failure slot; the payload is cut
-// here, while the workload is being started.
-func (w *ManyFlow) connectFunc(f int, src, dst *Node, port uint16) func() {
-	payload := src.tb.zeroPayload(w.conf.Bytes)
-	return func() {
-		conn, err := src.tcp.Connect(port, dst.host.IP, port)
-		if err != nil {
-			w.flowFailed[f]++
-			return
-		}
-		conn.OnFail = func() { w.flowFailed[f]++ }
-		conn.OnConnected = func() {
-			conn.Send(payload)
-			conn.Close()
-		}
-	}
-}
-
 // parts decomposes the mesh: pair selection (from PairSeed) and every
-// listener registration happen at the barrier; each flow gets one part
-// on its source's shard that schedules the staggered connect locally.
+// flow's own listener happen at the barrier; each flow gets one part on
+// its source's shard that schedules the staggered connect locally.
 func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
-	w.allocSlots()
+	w.set.start(w.flows, w.flows)
 	rng := rand.New(rand.NewSource(w.conf.PairSeed))
 	n := len(w.hosts)
-	parts := make([]workloadPart, 0, w.flows)
 	for f := 0; f < w.flows; f++ {
 		si := rng.Intn(n)
 		di := rng.Intn(n - 1)
@@ -322,35 +308,22 @@ func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
 		src := tb.byName[w.hosts[si]]
 		dst := tb.byName[w.hosts[di]]
 		port := w.conf.BasePort + uint16(f)
-		if err := w.setupFlowListener(f, dst, port); err != nil {
+		if err := w.set.listen(dst, port); err != nil {
 			return nil, err
 		}
-		delay := time.Duration(f) * w.conf.Stagger
-		connect := w.connectFunc(f, src, dst, port)
-		sched := src.host.Sched
-		parts = append(parts, workloadPart{node: src, run: func() {
-			sched.After(delay, "manyflow.connect", connect)
-		}})
+		w.set.connect(src, dst, port, port, time.Duration(f)*w.conf.Stagger)
 	}
-	return parts, nil
+	return w.set.parts, nil
 }
 
 // Flows reports the number of staged flows.
 func (w *ManyFlow) Flows() int { return w.flows }
 
 // Completed reports flows whose full transfer arrived.
-func (w *ManyFlow) Completed() int { return sumSlots(w.flowCompleted) }
+func (w *ManyFlow) Completed() int { return w.set.completedFlows() }
 
 // DeliveredBytes reports total application bytes received across flows.
-func (w *ManyFlow) DeliveredBytes() int { return sumSlots(w.flowDelivered) }
+func (w *ManyFlow) DeliveredBytes() int { return w.set.deliveredBytes() }
 
 // Failed reports flows that failed to establish or aborted.
-func (w *ManyFlow) Failed() int { return sumSlots(w.flowFailed) }
-
-func sumSlots(slots []int) int {
-	n := 0
-	for _, v := range slots {
-		n += v
-	}
-	return n
-}
+func (w *ManyFlow) Failed() int { return w.set.failedFlows() }
