@@ -232,15 +232,11 @@ func TestHostsAreBuiltOnTheirShard(t *testing.T) {
 	if tb.shards.count != shards {
 		t.Fatalf("built %d shards, want %d", tb.shards.count, shards)
 	}
-	plan, err := planFabric(spec, hosts)
+	plan, err := tb.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostsPer := make([]int, plan.switches)
-	for i := 0; i < hosts; i++ {
-		hostsPer[plan.edges[i%len(plan.edges)]]++
-	}
-	shardOf := planShards(plan, hostsPer, shards)
+	shardOf := plan.shardOf
 	used := map[int]bool{}
 	for i, n := range tb.nodes {
 		edge := plan.edges[i%len(plan.edges)]
@@ -322,5 +318,133 @@ func TestHostSetClosesAtBuild(t *testing.T) {
 		if rep, err := empty.Run(time.Millisecond); err != nil || len(rep.Nodes) != 0 {
 			t.Errorf("medium %d with no hosts: %v, %d node rows", m, err, len(rep.Nodes))
 		}
+	}
+}
+
+// TestCheckIsTheBuildPlan: Check is the planning half of build, so for
+// every configuration a testbed can be rejected for, Check returns the
+// text the first Run fails with, and neither constructs anything. The
+// rows New already refuses (it runs the host-independent part of the same
+// plan) are staged on a testbed New did hand out, so that Check and Run
+// are asked too.
+func TestCheckIsTheBuildPlan(t *testing.T) {
+	cs, err := CompileScript(readScript(t, "quickstart_drop.fsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := &TopologySpec{Kind: TopoRing, Switches: 4} // 4 switches, 4 trunks
+	faults := func(f TopologyFaultSpec) Config {
+		return Config{Topology: ring, TopologyFaults: []TopologyFaultSpec{{Kind: TrunkUp, At: time.Second}, f}}
+	}
+	negative := -1.0
+	cases := []struct {
+		name   string
+		cfg    Config
+		hosts  int  // generated hosts; 0 with script: the NODE_TABLE's
+		script bool // stage quickstart_drop.fsl
+		atNew  bool // New refuses it too
+		field  string
+		want   string
+	}{
+		{"unknown-medium", Config{Medium: 99}, 2, false, true, "medium",
+			"virtualwire: unknown medium 99"},
+		{"bus-with-topology", Config{Medium: MediumBus, Topology: ring}, 2, false, true, "medium",
+			"virtualwire: topology ring requires a switch medium"},
+		{"shard-count", Config{Shards: -2}, 2, false, true, "shards",
+			"virtualwire: invalid shard count -2"},
+		{"shards-with-trace", Config{Shards: 2, TraceCapacity: 16}, 2, false, true, "shards",
+			"virtualwire: TraceCapacity needs one shard, not 2 (the trace buffer is shared across shards)"},
+		{"shards-with-sampling", Config{Shards: 4, MetricsSampleInterval: time.Millisecond}, 2, false, true, "shards",
+			"virtualwire: MetricsSampleInterval needs one shard, not 4 (sampling gathers cross-shard state mid-run)"},
+		{"odd-fattree-k", Config{Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 5}}, 4, false, false, "topology.fattree_k",
+			"virtualwire: fat-tree arity must be even and between 4 and 64 (got 5)"},
+		{"huge-fattree-k", Config{Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 1 << 20}}, 4, false, false, "topology.fattree_k",
+			"virtualwire: fat-tree arity must be even and between 4 and 64 (got 1048576)"},
+		{"huge-ring", Config{Topology: &TopologySpec{Kind: TopoRing, Switches: 1 << 30}}, 4, false, false, "topology",
+			"virtualwire: topology ring asks for 1073741824 switches and 0 extra trunks (limit 16384 each)"},
+		{"topology-without-hosts", Config{Topology: ring}, 0, false, false, "topology",
+			"virtualwire: topology ring needs hosts before build"},
+		{"trunk-out-of-range", faults(TopologyFaultSpec{Kind: TrunkDown, Trunk: 4}), 8, false, false, "trunk_faults[1].trunk",
+			"virtualwire: topology fault targets trunk 4 (fabric has 4)"},
+		{"flap-trunk-negative", faults(TopologyFaultSpec{Kind: TrunkFlap, Trunk: -1}), 8, false, false, "trunk_faults[1].trunk",
+			"virtualwire: topology fault targets trunk -1 (fabric has 4)"},
+		{"switch-out-of-range", faults(TopologyFaultSpec{Kind: SwitchDown, Switch: 99}), 8, false, false, "trunk_faults[1].switch",
+			"virtualwire: topology fault targets switch 99 (fabric has 4)"},
+		{"negative-fault-time", faults(TopologyFaultSpec{Kind: TrunkDown, At: -time.Millisecond}), 8, false, false, "trunk_faults[1].at",
+			"virtualwire: topology fault 1 at negative time -1ms"},
+		{"unknown-fault-kind", faults(TopologyFaultSpec{Kind: 42}), 8, false, false, "trunk_faults[1].kind",
+			"virtualwire: topology fault 1 has unknown kind 42"},
+		{"degrade-overrides-nothing", faults(TopologyFaultSpec{Kind: TrunkDegrade}), 8, false, false, "trunk_faults[1]",
+			"virtualwire: trunk_degrade fault 1 overrides neither Propagation nor BitErrorRate"},
+		{"degrade-negative-ber", faults(TopologyFaultSpec{Kind: TrunkDegrade, BitErrorRate: &negative}), 8, false, false, "trunk_faults[1].bit_error_rate",
+			"virtualwire: trunk_degrade fault 1 has negative BitErrorRate"},
+		{"flap-cycles", faults(TopologyFaultSpec{Kind: TrunkFlap, Count: 1 << 40}), 8, false, false, "trunk_faults[1].count",
+			"virtualwire: trunk_flap fault 1 has 1099511627776 cycles (limit 65536)"},
+		{"faults-without-topology", Config{TopologyFaults: []TopologyFaultSpec{{Kind: TrunkDown}}}, 2, false, false, "trunk_faults",
+			"virtualwire: TopologyFaults require a multi-switch Topology"},
+		{"control-node-not-in-script", Config{ControlNode: "nobody"}, 0, true, false, "",
+			`virtualwire: control node "nobody" not in script`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(tc.cfg)
+			if tc.atNew != (err != nil) || (err != nil && err.Error() != tc.want) {
+				t.Errorf("New: %v, want rejected=%v with %q", err, tc.atNew, tc.want)
+			}
+			tb, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.cfg = tc.cfg
+			if tb.cfg.Medium == 0 {
+				tb.cfg.Medium = MediumSwitch
+			}
+			if tc.hosts > 0 {
+				addGroupHosts(t, tb, tc.hosts)
+			}
+			if tc.script {
+				if err := tb.AddNodesFromCompiled(cs); err != nil {
+					t.Fatal(err)
+				}
+				if err := tb.LoadCompiled(cs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ { // Check is repeatable: it stages nothing
+				err := tb.Check()
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("Check: %v, want %q", err, tc.want)
+				}
+				var member interface{ Field() string }
+				if tc.field != "" && (!errors.As(err, &member) || member.Field() != tc.field) {
+					t.Errorf("Check names member %v, want %q", member, tc.field)
+				}
+			}
+			if tb.FabricSwitches() != 0 || tb.shards != nil || tb.built || tb.buildErr != nil {
+				t.Error("Check constructed or sealed something")
+			}
+			if _, err := tb.Run(time.Millisecond); err == nil || err.Error() != tc.want {
+				t.Errorf("Run: %v, want what Check said: %q", err, tc.want)
+			}
+			if tb.FabricSwitches() != 0 || tb.shards != nil || tb.nodes != nil && tb.nodes[0].host != nil {
+				t.Error("the failed build constructed something")
+			}
+		})
+	}
+
+	// What Check accepts, build constructs — and Check leaves it all to build.
+	tb, err := New(faults(TopologyFaultSpec{Kind: TrunkFlap, Trunk: 3, Count: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, 8)
+	if err := tb.Check(); err != nil || tb.FabricSwitches() != 0 || tb.shards != nil {
+		t.Fatalf("Check on a buildable testbed: %v (%d switches built)", err, tb.FabricSwitches())
+	}
+	if _, err := tb.Run(time.Millisecond); err != nil || tb.FabricSwitches() != 4 {
+		t.Fatalf("Run after Check: %v, %d switches", err, tb.FabricSwitches())
+	}
+	if err := tb.Check(); err != nil {
+		t.Errorf("Check on a built testbed: %v", err)
 	}
 }

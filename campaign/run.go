@@ -205,27 +205,6 @@ func (o *Options) normalize(matrixSize, maxShards int) {
 	}
 }
 
-// maxShards reports the widest shard request across the matrix, for
-// worker budgeting: auto counts as GOMAXPROCS (its upper bound), an
-// unset or zero count as 1.
-func maxShards(points []point) int {
-	max := 1
-	for i := range points {
-		s := points[i].cfg.Shards
-		if s == nil {
-			continue
-		}
-		k := *s
-		if k == virtualwire.ShardsAuto {
-			k = runtime.GOMAXPROCS(0)
-		}
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
-
 // newRunner returns the per-attempt executor for one worker: the test
 // substitute when set, otherwise a compile-once/reset-to-reuse executor
 // owning its private testbed cache. Each worker gets its own runner, so
@@ -246,21 +225,28 @@ func (o *Options) newRunner() runFunc {
 // flushed in run-index order, so the sink bytes and the Summary are
 // identical for any worker count.
 func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
-	points, err := spec.expand()
+	p, err := spec.Plan()
 	if err != nil {
 		return nil, err
 	}
+	return p.Run(ctx, opts)
+}
+
+// Run executes an admitted plan; see Run. The matrix is never
+// materialized: a worker computes its run from the index it takes, so
+// memory is O(shapes + workers) however long the seed axis is.
+func (p *Plan) Run(ctx context.Context, opts Options) (*Summary, error) {
+	spec := &p.spec
 	first := opts.FirstIndex
 	if first < 0 {
 		first = 0
 	}
-	if first > len(points) {
-		return nil, fmt.Errorf("campaign: FirstIndex %d beyond the %d-run matrix", opts.FirstIndex, len(points))
+	if first > p.runs {
+		return nil, fmt.Errorf("campaign: FirstIndex %d beyond the %d-run matrix", opts.FirstIndex, p.runs)
 	}
-	todo := points[first:]
-	opts.normalize(len(todo), maxShards(points))
+	opts.normalize(p.runs-first, spec.MaxShards())
 	workers := opts.Workers
-	agg := newAggregator(&spec, len(points))
+	agg := newAggregator(spec, p.runs)
 	// Fold the previous invocation's records into the tallies, in their
 	// original order, without re-writing them: the resumed Summary must
 	// equal the uninterrupted campaign's.
@@ -270,17 +256,14 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 			return agg.finish(), err
 		}
 	}
-	if len(todo) == 0 {
+	if first == p.runs {
 		return agg.finish(), nil
 	}
 
 	if workers <= 1 {
 		run := opts.newRunner()
-		for _, p := range todo {
-			if ctx.Err() != nil {
-				break
-			}
-			rec := runPoint(ctx, &spec, p, run)
+		for i := first; i < p.runs && ctx.Err() == nil; i++ {
+			rec := runPoint(ctx, spec, p.point(i), run)
 			if err := agg.collect(rec, &opts); err != nil {
 				return agg.finish(), err
 			}
@@ -312,12 +295,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 				case <-ctx.Done():
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(todo) {
+				i := first + int(next.Add(1)) - 1
+				if i >= p.runs {
 					<-sem
 					return
 				}
-				results <- runPoint(ctx, &spec, todo[i], run)
+				results <- runPoint(ctx, spec, p.point(i), run)
 			}
 		}()
 	}
@@ -365,7 +348,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 	// this courtesy flush so the sink keeps its contiguous-prefix
 	// invariant for resume scans.
 	if !opts.StrictOrder {
-		for i := base; i < len(points) && len(pending) > 0; i++ {
+		for i := base; len(pending) > 0; i++ { // every pending index is >= base
 			if r, ok := pending[i]; ok {
 				delete(pending, i)
 				if e := agg.collect(r, &opts); sinkErr == nil && e != nil {
@@ -387,8 +370,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Summary, error) {
 // errors are not.
 func runPoint(ctx context.Context, spec *Spec, p point, run runFunc) RunRecord {
 	base := RunRecord{
-		Index: p.index, Label: p.label,
-		Config: p.configLabel, Workload: p.workloadLabel,
+		Index: p.index, Label: p.runLabel,
+		Config: p.cfgLabel, Workload: p.wlLabel,
 		SeedIndex: p.seedIndex, Seed: p.seed,
 	}
 	for attempt := 1; ; attempt++ {
@@ -445,52 +428,52 @@ func Transient(err error) bool {
 // of rebuilding the whole stack. Reset-vs-fresh determinism is a tested
 // invariant of the facade, so which path a given run takes — and
 // therefore the worker count — never changes the record bytes.
-type testbedCache map[int]*virtualwire.Testbed // shapeID → reusable testbed
+type testbedCache map[int]*virtualwire.Testbed // shape id → reusable testbed
 
 // run executes one attempt of one point on the shape's testbed, building
 // it on the shape's first run and rewinding it on every later one.
 func (c testbedCache) run(ctx context.Context, spec *Spec, p point, rec *RunRecord) error {
-	tb := c[p.shapeID]
+	tb := c[p.id]
 	if tb != nil {
 		if err := tb.Reset(p.seed); err != nil {
 			// A testbed that cannot be rewound (never built) is dropped,
 			// not reused dirty.
-			delete(c, p.shapeID)
+			delete(c, p.id)
 			tb = nil
 		}
 	}
 	if tb == nil {
 		var err error
-		if tb, err = newTestbed(spec, p); err != nil {
+		if tb, err = newTestbed(spec, p.shape, p.seed); err != nil {
 			return err
 		}
-		c[p.shapeID] = tb
+		c[p.id] = tb
 	}
 	return finishRun(ctx, spec, p, rec, tb)
 }
 
-// newTestbed builds the point's shape: its config, its hosts — from
+// newTestbed declares a shape's testbed: its config, its hosts — from
 // Spec.Nodes when that names them, else from the script's NODE_TABLE,
 // else Spec.Hosts generated ones — and its compiled scenario, staged.
-func newTestbed(spec *Spec, p point) (*virtualwire.Testbed, error) {
-	cfg := virtualwire.Config{Seed: p.seed}
-	if err := p.cfg.apply(&cfg); err != nil {
-		return nil, err
-	}
+// Nothing is constructed until the testbed first runs, so the plan
+// declares one per shape just to have it checked.
+func newTestbed(spec *Spec, sh *shape, seed int64) (*virtualwire.Testbed, error) {
+	cfg := sh.cfg
+	cfg.Seed = seed
 	tb, err := virtualwire.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	switch {
-	case spec.Nodes != "" && spec.Nodes != p.script:
+	case spec.Nodes != "" && spec.Nodes != sh.script:
 		err = tb.AddNodesFromScript(spec.Nodes)
-	case p.compiled != nil:
-		err = tb.AddNodesFromCompiled(p.compiled)
+	case sh.compiled != nil:
+		err = tb.AddNodesFromCompiled(sh.compiled)
 	default:
 		_, err = tb.AddHostGroup("h", spec.Hosts)
 	}
-	if err == nil && p.compiled != nil {
-		err = tb.LoadCompiled(p.compiled)
+	if err == nil && sh.compiled != nil {
+		err = tb.LoadCompiled(sh.compiled)
 	}
 	return tb, err
 }

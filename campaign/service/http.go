@@ -22,7 +22,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,8 +35,8 @@ import (
 )
 
 // SubmitRequest is the POST /v1/campaigns body. The spec rides as raw
-// JSON so it goes through campaign.ParseSpec — the same strict,
-// versioned decode path the CLI -spec flag uses.
+// JSON so it goes through campaign.ParsePlan — the same strict,
+// versioned admission the CLI -spec flag uses.
 type SubmitRequest struct {
 	// Tenant buckets the job for fair scheduling ("default" if empty).
 	Tenant string `json:"tenant,omitempty"`
@@ -104,19 +103,14 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `submit request: missing "spec"`)
 		return
 	}
-	spec, err := campaign.ParseSpec(req.Spec)
+	plan, err := campaign.ParsePlan(req.Spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	st, err := h.m.Submit(req.Tenant, spec, req.Workers)
+	st, err := h.m.submit(req.Tenant, plan, req.Workers)
 	if err != nil {
-		code := http.StatusInternalServerError
-		var fe *campaign.FieldError
-		if errors.As(err, &fe) {
-			code = http.StatusBadRequest
-		}
-		writeError(w, code, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)

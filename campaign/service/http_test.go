@@ -1,14 +1,19 @@
 package service_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"virtualwire/campaign"
 	"virtualwire/campaign/service"
@@ -230,5 +235,109 @@ func TestHTTPMetrics(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// Everything no run could be built from is refused at submit: each spec
+// of the campaign package's rejected corpus answers 400 with the path of
+// the field to fix, and nothing is journaled — no job, no jobs/<id>
+// directory. (Each used to answer 201 and journal a job whose every run
+// recorded "outcome":"error".)
+func TestHTTPSubmitRejectsWhatNoRunCouldBuild(t *testing.T) {
+	f, err := os.Open("../testdata/rejected.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dir := t.TempDir()
+	m := openManager(t, dir, 2)
+	defer m.Close()
+	ts := httptest.NewServer(service.NewHandler(m))
+	defer ts.Close()
+
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	rows := 0
+	for sc.Scan() {
+		var row struct {
+			Name, Path string
+			Spec       json.RawMessage
+		}
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		body, _ := json.Marshal(service.SubmitRequest{Tenant: "acme", Spec: row.Spec})
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var apiErr struct{ Error string }
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(answer, &apiErr) != nil ||
+			!strings.Contains(apiErr.Error, `spec field "`+row.Path+`"`) {
+			t.Errorf("%s: %d %s, want 400 naming %q", row.Name, resp.StatusCode, answer, row.Path)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("empty corpus")
+	}
+	if jobs := m.List(""); len(jobs) != 0 {
+		t.Errorf("%d jobs after %d refused submits", len(jobs), rows)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "jobs")); err != nil || len(entries) != 0 {
+		t.Errorf("jobs/ holds %d entries after refused submits (%v)", len(entries), err)
+	}
+}
+
+// A 40-billion-run spec is a job like any other: accepted, started,
+// streaming records, cancelable — and, reopened, resumable rather than a
+// crash loop. (Its matrix used to be expanded at job start: a fatal
+// out-of-memory, then another at every restart over the same journal.)
+func TestHTTPHugeSeedAxisStartsAndCancels(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("40e9 does not fit this platform's int")
+	}
+	dir := t.TempDir()
+	m := openManager(t, dir, 2)
+	ts := httptest.NewServer(service.NewHandler(m))
+	c := service.NewClient(ts.URL)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, "acme", []byte(`{"hosts":2,"horizon":"10ms","seed_count":40000000000}`), 2)
+	if err != nil || st.Runs != 40000000000 {
+		t.Fatalf("Submit: %+v, %v", st, err)
+	}
+	waitCompleted := func(c *service.Client, n int) service.JobStatus {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if got, err := c.Status(ctx, st.ID); err != nil {
+				t.Fatal(err)
+			} else if got.Completed >= n {
+				return got
+			}
+		}
+		t.Fatalf("job never completed %d runs", n)
+		return service.JobStatus{}
+	}
+	waitCompleted(c, 3)
+	// A daemon restart over the journal resumes the job where it stopped.
+	ts.Close()
+	m.Close()
+	m = openManager(t, dir, 2)
+	defer m.Close()
+	ts = httptest.NewServer(service.NewHandler(m))
+	defer ts.Close()
+	c = service.NewClient(ts.URL)
+	resumed := waitCompleted(c, 6)
+	if resumed.ResumedFrom < 3 || resumed.Runs != 40000000000 {
+		t.Errorf("reopened job: %+v, want it resumed past run 3", resumed)
+	}
+	if _, err := c.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final, err := m.Wait(ctx, st.ID)
+	if err != nil || final.State != service.StateCanceled || final.Completed < 6 {
+		t.Fatalf("after cancel: %+v, %v", final, err)
 	}
 }

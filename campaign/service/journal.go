@@ -272,6 +272,11 @@ func (m *Manager) restoreJob(j *Job, generation int) error {
 	case os.IsNotExist(err):
 		// Interrupted (or never started): resume. Truncate anything
 		// after the contiguous prefix so the append continues it.
+		// Admit it again: the plan is not journaled, and a spec this
+		// build's plan rejects fails here rather than once per run.
+		if j.plan, err = j.spec.Plan(); err != nil {
+			return fmt.Errorf("service: journaled spec for %s is not runnable: %w", j.id, err)
+		}
 		stale := generation != campaign.OutputGeneration
 		if stale {
 			m.cfg.Logf("service: job %s (tenant %s): journal is output generation %d, this build writes %d: discarding %d journaled runs, re-running from run 0",

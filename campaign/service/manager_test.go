@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -105,55 +106,55 @@ func TestManagerJournalMatchesInProcess(t *testing.T) {
 	}
 }
 
-// A spec that parses and validates but whose testbed cannot be built (a
-// trunk fault past the end of the fabric) costs one error record per
-// run, not the daemon: the job reaches a terminal state with every run
-// failed, and the manager goes on answering. (The shape's second run used
-// to panic on a worker goroutine.)
-func TestUnbuildableSpecFailsItsRunsNotTheDaemon(t *testing.T) {
-	spec, err := campaign.ParseSpec([]byte(`{"seed_count":3,"hosts":8,"horizon":"1s",
+// A journal can hold a spec this build's plan rejects — any build before
+// admission-by-plan accepted a trunk fault past the end of the fabric and
+// recorded one error per run. Reopened, that job is re-planned, fails as
+// a job with the field to fix, and costs nothing else: the manager opens,
+// serves the job's status, and runs the next good job.
+func TestUnrunnableJournaledSpecFailsTheJobNotTheDaemon(t *testing.T) {
+	const body = `{"version":3,"seed":0,"seed_count":3,"hosts":8,"horizon":"1s",
 	 "configs":[{"topology":{"kind":"ring","switches":4},
 	             "trunk_faults":[{"kind":"trunk_down","trunk":99,"at":"1ms"}]}],
-	 "workloads":[{"kind":"manyflow","flows":4,"bytes":4096}]}`))
-	if err != nil {
+	 "workloads":[{"kind":"manyflow","flows":4,"bytes":4096}]}`
+	var spec campaign.Spec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j000001")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	header := fmt.Sprintf(`{"id":"j000001","seq":1,"tenant":"acme","workers":2,"spec_hash":%q,"generation":%d,"spec":%s}`,
+		spec.Hash(), campaign.OutputGeneration, body)
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	m := openManager(t, dir, 4)
 	defer m.Close()
-	for _, workers := range []int{1, 4} {
-		st, err := m.Submit("acme", spec, workers)
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		final, err := m.Wait(context.Background(), st.ID)
-		if err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-		if final.State != service.StateDone || final.Completed != 3 || final.Failed != 3 || final.Passed != 0 {
-			t.Fatalf("workers=%d: final status %+v, want done with failed: 3", workers, final)
-		}
-		if got, err := m.Get(st.ID); err != nil || got.State != final.State {
-			t.Fatalf("Get after the job: %+v, %v", got, err)
-		}
-		lines := bytes.Split(bytes.TrimSpace(readJournal(t, dir, st.ID)), []byte("\n"))
-		if len(lines) != 3 {
-			t.Fatalf("workers=%d: journal holds %d records, want 3", workers, len(lines))
-		}
-		for _, l := range lines {
-			if !bytes.Contains(l, []byte(`"outcome":"error"`)) || !bytes.Contains(l, []byte("targets trunk 99")) {
-				t.Errorf("workers=%d: journal line %s", workers, l)
-			}
-		}
+	st, err := m.Get("j000001")
+	if err != nil || st.State != service.StateFailed ||
+		!strings.Contains(st.Error, `"configs[0].trunk_faults[0].trunk"`) || !strings.Contains(st.Error, "targets trunk 99") {
+		t.Fatalf("reopened job: %+v, %v, want failed with the field to fix", st, err)
+	}
+	if final, err := m.Wait(context.Background(), "j000001"); err != nil || final.State != service.StateFailed {
+		t.Fatalf("Wait on the failed job: %+v, %v", final, err)
+	}
+	// Submitted today, the same spec is refused and leaves nothing behind.
+	if _, err := m.Submit("acme", &spec, 1); err == nil || !strings.Contains(err.Error(), "trunk_faults[0].trunk") {
+		t.Fatalf("Submit: %v, want the spec refused", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Join(dir, "jobs")); len(entries) != 1 {
+		t.Errorf("%d job directories after a refused submit, want the journaled one only", len(entries))
 	}
 	// The daemon is still in business: a good job submitted next runs.
-	good := testSpec(2)
-	st, err := m.Submit("acme", good, 1)
+	good, err := m.Submit("acme", testSpec(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final, err := m.Wait(context.Background(), st.ID); err != nil || final.Passed != 2 {
-		t.Fatalf("job after the unbuildable one: %+v, %v", final, err)
+	if final, err := m.Wait(context.Background(), good.ID); err != nil || final.Passed != 2 {
+		t.Fatalf("job after the unrunnable one: %+v, %v", final, err)
 	}
 }
 

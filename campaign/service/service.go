@@ -92,8 +92,9 @@ type Job struct {
 
 	spec     campaign.Spec
 	specHash string
-	workers  int // effective worker grant
-	cost     int // slots held while running: workers × spec.MaxShards, capped at budget
+	plan     *campaign.Plan // what was admitted, and what runs; nil once terminal
+	workers  int            // effective worker grant
+	cost     int            // slots held while running: workers × spec.MaxShards, capped at budget
 
 	state      string
 	startSeq   int
@@ -182,19 +183,25 @@ func Open(cfg Config) (*Manager, error) {
 // Budget reports the manager's worker-slot pool size.
 func (m *Manager) Budget() int { return m.cfg.Budget }
 
-// Submit validates, journals and enqueues one campaign for tenant.
+// Submit plans, journals and enqueues one campaign for tenant. A spec
+// the plan rejects (a *campaign.FieldError) leaves nothing behind.
 // workers <= 0 asks for the default grant; the grant is clamped so
-// workers × spec.MaxShards fits the budget. The spec must already be
-// validated (ParseSpec or Validate); Submit re-checks cheaply.
+// workers × spec.MaxShards fits the budget.
 func (m *Manager) Submit(tenant string, spec *campaign.Spec, workers int) (JobStatus, error) {
+	plan, err := spec.Plan()
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return m.submit(tenant, plan, workers)
+}
+
+// submit journals and enqueues an admitted plan; the job runs that plan,
+// so its scripts are compiled once however it arrived.
+func (m *Manager) submit(tenant string, plan *campaign.Plan, workers int) (JobStatus, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	norm := *spec
-	norm.Normalize()
-	if err := norm.Validate(); err != nil {
-		return JobStatus{}, err
-	}
+	norm := plan.Spec()
 
 	m.mu.Lock()
 	if m.closed {
@@ -209,15 +216,16 @@ func (m *Manager) Submit(tenant string, spec *campaign.Spec, workers int) (JobSt
 		id:       fmt.Sprintf("j%06d", seq),
 		seq:      seq,
 		tenant:   tenant,
-		spec:     norm,
+		spec:     *norm,
 		specHash: norm.Hash(),
-		workers:  m.grantWorkers(&norm, workers),
+		plan:     plan,
+		workers:  m.grantWorkers(norm, workers),
 		state:    StateQueued,
 		runs:     norm.Runs(),
 		done:     make(chan struct{}),
 		change:   make(chan struct{}),
 	}
-	j.cost = m.slotCost(&norm, j.workers)
+	j.cost = m.slotCost(norm, j.workers)
 	j.dir = filepath.Join(m.cfg.Dir, "jobs", j.id)
 	if err := writeJobHeader(j); err != nil {
 		return JobStatus{}, err
@@ -360,7 +368,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		Prior:       j.prior,
 		OnRecord:    func(r campaign.RunRecord) { m.noteRecord(j, r) },
 	}
-	sum, runErr := campaign.Run(ctx, j.spec, opts)
+	sum, runErr := j.plan.Run(ctx, opts)
 	if cerr := f.Close(); runErr == nil && cerr != nil {
 		runErr = fmt.Errorf("service: close journal: %w", cerr)
 	}
@@ -433,7 +441,7 @@ func (m *Manager) finishJob(j *Job, sum *campaign.Summary, runErr error) {
 	j.state = state
 	j.errText = errText
 	j.summary = sum
-	j.prior = nil // the journal owns the records now
+	j.prior, j.plan = nil, nil // the journal owns the records now, and nothing runs this job again
 	if !interrupted || state != StateRunning {
 		close(j.done)
 	}

@@ -15,7 +15,6 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -194,18 +193,12 @@ type TrunkFault struct {
 	BitErrorRate *float64 `json:"bit_error_rate,omitempty"`
 }
 
-// validate checks the override's enumerated fields without touching a
-// real config; errors name the offending sub-field.
-func (o *ConfigOverride) validate() error {
-	var dummy virtualwire.Config
-	return o.apply(&dummy)
-}
-
-// apply folds the override into cfg, validating enumerated fields.
-// Validation errors are FieldErrors whose paths are relative to the
-// override ("medium", "trunk_faults[1].kind"); Spec.Validate prefixes
-// them with the override's own position.
-func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
+// config resolves the override over the default virtualwire.Config,
+// translating the enumerated strings. What it cannot translate is a
+// FieldError whose path is relative to the override ("medium",
+// "trunk_faults[1].kind"); everything else about the values is for the
+// testbed's own plan to accept or reject (Testbed.Check).
+func (o *ConfigOverride) config() (cfg virtualwire.Config, err error) {
 	switch o.Medium {
 	case "":
 	case "switch":
@@ -215,7 +208,7 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	case "fdswitch":
 		cfg.Medium = virtualwire.MediumSwitchFullDuplex
 	default:
-		return fieldErrf("medium", "unknown medium %q (want switch, bus or fdswitch)", o.Medium)
+		return cfg, fieldErrf("medium", "unknown medium %q (want switch, bus or fdswitch)", o.Medium)
 	}
 	if o.RLL != nil {
 		cfg.RLL = *o.RLL
@@ -238,7 +231,7 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	if o.Topology != nil {
 		kind, err := virtualwire.ParseTopologyKind(o.Topology.Kind)
 		if err != nil {
-			return prefixField("topology.kind", err)
+			return cfg, prefixField("topology.kind", err)
 		}
 		cfg.Topology = &virtualwire.TopologySpec{
 			Kind:               kind,
@@ -251,15 +244,12 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 		}
 	}
 	if len(o.TrunkFaults) > 0 {
-		if cfg.Topology == nil {
-			return fieldErrf("trunk_faults", "require a topology override")
-		}
 		cfg.TopologyFaults = make([]virtualwire.TopologyFaultSpec, 0, len(o.TrunkFaults))
 		for i := range o.TrunkFaults {
 			f := &o.TrunkFaults[i]
 			kind, err := virtualwire.ParseTopologyFaultKind(f.Kind)
 			if err != nil {
-				return prefixField(fmt.Sprintf("trunk_faults[%d].kind", i), err)
+				return cfg, prefixField(fmt.Sprintf("trunk_faults[%d].kind", i), err)
 			}
 			cfg.TopologyFaults = append(cfg.TopologyFaults, virtualwire.TopologyFaultSpec{
 				Kind:         kind,
@@ -282,7 +272,7 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	if o.LaunchDeadline > 0 {
 		cfg.LaunchDeadline = o.LaunchDeadline.D()
 	}
-	return nil
+	return cfg, nil
 }
 
 // WorkloadSpec describes one traffic axis value. Kind selects the
@@ -366,17 +356,9 @@ func (m manyFlowMeasurer) measure(rec *RunRecord) {
 	rec.DeliveredBytes = m.w.DeliveredBytes()
 }
 
-// validate rejects malformed workload kinds before any run starts.
-func (w *WorkloadSpec) validate() error {
-	switch w.Kind {
-	case "", "none", "tcpbulk", "udpecho", "udpstream", "incast", "manyflow":
-		return nil
-	}
-	return fieldErrf("kind", "unknown workload kind %q (want tcpbulk, udpecho, udpstream, incast, manyflow or none)", w.Kind)
-}
-
 // install stages the workload on tb and returns its measurer (nil for
-// "none").
+// "none"). The plan installs every shape's workload once on a declared
+// testbed, which is where an unknown kind or host is rejected.
 func (w *WorkloadSpec) install(tb *virtualwire.Testbed) (measurer, error) {
 	switch w.Kind {
 	case "", "none":
@@ -439,7 +421,7 @@ func (w *WorkloadSpec) install(tb *virtualwire.Testbed) (measurer, error) {
 		}
 		return manyFlowMeasurer{mf}, nil
 	}
-	return nil, w.validate()
+	return nil, fieldErrf("kind", "unknown workload kind %q (want tcpbulk, udpecho, udpstream, incast, manyflow or none)", w.Kind)
 }
 
 // Variant is one explicit run shape for matrices that are not a clean
@@ -459,28 +441,6 @@ type Variant struct {
 	// Seed pins the variant's simulation seed instead of deriving it;
 	// a multi-element seed axis offsets it by the seed index.
 	Seed *int64 `json:"seed,omitempty"`
-}
-
-// point is one fully resolved run of the matrix.
-type point struct {
-	index            int
-	label            string
-	configLabel      string
-	workloadLabel    string
-	script, scenario string
-	cfg              ConfigOverride
-	wl               *WorkloadSpec
-	seed             int64
-	seedIndex        int
-
-	// compiled is the point's script compiled exactly once per unique
-	// (script, scenario) pair during expand; shared read-only by every
-	// run and worker. Nil for scriptless points.
-	compiled *virtualwire.CompiledScript
-	// shapeID identifies the testbed shape (script × scenario × config):
-	// points sharing a shapeID can reuse one worker-local testbed via
-	// Testbed.Reset instead of rebuilding it per run.
-	shapeID int
 }
 
 // DeriveSeed maps (campaign seed, run index) to the run's simulation
@@ -521,143 +481,6 @@ func (s *Spec) Runs() int {
 		wls = 1
 	}
 	return n * cfgs * wls
-}
-
-// expand validates the spec and enumerates the run matrix in canonical
-// order: variants (or configs × workloads) major, seed index minor. The
-// order — and therefore every derived seed — is independent of the
-// worker count.
-func (s *Spec) expand() ([]point, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	seedN := s.seedAxisLen()
-
-	// Resolve each shape (script, scenario, config, workload) first so
-	// validation fails before any run starts.
-	type shape struct {
-		label, cfgLabel, wlLabel string
-		script, scenario         string
-		cfg                      ConfigOverride
-		wl                       *WorkloadSpec
-		seed                     *int64
-		compiled                 *virtualwire.CompiledScript
-	}
-	var shapes []shape
-	if len(s.Variants) > 0 {
-		for vi := range s.Variants {
-			v := &s.Variants[vi]
-			label := v.Label
-			if label == "" {
-				label = fmt.Sprintf("v%d", vi)
-			}
-			script := s.Script
-			if v.Script != nil {
-				script = *v.Script
-			}
-			scenario := s.Scenario
-			if v.Scenario != "" {
-				scenario = v.Scenario
-			}
-			shapes = append(shapes, shape{
-				label: label, cfgLabel: v.Config.Label, script: script,
-				scenario: scenario, cfg: v.Config, wl: v.Workload, seed: v.Seed,
-			})
-			if v.Workload != nil {
-				shapes[len(shapes)-1].wlLabel = v.Workload.Label
-			}
-		}
-	} else {
-		configs := s.Configs
-		if len(configs) == 0 {
-			configs = []ConfigOverride{{}}
-		}
-		workloads := make([]*WorkloadSpec, 0, len(s.Workloads))
-		if len(s.Workloads) == 0 {
-			workloads = append(workloads, nil)
-		} else {
-			for wi := range s.Workloads {
-				workloads = append(workloads, &s.Workloads[wi])
-			}
-		}
-		for ci := range configs {
-			cfgLabel := configs[ci].Label
-			if cfgLabel == "" && len(configs) > 1 {
-				cfgLabel = fmt.Sprintf("cfg%d", ci)
-			}
-			for _, wl := range workloads {
-				wlLabel := ""
-				if wl != nil {
-					wlLabel = wl.Label
-					if wlLabel == "" && len(s.Workloads) > 1 {
-						wlLabel = wl.Kind
-					}
-				}
-				label := joinLabels(cfgLabel, wlLabel)
-				shapes = append(shapes, shape{
-					label: label, cfgLabel: cfgLabel, wlLabel: wlLabel,
-					script: s.Script, scenario: s.Scenario,
-					cfg: configs[ci], wl: wl,
-				})
-			}
-		}
-	}
-
-	// Validate covered every shape's structure; here each unique
-	// (script, scenario) pair is compiled exactly once. The resulting
-	// CompiledScript — immutable tables plus the pre-encoded INIT blob —
-	// is shared by every run of the matrix, so no worker ever re-parses
-	// or re-encodes FSL.
-	compiledBy := make(map[string]*virtualwire.CompiledScript)
-	for i := range shapes {
-		sh := &shapes[i]
-		if sh.script == "" {
-			continue
-		}
-		key := sh.script + "\x00" + sh.scenario
-		cs, ok := compiledBy[key]
-		if !ok {
-			var err error
-			cs, err = virtualwire.CompileScriptScenario(sh.script, sh.scenario)
-			if err != nil {
-				return nil, err
-			}
-			compiledBy[key] = cs
-		}
-		sh.compiled = cs
-	}
-
-	pts := make([]point, 0, len(shapes)*seedN)
-	for si, sh := range shapes {
-		for k := 0; k < seedN; k++ {
-			idx := len(pts)
-			var seed int64
-			switch {
-			case sh.seed != nil:
-				seed = *sh.seed + int64(k)
-			case len(s.Seeds) > 0:
-				seed = s.Seeds[k]
-			default:
-				seed = DeriveSeed(s.Seed, idx)
-			}
-			label := sh.label
-			if seedN > 1 {
-				label = joinLabels(label, "s"+strconv.Itoa(k))
-			}
-			if label == "" {
-				label = "run" + strconv.Itoa(idx)
-			}
-			pts = append(pts, point{
-				index: idx, label: label,
-				configLabel: sh.cfgLabel, workloadLabel: sh.wlLabel,
-				script: sh.script, scenario: sh.scenario,
-				cfg: sh.cfg, wl: sh.wl,
-				seed: seed, seedIndex: k,
-				compiled: sh.compiled, shapeID: si,
-			})
-		}
-	}
-	return pts, nil
 }
 
 func joinLabels(parts ...string) string {

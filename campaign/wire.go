@@ -21,9 +21,10 @@ package campaign
 //     preserving old behaviour), so older specs keep parsing; removing
 //     or repurposing a field requires bumping SpecVersion.
 //
-// ParseSpec is the single entry point for untrusted spec bytes; it
-// decodes strictly, normalizes defaults and validates, returning errors
-// that name the offending field path ("configs[2].medium"). The
+// ParsePlan (and ParseSpec, which drops the plan) is the single entry
+// point for untrusted spec bytes; it decodes strictly and plans the spec,
+// returning errors that name the offending field path
+// ("configs[2].medium", "configs[0].trunk_faults[1].trunk"). The
 // canonical journal identity of a spec is Hash(): the SHA-256 of the
 // normalized spec's JSON encoding. See docs/SERVICE.md for the
 // compatibility policy.
@@ -149,67 +150,20 @@ func (s *Spec) MaxShards() int {
 	return max
 }
 
-// Validate checks everything about the spec that can be checked without
-// compiling scripts, returning a FieldError naming the offending field
-// path. Run performs it implicitly; the service calls it at submit time
-// so a bad spec is rejected before it is journaled or queued.
+// Validate reports what Plan would reject, as a FieldError naming the
+// offending field path: it is Plan with the plan dropped.
 func (s *Spec) Validate() error {
-	if s.Version < 0 || s.Version > SpecVersion {
-		return fieldErrf("version", "unsupported spec version %d (this build speaks versions 1 through %d)", s.Version, SpecVersion)
-	}
-	if s.Horizon <= 0 {
-		return fieldErrf("horizon", "must be positive")
-	}
-	if s.Retries < 0 {
-		return fieldErrf("retries", "must not be negative")
-	}
-	if s.Hosts < 0 {
-		return fieldErrf("hosts", "must not be negative")
-	}
-	if len(s.Variants) > 0 && (len(s.Configs) > 0 || len(s.Workloads) > 0) {
-		return fieldErrf("variants", "exclusive with configs and workloads")
-	}
-	for i := range s.Configs {
-		if err := prefixField(fmt.Sprintf("configs[%d]", i), s.Configs[i].validate()); err != nil {
-			return err
-		}
-	}
-	for i := range s.Workloads {
-		if err := prefixField(fmt.Sprintf("workloads[%d]", i), s.Workloads[i].validate()); err != nil {
-			return err
-		}
-	}
-	for i := range s.Variants {
-		v := &s.Variants[i]
-		path := fmt.Sprintf("variants[%d]", i)
-		if err := prefixField(path+".config", v.Config.validate()); err != nil {
-			return err
-		}
-		if v.Workload != nil {
-			if err := prefixField(path+".workload", v.Workload.validate()); err != nil {
-				return err
-			}
-		}
-		script := s.Script
-		if v.Script != nil {
-			script = *v.Script
-		}
-		if script == "" && s.Nodes == "" && s.Hosts <= 0 {
-			return fieldErrf(path, "scriptless variant has no hosts (set spec-level nodes or hosts)")
-		}
-	}
-	if len(s.Variants) == 0 && s.Script == "" && s.Nodes == "" && s.Hosts <= 0 {
-		return fieldErrf("script", "spec has no hosts (set script, nodes or hosts)")
-	}
-	return nil
+	_, err := s.Plan()
+	return err
 }
 
-// ParseSpec decodes one spec from untrusted JSON: unknown fields and
-// trailing data are rejected, the version is checked against
-// SpecVersion, defaults are normalized and the result validated. It is
+// ParsePlan admits one spec from untrusted JSON: unknown fields and
+// trailing data are rejected, then the spec is planned (Spec.Plan), which
+// normalizes defaults and checks the version and everything else. It is
 // the shared submit path of the vwcampaign -spec flag and the service
-// API, so both reject exactly the same inputs with the same messages.
-func ParseSpec(data []byte) (*Spec, error) {
+// API, so both reject exactly the same inputs with the same messages,
+// and both go on to run the plan they were handed.
+func ParsePlan(data []byte) (*Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -219,13 +173,17 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("campaign: spec: trailing data after the spec object")
 	}
-	if s.Version < 0 || s.Version > SpecVersion {
-		return nil, fieldErrf("version", "unsupported spec version %d (this build speaks versions 1 through %d)", s.Version, SpecVersion)
-	}
-	s.Normalize()
-	if err := s.Validate(); err != nil {
+	return s.Plan()
+}
+
+// ParseSpec is ParsePlan for callers that want only the normalized,
+// admitted spec.
+func ParseSpec(data []byte) (*Spec, error) {
+	p, err := ParsePlan(data)
+	if err != nil {
 		return nil, err
 	}
+	s := p.spec // a copy: the caller's spec must not pin the plan's compiled scripts
 	return &s, nil
 }
 

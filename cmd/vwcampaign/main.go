@@ -137,7 +137,10 @@ func run() (code int, retErr error) {
 		}
 	}
 
-	var spec campaign.Spec
+	// Either arm ends in the one admission pass (campaign.Spec.Plan): a
+	// spec that cannot run is refused here, before -out is created or the
+	// daemon is contacted, and what is admitted is what runs.
+	var plan *campaign.Plan
 	switch {
 	case *specPath != "":
 		if *scriptPath != "" || *hosts > 0 {
@@ -147,13 +150,11 @@ func run() (code int, retErr error) {
 		if err != nil {
 			return 1, err
 		}
-		parsed, err := campaign.ParseSpec(raw)
-		if err != nil {
+		if plan, err = campaign.ParsePlan(raw); err != nil {
 			return 1, fmt.Errorf("%s: %w", *specPath, err)
 		}
-		spec = *parsed
 	case *scriptPath != "" || *hosts > 0:
-		spec = campaign.Spec{
+		spec := campaign.Spec{
 			Name:      strings.TrimSuffix(*scriptPath, ".fsl"),
 			Seed:      *seed,
 			SeedCount: *seeds,
@@ -266,21 +267,18 @@ func run() (code int, retErr error) {
 				spec.Configs[i].Shards = &sh
 			}
 		}
+		if plan, err = spec.Plan(); err != nil {
+			return 1, err
+		}
 	default:
 		flag.Usage()
 		return 1, fmt.Errorf("one of -spec, -script or -hosts is required")
 	}
 
-	// One normalization path for every consumer: quick flags, -spec and
-	// the daemon all run the same canonical spec (campaign.Normalize),
-	// so the journal's spec hash is stable however the spec arrived.
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return 1, err
-	}
-
 	if *addr != "" {
-		raw, err := json.Marshal(&spec)
+		// The plan's spec is the normalized one, so the journal's spec hash
+		// is stable however the spec arrived.
+		raw, err := json.Marshal(plan.Spec())
 		if err != nil {
 			return 1, err
 		}
@@ -306,7 +304,7 @@ func run() (code int, retErr error) {
 		defer f.Close()
 		opts.Sink = f
 	}
-	total := spec.Runs()
+	total := plan.Spec().Runs()
 	if *progress {
 		opts.OnRecord = func(r campaign.RunRecord) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %-30s %s (seed %d, %d attempt(s))\n",
@@ -314,7 +312,7 @@ func run() (code int, retErr error) {
 		}
 	}
 
-	sum, runErr := campaign.Run(ctx, spec, opts)
+	sum, runErr := plan.Run(ctx, opts)
 	if sum == nil {
 		return 1, runErr
 	}

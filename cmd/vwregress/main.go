@@ -1,8 +1,8 @@
 // Command vwregress is the paper's envisioned fully automated regression
 // workflow (Section 8) as a tool: it *generates* fault scenarios for a
 // target packet stream — one per (fault kind, occurrence) — and runs
-// each against a fresh testbed carrying a TCP bulk transfer. A case
-// passes when the stream keeps flowing after the injected fault (the
+// each, as one variant of a campaign, against a testbed carrying a TCP
+// bulk transfer. A case passes when the stream keeps flowing after the injected fault (the
 // generated script STOPs); it fails on an analysis error or when the
 // connection goes quiet (inactivity timeout).
 //
@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 )
 
 func main() {
@@ -85,62 +87,46 @@ func run() error {
 	fmt.Printf("generated %d scenarios for %s %s->%s %s\n\n",
 		len(scenarios), *pktType, *from, *to, strings.ToUpper(*dir))
 
-	failures := 0
-	for i, sc := range scenarios {
-		verdict, detail, err := runCase(*seed+int64(i), sc.Script, caseParams{
-			from: *from, to: *to,
-			srcPort: uint16(*srcPort), dstPort: uint16(*dstPort),
-			bytes: *bytes, horizon: *horizon,
+	// One campaign, one variant per generated case: the executor owns the
+	// testbeds, the seeds and the order the records come back in.
+	spec := campaign.Spec{Horizon: campaign.Duration(*horizon)}
+	workload := campaign.WorkloadSpec{
+		Kind: "tcpbulk", From: *from, To: *to,
+		SrcPort: uint16(*srcPort), DstPort: uint16(*dstPort), Bytes: *bytes,
+	}
+	for i := range scenarios {
+		caseSeed := *seed + int64(i)
+		spec.Variants = append(spec.Variants, campaign.Variant{
+			Label: scenarios[i].Name, Script: &scenarios[i].Script, Workload: &workload, Seed: &caseSeed,
 		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
+	}
+	failures := 0
+	var caseErr error
+	_, err = campaign.Run(context.Background(), spec, campaign.Options{OnRecord: func(r campaign.RunRecord) {
+		if r.Outcome == campaign.OutcomeError {
+			if caseErr == nil {
+				caseErr = fmt.Errorf("%s: %s", r.Label, r.Error)
+			}
+			return
 		}
-		fmt.Printf("  %-30s %-5s %s\n", sc.Name, verdict, detail)
-		if verdict != "PASS" {
+		verdict := "FAIL"
+		if r.Report.Passed && r.Report.Result.Stopped {
+			verdict = "PASS"
+		} else {
 			failures++
 		}
+		fmt.Printf("  %-30s %-5s (%d bytes, %d rtx, %v)\n",
+			r.Label, verdict, r.DeliveredBytes, r.Retransmissions, r.Report.Result)
+	}})
+	if err == nil {
+		err = caseErr
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Printf("\n%d/%d passed\n", len(scenarios)-failures, len(scenarios))
 	if failures > 0 {
 		return fmt.Errorf("%d case(s) failed", failures)
 	}
 	return nil
-}
-
-type caseParams struct {
-	from, to         string
-	srcPort, dstPort uint16
-	bytes            int
-	horizon          time.Duration
-}
-
-func runCase(seed int64, script string, p caseParams) (verdict, detail string, err error) {
-	tb, err := virtualwire.New(virtualwire.Config{Seed: seed})
-	if err != nil {
-		return "", "", err
-	}
-	if err := tb.AddNodesFromScript(script); err != nil {
-		return "", "", err
-	}
-	if err := tb.LoadScript(script); err != nil {
-		return "", "", err
-	}
-	bulk, err := tb.AddTCPBulk(virtualwire.TCPBulkConfig{
-		From: p.from, To: p.to,
-		SrcPort: p.srcPort, DstPort: p.dstPort,
-		Bytes: p.bytes,
-	})
-	if err != nil {
-		return "", "", err
-	}
-	rep, err := tb.Run(p.horizon)
-	if err != nil {
-		return "", "", err
-	}
-	detail = fmt.Sprintf("(%d bytes, %d rtx, %v)",
-		bulk.DeliveredBytes(), bulk.SenderStats().Retransmissions, rep.Result)
-	if rep.Passed && rep.Result.Stopped {
-		return "PASS", detail, nil
-	}
-	return "FAIL", detail, nil
 }

@@ -41,6 +41,21 @@ func scriptErr(err error) error {
 	return fmt.Errorf("virtualwire: %w: %w", ErrScriptParse, err)
 }
 
+// rejection is a configuration the plan (or an Add* call) refuses. The
+// text is what every caller sees; field additionally names the offending
+// member the way campaign specs spell it ("trunk_faults[2].trunk",
+// "from") — like TopologyKind.String — so package campaign can root the
+// rejection at a spec path without parsing the text. It reads it through
+// errors.As and the Field method; nothing else does.
+type rejection struct{ field, msg string }
+
+func (e *rejection) Error() string { return "virtualwire: " + e.msg }
+func (e *rejection) Field() string { return e.field }
+
+func rejectf(field, format string, args ...any) error {
+	return &rejection{field: field, msg: fmt.Sprintf(format, args...)}
+}
+
 // Err converts the report's terminal state into a typed error, or nil
 // for a run that at least launched. A launch failure yields an error
 // matching both ErrLaunchFailed and ErrUnreachable (errors.Is), naming

@@ -152,14 +152,6 @@ type Engine struct {
 
 	controller *Controller
 	faultLog   []FaultEvent
-
-	// OnLocalError is an optional test hook observing FLAG_ERR firings
-	// at this node before they reach the controller.
-	OnLocalError func(ErrorReport)
-	// OnCounterChange, when set, observes every counter update on this
-	// engine (after the new value is stored). Useful for debugging
-	// scenario scripts.
-	OnCounterChange func(id CounterID, value int64)
 }
 
 var _ stack.Layer = (*Engine)(nil)
@@ -560,9 +552,6 @@ func (e *Engine) bumpCounter(id CounterID, v int64) {
 	}
 	e.Stats.CounterUpdates++
 	e.values[id] = v
-	if e.OnCounterChange != nil {
-		e.OnCounterChange(id, v)
-	}
 	c := &e.prog.Counters[id]
 	for _, n := range c.RemoteNodes {
 		e.sendCtl(n, &Msg{Kind: MsgCounterValue, From: e.self, Counter: id, Value: v})
@@ -702,36 +691,12 @@ func (e *Engine) execAction(id ActionID, rule int) {
 			Kind: MsgStop, From: e.self, Rule: rule, AtNanos: int64(e.sched.Now()),
 		})
 	case ActFlagErr:
-		rep := ErrorReport{Node: e.self, Rule: rule, At: e.sched.Now(), Text: "FLAG_ERR"}
-		if e.OnLocalError != nil {
-			e.OnLocalError(rep)
-		}
 		e.sendCtl(e.controlNode, &Msg{
-			Kind: MsgError, From: e.self, Rule: rule, AtNanos: int64(e.sched.Now()), Message: rep.Text,
+			Kind: MsgError, From: e.self, Rule: rule, AtNanos: int64(e.sched.Now()), Message: "FLAG_ERR",
 		})
-	case ActAssignCntr:
-		e.bumpCounterEnable(a.Counter)
-		e.bumpCounter(a.Counter, a.Value)
-	case ActEnableCntr:
-		e.bumpCounterEnable(a.Counter)
-	case ActDisableCntr:
-		e.enabled[a.Counter] = false
-	case ActIncrCntr:
-		e.bumpCounter(a.Counter, e.values[a.Counter]+a.Value)
-	case ActDecrCntr:
-		e.bumpCounter(a.Counter, e.values[a.Counter]-a.Value)
-	case ActResetCntr:
-		e.bumpCounter(a.Counter, 0)
-	case ActSetCurTime:
-		e.bumpCounter(a.Counter, int64(e.sched.Now()/time.Millisecond))
-	case ActElapsedTime:
-		now := int64(e.sched.Now() / time.Millisecond)
-		e.bumpCounter(a.Counter, now-e.values[a.Counter])
+	default:
+		e.counterOp(a.Kind, a.Counter, a.Value)
 	}
-}
-
-func (e *Engine) bumpCounterEnable(id CounterID) {
-	e.enabled[id] = true
 }
 
 // ExecCounterOp applies a counter primitive programmatically, with the
@@ -743,17 +708,22 @@ func (e *Engine) ExecCounterOp(kind ActionKind, id CounterID, v int64) {
 	if e.prog == nil || int(id) >= len(e.values) || kind.IsFault() {
 		return
 	}
-	// Inlined from execAction's counter arm rather than appending a
-	// synthetic entry to e.prog.Actions: the Program may be shared
-	// read-only across testbeds (CompileScript), so the engine must never
-	// mutate it, even transiently.
 	e.Stats.ActionsFired++
+	e.counterOp(kind, id, v)
+}
+
+// counterOp is the counter arm of an action, taking its operands as
+// values rather than as an ActionEntry: ExecCounterOp must not append a
+// synthetic entry to e.prog.Actions, because the Program may be shared
+// read-only across testbeds (CompileScript) and the engine never mutates
+// it, even transiently.
+func (e *Engine) counterOp(kind ActionKind, id CounterID, v int64) {
 	switch kind {
 	case ActAssignCntr:
-		e.bumpCounterEnable(id)
+		e.enabled[id] = true
 		e.bumpCounter(id, v)
 	case ActEnableCntr:
-		e.bumpCounterEnable(id)
+		e.enabled[id] = true
 	case ActDisableCntr:
 		e.enabled[id] = false
 	case ActIncrCntr:

@@ -36,18 +36,21 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (3 x 10 s) =="
+echo "== fuzz (4 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder is hand-written and
-# must stay byte-for-byte what encoding/json would write; the FSL front
-# end takes tenant-written source and must answer it with an error or a
-# program that builds, dumps and encodes — never a panic; the engine is
-# handed MODIFY-mangled and bit-flipped control frames by design and must
-# drop what it cannot index, loaded or not.
-go test -run '^$' -fuzz '^FuzzRunRecordJSON$' -fuzztime 10s -fuzzminimizetime 1s ./campaign
-go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fsl
-go test -run '^$' -fuzz '^FuzzControlFrame$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+# must stay byte-for-byte what encoding/json would write; spec bytes come
+# from tenants and must be answered with an error or an admitted spec that
+# round-trips to the same hash; the FSL front end takes tenant-written
+# source and must answer it with an error or a program that builds, dumps
+# and encodes — never a panic; the engine is handed MODIFY-mangled and
+# bit-flipped control frames by design and must drop what it cannot
+# index, loaded or not.
+for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
+    ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame; do
+    go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
+done
 
 echo "== campaign smoke (-race, small matrix) =="
 # An end-to-end campaign through the real CLI: 8 runs (4 seeds x 2 bit
@@ -184,6 +187,20 @@ svc_start() { # svc_start <logfile>; sets SVC_PID and SVC_ADDR
 }
 
 svc_start "$SVC_TMP/daemon1.log"
+
+# Admission: a spec no run could be built from (trunk 99 on a 4-trunk
+# ring) is refused with the field to fix before -out is created. (The
+# daemon's 400 for the same body is TestHTTPSubmitRejectsWhatNoRunCouldBuild.)
+sed 's/"trunk": 0/"trunk": 99/' "$SVC_TMP/spec.json" > "$SVC_TMP/bad.json"
+if "$SVC_TMP/vwcampaign" -spec "$SVC_TMP/bad.json" -out "$SVC_TMP/bad.jsonl" -summary none 2> "$SVC_TMP/bad.err"; then
+    echo "service smoke: unbuildable spec accepted" >&2
+    exit 1
+fi
+if ! grep -q 'configs\[0\]\.trunk_faults\[0\]\.trunk' "$SVC_TMP/bad.err" || [ -e "$SVC_TMP/bad.jsonl" ]; then
+    echo "service smoke: refusal does not name the field, or -out was created:" >&2
+    cat "$SVC_TMP/bad.err" >&2
+    exit 1
+fi
 
 # Live-streamed records must be byte-identical to the in-process run.
 "$SVC_TMP/vwcampaign" -addr "$SVC_ADDR" -spec "$SVC_TMP/spec.json" \

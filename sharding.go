@@ -42,7 +42,6 @@ package virtualwire
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
@@ -92,7 +91,7 @@ type shardRuntime struct {
 // resolveShardCount maps Config.Shards to a concrete count given the
 // number of host-bearing switches. The trace buffer and the metrics
 // sampler are shared, unsynchronized state, so auto yields one shard
-// when either is on (validateShardConfig rejects an explicit K > 1).
+// when either is on (checkConfig rejects an explicit K > 1).
 func (tb *Testbed) resolveShardCount(edges int) int {
 	k := tb.cfg.Shards
 	if k == ShardsAuto {
@@ -185,18 +184,29 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 	}
 }
 
-// validateShardConfig rejects shard counts that make no sense, and more
-// than one shard where the trace buffer or the metrics sampler — both
-// shared across shards, neither synchronized — is on.
-func validateShardConfig(cfg *Config) error {
+// checkConfig is the part of the plan that needs no host: the medium,
+// and shard counts that make no sense — including more than one shard
+// where the trace buffer or the metrics sampler, both shared across
+// shards and neither synchronized, is on. New rejects a configuration
+// with it; plan starts with it.
+func checkConfig(cfg *Config) error {
 	if cfg.Shards < ShardsAuto {
-		return fmt.Errorf("virtualwire: invalid shard count %d", cfg.Shards)
+		return rejectf("shards", "invalid shard count %d", cfg.Shards)
 	}
 	if cfg.Shards > 1 && cfg.TraceCapacity > 0 {
-		return fmt.Errorf("virtualwire: TraceCapacity needs one shard, not %d (the trace buffer is shared across shards)", cfg.Shards)
+		return rejectf("shards", "TraceCapacity needs one shard, not %d (the trace buffer is shared across shards)", cfg.Shards)
 	}
 	if cfg.Shards > 1 && cfg.MetricsSampleInterval > 0 {
-		return fmt.Errorf("virtualwire: MetricsSampleInterval needs one shard, not %d (sampling gathers cross-shard state mid-run)", cfg.Shards)
+		return rejectf("shards", "MetricsSampleInterval needs one shard, not %d (sampling gathers cross-shard state mid-run)", cfg.Shards)
+	}
+	switch cfg.Medium {
+	case MediumSwitch, MediumSwitchFullDuplex:
+	case MediumBus:
+		if t := cfg.Topology; t != nil && t.Kind != TopoSingle {
+			return rejectf("medium", "topology %v requires a switch medium", t.Kind)
+		}
+	default:
+		return rejectf("medium", "unknown medium %d", cfg.Medium)
 	}
 	return nil
 }

@@ -124,8 +124,8 @@ type topoEvent struct {
 
 // topoFaultState is the fault engine's runtime state on a Testbed.
 type topoFaultState struct {
-	// events is the expanded schedule, sorted by time; built once at
-	// stage time and reused across Reset.
+	// events is the expanded schedule, sorted by time; planned once at
+	// build and reused across Reset.
 	events []topoEvent
 	// next indexes the first unapplied event.
 	next int
@@ -146,38 +146,40 @@ type topoFaultState struct {
 	log []InjectedFault
 }
 
-// stageTopoFaults validates Config.TopologyFaults against the built
-// fabric and expands them into the sorted event schedule. Called once
-// from build; Reset re-arms the same schedule.
-func (tb *Testbed) stageTopoFaults() error {
-	specs := tb.cfg.TopologyFaults
+// planTopoFaults validates the fault specs against a planned fabric of
+// the given size and expands them into the sorted event schedule. Part
+// of the build plan; Reset re-arms the same schedule.
+func planTopoFaults(specs []TopologyFaultSpec, multiSwitch bool, trunks, switches int) ([]topoEvent, error) {
 	if len(specs) == 0 {
-		return nil
+		return nil, nil
 	}
-	if !tb.topologyActive() {
-		return fmt.Errorf("virtualwire: TopologyFaults require a multi-switch Topology")
+	if !multiSwitch {
+		return nil, rejectf("trunk_faults", "TopologyFaults require a multi-switch Topology")
 	}
-	checkTrunk := func(i int) error {
-		if i < 0 || i >= len(tb.trunks) {
-			return fmt.Errorf("virtualwire: topology fault targets trunk %d (fabric has %d)", i, len(tb.trunks))
-		}
-		return nil
-	}
+	var events []topoEvent
 	for si := range specs {
 		f := &specs[si]
+		reject := func(member, format string, args ...any) error {
+			return rejectf(fmt.Sprintf("trunk_faults[%d]%s", si, member), format, args...)
+		}
 		if f.At < 0 {
-			return fmt.Errorf("virtualwire: topology fault %d at negative time %v", si, f.At)
+			return nil, reject(".at", "topology fault %d at negative time %v", si, f.At)
+		}
+		ev := topoEvent{at: f.At, kind: f.Kind, trunk: f.Trunk, sw: f.Switch, ber: -1}
+		switch f.Kind {
+		case TrunkDown, TrunkUp, TrunkFlap, TrunkDegrade:
+			if f.Trunk < 0 || f.Trunk >= trunks {
+				return nil, reject(".trunk", "topology fault targets trunk %d (fabric has %d)", f.Trunk, trunks)
+			}
+		case SwitchDown, SwitchUp:
+			if f.Switch < 0 || f.Switch >= switches {
+				return nil, reject(".switch", "topology fault targets switch %d (fabric has %d)", f.Switch, switches)
+			}
+		default:
+			return nil, reject(".kind", "topology fault %d has unknown kind %d", si, f.Kind)
 		}
 		switch f.Kind {
-		case TrunkDown, TrunkUp:
-			if err := checkTrunk(f.Trunk); err != nil {
-				return err
-			}
-			tb.topo.events = append(tb.topo.events, topoEvent{at: f.At, kind: f.Kind, trunk: f.Trunk, ber: -1})
 		case TrunkFlap:
-			if err := checkTrunk(f.Trunk); err != nil {
-				return err
-			}
 			period := f.Period
 			if period <= 0 {
 				period = 100 * time.Millisecond
@@ -186,42 +188,33 @@ func (tb *Testbed) stageTopoFaults() error {
 			if count <= 0 {
 				count = 1
 			}
+			if count > maxFlapCycles {
+				return nil, reject(".count", "trunk_flap fault %d has %d cycles (limit %d)", si, count, maxFlapCycles)
+			}
 			for c := 0; c < count; c++ {
-				base := f.At + time.Duration(c)*period
-				tb.topo.events = append(tb.topo.events,
-					topoEvent{at: base, kind: TrunkDown, trunk: f.Trunk, ber: -1},
-					topoEvent{at: base + period/2, kind: TrunkUp, trunk: f.Trunk, ber: -1})
+				ev.at, ev.kind = f.At+time.Duration(c)*period, TrunkDown
+				events = append(events, ev)
+				ev.at, ev.kind = ev.at+period/2, TrunkUp
+				events = append(events, ev)
 			}
+			continue
 		case TrunkDegrade:
-			if err := checkTrunk(f.Trunk); err != nil {
-				return err
-			}
 			if f.Propagation <= 0 && f.BitErrorRate == nil {
-				return fmt.Errorf("virtualwire: trunk_degrade fault %d overrides neither Propagation nor BitErrorRate", si)
+				return nil, reject("", "trunk_degrade fault %d overrides neither Propagation nor BitErrorRate", si)
 			}
-			ber := -1.0
+			ev.prop = f.Propagation
 			if f.BitErrorRate != nil {
 				if *f.BitErrorRate < 0 {
-					return fmt.Errorf("virtualwire: trunk_degrade fault %d has negative BitErrorRate", si)
+					return nil, reject(".bit_error_rate", "trunk_degrade fault %d has negative BitErrorRate", si)
 				}
-				ber = *f.BitErrorRate
+				ev.ber = *f.BitErrorRate
 			}
-			tb.topo.events = append(tb.topo.events,
-				topoEvent{at: f.At, kind: TrunkDegrade, trunk: f.Trunk, prop: f.Propagation, ber: ber})
-		case SwitchDown, SwitchUp:
-			if f.Switch < 0 || f.Switch >= len(tb.fabric) {
-				return fmt.Errorf("virtualwire: topology fault targets switch %d (fabric has %d)", f.Switch, len(tb.fabric))
-			}
-			tb.topo.events = append(tb.topo.events, topoEvent{at: f.At, kind: f.Kind, sw: f.Switch, ber: -1})
-		default:
-			return fmt.Errorf("virtualwire: topology fault %d has unknown kind %d", si, f.Kind)
 		}
+		events = append(events, ev)
 	}
 	// Stable by time: same-instant faults apply in spec order.
-	sort.SliceStable(tb.topo.events, func(i, j int) bool {
-		return tb.topo.events[i].at < tb.topo.events[j].at
-	})
-	return nil
+	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+	return events, nil
 }
 
 // resetTopoFaults rewinds the fault engine (Reset): counters and journal
@@ -302,7 +295,7 @@ func (tb *Testbed) applySwitchDown(si int, down bool, at time.Duration) {
 	if !down {
 		// A restarting switch boots with every trunk port blocked until
 		// reconvergence re-admits its trunks to the tree.
-		for _, ti := range tb.fabricAdj[si] {
+		for _, ti := range tb.forest.adj[si] {
 			if !tb.trunks[ti].failed {
 				tb.setTrunkBlocked(ti, true)
 			}
@@ -340,10 +333,12 @@ func (tb *Testbed) activateReconverge() {
 	}
 	st.reconvergePending = false
 	now := st.reconvergeAt
-	tb.spanningForest()
+	tb.forest.walk(
+		func(ti int) bool { return tb.trunks[ti].failed },
+		func(si int) bool { return tb.fabric[si].Down() })
 	changed := 0
 	for i := range tb.trunks {
-		want := !tb.forestTree[i] // blocked unless in the live forest
+		want := !tb.forest.inTree[i] // blocked unless in the live forest
 		if tb.trunks[i].failed {
 			want = true
 		}

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"time"
 
+	"virtualwire/internal/core"
 	"virtualwire/internal/ether"
 	"virtualwire/internal/packet"
 )
@@ -181,6 +182,16 @@ type fabricPlan struct {
 	edges    []int
 }
 
+// Plan-size limits. A plan is generated wherever a testbed is checked —
+// for a campaign that is at submit — so the plan itself must never be
+// the allocation that takes the process down. All are far above the
+// 1000-host target (a k=16 fat-tree: 320 switches, 2048 trunks).
+const (
+	maxSwitches   = 1 << 14 // TopologySpec.Switches and ExtraTrunks
+	maxFatTreeK   = 64      // 65 536 hosts, 5120 switches, 131 072 trunks
+	maxFlapCycles = 1 << 16 // TopologyFaultSpec.Count
+)
+
 // planFabric generates the wiring for n hosts. No spec, or TopoSingle,
 // is the one-switch fabric: one switch, no trunks, every host on it.
 func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
@@ -188,7 +199,11 @@ func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
 		return fabricPlan{switches: 1, edges: []int{0}}, nil
 	}
 	if n == 0 {
-		return fabricPlan{}, fmt.Errorf("virtualwire: topology %v needs hosts before build", spec.Kind)
+		return fabricPlan{}, rejectf("topology", "topology %v needs hosts before build", spec.Kind)
+	}
+	if spec.Switches > maxSwitches || spec.ExtraTrunks > maxSwitches {
+		return fabricPlan{}, rejectf("topology", "topology %v asks for %d switches and %d extra trunks (limit %d each)",
+			spec.Kind, spec.Switches, spec.ExtraTrunks, maxSwitches)
 	}
 	autoEdges := func(min int) int {
 		e := (n + 47) / 48
@@ -229,8 +244,8 @@ func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
 			for k = 4; k*k*k/4 < n; k += 2 {
 			}
 		}
-		if k < 4 || k%2 != 0 {
-			return fabricPlan{}, fmt.Errorf("virtualwire: fat-tree arity must be even and >= 4 (got %d)", k)
+		if k < 4 || k%2 != 0 || k > maxFatTreeK {
+			return fabricPlan{}, rejectf("topology.fattree_k", "fat-tree arity must be even and between 4 and %d (got %d)", maxFatTreeK, k)
 		}
 		half := k / 2
 		cores := half * half
@@ -282,26 +297,145 @@ func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
 		}
 		return p, nil
 	}
-	return fabricPlan{}, fmt.Errorf("virtualwire: topology kind %v has no generator", spec.Kind)
+	return fabricPlan{}, rejectf("topology.kind", "topology kind %v has no generator", spec.Kind)
 }
 
-// buildMedia plans the wiring, creates the shard runtime and constructs
-// the media on it: the fabric's switches in index order and trunks in
-// wiring order, each switch directly on the scheduler and pool of the
-// shard that owns it, with non-spanning-tree trunks blocked on both ends
-// — or, on a bus testbed, no switch at all and the one bus. Called once
-// from build; the wiring then persists across Reset. The function it
-// returns places host i (add order): the edge switch it attaches to
-// (round-robin across the edge switches; nil on a bus) and the shard it
-// lives on.
-func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err error) {
-	spec := tb.cfg.Topology
-	var plan fabricPlan // a bus testbed's fabric is empty
+// spanningForest is the fabric's loop-free layout: the BFS forest over the
+// live switches and trunks, its roots the lowest-index live switch of
+// each component, adjacency walked in wiring order. A trunk outside it is
+// redundant and blocked on both ends. The build plan walks the planned
+// wiring with everything alive — one tree from switch 0, or the plan is
+// rejected as disconnected; reconvergence walks again over the live
+// fabric, in place and without allocating, and with every trunk and
+// switch alive reproduces the planned layout exactly.
+type spanningForest struct {
+	wires  []trunkWire
+	adj    [][]int // switch index -> trunk indices, wiring order
+	inTree []bool  // per trunk
+	parent []int   // per switch: itself for a root, -1 if not reached
+	order  []int   // reached switches in discovery order
+}
+
+func newSpanningForest(switches int, wires []trunkWire) *spanningForest {
+	f := &spanningForest{
+		wires:  wires,
+		adj:    make([][]int, switches),
+		inTree: make([]bool, len(wires)),
+		parent: make([]int, switches),
+		order:  make([]int, 0, switches),
+	}
+	for ti, w := range wires {
+		f.adj[w.a] = append(f.adj[w.a], ti)
+		f.adj[w.b] = append(f.adj[w.b], ti)
+	}
+	return f
+}
+
+// walk recomputes the forest, leaving out the trunks failed reports and
+// the switches down reports, and returns the number of roots.
+func (f *spanningForest) walk(failed, down func(int) bool) (roots int) {
+	clear(f.inTree)
+	for i := range f.parent {
+		f.parent[i] = -1
+	}
+	f.order = f.order[:0]
+	for root := range f.adj {
+		if f.parent[root] >= 0 || down(root) {
+			continue
+		}
+		roots++
+		f.parent[root] = root
+		head := len(f.order)
+		f.order = append(f.order, root)
+		for ; head < len(f.order); head++ {
+			s := f.order[head]
+			for _, ti := range f.adj[s] {
+				other := f.wires[ti].a + f.wires[ti].b - s
+				if failed(ti) || f.parent[other] >= 0 || down(other) {
+					continue
+				}
+				f.parent[other] = s
+				f.inTree[ti] = true
+				f.order = append(f.order, other)
+			}
+		}
+	}
+	return roots
+}
+
+// buildPlan is everything build decides before it constructs anything:
+// the wiring (empty on a bus testbed), its spanning tree, the shard
+// partition, the expanded topology-fault schedule and the control node.
+// It is a pure function of the configuration, the declared hosts and the
+// staged script, and the only place any of them is rejected.
+type buildPlan struct {
+	fabricPlan
+	forest  *spanningForest
+	shards  int
+	shardOf []int       // per switch
+	events  []topoEvent // sorted by time
+	ctlName string      // control node; set when a script is staged
+	ctlID   core.NodeID
+}
+
+// Check reports the error the first Run or RunFor would fail with — an
+// impossible configuration, a fault aimed past the fabric the declared
+// hosts generate, a control node the staged script does not name — or
+// nil, without constructing anything. It is the planning half of build,
+// so whatever Check accepts, build constructs.
+func (tb *Testbed) Check() error {
+	_, err := tb.plan()
+	return err
+}
+
+// plan is the first half of build. Order is the order errors are
+// reported in.
+func (tb *Testbed) plan() (p *buildPlan, err error) {
+	if err = checkConfig(&tb.cfg); err != nil {
+		return nil, err
+	}
+	p = &buildPlan{}
 	if tb.cfg.Medium != MediumBus {
-		if plan, err = planFabric(spec, len(tb.nodes)); err != nil {
+		if p.fabricPlan, err = planFabric(tb.cfg.Topology, len(tb.nodes)); err != nil {
 			return nil, err
 		}
 	}
+	never := func(int) bool { return false } // nothing planned is failed or down
+	p.forest = newSpanningForest(p.switches, p.trunks)
+	if roots := p.forest.walk(never, never); roots > 1 {
+		return nil, rejectf("topology", "topology %v is disconnected (%d components)", tb.cfg.Topology.Kind, roots)
+	}
+	// Every switch — and with it the hosts it serves — is assigned to one
+	// shard before anything is wired.
+	p.shards = tb.resolveShardCount(len(p.edges))
+	p.shardOf = planShards(p.fabricPlan, p.forest, len(tb.nodes), p.shards)
+	if p.events, err = planTopoFaults(tb.cfg.TopologyFaults, tb.topologyActive(), len(p.trunks), p.switches); err != nil {
+		return nil, err
+	}
+	if tb.script != nil {
+		prog := tb.script.prog
+		p.ctlName = tb.cfg.ControlNode
+		if p.ctlName == "" {
+			p.ctlName = prog.Nodes[0].Name
+		}
+		var ok bool
+		if p.ctlID, ok = prog.NodeByName(p.ctlName); !ok {
+			return nil, fmt.Errorf("virtualwire: control node %q not in script", p.ctlName)
+		}
+	}
+	return p, nil
+}
+
+// buildMedia creates the shard runtime and constructs the planned media
+// on it: the fabric's switches in index order and trunks in wiring order,
+// each switch directly on the scheduler and pool of the shard that owns
+// it, with non-spanning-tree trunks blocked on both ends — or, on a bus
+// testbed, no switch at all and the one bus. Called once from build; the
+// wiring then persists across Reset. The function it returns places host
+// i (add order): the edge switch it attaches to (round-robin across the
+// edge switches; nil on a bus) and the shard it lives on.
+func (tb *Testbed) buildMedia(plan *buildPlan) (segmentOf func(i int) (*ether.Switch, int)) {
+	spec := tb.cfg.Topology
 	if spec == nil {
 		spec = &TopologySpec{}
 	}
@@ -321,17 +455,9 @@ func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err
 	if spec.ReconvergeDelay > 0 {
 		tb.topo.delay = spec.ReconvergeDelay
 	}
-	// Shard planning: every switch — and with it the hosts it serves — is
-	// assigned to one shard before anything is wired, so each switch is
-	// constructed directly on its shard's scheduler and pool.
-	hostsPer := make([]int, plan.switches)
-	if len(plan.edges) > 0 {
-		for i := range tb.nodes {
-			hostsPer[plan.edges[i%len(plan.edges)]]++
-		}
-	}
-	tb.initShardRuntime(tb.resolveShardCount(len(plan.edges)))
-	shardOf := planShards(plan, hostsPer, tb.shards.count)
+	tb.topo.events = plan.events
+	tb.initShardRuntime(plan.shards)
+	shardOf := plan.shardOf
 	tb.fabric = make([]*ether.Switch, plan.switches)
 	for i := range tb.fabric {
 		tb.fabric[i] = ether.NewSwitch(tb.shards.scheds[shardOf[i]], ether.SwitchConfig{
@@ -349,7 +475,7 @@ func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err
 		BitErrorRate:  tb.cfg.BitErrorRate,
 	}
 	tb.trunks = make([]fabricTrunk, len(plan.trunks))
-	tb.fabricAdj = make([][]int, plan.switches) // trunk indices per switch
+	tb.forest = plan.forest
 	for ti, w := range plan.trunks {
 		tr := &tb.trunks[ti]
 		tr.wire = w
@@ -367,26 +493,8 @@ func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err
 		// zero spec propagation means "LinkConfig default", and restoring a
 		// raw zero would keep the degraded value instead.
 		tr.baseProp, tr.baseBER = tr.ch.Profile()
-		tb.fabricAdj[w.a] = append(tb.fabricAdj[w.a], ti)
-		tb.fabricAdj[w.b] = append(tb.fabricAdj[w.b], ti)
-	}
-	// Static spanning tree: BFS from switch 0 over trunks in wiring
-	// order; every trunk not used for a first discovery is blocked on
-	// both ends. The same routine recomputes the tree after topology
-	// faults (spanningForest), where it reproduces this exact layout
-	// whenever every trunk and switch is alive.
-	tb.forestTree = make([]bool, len(plan.trunks))
-	tb.forestVisited = make([]bool, plan.switches)
-	tb.forestQueue = make([]int, 0, plan.switches)
-	tb.spanningForest()
-	for i, v := range tb.forestVisited {
-		if !v {
-			return nil, fmt.Errorf("virtualwire: topology %v left switch %d disconnected", spec.Kind, i)
-		}
-	}
-	for ti := range tb.trunks {
-		tb.trunks[ti].inTree = tb.forestTree[ti]
-		if !tb.forestTree[ti] {
+		tr.inTree = plan.forest.inTree[ti]
+		if !tr.inTree {
 			tb.setTrunkBlocked(ti, true)
 		}
 	}
@@ -407,12 +515,12 @@ func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err
 			BitErrorRate:  tb.cfg.BitErrorRate,
 			Pool:          tb.pool,
 		})
-		return func(int) (*ether.Switch, int) { return nil, 0 }, nil
+		return func(int) (*ether.Switch, int) { return nil, 0 }
 	}
 	return func(i int) (*ether.Switch, int) {
 		edge := plan.edges[i%len(plan.edges)]
 		return tb.fabric[edge], shardOf[edge]
-	}, nil
+	}
 }
 
 // planShards assigns every switch to one of k shards. Edge switches are
@@ -423,15 +531,9 @@ func (tb *Testbed) buildMedia() (segmentOf func(i int) (*ether.Switch, int), err
 // aggregators) then adopt the majority shard of their spanning-tree
 // children, processed leaves-first, so an aggregator lands with the pod
 // block it serves and most tree trunks stay shard-internal. The result
-// is a pure function of (plan, host layout, k): independent of seeds,
+// is a pure function of (plan, host count, k): independent of seeds,
 // GOMAXPROCS and run history.
-func planShards(plan fabricPlan, hostsPer []int, k int) []int {
-	if k > len(plan.edges) {
-		k = len(plan.edges)
-	}
-	if k < 1 {
-		k = 1
-	}
+func planShards(plan fabricPlan, tree *spanningForest, hosts, k int) []int {
 	shard := make([]int, plan.switches)
 	if k == 1 {
 		return shard // one shard owns everything (and a bus plan has no switch to walk)
@@ -439,54 +541,28 @@ func planShards(plan fabricPlan, hostsPer []int, k int) []int {
 	for i := range shard {
 		shard[i] = -1
 	}
-	total := 0
-	for _, e := range plan.edges {
-		total += hostsPer[e]
+	hostsPer := make([]int, plan.switches) // hosts attach round-robin to the edges
+	for i := 0; i < hosts; i++ {
+		hostsPer[plan.edges[i%len(plan.edges)]]++
 	}
 	s, cum := 0, 0
 	for i, e := range plan.edges {
 		shard[e] = s
 		cum += hostsPer[e]
 		remaining := len(plan.edges) - i - 1
-		if s < k-1 && cum*k >= (s+1)*total && remaining >= k-1-s {
+		if s < k-1 && cum*k >= (s+1)*hosts && remaining >= k-1-s {
 			s++
 		}
 	}
-	// Spanning tree (same BFS as buildMedia: from switch 0 in wiring
-	// order) to find each interior switch's children.
-	adj := make([][]int, plan.switches)
-	for ti, w := range plan.trunks {
-		adj[w.a] = append(adj[w.a], ti)
-		adj[w.b] = append(adj[w.b], ti)
-	}
-	parent := make([]int, plan.switches)
-	for i := range parent {
-		parent[i] = -1
-	}
-	visited := make([]bool, plan.switches)
-	visited[0] = true
-	order := []int{0}
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for _, ti := range adj[v] {
-			w := plan.trunks[ti]
-			other := w.a + w.b - v
-			if !visited[other] {
-				visited[other] = true
-				parent[other] = v
-				order = append(order, other)
-			}
-		}
-	}
 	children := make([][]int, plan.switches)
-	for v, p := range parent {
-		if p >= 0 {
+	for v, p := range tree.parent {
+		if p != v {
 			children[p] = append(children[p], v)
 		}
 	}
 	counts := make([]int, k)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
+	for i := len(tree.order) - 1; i >= 0; i-- {
+		v := tree.order[i]
 		if shard[v] >= 0 {
 			continue
 		}
@@ -507,56 +583,7 @@ func planShards(plan fabricPlan, hostsPer []int, k int) []int {
 		}
 		shard[v] = best
 	}
-	for i := range shard {
-		if shard[i] < 0 {
-			// Unreached switches (disconnected plans are rejected later
-			// by buildFabric) default to shard 0.
-			shard[i] = 0
-		}
-	}
 	return shard
-}
-
-// spanningForest recomputes the BFS spanning forest over the live
-// fabric into tb.forestTree/forestVisited: roots are the lowest-index
-// up-switches of each component, adjacency is walked in trunk wiring
-// order, and failed trunks and down switches are excluded. With every
-// trunk and switch alive it reproduces the build-time tree exactly
-// (BFS from switch 0 in wiring order), so Reset and reconvergence agree
-// on the pristine layout. Scratch buffers are reused: no allocation.
-func (tb *Testbed) spanningForest() {
-	for i := range tb.forestTree {
-		tb.forestTree[i] = false
-	}
-	for i := range tb.forestVisited {
-		tb.forestVisited[i] = false
-	}
-	queue := tb.forestQueue[:0]
-	for root := range tb.fabric {
-		if tb.forestVisited[root] || tb.fabric[root].Down() {
-			continue
-		}
-		tb.forestVisited[root] = true
-		queue = append(queue, root)
-		for qi := 0; qi < len(queue); qi++ {
-			s := queue[qi]
-			for _, ti := range tb.fabricAdj[s] {
-				tr := &tb.trunks[ti]
-				if tr.failed {
-					continue
-				}
-				other := tr.wire.a + tr.wire.b - s
-				if tb.forestVisited[other] || tb.fabric[other].Down() {
-					continue
-				}
-				tb.forestVisited[other] = true
-				tb.forestTree[ti] = true
-				queue = append(queue, other)
-			}
-		}
-		queue = queue[:0]
-	}
-	tb.forestQueue = queue
 }
 
 // trunkStateGaugeMax bounds the fabrics that emit per-trunk state
@@ -672,13 +699,13 @@ func (tb *Testbed) AddHostGroup(prefix string, n int) ([]*Node, error) {
 	if prefix == "" {
 		prefix = "h"
 	}
+	if n > 0xFFFFFF-tb.hostSeq {
+		return nil, fmt.Errorf("virtualwire: host sequence overflow: %d more hosts after %d (limit %d)", n, tb.hostSeq, 0xFFFFFF)
+	}
 	out := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
 		tb.hostSeq++
 		s := tb.hostSeq
-		if s > 0xFFFFFF {
-			return out, fmt.Errorf("virtualwire: host sequence overflow at %d", s)
-		}
 		name := fmt.Sprintf("%s%04d", prefix, s)
 		mac := packet.MAC{0x02, 0x56, 0x57, byte(s >> 16), byte(s >> 8), byte(s)}
 		ip := packet.IP{10, byte(s >> 16), byte(s >> 8), byte(s)}

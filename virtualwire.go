@@ -265,17 +265,13 @@ type Testbed struct {
 	// The media, constructed by build and kept by Reset: fabric is every
 	// switch in plan order — the classic single switch is the one-switch
 	// fabric — and is empty on a bus testbed, where bus is the medium.
-	fabric    []*ether.Switch
-	bus       *ether.SharedBus
-	trunks    []fabricTrunk // built trunks in wiring order
-	fabricAdj [][]int       // switch index -> trunk indices, wiring order
-	hostSeq   int           // AddHostGroup identity sequence
+	fabric  []*ether.Switch
+	bus     *ether.SharedBus
+	trunks  []fabricTrunk   // built trunks in wiring order
+	forest  *spanningForest // the planned tree; recomputed in place by reconvergence
+	hostSeq int             // AddHostGroup identity sequence
 
-	// Spanning-forest scratch buffers (build + reconvergence) and the
-	// interned per-trunk gauge names for small fabrics.
-	forestTree      []bool
-	forestVisited   []bool
-	forestQueue     []int
+	// Interned per-trunk gauge names for small fabrics.
 	trunkStateNames []string
 
 	// topo is the topology fault engine's runtime state (trunk
@@ -333,17 +329,8 @@ func New(cfg Config) (*Testbed, error) {
 	if cfg.Medium == 0 {
 		cfg.Medium = MediumSwitch
 	}
-	if err := validateShardConfig(&cfg); err != nil {
+	if err := checkConfig(&cfg); err != nil {
 		return nil, err
-	}
-	switch cfg.Medium {
-	case MediumSwitch, MediumSwitchFullDuplex:
-	case MediumBus:
-		if t := cfg.Topology; t != nil && t.Kind != TopoSingle {
-			return nil, fmt.Errorf("virtualwire: topology %v requires a switch medium", t.Kind)
-		}
-	default:
-		return nil, fmt.Errorf("virtualwire: unknown medium %d", cfg.Medium)
 	}
 	tb := &Testbed{
 		cfg:    cfg,
@@ -465,9 +452,10 @@ func (tb *Testbed) AddRTStream(srcPort, dstPort uint16) {
 	tb.rtStreams = append(tb.rtStreams, portPair{srcPort, dstPort})
 }
 
-// build is the single assembly point, run by the first Run or RunFor. It
-// plans the wiring, creates the shard runtime, and then constructs every
-// medium and every host's chain NIC ← [RLL] ← engine ← [Rether] ← IP/TCP
+// build is the single assembly point, run by the first Run or RunFor:
+// plan, then construct. The plan (see Check) is where a testbed is
+// rejected; what it accepts is constructed — the shard runtime, every
+// medium and every host's chain NIC ← [RLL] ← engine ← [Rether] ← IP/TCP,
 // directly on the scheduler and pool of the shard it lives on. A build
 // that fails is not retried: the testbed stays unbuilt and every later
 // call returns the same error.
@@ -484,13 +472,11 @@ func (tb *Testbed) build() error {
 // out in construction order, and metric sources register in the order
 // reports print them.
 func (tb *Testbed) assemble() error {
-	segmentOf, err := tb.buildMedia()
+	plan, err := tb.plan()
 	if err != nil {
 		return err
 	}
-	if err := tb.stageTopoFaults(); err != nil {
-		return err
-	}
+	segmentOf := tb.buildMedia(plan)
 	inRing := make(map[string]bool, len(tb.retherRing))
 	var ringMACs []packet.MAC
 	for _, name := range tb.retherRing {
@@ -568,15 +554,8 @@ func (tb *Testbed) assemble() error {
 	}
 	if tb.script != nil {
 		prog := tb.script.prog
-		ctlName := tb.cfg.ControlNode
-		if ctlName == "" {
-			ctlName = prog.Nodes[0].Name
-		}
-		ctlID, ok := prog.NodeByName(ctlName)
-		if !ok {
-			return fmt.Errorf("virtualwire: control node %q not in script", ctlName)
-		}
-		ctl, err := core.NewController(tb.byName[ctlName].host.Sched, prog, tb.byName[ctlName].engine, ctlID)
+		ctlNode := tb.byName[plan.ctlName]
+		ctl, err := core.NewController(ctlNode.host.Sched, prog, ctlNode.engine, plan.ctlID)
 		if err != nil {
 			return err
 		}

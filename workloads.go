@@ -2,7 +2,6 @@ package virtualwire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"virtualwire/internal/packet"
@@ -56,17 +55,26 @@ type TCPBulk struct {
 	clientClosed bool
 }
 
+// knownHosts rejects a point-to-point workload whose client (from) or
+// server (to) is not a declared host.
+func (tb *Testbed) knownHosts(from, to string) error {
+	if _, ok := tb.byName[from]; !ok {
+		return rejectf("from", "unknown host %q", from)
+	}
+	if _, ok := tb.byName[to]; !ok {
+		return rejectf("to", "unknown host %q", to)
+	}
+	return nil
+}
+
 // AddTCPBulk stages a bulk TCP workload; it starts when the scenario
 // starts (or immediately when no script is loaded).
 func (tb *Testbed) AddTCPBulk(cfg TCPBulkConfig) (*TCPBulk, error) {
-	if _, ok := tb.byName[cfg.From]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.From)
-	}
-	if _, ok := tb.byName[cfg.To]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.To)
+	if err := tb.knownHosts(cfg.From, cfg.To); err != nil {
+		return nil, err
 	}
 	if cfg.Bytes <= 0 && cfg.RateBitsPerSecond <= 0 {
-		return nil, fmt.Errorf("virtualwire: TCPBulk needs Bytes or RateBitsPerSecond")
+		return nil, rejectf("bytes", "TCPBulk needs Bytes or RateBitsPerSecond")
 	}
 	w := &TCPBulk{cfg: cfg}
 	tb.workloads = append(tb.workloads, w)
@@ -235,11 +243,8 @@ type UDPEcho struct {
 
 // AddUDPEcho stages a UDP echo workload.
 func (tb *Testbed) AddUDPEcho(cfg UDPEchoConfig) (*UDPEcho, error) {
-	if _, ok := tb.byName[cfg.Client]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.Client)
-	}
-	if _, ok := tb.byName[cfg.Server]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.Server)
+	if err := tb.knownHosts(cfg.Client, cfg.Server); err != nil {
+		return nil, err
 	}
 	if cfg.Size < 8 {
 		cfg.Size = 64
@@ -370,11 +375,8 @@ type UDPStream struct {
 
 // AddUDPStream stages a one-way constant-bit-rate datagram stream.
 func (tb *Testbed) AddUDPStream(cfg UDPStreamConfig) (*UDPStream, error) {
-	if _, ok := tb.byName[cfg.From]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.From)
-	}
-	if _, ok := tb.byName[cfg.To]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.To)
+	if err := tb.knownHosts(cfg.From, cfg.To); err != nil {
+		return nil, err
 	}
 	if cfg.Size <= 0 {
 		cfg.Size = 512

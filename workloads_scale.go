@@ -149,7 +149,7 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 		cfg.To = tb.nodes[0].name
 	}
 	if _, ok := tb.byName[cfg.To]; !ok {
-		return nil, fmt.Errorf("virtualwire: unknown host %q", cfg.To)
+		return nil, rejectf("to", "unknown host %q", cfg.To)
 	}
 	if cfg.DstPort == 0 {
 		cfg.DstPort = 0x5000
