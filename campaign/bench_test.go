@@ -108,3 +108,55 @@ func BenchmarkRecordEncode(b *testing.B) {
 		}
 	})
 }
+
+// decodeLines reads a campaign's lines back through decode, as a client
+// following a record stream does.
+func decodeLines(tb testing.TB, lines [][]byte, decode func([]byte, *RunRecord) error) {
+	var rec RunRecord
+	for i, line := range lines {
+		if err := decode(line, &rec); err != nil || rec.Index != i || rec.Report == nil {
+			tb.Fatalf("line %d read back as record %d: %v", i, rec.Index, err)
+		}
+	}
+}
+
+// TestRecordDecodeAllocs is the work-count gate on the read side of a
+// record, on what BenchmarkRecordDecode/template runs: a decoder that has
+// met the stream's layers and names builds the record's own strings, its
+// report, fault list, node rows and totals map — 14 allocations for a
+// two-host record — where reflection through map[string]map[string]float64
+// makes 429. A line that quietly stops fitting the template (an encoder change
+// without its decoder) lands on the reference and trips this.
+func TestRecordDecodeAllocs(t *testing.T) {
+	const limit = 32
+	lines := recordLines(t, quickstartSpec(8, []float64{0, 1e-6}))
+	var dec RecordDecoder
+	decodeLines(t, lines, dec.Decode)
+	n := testing.AllocsPerRun(10, func() { decodeLines(t, lines, dec.Decode) }) / float64(len(lines))
+	if n > limit {
+		t.Errorf("a warmed decoder allocates %.1f times per record (limit %d)", n, limit)
+	}
+}
+
+// BenchmarkRecordDecode reads the golden campaign's 16 lines the two ways
+// there are: "reference" is json.Unmarshal, "template" RecordDecoder on
+// lines this build wrote. One op is one record.
+func BenchmarkRecordDecode(b *testing.B) {
+	lines := recordLines(b, quickstartSpec(8, []float64{0, 1e-6}))
+	var dec RecordDecoder
+	for _, way := range []struct {
+		name   string
+		decode func([]byte, *RunRecord) error
+	}{
+		{"reference", func(line []byte, rec *RunRecord) error { *rec = RunRecord{}; return json.Unmarshal(line, rec) }},
+		{"template", dec.Decode},
+	} {
+		b.Run(way.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(lines[0])))
+			for i := 0; i < b.N; i += len(lines) {
+				decodeLines(b, lines, way.decode)
+			}
+		})
+	}
+}

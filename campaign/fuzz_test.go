@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,42 +123,177 @@ func sameWireShape(t testing.TB, original, shadow any) {
 	}
 }
 
-// FuzzRunRecordJSON holds the record's append encoder to encoding/json:
-// any input that decodes into a RunRecord — which is how a journaled
+// recordLines runs spec at one worker and returns its record lines.
+func recordLines(tb testing.TB, spec Spec) [][]byte {
+	tb.Helper()
+	var sink bytes.Buffer
+	if _, err := Run(context.Background(), spec, Options{Workers: 1, Sink: &sink}); err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Split(bytes.TrimSpace(sink.Bytes()), []byte("\n"))
+}
+
+// everyMember is a hand-written record that sets every optional member,
+// some to values only encoding/json's escapes can carry.
+const everyMember = `{"index":3,"label":"we\"ird <&>   läbel","outcome":"error","error":"boom\n","goodput_mbps":1e-7,` +
+	`"mean_rtt":"1.5ms","max_inter_arrival":-7,"report":{"seed":-1,"verdict":"launch_failed",` +
+	`"result":{"started":false,"stopped":false,"launch_failed":true,"unreachable":[2]},"passed":false,"virtual_ns":5,"events":9,` +
+	`"faults":[{"at_ns":1,"node":"fabric","kind":"trunk_down"}],"errors":[{"node":1,"rule":2,"at_ns":3,"text":"<x>"}],` +
+	`"unreachable":["node3"],"nodes":[{"name":"n","crashed":true,"layers":{"tcp":{},"nic":{"b":1e21,"a":-0.5}}},{"name":""}],` +
+	`"metrics":{"instruments":2,"sampled_points":1,"sample_interval_ns":5,"totals":{"z/z":1e22,"a/a":3e-9}}}}`
+
+type decoderArm struct {
+	name     string
+	line     []byte
+	template bool
+}
+
+// decoderArms is one line per way a record reaches RecordDecoder: shaped
+// as appendJSON writes it (template true), or deviating from that by one
+// detail the reference reads all the same.
+func decoderArms(tb testing.TB) []decoderArm {
+	tb.Helper()
+	written := string(recordLines(tb, quickstartSpec(2, []float64{0}))[0])
+	edit := func(oldNew ...string) []byte {
+		line := written
+		for i := 0; i < len(oldNew); i += 2 {
+			if n := strings.Count(line, oldNew[i]); n != 1 {
+				tb.Fatalf("%q is in the encoder's line %d times, want once", oldNew[i], n)
+			}
+			line = strings.Replace(line, oldNew[i], oldNew[i+1], 1)
+		}
+		return []byte(line)
+	}
+	const node1IP = `"ip":{"rx_header_errors":0,"rx_no_handler":0,"rx_packets":13},`
+	var all RunRecord
+	if err := json.Unmarshal([]byte(everyMember), &all); err != nil {
+		tb.Fatal(err)
+	}
+	all.Label, all.Error, all.Report.Errors[0].Text = "plain", "boom", "x"
+	rewritten, err := all.appendJSON(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []decoderArm{
+		{"as written", []byte(written), true},
+		{"every member, as written", rewritten, true},
+		{"every member, by hand", []byte(everyMember), false},
+		{"members swapped", edit(`"attempts":1,"outcome":"pass",`, `"outcome":"pass","attempts":1,`), false},
+		{"a space", edit(`{"index":0,`, `{"index": 0,`), false},
+		{"escaped label", edit(`"label":"ber=0/s0"`, `"label":"ber=0\/s0"`), false},
+		{"duplicate totals key", edit(`"pool/gets":34,`, `"pool/gets":1,"pool/gets":34,`), false},
+		{"unsorted totals keys", edit(`"pool/gets":34,"pool/puts":34,`, `"pool/puts":34,"pool/gets":34,`), false},
+		{"unsorted readings", edit(`"syn_retries":0,"timeouts":0}}},{"name":"node2"`, `"timeouts":0,"syn_retries":0}}},{"name":"node2"`), false},
+		{"unsorted layers", edit(node1IP, ``, `{"name":"node1","layers":{`, `{"name":"node1","layers":{`+node1IP), false},
+		{"a layer fewer", edit(node1IP, ``), true},
+		{"crashed false", edit(`{"name":"node1",`, `{"name":"node1","crashed":false,`), false},
+		{"unknown member", edit(`,"attempts":1,`, `,"attempts":1,"wall_ms":3,`), false},
+		{"unknown member of a fault", edit(`"packet_type":"TCP_data"}`, `"packet_type":"TCP_data","frame":7}`), false},
+		{"fault without a packet type", edit(`,"packet_type":"TCP_data"}`, `}`), true},
+		{"null report", []byte(`{"index":0,"label":"","seed_index":0,"seed":0,"attempts":0,"outcome":"","report":null}`), false},
+		{"trailing newline", []byte(written + "\n"), false},
+	}
+}
+
+// sameDecoding fails unless got, which RecordDecoder read, is the record
+// the reference read: equal scalar members, and equal bytes — or the
+// same refusal — from appendJSON and from the report's indented WriteJSON.
+func sameDecoding(t *testing.T, got, ref RunRecord) {
+	t.Helper()
+	a, b := got, ref
+	a.Report, a.Series, b.Report, b.Series = nil, nil, nil, nil
+	if a != b {
+		t.Fatalf("scalar members\n%+v\nthe reference's\n%+v", a, b)
+	}
+	gotLine, gotErr := got.appendJSON(nil)
+	refLine, refErr := ref.appendJSON(nil)
+	if (gotErr != nil) != (refErr != nil) || (gotErr == nil && !bytes.Equal(gotLine, refLine)) {
+		t.Fatalf("re-encodes as (%v)\n%s\nthe reference's as (%v)\n%s", gotErr, gotLine, refErr, refLine)
+	}
+	if (got.Report == nil) != (ref.Report == nil) || (got.Series == nil) != (ref.Series == nil) {
+		t.Fatalf("report %v series %v, the reference's %v %v", got.Report != nil, got.Series != nil, ref.Report != nil, ref.Series != nil)
+	}
+	if got.Report != nil {
+		var gotDoc, refDoc bytes.Buffer
+		gotErr, refErr := got.Report.WriteJSON(&gotDoc), ref.Report.WriteJSON(&refDoc)
+		if (gotErr != nil) != (refErr != nil) || (gotErr == nil && !bytes.Equal(gotDoc.Bytes(), refDoc.Bytes())) {
+			t.Fatalf("report document (%v)\n%s\nthe reference's (%v)\n%s", gotErr, gotDoc.Bytes(), refErr, refDoc.Bytes())
+		}
+	}
+}
+
+// TestRecordDecoderArms pins which lines the template reads and which it
+// leaves to the reference, and that a line it reads re-encodes to itself.
+func TestRecordDecoderArms(t *testing.T) {
+	for _, arm := range decoderArms(t) {
+		var dec RecordDecoder
+		var got, ref RunRecord
+		if fits := dec.template(arm.line, &got); fits != arm.template {
+			t.Errorf("%s: template read it: %v, want %v\n%s", arm.name, fits, arm.template, arm.line)
+			continue
+		}
+		if err := json.Unmarshal(arm.line, &ref); err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		// Again with the same decoder: whatever name tables the first
+		// reading left behind, a refused line's included, are in force.
+		if err := dec.Decode(arm.line, &got); err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		sameDecoding(t, got, ref)
+		if again, err := got.appendJSON(nil); arm.template && (err != nil || !bytes.Equal(again, arm.line)) {
+			t.Errorf("%s: the template read\n%s\nas a record that encodes to (%v)\n%s", arm.name, arm.line, err, again)
+		}
+	}
+}
+
+// FuzzRunRecordJSON holds the record's two hand-written halves to
+// encoding/json. The decoder: for every input, RecordDecoder and
+// json.Unmarshal agree on whether it is a record and, when it is, on the
+// record (sameDecoding) — with a new decoder, with one whose name tables
+// come from another record, and with one whose tables come from this
+// input. The encoder: any input that decodes — which is how a journaled
 // record comes back on resume — must encode, through appendJSON and
 // through json.Marshal, to exactly the bytes reflection writes for the
 // method-less shadow, fail exactly when it fails, and read back as a
 // record that encodes to the same bytes again. Seeded with the golden
-// campaign's records, one with a sampled series, and a hand-written one
-// that sets every optional member.
+// campaign's records, one with a sampled series, and decoderArms.
 func FuzzRunRecordJSON(f *testing.F) {
 	sameWireShape(f, RunRecord{}, reflectedRunRecord{})
 	sameWireShape(f, virtualwire.RunReport{}, reflectedRunReport{})
 	sameWireShape(f, virtualwire.MetricsSummary{}, reflectedMetricsSummary{})
 
-	golden := quickstartSpec(2, []float64{0, 1e-6})
+	golden := recordLines(f, quickstartSpec(2, []float64{0, 1e-6}))
 	sampled := quickstartSpec(1, []float64{0})
 	sampled.Configs[0].MetricsSampleInterval = Duration(10 * time.Second)
-	for _, spec := range []Spec{golden, sampled} {
-		var sink bytes.Buffer
-		if _, err := Run(context.Background(), spec, Options{Workers: 1, Sink: &sink}); err != nil {
-			f.Fatal(err)
-		}
-		for _, line := range bytes.Split(bytes.TrimSpace(sink.Bytes()), []byte("\n")) {
-			f.Add(line)
-		}
+	for _, line := range append(golden, recordLines(f, sampled)...) {
+		f.Add(line)
+	}
+	for _, arm := range decoderArms(f) {
+		f.Add(arm.line)
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"index":3,"label":"we\"ird <&>   läbel","outcome":"error","error":"boom\n","goodput_mbps":1e-7,` +
-		`"mean_rtt":"1.5ms","max_inter_arrival":-7,"report":{"seed":-1,"verdict":"launch_failed",` +
-		`"result":{"started":false,"stopped":false,"launch_failed":true,"unreachable":[2]},"passed":false,"virtual_ns":5,"events":9,` +
-		`"faults":[{"at_ns":1,"node":"fabric","kind":"trunk_down"}],"errors":[{"node":1,"rule":2,"at_ns":3,"text":"<x>"}],` +
-		`"unreachable":["node3"],"nodes":[{"name":"n","crashed":true,"layers":{"tcp":{},"nic":{"b":1e21,"a":-0.5}}},{"name":""}],` +
-		`"metrics":{"instruments":2,"sampled_points":1,"sample_interval_ns":5,"totals":{"z/z":1e22,"a/a":3e-9}}}}`))
+	// A series sample without its kind: a record, but not one that encodes.
+	f.Add([]byte(`{"index":0,"label":"","seed_index":0,"seed":0,"attempts":0,"outcome":"","series":{"final_at_ns":0,"final":[{"node":"n","layer":"l","name":"m","value":1}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec RunRecord
-		if json.Unmarshal(data, &rec) != nil {
+		refErr := json.Unmarshal(data, &rec)
+		var dec RecordDecoder
+		for _, tables := range []string{"none", "another record's", "its own"} {
+			var got RunRecord
+			if err := dec.Decode(data, &got); (err != nil) != (refErr != nil) {
+				t.Fatalf("decoder (name tables: %s) error %v, encoding/json error %v", tables, err, refErr)
+			} else if err == nil {
+				sameDecoding(t, got, rec)
+			}
+			if tables == "none" {
+				if err := dec.Decode(golden[0], &got); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if refErr != nil {
 			return
 		}
 		want, wantErr := json.Marshal(rec.reflected())

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -138,6 +139,93 @@ func (r RunRecord) appendJSON(b []byte) ([]byte, error) {
 		}
 	}
 	return append(b, '}'), nil
+}
+
+// RecordDecoder reads a stream of record lines back — a daemon's ndjson,
+// a journal on resume. A line shaped the way appendJSON writes one, which
+// is every line this build wrote, is read by the inverse of appendJSON:
+// member by member in encoder order, without reflection (see
+// jsonenc.Cursor and virtualwire.ReportDecoder, whose name tables the
+// records of one stream share). Any other line — an older generation's,
+// one indented or edited by hand, one with an escaped string or an
+// unknown member — goes whole to json.Unmarshal, the reference the
+// template is fuzzed against: the line's bytes alone pick the reader, and
+// both read the same record. The zero value is ready to use; one decoder
+// serves one stream and is not safe for concurrent use.
+type RecordDecoder struct {
+	report virtualwire.ReportDecoder
+}
+
+// Decode reads line, one record without its newline, into rec,
+// overwriting all of it. The record keeps no reference to line.
+func (d *RecordDecoder) Decode(line []byte, rec *RunRecord) error {
+	if d.template(line, rec) {
+		return nil
+	}
+	*rec = RunRecord{}
+	return json.Unmarshal(line, rec)
+}
+
+// template is the inverse of appendJSON; false means line deviates from
+// what appendJSON writes and rec is meaningless.
+func (d *RecordDecoder) template(line []byte, rec *RunRecord) bool {
+	var c jsonenc.Cursor
+	c.Reset(line)
+	*rec = RunRecord{}
+	str := func(key string, v *string, omitEmpty bool) {
+		if c.TryLit(key) {
+			*v = string(c.String())
+		} else if !omitEmpty {
+			c.Fail()
+		}
+	}
+	num := func(key string, v *int, omitEmpty bool) {
+		if c.TryLit(key) {
+			*v = c.Int()
+		} else if !omitEmpty {
+			c.Fail()
+		}
+	}
+	dur := func(key string, v *Duration) {
+		if c.TryLit(key) {
+			t, err := time.ParseDuration(string(c.String()))
+			if *v = Duration(t); err != nil {
+				c.Fail()
+			}
+		}
+	}
+	c.Lit(`{"index":`)
+	rec.Index = c.Int()
+	str(`,"label":`, &rec.Label, false)
+	str(`,"config":`, &rec.Config, true)
+	str(`,"workload":`, &rec.Workload, true)
+	num(`,"seed_index":`, &rec.SeedIndex, false)
+	c.Lit(`,"seed":`)
+	rec.Seed = c.Int64()
+	num(`,"attempts":`, &rec.Attempts, false)
+	str(`,"outcome":`, &rec.Outcome, false)
+	str(`,"error":`, &rec.Error, true)
+	num(`,"delivered_bytes":`, &rec.DeliveredBytes, true)
+	if c.TryLit(`,"goodput_mbps":`) {
+		rec.GoodputMbps = c.Float()
+	}
+	num(`,"retransmissions":`, &rec.Retransmissions, true)
+	num(`,"sent":`, &rec.Sent, true)
+	num(`,"received":`, &rec.Received, true)
+	dur(`,"mean_rtt":`, &rec.MeanRTT)
+	dur(`,"max_inter_arrival":`, &rec.MaxInterArrival)
+	if c.TryLit(`,"report":`) {
+		rec.Report = new(virtualwire.RunReport)
+		rest, ok := d.report.DecodeJSON(c.Rest(), rec.Report)
+		if c.Reset(rest); !ok {
+			c.Fail()
+		}
+	}
+	if c.TryLit(`,"series":`) {
+		c.Value(&rec.Series)
+	}
+	c.Lit("}")
+	return c.OK() && len(c.Rest()) == 0
 }
 
 // runFunc executes one attempt of one matrix point; tests substitute it
@@ -592,18 +680,23 @@ func (a *aggregator) collect(rec RunRecord, opts *Options) error {
 	return nil
 }
 
+// finish returns the Summary as a value of its own: a pointer into the
+// aggregator would keep its line buffer, sample lists and rollup alive
+// for as long as anyone holds the summary, and the daemon holds one per
+// finished job.
 func (a *aggregator) finish() *Summary {
-	a.sum.Interrupted = a.sum.Completed < a.sum.Runs
+	sum := a.sum
+	sum.Interrupted = sum.Completed < sum.Runs
 	if len(a.goodputs) > 0 {
 		d := metrics.Summarize(a.goodputs)
-		a.sum.GoodputMbps = &d
+		sum.GoodputMbps = &d
 	}
 	if len(a.rtts) > 0 {
 		d := metrics.Summarize(a.rtts)
-		a.sum.RTTNanos = &d
+		sum.RTTNanos = &d
 	}
 	if a.rollup.Runs() > 0 {
-		a.sum.MetricsTotals = a.rollup.Totals()
+		sum.MetricsTotals = a.rollup.Totals()
 	}
-	return &a.sum
+	return &sum
 }

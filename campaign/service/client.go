@@ -132,7 +132,10 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 // StreamRecords follows the job's record stream until it is complete
 // (or ctx ends). Each journal line is written to sink verbatim — byte
 // for byte what an in-process run would have written — and, when
-// onRecord is non-nil, also decoded and handed over for live progress.
+// onRecord is non-nil, also decoded and handed over for live progress. A
+// whole line that is not a record ends the stream with an error, after
+// the line has reached the sink; a last line without its newline is a
+// write the daemon did not finish, and is written but not decoded.
 func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, onRecord func(campaign.RunRecord)) error {
 	resp, err := c.send(ctx, http.MethodGet, "/v1/campaigns/"+url.PathEscape(id)+"/records", nil, "")
 	if err != nil {
@@ -141,7 +144,8 @@ func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, o
 	defer resp.Body.Close()
 	r := bufio.NewReaderSize(resp.Body, lineBufSize)
 	var long []byte
-	for {
+	var dec campaign.RecordDecoder
+	for n := 1; ; n++ {
 		line, err := readLine(r, &long)
 		if len(line) > 0 {
 			if sink != nil {
@@ -151,9 +155,10 @@ func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, o
 			}
 			if onRecord != nil && line[len(line)-1] == '\n' {
 				var rec campaign.RunRecord
-				if json.Unmarshal(line[:len(line)-1], &rec) == nil {
-					onRecord(rec)
+				if derr := dec.Decode(line[:len(line)-1], &rec); derr != nil {
+					return fmt.Errorf("service: record stream: line %d does not decode: %w", n, derr)
 				}
+				onRecord(rec)
 			}
 		}
 		if err == io.EOF {

@@ -144,37 +144,60 @@ func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	return *long, err
 }
 
-// scanRecords replays a journal's record stream and returns the longest
-// contiguous well-formed prefix plus its byte length. Anything after it
-// — a torn last line from a kill mid-write, or records past a
-// cancellation hole — is not part of the resumable prefix.
-func scanRecords(path string) (prior []campaign.RunRecord, goodLen int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, lineBufSize)
+// journalPrefix is what a scan keeps of a record stream: the longest
+// prefix of whole lines that decode to records counting 0, 1, 2, …
+// Anything after it — a torn last line from a kill mid-write, or records
+// past a cancellation hole — is not part of the resumable prefix.
+type journalPrefix struct {
+	runs, passed int
+	size         int64                // bytes, every line's newline included
+	records      []campaign.RunRecord // the prefix itself, when the scan retained it
+}
+
+// scanRecords replays a record stream. Every line is decoded — a line is
+// in the prefix because it is a record, not because it looks like one —
+// but only a scan that retains hands the records back: a job that will
+// not run again needs the tallies and the length alone.
+func scanRecords(r io.Reader, retain bool) (journalPrefix, error) {
+	var p journalPrefix
+	br := bufio.NewReaderSize(r, lineBufSize)
 	var long []byte
+	var dec campaign.RecordDecoder
+	var rec campaign.RunRecord
 	for {
-		line, err := readLine(r, &long)
+		line, err := readLine(br, &long)
 		if err == io.EOF {
 			// No trailing newline: a torn final write. Drop it.
-			return prior, goodLen, nil
+			return p, nil
 		}
 		if err != nil {
-			return nil, 0, err
+			return journalPrefix{}, err
 		}
-		var rec campaign.RunRecord
-		if json.Unmarshal(line[:len(line)-1], &rec) != nil || rec.Index != len(prior) {
-			return prior, goodLen, nil
+		if dec.Decode(line[:len(line)-1], &rec) != nil || rec.Index != p.runs {
+			return p, nil
 		}
-		prior = append(prior, rec)
-		goodLen += int64(len(line))
+		p.runs++
+		if rec.Outcome == campaign.OutcomePass {
+			p.passed++
+		}
+		p.size += int64(len(line))
+		if retain {
+			p.records = append(p.records, rec)
+		}
 	}
+}
+
+// scanJournal scans a job's journal; one never written is empty.
+func scanJournal(dir string, retain bool) (journalPrefix, error) {
+	f, err := os.Open(filepath.Join(dir, recordsFile))
+	if os.IsNotExist(err) {
+		return journalPrefix{}, nil
+	}
+	if err != nil {
+		return journalPrefix{}, err
+	}
+	defer f.Close()
+	return scanRecords(f, retain)
 }
 
 // loadJournal restores every journaled job: terminal jobs become
@@ -248,59 +271,55 @@ func (m *Manager) restoreJob(j *Job, generation int) error {
 	if got := j.spec.Hash(); got != j.specHash {
 		return fmt.Errorf("service: journal spec hash mismatch for %s: header says %s, spec hashes to %s", j.id, j.specHash, got)
 	}
-	prior, goodLen, err := scanRecords(filepath.Join(j.dir, recordsFile))
+	// The status decides what the scan is for: a terminal job is served
+	// from its journal as written and only counted here, an interrupted
+	// one gets its records back to resume from.
+	var st statusRecord
+	statusErr := readJSONFile(j.dir, statusFile, &st)
+	if statusErr != nil && !os.IsNotExist(statusErr) {
+		return fmt.Errorf("service: read status for %s: %w", j.id, statusErr)
+	}
+	terminal := statusErr == nil
+	p, err := scanJournal(j.dir, !terminal)
 	if err != nil {
 		return fmt.Errorf("service: scan journal for %s: %w", j.id, err)
 	}
-	j.completed = len(prior)
-	for i := range prior {
-		if prior[i].Outcome == campaign.OutcomePass {
-			j.passed++
-		} else {
-			j.failed++
-		}
-	}
-	j.safeLen.Store(goodLen)
-
-	var st statusRecord
-	switch err := readJSONFile(j.dir, statusFile, &st); {
-	case err == nil:
+	j.completed, j.passed, j.failed = p.runs, p.passed, p.runs-p.passed
+	j.safeLen.Store(p.size)
+	if terminal {
 		j.state = st.State
 		j.errText = st.Error
 		close(j.done)
 		return nil
-	case os.IsNotExist(err):
-		// Interrupted (or never started): resume. Truncate anything
-		// after the contiguous prefix so the append continues it.
-		// Admit it again: the plan is not journaled, and a spec this
-		// build's plan rejects fails here rather than once per run.
-		if j.plan, err = j.spec.Plan(); err != nil {
-			return fmt.Errorf("service: journaled spec for %s is not runnable: %w", j.id, err)
-		}
-		stale := generation != campaign.OutputGeneration
-		if stale {
-			m.cfg.Logf("service: job %s (tenant %s): journal is output generation %d, this build writes %d: discarding %d journaled runs, re-running from run 0",
-				j.id, j.tenant, generation, campaign.OutputGeneration, len(prior))
-			prior, goodLen = nil, 0
-			j.completed, j.passed, j.failed = 0, 0, 0
-			j.safeLen.Store(0)
-		}
-		if err := os.Truncate(filepath.Join(j.dir, recordsFile), goodLen); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("service: truncate journal for %s: %w", j.id, err)
-		}
-		if stale {
-			// Only now that no old byte is left: a kill between the two
-			// steps finds the old stamp again and truncates again.
-			if err := writeJobHeader(j); err != nil {
-				return err
-			}
-		}
-		j.state = StateQueued
-		j.firstIndex = len(prior)
-		j.prior = prior
-		j.resumed = j.firstIndex > 0
-		return nil
-	default:
-		return fmt.Errorf("service: read status for %s: %w", j.id, err)
 	}
+	// Interrupted (or never started): resume. Truncate anything after the
+	// contiguous prefix so the append continues it. Admit it again: the
+	// plan is not journaled, and a spec this build's plan rejects fails
+	// here rather than once per run.
+	if j.plan, err = j.spec.Plan(); err != nil {
+		return fmt.Errorf("service: journaled spec for %s is not runnable: %w", j.id, err)
+	}
+	stale := generation != campaign.OutputGeneration
+	if stale {
+		m.cfg.Logf("service: job %s (tenant %s): journal is output generation %d, this build writes %d: discarding %d journaled runs, re-running from run 0",
+			j.id, j.tenant, generation, campaign.OutputGeneration, p.runs)
+		p = journalPrefix{}
+		j.completed, j.passed, j.failed = 0, 0, 0
+		j.safeLen.Store(0)
+	}
+	if err := os.Truncate(filepath.Join(j.dir, recordsFile), p.size); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("service: truncate journal for %s: %w", j.id, err)
+	}
+	if stale {
+		// Only now that no old byte is left: a kill between the two
+		// steps finds the old stamp again and truncates again.
+		if err := writeJobHeader(j); err != nil {
+			return err
+		}
+	}
+	j.state = StateQueued
+	j.firstIndex = p.runs
+	j.prior = p.records
+	j.resumed = j.firstIndex > 0
+	return nil
 }

@@ -431,12 +431,15 @@ func TestReopenServesTerminalJob(t *testing.T) {
 	if err != nil || got.State != service.StateDone {
 		t.Fatalf("reopened status: %v, %+v", err, got)
 	}
-	if got.Completed != spec.Runs() {
-		t.Errorf("Completed = %d, want %d", got.Completed, spec.Runs())
+	if got.Completed != spec.Runs() || got.Passed+got.Failed != spec.Runs() {
+		t.Errorf("Completed = %d (%d passed, %d failed), want %d", got.Completed, got.Passed, got.Failed, spec.Runs())
 	}
 	sum, _, err := m2.Summary(st.ID)
 	if err != nil || sum == nil {
 		t.Fatalf("Summary from disk: %v (sum=%v)", err, sum)
+	}
+	if got.Passed != sum.Passed {
+		t.Errorf("the reopen's scan counted %d passed runs, the summary on disk %d", got.Passed, sum.Passed)
 	}
 	if !bytes.Equal(readJournal(t, dir, st.ID), wantJSONL) {
 		t.Error("terminal journal changed across reopen")

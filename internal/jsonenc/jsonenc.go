@@ -49,8 +49,7 @@ func Deeper(depth int) int {
 // the real encoder.
 func AppendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if needsEscape(s[i]) {
 			enc, _ := json.Marshal(s)
 			return append(b, enc...)
 		}
@@ -58,6 +57,12 @@ func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// needsEscape reports whether a string holding c is off the fast path of
+// AppendString, and so of Cursor.String.
+func needsEscape(c byte) bool {
+	return c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
 }
 
 // AppendFloat formats f exactly as encoding/json does. Like it, it

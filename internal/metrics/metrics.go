@@ -54,8 +54,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// MarshalJSON encodes the kind as its lowercase name.
+// MarshalJSON encodes the kind as its lowercase name. A value that is
+// none of the kinds has no name UnmarshalJSON would read back, and is an
+// error here rather than there.
 func (k Kind) MarshalJSON() ([]byte, error) {
+	if k < KindCounter || k > KindHistogram {
+		return nil, fmt.Errorf("metrics: unknown instrument kind %d", uint8(k))
+	}
 	return []byte(`"` + k.String() + `"`), nil
 }
 

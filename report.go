@@ -276,7 +276,7 @@ func (r RunReport) appendJSON(b []byte, depth int, flush func([]byte) []byte) ([
 	d1 := jsonenc.Deeper(depth)
 	d2 := jsonenc.Deeper(d1)
 	var err error
-	// Small, irregular members stay on encoding/json.
+	// The lists only a failed run carries stay on encoding/json.
 	reflected := func(key string, v any) {
 		if err == nil {
 			b = append(b, ',')
@@ -295,7 +295,11 @@ func (r RunReport) appendJSON(b []byte, depth int, flush func([]byte) []byte) ([
 	b = append(b, ',')
 	b = jsonenc.AppendMember(b, d1, "verdict")
 	b = jsonenc.AppendString(b, r.Verdict)
-	reflected("result", r.Result)
+	b = append(b, ',')
+	b = jsonenc.AppendMember(b, d1, "result")
+	if b, err = appendResultJSON(b, d1, r.Result); err != nil {
+		return b, err
+	}
 	b = append(b, ',')
 	b = jsonenc.AppendMember(b, d1, "passed")
 	b = strconv.AppendBool(b, r.Passed)
@@ -306,7 +310,9 @@ func (r RunReport) appendJSON(b []byte, depth int, flush func([]byte) []byte) ([
 	b = jsonenc.AppendMember(b, d1, "events")
 	b = strconv.AppendUint(b, r.Events, 10)
 	if len(r.Faults) != 0 {
-		reflected("faults", r.Faults)
+		b = append(b, ',')
+		b = jsonenc.AppendMember(b, d1, "faults")
+		b = appendFaultsJSON(b, d1, r.Faults)
 	}
 	if len(r.Errors) != 0 {
 		reflected("errors", r.Errors)
@@ -343,6 +349,282 @@ func (r RunReport) appendJSON(b []byte, depth int, flush func([]byte) []byte) ([
 	}
 	b = jsonenc.AppendBreak(b, depth)
 	return append(b, '}'), nil
+}
+
+// appendResultJSON writes the scenario outcome, its closing brace at
+// depth: the members every run carries by hand, and only the lists a
+// failed launch or a flagged run adds through encoding/json.
+func appendResultJSON(b []byte, depth int, r Result) ([]byte, error) {
+	d1 := jsonenc.Deeper(depth)
+	flag := func(key string, v, omitEmpty bool) {
+		if v || !omitEmpty {
+			b = strconv.AppendBool(jsonenc.AppendMember(append(b, ','), d1, key), v)
+		}
+	}
+	at := func(key string, v time.Duration) {
+		if v != 0 {
+			b = strconv.AppendInt(jsonenc.AppendMember(append(b, ','), d1, key), int64(v), 10)
+		}
+	}
+	b = append(b, '{')
+	b = jsonenc.AppendMember(b, d1, "started")
+	b = strconv.AppendBool(b, r.Started)
+	at("started_at_ns", r.StartedAt)
+	flag("stopped", r.Stopped, false)
+	at("stopped_at_ns", r.StoppedAt)
+	flag("inactivity", r.Inactivity, true)
+	flag("launch_failed", r.LaunchFailed, true)
+	var err error
+	if len(r.Unreachable) != 0 {
+		b, err = jsonenc.AppendValue(jsonenc.AppendMember(append(b, ','), d1, "unreachable"), d1, r.Unreachable)
+	}
+	if err == nil && len(r.Errors) != 0 {
+		b, err = jsonenc.AppendValue(jsonenc.AppendMember(append(b, ','), d1, "errors"), d1, r.Errors)
+	}
+	b = jsonenc.AppendBreak(b, depth)
+	return append(b, '}'), err
+}
+
+// appendFaultsJSON writes the injection journal, its closing bracket at
+// depth.
+func appendFaultsJSON(b []byte, depth int, faults []InjectedFault) []byte {
+	d1 := jsonenc.Deeper(depth)
+	d2 := jsonenc.Deeper(d1)
+	b = append(b, '[')
+	for i, f := range faults {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonenc.AppendBreak(b, d1)
+		b = append(b, '{')
+		b = strconv.AppendInt(jsonenc.AppendMember(b, d2, "at_ns"), int64(f.At), 10)
+		b = jsonenc.AppendString(jsonenc.AppendMember(append(b, ','), d2, "node"), f.Node)
+		b = jsonenc.AppendString(jsonenc.AppendMember(append(b, ','), d2, "kind"), f.Kind)
+		if f.PacketType != "" {
+			b = jsonenc.AppendString(jsonenc.AppendMember(append(b, ','), d2, "packet_type"), f.PacketType)
+		}
+		b = jsonenc.AppendBreak(b, d1)
+		b = append(b, '}')
+	}
+	b = jsonenc.AppendBreak(b, depth)
+	return append(b, ']')
+}
+
+// ReportDecoder reads reports back from the compact bytes AppendJSON
+// writes, the inverse of the encoders above and as free of reflection:
+// it matches their layout member by member (see jsonenc.Cursor) instead
+// of parsing JSON. One decoder serves one stream of reports — a
+// campaign's records — and shares among them what one testbed's report
+// schema shares among its reports: a layer's sorted reading names and the
+// digest's sorted keys are built for the first report and verified, name
+// by name, against every later one. The zero value is ready to use; a
+// decoder is not safe for concurrent use.
+type ReportDecoder struct {
+	layers []LayerReport     // reading-name tables met so far: Layer and Names, no Values
+	totals []string          // the last digest's keys
+	names  map[string]string // node, fault-kind and packet-type names met so far
+
+	faults []InjectedFault // scratch for one report's journal
+
+	// Scratch for one report's node rows, laid out as reportSchema lays
+	// them out: rows back to back, row i's values vals[rowVals[i]:rowVals[i+1]],
+	// node i's rows rows[nodeRows[i]:nodeRows[i+1]].
+	vals     []float64
+	rows     []LayerReport
+	rowVals  []int
+	nodes    []NodeReport
+	nodeRows []int
+}
+
+// maxLayerTables and maxNames bound what a decoder remembers; a stream
+// that names more layers or nodes than any testbed has starts over.
+const (
+	maxLayerTables = 32
+	maxNames       = 4096
+)
+
+// DecodeJSON reads into r the report that b starts with and returns the
+// bytes after it. ok is false, and r meaningless, when b does not start
+// with bytes AppendJSON writes — another layout, escaped strings, members
+// moved or unknown: such input is encoding/json's to decode. What comes
+// back aliases neither b nor the decoder's scratch; reading-name lists
+// are shared between reports and read-only, as LayerReport says.
+func (d *ReportDecoder) DecodeJSON(b []byte, r *RunReport) (rest []byte, ok bool) {
+	var c jsonenc.Cursor
+	c.Reset(b)
+	*r = RunReport{}
+	c.Lit("{")
+	if c.TryLit(`"scenario":`) {
+		r.Scenario = string(c.String())
+		c.Lit(",")
+	}
+	c.Lit(`"seed":`)
+	r.Seed = c.Int64()
+	c.Lit(`,"verdict":`)
+	r.Verdict = string(c.String())
+	c.Lit(`,"result":`)
+	decodeResultJSON(&c, &r.Result)
+	c.Lit(`,"passed":`)
+	r.Passed = c.Bool()
+	c.Lit(`,"virtual_ns":`)
+	r.Duration = time.Duration(c.Int64())
+	c.Lit(`,"events":`)
+	r.Events = c.Uint()
+	if c.TryLit(`,"faults":`) {
+		r.Faults = d.decodeFaults(&c)
+	}
+	if c.TryLit(`,"errors":`) {
+		c.Value(&r.Errors)
+	}
+	if c.TryLit(`,"unreachable":`) {
+		c.Value(&r.Unreachable)
+	}
+	if c.TryLit(`,"nodes":`) {
+		r.Nodes = d.decodeNodes(&c)
+	}
+	c.Lit(`,"metrics":`)
+	d.decodeMetrics(&c, &r.Metrics)
+	c.Lit("}")
+	return c.Rest(), c.OK()
+}
+
+func decodeResultJSON(c *jsonenc.Cursor, r *Result) {
+	c.Lit(`{"started":`)
+	r.Started = c.Bool()
+	if c.TryLit(`,"started_at_ns":`) {
+		r.StartedAt = time.Duration(c.Int64())
+	}
+	c.Lit(`,"stopped":`)
+	r.Stopped = c.Bool()
+	if c.TryLit(`,"stopped_at_ns":`) {
+		r.StoppedAt = time.Duration(c.Int64())
+	}
+	r.Inactivity = c.TryLit(`,"inactivity":true`)
+	r.LaunchFailed = c.TryLit(`,"launch_failed":true`)
+	if c.TryLit(`,"unreachable":`) {
+		c.Value(&r.Unreachable)
+	}
+	if c.TryLit(`,"errors":`) {
+		c.Value(&r.Errors)
+	}
+	c.Lit("}")
+}
+
+func (d *ReportDecoder) decodeFaults(c *jsonenc.Cursor) []InjectedFault {
+	d.faults = d.faults[:0]
+	c.Lit("[")
+	for more := true; more && c.OK(); more = c.TryLit(",") {
+		var f InjectedFault
+		c.Lit(`{"at_ns":`)
+		f.At = time.Duration(c.Int64())
+		c.Lit(`,"node":`)
+		f.Node = d.name(c.String())
+		c.Lit(`,"kind":`)
+		f.Kind = d.name(c.String())
+		if c.TryLit(`,"packet_type":`) {
+			f.PacketType = d.name(c.String())
+		}
+		c.Lit("}")
+		d.faults = append(d.faults, f)
+	}
+	c.Lit("]")
+	return append([]InjectedFault(nil), d.faults...)
+}
+
+// name returns b as a string, the same string for the same bytes: a
+// stream names the same few nodes, fault kinds and packet types in every
+// record.
+func (d *ReportDecoder) name(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	if d.names == nil || len(d.names) == maxNames {
+		d.names = make(map[string]string)
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
+}
+
+// decodeNodes reads the node rows NodeReport.appendJSON wrote and, like
+// gatherReport, carves them from one array each of nodes, layer rows and
+// values. Layers must ascend strictly within a node, for the reason
+// jsonenc.Cursor.Floats gives for their readings.
+func (d *ReportDecoder) decodeNodes(c *jsonenc.Cursor) []NodeReport {
+	d.vals, d.rows, d.rowVals = d.vals[:0], d.rows[:0], d.rowVals[:0]
+	d.nodes, d.nodeRows = d.nodes[:0], d.nodeRows[:0]
+	c.Lit("[")
+	for more := true; more && c.OK(); more = c.TryLit(",") {
+		c.Lit(`{"name":`)
+		d.nodes = append(d.nodes, NodeReport{Name: d.name(c.String()), Crashed: c.TryLit(`,"crashed":true`)})
+		d.nodeRows = append(d.nodeRows, len(d.rows))
+		if c.TryLit(`,"layers":{`) {
+			first := len(d.rows)
+			for next := true; next && c.OK(); next = c.TryLit(",") {
+				t := d.layerTable(c.String())
+				c.Lit(":")
+				if len(d.rows) > first && d.rows[len(d.rows)-1].Layer >= t.Layer {
+					c.Fail()
+				}
+				d.rowVals = append(d.rowVals, len(d.vals))
+				t.Names, d.vals = c.Floats(t.Names, d.vals)
+				d.rows = append(d.rows, *t)
+			}
+			c.Lit("}")
+		}
+		c.Lit("}")
+	}
+	c.Lit("]")
+	if !c.OK() {
+		return nil
+	}
+	d.rowVals = append(d.rowVals, len(d.vals))
+	d.nodeRows = append(d.nodeRows, len(d.rows))
+	vals := append([]float64(nil), d.vals...)
+	rows := append([]LayerReport(nil), d.rows...)
+	for i := range rows {
+		rows[i].Values = vals[d.rowVals[i]:d.rowVals[i+1]:d.rowVals[i+1]]
+	}
+	nodes := append([]NodeReport(nil), d.nodes...)
+	for i := range nodes {
+		nodes[i].Layers = rows[d.nodeRows[i]:d.nodeRows[i+1]:d.nodeRows[i+1]]
+	}
+	return nodes
+}
+
+// layerTable returns the decoder's name table for a layer, empty on
+// first sight.
+func (d *ReportDecoder) layerTable(layer []byte) *LayerReport {
+	for i := range d.layers {
+		if d.layers[i].Layer == string(layer) {
+			return &d.layers[i]
+		}
+	}
+	if len(d.layers) == maxLayerTables {
+		d.layers = d.layers[:0]
+	}
+	d.layers = append(d.layers, LayerReport{Layer: string(layer)})
+	return &d.layers[len(d.layers)-1]
+}
+
+func (d *ReportDecoder) decodeMetrics(c *jsonenc.Cursor, m *MetricsSummary) {
+	c.Lit(`{"instruments":`)
+	m.Instruments = c.Int()
+	if c.TryLit(`,"sampled_points":`) {
+		m.SampledPoints = c.Int()
+	}
+	if c.TryLit(`,"sample_interval_ns":`) {
+		m.SampleInterval = time.Duration(c.Int64())
+	}
+	if c.TryLit(`,"totals":`) {
+		d.totals, d.vals = c.Floats(d.totals, d.vals[:0])
+		m.Totals = make(map[string]float64, len(d.totals))
+		for i, k := range d.totals {
+			m.Totals[k] = d.vals[i]
+		}
+		m.keys = d.totals
+	}
+	c.Lit("}")
 }
 
 // Text renders the report for humans: verdict, flagged errors, fault

@@ -257,3 +257,99 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	w.writes++
 	return w.Buffer.Write(p)
 }
+
+// TestReportDecoderInvertsAppendJSON holds ReportDecoder to its encoder
+// and to the reference: whatever AppendJSON wrote without needing an
+// escape reads back, with nothing consumed past the report, as a report
+// that encodes to the same bytes in both layouts; everything else is
+// refused, so that json.Unmarshal reads it. Reports of one decoder share
+// their reading-name and totals-key lists the way one testbed's do.
+func TestReportDecoderInvertsAppendJSON(t *testing.T) {
+	every := RunReport{
+		Scenario: "every_member", Seed: -7, Verdict: "flagged",
+		Result: Result{
+			Started: true, StartedAt: 5, Stopped: true, StoppedAt: 9, Inactivity: true,
+			LaunchFailed: true, Unreachable: []core.NodeID{1, 2},
+			Errors: []ErrorReport{{Node: 1, Rule: 2, At: 3, Text: "boom <x>"}},
+		},
+		Passed: true, Duration: 123456789, Events: math.MaxInt64,
+		Faults:      []InjectedFault{{At: 1, Node: "node1", Kind: "DROP", PacketType: "TCP_data"}, {At: 2, Node: "fabric", Kind: "trunk_down"}},
+		Errors:      []ErrorReport{{Node: 1, Rule: 2, At: 3, Text: `"boom"`}, {}},
+		Unreachable: []string{"node3", "node4"},
+		Nodes:       nodeReportCases[:4],
+		Metrics: MetricsSummary{
+			Instruments: 3, SampledPoints: 7, SampleInterval: 5 * time.Millisecond,
+			Totals: map[string]float64{"tcp/segments_sent": 12345, "engine/drops": 4.5, "small/counter": 3e-9, "big/counter": 1e22},
+		},
+	}
+	tb, _ := fig6Testbed(t, 3)
+	fig6, err := tb.Run(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Reset(4); err != nil {
+		t.Fatal(err)
+	}
+	fig6Again, err := tb.Run(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := every
+	escaped.Nodes = nodeReportCases
+	var d ReportDecoder
+	var read []RunReport
+	for i, c := range []struct {
+		rep  RunReport
+		fits bool
+	}{
+		{RunReport{}, true}, {RunReport{Verdict: "no_scenario", Passed: true, Metrics: MetricsSummary{Instruments: 1}}, true},
+		{every, true}, {fig6, true}, {fig6Again, true}, {every, true},
+		{escaped, false}, {RunReport{Scenario: "<s>"}, false}, {RunReport{Events: math.MaxUint64}, false},
+	} {
+		written, err := c.rep.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got RunReport
+		rest, ok := d.DecodeJSON(append(written[:len(written):len(written)], `,"next":`...), &got)
+		if ok != c.fits {
+			t.Errorf("case %d: decoder read it: %v, want %v\n%s", i, ok, c.fits, written)
+		}
+		if !ok {
+			continue
+		}
+		if string(rest) != `,"next":` {
+			t.Errorf("case %d: %q left after the report", i, rest)
+		}
+		if again, err := got.AppendJSON(nil); err != nil || string(again) != string(written) {
+			t.Errorf("case %d: read back as a report that encodes to (%v)\n%s\nwant\n%s", i, err, again, written)
+		}
+		if doc, want := reportBytes(t, got), reportBytes(t, c.rep); string(doc) != string(want) {
+			t.Errorf("case %d: indented document\n%s\nwant\n%s", i, doc, want)
+		}
+		read = append(read, got)
+	}
+	if t.Failed() {
+		return
+	}
+	// One four-host report after another: same tables, separate values.
+	a, b := read[3], read[4]
+	for n := range a.Nodes {
+		for l := range a.Nodes[n].Layers {
+			la, lb := a.Nodes[n].Layers[l], b.Nodes[n].Layers[l]
+			if &la.Names[0] != &lb.Names[0] || &la.Values[0] == &lb.Values[0] {
+				t.Fatalf("node %d layer %s: names shared %v, values shared %v", n, la.Layer, &la.Names[0] == &lb.Names[0], &la.Values[0] == &lb.Values[0])
+			}
+		}
+	}
+	if &a.Metrics.keys[0] != &b.Metrics.keys[0] {
+		t.Error("two reports of one stream do not share their totals keys")
+	}
+	// Incomplete and trailing input.
+	written, _ := every.AppendJSON(nil)
+	for cut := 0; cut < len(written); cut++ {
+		if _, ok := d.DecodeJSON(written[:cut], new(RunReport)); ok {
+			t.Fatalf("the first %d of %d bytes read as a report", cut, len(written))
+		}
+	}
+}

@@ -36,18 +36,22 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (4 x 10 s) =="
+echo "== fuzz (5 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
-# or it would eat the whole budget. The record encoder is hand-written and
-# must stay byte-for-byte what encoding/json would write; spec bytes come
-# from tenants and must be answered with an error or an admitted spec that
-# round-trips to the same hash; the FSL front end takes tenant-written
-# source and must answer it with an error or a program that builds, dumps
-# and encodes — never a panic; the engine is handed MODIFY-mangled and
-# bit-flipped control frames by design and must drop what it cannot
-# index, loaded or not.
+# or it would eat the whole budget. The record encoder and its template
+# decoder are hand-written: the one must stay byte-for-byte what
+# encoding/json would write, the other must read every input exactly as
+# json.Unmarshal does or leave it to it; spec bytes come from tenants and
+# must be answered with an error or an admitted spec that round-trips to
+# the same hash; a journal is whatever a kill left on disk, and its scan
+# must keep a prefix of whole records that scans to itself again; the FSL
+# front end takes tenant-written source and must answer it with an error
+# or a program that builds, dumps and encodes — never a panic; the engine
+# is handed MODIFY-mangled and bit-flipped control frames by design and
+# must drop what it cannot index, loaded or not.
 for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
+    ./campaign/service:FuzzScanRecords \
     ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame; do
     go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
 done
