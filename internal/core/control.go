@@ -107,10 +107,10 @@ func encodeMsg(pool *ether.FramePool, src, dst packet.MAC, m *Msg) (*ether.Frame
 
 var errBadCtlFrame = fmt.Errorf("malformed control frame")
 
-// decodeMsg extracts a Msg from a control frame into m. ChunkData and
-// Message are copied out: the engine recycles the frame as soon as the
-// message is handled, while an INIT chunk is retained until reassembly
-// completes.
+// decodeMsg extracts a Msg from a control frame into m. ChunkData
+// aliases the frame and is valid only while the message is handled: the
+// engine recycles the frame right after, so handleInitChunk copies the
+// chunk into its own reassembly buffers. Message is copied out.
 func decodeMsg(fr *ether.Frame, m *Msg) error {
 	b := fr.Data
 	if len(b) <= packet.EthHeaderLen {
@@ -150,13 +150,8 @@ func decodeMsg(fr *ether.Frame, m *Msg) error {
 	if err != nil {
 		return err
 	}
-	chunk, err := nextBytes()
-	if err != nil {
+	if m.ChunkData, err = nextBytes(); err != nil {
 		return err
-	}
-	m.ChunkData = nil
-	if len(chunk) > 0 {
-		m.ChunkData = append([]byte(nil), chunk...)
 	}
 	m.ControlNode = NodeID(read())
 	m.NodeID = NodeID(read())

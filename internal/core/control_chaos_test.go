@@ -355,3 +355,47 @@ func TestControlPlaneAlwaysTerminates(t *testing.T) {
 		}
 	}
 }
+
+type discard struct{}
+
+func (discard) SendDown(*ether.Frame)  {}
+func (discard) DeliverUp(*ether.Frame) {}
+
+// TestForgedEmptyInitChunkCountsOnce: the controller never sends an
+// empty INIT chunk, but a forged or MODIFY-corrupted control frame can,
+// and the retry loop delivers every frame more than once. A second copy
+// is a duplicate however short it is, so a distribution whose last
+// chunk has not arrived does not load from a hole.
+func TestForgedEmptyInitChunkCountsOnce(t *testing.T) {
+	prog, err := fsl.Compile(header(2, 1) + chaosScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := core.EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, self := prog.Nodes[0].MAC, prog.Nodes[1].MAC
+	e := core.NewEngine(sim.NewScheduler(1), self)
+	e.SetBelow(discard{})
+	e.SetAbove(discard{})
+	chunk := func(index int, data []byte) {
+		e.DeliverUp(core.ControlFrame(ctl, self, &core.Msg{
+			Kind: core.MsgInitChunk, ChunkIndex: index, ChunkTotal: 3, ChunkData: data,
+			NodeID: 1, ControlNode: 0,
+		}))
+	}
+	chunk(0, blob) // the whole program; chunks 1 and 2 are empty
+	chunk(1, nil)
+	chunk(1, nil)
+	if e.Node() != -1 {
+		t.Fatalf("engine loaded as node %d from a distribution still missing chunk 2", e.Node())
+	}
+	if e.Stats.InitDupChunks != 1 {
+		t.Errorf("InitDupChunks = %d, want 1 for the repeated empty chunk", e.Stats.InitDupChunks)
+	}
+	chunk(2, nil)
+	if e.Node() != 1 {
+		t.Fatalf("engine is node %d after the whole distribution, want 1", e.Node())
+	}
+}

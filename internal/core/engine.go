@@ -128,8 +128,17 @@ type Engine struct {
 	ctxScratch   packetCtx
 	matchScratch []CounterID
 
+	// INIT reassembly: initTotal is the chunk count of the distribution
+	// being assembled (0: none is), initHave marks which chunks arrived
+	// (a bitmap, so an empty chunk counts once) and initChunks holds
+	// their bytes, copied out of the frames. The chunk buffers and
+	// initBlob, the joined program, keep their capacity across Reset: a
+	// reused testbed re-launching its scenario reassembles into them.
 	initChunks [][]byte
+	initHave   []uint64
+	initTotal  int
 	initGot    int
+	initBlob   []byte
 	// initDone records that a program was assembled and loaded over the
 	// control plane; later duplicate chunks (lost acks, controller
 	// retries, a second Launch) are re-acked instead of re-assembled, so
@@ -356,8 +365,9 @@ func (e *Engine) Revive() { e.failed = false }
 
 // Reset rewinds the engine to its pre-launch state for testbed reuse:
 // stats, the fault log, pending faults and the INIT reassembly state are
-// cleared, while the loaded tables and the INIT decode cache survive so
-// the next launch of the same scenario hits load's in-place fast path.
+// cleared, while the loaded tables, the INIT decode cache and the
+// reassembly buffers survive so the next launch of the same scenario
+// reassembles without allocating and hits load's in-place fast path.
 func (e *Engine) Reset() {
 	e.Stats = EngineStats{}
 	e.faultLog = e.faultLog[:0]
@@ -367,8 +377,7 @@ func (e *Engine) Reset() {
 	e.cascadeDepth = 0
 	e.active = false
 	e.failed = false
-	e.initChunks = nil
-	e.initGot = 0
+	e.endInit()
 	e.initDone = false
 	e.lastActivity = 0
 	e.activitySent = false
@@ -399,7 +408,7 @@ func (e *Engine) SendDown(fr *ether.Frame) {
 func (e *Engine) DeliverUp(fr *ether.Frame) {
 	if fr.EtherType() == packet.EtherTypeVWCtl {
 		e.handleControlFrame(fr)
-		e.pool.Put(fr) // decodeMsg copied out everything that is kept
+		e.pool.Put(fr) // the decoded message aliased it only while handled
 		return
 	}
 	if e.failed {
@@ -983,7 +992,7 @@ func (e *Engine) handleInitChunk(m *Msg) {
 		return
 	}
 	e.Stats.InitChunksRcvd++
-	if e.initDone && e.initChunks == nil {
+	if e.initDone && e.initTotal == 0 {
 		// Already assembled and loaded: the ack was lost or the
 		// controller retried before it arrived. Re-ack so it can advance.
 		e.Stats.InitDupChunks++
@@ -991,24 +1000,28 @@ func (e *Engine) handleInitChunk(m *Msg) {
 		e.sendCtl(e.controlNode, &Msg{Kind: MsgInitAck, From: e.self})
 		return
 	}
-	if e.initChunks == nil || len(e.initChunks) != m.ChunkTotal {
-		e.initChunks = make([][]byte, m.ChunkTotal)
-		e.initGot = 0
+	if e.initTotal != m.ChunkTotal {
+		e.beginInit(m.ChunkTotal)
 	}
-	if e.initChunks[m.ChunkIndex] == nil {
-		e.initChunks[m.ChunkIndex] = m.ChunkData
-		e.initGot++
-	} else {
+	word, bit := m.ChunkIndex/64, uint64(1)<<(m.ChunkIndex%64)
+	if e.initHave[word]&bit != 0 {
 		e.Stats.InitDupChunks++
-	}
-	if e.initGot < m.ChunkTotal {
 		return
 	}
-	var blob []byte
-	for _, c := range e.initChunks {
+	e.initHave[word] |= bit
+	e.initChunks[m.ChunkIndex] = append(e.initChunks[m.ChunkIndex][:0], m.ChunkData...)
+	if e.initGot++; e.initGot < e.initTotal {
+		return
+	}
+	blob := e.initBlob[:0]
+	for _, c := range e.initChunks[:e.initTotal] {
 		blob = append(blob, c...)
 	}
-	e.initChunks = nil
+	e.initBlob = blob
+	e.endInit()
+	// Nothing outlives this call in blob: a decoded program owns its
+	// bytes, and the cache keeps a clone.
+	defer e.pool.Scrub(blob)
 	p := e.cachedProg
 	if p == nil || !bytes.Equal(blob, e.cachedBlob) {
 		decoded, err := decodeProgram(blob)
@@ -1016,7 +1029,7 @@ func (e *Engine) handleInitChunk(m *Msg) {
 			return
 		}
 		p = decoded
-		e.cachedBlob = blob
+		e.cachedBlob = bytes.Clone(blob)
 		e.cachedProg = p
 	}
 	if n := NodeID(len(p.Nodes)); m.NodeID < 0 || m.NodeID >= n || m.ControlNode < 0 || m.ControlNode >= n {
@@ -1027,4 +1040,31 @@ func (e *Engine) handleInitChunk(m *Msg) {
 	e.load(p, m.NodeID, m.ControlNode)
 	e.initDone = true
 	e.sendCtl(e.controlNode, &Msg{Kind: MsgInitAck, From: e.self})
+}
+
+// beginInit starts reassembling a distribution of total chunks, reusing
+// the chunk buffers and bitmap of earlier ones.
+func (e *Engine) beginInit(total int) {
+	if c := cap(e.initChunks); total > c {
+		e.initChunks = append(e.initChunks[:c], make([][]byte, total-c)...)
+	}
+	e.initChunks = e.initChunks[:total]
+	words := (total + 63) / 64
+	if words > cap(e.initHave) {
+		e.initHave = make([]uint64, words)
+	}
+	e.initHave = e.initHave[:words]
+	clear(e.initHave)
+	e.initTotal = total
+	e.initGot = 0
+}
+
+// endInit abandons or closes the reassembly in progress; its chunk
+// buffers are released for the next one.
+func (e *Engine) endInit() {
+	for _, c := range e.initChunks {
+		e.pool.Scrub(c)
+	}
+	e.initTotal = 0
+	e.initGot = 0
 }

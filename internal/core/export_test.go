@@ -1,5 +1,10 @@
 package core
 
+import (
+	"virtualwire/internal/ether"
+	"virtualwire/internal/packet"
+)
+
 // Test-only access to what an engine decides for itself. No product code
 // can force a strategy: the cost model picks it (Engine.load).
 
@@ -18,3 +23,10 @@ func (e *Engine) LoadedDispatch() *Dispatch { return e.classifier.dispatch }
 
 // VarBinding reads a filter variable's run-time binding.
 func (e *Engine) VarBinding(v VarID) []byte { return e.classifier.VarBinding(v) }
+
+// ControlFrame encodes m as the control frame src sends dst, for tests
+// that forge what MODIFY or a hostile peer can put on the wire.
+func ControlFrame(src, dst packet.MAC, m *Msg) *ether.Frame {
+	fr, _ := encodeMsg(nil, src, dst, m)
+	return fr
+}

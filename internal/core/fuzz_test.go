@@ -46,7 +46,10 @@ func fuzzProgram() *Program {
 // so MODIFY and bit errors hand the engine mangled control frames by
 // design. Whatever arrives, handleControlFrame must not panic — neither
 // on an engine that has its tables (ids index them) nor on one still
-// waiting for INIT (a chunk count sizes an allocation).
+// waiting for INIT (a chunk count sizes an allocation). Each frame
+// arrives twice, as the controller's retries deliver it: a second copy
+// of an INIT chunk that the first left mid-reassembly is a duplicate,
+// however short it is.
 func FuzzControlFrame(f *testing.F) {
 	prog := fuzzProgram()
 	blob, err := encodeProgram(prog)
@@ -77,6 +80,8 @@ func FuzzControlFrame(f *testing.F) {
 		{Kind: MsgInitChunk, ChunkTotal: 1 << 40},
 		{Kind: MsgInitChunk, ChunkTotal: 1, ChunkData: blob, NodeID: 1, ControlNode: 9},
 		{Kind: MsgInitChunk, ChunkTotal: 1, ChunkData: blob, NodeID: -3, ControlNode: 0},
+		// An empty chunk once counted afresh on every copy.
+		{Kind: MsgInitChunk, ChunkTotal: 2, ChunkIndex: 1, NodeID: 1, ControlNode: 0},
 	} {
 		fr, err := encodeMsg(nil, src, dst, m)
 		if err != nil {
@@ -98,9 +103,18 @@ func FuzzControlFrame(f *testing.F) {
 			}
 			// Addressed to the engine whatever the mutation did to the
 			// header, so every input reaches the decoder.
-			fr := &ether.Frame{Data: append([]byte(nil), data...)}
-			copy(fr.Data, dst[:])
-			e.handleControlFrame(fr)
+			deliver := func() {
+				fr := &ether.Frame{Data: append([]byte(nil), data...)}
+				copy(fr.Data, dst[:])
+				e.handleControlFrame(fr)
+			}
+			deliver()
+			got, dups, assembling := e.initGot, e.Stats.InitDupChunks, e.initTotal > 0
+			deliver()
+			if assembling && (e.initGot != got || e.Stats.InitDupChunks != dups+1) {
+				t.Fatalf("a repeated INIT chunk moved the reassembly: received %d -> %d, duplicates %d -> %d",
+					got, e.initGot, dups, e.Stats.InitDupChunks)
+			}
 		}
 	})
 }

@@ -31,11 +31,11 @@ SEEN: (other, node1, node2, RECV)
 END
 `
 
-// engines returns a layer constructor for newHostPair that puts a loaded,
-// active engine on each host.
-func engines(t *testing.T) func(side int, s *sim.Scheduler, pool *ether.FramePool) []stack.Layer {
+// engines returns a layer constructor for newHostPair that puts an
+// engine, loaded with script and active, on each host.
+func engines(t *testing.T, script string) func(side int, s *sim.Scheduler, pool *ether.FramePool) []stack.Layer {
 	t.Helper()
-	prog, err := fsl.Compile(idleScript)
+	prog, err := fsl.Compile(script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func engines(t *testing.T) func(side int, s *sim.Scheduler, pool *ether.FramePoo
 // to Send. No site is left over: the expected count is exactly zero.
 func TestSteadyStateDataPathDoesNotAllocate(t *testing.T) {
 	t.Run("tcp-segment-and-ack", func(t *testing.T) {
-		p := newHostPair(false, engines(t))
+		p := newHostPair(false, engines(t, idleScript))
 		lst, err := p.tcps[1].Listen(0x4000)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSteadyStateDataPathDoesNotAllocate(t *testing.T) {
 		}
 	})
 	t.Run("udp-echo", func(t *testing.T) {
-		p := newHostPair(false, engines(t))
+		p := newHostPair(false, engines(t, idleScript))
 		srv, err := p.hosts[1].UDP.Bind(9001)
 		if err != nil {
 			t.Fatal(err)

@@ -14,13 +14,17 @@ package ether_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"virtualwire"
 	"virtualwire/campaign"
+	"virtualwire/campaign/service"
 	"virtualwire/internal/ether"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/rll"
@@ -61,10 +65,14 @@ func readFile(t *testing.T, path string) string {
 }
 
 // scripted builds a testbed from an FSL script's NODE_TABLE, loads one
-// of its scenarios ("" = the only one), lets arm add workloads, runs it
-// and returns the report document.
+// of its scenarios ("" = the only one), lets setup (if set) add layers,
+// lets arm add workloads, runs it, then resets it under the next seed,
+// arms and runs it again, as
+// TestGoldenReports does, and returns both report documents. The second
+// run is built from what the first left in the pools and in the layers'
+// own reuse sites.
 func scripted(t *testing.T, cfg virtualwire.Config, script, scenario string, horizon time.Duration,
-	arm func(tb *virtualwire.Testbed) error) []byte {
+	setup, arm func(tb *virtualwire.Testbed) error) []byte {
 	t.Helper()
 	tb, err := virtualwire.New(cfg)
 	if err != nil {
@@ -72,6 +80,11 @@ func scripted(t *testing.T, cfg virtualwire.Config, script, scenario string, hor
 	}
 	if err := tb.AddNodesFromScript(script); err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		if err := setup(tb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := arm(tb); err != nil {
 		t.Fatal(err)
@@ -84,13 +97,23 @@ func scripted(t *testing.T, cfg virtualwire.Config, script, scenario string, hor
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tb.Run(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc bytes.Buffer
-	if err := rep.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	for i := int64(0); i < 2; i++ {
+		if i > 0 {
+			if err := tb.Reset(cfg.Seed + i); err != nil {
+				t.Fatal(err)
+			}
+			if err := arm(tb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := tb.Run(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return doc.Bytes()
 }
@@ -122,7 +145,7 @@ func TestPoisonedFigures(t *testing.T) {
 	t.Run("fig5", func(t *testing.T) {
 		script := readFile(t, "../../scripts/fig5_tcp_ss_ca.fsl")
 		samePoisoned(t, func(t *testing.T) []byte {
-			return scripted(t, virtualwire.Config{Seed: 1}, script, "", 60*time.Second, bulk("node2", 256<<10))
+			return scripted(t, virtualwire.Config{Seed: 1}, script, "", 60*time.Second, nil, bulk("node2", 256<<10))
 		})
 	})
 	t.Run("fig6", func(t *testing.T) {
@@ -135,15 +158,15 @@ func TestPoisonedFigures(t *testing.T) {
 						return err
 					}
 					tb.AddRTStream(0x6000, 0x4000)
-					return bulk("node4", 4<<20)(tb)
-				})
+					return nil
+				}, bulk("node4", 4<<20))
 		})
 	})
 	t.Run("fig8iii", func(t *testing.T) {
 		script := readFile(t, "../../bench/testdata/fig8_filters25_actions25.fsl")
 		samePoisoned(t, func(t *testing.T) []byte {
 			return scripted(t, virtualwire.Config{Seed: 8, RLL: true}, script, "", 60*time.Second,
-				echo(500, 100*time.Microsecond))
+				nil, echo(500, 100*time.Microsecond))
 		})
 	})
 }
@@ -196,17 +219,15 @@ func TestPoisonedEngineActions(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/rll=%v", c.scenario, withRLL), func(t *testing.T) {
 				samePoisoned(t, func(t *testing.T) []byte {
 					return scripted(t, virtualwire.Config{Seed: 62, RLL: withRLL}, c.script, c.scenario,
-						30*time.Second, echo(40, 5*time.Millisecond))
+						30*time.Second, nil, echo(40, 5*time.Millisecond))
 				})
 			})
 		}
 	}
 }
 
-// TestPoisonedCampaign: the 16-run campaign of TestGoldenCampaignJSONL —
-// testbeds reused across runs, so frames parked in one run's pools are
-// what the next run is built from.
-func TestPoisonedCampaign(t *testing.T) {
+// goldenCampaign is the 16-run spec of campaign.TestGoldenCampaignJSONL.
+func goldenCampaign(t *testing.T) campaign.Spec {
 	spec := campaign.Spec{
 		Name:      "quickstart-matrix",
 		Seed:      42,
@@ -224,6 +245,14 @@ func TestPoisonedCampaign(t *testing.T) {
 			Label: fmt.Sprintf("ber=%g", ber), BitErrorRate: &ber,
 		})
 	}
+	return spec
+}
+
+// TestPoisonedCampaign: the 16-run campaign of TestGoldenCampaignJSONL —
+// testbeds reused across runs, so frames parked in one run's pools are
+// what the next run is built from.
+func TestPoisonedCampaign(t *testing.T) {
+	spec := goldenCampaign(t)
 	samePoisoned(t, func(t *testing.T) []byte {
 		var out bytes.Buffer
 		sum, err := campaign.Run(context.Background(), spec, campaign.Options{Workers: 2, Sink: &out})
@@ -232,6 +261,72 @@ func TestPoisonedCampaign(t *testing.T) {
 		}
 		if err := sum.WriteJSON(&out); err != nil {
 			t.Fatal(err)
+		}
+		return out.Bytes()
+	})
+}
+
+// TestPoisonedDaemonStreamResume: the same campaign through the daemon —
+// submitted and streamed over HTTP, then cut back to its first five
+// journaled runs and resumed by a reopened manager, the kill-and-restart
+// path — streams the same records and summary, poisoned or not, and the
+// resumed journal is the uninterrupted one.
+func TestPoisonedDaemonStreamResume(t *testing.T) {
+	raw, err := json.Marshal(goldenCampaign(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoisoned(t, func(t *testing.T) []byte {
+		ctx := context.Background()
+		dir := t.TempDir()
+		var out bytes.Buffer
+		serve := func(submit bool, id string) string {
+			m, err := service.Open(service.Config{Dir: dir, Budget: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			ts := httptest.NewServer(service.NewHandler(m))
+			defer ts.Close()
+			c := service.NewClient(ts.URL)
+			if submit {
+				st, err := c.Submit(ctx, "acme", raw, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = st.ID
+			}
+			if err := c.StreamRecords(ctx, id, &out, nil); err != nil {
+				t.Fatal(err)
+			}
+			sum, err := c.Summary(ctx, id, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sum.WriteJSON(&out); err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		id := serve(true, "")
+		uninterrupted := out.Len()
+		job := filepath.Join(dir, "jobs", id)
+		journal, err := os.ReadFile(filepath.Join(job, "runs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(journal, []byte("\n"))
+		if err := os.WriteFile(filepath.Join(job, "runs.jsonl"), bytes.Join(lines[:5], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"status.json", "summary.json"} {
+			if err := os.Remove(filepath.Join(job, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		serve(false, id)
+		if !bytes.Equal(out.Bytes()[:uninterrupted], out.Bytes()[uninterrupted:]) {
+			t.Fatal("the resumed job streamed other bytes than the uninterrupted one")
 		}
 		return out.Bytes()
 	})
@@ -324,17 +419,47 @@ func pattern(n int) []byte {
 	return b
 }
 
+// dropScript has the receiving engine drop two of the transfer's
+// segments, so what follows each waits in TCP's reorder store.
+const dropScript = `
+FILTER_TABLE
+TCP_data: (34 2 0x6000), (36 2 0x4000), (47 1 0x10 0x10)
+END
+
+NODE_TABLE
+node1 00:00:00:00:00:01 10.0.0.1
+node2 00:00:00:00:00:02 10.0.0.2
+END
+
+SCENARIO drop_two
+DATA: (TCP_data, node1, node2, RECV)
+(TRUE) >> ENABLE_CNTR( DATA );
+((DATA = 5)) >> DROP TCP_data, node1, node2, RECV;
+((DATA = 60)) >> DROP TCP_data, node1, node2, RECV;
+END
+`
+
 // TestPoisonedPayloadBytes: what the applications receive, byte for
 // byte — a TCP transfer and a UDP echo of a non-zero pattern, with and
-// without the RLL. The report documents above carry counters only; a
-// premature recycle that kept every count right would still show here.
+// without the RLL, and the TCP transfer again with two segments dropped,
+// delivered partly out of the reorder store. The report documents above
+// carry counters only; a premature recycle that kept every count right
+// would still show here.
 func TestPoisonedPayloadBytes(t *testing.T) {
-	for _, withRLL := range []bool{false, true} {
-		withRLL := withRLL
-		t.Run(fmt.Sprintf("tcp/rll=%v", withRLL), func(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		withRLL bool
+		script  string
+	}{{"tcp", false, ""}, {"tcp", true, ""}, {"tcp-drops", false, dropScript}} {
+		c := c
+		t.Run(fmt.Sprintf("%s/rll=%v", c.name, c.withRLL), func(t *testing.T) {
+			var layers func(int, *sim.Scheduler, *ether.FramePool) []stack.Layer
+			if c.script != "" {
+				layers = engines(t, c.script)
+			}
 			want := pattern(300 << 10)
 			got := samePoisoned(t, func(t *testing.T) []byte {
-				p := newHostPair(withRLL, nil)
+				p := newHostPair(c.withRLL, layers)
 				lst, err := p.tcps[1].Listen(0x4000)
 				if err != nil {
 					t.Fatal(err)
@@ -357,6 +482,9 @@ func TestPoisonedPayloadBytes(t *testing.T) {
 				t.Errorf("received %d bytes, want the %d sent", len(got), len(want))
 			}
 		})
+	}
+	for _, withRLL := range []bool{false, true} {
+		withRLL := withRLL
 		t.Run(fmt.Sprintf("udp-echo/rll=%v", withRLL), func(t *testing.T) {
 			const datagrams, size = 64, 700
 			want := pattern(datagrams * size)

@@ -1,5 +1,7 @@
 package ether
 
+import "bytes"
+
 // FramePool recycles Frame structs together with their Data buffers, so
 // that a frame's journey from the stack that builds it to the stack that
 // consumes it touches the allocator at neither end. One pool serves one
@@ -112,12 +114,7 @@ func (p *FramePool) Put(fr *Frame) {
 		return
 	}
 	p.Puts++
-	if p.poison {
-		data := fr.Data[:cap(fr.Data)]
-		for i := range data {
-			data[i] = poisonByte
-		}
-	}
+	p.Scrub(fr.Data[:cap(fr.Data)])
 	if cap(fr.Data) != frameCap || len(p.free) >= p.maxFree {
 		return
 	}
@@ -129,6 +126,42 @@ func (p *FramePool) Put(fr *Frame) {
 
 // poisonByte is what a poisoned pool fills returned buffers with.
 const poisonByte = 0xA5
+
+// poisonedFrame is what a poisoning pool leaves in a vacated FIFO slot.
+var poisonedFrame = &Frame{Data: bytes.Repeat([]byte{poisonByte}, 64)}
+
+// Scrub is for layers that keep reusable byte buffers of their own (INIT
+// reassembly, TCP's reorder store): they call it on a buffer they
+// release, and a poisoning pool (tests only) overwrites it, so the
+// lifetime oracle sees a read after release there as it does for frames.
+// A no-op otherwise, and on a nil pool.
+func (p *FramePool) Scrub(b []byte) {
+	if p == nil || !p.poison {
+		return
+	}
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// ShiftFrames removes the first n frames of the FIFO q in place and
+// returns it: the rest move down and the vacated tail is cleared, so
+// appends keep reusing q's backing array instead of abandoning it a slot
+// at a time. The removed frames are the caller's to dispose of. A
+// poisoning pool (tests only) fills the tail with a poisoned frame
+// instead of nil. Safe on a nil pool.
+func (p *FramePool) ShiftFrames(q []*Frame, n int) []*Frame {
+	m := copy(q, q[n:])
+	tail := q[m:]
+	if p != nil && p.poison {
+		for i := range tail {
+			tail[i] = poisonedFrame
+		}
+	} else {
+		clear(tail)
+	}
+	return q[:m]
+}
 
 // Reset zeroes the pool's counters for a fresh run while keeping the
 // free list warm: a reset pool serves the next run's frames without

@@ -133,6 +133,10 @@ type Layer struct {
 	idleTimer   *sim.Timer
 	started     bool
 
+	// The timer callbacks, bound once in New: a method value allocates
+	// each time it is taken.
+	onAckTimeoutFn, onIdleFn, holdSoloFn func()
+
 	beQueue []*ether.Frame
 	rtQueue []*ether.Frame
 
@@ -175,6 +179,7 @@ func New(sched *sim.Scheduler, self packet.MAC, cfg Config) *Layer {
 	}
 	l.ackTimer = sim.NewTimer(sched, "rether.ack")
 	l.idleTimer = sim.NewTimer(sched, "rether.idle")
+	l.onAckTimeoutFn, l.onIdleFn, l.holdSoloFn = l.onAckTimeout, l.onIdle, l.holdSolo
 	l.origRTQuota = l.cfg.RTQuota
 	return l
 }
@@ -204,16 +209,14 @@ func (l *Layer) Reset() {
 		l.reserveTimer.Disarm()
 	}
 	l.started = false
-	for i, fr := range l.beQueue {
+	for _, fr := range l.beQueue {
 		l.pool.Put(fr)
-		l.beQueue[i] = nil
 	}
-	l.beQueue = l.beQueue[:0]
-	for i, fr := range l.rtQueue {
+	l.beQueue = l.pool.ShiftFrames(l.beQueue, len(l.beQueue))
+	for _, fr := range l.rtQueue {
 		l.pool.Put(fr)
-		l.rtQueue[i] = nil
 	}
-	l.rtQueue = l.rtQueue[:0]
+	l.rtQueue = l.pool.ShiftFrames(l.rtQueue, len(l.rtQueue))
 	l.Stats = Stats{}
 	l.grants = nil
 	l.reserveCb = nil
@@ -377,18 +380,19 @@ func (l *Layer) acquireToken(seq uint32) {
 // serveQueues transmits RT then best-effort frames up to the per-visit
 // quotas.
 func (l *Layer) serveQueues() {
-	for i := 0; i < l.cfg.RTQuota && len(l.rtQueue) > 0; i++ {
-		fr := l.rtQueue[0]
-		l.rtQueue = l.rtQueue[1:]
+	l.serve(&l.rtQueue, l.cfg.RTQuota)
+	l.serve(&l.beQueue, l.cfg.BEQuota)
+}
+
+// serve transmits up to quota frames from the head of the queue, then
+// drops them from it in one shift.
+func (l *Layer) serve(q *[]*ether.Frame, quota int) {
+	n := min(quota, len(*q))
+	for i := 0; i < n; i++ {
 		l.Stats.DataSent++
-		l.base.PassDown(fr)
+		l.base.PassDown((*q)[i])
 	}
-	for i := 0; i < l.cfg.BEQuota && len(l.beQueue) > 0; i++ {
-		fr := l.beQueue[0]
-		l.beQueue = l.beQueue[1:]
-		l.Stats.DataSent++
-		l.base.PassDown(fr)
-	}
+	*q = l.pool.ShiftFrames(*q, n)
 }
 
 // passToken hands the token to the successor and arms the ack timer.
@@ -396,13 +400,7 @@ func (l *Layer) passToken() {
 	next, ok := l.successor()
 	if !ok {
 		// Alone in the ring: keep the token and re-serve after a gap.
-		l.sched.After(l.cfg.HoldGap, "rether.solo", func() {
-			if l.holder {
-				l.tokenSeq++
-				l.serveQueues()
-				l.passToken()
-			}
-		})
+		l.sched.After(l.cfg.HoldGap, "rether.solo", l.holdSoloFn)
 		return
 	}
 	l.passSeq = l.tokenSeq + 1
@@ -413,8 +411,17 @@ func (l *Layer) passToken() {
 	l.armAckTimer()
 }
 
+// holdSolo is the lone holder's next token visit.
+func (l *Layer) holdSolo() {
+	if l.holder {
+		l.tokenSeq++
+		l.serveQueues()
+		l.passToken()
+	}
+}
+
 func (l *Layer) armAckTimer() {
-	l.ackTimer.Arm(l.cfg.TokenAckTimeout, l.onAckTimeout)
+	l.ackTimer.Arm(l.cfg.TokenAckTimeout, l.onAckTimeoutFn)
 }
 
 func (l *Layer) onAckTimeout() {
@@ -517,7 +524,7 @@ func (l *Layer) armIdle() {
 		idx = len(l.ring) // removed from ring: regenerate last
 	}
 	d := l.cfg.TokenIdleTimeout * time.Duration(2+idx) / 2
-	l.idleTimer.Arm(d, l.onIdle)
+	l.idleTimer.Arm(d, l.onIdleFn)
 }
 
 func (l *Layer) onIdle() {

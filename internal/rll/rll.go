@@ -107,6 +107,7 @@ type peerSend struct {
 	inflight []*ether.Frame // encapsulated frames, base..nextSeq-1
 	backlog  []*ether.Frame // encapsulated frames waiting for window space
 	timer    *sim.Timer
+	onRTO    func() // the timer's callback, bound once: a closure allocates
 	retries  int
 	rto      time.Duration
 	// resync is set after a give-up advanced base past undelivered
@@ -181,13 +182,14 @@ func (r *RLL) Snapshot(sn *metrics.Snapshot) {
 	sn.Gauge("backlog_frames", float64(backlog))
 }
 
-// Reset discards all per-peer window state and counters, recycling every
-// inflight and backlogged encapsulation, so the layer restarts with
-// fresh sequence spaces. Configuration, pool wiring and the Disabled
-// toggle survive; retransmission timers die with the scheduler reset
-// that accompanies this.
+// Reset rewinds every peer's window state to a fresh sequence space,
+// recycling every inflight and backlogged encapsulation, and clears the
+// counters. The per-peer state itself (window arrays, timer) is kept for
+// the next run, as are configuration, pool wiring and the Disabled
+// toggle; retransmission timers die with the scheduler reset that
+// accompanies this.
 func (r *RLL) Reset() {
-	for mac, ps := range r.send {
+	for _, ps := range r.send {
 		ps.timer.Disarm()
 		for _, fr := range ps.inflight {
 			r.pool.Put(fr)
@@ -195,10 +197,16 @@ func (r *RLL) Reset() {
 		for _, fr := range ps.backlog {
 			r.pool.Put(fr)
 		}
-		delete(r.send, mac)
+		*ps = peerSend{
+			inflight: r.pool.ShiftFrames(ps.inflight, len(ps.inflight)),
+			backlog:  r.pool.ShiftFrames(ps.backlog, len(ps.backlog)),
+			timer:    ps.timer,
+			onRTO:    ps.onRTO,
+			rto:      r.cfg.RTO,
+		}
 	}
-	for mac := range r.recv {
-		delete(r.recv, mac)
+	for _, pr := range r.recv {
+		*pr = peerRecv{}
 	}
 	r.Stats = Stats{}
 }
@@ -233,7 +241,7 @@ func (r *RLL) SendDown(fr *ether.Frame) {
 	r.transmit(enc)
 	r.Stats.DataSent++
 	if !ps.timer.Armed() {
-		r.armTimer(dst, ps)
+		r.armTimer(ps)
 	}
 }
 
@@ -352,7 +360,7 @@ func (r *RLL) handleAck(peer packet.MAC, ack uint32) {
 	for _, enc := range ps.inflight[:advanced] {
 		r.pool.Put(enc) // acked: only clones ever hit the wire
 	}
-	ps.inflight = ps.inflight[advanced:]
+	ps.inflight = r.pool.ShiftFrames(ps.inflight, int(advanced))
 	ps.base += advanced
 	ps.retries = 0
 	ps.rto = r.cfg.RTO // progress: reset the backoff
@@ -361,14 +369,14 @@ func (r *RLL) handleAck(peer packet.MAC, ack uint32) {
 		ps.timer.Disarm()
 		return
 	}
-	r.armTimer(peer, ps)
+	r.armTimer(ps)
 }
 
-func (r *RLL) armTimer(peer packet.MAC, ps *peerSend) {
+func (r *RLL) armTimer(ps *peerSend) {
 	if ps.rto <= 0 {
 		ps.rto = r.cfg.RTO
 	}
-	ps.timer.Arm(ps.rto, func() { r.timeout(peer, ps) })
+	ps.timer.Arm(ps.rto, ps.onRTO)
 }
 
 // timeout retransmits the whole window (go-back-N).
@@ -383,7 +391,7 @@ func (r *RLL) timeout(peer packet.MAC, ps *peerSend) {
 		// sender forever.
 		r.Stats.GaveUp++
 		r.pool.Put(ps.inflight[0])
-		ps.inflight = ps.inflight[1:]
+		ps.inflight = r.pool.ShiftFrames(ps.inflight, 1)
 		ps.base++
 		ps.retries = 0
 		// The abandoned frame leaves a hole a live receiver would treat
@@ -408,18 +416,22 @@ func (r *RLL) timeout(peer packet.MAC, ps *peerSend) {
 	if max := 16 * r.cfg.RTO; ps.rto > max {
 		ps.rto = max
 	}
-	r.armTimer(peer, ps)
+	r.armTimer(ps)
 }
 
 // fillWindow admits backlog frames into freed window slots.
 func (r *RLL) fillWindow(ps *peerSend) {
-	for len(ps.backlog) > 0 && len(ps.inflight) < r.cfg.Window {
-		enc := ps.backlog[0]
-		ps.backlog = ps.backlog[1:]
+	n := min(len(ps.backlog), r.cfg.Window-len(ps.inflight))
+	if n <= 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
+		enc := ps.backlog[i]
 		ps.inflight = append(ps.inflight, enc)
 		r.transmit(enc)
 		r.Stats.DataSent++
 	}
+	ps.backlog = r.pool.ShiftFrames(ps.backlog, n)
 }
 
 func (r *RLL) sendAck(peer packet.MAC, ack uint32) {
@@ -502,6 +514,7 @@ func (r *RLL) sendState(peer packet.MAC) *peerSend {
 	ps, ok := r.send[peer]
 	if !ok {
 		ps = &peerSend{timer: sim.NewTimer(r.sched, "rll.rto"), rto: r.cfg.RTO}
+		ps.onRTO = func() { r.timeout(peer, ps) }
 		r.send[peer] = ps
 	}
 	return ps

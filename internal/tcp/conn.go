@@ -50,8 +50,9 @@ type Conn struct {
 	OnConnected func()
 	// OnData fires with each chunk of in-order application data. data
 	// is a slice of the received frame (or of the reassembly store),
-	// valid for the duration of the call: the frame is recycled once the
-	// segment has been processed, so a handler copies what it keeps.
+	// valid for the duration of the call: the frame, or the reassembly
+	// buffer, is recycled once the call returns, so a handler copies what
+	// it keeps.
 	OnData func(data []byte)
 	// OnClose fires when the peer's FIN has been consumed.
 	OnClose func()
@@ -95,7 +96,7 @@ type Conn struct {
 	onRTOFn    func() // c.onRTO, bound once: a method value allocates
 	synRetries int
 
-	oo       map[uint32][]byte
+	oo       map[uint32][]byte // out-of-order segments, buffers from Stack.ooFree; made on first use
 	ooFin    uint32
 	ooFinSet bool
 
@@ -426,9 +427,10 @@ func (c *Conn) stashOutOfOrder(seq uint32, data []byte, fin bool) {
 	if c.oo == nil {
 		c.oo = make(map[uint32][]byte)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.oo[seq] = cp
+	if old, ok := c.oo[seq]; ok {
+		c.stack.releaseSegment(old)
+	}
+	c.oo[seq] = append(c.stack.segmentBuffer(), data...)
 	if fin {
 		c.ooFin = seq + uint32(len(data))
 		c.ooFinSet = true
@@ -447,6 +449,7 @@ func (c *Conn) drainOutOfOrder() {
 		if c.OnData != nil {
 			c.OnData(data)
 		}
+		c.stack.releaseSegment(data)
 	}
 	if c.ooFinSet && c.rcvNxt == c.ooFin {
 		c.ooFinSet = false

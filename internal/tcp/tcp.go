@@ -100,6 +100,42 @@ type Stack struct {
 	// retired accumulates the counters of connections that have been
 	// torn down, so stack-level totals stay monotone across closes.
 	retired Stats
+	// ooFree holds released reorder-store buffers (see segmentBuffer).
+	// It survives Reset.
+	ooFree [][]byte
+}
+
+// maxOOFree bounds ooFree at a receive window's worth of full segments:
+// no more than that can be legitimately out of order at once.
+const maxOOFree = DefaultWindow / MSS
+
+// segmentBuffer returns an empty buffer for one out-of-order segment,
+// recycled when one is free.
+func (s *Stack) segmentBuffer() []byte {
+	if n := len(s.ooFree); n > 0 {
+		b := s.ooFree[n-1]
+		s.ooFree[n-1] = nil
+		s.ooFree = s.ooFree[:n-1]
+		return b
+	}
+	return make([]byte, 0, MSS)
+}
+
+// releaseSegment takes back a reorder-store buffer nothing reads any
+// more.
+func (s *Stack) releaseSegment(b []byte) {
+	s.host.NIC.Pool().Scrub(b)
+	if len(s.ooFree) < maxOOFree {
+		s.ooFree = append(s.ooFree, b[:0])
+	}
+}
+
+// releaseReorderStore returns every buffer c still holds out of order.
+func (s *Stack) releaseReorderStore(c *Conn) {
+	for seq, b := range c.oo {
+		s.releaseSegment(b)
+		delete(c.oo, seq)
+	}
 }
 
 // NewStack attaches a TCP endpoint to the host and registers it for IP
@@ -166,7 +202,6 @@ func (s *Stack) newConn(key connKey) *Conn {
 		ssthresh: 64, // segments; effectively "64 KB", per the paper
 		rto:      InitialRTO,
 		rwnd:     DefaultWindow,
-		oo:       make(map[uint32][]byte),
 	}
 	c.rtx = sim.NewTimer(s.host.Sched, "tcp.rto")
 	c.onRTOFn = c.onRTO
@@ -213,6 +248,7 @@ func (s *Stack) deliver(src, dst packet.IP, payload []byte) {
 func (s *Stack) Reset() {
 	for key, c := range s.conns {
 		c.rtx.Disarm()
+		s.releaseReorderStore(c)
 		delete(s.conns, key)
 	}
 	for port := range s.listeners {
@@ -229,6 +265,7 @@ func (s *Stack) retire(c *Conn) {
 		return
 	}
 	s.retired.add(c.Stats)
+	s.releaseReorderStore(c)
 	delete(s.conns, c.key)
 }
 

@@ -302,6 +302,8 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 		rttHist.Observe(rtt.Seconds())
 	}
 	run := func() {
+		// One payload for every ping: SendTo copies it into the frame.
+		payload := make([]byte, w.cfg.Size)
 		var ping func()
 		ping = func() {
 			if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
@@ -309,7 +311,6 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 			}
 			w.sent++
 			seq := uint64(w.sent)
-			payload := make([]byte, w.cfg.Size)
 			binary.BigEndian.PutUint64(payload, seq)
 			w.pending[seq] = sched.Now()
 			_ = cli.SendTo(server.host.IP, w.cfg.ServerPort, payload)
