@@ -616,10 +616,11 @@ func TestTopologyReset1000DoesNotAllocate(t *testing.T) {
 // fat-tree with campus-length trunks (10µs propagation, so the
 // conservative lookahead buys usefully wide windows). The serial
 // sub-benchmark, the baseline, is one shard; shards/2 and shards/4 split
-// the fabric across goroutines. Reports are
-// byte-identical at every shard count (TestShardedMatchesSerialAcrossSeeds);
-// this benchmark measures only the wall-clock side of that bargain.
-// scripts/check.sh gates shards/4 at >=1.8x serial on >=4-core machines.
+// the fabric across goroutines. Reports are byte-identical at every shard
+// count (the shard column of identity_test.go); this benchmark measures
+// only the wall-clock side of that bargain; the fabric-manyflow row there
+// caps it by a count, on this fabric under 16 KiB flows: 1.702x at 2
+// shards, 2.657x at 4.
 func BenchmarkShardedFatTree(b *testing.B) {
 	const hosts = 1000
 	for _, bc := range []struct {

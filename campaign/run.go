@@ -256,11 +256,6 @@ type Options struct {
 	// tallied in order before any new run, never re-written, so the
 	// final Summary equals the uninterrupted campaign's.
 	Prior []RunRecord
-	// StrictOrder suppresses the post-cancellation courtesy flush of
-	// completed records beyond a gap: the sink then only ever holds the
-	// contiguous run-index prefix, the invariant a resume scan depends
-	// on. Interactive use leaves it off to keep every finished record.
-	StrictOrder bool
 
 	// run substitutes the per-attempt executor in tests. When set, the
 	// reusable-testbed pipeline is bypassed entirely.
@@ -306,8 +301,10 @@ func (o *Options) newRunner() runFunc {
 
 // Run executes the spec's matrix and returns its Summary. The context
 // cancels the whole campaign: in-flight runs stop at event-loop
-// granularity, finished records already flushed stay in the sink, and
-// Run returns the partial summary alongside ctx's error.
+// granularity, and Run returns the partial summary alongside ctx's error.
+// The sink then holds the contiguous run-index prefix that finished —
+// never a record above a hole — so a journal of it resumes with
+// FirstIndex and Prior.
 //
 // Determinism: records are produced by independent seeded testbeds and
 // flushed in run-index order, so the sink bytes and the Summary are
@@ -412,36 +409,17 @@ func (p *Plan) Run(ctx context.Context, opts Options) (*Summary, error) {
 			delete(pending, base)
 			base++
 			<-sem
-			if sinkErr == nil {
-				sinkErr = agg.collect(r, &opts)
-				if sinkErr != nil {
-					// Keep draining so workers can exit, but stop
-					// writing.
-					opts.Sink, opts.OnRecord = nil, nil
-				}
-			} else {
-				_ = agg.collect(r, &opts)
+			if err := agg.collect(r, &opts); err != nil && sinkErr == nil {
+				sinkErr = err
 			}
-			if opts.StrictOrder && r.Outcome == OutcomeCanceled {
-				// A canceled run leaves a hole in the sink (canceled
-				// records are never written); later completions must
-				// not be written past it, or the contiguous-prefix
-				// invariant breaks for the resume scan.
+			if sinkErr != nil || r.Outcome == OutcomeCanceled {
+				// Keep draining so workers can exit, but write no more:
+				// past a sink error, or past the hole a canceled run
+				// leaves (canceled records are never written), which
+				// would break the contiguous prefix a resume scan reads.
+				// Runs finished above a never-taken index stay pending,
+				// unwritten and untallied.
 				opts.Sink, opts.OnRecord = nil, nil
-			}
-		}
-	}
-	// Cancellation can leave gaps (indices never taken); flush whatever
-	// completed above the gap, still in index order. StrictOrder skips
-	// this courtesy flush so the sink keeps its contiguous-prefix
-	// invariant for resume scans.
-	if !opts.StrictOrder {
-		for i := base; len(pending) > 0; i++ { // every pending index is >= base
-			if r, ok := pending[i]; ok {
-				delete(pending, i)
-				if e := agg.collect(r, &opts); sinkErr == nil && e != nil {
-					sinkErr = e
-				}
 			}
 		}
 	}

@@ -7,7 +7,7 @@ package service
 //	             of the build that writes runs.jsonl. Written atomically.
 //	runs.jsonl   the record stream, appended one line per finished run
 //	             in run-index order — always a contiguous prefix of the
-//	             matrix (campaign.Options.StrictOrder). This is the
+//	             matrix, as campaign.Run writes it. This is the
 //	             same bytes a client streams and an in-process run
 //	             would have written.
 //	status.json  terminal state (done/failed/canceled), written once on

@@ -10,11 +10,10 @@
 // in-process campaign.Run of the same spec at any worker or shard
 // count, including across a kill+resume of the daemon mid-campaign.
 // The pieces that make that hold: per-run seeds derive from (campaign
-// seed, run index); the executor flushes records in run-index order;
-// campaign.Options.StrictOrder keeps the journal a contiguous
-// run-index prefix; and the resume scan truncates anything after that
-// prefix before handing campaign.Run the remaining indexes. See
-// docs/SERVICE.md.
+// seed, run index); the executor flushes records in run-index order and
+// keeps its sink, the journal, a contiguous run-index prefix; and the
+// resume scan truncates anything after that prefix before handing
+// campaign.Run the remaining indexes. See docs/SERVICE.md.
 package service
 
 import (
@@ -361,12 +360,11 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	}
 	sink := &journalSink{f: f, j: j}
 	opts := campaign.Options{
-		Workers:     j.workers,
-		Sink:        sink,
-		StrictOrder: true,
-		FirstIndex:  j.firstIndex,
-		Prior:       j.prior,
-		OnRecord:    func(r campaign.RunRecord) { m.noteRecord(j, r) },
+		Workers:    j.workers,
+		Sink:       sink,
+		FirstIndex: j.firstIndex,
+		Prior:      j.prior,
+		OnRecord:   func(r campaign.RunRecord) { m.noteRecord(j, r) },
 	}
 	sum, runErr := j.plan.Run(ctx, opts)
 	if cerr := f.Close(); runErr == nil && cerr != nil {

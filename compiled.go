@@ -148,6 +148,7 @@ func (tb *Testbed) Reset(seed int64) error {
 	for i := 1; i < tb.shards.count; i++ {
 		tb.shards.scheds[i].Reset(deriveShardSeed(seed, uint64(i)))
 	}
+	tb.shards.set.ResetWindows()
 	for _, sw := range tb.fabric {
 		// Clears learned MACs, counters and fault state (down switches,
 		// failed ports, failed/degraded trunk media); trunk wiring

@@ -31,6 +31,7 @@ type Sampler struct {
 	next    int // write cursor
 	n       int // points stored (<= cap(ring))
 	running bool
+	tick    func() // records and re-arms; bound once, so arming allocates nothing
 }
 
 // NewSampler builds a sampler that records reg every interval. capacity
@@ -45,13 +46,20 @@ func NewSampler(reg *Registry, interval time.Duration, capacity int,
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	return &Sampler{
+	s := &Sampler{
 		reg:      reg,
 		interval: interval,
 		now:      now,
 		schedule: schedule,
 		ring:     make([]Point, capacity),
 	}
+	s.tick = func() {
+		if s.running {
+			s.Record()
+			s.arm()
+		}
+	}
+	return s
 }
 
 // Interval reports the sampling period.
@@ -82,15 +90,7 @@ func (s *Sampler) Reset() {
 	s.running = false
 }
 
-func (s *Sampler) arm() {
-	s.schedule(s.interval, func() {
-		if !s.running {
-			return
-		}
-		s.Record()
-		s.arm()
-	})
-}
+func (s *Sampler) arm() { s.schedule(s.interval, s.tick) }
 
 // Record takes one sample immediately (also used for a final sample at
 // run end, outside the periodic cadence).

@@ -135,7 +135,7 @@ type Layer struct {
 
 	// The timer callbacks, bound once in New: a method value allocates
 	// each time it is taken.
-	onAckTimeoutFn, onIdleFn, holdSoloFn func()
+	onAckTimeoutFn, onIdleFn, holdSoloFn, bootstrapFn func()
 
 	beQueue []*ether.Frame
 	rtQueue []*ether.Frame
@@ -180,6 +180,7 @@ func New(sched *sim.Scheduler, self packet.MAC, cfg Config) *Layer {
 	l.ackTimer = sim.NewTimer(sched, "rether.ack")
 	l.idleTimer = sim.NewTimer(sched, "rether.idle")
 	l.onAckTimeoutFn, l.onIdleFn, l.holdSoloFn = l.onAckTimeout, l.onIdle, l.holdSolo
+	l.bootstrapFn = func() { l.acquireToken(1) }
 	l.origRTQuota = l.cfg.RTQuota
 	return l
 }
@@ -274,7 +275,7 @@ func (l *Layer) Start() {
 	l.armIdle()
 	if len(l.ring) > 0 && l.ring[0] == l.self {
 		// Initial token enters the ring here.
-		l.sched.After(0, "rether.bootstrap", func() { l.acquireToken(1) })
+		l.sched.After(0, "rether.bootstrap", l.bootstrapFn)
 	}
 }
 

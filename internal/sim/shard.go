@@ -64,11 +64,14 @@ type ShardSet struct {
 	cmds    []chan windowCmd
 	acks    chan error
 	started bool
+
+	before           []uint64 // each shard's executed count as a window starts
+	windows, busiest uint64   // see Windows
 }
 
 // NewShardSet returns a set over the given schedulers (at least one).
 func NewShardSet(scheds []*Scheduler) *ShardSet {
-	return &ShardSet{scheds: scheds}
+	return &ShardSet{scheds: scheds, before: make([]uint64, len(scheds))}
 }
 
 // Start spawns one worker per scheduler beyond the first. Idempotent
@@ -113,6 +116,9 @@ func (ss *ShardSet) RunWindow(end, clockTo time.Duration) error {
 	if !ss.started {
 		ss.Start()
 	}
+	for i, s := range ss.scheds {
+		ss.before[i] = s.executed
+	}
 	cmd := windowCmd{end: end, clockTo: clockTo}
 	for _, ch := range ss.cmds {
 		ch <- cmd
@@ -123,8 +129,23 @@ func (ss *ShardSet) RunWindow(end, clockTo time.Duration) error {
 			err = e
 		}
 	}
+	var most uint64
+	for i, s := range ss.scheds {
+		most = max(most, s.executed-ss.before[i])
+	}
+	ss.windows++
+	ss.busiest += most
 	return err
 }
+
+// Windows reports the windows run and, summed over them, the events of
+// each window's busiest shard. Executed over that sum is the partition's
+// parallelism bound: a window lasts as long as its busiest shard, so no
+// number of cores runs it faster, and counts make it the same anywhere.
+func (ss *ShardSet) Windows() (windows, busiest uint64) { return ss.windows, ss.busiest }
+
+// ResetWindows zeroes the window counts, as Scheduler.Reset does Executed.
+func (ss *ShardSet) ResetWindows() { ss.windows, ss.busiest = 0, 0 }
 
 // PeekMin returns the earliest pending event time across all shards,
 // or false when every queue is empty.

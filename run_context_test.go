@@ -107,32 +107,6 @@ func TestRunContextMidRunCancel(t *testing.T) {
 	}
 }
 
-// TestRunMatchesRunContextBackground: Run is a thin wrapper; both paths
-// give identical reports for equal seeds.
-func TestRunMatchesRunContextBackground(t *testing.T) {
-	repA, err := ctxTestbed(t, 4).Run(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB, err := ctxTestbed(t, 4).RunContext(context.Background(), 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := repA.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := repB.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Run and RunContext(Background) reports differ")
-	}
-	if !repA.Passed || repA.Verdict != "horizon" {
-		t.Errorf("report = passed %v verdict %q", repA.Passed, repA.Verdict)
-	}
-}
-
 // TestScriptParseSentinel: every FSL front-end entry point wraps parse
 // failures with ErrScriptParse.
 func TestScriptParseSentinel(t *testing.T) {

@@ -1,7 +1,6 @@
 package virtualwire
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -143,133 +142,6 @@ func TestSwitchCrashRestartReconverges(t *testing.T) {
 	}
 	if down := rep.Metrics.Totals["fabric/blocked_frames"]; down == 0 {
 		t.Fatal("a crashed switch discarded no ingress frames")
-	}
-}
-
-// topoFaultIdentityCases are the (fabric, fault schedule) shapes the
-// shard-identity property sweeps: a tree-trunk kill with failover on the
-// ring, a kill plus a flapping redundant trunk, and a fat-tree uplink
-// kill with multipath redundancy.
-var topoFaultIdentityCases = []struct {
-	name   string
-	spec   TopologySpec
-	hosts  int
-	faults []TopologyFaultSpec
-}{
-	{
-		"ring-kill", TopologySpec{Kind: TopoRing, Switches: 4}, 24,
-		[]TopologyFaultSpec{{Kind: TrunkDown, Trunk: 0, At: 100 * time.Millisecond}},
-	},
-	{
-		"ring-kill-flap", TopologySpec{Kind: TopoRing, Switches: 4}, 24,
-		[]TopologyFaultSpec{
-			{Kind: TrunkDown, Trunk: 1, At: 80 * time.Millisecond},
-			{Kind: TrunkFlap, Trunk: 3, At: 200 * time.Millisecond, Period: 100 * time.Millisecond, Count: 3},
-		},
-	},
-	{
-		"fattree-kill-degrade", TopologySpec{Kind: TopoFatTree, FatTreeK: 4}, 16,
-		[]TopologyFaultSpec{
-			{Kind: TrunkDown, Trunk: 0, At: 100 * time.Millisecond},
-			{Kind: TrunkDegrade, Trunk: 2, At: 150 * time.Millisecond, Propagation: 20 * time.Microsecond},
-		},
-	},
-}
-
-// TestTopologyFaultShardIdentity is the tentpole property for the fault
-// surface: a run with trunk kills, flaps and degradations produces
-// byte-identical reports at 1, 2 and 4 shards. Faults apply at window
-// barriers and windows never cross a fault time, so the fault schedule
-// is as partition-independent as the traffic itself.
-func TestTopologyFaultShardIdentity(t *testing.T) {
-	for _, tc := range topoFaultIdentityCases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(shards int) []byte {
-				topo := tc.spec
-				tb, err := New(Config{
-					Seed:           13,
-					Shards:         shards,
-					Topology:       &topo,
-					TopologyFaults: tc.faults,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				addGroupHosts(t, tb, tc.hosts)
-				if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: tc.hosts / 2, Bytes: 2 << 10}); err != nil {
-					t.Fatal(err)
-				}
-				rep, err := tb.Run(3 * time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return reportBytes(t, rep)
-			}
-			serial := run(1)
-			for _, shards := range []int{2, 4} {
-				if got := run(shards); !bytes.Equal(got, serial) {
-					t.Fatalf("%d-shard faulted report diverges from serial\nserial:\n%s\nsharded:\n%s",
-						shards, serial, got)
-				}
-			}
-		})
-	}
-}
-
-// TestTopologyFaultResetMatchesFresh extends the reset-vs-fresh identity
-// to faulted fabrics: after a run that killed and flapped trunks, Reset
-// must restore the build-time tree, clear fault state, rewind the fault
-// schedule, and reproduce a fresh testbed's bytes.
-func TestTopologyFaultResetMatchesFresh(t *testing.T) {
-	faults := []TopologyFaultSpec{
-		{Kind: TrunkDown, Trunk: 0, At: 100 * time.Millisecond},
-		{Kind: TrunkFlap, Trunk: 1, At: 300 * time.Millisecond, Period: 120 * time.Millisecond, Count: 2},
-		{Kind: TrunkDegrade, Trunk: 3, At: 150 * time.Millisecond, Propagation: 30 * time.Microsecond},
-	}
-	build := func() *Testbed {
-		topo := TopologySpec{Kind: TopoRing, Switches: 4}
-		tb, err := New(Config{
-			Seed:           17,
-			Shards:         2,
-			Topology:       &topo,
-			TopologyFaults: faults,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addGroupHosts(t, tb, 24)
-		return tb
-	}
-	runOnce := func(tb *Testbed) []byte {
-		if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 12, Bytes: 2 << 10}); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tb.Run(2 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reportBytes(t, rep)
-	}
-	tb := build()
-	first := runOnce(tb)
-	if err := tb.Reset(17); err != nil {
-		t.Fatal(err)
-	}
-	st0, _ := tb.TrunkStatus(0)
-	if st0.Failed || st0.Blocked {
-		t.Fatalf("trunk 0 after Reset: %+v, want pristine forwarding", st0)
-	}
-	st3, _ := tb.TrunkStatus(3)
-	if st3.Propagation == 30*time.Microsecond {
-		t.Fatal("trunk 3 kept degraded propagation across Reset")
-	}
-	reset := runOnce(tb)
-	if !bytes.Equal(first, reset) {
-		t.Fatalf("reset faulted run diverges from first\nfirst:\n%s\nreset:\n%s", first, reset)
-	}
-	fresh := runOnce(build())
-	if !bytes.Equal(first, fresh) {
-		t.Fatal("fresh faulted run diverges from first")
 	}
 }
 
