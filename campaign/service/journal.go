@@ -10,20 +10,22 @@ package service
 //	             matrix, as campaign.Run writes it. This is the
 //	             same bytes a client streams and an in-process run
 //	             would have written.
-//	status.json  terminal state (done/failed/canceled), written once on
-//	             retirement. Its absence marks a job as interrupted: a
-//	             daemon that died mid-campaign never wrote it.
-//	summary.json the campaign Summary (done and canceled jobs).
+//	status.json  the terminal record (statusRecord), written once by
+//	             retire. Its absence marks a job as interrupted: a daemon
+//	             that died mid-campaign never wrote it.
 //
-// Resume: for a job with no terminal status, scanRecords replays
-// runs.jsonl, keeps the longest prefix of well-formed records whose
-// indexes count 0,1,2,…, truncates the file after it (a SIGKILL can
-// land mid-write), and hands campaign.Run FirstIndex = len(prefix) and
-// the prefix as Prior. Byte-identity across the kill is then exactly
-// the campaign executor's resume invariant — between runs of one output
-// generation (campaign.OutputGeneration). A prefix journaled by a build
-// of another generation is not a prefix of what this build would write,
-// so such a job is re-run from index 0 instead of resumed.
+// Reopen: a terminal job is served from its record, and runs.jsonl is
+// only stat'ed. Otherwise — no record, or a journal not the length the
+// record names (a power loss can cut it) — scanRecords replays runs.jsonl
+// and keeps the longest prefix of well-formed records whose indexes count
+// 0,1,2,…. An interrupted job's file is truncated after it (a SIGKILL can
+// land mid-write), and campaign.Run gets FirstIndex = len(prefix) and the
+// prefix as Prior.
+// Byte-identity across the kill is then exactly the campaign executor's
+// resume invariant — between runs of one output generation
+// (campaign.OutputGeneration). A prefix journaled by a build of another
+// generation is not a prefix of what this build would write, so such a
+// job is re-run from index 0 instead of resumed.
 
 import (
 	"bufio"
@@ -41,7 +43,9 @@ const (
 	jobFile     = "job.json"
 	recordsFile = "runs.jsonl"
 	statusFile  = "status.json"
-	summaryFile = "summary.json"
+	// legacySummaryFile held the summary of a job retired before the
+	// summary moved into status.json; such journals are still read.
+	legacySummaryFile = "summary.json"
 )
 
 // jobHeader is the durable submit record.
@@ -58,41 +62,52 @@ type jobHeader struct {
 	Spec       campaign.Spec `json:"spec"`
 }
 
-// statusRecord is the durable terminal state.
+// statusRecord is the durable terminal record: state, tally and, for done
+// and canceled jobs, the summary. One without a JournalLen predates the
+// tally: its journal is counted, its summary read from legacySummaryFile.
 type statusRecord struct {
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
+	State     string `json:"state"`
+	Error     string `json:"error,omitempty"`
+	Completed int    `json:"completed"`
+	Passed    int    `json:"passed"`
+	// JournalLen is the final safe length: runs.jsonl's whole-record
+	// prefix, and all of it a reopened manager serves.
+	JournalLen *int64 `json:"journal_len,omitempty"`
+	// Summary stays encoded until Manager.Summary is asked for it.
+	Summary json.RawMessage `json:"summary,omitempty"`
 }
 
-// writeJSONFile writes v as JSON atomically (temp file + rename), so a
-// kill mid-write never leaves a torn header or status.
-func writeJSONFile(dir, name string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("service: marshal %s: %w", name, err)
+// readStatus reads a job's terminal record; os.ErrNotExist means the job
+// was interrupted. Both layouts come back as one record.
+func readStatus(dir string) (statusRecord, error) {
+	var rec statusRecord
+	if err := readJSONFile(dir, statusFile, &rec); err != nil {
+		return statusRecord{}, err
 	}
+	if rec.JournalLen == nil {
+		rec.Summary, _ = os.ReadFile(filepath.Join(dir, legacySummaryFile))
+	}
+	return rec, nil
+}
+
+// writeJSONFile writes v as one line of JSON atomically (temp file +
+// rename), so a kill mid-write never leaves a torn header or status.
+func writeJSONFile(dir, name string, v any) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	_, werr := tmp.Write(append(b, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	werr := json.NewEncoder(tmp).Encode(v)
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("service: write %s: %w", name, firstErr(werr, cerr))
+		return fmt.Errorf("service: write %s: %w", name, werr)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("service: %w", err)
-	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
 	}
 	return nil
 }
@@ -151,14 +166,12 @@ func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 type journalPrefix struct {
 	runs, passed int
 	size         int64                // bytes, every line's newline included
-	records      []campaign.RunRecord // the prefix itself, when the scan retained it
+	records      []campaign.RunRecord // the prefix itself
 }
 
 // scanRecords replays a record stream. Every line is decoded — a line is
-// in the prefix because it is a record, not because it looks like one —
-// but only a scan that retains hands the records back: a job that will
-// not run again needs the tallies and the length alone.
-func scanRecords(r io.Reader, retain bool) (journalPrefix, error) {
+// in the prefix because it is a record, not because it looks like one.
+func scanRecords(r io.Reader) (journalPrefix, error) {
 	var p journalPrefix
 	br := bufio.NewReaderSize(r, lineBufSize)
 	var long []byte
@@ -181,14 +194,12 @@ func scanRecords(r io.Reader, retain bool) (journalPrefix, error) {
 			p.passed++
 		}
 		p.size += int64(len(line))
-		if retain {
-			p.records = append(p.records, rec)
-		}
+		p.records = append(p.records, rec)
 	}
 }
 
 // scanJournal scans a job's journal; one never written is empty.
-func scanJournal(dir string, retain bool) (journalPrefix, error) {
+func scanJournal(dir string) (journalPrefix, error) {
 	f, err := os.Open(filepath.Join(dir, recordsFile))
 	if os.IsNotExist(err) {
 		return journalPrefix{}, nil
@@ -197,7 +208,16 @@ func scanJournal(dir string, retain bool) (journalPrefix, error) {
 		return journalPrefix{}, err
 	}
 	defer f.Close()
-	return scanRecords(f, retain)
+	return scanRecords(f)
+}
+
+// journalSize is the length of a job's journal (0 if it cannot be stat'ed).
+func journalSize(dir string) int64 {
+	fi, err := os.Stat(filepath.Join(dir, recordsFile))
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 // loadJournal restores every journaled job: terminal jobs become
@@ -227,12 +247,11 @@ func (m *Manager) loadJournal() error {
 			dir:      dir,
 			spec:     hdr.Spec,
 			specHash: hdr.SpecHash,
-			workers:  hdr.Workers,
 			runs:     hdr.Spec.Runs(),
 			done:     make(chan struct{}),
 			change:   make(chan struct{}),
 		}
-		j.cost = m.slotCost(&j.spec, j.workers)
+		j.workers, j.cost = m.grant(&j.spec, hdr.Workers)
 		gen := hdr.Generation
 		if gen == 0 {
 			gen = 1
@@ -271,24 +290,25 @@ func (m *Manager) restoreJob(j *Job, generation int) error {
 	if got := j.spec.Hash(); got != j.specHash {
 		return fmt.Errorf("service: journal spec hash mismatch for %s: header says %s, spec hashes to %s", j.id, j.specHash, got)
 	}
-	// The status decides what the scan is for: a terminal job is served
-	// from its journal as written and only counted here, an interrupted
-	// one gets its records back to resume from.
-	var st statusRecord
-	statusErr := readJSONFile(j.dir, statusFile, &st)
-	if statusErr != nil && !os.IsNotExist(statusErr) {
-		return fmt.Errorf("service: read status for %s: %w", j.id, statusErr)
+	// A terminal record is the tally while the journal is the length it
+	// names. A journal of another length, a record without a tally (the
+	// older layout) or no record at all (an interrupted job) is counted.
+	rec, err := readStatus(j.dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("service: read status for %s: %w", j.id, err)
 	}
-	terminal := statusErr == nil
-	p, err := scanJournal(j.dir, !terminal)
-	if err != nil {
+	terminal := err == nil
+	var p journalPrefix
+	if terminal && rec.JournalLen != nil && journalSize(j.dir) == *rec.JournalLen {
+		p = journalPrefix{runs: rec.Completed, passed: rec.Passed, size: *rec.JournalLen}
+	} else if p, err = scanJournal(j.dir); err != nil {
 		return fmt.Errorf("service: scan journal for %s: %w", j.id, err)
 	}
 	j.completed, j.passed, j.failed = p.runs, p.passed, p.runs-p.passed
 	j.safeLen.Store(p.size)
 	if terminal {
-		j.state = st.State
-		j.errText = st.Error
+		j.state = rec.State
+		j.errText = rec.Error
 		close(j.done)
 		return nil
 	}

@@ -49,19 +49,13 @@ func TestRecordStreamLongAndTornLines(t *testing.T) {
 	}
 
 	t.Run("scanRecords", func(t *testing.T) {
-		for _, retain := range []bool{true, false} {
-			p, err := scanRecords(bytes.NewReader(stream.Bytes()), retain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if retain {
-				check(t, p.records)
-			} else if p.records != nil {
-				t.Errorf("a counting scan kept %d records", len(p.records))
-			}
-			if p.runs != len(recs) || p.passed != 2 || p.size != int64(whole) {
-				t.Errorf("retain %v: prefix of %d runs, %d passed, %d bytes; want %d, 2, %d", retain, p.runs, p.passed, p.size, len(recs), whole)
-			}
+		p, err := scanRecords(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, p.records)
+		if p.runs != len(recs) || p.passed != 2 || p.size != int64(whole) {
+			t.Errorf("prefix of %d runs, %d passed, %d bytes; want %d, 2, %d", p.runs, p.passed, p.size, len(recs), whole)
 		}
 	})
 
@@ -121,7 +115,7 @@ func TestStreamRecordsReportsALineThatDoesNotDecode(t *testing.T) {
 // runs.jsonl. It never panics; what it keeps is a prefix of the input
 // made of whole lines that are records 0..n-1; and the prefix is a fixed
 // point: truncated to it, as restoreJob truncates, the journal scans to
-// the same prefix again, whether or not the records are retained.
+// the same prefix again.
 func FuzzScanRecords(f *testing.F) {
 	line := func(i int, outcome string) string {
 		b, err := json.Marshal(campaign.RunRecord{Index: i, Label: "l", Outcome: outcome})
@@ -141,7 +135,7 @@ func FuzzScanRecords(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := scanRecords(bytes.NewReader(data), true)
+		p, err := scanRecords(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("scanning bytes in memory: %v", err)
 		}
@@ -157,8 +151,8 @@ func FuzzScanRecords(f *testing.F) {
 				t.Fatalf("record %d has index %d", i, r.Index)
 			}
 		}
-		again, err := scanRecords(bytes.NewReader(kept), false)
-		if err != nil || again.runs != p.runs || again.passed != p.passed || again.size != p.size || again.records != nil {
+		again, err := scanRecords(bytes.NewReader(kept))
+		if err != nil || again.runs != p.runs || again.passed != p.passed || again.size != p.size {
 			t.Fatalf("the kept prefix scans to %d runs, %d passed, %d bytes (%v); first scan %d, %d, %d", again.runs, again.passed, again.size, err, p.runs, p.passed, p.size)
 		}
 	})

@@ -388,10 +388,8 @@ func TestReopenResumesVersion1Job(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(job, "runs.jsonl"), bytes.Join(lines[:3], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"status.json", "summary.json"} {
-		if err := os.Remove(filepath.Join(job, name)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(job, "status.json")); err != nil {
+		t.Fatal(err)
 	}
 
 	m = openManager(t, dir, 2)
@@ -443,6 +441,126 @@ func TestReopenServesTerminalJob(t *testing.T) {
 	}
 	if !bytes.Equal(readJournal(t, dir, st.ID), wantJSONL) {
 		t.Error("terminal journal changed across reopen")
+	}
+}
+
+// Reopening a finished job reads its terminal record and decodes no run
+// record: Open over a 200-run job allocates what it does over a 2-run one.
+func TestReopenFinishedJobDecodesNoRecord(t *testing.T) {
+	finished := func(runs int) string {
+		dir := t.TempDir()
+		m := openManager(t, dir, 2)
+		st, err := m.Submit("", testSpec(runs), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Wait(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		return dir
+	}
+	reopen := func(dir string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			m, err := service.Open(service.Config{Dir: dir, Budget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Close()
+		})
+	}
+	small, large := reopen(finished(2)), reopen(finished(200))
+	t.Logf("allocs per Open: %.0f (2 runs), %.0f (200 runs)", small, large)
+	if large > small+4 {
+		t.Errorf("Open allocates %.0f times over a finished 200-run job, %.0f over a 2-run one", large, small)
+	}
+}
+
+// streamed reads a job's whole record stream over HTTP.
+func streamed(t *testing.T, m *service.Manager, id string) []byte {
+	t.Helper()
+	ts := httptest.NewServer(service.NewHandler(m))
+	defer ts.Close()
+	var out bytes.Buffer
+	if err := service.NewClient(ts.URL).StreamRecords(context.Background(), id, &out, nil); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// Builds before the terminal record carried a tally wrote status.json as
+// the state alone and the summary beside it in summary.json. Such a job
+// reopens with the state, tallies, summary and streamed bytes it had;
+// interrupted (no status.json), it resumes to the bytes of an
+// uninterrupted run.
+func TestReopenOlderJournalLayout(t *testing.T) {
+	spec := testSpec(6)
+	wantJSONL, wantSummary := inProcessBytes(t, spec)
+	dir := t.TempDir()
+	m := openManager(t, dir, 2)
+	st, err := m.Submit("acme", spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := m.Summary(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	oldSummary, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := filepath.Join(dir, "jobs", st.ID)
+	for name, body := range map[string]string{"status.json": `{"state":"done"}` + "\n", "summary.json": string(oldSummary) + "\n"} {
+		if err := os.WriteFile(filepath.Join(job, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m = openManager(t, dir, 2)
+	want.StartSeq = 0 // scheduler order in the process that ran it
+	got, err := m.Get(st.ID)
+	if err != nil || got != want {
+		t.Errorf("reopened status %+v (%v), want %+v", got, err, want)
+	}
+	reread, _, err := m.Summary(st.ID)
+	if err != nil || reread == nil {
+		t.Fatalf("Summary: %v (sum=%v)", err, reread)
+	}
+	var sumBuf bytes.Buffer
+	if err := reread.WriteJSON(&sumBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sumBuf.Bytes(), wantSummary) {
+		t.Errorf("summary read from summary.json differs:\n%s\nwant:\n%s", sumBuf.Bytes(), wantSummary)
+	}
+	if !bytes.Equal(streamed(t, m, st.ID), wantJSONL) {
+		t.Error("streamed journal differs from an in-process run")
+	}
+	m.Close()
+
+	lines := bytes.SplitAfter(wantJSONL, []byte("\n"))
+	if err := os.WriteFile(filepath.Join(job, "runs.jsonl"), bytes.Join(lines[:2], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"status.json", "summary.json"} {
+		if err := os.Remove(filepath.Join(job, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m = openManager(t, dir, 2)
+	defer m.Close()
+	final, err := m.Wait(context.Background(), st.ID)
+	if err != nil || final.State != service.StateDone || final.ResumedFrom != 2 {
+		t.Fatalf("resumed older-layout job: %v, %+v", err, final)
+	}
+	if !bytes.Equal(streamed(t, m, st.ID), wantJSONL) {
+		t.Error("resumed journal differs from an uninterrupted run")
 	}
 }
 
@@ -533,7 +651,7 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 // stamp and the first cut records of runs.jsonl (all of them for cut < 0)
 // with bytes this build would not write — still well-formed records with
 // the right indexes, so only the stamp can tell them from a resumable
-// prefix. interrupted also removes the terminal status and summary.
+// prefix. interrupted also removes the terminal status.
 func agedJournal(t *testing.T, dir, id string, cut int, interrupted bool) (journal []byte) {
 	t.Helper()
 	job := filepath.Join(dir, "jobs", id)
@@ -559,10 +677,8 @@ func agedJournal(t *testing.T, dir, id string, cut int, interrupted bool) (journ
 		t.Fatal(err)
 	}
 	if interrupted {
-		for _, name := range []string{"status.json", "summary.json"} {
-			if err := os.Remove(filepath.Join(job, name)); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.Remove(filepath.Join(job, "status.json")); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return journal

@@ -18,10 +18,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +36,7 @@ const (
 	StateQueued = "queued"
 	// StateRunning: executing under the scheduler's slot grant.
 	StateRunning = "running"
-	// StateDone: every run recorded and the summary written.
+	// StateDone: every run recorded and the summary journaled.
 	StateDone = "done"
 	// StateFailed: the executor returned a non-cancellation error, or
 	// the journal failed integrity checks at resume.
@@ -93,7 +95,7 @@ type Job struct {
 	specHash string
 	plan     *campaign.Plan // what was admitted, and what runs; nil once terminal
 	workers  int            // effective worker grant
-	cost     int            // slots held while running: workers × spec.MaxShards, capped at budget
+	cost     int            // slots held while running (see grant)
 
 	state      string
 	startSeq   int
@@ -218,13 +220,12 @@ func (m *Manager) submit(tenant string, plan *campaign.Plan, workers int) (JobSt
 		spec:     *norm,
 		specHash: norm.Hash(),
 		plan:     plan,
-		workers:  m.grantWorkers(norm, workers),
 		state:    StateQueued,
 		runs:     norm.Runs(),
 		done:     make(chan struct{}),
 		change:   make(chan struct{}),
 	}
-	j.cost = m.slotCost(norm, j.workers)
+	j.workers, j.cost = m.grant(norm, workers)
 	j.dir = filepath.Join(m.cfg.Dir, "jobs", j.id)
 	if err := writeJobHeader(j); err != nil {
 		return JobStatus{}, err
@@ -241,44 +242,22 @@ func (m *Manager) submit(tenant string, plan *campaign.Plan, workers int) (JobSt
 	return j.statusLocked(), nil
 }
 
-// grantWorkers resolves a submit-time worker request against the
-// budget: workers × maxShards must fit, but never below one worker.
-func (m *Manager) grantWorkers(spec *campaign.Spec, requested int) int {
-	w := requested
-	if w <= 0 {
-		w = m.cfg.DefaultWorkers
+// grant resolves a worker request (<= 0 asks for the default) against
+// the budget: workers × the spec's widest shard count must fit, but never
+// below one worker. The cost is what the job holds while running. A job
+// whose minimal footprint (one worker × its shard width) exceeds the
+// budget is admitted at full-budget cost rather than rejected — it simply
+// runs alone, and the campaign executor's own GOMAXPROCS clamp bounds the
+// real parallelism.
+func (m *Manager) grant(spec *campaign.Spec, requested int) (workers, cost int) {
+	workers, shards := requested, spec.MaxShards()
+	if workers <= 0 {
+		workers = m.cfg.DefaultWorkers
 	}
-	maxSh := spec.MaxShards()
-	if maxSh < 1 {
-		maxSh = 1
+	if workers*shards > m.cfg.Budget {
+		workers = max(m.cfg.Budget/shards, 1)
 	}
-	if w*maxSh > m.cfg.Budget {
-		w = m.cfg.Budget / maxSh
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// slotCost is what a running job holds out of the budget. A job whose
-// minimal footprint (one worker × its shard width) exceeds the budget
-// is admitted at full-budget cost rather than rejected — it simply
-// runs alone, and the campaign executor's own GOMAXPROCS clamp bounds
-// the real parallelism.
-func (m *Manager) slotCost(spec *campaign.Spec, workers int) int {
-	maxSh := spec.MaxShards()
-	if maxSh < 1 {
-		maxSh = 1
-	}
-	cost := workers * maxSh
-	if cost > m.cfg.Budget {
-		cost = m.cfg.Budget
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
+	return workers, min(workers*shards, m.cfg.Budget)
 }
 
 // addJobLocked registers the job in the id map and orderings.
@@ -402,52 +381,67 @@ func (m *Manager) noteRecord(j *Job, r campaign.RunRecord) {
 	m.bumpLocked(j)
 }
 
-// finishJob retires a run: journals the terminal state, releases the
-// job's slots and wakes the scheduler. A manager shutdown (Close) is
-// not terminal — the journal is left resumable and no status is
-// written, exactly as if the daemon had been killed.
+// finishJob ends a run: retires the job, releases its slots and wakes
+// the scheduler. A manager shutdown (Close) is not terminal — the journal
+// is left resumable and no status is written, exactly as if the daemon had
+// been killed.
 func (m *Manager) finishJob(j *Job, sum *campaign.Summary, runErr error) {
 	m.mu.Lock()
-	interrupted := m.closed
-	canceled := j.state == StateCanceled
+	interrupted, canceled := m.closed, j.state == StateCanceled
 	m.mu.Unlock()
-
-	state := StateDone
-	var errText string
 	switch {
-	case interrupted:
-		// Leave the journal untouched: a reopened manager resumes it.
-		state = StateRunning
+	case interrupted: // not an end: the journal stays as a kill leaves it
 	case canceled:
-		state = StateCanceled
+		m.retire(j, StateCanceled, "", sum)
 	case runErr != nil:
-		state, errText = StateFailed, runErr.Error()
-	}
-
-	if !interrupted {
-		if sum != nil && (state == StateDone || state == StateCanceled) {
-			if err := writeJSONFile(j.dir, summaryFile, sum); err != nil && state == StateDone {
-				state, errText = StateFailed, err.Error()
-			}
-		}
-		if err := writeJSONFile(j.dir, statusFile, statusRecord{State: state, Error: errText}); err != nil {
-			state, errText = StateFailed, err.Error()
-		}
+		m.retire(j, StateFailed, runErr.Error(), nil)
+	default:
+		m.retire(j, StateDone, "", sum)
 	}
 
 	m.mu.Lock()
-	j.state = state
-	j.errText = errText
-	j.summary = sum
-	j.prior, j.plan = nil, nil // the journal owns the records now, and nothing runs this job again
-	if !interrupted || state != StateRunning {
-		close(j.done)
+	if interrupted {
+		j.state = StateRunning // a cancel that raced Close is not journaled either
 	}
 	m.free += j.cost
-	m.bumpLocked(j)
-	m.cfg.Logf("service: job %s (tenant %s): %s (%d/%d runs)", j.id, j.tenant, state, j.completed, j.runs)
+	m.cfg.Logf("service: job %s (tenant %s): %s (%d/%d runs)", j.id, j.tenant, j.state, j.completed, j.runs)
 	m.scheduleLocked()
 	m.mu.Unlock()
+}
+
+// retire ends a job in one place. Its terminal record — state, error,
+// tally, the journal's safe length and the summary, if any — goes to
+// status.json with one rename; then the job takes that state, lets go of
+// what only a run needs, and wakes its waiters. A record that cannot be
+// written leaves the job retired here but not on disk, where a reopened
+// manager finds it unfinished: the error says so on the job, in the log
+// and to the caller.
+func (m *Manager) retire(j *Job, state, errText string, sum *campaign.Summary) error {
+	m.mu.Lock()
+	rec := statusRecord{State: state, Error: errText, Completed: j.completed, Passed: j.passed}
+	m.mu.Unlock()
+	safe := j.safeLen.Load()
+	rec.JournalLen = &safe
+	var err error
+	if sum != nil {
+		rec.Summary, err = json.Marshal(sum)
+	}
+	if err == nil {
+		err = writeJSONFile(j.dir, statusFile, rec)
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("service: job %s %s but not journaled, a reopened manager will run it: %w", j.id, state, err)
+		m.cfg.Logf("%v", err)
+		errText = strings.TrimPrefix(errText+"; "+err.Error(), "; ")
+	}
+	j.state, j.errText, j.summary = state, errText, sum
+	j.prior, j.plan = nil, nil // the journal owns the records now, and nothing runs this job again
+	close(j.done)
+	m.bumpLocked(j)
+	return err
 }
 
 // bumpLocked wakes everything waiting on the job's state.
@@ -502,23 +496,12 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 				break
 			}
 		}
-		j.state = StateCanceled
-		m.bumpLocked(j)
+		j.state = StateCanceled // off the queue: nothing starts it now
 		m.mu.Unlock()
-		// The job will not run in this process either way (it is off the
-		// queue), but only status.json keeps a reopened manager from
-		// re-queueing it: a cancel that is not journaled is not durable,
-		// and the caller must hear that.
-		err := writeJSONFile(j.dir, statusFile, statusRecord{State: StateCanceled})
-		m.mu.Lock()
-		if err != nil {
-			err = fmt.Errorf("service: job %s canceled but not journaled, a reopened manager will run it: %w", id, err)
-			j.errText = err.Error()
-			m.cfg.Logf("%v", err)
-		}
-		st := j.statusLocked()
-		close(j.done)
-		m.mu.Unlock()
+		// Only status.json keeps a reopened manager from re-queueing the
+		// job; retire reports a cancel it could not journal.
+		err := m.retire(j, StateCanceled, "", nil)
+		st, _ := m.Get(id)
 		return st, err
 	case StateRunning:
 		j.state = StateCanceled // finishJob sees this and journals it
@@ -557,7 +540,7 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Summary returns the job's summary: the full one for done jobs, the
-// partial one for canceled/failed jobs when available.
+// partial one for canceled jobs that ran.
 func (m *Manager) Summary(id string) (*campaign.Summary, JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -567,9 +550,9 @@ func (m *Manager) Summary(id string) (*campaign.Summary, JobStatus, error) {
 	}
 	st := j.statusLocked()
 	if j.summary == nil && (j.state == StateDone || j.state == StateCanceled) {
-		// Terminal before this process started: load from the journal.
+		// Retired before this process started: the summary is on disk.
 		var sum campaign.Summary
-		if err := readJSONFile(j.dir, summaryFile, &sum); err == nil {
+		if rec, err := readStatus(j.dir); err == nil && json.Unmarshal(rec.Summary, &sum) == nil {
 			j.summary = &sum
 		}
 	}

@@ -304,38 +304,13 @@ func run() (code int, retErr error) {
 		defer f.Close()
 		opts.Sink = f
 	}
-	total := plan.Spec().Runs()
-	if *progress {
-		opts.OnRecord = func(r campaign.RunRecord) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %-30s %s (seed %d, %d attempt(s))\n",
-				r.Index+1, total, r.Label, r.Outcome, r.Seed, r.Attempts)
-		}
-	}
-
+	opts.OnRecord = progressFunc(*progress, plan.Spec().Runs())
 	sum, runErr := plan.Run(ctx, opts)
 	if sum == nil {
 		return 1, runErr
 	}
-
-	out := os.Stdout
-	if *summaryOut != "" {
-		f, err := os.Create(*summaryOut)
-		if err != nil {
-			return 1, err
-		}
-		defer f.Close()
-		out = f
-	}
-	switch *summaryMode {
-	case "text":
-		fmt.Fprint(out, sum.Text())
-	case "json":
-		if err := sum.WriteJSON(out); err != nil {
-			return 1, err
-		}
-	case "none":
-	default:
-		return 1, fmt.Errorf("unknown -summary %q (want text, json or none)", *summaryMode)
+	if err := writeSummary(sum, *summaryMode, *summaryOut); err != nil {
+		return 1, err
 	}
 
 	if runErr != nil {
@@ -363,25 +338,16 @@ func attachJob(ctx context.Context, c *service.Client, id, outPath string, progr
 	if err != nil {
 		return 1, err
 	}
-	var sink *os.File
+	var sink io.Writer
 	if outPath != "" {
-		if sink, err = os.Create(outPath); err != nil {
+		f, err := os.Create(outPath)
+		if err != nil {
 			return 1, err
 		}
-		defer sink.Close()
+		defer f.Close()
+		sink = f
 	}
-	var onRecord func(campaign.RunRecord)
-	if progress {
-		onRecord = func(r campaign.RunRecord) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %-30s %s (seed %d, %d attempt(s))\n",
-				r.Index+1, st.Runs, r.Label, r.Outcome, r.Seed, r.Attempts)
-		}
-	}
-	var sinkW io.Writer
-	if sink != nil {
-		sinkW = sink
-	}
-	if err := c.StreamRecords(ctx, id, sinkW, onRecord); err != nil {
+	if err := c.StreamRecords(ctx, id, sink, progressFunc(progress, st.Runs)); err != nil {
 		return 1, err
 	}
 	sum, err := c.Summary(ctx, id, true)
@@ -392,28 +358,8 @@ func attachJob(ctx context.Context, c *service.Client, id, outPath string, progr
 	if err != nil {
 		return 1, err
 	}
-
-	out := os.Stdout
-	if summaryOut != "" {
-		f, err := os.Create(summaryOut)
-		if err != nil {
-			return 1, err
-		}
-		defer f.Close()
-		out = f
-	}
-	if sum != nil {
-		switch summaryMode {
-		case "text":
-			fmt.Fprint(out, sum.Text())
-		case "json":
-			if err := sum.WriteJSON(out); err != nil {
-				return 1, err
-			}
-		case "none":
-		default:
-			return 1, fmt.Errorf("unknown -summary %q (want text, json or none)", summaryMode)
-		}
+	if err := writeSummary(sum, summaryMode, summaryOut); err != nil {
+		return 1, err
 	}
 
 	switch final.State {
@@ -427,6 +373,42 @@ func attachJob(ctx context.Context, c *service.Client, id, outPath string, progr
 	default:
 		return 2, fmt.Errorf("campaign interrupted: job %s ended %s after %d/%d runs", id, final.State, final.Completed, final.Runs)
 	}
+}
+
+// progressFunc returns the -progress callback for a campaign of total
+// runs: one line per finished run, to stderr. Nil when progress is off.
+func progressFunc(progress bool, total int) func(campaign.RunRecord) {
+	if !progress {
+		return nil
+	}
+	return func(r campaign.RunRecord) {
+		fmt.Fprintf(os.Stderr, "[%d/%d] %-30s %s (seed %d, %d attempt(s))\n",
+			r.Index+1, total, r.Label, r.Outcome, r.Seed, r.Attempts)
+	}
+}
+
+// writeSummary prints sum in the -summary format to the -summary-out
+// file, or to stdout when there is none.
+func writeSummary(sum *campaign.Summary, mode, path string) error {
+	out := os.Stdout
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		out = f
+	}
+	switch mode {
+	case "text":
+		fmt.Fprint(out, sum.Text())
+		return nil
+	case "json":
+		return sum.WriteJSON(out)
+	case "none":
+		return nil
+	}
+	return fmt.Errorf("unknown -summary %q (want text, json or none)", mode)
 }
 
 // parseTCPSpec parses from:port-to:port:bytes (ports accept 0x...).

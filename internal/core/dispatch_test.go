@@ -222,9 +222,33 @@ func sweepFrame(n int) *ether.Frame {
 	return &ether.Frame{Data: data}
 }
 
-// BenchmarkClassifierSize sweeps table size x strategy; scripts/check.sh
-// gates compiled/n512 within 2x compiled/n8 (flatness), and bench.sh
-// records the full sweep into BENCH_core.json.
+// The compiled classifier is flat in the filter count, and counts say so
+// exactly where a timing would only say so roughly: on the sweep table,
+// every Classify scans 1 filter, compares its 3 tuples and makes 1
+// dispatch probe at 8, 64 and 512 filters. (The linear scan visits 8, 64
+// and 512 filters.) A tree that degenerates into a residual scan fails
+// here.
+func TestCompiledDispatchIsFlat(t *testing.T) {
+	for _, n := range []int{8, 64, 512} {
+		c := NewClassifier(sweepProgram(n))
+		c.Strategy = StrategyCompiled
+		fr := sweepFrame(n)
+		const calls = 3
+		for i := 0; i < calls; i++ {
+			if got := c.Classify(fr); got != FilterID(n-1) {
+				t.Fatalf("n=%d: classified %d, want %d", n, got, n-1)
+			}
+		}
+		if c.FiltersScanned != calls || c.TuplesCompared != 3*calls || c.NodeTests != calls {
+			t.Errorf("n=%d: %d classifies scanned %d filters, compared %d tuples, made %d probes; want 1, 3 and 1 each",
+				n, calls, c.FiltersScanned, c.TuplesCompared, c.NodeTests)
+		}
+	}
+}
+
+// BenchmarkClassifierSize sweeps table size x strategy (the work counts
+// behind the compiled row are pinned by TestCompiledDispatchIsFlat), and
+// bench.sh records the full sweep into BENCH_core.json.
 func BenchmarkClassifierSize(b *testing.B) {
 	for _, strat := range []Strategy{StrategyLinear, StrategyCompiled} {
 		for _, n := range []int{8, 64, 512} {

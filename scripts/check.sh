@@ -26,7 +26,7 @@ echo "== doc line budget =="
 # docs/*.md and bench/README.md together stay under this ceiling, which
 # only an edit here raises. It is the total when it was last set; the
 # ROADMAP target is 2 500.
-DOC_CEILING=3249
+DOC_CEILING=3005
 DOC_LINES="$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md bench/README.md | wc -l)"
 if [ "$DOC_LINES" -gt "$DOC_CEILING" ]; then
     echo "docs are $DOC_LINES lines, over the ceiling of $DOC_CEILING: cut, or raise it here on purpose" >&2
@@ -256,6 +256,13 @@ if ! grep -q 'resuming from run' "$SVC_TMP/daemon2.log"; then
     cat "$SVC_TMP/daemon2.log" >&2
     exit 1
 fi
+# The streamed job had finished before the kill: the restarted daemon
+# serves it from its terminal record.
+SVC_FIRST="$("$SVC_TMP/vwcampaign" -addr "$SVC_ADDR" -status j000001)"
+if ! echo "$SVC_FIRST" | grep -q '"state": "done"' || ! echo "$SVC_FIRST" | grep -q '"completed": 24,'; then
+    echo "service smoke: finished job j000001 did not survive the restart: $SVC_FIRST" >&2
+    exit 1
+fi
 "$SVC_TMP/vwcampaign" -addr "$SVC_ADDR" -attach "$SVC_JOB" \
     -out "$SVC_TMP/resumed.jsonl" -summary none
 if ! cmp -s "$SVC_TMP/ref.jsonl" "$SVC_TMP/resumed.jsonl"; then
@@ -271,30 +278,15 @@ echo "$SVC_STATUS" | grep -q '"resumed_from": [1-9]' || {
     echo "service smoke: job does not report a resume point: $SVC_STATUS" >&2
     exit 1
 }
+# A job ends in one file, status.json; summary.json is no longer written.
+if ls "$SVC_TMP"/state/jobs/*/summary.json > /dev/null 2>&1; then
+    echo "service smoke: a job directory holds summary.json" >&2
+    exit 1
+fi
 
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
 echo "service smoke: streamed and resumed records byte-identical, clean shutdown"
-
-echo "== compiled dispatch flatness gate =="
-# The compiled classifier — what every engine without a per-tuple cost
-# charge runs — is flat per packet in the filter count: classifying
-# against 512 filters must cost no more than 2x classifying against 8.
-# (Linear is ~60x at this spread.) Guards the dispatch tree from quietly
-# degenerating into a residual linear scan.
-SWEEP="$(go test -run '^$' -bench 'BenchmarkClassifierSize/compiled' -benchtime 0.2s ./internal/core)"
-echo "$SWEEP" | grep '^Benchmark' || true
-N8="$(echo "$SWEEP" | awk '/compiled\/n8-/ || /compiled\/n8 / { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i - 1) }')"
-N512="$(echo "$SWEEP" | awk '/compiled\/n512/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i - 1) }')"
-if [ -z "$N8" ] || [ -z "$N512" ]; then
-    echo "dispatch flatness gate: failed to measure compiled n8/n512 ns/op" >&2
-    exit 1
-fi
-if ! awk -v a="$N512" -v b="$N8" 'BEGIN { exit !(a <= 2.0 * b) }'; then
-    echo "compiled dispatch no longer flat: n512 = $N512 ns/op vs n8 = $N8 ns/op (limit 2x)" >&2
-    exit 1
-fi
-echo "compiled dispatch flat: n8 = $N8 ns/op, n512 = $N512 ns/op"
 
 echo "== bench smoke (one iteration) =="
 # Each benchmark runs exactly once: catches benchmarks that no longer
