@@ -4,78 +4,32 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"runtime"
 	"testing"
 )
 
-// benchSpec is a 16-run quickstart matrix; small enough to iterate,
-// large enough to exercise the pool, window and ordered collector.
-func benchSpec() Spec {
-	spec := quickstartSpec(8, []float64{0, 1e-6})
-	spec.Workloads[0].Bytes = 8 * 1024
-	return spec
-}
-
-// runBenchSpec is one iteration of the campaign benchmarks: the whole
-// matrix into a discarding sink, every run passing.
-func runBenchSpec(tb testing.TB, spec Spec, workers int) {
-	sum, err := Run(context.Background(), spec, Options{Workers: workers, Sink: io.Discard})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if runs := spec.Runs(); sum.Passed != runs {
-		tb.Fatalf("passed %d/%d", sum.Passed, runs)
-	}
-}
-
-func benchCampaign(b *testing.B, workers int) {
-	// Asking for more workers than CPUs measures goroutine interleaving
-	// noise, not executor scaling: on a 1-CPU box an 8-worker figure once
-	// read as a speedup that no real machine would see. Clamp, and record
-	// the CPU count so persisted results carry the machine context.
-	if n := runtime.NumCPU(); workers > n {
-		workers = n
-	}
-	spec := benchSpec()
-	runs := spec.Runs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBenchSpec(b, spec, workers)
-	}
-	b.ReportMetric(float64(runs*b.N)/b.Elapsed().Seconds(), "runs/s")
-	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-}
-
-// TestCampaignSerialAllocs is the allocation gate on the executor, on
-// what BenchmarkCampaignSerial runs. The executor compiles each scenario
-// variant once and resets long-lived worker testbeds between runs; if a
-// change quietly reverts to per-run testbed construction (or brings
-// reflection or gob back to the record path), allocations jump an order
-// of magnitude: 1 598 per 16-run matrix today (two testbed builds and 16
-// runs), 45k before the reuse pipeline. The limit is today's count x 1.25.
+// TestCampaignSerialAllocs is the allocation gate on the executor: a
+// 16-run quickstart matrix at one worker into a discarding sink (bench/'s
+// campaign_matrix times the same executor, at 256 runs). The executor
+// compiles each scenario variant once and resets long-lived worker
+// testbeds between runs; if a change quietly reverts to per-run testbed
+// construction (or brings reflection or gob back to the record path),
+// allocations jump an order of magnitude: 1 598 per 16-run matrix today
+// (two testbed builds and 16 runs), 45k before the reuse pipeline. The
+// limit is today's count x 1.25.
 func TestCampaignSerialAllocs(t *testing.T) {
 	const limit = 1998
-	spec := benchSpec()
-	if n := testing.AllocsPerRun(3, func() { runBenchSpec(t, spec, 1) }); n > limit {
+	spec := quickstartSpec(8, []float64{0, 1e-6})
+	spec.Workloads[0].Bytes = 8 * 1024
+	run := func() {
+		sum, err := Run(context.Background(), spec, Options{Workers: 1, Sink: io.Discard})
+		if err != nil || sum.Passed != spec.Runs() {
+			t.Fatalf("passed %d/%d: %v", sum.Passed, spec.Runs(), err)
+		}
+	}
+	if n := testing.AllocsPerRun(3, run); n > limit {
 		t.Errorf("the %d-run matrix allocates %.0f times at one worker (limit %d)", spec.Runs(), n, limit)
 	}
 }
-
-// BenchmarkCampaignSerial measures per-run cost without pool overhead.
-func BenchmarkCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
-
-// BenchmarkCampaignParallel measures campaign throughput at the default
-// worker count; runs/s versus the serial figure shows executor scaling.
-func BenchmarkCampaignParallel(b *testing.B) { benchCampaign(b, runtime.GOMAXPROCS(0)) }
-
-// The fixed-width worker benchmarks trace the scaling curve (compare
-// runs/s against BenchmarkCampaignSerial). Worker testbeds are compiled
-// once and reset between runs, so added workers cost goroutines, not
-// testbed rebuilds; the curve flattens at the machine's core count.
-func BenchmarkCampaignWorkers2(b *testing.B) { benchCampaign(b, 2) }
-func BenchmarkCampaignWorkers4(b *testing.B) { benchCampaign(b, 4) }
-func BenchmarkCampaignWorkers8(b *testing.B) { benchCampaign(b, 8) }
 
 // BenchmarkRecordEncode encodes one two-host record the two ways there
 // are: "append" is the collector's path, appendJSON into a line buffer

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -241,6 +243,77 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				got := runCampaign(t, r.spec, Options{Workers: workers, FirstIndex: cut, Prior: scanJSONL(t, prefix)}, prefix)
 				assertSameBytes(t, r, fmt.Sprintf("resumed at %d, workers=%d", cut, workers), got)
 			}
+		}
+	})
+}
+
+// The work column: what a pinned row's baseline did, in counts summed
+// over its runs, pinned exactly by workPins — one "row layer/name value"
+// line a count, of each workKeys total the row's layers report. Wall time
+// is bench/'s to measure (campaign_matrix); work is pinned here, as the
+// root identity table pins it per scenario.
+var workKeys = []string{"scheduler/events_executed", "scheduler/events_scheduled", "pool/gets", "nic/tx_frames",
+	"engine/packets_intercepted", "engine/ctl_bytes", "switch/ingress_frames", "switch/forwarded_frames",
+	"switch/flooded_frames", "fabric/ingress_frames", "fabric/forwarded_frames", "fabric/flooded_frames",
+	"rll/data_retrans", "tcp/retransmissions", "rether/token_retransmissions"}
+
+const workPins = `
+golden-16 scheduler/events_executed 3248
+golden-16 scheduler/events_scheduled 3468
+golden-16 pool/gets 550
+golden-16 nic/tx_frames 517
+golden-16 engine/packets_intercepted 898
+golden-16 engine/ctl_bytes 27937
+golden-16 switch/ingress_frames 514
+golden-16 switch/forwarded_frames 481
+golden-16 switch/flooded_frames 33
+golden-16 tcp/retransmissions 18
+`
+
+// TestWorkCountsArePinned is the work column. A divergence names each
+// count that moved and prints the row's lines as they now read.
+func TestWorkCountsArePinned(t *testing.T) {
+	pins := map[string]map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSpace(workPins), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("work pin %q is not \"row layer/name value\"", line)
+		}
+		v, err := strconv.ParseUint(f[2], 10, 64)
+		if err != nil {
+			t.Fatalf("work pin %q: %v", line, err)
+		}
+		if pins[f[0]] == nil {
+			pins[f[0]] = map[string]uint64{}
+		}
+		pins[f[0]][f[1]] = v
+	}
+	eachCampaignRow(t, func(r *campaignRow) bool { return pins[r.name] != nil }, func(t *testing.T, r *campaignRow) {
+		b := r.baseline(t)
+		var sum Summary
+		if err := json.Unmarshal(b[len(r.sink(b)):], &sum); err != nil {
+			t.Fatal(err)
+		}
+		pinned := pins[r.name]
+		var moved, lines []string
+		for _, k := range workKeys {
+			v, reported := sum.MetricsTotals[k]
+			p, ok := pinned[k]
+			if reported {
+				lines = append(lines, fmt.Sprintf("%s %s %d", r.name, k, uint64(v)))
+			}
+			switch {
+			case reported && !ok:
+				moved = append(moved, fmt.Sprintf("%s: not pinned, got %d", k, uint64(v)))
+			case ok && !reported:
+				moved = append(moved, fmt.Sprintf("%s: pinned %d, not reported", k, p))
+			case ok && p != uint64(v):
+				moved = append(moved, fmt.Sprintf("%s: pinned %d, got %d", k, p, uint64(v)))
+			}
+		}
+		if len(moved) > 0 {
+			t.Errorf("row %s: work moved\n\t%s\nthe row's workPins lines as they now read:\n%s",
+				r.name, strings.Join(moved, "\n\t"), strings.Join(lines, "\n"))
 		}
 	})
 }

@@ -187,32 +187,39 @@ func (tb *Testbed) Reset(seed int64) error {
 	tb.pool.Reset()
 	// Extra shard pools reset under the same ordering rule; trunk mailbox
 	// frames were recycled by the switch resets above (a trunk wire's reset
-	// returns undelivered deposits to their source pool). Component
-	// generators reseed in place (no allocation) and the workload start
-	// flag clears with the discarded run.
+	// returns undelivered deposits to their source pool). The workload
+	// start flag clears with the discarded run.
 	for i := 1; i < tb.shards.count; i++ {
 		tb.shards.pools[i].Reset()
 	}
-	tb.assignComponentRands(seed)
 	tb.shards.startPending = false
-	// Trunk fail/degrade faults moved the conservative lookahead during
-	// the discarded run; the restored fabric re-derives it.
-	tb.recomputeShardLookahead()
-	// Restart the token ring only after every member is back to zero.
-	for _, name := range tb.retherRing {
-		tb.byName[name].rether.Start()
-	}
 	if tb.ctl != nil {
 		tb.ctl.Reset()
 	}
 	tb.reg.Reset()
 	if tb.sampler != nil {
 		tb.sampler.Reset()
-		tb.sampler.Start()
 	}
 	if tb.tracing != nil {
 		tb.tracing.Reset()
 	}
 	tb.workloads = tb.workloads[:0]
+	tb.start(seed)
 	return nil
+}
+
+// start is the one start state, entered by build and by every Reset once
+// all else is pristine: component generators seeded in place, the
+// lookahead derived from the live trunks, the token ring started with
+// every member at zero, and the sampler armed — the last two schedule
+// events, in this order.
+func (tb *Testbed) start(seed int64) {
+	tb.assignComponentRands(seed)
+	tb.recomputeShardLookahead()
+	for _, name := range tb.retherRing {
+		tb.byName[name].rether.Start()
+	}
+	if tb.sampler != nil {
+		tb.sampler.Start()
+	}
 }

@@ -23,8 +23,8 @@ var poolTotals = regexp.MustCompile(`"pool/(gets|puts)": ?[0-9]+,?`)
 // first gives, so report assembly, the encoder and the reset path are all
 // behind the hash. A change here is an output change, not a refactor. The
 // digests were last recorded when the single-queue engine was removed
-// and Shards: 0 became one shard of the windowed engine (EXPERIMENTS.md,
-// "The one-engine byte break").
+// and Shards: 0 became one shard of the windowed engine (DESIGN.md,
+// "Randomness and the determinism contracts").
 //
 // Each case carries a second digest, of the same bytes with the
 // pool/gets and pool/puts totals cut out: a change to buffer ownership

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,19 +96,31 @@ func (r *identityRow) run(t *testing.T, tb *Testbed, viaCtx bool) []byte {
 	return reportBytes(t, rep)
 }
 
-// identityBaselines memoizes baseline by row name and seed.
-var identityBaselines = map[string][]byte{}
+// identityBaseline is a row's fresh run under one seed: its report bytes
+// and its work vector (see workOf).
+type identityBaseline struct {
+	bytes []byte
+	work  map[string]uint64
+}
 
-func (r *identityRow) baseline(t *testing.T, seed int64) []byte {
+// identityBaselines memoizes fresh by row name and seed.
+var identityBaselines = map[string]identityBaseline{}
+
+// fresh is the row's baseline under seed, run once.
+func (r *identityRow) fresh(t *testing.T, seed int64) identityBaseline {
 	t.Helper()
 	key := fmt.Sprintf("%s/%d", r.name, seed)
 	if b, ok := identityBaselines[key]; ok {
 		return b
 	}
-	b := r.run(t, r.build(t, seed, nil), false)
+	tb := r.build(t, seed, nil)
+	b := identityBaseline{r.run(t, tb, false), workOf(tb)}
 	identityBaselines[key] = b
 	return b
 }
+
+// baseline is the report bytes of fresh.
+func (r *identityRow) baseline(t *testing.T, seed int64) []byte { return r.fresh(t, seed).bytes }
 
 // variant is a column's cell at each of seeds: a fresh testbed under
 // change, run (through RunContext when viaCtx), against the baseline.
@@ -254,6 +268,124 @@ func TestRunMatchesRunContextBackground(t *testing.T) {
 	eachIdentityRow(t, nil, func(t *testing.T, r *identityRow) {
 		r.variant(t, "runcontext", r.seeds[:1], nil, true)
 	})
+}
+
+// The work column: what a row's baseline did at its first seed, in
+// counts, pinned exactly by workPins — one "row layer/name value" line a
+// count. Wall time is bench/'s to measure; work is pinned here, so a
+// performance change names the counts it moved and by how much, and a
+// simplicity change shows that none moved.
+
+// workKeys are the counts a work vector holds, where the row's layers
+// report them: registry totals, and the engines' classifier work.
+var workKeys = []string{"scheduler/events_executed", "scheduler/events_scheduled", "pool/gets", "pool/hits",
+	"nic/tx_frames", "engine/packets_intercepted", "engine/ctl_bytes",
+	"classifier/filters_scanned", "classifier/tuples_compared", "classifier/dispatch_probes",
+	"switch/ingress_frames", "switch/forwarded_frames", "switch/flooded_frames",
+	"fabric/ingress_frames", "fabric/forwarded_frames", "fabric/flooded_frames",
+	"rll/data_retrans", "tcp/retransmissions", "rether/token_retransmissions"}
+
+// workOf is the work vector of a testbed that has just run.
+func workOf(tb *Testbed) map[string]uint64 {
+	w := make(map[string]uint64)
+	for _, s := range tb.reg.Gather() {
+		if k := s.Layer + "/" + s.Name; slices.Contains(workKeys, k) {
+			w[k] += uint64(s.Value)
+		}
+	}
+	if tb.script != nil {
+		for _, n := range tb.nodes {
+			filters, tuples, probes := n.engine.ClassifierWork()
+			w["classifier/filters_scanned"] += filters
+			w["classifier/tuples_compared"] += tuples
+			w["classifier/dispatch_probes"] += probes
+		}
+	}
+	return w
+}
+
+// TestWorkCountsArePinned is the work column, plus the claims the two
+// ablation rows stand for: Section 5.2's status-change-only propagation
+// puts fewer control bytes on the wire than eager propagation of the same
+// remote rule, and on a lossy wire a wider RLL window buys goodput.
+func TestWorkCountsArePinned(t *testing.T) {
+	pins := parseWorkPins(t, workPins)
+	rows := map[string]*identityRow{}
+	for _, r := range identityRows(t) {
+		rows[r.name] = &r
+	}
+	for name := range pins {
+		if rows[name] == nil && !(testing.Short() && name == "fabric-manyflow") {
+			t.Errorf("workPins pins row %s, which the table does not have", name)
+		}
+	}
+	eachIdentityRow(t, func(r *identityRow) bool { return pins[r.name] != nil }, func(t *testing.T, r *identityRow) {
+		assertWork(t, r.name, pins[r.name], r.fresh(t, r.seeds[0]).work)
+	})
+	t.Run("claims", func(t *testing.T) {
+		work := func(name string) map[string]uint64 { return rows[name].fresh(t, rows[name].seeds[0]).work }
+		if s, e := work("ctlplane-status")["engine/ctl_bytes"], work("ctlplane-eager")["engine/ctl_bytes"]; s >= e {
+			t.Errorf("status-only propagation sent %d control bytes, eager %d: want fewer", s, e)
+		}
+		goodput := func(window int) float64 {
+			name := fmt.Sprintf("rll-window-w%d", window)
+			work(name) // the baseline run records it
+			return rllGoodput[fmt.Sprintf("%s/%d", name, rows[name].seeds[0])]
+		}
+		if w2, w8, w32 := goodput(2), goodput(8), goodput(32); !(w2 < w8 && w8 <= w32) {
+			t.Errorf("RLL goodput %.3f, %.3f, %.3f Mb/s at windows 2, 8, 32: want w2 < w8 <= w32", w2/1e6, w8/1e6, w32/1e6)
+		}
+	})
+}
+
+// parseWorkPins reads "row layer/name value" lines into row -> count ->
+// value.
+func parseWorkPins(t *testing.T, text string) map[string]map[string]uint64 {
+	pins := map[string]map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		if len(f) != 3 {
+			t.Fatalf("work pin %q is not \"row layer/name value\"", line)
+		}
+		v, err := strconv.ParseUint(f[2], 10, 64)
+		if err != nil {
+			t.Fatalf("work pin %q: %v", line, err)
+		}
+		if pins[f[0]] == nil {
+			pins[f[0]] = map[string]uint64{}
+		}
+		pins[f[0]][f[1]] = v
+	}
+	return pins
+}
+
+// assertWork fails unless got is exactly the row's pinned vector, naming
+// every count that moved and printing the row's lines as they now read.
+func assertWork(t *testing.T, row string, pinned, got map[string]uint64) {
+	t.Helper()
+	var moved, lines []string
+	for _, k := range workKeys {
+		v, reported := got[k]
+		p, ok := pinned[k]
+		if reported {
+			lines = append(lines, fmt.Sprintf("%s %s %d", row, k, v))
+		}
+		switch {
+		case reported && !ok:
+			moved = append(moved, fmt.Sprintf("%s: not pinned, got %d", k, v))
+		case ok && !reported:
+			moved = append(moved, fmt.Sprintf("%s: pinned %d, not reported", k, p))
+		case ok && p != v:
+			moved = append(moved, fmt.Sprintf("%s: pinned %d, got %d", k, p, v))
+		}
+	}
+	if len(moved) > 0 {
+		t.Errorf("row %s: work moved\n\t%s\nthe row's workPins lines as they now read:\n%s",
+			row, strings.Join(moved, "\n\t"), strings.Join(lines, "\n"))
+	}
 }
 
 // eachIdentityRow runs f as a subtest per row that applies.
@@ -408,6 +540,82 @@ func fabricManyFlowRow() identityRow {
 					t.Fatalf("%d shards: %d windows, %d events, busiest shards %d; want 749, 333509, %d",
 						k, windows, rep.Events, most, want)
 				}
+			}
+		},
+	}
+}
+
+// ctlPlane is a two-node script whose rule's condition is remote from its
+// term's home (counter D lives on node1, A on node2), over 200 UDP echoes
+// that both filters match.
+func ctlPlane(name, rule string) identityRow {
+	script := `
+FILTER_TABLE
+p0: (23 1 0x11), (36 2 0x1b58)
+p1: (23 1 0x11), (36 2 0x1b59)
+END
+NODE_TABLE
+node1 00:00:00:00:00:01 10.0.0.1
+node2 00:00:00:00:00:02 10.0.0.2
+END
+SCENARIO ctlplane
+A: (p0, node1, node2, RECV)
+B: (p1, node2, node1, RECV)
+D: (node1)
+(TRUE) >> ENABLE_CNTR( A ); ENABLE_CNTR( B );
+` + rule + `
+END`
+	return identityRow{name: name, seeds: []int64{1}, horizon: 2 * time.Second,
+		stage: func(t *testing.T, tb *Testbed) {
+			if err := tb.AddNodesFromScript(script); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.LoadScript(script); err != nil {
+				t.Fatal(err)
+			}
+		},
+		arm: func(t *testing.T, tb *Testbed) func(*testing.T, RunReport) {
+			echo, err := tb.AddUDPEcho(UDPEchoConfig{Client: "node1", Server: "node2",
+				ServerPort: 7000, ClientPort: 7001, Count: 200, Interval: 200 * time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(t *testing.T, _ RunReport) {
+				if echo.Received() != 200 {
+					t.Fatalf("echoes received %d of 200", echo.Received())
+				}
+			}
+		},
+	}
+}
+
+// rllGoodput is each RLL window run's goodput in bit/s, by row name and
+// seed.
+var rllGoodput = map[string]float64{}
+
+// rllWindow is the window ablation: a 1 MiB TCP transfer between two
+// hosts over the RLL, on a wire corrupting one bit in 10^7.
+func rllWindow(window int) identityRow {
+	name := fmt.Sprintf("rll-window-w%d", window)
+	return identityRow{name: name, seeds: []int64{1}, horizon: 60 * time.Second,
+		cfg: Config{RLL: true, RLLWindow: window, BitErrorRate: 1e-7},
+		stage: func(t *testing.T, tb *Testbed) {
+			for _, h := range []struct{ name, mac, ip string }{{"a", "00:00:00:00:00:0a", "10.0.0.1"}, {"b", "00:00:00:00:00:0b", "10.0.0.2"}} {
+				if _, err := tb.AddHost(h.name, h.mac, h.ip); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		arm: func(t *testing.T, tb *Testbed) func(*testing.T, RunReport) {
+			bulk, err := tb.AddTCPBulk(TCPBulkConfig{From: "a", To: "b", SrcPort: 1, DstPort: 2, Bytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(t *testing.T, rep RunReport) {
+				if bulk.DeliveredBytes() != 1<<20 {
+					t.Fatalf("delivered %d of %d bytes", bulk.DeliveredBytes(), 1<<20)
+				}
+				rllGoodput[fmt.Sprintf("%s/%d", name, rep.Seed)] = bulk.GoodputBitsPerSecond()
 			}
 		},
 	}
@@ -662,6 +870,13 @@ func identityRows(t *testing.T) []identityRow {
 					}
 				}
 			}),
+		// Section 5.2's ablation: one remote rule over 200 echoes, whose
+		// term has an integer operand (evaluated at the counter's home,
+		// only status changes cross the wire) or a counter spanning nodes
+		// (every change of the remote operand pushes a value).
+		ctlPlane("ctlplane-status", "((A >= 10)) >> INCR_CNTR( D, 1 );"),
+		ctlPlane("ctlplane-eager", "((A > B)) >> INCR_CNTR( D, 1 );"),
+		rllWindow(2), rllWindow(8), rllWindow(32),
 	}
 
 	if !testing.Short() {
@@ -694,3 +909,131 @@ func identityRows(t *testing.T) []identityRow {
 	}
 	return rows
 }
+
+// workPins is the work column's table, one row's counts to a paragraph.
+const workPins = `
+fig5 scheduler/events_executed 869
+fig5 scheduler/events_scheduled 932
+fig5 pool/gets 132
+fig5 pool/hits 121
+fig5 nic/tx_frames 129
+fig5 engine/packets_intercepted 248
+fig5 engine/ctl_bytes 2456
+fig5 classifier/filters_scanned 486
+fig5 classifier/tuples_compared 1458
+fig5 classifier/dispatch_probes 248
+fig5 switch/ingress_frames 129
+fig5 switch/forwarded_frames 126
+fig5 switch/flooded_frames 3
+fig5 tcp/retransmissions 0
+
+fig6 scheduler/events_executed 15900
+fig6 scheduler/events_scheduled 18583
+fig6 pool/gets 9578
+fig6 pool/hits 9524
+fig6 nic/tx_frames 3177
+fig6 engine/packets_intercepted 6252
+fig6 engine/ctl_bytes 7165
+fig6 classifier/filters_scanned 6252
+fig6 classifier/tuples_compared 12511
+fig6 classifier/dispatch_probes 6252
+fig6 tcp/retransmissions 0
+fig6 rether/token_retransmissions 2
+
+fig8iii scheduler/events_executed 12062
+fig8iii scheduler/events_scheduled 13069
+fig8iii pool/gets 5028
+fig8iii pool/hits 5020
+fig8iii nic/tx_frames 2010
+fig8iii engine/packets_intercepted 2000
+fig8iii engine/ctl_bytes 2837
+fig8iii classifier/filters_scanned 1000
+fig8iii classifier/tuples_compared 2000
+fig8iii classifier/dispatch_probes 2000
+fig8iii switch/ingress_frames 2010
+fig8iii switch/forwarded_frames 2007
+fig8iii switch/flooded_frames 3
+fig8iii rll/data_retrans 0
+fig8iii tcp/retransmissions 0
+
+fabric-manyflow scheduler/events_executed 333509
+fabric-manyflow scheduler/events_scheduled 335131
+fabric-manyflow pool/gets 123517
+fabric-manyflow pool/hits 122109
+fabric-manyflow nic/tx_frames 3200
+fabric-manyflow engine/packets_intercepted 0
+fabric-manyflow engine/ctl_bytes 0
+fabric-manyflow fabric/ingress_frames 44722
+fabric-manyflow fabric/forwarded_frames 15474
+fabric-manyflow fabric/flooded_frames 13876
+fabric-manyflow tcp/retransmissions 0
+
+ctlplane-status scheduler/events_executed 2431
+ctlplane-status scheduler/events_scheduled 2433
+ctlplane-status pool/gets 407
+ctlplane-status pool/hits 404
+ctlplane-status nic/tx_frames 405
+ctlplane-status engine/packets_intercepted 800
+ctlplane-status engine/ctl_bytes 1707
+ctlplane-status classifier/filters_scanned 800
+ctlplane-status classifier/tuples_compared 1600
+ctlplane-status classifier/dispatch_probes 800
+ctlplane-status switch/ingress_frames 405
+ctlplane-status switch/forwarded_frames 403
+ctlplane-status switch/flooded_frames 2
+ctlplane-status tcp/retransmissions 0
+
+ctlplane-eager scheduler/events_executed 6025
+ctlplane-eager scheduler/events_scheduled 6027
+ctlplane-eager pool/gets 1006
+ctlplane-eager pool/hits 1003
+ctlplane-eager nic/tx_frames 1004
+ctlplane-eager engine/packets_intercepted 800
+ctlplane-eager engine/ctl_bytes 18620
+ctlplane-eager classifier/filters_scanned 800
+ctlplane-eager classifier/tuples_compared 1600
+ctlplane-eager classifier/dispatch_probes 800
+ctlplane-eager switch/ingress_frames 1004
+ctlplane-eager switch/forwarded_frames 1002
+ctlplane-eager switch/flooded_frames 2
+ctlplane-eager tcp/retransmissions 0
+
+rll-window-w2 scheduler/events_executed 21807
+rll-window-w2 scheduler/events_scheduled 24059
+rll-window-w2 pool/gets 7521
+rll-window-w2 pool/hits 7466
+rll-window-w2 nic/tx_frames 3017
+rll-window-w2 engine/packets_intercepted 0
+rll-window-w2 engine/ctl_bytes 0
+rll-window-w2 switch/ingress_frames 3015
+rll-window-w2 switch/forwarded_frames 3014
+rll-window-w2 switch/flooded_frames 1
+rll-window-w2 rll/data_retrans 10
+rll-window-w2 tcp/retransmissions 0
+
+rll-window-w8 scheduler/events_executed 21309
+rll-window-w8 scheduler/events_scheduled 23561
+rll-window-w8 pool/gets 7551
+rll-window-w8 pool/hits 7478
+rll-window-w8 nic/tx_frames 3047
+rll-window-w8 engine/packets_intercepted 0
+rll-window-w8 engine/ctl_bytes 0
+rll-window-w8 switch/ingress_frames 3045
+rll-window-w8 switch/forwarded_frames 3044
+rll-window-w8 switch/flooded_frames 1
+rll-window-w8 rll/data_retrans 24
+rll-window-w8 tcp/retransmissions 0
+
+rll-window-w32 scheduler/events_executed 21925
+rll-window-w32 scheduler/events_scheduled 24191
+rll-window-w32 pool/gets 7632
+rll-window-w32 pool/hits 7487
+rll-window-w32 nic/tx_frames 3128
+rll-window-w32 engine/packets_intercepted 0
+rll-window-w32 engine/ctl_bytes 0
+rll-window-w32 switch/ingress_frames 3127
+rll-window-w32 switch/forwarded_frames 3126
+rll-window-w32 switch/flooded_frames 1
+rll-window-w32 rll/data_retrans 64
+rll-window-w32 tcp/retransmissions 0
+`

@@ -155,26 +155,3 @@ func TestClassifierPayloadInsensitive(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkClassifierLinear(b *testing.B) {
-	benchClassifier(b, StrategyLinear)
-}
-
-func BenchmarkClassifierCompiled(b *testing.B) {
-	benchClassifier(b, StrategyCompiled)
-}
-
-func benchClassifier(b *testing.B, strategy Strategy) {
-	p := fig2Program()
-	p.Filters = p.Filters[2:] // drop variable filters for steady state
-	c := NewClassifier(p)
-	c.Strategy = strategy
-	fr := tcpFrame(0x4000, 0x6000, 9, 9, packet.TCPAck)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.Classify(fr) < 0 {
-			b.Fatal("no match")
-		}
-	}
-}

@@ -245,27 +245,3 @@ func TestCompiledDispatchIsFlat(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkClassifierSize sweeps table size x strategy (the work counts
-// behind the compiled row are pinned by TestCompiledDispatchIsFlat), and
-// bench.sh records the full sweep into BENCH_core.json.
-func BenchmarkClassifierSize(b *testing.B) {
-	for _, strat := range []Strategy{StrategyLinear, StrategyCompiled} {
-		for _, n := range []int{8, 64, 512} {
-			b.Run(fmt.Sprintf("%s/n%d", strat, n), func(b *testing.B) {
-				p := sweepProgram(n)
-				c := NewClassifier(p)
-				c.Strategy = strat
-				fr := sweepFrame(n)
-				want := FilterID(n - 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if c.Classify(fr) != want {
-						b.Fatal("wrong filter")
-					}
-				}
-			})
-		}
-	}
-}

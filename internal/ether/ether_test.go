@@ -369,45 +369,6 @@ func TestBusUtilization(t *testing.T) {
 	}
 }
 
-func BenchmarkBusForwarding(b *testing.B) {
-	benchBusForwarding(b, nil)
-}
-
-// BenchmarkBusForwardingPooled is the same frame path drawing from a
-// FramePool, as a Testbed's stacks do: the frame is cut from the pool,
-// handed across the two-station segment as it is, and recycled by the
-// receiver.
-func BenchmarkBusForwardingPooled(b *testing.B) {
-	benchBusForwarding(b, NewFramePool())
-}
-
-func benchBusForwarding(b *testing.B, pool *FramePool) {
-	s := sim.NewScheduler(1)
-	bus := NewSharedBus(s, BusConfig{Pool: pool})
-	a, c := NewNIC(s, mac(1), 16), NewNIC(s, mac(2), 0)
-	bus.Attach(a)
-	bus.Attach(c)
-	send := func() {
-		fr := pool.Get(1000)
-		copy(fr.Data, testFrame(mac(1), mac(2), 1000).Data)
-		a.Send(fr)
-	}
-	n := 0
-	c.SetRecv(func(fr *Frame) {
-		pool.Put(fr)
-		n++
-		if n < b.N {
-			send()
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	send()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestLinkBitErrors(t *testing.T) {
 	s := sim.NewScheduler(11)
 	l := NewLink(s, LinkConfig{BitErrorRate: 1}) // corrupt everything

@@ -358,25 +358,6 @@ func TestTokenSeqMonotonicPerNode(t *testing.T) {
 	}
 }
 
-func BenchmarkTokenCycle(b *testing.B) {
-	s, nodes := buildRing(b, 1, 4, Config{})
-	cycles := 0
-	done := false
-	nodes[0].rether.OnTokenVisit = func(uint32) {
-		cycles++
-		if cycles >= b.N {
-			done = true
-			s.Stop()
-		}
-	}
-	b.ResetTimer()
-	err := s.RunUntil(time.Duration(b.N+1) * 50 * time.Millisecond)
-	if err != nil && err != sim.ErrStopped {
-		b.Fatal(err)
-	}
-	_ = done
-}
-
 func TestTwoSimultaneousFailures(t *testing.T) {
 	// Crash two of five nodes; the surviving three must reconstruct and
 	// keep circulating.

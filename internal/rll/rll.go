@@ -133,9 +133,6 @@ type RLL struct {
 
 	// Stats accumulates protocol counters.
 	Stats Stats
-	// Disabled short-circuits the layer (frames pass through
-	// untouched). The Figure 8 experiment toggles this.
-	Disabled bool
 }
 
 var _ stack.Layer = (*RLL)(nil)
@@ -185,9 +182,8 @@ func (r *RLL) Snapshot(sn *metrics.Snapshot) {
 // Reset rewinds every peer's window state to a fresh sequence space,
 // recycling every inflight and backlogged encapsulation, and clears the
 // counters. The per-peer state itself (window arrays, timer) is kept for
-// the next run, as are configuration, pool wiring and the Disabled
-// toggle; retransmission timers die with the scheduler reset that
-// accompanies this.
+// the next run, as are configuration and pool wiring; retransmission
+// timers die with the scheduler reset that accompanies this.
 func (r *RLL) Reset() {
 	for _, ps := range r.send {
 		ps.timer.Disarm()
@@ -219,7 +215,7 @@ func (r *RLL) SetAbove(u stack.Up) { r.base.SetAbove(u) }
 
 // SendDown implements stack.Layer: encapsulate and transmit reliably.
 func (r *RLL) SendDown(fr *ether.Frame) {
-	if r.Disabled || len(fr.Data) < packet.EthHeaderLen {
+	if len(fr.Data) < packet.EthHeaderLen {
 		r.base.PassDown(fr)
 		return
 	}
@@ -247,10 +243,6 @@ func (r *RLL) SendDown(fr *ether.Frame) {
 
 // DeliverUp implements stack.Layer: decapsulate, validate, acknowledge.
 func (r *RLL) DeliverUp(fr *ether.Frame) {
-	if r.Disabled {
-		r.base.PassUp(fr)
-		return
-	}
 	if fr.EtherType() != EtherType {
 		if fr.Corrupt {
 			// A damaged frame whose bytes cannot be trusted at all

@@ -215,25 +215,6 @@ func TestRLLGivesUpOnDeadPeer(t *testing.T) {
 	}
 }
 
-func TestRLLDisabledPassThrough(t *testing.T) {
-	s, ra, rb, _, sb, downA, _ := pairOverBus(8, 0, Config{})
-	ra.Disabled = true
-	rb.Disabled = true
-	downA.SendDown(frameTo(macA, macB, 9, 64))
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(sb.frames) != 1 {
-		t.Fatalf("delivered %d", len(sb.frames))
-	}
-	if ra.Stats.DataSent != 0 || rb.Stats.AcksSent != 0 {
-		t.Error("disabled RLL still processed frames")
-	}
-	if sb.frames[0].EtherType() != 0x0800 {
-		t.Error("disabled RLL altered the frame")
-	}
-}
-
 func TestRLLDuplicateSuppression(t *testing.T) {
 	// Deliver a duplicate data frame directly into an RLL and verify a
 	// re-ack plus exactly one delivery.
@@ -302,25 +283,5 @@ func TestRLLReliabilityProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(17))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkRLLTransfer(b *testing.B) {
-	s, _, _, _, sb, downA, _ := pairOverBus(1, 0, Config{Window: 16})
-	sent := 0
-	var feed func()
-	feed = func() {
-		for sent < b.N && sent-len(sb.frames) < 16 {
-			sent++
-			downA.SendDown(frameTo(macA, macB, byte(sent), 1000))
-		}
-		if len(sb.frames) < b.N {
-			s.After(50*time.Microsecond, "feed", feed)
-		}
-	}
-	b.ResetTimer()
-	s.After(0, "feed", feed)
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -365,7 +365,8 @@ func (q *boxedQueue) Pop() any {
 
 // BenchmarkSchedulerBaselineContainerHeap measures the pre-overhaul queue
 // discipline: one push + one pop through container/heap per event, with a
-// fresh allocation per event. Compare against BenchmarkSchedulerThroughput.
+// fresh allocation per event. It stays as the reference the 4-ary heap is
+// judged against: compare its ns/op with bench/'s sim.ns_per_event_d16.
 func BenchmarkSchedulerBaselineContainerHeap(b *testing.B) {
 	var q boxedQueue
 	heap.Init(&q)
@@ -388,20 +389,5 @@ func BenchmarkSchedulerBaselineContainerHeap(b *testing.B) {
 		ev := heap.Pop(&q).(*boxedEvent)
 		now = ev.at
 		ev.fn()
-	}
-}
-
-// BenchmarkSchedulerArmCancel measures the arm/cancel churn pattern of a
-// retransmission timer: every event is scheduled and then cancelled
-// before it can fire, exercising the eager-reap path.
-func BenchmarkSchedulerArmCancel(b *testing.B) {
-	s := NewScheduler(1)
-	tm := NewTimer(s, "rto")
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm.Arm(time.Millisecond, fn)
-		tm.Disarm()
 	}
 }

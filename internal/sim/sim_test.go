@@ -256,24 +256,6 @@ func TestRunUntilHorizonProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	s := NewScheduler(1)
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(time.Microsecond, "tick", tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.After(0, "tick", tick)
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // callLog is the receiver the AtCall tests schedule against.
 type callLog struct{ got []int }
 

@@ -390,13 +390,3 @@ func TestLossRecoveryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkBulkTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := newPair(b, int64(i+1), nil, nil)
-		got, _ := transfer(b, p, 256*1024, 60*time.Second)
-		if len(got) != 256*1024 {
-			b.Fatalf("received %d", len(got))
-		}
-	}
-}

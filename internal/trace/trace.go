@@ -36,7 +36,8 @@ func (e Entry) String() string {
 // Buffer is a bounded capture ring shared by any number of Taps.
 type Buffer struct {
 	cap     int
-	entries []Entry
+	entries []Entry // the ring: filled in order, then overwritten from head
+	head    int     // the oldest entry once the ring is full
 	dropped uint64
 }
 
@@ -49,27 +50,31 @@ func NewBuffer(capEntries int) *Buffer {
 	return &Buffer{cap: capEntries}
 }
 
+// add stores e, overwriting the oldest entry when the ring is full.
 func (b *Buffer) add(e Entry) {
-	if len(b.entries) >= b.cap {
-		copy(b.entries, b.entries[1:])
-		b.entries = b.entries[:len(b.entries)-1]
-		b.dropped++
+	if len(b.entries) < b.cap {
+		b.entries = append(b.entries, e)
+		return
 	}
-	b.entries = append(b.entries, e)
+	b.entries[b.head] = e
+	if b.head++; b.head == b.cap {
+		b.head = 0
+	}
+	b.dropped++
 }
 
 // Reset discards all captured entries and the eviction count, keeping
 // the buffer's capacity for reuse.
 func (b *Buffer) Reset() {
 	b.entries = b.entries[:0]
+	b.head = 0
 	b.dropped = 0
 }
 
-// Entries returns a copy of the captured entries in order.
+// Entries returns a copy of the captured entries, oldest first.
 func (b *Buffer) Entries() []Entry {
-	out := make([]Entry, len(b.entries))
-	copy(out, b.entries)
-	return out
+	out := make([]Entry, 0, len(b.entries))
+	return append(append(out, b.entries[b.head:]...), b.entries[:b.head]...)
 }
 
 // Dropped reports how many entries were evicted.
@@ -79,7 +84,7 @@ func (b *Buffer) Dropped() uint64 { return b.dropped }
 // substrings.
 func (b *Buffer) Filter(substrings ...string) []Entry {
 	var out []Entry
-	for _, e := range b.entries {
+	for _, e := range b.Entries() {
 		ok := true
 		for _, s := range substrings {
 			if !strings.Contains(e.Summary, s) && !strings.Contains(e.Node, s) && e.Dir != s {
@@ -97,7 +102,7 @@ func (b *Buffer) Filter(substrings ...string) []Entry {
 // Dump renders all entries, one per line.
 func (b *Buffer) Dump() string {
 	var sb strings.Builder
-	for _, e := range b.entries {
+	for _, e := range b.Entries() {
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,16 +58,34 @@ func TestTapCapturesBothDirections(t *testing.T) {
 }
 
 func TestBufferEviction(t *testing.T) {
-	buf := NewBuffer(3)
-	for i := 0; i < 5; i++ {
-		buf.add(Entry{FrameID: uint64(i)})
+	const capacity = 3
+	buf := NewBuffer(capacity)
+	for i := 0; i < 3*capacity; i++ {
+		buf.add(Entry{FrameID: uint64(i), Summary: fmt.Sprint("frame ", i)})
+		kept := min(i+1, capacity)
+		if got, want := buf.Dropped(), uint64(i+1-kept); got != want {
+			t.Fatalf("after %d adds: dropped = %d, want %d", i+1, got, want)
+		}
+		es := buf.Entries()
+		if len(es) != kept {
+			t.Fatalf("after %d adds: %d entries, want %d", i+1, len(es), kept)
+		}
+		for j, e := range es {
+			if want := uint64(i + 1 - kept + j); e.FrameID != want {
+				t.Fatalf("after %d adds: entry %d is frame %d, want %d (oldest first)", i+1, j, e.FrameID, want)
+			}
+		}
+		if f := buf.Filter("frame"); len(f) != kept || f[0].FrameID != es[0].FrameID {
+			t.Fatalf("after %d adds: Filter gave %+v, want the entries in order", i+1, f)
+		}
 	}
-	if buf.Dropped() != 2 {
-		t.Errorf("dropped = %d", buf.Dropped())
+	if first, _, _ := strings.Cut(buf.Dump(), "\n"); !strings.HasSuffix(first, "frame 6") {
+		t.Errorf("Dump starts %q, want the oldest entry, frame 6", first)
 	}
-	es := buf.Entries()
-	if len(es) != 3 || es[0].FrameID != 2 || es[2].FrameID != 4 {
-		t.Errorf("entries = %+v", es)
+	// An add into a full ring overwrites in place.
+	e := Entry{FrameID: 99, Summary: "s"}
+	if n := testing.AllocsPerRun(100, func() { buf.add(e) }); n != 0 {
+		t.Errorf("an add into a full buffer allocates %.0f times, want 0", n)
 	}
 }
 

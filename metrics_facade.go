@@ -190,9 +190,9 @@ func (n *Node) SnapshotLayers() []string {
 }
 
 // registerMetricSources wires every built layer into the registry with
-// the uniform Snapshot hook; called once from build(). The hosts' layer
-// hooks go in back to back, in node order: the report schema finds a
-// host's rows by those source indices.
+// the uniform Snapshot hook and creates the sampler start arms; called
+// once from build(). The hosts' layer hooks go in back to back, in node
+// order: the report schema finds a host's rows by those source indices.
 func (tb *Testbed) registerMetricSources() {
 	// One aggregate source each for the per-shard schedulers and pools.
 	// Counter sums are shard-count invariant (every event executes on
@@ -233,7 +233,6 @@ func (tb *Testbed) registerMetricSources() {
 			tb.cfg.MetricsSampleInterval, metrics.DefaultRingCapacity,
 			tb.sched.Now,
 			func(d time.Duration, fn func()) { tb.sched.After(d, "metrics.sample", fn) })
-		tb.sampler.Start()
 	}
 }
 

@@ -549,9 +549,6 @@ func (tb *Testbed) assemble() error {
 			a.host.Neighbors[b.ip] = b.mac
 		}
 	}
-	for _, name := range tb.retherRing {
-		tb.byName[name].rether.Start()
-	}
 	if tb.script != nil {
 		prog := tb.script.prog
 		ctlNode := tb.byName[plan.ctlName]
@@ -577,9 +574,8 @@ func (tb *Testbed) assemble() error {
 		}
 		tb.ctl = ctl
 	}
-	tb.recomputeShardLookahead()
-	tb.assignComponentRands(tb.cfg.Seed)
 	tb.registerMetricSources()
+	tb.start(tb.cfg.Seed)
 	return nil
 }
 
