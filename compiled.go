@@ -66,15 +66,6 @@ func (cs *CompiledScript) Scenario() string { return cs.prog.Name }
 // Source returns the FSL source the script was compiled from.
 func (cs *CompiledScript) Source() string { return cs.src }
 
-// NodeNames returns the NODE_TABLE host names in table order.
-func (cs *CompiledScript) NodeNames() []string {
-	out := make([]string, len(cs.prog.Nodes))
-	for i, nd := range cs.prog.Nodes {
-		out[i] = nd.Name
-	}
-	return out
-}
-
 // AddNodesFromCompiled creates one host per NODE_TABLE row of a compiled
 // script — AddNodesFromScript without the re-parse.
 func (tb *Testbed) AddNodesFromCompiled(cs *CompiledScript) error {
@@ -196,7 +187,9 @@ func (tb *Testbed) Reset(seed int64) error {
 	if tb.ctl != nil {
 		tb.ctl.Reset()
 	}
-	tb.reg.Reset()
+	for _, h := range tb.echoRTT {
+		h.Reset()
+	}
 	if tb.sampler != nil {
 		tb.sampler.Reset()
 	}

@@ -3,6 +3,7 @@ package virtualwire
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -96,11 +97,13 @@ func (r *identityRow) run(t *testing.T, tb *Testbed, viaCtx bool) []byte {
 	return reportBytes(t, rep)
 }
 
-// identityBaseline is a row's fresh run under one seed: its report bytes
-// and its work vector (see workOf).
+// identityBaseline is a row's fresh run under one seed: its report
+// bytes, its final readings (see gatherBytes) and its work vector (see
+// workOf).
 type identityBaseline struct {
-	bytes []byte
-	work  map[string]uint64
+	bytes  []byte
+	gather []byte
+	work   map[string]uint64
 }
 
 // identityBaselines memoizes fresh by row name and seed.
@@ -114,7 +117,7 @@ func (r *identityRow) fresh(t *testing.T, seed int64) identityBaseline {
 		return b
 	}
 	tb := r.build(t, seed, nil)
-	b := identityBaseline{r.run(t, tb, false), workOf(tb)}
+	b := identityBaseline{r.run(t, tb, false), gatherBytes(t, tb), workOf(tb)}
 	identityBaselines[key] = b
 	return b
 }
@@ -128,15 +131,34 @@ func (r *identityRow) variant(t *testing.T, column string, seeds []int64, change
 	t.Helper()
 	for _, seed := range seeds {
 		got := r.run(t, r.build(t, seed, change), viaCtx)
-		assertSameBytes(t, r, column, seed, got)
+		assertSameBytes(t, r, column, seed, r.baseline(t, seed), got)
 	}
 }
 
-// assertSameBytes fails the cell unless got is the row's baseline for
-// seed, naming the first report line that differs.
-func assertSameBytes(t *testing.T, r *identityRow, column string, seed int64, got []byte) {
+// gatherBytes is the testbed's final Gather, one JSON sample a line,
+// less the readings a warm pool moves (see warmPoolReading). It holds
+// what a report shows only as a count or leaves out: histogram buckets,
+// gauges, sources outside the node rows.
+func gatherBytes(t *testing.T, tb *Testbed) []byte {
 	t.Helper()
-	want := r.baseline(t, seed)
+	var b []byte
+	for _, s := range tb.Metrics().Gather() {
+		if warmPoolReading(s.Layer, s.Name) {
+			continue
+		}
+		line, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	return b
+}
+
+// assertSameBytes fails the cell unless got is want, the row's baseline
+// for seed, naming the first line that differs.
+func assertSameBytes(t *testing.T, r *identityRow, column string, seed int64, want, got []byte) {
+	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -151,13 +173,13 @@ func assertSameBytes(t *testing.T, r *identityRow, column string, seed int64, go
 		}
 		return []byte("(end of report)")
 	}
-	t.Fatalf("row %s, column %s, seed %d: report line %d differs\nbaseline: %s\n     got: %s%s",
+	t.Fatalf("row %s, column %s, seed %d: line %d differs\nbaseline: %s\n     got: %s%s",
 		r.name, column, seed, i+1, line(wl), line(gl), r.repro)
 }
 
 // TestResetMatchesFreshAcrossSeeds: one testbed, run under another seed
 // and then Reset to each of the row's seeds in turn, gives a fresh
-// testbed's bytes. The rewind allocates nothing, leaves no trunk mailbox
+// testbed's report bytes and final readings. The rewind allocates nothing, leaves no trunk mailbox
 // holding a frame, and restores every trunk to its build-time state. Wide
 // rows are rewound at four shards.
 func TestResetMatchesFreshAcrossSeeds(t *testing.T) {
@@ -188,7 +210,8 @@ func TestResetMatchesFreshAcrossSeeds(t *testing.T) {
 					t.Fatalf("seed %d: trunk %d holds %d undrained deposits after Reset", seed, i, n)
 				}
 			}
-			assertSameBytes(t, r, "reset", seed, r.run(t, tb, false))
+			assertSameBytes(t, r, "reset", seed, r.baseline(t, seed), r.run(t, tb, false))
+			assertSameBytes(t, r, "reset gather", seed, r.fresh(t, seed).gather, gatherBytes(t, tb))
 		}
 	})
 }
@@ -256,7 +279,7 @@ func TestSingleSwitchIsTheOneSwitchFabric(t *testing.T) {
 				if !bytes.Contains(got, []byte(`"switch/forwarded_frames"`)) || bytes.Contains(got, []byte(`"fabric/`)) {
 					t.Fatalf("%s: report does not carry the single switch's rows", column)
 				}
-				assertSameBytes(t, r, column, seed, got)
+				assertSameBytes(t, r, column, seed, r.baseline(t, seed), got)
 			}
 		}
 	})

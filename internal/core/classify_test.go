@@ -39,13 +39,20 @@ func fig2Program() *Program {
 	}
 }
 
-func tcpFrame(sport, dport uint16, seq, ack uint32, flags byte) *ether.Frame {
-	data := packet.BuildTCPFrame(
+// buildTCPFrame is a node1 → node2 TCP frame of fig2Program's hosts in
+// a fresh buffer.
+func buildTCPFrame(h packet.TCP, payload []byte) []byte {
+	data := make([]byte, packet.TCPFrameLen(len(payload)))
+	packet.PutTCPFrame(data,
 		packet.MAC{0, 0, 0, 0, 0, 1}, packet.MAC{0, 0, 0, 0, 0, 2},
-		packet.IP{192, 168, 1, 1}, packet.IP{192, 168, 1, 2},
+		packet.IP{192, 168, 1, 1}, packet.IP{192, 168, 1, 2}, h, payload)
+	return data
+}
+
+func tcpFrame(sport, dport uint16, seq, ack uint32, flags byte) *ether.Frame {
+	return &ether.Frame{Data: buildTCPFrame(
 		packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags},
-		[]byte("payload"))
-	return &ether.Frame{Data: data}
+		[]byte("payload"))}
 }
 
 func TestClassifierFirstMatchPriority(t *testing.T) {
@@ -139,9 +146,7 @@ func TestClassifierPayloadInsensitive(t *testing.T) {
 		// Strip the variable filters so state does not interfere.
 		p.Filters = p.Filters[2:]
 		c := NewClassifier(p)
-		data := packet.BuildTCPFrame(
-			packet.MAC{0, 0, 0, 0, 0, 1}, packet.MAC{0, 0, 0, 0, 0, 2},
-			packet.IP{192, 168, 1, 1}, packet.IP{192, 168, 1, 2},
+		data := buildTCPFrame(
 			packet.TCP{SrcPort: 0x6000, DstPort: 0x4000, Flags: packet.TCPAck | packet.TCPPsh},
 			make([]byte, int(n)+1))
 		for i := 54; i < len(data); i++ {

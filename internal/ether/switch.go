@@ -1,7 +1,6 @@
 package ether
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -166,9 +165,6 @@ func (sw *Switch) SetPortFailed(idx int, failed bool) {
 	sw.ports[idx].failed = failed
 }
 
-// PortFailed reports a port's failure state.
-func (sw *Switch) PortFailed(idx int) bool { return sw.ports[idx].failed }
-
 // SetDown crashes or restarts the whole switch. A down switch discards
 // every ingress frame and drops anything still in its forwarding
 // pipeline at fire time; frames already committed to egress queues
@@ -289,15 +285,6 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 // generator when unset.
 func (sw *Switch) SetPortRand(idx int, r *rand.Rand) {
 	sw.ports[idx].segment.setRand(r)
-}
-
-// PortStats returns the internal NIC stats for a port (for tests and
-// experiments that inspect queue drops).
-func (sw *Switch) PortStats(idx int) (Stats, error) {
-	if idx < 0 || idx >= len(sw.ports) {
-		return Stats{}, fmt.Errorf("switch: no port %d", idx)
-	}
-	return sw.ports[idx].nic.Stats, nil
 }
 
 // PortQueueDrops sums the egress-queue drops over the switch's ports

@@ -8,25 +8,6 @@ import (
 	"time"
 )
 
-func TestCounterMonotone(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(2.5)
-	c.Add(-10) // ignored: counters never decrease
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter = %v, want 3.5", got)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %v, want 4", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
@@ -42,29 +23,31 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := h.Buckets(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("buckets = %+v, want %+v", got, want)
 	}
+	h.Reset()
+	h.Observe(5)
+	want = []Bucket{{Le: 1, Count: 0}, {Le: 10, Count: 1}, {Le: 100, Count: 1}}
+	if got := h.Buckets(); h.Count() != 1 || h.Sum() != 5 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Reset and one sample: count %d, sum %v, buckets %+v", h.Count(), h.Sum(), got)
+	}
 }
 
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n1", "nic", "tx")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on kind mismatch")
-		}
-	}()
-	r.Gauge("n1", "nic", "tx")
+// reading registers a source that reports one fixed reading.
+func reading(r *Registry, node, layer, name string, kind Kind, v float64) {
+	r.RegisterSource(node, layer, func(s *Snapshot) {
+		s.Values = append(s.Values, SnapshotValue{Name: name, Kind: kind, Value: v})
+	})
 }
 
-// TestGatherDeterministic registers the same instruments and sources in
-// two different orders and requires byte-identical Gather output — the
-// property that keeps sampled series reproducible across runs.
+// TestGatherDeterministic registers the same sources in two different
+// orders and requires byte-identical Gather output — the property that
+// keeps sampled series reproducible across runs.
 func TestGatherDeterministic(t *testing.T) {
 	build := func(reverse bool) *Registry {
 		r := NewRegistry()
 		ops := []func(){
-			func() { r.Counter("node1", "nic", "tx_frames").Add(3) },
-			func() { r.Gauge("node2", "tcp", "cwnd_segments").Set(8) },
-			func() { r.Counter("node1", "engine", "drops").Add(1) },
+			func() { reading(r, "node1", "nic", "tx_frames", KindCounter, 3) },
+			func() { reading(r, "node2", "tcp", "cwnd_segments", KindGauge, 8) },
+			func() { reading(r, "node1", "engine", "drops", KindCounter, 1) },
 			func() {
 				r.RegisterSource("node2", "rll", func(s *Snapshot) {
 					s.Counter("data_sent", 9)
@@ -142,25 +125,21 @@ func (f *fakeClock) runUntil(horizon time.Duration) {
 	}
 }
 
-// TestVisitOrder pins the walk Visit makes: direct instruments in key
-// order whatever order they were registered in (a later registration is
-// picked up by the next walk), then sources in registration order;
-// histograms report value 0; the return value counts every reading.
+// TestVisitOrder pins the walk Visit makes: sources in registration
+// order, each with its readings in the order it appended them, a
+// histogram as value 0; a later registration is picked up by the next
+// walk, and the return value counts every reading.
 func TestVisitOrder(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterSource("node2", "rll", func(s *Snapshot) {
 		s.Counter("data_sent", 9)
 		s.Gauge("inflight_frames", 2)
 	})
-	r.Gauge("node2", "tcp", "cwnd_segments").Set(8)
-	r.Counter("node1", "nic", "tx_frames").Add(0.25)
 	r.RegisterSource("node1", "nic", func(s *Snapshot) {
 		s.Counter("rx_frames", 4)
 	})
 	walk := func() (keys []string, n int) {
-		n = r.Visit(func(k Key, kind Kind, v float64) {
-			keys = append(keys, fmt.Sprintf("%s/%s/%s %v %v", k.Node, k.Layer, k.Name, kind, v))
-		}, func(i int, node, layer string, readings []SnapshotValue) {
+		n = r.Visit(func(i int, node, layer string, readings []SnapshotValue) {
 			for _, v := range readings {
 				keys = append(keys, fmt.Sprintf("%d:%s/%s/%s %v %v", i, node, layer, v.Name, v.Kind, v.Value))
 			}
@@ -169,8 +148,6 @@ func TestVisitOrder(t *testing.T) {
 	}
 	got, n := walk()
 	want := []string{
-		"node1/nic/tx_frames counter 0.25",
-		"node2/tcp/cwnd_segments gauge 8",
 		"0:node2/rll/data_sent counter 9",
 		"0:node2/rll/inflight_frames gauge 2",
 		"1:node1/nic/rx_frames counter 4",
@@ -178,9 +155,11 @@ func TestVisitOrder(t *testing.T) {
 	if n != len(want) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Visit walked %d readings:\n%q\nwant\n%q", n, got, want)
 	}
-	r.Histogram("node1", "app", "lat", []float64{1}).Observe(3)
+	h := NewHistogram([]float64{1})
+	h.Observe(3)
+	r.RegisterSource("node1", "app", func(s *Snapshot) { s.Histogram("lat", h) })
 	got, n = walk()
-	want = append([]string{"node1/app/lat histogram 0"}, want...)
+	want = append(want, "2:node1/app/lat histogram 0")
 	if n != len(want) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a registration Visit walked %d readings:\n%q\nwant\n%q", n, got, want)
 	}
@@ -192,13 +171,14 @@ func TestVisitOrder(t *testing.T) {
 func TestSamplerIntervalMath(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRegistry()
-	c := r.Counter("n1", "sim", "ticks")
+	var ticks uint64
+	r.RegisterSource("n1", "sim", func(s *Snapshot) { s.Counter("ticks", ticks) })
 	s := NewSampler(r, 10*time.Millisecond, 0, func() time.Duration { return clk.now }, clk.schedule)
 	s.Start()
 	// Bump the counter on its own cadence so points differ.
 	var bump func()
 	bump = func() {
-		c.Inc()
+		ticks++
 		clk.schedule(10*time.Millisecond, bump)
 	}
 	clk.schedule(0, bump)
@@ -251,7 +231,7 @@ func TestSamplerRingOverwrite(t *testing.T) {
 
 func TestWriteJSONGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("node1", "nic", "tx_frames").Add(2)
+	reading(r, "node1", "nic", "tx_frames", KindCounter, 2)
 	ser := Series{
 		Interval: 10 * time.Millisecond,
 		Points:   []Point{{At: 10 * time.Millisecond, Samples: r.Gather()}},
@@ -297,8 +277,9 @@ func TestWriteJSONGolden(t *testing.T) {
 
 func TestWriteCSVGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("node1", "nic", "tx_frames").Add(2)
-	h := r.Histogram("node1", "workload", "rtt_seconds", []float64{0.001})
+	reading(r, "node1", "nic", "tx_frames", KindCounter, 2)
+	h := NewHistogram([]float64{0.001})
+	r.RegisterSource("node1", "workload", func(s *Snapshot) { s.Histogram("rtt_seconds", h) })
 	h.Observe(0.0005)
 	ser := Series{FinalAt: time.Second, Final: r.Gather()}
 	var b strings.Builder
@@ -316,9 +297,10 @@ func TestWriteCSVGolden(t *testing.T) {
 
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("node1", "nic", "tx_frames").Add(2)
-	r.Gauge("node2", "tcp", "cwnd_segments").Set(8)
-	h := r.Histogram("node1", "workload", "rtt_seconds", []float64{0.001, 0.01})
+	reading(r, "node1", "nic", "tx_frames", KindCounter, 2)
+	reading(r, "node2", "tcp", "cwnd_segments", KindGauge, 8)
+	h := NewHistogram([]float64{0.001, 0.01})
+	r.RegisterSource("node1", "workload", func(s *Snapshot) { s.Histogram("rtt_seconds", h) })
 	h.Observe(0.0005)
 	h.Observe(0.5)
 	var b strings.Builder
@@ -343,8 +325,8 @@ vw_tcp_cwnd_segments{node="node2",layer="tcp"} 8
 // scrapers expect.
 func TestPrometheusLineShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("node1", "nic", "tx-frames.total").Add(1) // needs sanitizing
-	r.Gauge("testbed", "scheduler", "events_pending").Set(3)
+	reading(r, "node1", "nic", "tx-frames.total", KindCounter, 1) // needs sanitizing
+	reading(r, "testbed", "scheduler", "events_pending", KindGauge, 3)
 	var b strings.Builder
 	if err := WritePrometheus(&b, r.Gather()); err != nil {
 		t.Fatal(err)
@@ -383,7 +365,6 @@ func promLineOK(line string) bool {
 // empty snapshot each time — never a previous source's readings.
 func TestWalksReuseOneScratch(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("n0", "app", "direct").Add(1)
 	const sources = 50
 	for i := 0; i < sources; i++ {
 		i := i
@@ -398,7 +379,7 @@ func TestWalksReuseOneScratch(t *testing.T) {
 	var sum float64
 	visit := func() {
 		sum = 0
-		r.Visit(func(Key, Kind, float64) {}, func(_ int, _, _ string, readings []SnapshotValue) {
+		r.Visit(func(_ int, _, _ string, readings []SnapshotValue) {
 			for _, v := range readings {
 				sum += v.Value
 			}
@@ -414,7 +395,7 @@ func TestWalksReuseOneScratch(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { r.Gather() }); n > 4 {
 		t.Errorf("Gather over %d sources allocates %v times", sources, n)
 	}
-	if got := len(r.Gather()); got != 1+2*sources {
-		t.Errorf("Gather returned %d samples, want %d", got, 1+2*sources)
+	if got := len(r.Gather()); got != 2*sources {
+		t.Errorf("Gather returned %d samples, want %d", got, 2*sources)
 	}
 }

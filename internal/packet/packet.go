@@ -360,14 +360,6 @@ func PutTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload [
 	copy(b[OffIPHeader+IPv4HeaderLen+TCPHeaderLen:], payload)
 }
 
-// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame in a fresh
-// buffer (tests and tools; the stacks write into pooled frames).
-func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) []byte {
-	b := make([]byte, TCPFrameLen(len(payload)))
-	PutTCPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
-	return b
-}
-
 // UDPFrameLen is the length of an Ethernet+IPv4+UDP frame carrying
 // payloadLen bytes.
 func UDPFrameLen(payloadLen int) int {

@@ -153,6 +153,22 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 }
 
+// buildTCPFrame assembles a complete Ethernet+IPv4+TCP frame in a fresh
+// buffer; the stacks write into pooled frames with PutTCPFrame.
+func buildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) []byte {
+	b := make([]byte, TCPFrameLen(len(payload)))
+	PutTCPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
+	return b
+}
+
+// buildRetherFrame assembles a complete Rether control frame in a fresh
+// buffer; the layer writes into pooled frames with PutRetherFrame.
+func buildRetherFrame(src, dst MAC, h Rether, payload []byte) []byte {
+	b := make([]byte, RetherFrameLen(len(payload)))
+	PutRetherFrame(b, src, dst, h, payload)
+	return b
+}
+
 // TestPaperFilterOffsets verifies the frame offsets the paper's FSL
 // scripts rely on: a TCP frame built for the Figure 5 experiment must
 // match (34 2 0x6000), (36 2 0x4000), (47 1 0x10 0x10) at exactly those
@@ -160,7 +176,7 @@ func TestUDPRoundTrip(t *testing.T) {
 func TestPaperFilterOffsets(t *testing.T) {
 	srcMAC := MAC{0x00, 0x46, 0x61, 0xaf, 0xfe, 0x23}
 	dstMAC := MAC{0x00, 0x23, 0x31, 0xdf, 0xaf, 0x12}
-	fr := BuildTCPFrame(srcMAC, dstMAC, IP{192, 168, 1, 1}, IP{192, 168, 1, 2},
+	fr := buildTCPFrame(srcMAC, dstMAC, IP{192, 168, 1, 1}, IP{192, 168, 1, 2},
 		TCP{SrcPort: 0x6000, DstPort: 0x4000, Seq: 0x11223344, Ack: 0x55667788, Flags: TCPAck},
 		[]byte("payload"))
 
@@ -189,7 +205,7 @@ func TestPaperFilterOffsets(t *testing.T) {
 // TestRetherFilterOffsets checks the Figure 6 filter offsets:
 // tr_token: (12 2 0x9900), (14 2 0x0001).
 func TestRetherFilterOffsets(t *testing.T) {
-	fr := BuildRetherFrame(MAC{1}, MAC{2}, Rether{Type: RetherToken, TokenSeq: 9, Origin: 1}, nil)
+	fr := buildRetherFrame(MAC{1}, MAC{2}, Rether{Type: RetherToken, TokenSeq: 9, Origin: 1}, nil)
 	if got := uint16(fr[12])<<8 | uint16(fr[13]); got != 0x9900 {
 		t.Errorf("frame[12:14] = 0x%04x, want 0x9900", got)
 	}
@@ -301,13 +317,13 @@ func TestMACRoundTripProperty(t *testing.T) {
 func BenchmarkBuildTCPFrame(b *testing.B) {
 	payload := make([]byte, 1400)
 	for i := 0; i < b.N; i++ {
-		BuildTCPFrame(MAC{1}, MAC{2}, IP{10, 0, 0, 1}, IP{10, 0, 0, 2},
+		buildTCPFrame(MAC{1}, MAC{2}, IP{10, 0, 0, 1}, IP{10, 0, 0, 2},
 			TCP{SrcPort: 1, DstPort: 2, Seq: uint32(i)}, payload)
 	}
 }
 
 func BenchmarkDecodeTCPFrame(b *testing.B) {
-	fr := BuildTCPFrame(MAC{1}, MAC{2}, IP{10, 0, 0, 1}, IP{10, 0, 0, 2},
+	fr := buildTCPFrame(MAC{1}, MAC{2}, IP{10, 0, 0, 1}, IP{10, 0, 0, 2},
 		TCP{SrcPort: 1, DstPort: 2}, make([]byte, 1400))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -75,14 +75,6 @@ func PutRetherFrame(b []byte, src, dst MAC, h Rether, payload []byte) {
 	copy(b[EthHeaderLen+RetherHeaderLen:], payload)
 }
 
-// BuildRetherFrame assembles a complete Rether control frame in a fresh
-// buffer (tests and tools; the layer writes into pooled frames).
-func BuildRetherFrame(src, dst MAC, h Rether, payload []byte) []byte {
-	b := make([]byte, RetherFrameLen(len(payload)))
-	PutRetherFrame(b, src, dst, h, payload)
-	return b
-}
-
 // RetherTypeName names a Rether control-packet type for traces.
 func RetherTypeName(t uint16) string {
 	switch t {

@@ -88,12 +88,6 @@ func (b *Base) SetBelow(d Down) { b.below = d }
 // SetAbove implements Layer.
 func (b *Base) SetAbove(u Up) { b.above = u }
 
-// Below returns the lower neighbour (nil before wiring).
-func (b *Base) Below() Down { return b.below }
-
-// Above returns the upper neighbour (nil before wiring).
-func (b *Base) Above() Up { return b.above }
-
 // PassDown forwards a frame to the lower neighbour if wired.
 func (b *Base) PassDown(fr *ether.Frame) {
 	if b.below != nil {

@@ -189,7 +189,8 @@ func TestRegisterRaw(t *testing.T) {
 	s, h1, h2 := newPair(t, 8)
 	got := 0
 	h2.IPv4.RegisterRaw(packet.EtherTypeRether, func(fr *ether.Frame) { got++ })
-	fr := packet.BuildRetherFrame(h1.MAC, h2.MAC, packet.Rether{Type: packet.RetherToken}, nil)
+	fr := make([]byte, packet.RetherFrameLen(0))
+	packet.PutRetherFrame(fr, h1.MAC, h2.MAC, packet.Rether{Type: packet.RetherToken}, nil)
 	h1.SendFrame(&ether.Frame{Data: fr})
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"virtualwire/internal/ether"
-	"virtualwire/internal/sim"
-	"virtualwire/internal/stack"
 )
 
 // pcap export: captures can be written in the classic libpcap file format
@@ -69,71 +65,3 @@ func (p *PcapWriter) WriteFrame(at time.Duration, data []byte) error {
 
 // Frames reports how many frames have been written.
 func (p *PcapWriter) Frames() int { return p.written }
-
-// PcapTap is a stack.Layer that writes every traversing frame straight
-// into a PcapWriter (one capture point, like tcpdump on one interface).
-type PcapTap struct {
-	base  stack.Base
-	sched *sim.Scheduler
-	pw    *PcapWriter
-	// Err records the first write failure (the tap never blocks the
-	// data path on I/O errors).
-	Err error
-}
-
-var _ stack.Layer = (*PcapTap)(nil)
-
-// NewPcapTap returns a capture layer writing to pw.
-func NewPcapTap(sched *sim.Scheduler, pw *PcapWriter) *PcapTap {
-	return &PcapTap{sched: sched, pw: pw}
-}
-
-// SetBelow implements stack.Layer.
-func (t *PcapTap) SetBelow(d stack.Down) { t.base.SetBelow(d) }
-
-// SetAbove implements stack.Layer.
-func (t *PcapTap) SetAbove(u stack.Up) { t.base.SetAbove(u) }
-
-// SendDown implements stack.Layer.
-func (t *PcapTap) SendDown(fr *ether.Frame) {
-	t.capture(fr)
-	t.base.PassDown(fr)
-}
-
-// DeliverUp implements stack.Layer.
-func (t *PcapTap) DeliverUp(fr *ether.Frame) {
-	t.capture(fr)
-	t.base.PassUp(fr)
-}
-
-func (t *PcapTap) capture(fr *ether.Frame) {
-	if t.Err != nil {
-		return
-	}
-	if err := t.pw.WriteFrame(t.sched.Now(), fr.Data); err != nil {
-		t.Err = err
-	}
-}
-
-// WritePcap dumps a recorded Buffer's entries as pcap. Buffer entries do
-// not retain frame bytes, so this writes truncated records carrying only
-// the lengths — prefer a live PcapTap for full payloads. Provided for
-// post-hoc length/timing analysis in external tools.
-func WritePcap(w io.Writer, entries []Entry) error {
-	pw, err := NewPcapWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		hdr := make([]byte, 16)
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(e.At/time.Second))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32((e.At%time.Second)/time.Microsecond))
-		binary.LittleEndian.PutUint32(hdr[8:], 0) // no bytes captured
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(e.Len))
-		if _, err := pw.w.Write(hdr); err != nil {
-			return err
-		}
-		pw.written++
-	}
-	return nil
-}

@@ -109,22 +109,31 @@ func (b *Buffer) Dump() string {
 	return sb.String()
 }
 
-// Tap is a stack.Layer that records every frame passing through it into a
-// Buffer, without modifying or delaying anything.
+// Tap is a stack.Layer that captures every frame passing through it,
+// without modifying or delaying anything: as a trace entry into a
+// Buffer, as a libpcap record into a PcapWriter (one capture point, like
+// tcpdump on one interface), or both.
 type Tap struct {
 	base  stack.Base
 	sched *sim.Scheduler
 	node  string
-	buf   *Buffer
+	buf   *Buffer     // nil: no trace
+	pw    *PcapWriter // nil: no capture
+	err   error       // the first capture write failure
 }
 
 var _ stack.Layer = (*Tap)(nil)
 
-// NewTap returns a capture layer writing to buf under the given node
-// label.
-func NewTap(sched *sim.Scheduler, node string, buf *Buffer) *Tap {
-	return &Tap{sched: sched, node: node, buf: buf}
+// NewTap returns a capture layer that records into buf under the given
+// node label and writes to pw; either may be nil.
+func NewTap(sched *sim.Scheduler, node string, buf *Buffer, pw *PcapWriter) *Tap {
+	return &Tap{sched: sched, node: node, buf: buf, pw: pw}
 }
+
+// Err reports the first capture write failure. The tap never blocks the
+// data path on I/O: after a failure it writes no more records and keeps
+// the error for its owner to report.
+func (t *Tap) Err() error { return t.err }
 
 // SetBelow implements stack.Layer.
 func (t *Tap) SetBelow(d stack.Down) { t.base.SetBelow(d) }
@@ -134,25 +143,30 @@ func (t *Tap) SetAbove(u stack.Up) { t.base.SetAbove(u) }
 
 // SendDown implements stack.Layer.
 func (t *Tap) SendDown(fr *ether.Frame) {
-	t.record(fr, "send")
+	t.capture(fr, "send")
 	t.base.PassDown(fr)
 }
 
 // DeliverUp implements stack.Layer.
 func (t *Tap) DeliverUp(fr *ether.Frame) {
-	t.record(fr, "recv")
+	t.capture(fr, "recv")
 	t.base.PassUp(fr)
 }
 
-func (t *Tap) record(fr *ether.Frame, dir string) {
-	t.buf.add(Entry{
-		At:      t.sched.Now(),
-		Node:    t.node,
-		Dir:     dir,
-		FrameID: fr.ID,
-		Len:     len(fr.Data),
-		Summary: Summarize(fr),
-	})
+func (t *Tap) capture(fr *ether.Frame, dir string) {
+	if t.buf != nil {
+		t.buf.add(Entry{
+			At:      t.sched.Now(),
+			Node:    t.node,
+			Dir:     dir,
+			FrameID: fr.ID,
+			Len:     len(fr.Data),
+			Summary: Summarize(fr),
+		})
+	}
+	if t.pw != nil && t.err == nil {
+		t.err = t.pw.WriteFrame(t.sched.Now(), fr.Data)
+	}
 }
 
 // Summarize decodes a frame into a one-line description covering every

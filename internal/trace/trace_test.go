@@ -23,8 +23,8 @@ func TestTapCapturesBothDirections(t *testing.T) {
 	bus.Attach(h1.NIC)
 	bus.Attach(h2.NIC)
 	buf := NewBuffer(0)
-	h1.Build(NewTap(s, "node1", buf))
-	h2.Build(NewTap(s, "node2", buf))
+	h1.Build(NewTap(s, "node1", buf, nil))
+	h2.Build(NewTap(s, "node2", buf, nil))
 
 	srv, _ := h2.UDP.Bind(7)
 	srv.OnDatagram = func(src packet.IP, sp uint16, p []byte) {
@@ -91,13 +91,15 @@ func TestBufferEviction(t *testing.T) {
 
 func TestSummarizeProtocols(t *testing.T) {
 	mac1, mac2 := packet.MAC{1}, packet.MAC{2}
-	tcpFrame := packet.BuildTCPFrame(mac1, mac2, packet.IP{10, 0, 0, 1}, packet.IP{10, 0, 0, 2},
+	tcpFrame := make([]byte, packet.TCPFrameLen(0))
+	packet.PutTCPFrame(tcpFrame, mac1, mac2, packet.IP{10, 0, 0, 1}, packet.IP{10, 0, 0, 2},
 		packet.TCP{SrcPort: 0x6000, DstPort: 0x4000, Seq: 7, Flags: packet.TCPSyn}, nil)
 	got := Summarize(&ether.Frame{Data: tcpFrame})
 	if !strings.Contains(got, "tcp") || !strings.Contains(got, "[S]") {
 		t.Errorf("tcp summary %q", got)
 	}
-	rtFrame := packet.BuildRetherFrame(mac1, mac2, packet.Rether{Type: packet.RetherToken, TokenSeq: 3}, nil)
+	rtFrame := make([]byte, packet.RetherFrameLen(0))
+	packet.PutRetherFrame(rtFrame, mac1, mac2, packet.Rether{Type: packet.RetherToken, TokenSeq: 3}, nil)
 	got = Summarize(&ether.Frame{Data: rtFrame})
 	if !strings.Contains(got, "rether token seq=3") {
 		t.Errorf("rether summary %q", got)

@@ -65,33 +65,3 @@ func TestLaunchDeadlineReportsUnreachable(t *testing.T) {
 		t.Error("controller metrics source not registered")
 	}
 }
-
-// TestLaunchKnobsForwarded: the facade's retry knobs reach the controller
-// and a healthy testbed still launches with tight ones.
-func TestLaunchKnobsForwarded(t *testing.T) {
-	tb, err := New(Config{
-		Seed:                6,
-		LaunchRetryInterval: 5 * time.Millisecond,
-		LaunchMaxAttempts:   3,
-		LaunchDeadline:      500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	if err := tb.AddNodesFromScript(launchScript); err != nil {
-		t.Fatalf("nodes: %v", err)
-	}
-	if err := tb.LoadScript(launchScript); err != nil {
-		t.Fatalf("script: %v", err)
-	}
-	rep, err := tb.Run(time.Second)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !rep.Result.Started || rep.Result.LaunchFailed {
-		t.Fatalf("healthy testbed failed to launch: %+v", rep.Result)
-	}
-	if len(rep.Unreachable) != 0 {
-		t.Errorf("Unreachable = %v on a healthy launch", rep.Unreachable)
-	}
-}

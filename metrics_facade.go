@@ -14,7 +14,7 @@ import (
 // Metrics aliases re-exported so callers can consume the observability
 // layer without importing internal packages.
 type (
-	// MetricsRegistry is the testbed's live instrument registry (see
+	// MetricsRegistry is the testbed's live registry of pull sources (see
 	// Testbed.Metrics).
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is one layer's instrument readings (see
@@ -32,10 +32,9 @@ type (
 // (the scheduler and the medium).
 const MetricsNode = "testbed"
 
-// Metrics returns the live instrument registry. Layer sources are
-// registered when the testbed is built (first Run or RunFor); direct
-// instruments (for example workload histograms) may be created on it at
-// any time.
+// Metrics returns the live registry of pull sources. Layer sources are
+// registered when the testbed is built (first Run or RunFor), an echo
+// client's RTT histogram when its first workload starts.
 func (tb *Testbed) Metrics() *MetricsRegistry { return tb.reg }
 
 // MetricsSeries returns the run's sampled time series (empty unless
@@ -48,18 +47,6 @@ func (tb *Testbed) MetricsSeries() MetricsSeries {
 		s.Points = tb.sampler.Points()
 	}
 	return s
-}
-
-// WriteMetricsJSON writes a series as indented JSON.
-func WriteMetricsJSON(w io.Writer, s MetricsSeries) error { return metrics.WriteJSON(w, s) }
-
-// WriteMetricsCSV writes a series in long CSV format.
-func WriteMetricsCSV(w io.Writer, s MetricsSeries) error { return metrics.WriteCSV(w, s) }
-
-// WriteMetricsPrometheus writes samples in the Prometheus text
-// exposition format (one name{node=...,layer=...} value line each).
-func WriteMetricsPrometheus(w io.Writer, samples []MetricsSample) error {
-	return metrics.WritePrometheus(w, samples)
 }
 
 // MetricsSummary condenses the registry at run end for the RunReport.

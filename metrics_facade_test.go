@@ -224,10 +224,9 @@ type visitReading struct {
 // TestRegistryVisitMatchesGather is the property behind the sort-free
 // run digest: on a bus, a single switch and a two-shard fat-tree,
 // after real traffic, Visit yields exactly Gather's multiset of (node,
-// layer, name, kind, value) and the same reading count — direct
-// instruments included, one of them a non-integer counter — and the
-// digest built on it is the one Gather-then-sum gives, with bit-equal
-// float sums on every repeat.
+// layer, name, kind, value) and the same reading count, and the digest
+// built on it is the one Gather-then-sum gives, the same on every
+// repeat.
 func TestRegistryVisitMatchesGather(t *testing.T) {
 	fattree := Config{Seed: 5, Shards: 2, Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 4}}
 	cases := map[string]func(t *testing.T) *Testbed{
@@ -244,15 +243,6 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			tb := build(t)
-			// Direct instruments of every kind, registered out of key
-			// order; 0.1 and 0.7 do not sum exactly, so the order of the
-			// walk is visible in the total's bits.
-			first := tb.Nodes()[0].Name()
-			tb.Metrics().Counter("zz", "probe", "score").Add(0.7)
-			tb.Metrics().Counter(first, "probe", "score").Add(0.1)
-			tb.Metrics().Counter("mm", "probe", "score").Add(1e-9)
-			tb.Metrics().Gauge(first, "probe", "level").Set(-2.5)
-			tb.Metrics().Histogram(first, "probe", "lat", []float64{1, 2}).Observe(1.5)
 			rep, err := tb.Run(30 * time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -264,9 +254,7 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 				want = append(want, visitReading{s.Node, s.Layer, s.Name, s.Kind, s.Value})
 			}
 			var got []visitReading
-			n := tb.Metrics().Visit(func(k metrics.Key, kind metrics.Kind, v float64) {
-				got = append(got, visitReading{k.Node, k.Layer, k.Name, kind, v})
-			}, func(_ int, node, layer string, readings []metrics.SnapshotValue) {
+			n := tb.Metrics().Visit(func(_ int, node, layer string, readings []metrics.SnapshotValue) {
 				for _, r := range readings {
 					got = append(got, visitReading{node, layer, r.Name, r.Kind, r.Value})
 				}
@@ -298,10 +286,10 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 			}
 
 			// The digest: same keys as Gather-then-sum; integer counters
-			// (everything the layers report) sum exactly in any order.
+			// (the only kind Snapshot.Counter reports) sum exactly in any
+			// order.
 			for _, r := range want {
-				if r.kind == metrics.KindCounter && !(r.layer == "pool" && r.name == "hits") &&
-					!(r.layer == "scheduler" && r.name == "events_recycled") {
+				if r.kind == metrics.KindCounter && !warmPoolReading(r.layer, r.name) {
 					wantTotals[r.layer+"/"+r.name] += r.value
 				}
 			}
@@ -309,20 +297,13 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 				t.Fatalf("digest has %d totals, Gather-then-sum %d", len(rep.Metrics.Totals), len(wantTotals))
 			}
 			for k, v := range wantTotals {
-				if got := rep.Metrics.Totals[k]; got != v && k != "probe/score" {
+				if got := rep.Metrics.Totals[k]; got != v {
 					t.Errorf("total %s = %v, Gather-then-sum %v", k, got, v)
 				}
 			}
-			// The non-integer sum is whatever the walk order makes it —
-			// and the same bits every time.
-			score := rep.Metrics.Totals["probe/score"]
-			if score < 0.8 || score > 0.80001 {
-				t.Errorf("probe/score = %v, want ~0.8", score)
-			}
 			for i := 0; i < 3; i++ {
-				_, sum := tb.gatherReport()
-				if again := sum.Totals["probe/score"]; again != score {
-					t.Fatalf("probe/score changed between digests: %x vs %x", again, score)
+				if _, sum := tb.gatherReport(); !reflect.DeepEqual(sum.Totals, rep.Metrics.Totals) {
+					t.Fatalf("the digest changed between walks: %v vs %v", sum.Totals, rep.Metrics.Totals)
 				}
 			}
 		})

@@ -665,8 +665,8 @@ func (r RunReport) Text() string {
 // computed once and a run-end report is one pass that stores and adds
 // floats by index — no name is compared, hashed or sorted per reading.
 // The walk checks every reading against its slot as it goes and
-// gatherReport rebuilds the tables when one does not fit: an instrument
-// or a source was registered since.
+// gatherReport rebuilds the tables when one does not fit: a source was
+// registered since.
 type reportSchema struct {
 	// rows is every node's layer rows back to back, each node's sorted
 	// by layer, with Names set (sorted) and Values unset; row i's values
@@ -676,7 +676,6 @@ type reportSchema struct {
 	rowVals  []int
 	nodeRows []int
 
-	insts   []instSlot    // direct instruments, in Visit order
 	sources []sourceSlots // pull sources, in registration order
 
 	// totalKeys[i] is the "layer/name" key of MetricsSummary.Totals that
@@ -687,18 +686,11 @@ type reportSchema struct {
 	totals     []float64 // per-run scratch
 }
 
-// instSlot places one direct instrument: it only counts toward a total.
-type instSlot struct {
-	layer, name string
-	kind        metrics.Kind
-	total       int // slot in totals; -1 for a reading the digest leaves out
-}
-
 // readingSlot places one reading of a pull source.
 type readingSlot struct {
 	name  string
 	kind  metrics.Kind
-	total int // as instSlot.total
+	total int // slot in totals; -1 for a reading the digest leaves out
 	pos   int // position among its layer row's sorted names
 }
 
@@ -710,19 +702,29 @@ type sourceSlots struct {
 	vals     int // index in the value array of the source's layer row; -1 when it has none
 }
 
+// warmPoolReading names the readings that depend on whether the run
+// started from a fresh or a reused (Reset) testbed — the free lists of
+// the frame pools and of the scheduler's events, the only observables
+// the warm pools change: their hits and their lengths. The digest leaves
+// them out, which keeps RunReports bit-identical across the two paths;
+// the full readings stay available from Metrics()/MetricsSeries.
+func warmPoolReading(layer, name string) bool {
+	switch layer {
+	case "pool":
+		return name == "hits" || name == "free_frames"
+	case "scheduler":
+		return name == "events_recycled" || name == "free_list_len"
+	}
+	return false
+}
+
 // buildReportSchema computes the slot tables from a walk of the registry
 // as it stands.
 func (tb *Testbed) buildReportSchema() {
 	sc := reportSchema{}
 	slotOf := make(map[[2]string]int)
 	totalSlot := func(layer, name string, kind metrics.Kind) int {
-		// Free-list hit counters depend on whether the run started from a
-		// fresh or a reused (Reset) testbed — the only observable the warm
-		// pools change. Excluding them keeps RunReports bit-identical
-		// across the two paths; the full readings stay available from
-		// Metrics()/MetricsSeries.
-		if kind != metrics.KindCounter || (layer == "pool" && name == "hits") ||
-			(layer == "scheduler" && name == "events_recycled") {
+		if kind != metrics.KindCounter || warmPoolReading(layer, name) {
 			return -1
 		}
 		k := [2]string{layer, name}
@@ -747,10 +749,7 @@ func (tb *Testbed) buildReportSchema() {
 	}
 	layers := make(map[string]layerTable)
 	ni := 0 // the node whose hooks the walk has reached
-	tb.reg.Visit(func(k metrics.Key, kind metrics.Kind, _ float64) {
-		sc.insts = append(sc.insts, instSlot{layer: k.Layer, name: k.Name, kind: kind,
-			total: totalSlot(k.Layer, k.Name, kind)})
-	}, func(i int, node, layer string, readings []metrics.SnapshotValue) {
+	tb.reg.Visit(func(i int, node, layer string, readings []metrics.SnapshotValue) {
 		// The hosts' layer hooks, registered back to back and in node
 		// order by registerMetricSources, fill the node rows; any other
 		// source under a host's name only counts toward the digest.
@@ -847,20 +846,8 @@ func (tb *Testbed) walkReport() (vals []float64, n int, ok bool) {
 		totals[i] = 0
 	}
 	ok = true
-	insts, sources := 0, 0
-	n = tb.reg.Visit(func(k metrics.Key, kind metrics.Kind, v float64) {
-		insts++
-		if insts > len(sc.insts) {
-			ok = false
-			return
-		}
-		s := &sc.insts[insts-1]
-		if s.layer != k.Layer || s.name != k.Name || s.kind != kind {
-			ok = false
-		} else if s.total >= 0 {
-			totals[s.total] += v
-		}
-	}, func(i int, _, _ string, readings []metrics.SnapshotValue) {
+	sources := 0
+	n = tb.reg.Visit(func(i int, _, _ string, readings []metrics.SnapshotValue) {
 		sources++
 		if i >= len(sc.sources) || len(readings) != len(sc.sources[i].readings) {
 			ok = false
@@ -881,5 +868,5 @@ func (tb *Testbed) walkReport() (vals []float64, n int, ok bool) {
 			}
 		}
 	})
-	return vals, n, ok && insts == len(sc.insts) && sources == len(sc.sources)
+	return vals, n, ok && sources == len(sc.sources)
 }

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"time"
 
-	"virtualwire/internal/core"
 	"virtualwire/internal/ether"
 	"virtualwire/internal/packet"
 )
@@ -374,15 +373,12 @@ type buildPlan struct {
 	shards  int
 	shardOf []int       // per switch
 	events  []topoEvent // sorted by time
-	ctlName string      // control node; set when a script is staged
-	ctlID   core.NodeID
 }
 
 // Check reports the error the first Run or RunFor would fail with — an
-// impossible configuration, a fault aimed past the fabric the declared
-// hosts generate, a control node the staged script does not name — or
-// nil, without constructing anything. It is the planning half of build,
-// so whatever Check accepts, build constructs.
+// impossible configuration or a fault aimed past the fabric the declared
+// hosts generate — or nil, without constructing anything. It is the
+// planning half of build, so whatever Check accepts, build constructs.
 func (tb *Testbed) Check() error {
 	_, err := tb.plan()
 	return err
@@ -411,17 +407,6 @@ func (tb *Testbed) plan() (p *buildPlan, err error) {
 	p.shardOf = planShards(p.fabricPlan, p.forest, len(tb.nodes), p.shards)
 	if p.events, err = planTopoFaults(tb.cfg.TopologyFaults, tb.topologyActive(), len(p.trunks), p.switches); err != nil {
 		return nil, err
-	}
-	if tb.script != nil {
-		prog := tb.script.prog
-		p.ctlName = tb.cfg.ControlNode
-		if p.ctlName == "" {
-			p.ctlName = prog.Nodes[0].Name
-		}
-		var ok bool
-		if p.ctlID, ok = prog.NodeByName(p.ctlName); !ok {
-			return nil, fmt.Errorf("virtualwire: control node %q not in script", p.ctlName)
-		}
 	}
 	return p, nil
 }

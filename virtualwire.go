@@ -125,17 +125,6 @@ type Config struct {
 	// TraceCapacity, when positive, records a tcpdump-like trace of up
 	// to this many frames (tap directly above each NIC).
 	TraceCapacity int
-	// ControlNode names the host carrying the programming front-end;
-	// default is the script's first node.
-	ControlNode string
-	// LaunchRetryInterval is the base virtual-time interval at which the
-	// controller re-sends INIT chunks to nodes that have not acknowledged
-	// (default core.DefaultInitRetryInterval). Rounds back off
-	// exponentially.
-	LaunchRetryInterval time.Duration
-	// LaunchMaxAttempts bounds INIT distributions per node (default
-	// core.DefaultInitMaxAttempts).
-	LaunchMaxAttempts int
 	// LaunchDeadline bounds the launch phase (default
 	// core.DefaultLaunchDeadline): if any node stays silent past it, the
 	// run terminates with Result.LaunchFailed and the silent nodes in
@@ -143,7 +132,8 @@ type Config struct {
 	LaunchDeadline time.Duration
 	// Pcap, when non-nil, receives a live libpcap-format capture of all
 	// frames traversing PcapNode's interface (tcpdump/Wireshark
-	// compatible).
+	// compatible). A write that fails mid-run stops the capture, and Run,
+	// RunContext and RunFor return the failure.
 	Pcap io.Writer
 	// PcapNode names the capture point (default: the first host).
 	PcapNode string
@@ -281,6 +271,7 @@ type Testbed struct {
 	script  *CompiledScript // the staged scenario (LoadCompiled); nil for none
 	ctl     *core.Controller
 	tracing *trace.Buffer
+	pcapTap *trace.Tap // the capture point's tap when Config.Pcap is set
 	reg     *metrics.Registry
 	sampler *metrics.Sampler
 
@@ -293,6 +284,7 @@ type Testbed struct {
 	rtStreams  []portPair
 
 	workloads []workload
+	echoRTT   map[string]*metrics.Histogram // per echo client (see echoRTTHistogram)
 	// built is set by the one successful build; buildErr by the one
 	// failed build, which every later Run/RunFor/Reset returns again.
 	built    bool
@@ -485,11 +477,9 @@ func (tb *Testbed) assemble() error {
 	}
 	var pcapWriter *trace.PcapWriter
 	if tb.cfg.Pcap != nil {
-		pw, err := trace.NewPcapWriter(tb.cfg.Pcap)
-		if err != nil {
+		if pcapWriter, err = trace.NewPcapWriter(tb.cfg.Pcap); err != nil {
 			return err
 		}
-		pcapWriter = pw
 	}
 	pcapNode := tb.cfg.PcapNode
 	if pcapNode == "" && len(tb.nodes) > 0 {
@@ -511,11 +501,16 @@ func (tb *Testbed) assemble() error {
 		// (the shard's).
 		pool := n.host.NIC.Pool()
 		var layers []stack.Layer
-		if tb.tracing != nil {
-			layers = append(layers, trace.NewTap(sched, n.name, tb.tracing))
+		var pw *trace.PcapWriter
+		if n.name == pcapNode {
+			pw = pcapWriter
 		}
-		if pcapWriter != nil && n.name == pcapNode {
-			layers = append(layers, trace.NewPcapTap(sched, pcapWriter))
+		if tb.tracing != nil || pw != nil {
+			tap := trace.NewTap(sched, n.name, tb.tracing, pw)
+			if pw != nil {
+				tb.pcapTap = tap
+			}
+			layers = append(layers, tap)
 		}
 		if tb.cfg.RLL {
 			n.rll = rll.New(sched, n.mac, rll.Config{Window: tb.cfg.RLLWindow})
@@ -551,16 +546,11 @@ func (tb *Testbed) assemble() error {
 	}
 	if tb.script != nil {
 		prog := tb.script.prog
-		ctlNode := tb.byName[plan.ctlName]
-		ctl, err := core.NewController(ctlNode.host.Sched, prog, ctlNode.engine, plan.ctlID)
+		// The control node is the script's first node.
+		ctlNode := tb.byName[prog.Nodes[0].Name]
+		ctl, err := core.NewController(ctlNode.host.Sched, prog, ctlNode.engine, 0)
 		if err != nil {
 			return err
-		}
-		if tb.cfg.LaunchRetryInterval > 0 {
-			ctl.InitRetryInterval = tb.cfg.LaunchRetryInterval
-		}
-		if tb.cfg.LaunchMaxAttempts > 0 {
-			ctl.InitMaxAttempts = tb.cfg.LaunchMaxAttempts
 		}
 		if tb.cfg.LaunchDeadline > 0 {
 			ctl.LaunchDeadline = tb.cfg.LaunchDeadline
@@ -617,7 +607,8 @@ func (tb *Testbed) Run(horizon time.Duration) (RunReport, error) {
 // context interrupts the run, the partial report is returned together
 // with an error wrapping ctx.Err(); if the context's deadline expired
 // the error additionally matches ErrHorizonExceeded, which the campaign
-// executor's retry policy treats as transient.
+// executor's retry policy treats as transient. A Config.Pcap write that
+// failed is returned, wrapped, with the full report.
 func (tb *Testbed) RunContext(ctx context.Context, horizon time.Duration) (RunReport, error) {
 	if err := tb.build(); err != nil {
 		return RunReport{}, err
@@ -641,13 +632,21 @@ func (tb *Testbed) RunContext(ctx context.Context, horizon time.Duration) (RunRe
 	if ctxErr != nil {
 		rep.Passed = false
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
-			return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w: %w",
-				rep.Duration, ErrHorizonExceeded, ctxErr)
+			ctxErr = fmt.Errorf("%w: %w", ErrHorizonExceeded, ctxErr)
 		}
-		return rep, fmt.Errorf("virtualwire: run interrupted at t=%v: %w",
-			rep.Duration, ctxErr)
+		return rep, errors.Join(fmt.Errorf("virtualwire: run interrupted at t=%v: %w",
+			rep.Duration, ctxErr), tb.captureErr())
 	}
-	return rep, nil
+	return rep, tb.captureErr()
+}
+
+// captureErr is the pcap tap's first write failure, wrapped; nil while
+// the capture is whole or there is none.
+func (tb *Testbed) captureErr() error {
+	if tb.pcapTap == nil || tb.pcapTap.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("virtualwire: pcap capture: %w", tb.pcapTap.Err())
 }
 
 // assembleRunReport gathers the run outcome: duration, scenario
@@ -684,8 +683,10 @@ func (tb *Testbed) RunFor(d time.Duration) error {
 	if err := tb.build(); err != nil {
 		return err
 	}
-	_, err := tb.runWindowed(context.Background(), tb.sched.Now()+d, false)
-	return err
+	if _, err := tb.runWindowed(context.Background(), tb.sched.Now()+d, false); err != nil {
+		return err
+	}
+	return tb.captureErr()
 }
 
 // Now returns the current virtual time.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"virtualwire/internal/metrics"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/sim"
 	"virtualwire/internal/tcp"
@@ -266,6 +267,25 @@ var echoRTTBuckets = []float64{
 	100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 }
 
+// echoRTTHistogram is the client's RTT histogram, which every echo from
+// that client observes into. The first call creates it and registers it
+// as the client's "workload" source; it then lives as long as the
+// testbed, and Reset zeroes it in place.
+func (tb *Testbed) echoRTTHistogram(client string) *metrics.Histogram {
+	h, ok := tb.echoRTT[client]
+	if !ok {
+		h = metrics.NewHistogram(echoRTTBuckets)
+		if tb.echoRTT == nil {
+			tb.echoRTT = make(map[string]*metrics.Histogram)
+		}
+		tb.echoRTT[client] = h
+		tb.reg.RegisterSource(client, "workload", func(sn *metrics.Snapshot) {
+			sn.Histogram("udp_echo_rtt_seconds", h)
+		})
+	}
+	return h
+}
+
 // parts decomposes the echo workload: both sockets bind here at the
 // barrier, the ping loop runs on the client's shard. The server handler
 // only reflects datagrams; every workload field is client-written, with
@@ -273,7 +293,7 @@ var echoRTTBuckets = []float64{
 func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 	client := tb.byName[w.cfg.Client]
 	server := tb.byName[w.cfg.Server]
-	rttHist := tb.reg.Histogram(w.cfg.Client, "workload", "udp_echo_rtt_seconds", echoRTTBuckets)
+	rttHist := tb.echoRTTHistogram(w.cfg.Client)
 	srv, err := server.host.UDP.Bind(w.cfg.ServerPort)
 	if err != nil {
 		return nil, err
