@@ -333,10 +333,6 @@ func TestCheckIsTheBuildPlan(t *testing.T) {
 			"virtualwire: topology ring requires a switch medium"},
 		{"shard-count", Config{Shards: -2}, 2, true, "shards",
 			"virtualwire: invalid shard count -2"},
-		{"shards-with-trace", Config{Shards: 2, TraceCapacity: 16}, 2, true, "shards",
-			"virtualwire: TraceCapacity needs one shard, not 2 (the trace buffer is shared across shards)"},
-		{"shards-with-sampling", Config{Shards: 4, MetricsSampleInterval: time.Millisecond}, 2, true, "shards",
-			"virtualwire: MetricsSampleInterval needs one shard, not 4 (sampling gathers cross-shard state mid-run)"},
 		{"odd-fattree-k", Config{Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 5}}, 4, false, "topology.fattree_k",
 			"virtualwire: fat-tree arity must be even and between 4 and 64 (got 5)"},
 		{"huge-fattree-k", Config{Topology: &TopologySpec{Kind: TopoFatTree, FatTreeK: 1 << 20}}, 4, false, "topology.fattree_k",

@@ -81,6 +81,15 @@ func campaignRows() []campaignRow {
 					t.Fatalf("fabric/failovers rollup = %v, want >= %d", sum.MetricsTotals["fabric/failovers"], len(recs))
 				}
 			}},
+		// Sampled every 5 ms: a record's series is taken at window
+		// barriers and holds no warm-pool reading, so it is the same on
+		// any worker, at any shard count and after a resume.
+		{name: "sampled", shardAxis: true, check: allPass, spec: Spec{
+			Name: "sampled", Seed: 5, SeedCount: 4, Hosts: 8, Horizon: Duration(50 * time.Millisecond),
+			Configs: []ConfigOverride{{Label: "star4", Shards: &one, MetricsSampleInterval: Duration(5 * time.Millisecond),
+				Topology: &TopologyOverride{Kind: "star", Switches: 4}}},
+			Workloads: []WorkloadSpec{{Kind: "manyflow", Flows: 4, Bytes: 2 << 10}},
+		}},
 		// TestGoldenCampaignJSONL's matrix: every run passes, delivering
 		// its whole transfer.
 		{name: "golden-16", spec: quickstartSpec(8, []float64{0, 1e-6}),

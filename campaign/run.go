@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -564,7 +565,9 @@ func finishRun(ctx context.Context, spec *Spec, p point, rec *RunRecord, tb *vir
 	rep, err := tb.RunContext(runCtx, spec.Horizon.D())
 	rec.Report = &rep
 	if p.cfg.MetricsSampleInterval > 0 {
+		// No warm-pool reading: it depends on the worker and shards.
 		series := tb.MetricsSeries()
+		series.Final = slices.DeleteFunc(series.Final, virtualwire.WarmPoolReading)
 		rec.Series = &series
 	}
 	if m != nil {

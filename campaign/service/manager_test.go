@@ -659,7 +659,7 @@ func agedJournal(t *testing.T, dir, id string, cut int, interrupted bool) (journ
 	if err != nil {
 		t.Fatal(err)
 	}
-	stamp := []byte(`"generation":2,`)
+	stamp := fmt.Appendf(nil, `"generation":%d,`, campaign.OutputGeneration)
 	if !bytes.Contains(hdr, stamp) {
 		t.Fatalf("job.json carries no generation stamp: %s", hdr)
 	}

@@ -50,9 +50,11 @@ const SpecVersion = 3
 // same spec, so a record stream begun by one may be continued by the
 // other; across generations it may not. The service journal stamps each
 // job with it. Generation 1 had a separate single-queue engine behind
-// Shards: 0; generation 2 runs every testbed on the windowed engine.
-// Raise it in the change that moves the bytes, never otherwise.
-const OutputGeneration = 2
+// Shards: 0; generation 2 runs every testbed on the windowed engine;
+// generation 3 samples at window barriers, so a sampled run's events
+// count no sampler tick and its series no warm-pool reading. Raise it in
+// the change that moves the bytes, never otherwise.
+const OutputGeneration = 3
 
 // FieldError is a spec validation error located by its JSON field path,
 // e.g. "configs[2].medium" or "variants[0].workload.kind".

@@ -191,7 +191,7 @@ func (tb *Testbed) Reset(seed int64) error {
 		h.Reset()
 	}
 	if tb.sampler != nil {
-		tb.sampler.Reset()
+		tb.sampler.Reset(tb.sched.Now())
 	}
 	if tb.tracing != nil {
 		tb.tracing.Reset()
@@ -203,16 +203,12 @@ func (tb *Testbed) Reset(seed int64) error {
 
 // start is the one start state, entered by build and by every Reset once
 // all else is pristine: component generators seeded in place, the
-// lookahead derived from the live trunks, the token ring started with
-// every member at zero, and the sampler armed — the last two schedule
-// events, in this order.
+// lookahead derived from the live trunks, and the token ring started
+// with every member at zero — the last schedules events.
 func (tb *Testbed) start(seed int64) {
 	tb.assignComponentRands(seed)
 	tb.recomputeShardLookahead()
 	for _, name := range tb.retherRing {
 		tb.byName[name].rether.Start()
-	}
-	if tb.sampler != nil {
-		tb.sampler.Start()
 	}
 }

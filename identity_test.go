@@ -48,10 +48,9 @@ func (r *identityRow) fabric() bool {
 	return r.cfg.Topology != nil && r.cfg.Topology.Kind != TopoSingle
 }
 
-// wide rows take any shard count: a fabric or a bus, with no trace
-// buffer or sampler to hold them to one shard.
+// wide rows take any shard count: a fabric or a bus.
 func (r *identityRow) wide() bool {
-	return (r.fabric() || r.cfg.Medium == MediumBus) && r.cfg.TraceCapacity == 0 && r.cfg.MetricsSampleInterval == 0
+	return r.fabric() || r.cfg.Medium == MediumBus
 }
 
 // singleSwitch rows run on the default single switch.
@@ -104,6 +103,7 @@ type identityBaseline struct {
 	bytes  []byte
 	gather []byte
 	work   map[string]uint64
+	ended  time.Duration // the virtual time the run ended at
 }
 
 // identityBaselines memoizes fresh by row name and seed.
@@ -117,7 +117,7 @@ func (r *identityRow) fresh(t *testing.T, seed int64) identityBaseline {
 		return b
 	}
 	tb := r.build(t, seed, nil)
-	b := identityBaseline{r.run(t, tb, false), gatherBytes(t, tb), workOf(tb)}
+	b := identityBaseline{r.run(t, tb, false), gatherBytes(t, tb), workOf(tb), tb.Now()}
 	identityBaselines[key] = b
 	return b
 }
@@ -136,14 +136,14 @@ func (r *identityRow) variant(t *testing.T, column string, seeds []int64, change
 }
 
 // gatherBytes is the testbed's final Gather, one JSON sample a line,
-// less the readings a warm pool moves (see warmPoolReading). It holds
+// less the readings a warm pool moves (see WarmPoolReading). It holds
 // what a report shows only as a count or leaves out: histogram buckets,
 // gauges, sources outside the node rows.
 func gatherBytes(t *testing.T, tb *Testbed) []byte {
 	t.Helper()
 	var b []byte
 	for _, s := range tb.Metrics().Gather() {
-		if warmPoolReading(s.Layer, s.Name) {
+		if WarmPoolReading(s) {
 			continue
 		}
 		line, err := json.Marshal(s)
@@ -218,16 +218,11 @@ func TestResetMatchesFreshAcrossSeeds(t *testing.T) {
 
 // The shard column: a fabric gives the same bytes at 1, 2 and 4 shards
 // as at the default — the partition only chooses which goroutine executes
-// which switch's events — a bus, one segment, builds one shard at any
-// count, and a traced or sampled fabric, held to one shard, gives the
-// default's bytes under ShardsAuto. It runs as one Test per row family.
+// which switch's events — and a bus, one segment, builds one shard at any
+// count. It runs as one Test per row family.
 func shardColumn(t *testing.T, family string) {
-	applies := func(r *identityRow) bool { return r.family == family && (r.wide() || r.fabric()) }
+	applies := func(r *identityRow) bool { return r.family == family && r.wide() }
 	eachIdentityRow(t, applies, func(t *testing.T, r *identityRow) {
-		if !r.wide() {
-			r.variant(t, "shards=auto", r.seeds, func(c *Config) { c.Shards = ShardsAuto }, false)
-			return
-		}
 		counts := []int{1, 2, 4}
 		if !r.fabric() {
 			counts = counts[2:]
@@ -291,6 +286,71 @@ func TestRunMatchesRunContextBackground(t *testing.T) {
 	eachIdentityRow(t, nil, func(t *testing.T, r *identityRow) {
 		r.variant(t, "runcontext", r.seeds[:1], nil, true)
 	})
+}
+
+// The observation column: tracing and sampling change nothing they
+// observe. Every row, at its first seed, with a trace buffer and a
+// sampler on, gives its baseline's report bytes — less the two members
+// that say sampling ran — and its work vector, so long as the run goes to
+// its horizon. A run that ends at a STOP is seen to end at a barrier, and
+// sample times add barriers, so such a run may end sooner. The interval
+// keeps a run's sampled readings near half a million, however large its
+// registry.
+func TestObservationChangesNothing(t *testing.T) {
+	eachIdentityRow(t, nil, func(t *testing.T, r *identityRow) {
+		seed := r.seeds[0]
+		base := r.fresh(t, seed)
+		if base.ended < r.horizon {
+			t.Skipf("the run ends at %v, before its %v horizon", base.ended, r.horizon)
+		}
+		readings := time.Duration(bytes.Count(base.gather, []byte("\n")))
+		interval := max(time.Millisecond, r.horizon*readings/(1<<19))
+		tb := r.build(t, seed, func(c *Config) {
+			c.TraceCapacity = max(c.TraceCapacity, 256)
+			if c.MetricsSampleInterval == 0 {
+				c.MetricsSampleInterval = interval
+			}
+		})
+		got := r.run(t, tb, false)
+		if len(tb.Trace()) == 0 || len(tb.MetricsSeries().Points) == 0 {
+			t.Fatalf("%d trace entries, %d sampled points; want both recorded", len(tb.Trace()), len(tb.MetricsSeries().Points))
+		}
+		assertSameBytes(t, r, "observed", seed, withoutSampling(base.bytes), withoutSampling(got))
+		assertWork(t, r.name, base.work, workOf(tb))
+	})
+}
+
+// withoutSampling drops the report lines that say a sampler ran.
+func withoutSampling(report []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(report, []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"sampled_points"`)) && !bytes.Contains(line, []byte(`"sample_interval_ns"`)) {
+			out = append(out, line...)
+		}
+	}
+	return out
+}
+
+// observed holds a traced, sampled row's observedBytes by row and seed,
+// from the first run that reached its check.
+var observed = map[string][]byte{}
+
+// observedBytes is what a testbed observed: its trace, one entry a line,
+// then its series as JSON with the final gather's warm-pool readings
+// left out.
+func observedBytes(t *testing.T, tb *Testbed) []byte {
+	t.Helper()
+	var b []byte
+	for _, e := range tb.Trace() {
+		b = fmt.Appendf(b, "%d %s\n", e.FrameID, e)
+	}
+	s := tb.MetricsSeries()
+	s.Final = slices.DeleteFunc(s.Final, WarmPoolReading)
+	js, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, js...)
 }
 
 // The work column: what a row's baseline did at its first seed, in
@@ -802,18 +862,29 @@ func identityRows(t *testing.T) []identityRow {
 				}
 			},
 		},
-		// The trace buffer and the sampler are shared state: a fabric that
-		// uses them runs as one shard, which ShardsAuto resolves to.
+		// Observation happens at barriers: a traced, sampled fabric gives
+		// the same trace and series at every shard count, and after a
+		// Reset, as it does the first time it runs under the seed.
 		{name: "traced-sampled", cfg: Config{TraceCapacity: 256, MetricsSampleInterval: 5 * time.Millisecond, Topology: star},
 			seeds: []int64{21}, horizon: 2 * time.Second, stage: hosts(16), family: "workload",
 			arm: func(t *testing.T, tb *Testbed) func(*testing.T, RunReport) {
 				if err := udpStream(tb); err != nil {
 					t.Fatal(err)
 				}
-				return func(t *testing.T, _ RunReport) {
-					if tb.shards.count != 1 || len(tb.Trace()) == 0 || len(tb.MetricsSeries().Points) == 0 {
-						t.Fatalf("%d shards, %d trace entries, %d sampled points; want 1 shard and both recorded",
-							tb.shards.count, len(tb.Trace()), len(tb.MetricsSeries().Points))
+				return func(t *testing.T, rep RunReport) {
+					got := observedBytes(t, tb)
+					if len(tb.Trace()) == 0 || len(tb.MetricsSeries().Points) == 0 {
+						t.Fatalf("%d trace entries, %d sampled points; want both recorded", len(tb.Trace()), len(tb.MetricsSeries().Points))
+					}
+					key := fmt.Sprintf("traced-sampled/%d", rep.Seed)
+					want, ok := observed[key]
+					if !ok {
+						observed[key] = got
+						return
+					}
+					if !bytes.Equal(got, want) {
+						r := identityRow{name: "traced-sampled"}
+						assertSameBytes(t, &r, fmt.Sprintf("observed at %d shards", tb.shards.count), rep.Seed, want, got)
 					}
 				}
 			},

@@ -206,13 +206,109 @@ func encodeProgram(p *Program) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeProgram reverses encodeProgram.
+// decodeProgram reverses encodeProgram. It is the only way a program
+// arrives off the wire, where a bit error can leave a blob that still
+// decodes, so it also refuses a program whose tables index past one
+// another (see checkIndices).
 func decodeProgram(b []byte) (*Program, error) {
 	var p Program
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("decode program: %w", err)
 	}
+	if err := p.checkIndices(); err != nil {
+		return nil, fmt.Errorf("decode program: %w", err)
+	}
 	return &p, nil
+}
+
+// maxTupleEnd bounds a filter tuple's last byte: no frame is longer.
+const maxTupleEnd = 1 << 16
+
+// checkIndices reports the first cross-table index an engine would
+// follow out of its table — a node, filter, variable, counter, term,
+// condition or action id — or a filter tuple or condition tree an engine
+// could not evaluate. The compiler emits none of them.
+func (p *Program) checkIndices() error {
+	nodes, filters, counters, terms, conds := len(p.Nodes), len(p.Filters), len(p.Counters), len(p.Terms), len(p.Conds)
+	for i, f := range p.Filters {
+		for j, tu := range f.Tuples {
+			if tu.Off < 0 || tu.Len < 0 || tu.Off > maxTupleEnd-tu.Len || !optIn(len(p.Vars), tu.Var) ||
+				tu.Mask != nil && len(tu.Mask) != tu.Len {
+				return fmt.Errorf("filter %d tuple %d is out of range", i, j)
+			}
+		}
+	}
+	for i, c := range p.Counters {
+		if !optIn(filters, c.Filter) || !optIn(nodes, c.From) || !optIn(nodes, c.To) || !idsIn(nodes, c.Home) ||
+			!idsIn(terms, c.Terms...) || !idsIn(nodes, c.RemoteNodes...) {
+			return fmt.Errorf("counter %d indexes out of range", i)
+		}
+	}
+	for i, t := range p.Terms {
+		operand := func(o Operand) bool { return o.IsConst || idsIn(counters, o.Counter) }
+		if !operand(t.LHS) || !operand(t.RHS) || !idsIn(nodes, t.Home) ||
+			!idsIn(conds, t.Conds...) || !idsIn(nodes, t.StatusNodes...) {
+			return fmt.Errorf("term %d indexes out of range", i)
+		}
+	}
+	for i, c := range p.Conds {
+		if !c.Expr.wellFormed(terms) || !idsIn(len(p.Actions), c.Actions...) || !idsIn(nodes, c.EvalNodes...) {
+			return fmt.Errorf("condition %d indexes out of range", i)
+		}
+	}
+	for i, a := range p.Actions {
+		if a.Kind < ActDrop || a.Kind > ActElapsedTime || !idsIn(nodes, a.Node) ||
+			!optIn(filters, a.Filter) || !optIn(nodes, a.From) || !optIn(nodes, a.To) ||
+			!a.Kind.IsFault() && !idsIn(counters, a.Counter) {
+			return fmt.Errorf("action %d indexes out of range", i)
+		}
+	}
+	return nil
+}
+
+// idsIn reports whether every id indexes a table of n entries.
+func idsIn[T ~int](n int, ids ...T) bool {
+	for _, id := range ids {
+		if id < 0 || int(id) >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// optIn is idsIn for one id that may also be -1, "none".
+func optIn[T ~int](n int, id T) bool { return id == -1 || idsIn(n, id) }
+
+// wellFormed reports whether the engine can evaluate x: every node has
+// an operator and the children it takes, and every term id is below
+// terms.
+func (x *CondExpr) wellFormed(terms int) bool {
+	if x == nil {
+		return false
+	}
+	kids := 0
+	switch x.Op {
+	case CondTrue:
+	case CondTerm:
+		if !idsIn(terms, x.Term) {
+			return false
+		}
+	case CondAnd, CondOr:
+		kids = 2
+	case CondNot:
+		kids = 1
+	default:
+		return false
+	}
+	if len(x.Kids) != kids {
+		return false
+	}
+	for _, k := range x.Kids {
+		if !k.wellFormed(terms) {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrorReport is one FLAG_ERR occurrence collected by the controller.

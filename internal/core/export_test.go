@@ -30,3 +30,6 @@ func ControlFrame(src, dst packet.MAC, m *Msg) *ether.Frame {
 	fr, _ := encodeMsg(nil, src, dst, m)
 	return fr
 }
+
+// DecodeProgram is the INIT blob decoder, validation included.
+var DecodeProgram = decodeProgram

@@ -1,7 +1,7 @@
 // Package metrics is the unified observability layer for the simulated
 // testbed: a registry of pull sources whose readings (counters, gauges,
-// histograms) are keyed by (node, layer, name), a virtual-time sampler
-// that records periodic snapshots into a ring of time-series points, and
+// histograms) are keyed by (node, layer, name), a sampler ring of
+// time-series points due at a fixed virtual-time interval, and
 // exporters to JSON, CSV and Prometheus text format.
 //
 // The package deliberately depends only on the standard library so that

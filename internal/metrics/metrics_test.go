@@ -87,44 +87,6 @@ func TestGatherDeterministic(t *testing.T) {
 	}
 }
 
-// fakeClock is a minimal single-queue virtual scheduler for driving the
-// sampler without the sim package (metrics must not depend on it).
-type fakeClock struct {
-	now  time.Duration
-	evts []fakeEvt
-}
-
-type fakeEvt struct {
-	at time.Duration
-	fn func()
-}
-
-func (f *fakeClock) schedule(d time.Duration, fn func()) {
-	f.evts = append(f.evts, fakeEvt{at: f.now + d, fn: fn})
-}
-
-func (f *fakeClock) runUntil(horizon time.Duration) {
-	for {
-		best := -1
-		for i, e := range f.evts {
-			if e.at > horizon {
-				continue
-			}
-			if best < 0 || e.at < f.evts[best].at {
-				best = i
-			}
-		}
-		if best < 0 {
-			f.now = horizon
-			return
-		}
-		e := f.evts[best]
-		f.evts = append(f.evts[:best], f.evts[best+1:]...)
-		f.now = e.at
-		e.fn()
-	}
-}
-
 // TestVisitOrder pins the walk Visit makes: sources in registration
 // order, each with its readings in the order it appended them, a
 // histogram as value 0; a later registration is picked up by the next
@@ -168,55 +130,40 @@ func TestVisitOrder(t *testing.T) {
 	}
 }
 
+// TestSamplerIntervalMath: a point is due every interval from the start,
+// Record stores what it is handed at the due time and moves the due time
+// on, and Reset empties the ring and counts from its new start.
 func TestSamplerIntervalMath(t *testing.T) {
-	clk := &fakeClock{}
-	r := NewRegistry()
-	var ticks uint64
-	r.RegisterSource("n1", "sim", func(s *Snapshot) { s.Counter("ticks", ticks) })
-	s := NewSampler(r, 10*time.Millisecond, 0, func() time.Duration { return clk.now }, clk.schedule)
-	s.Start()
-	// Bump the counter on its own cadence so points differ.
-	var bump func()
-	bump = func() {
-		ticks++
-		clk.schedule(10*time.Millisecond, bump)
+	s := NewSampler(10*time.Millisecond, DefaultRingCapacity, 0)
+	for i := 1; i <= 5; i++ {
+		if want := time.Duration(i) * 10 * time.Millisecond; s.Due() != want {
+			t.Fatalf("point %d due at %v, want %v", i, s.Due(), want)
+		}
+		s.Record([]Sample{{Name: "ticks", Value: float64(i)}})
 	}
-	clk.schedule(0, bump)
-	clk.runUntil(55 * time.Millisecond)
-
 	pts := s.Points()
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5 (samples at 10..50ms)", len(pts))
 	}
 	for i, p := range pts {
-		wantAt := time.Duration(i+1) * 10 * time.Millisecond
-		if p.At != wantAt {
-			t.Errorf("point %d at %v, want %v", i, p.At, wantAt)
+		if want := time.Duration(i+1) * 10 * time.Millisecond; p.At != want {
+			t.Errorf("point %d at %v, want %v", i, p.At, want)
 		}
-		v, ok := p.Samples[0], len(p.Samples) == 1
-		if !ok || v.Name != "ticks" {
-			t.Fatalf("point %d samples = %+v", i, p.Samples)
-		}
-		// The bump at t fires before the sample at t (scheduled first),
-		// so the i-th sample sees i+1 ticks.
-		if v.Value != float64(i+1) {
-			t.Errorf("point %d ticks = %v, want %d", i, v.Value, i+1)
+		if len(p.Samples) != 1 || p.Samples[0].Value != float64(i+1) {
+			t.Errorf("point %d samples = %+v, want ticks %d", i, p.Samples, i+1)
 		}
 	}
-
-	s.Stop()
-	clk.runUntil(200 * time.Millisecond)
-	if got := s.Len(); got != 5 {
-		t.Fatalf("sampler kept recording after Stop: %d points", got)
+	s.Reset(3 * time.Millisecond)
+	if s.Len() != 0 || len(s.Points()) != 0 || s.Due() != 13*time.Millisecond {
+		t.Fatalf("after Reset: %d points, next due %v; want none, 13ms", s.Len(), s.Due())
 	}
 }
 
 func TestSamplerRingOverwrite(t *testing.T) {
-	clk := &fakeClock{}
-	r := NewRegistry()
-	s := NewSampler(r, time.Millisecond, 4, func() time.Duration { return clk.now }, clk.schedule)
-	s.Start()
-	clk.runUntil(10 * time.Millisecond) // 10 samples into a 4-slot ring
+	s := NewSampler(time.Millisecond, 4, 0)
+	for i := 0; i < 10; i++ { // 10 samples into a 4-slot ring
+		s.Record(nil)
+	}
 	pts := s.Points()
 	if len(pts) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(pts))

@@ -16,90 +16,51 @@ type Point struct {
 	Samples []Sample `json:"samples"`
 }
 
-// Sampler periodically gathers a Registry into a bounded ring of
-// time-series points. It is driven entirely by virtual time: the caller
-// supplies the clock and a scheduling primitive (normally closures over
-// the sim.Scheduler), so the sampler itself stays free of simulation
-// dependencies and is trivially testable.
+// Sampler is a bounded ring of time-series points, one due every
+// interval. It schedules nothing: its owner asks Due when the next point
+// is owed and hands Record the readings at that instant, so the sampler
+// stays free of simulation dependencies and adds no event to the run it
+// observes.
 type Sampler struct {
-	reg      *Registry
 	interval time.Duration
-	now      func() time.Duration
-	schedule func(d time.Duration, fn func())
+	due      time.Duration
 
-	ring    []Point
-	next    int // write cursor
-	n       int // points stored (<= cap(ring))
-	running bool
-	tick    func() // records and re-arms; bound once, so arming allocates nothing
+	ring []Point
+	next int // write cursor
+	n    int // points stored (<= cap(ring))
 }
 
-// NewSampler builds a sampler that records reg every interval. capacity
-// bounds the ring (<=0 selects DefaultRingCapacity); when full, the
-// oldest point is overwritten. now reads the virtual clock; schedule
-// arranges a callback after a virtual delay.
-func NewSampler(reg *Registry, interval time.Duration, capacity int,
-	now func() time.Duration, schedule func(d time.Duration, fn func())) *Sampler {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	s := &Sampler{
-		reg:      reg,
-		interval: interval,
-		now:      now,
-		schedule: schedule,
-		ring:     make([]Point, capacity),
-	}
-	s.tick = func() {
-		if s.running {
-			s.Record()
-			s.arm()
-		}
-	}
-	return s
+// NewSampler builds a sampler whose first point is due one interval
+// (which must be positive) after start, keeping the last capacity
+// points.
+func NewSampler(interval time.Duration, capacity int, start time.Duration) *Sampler {
+	return &Sampler{interval: interval, due: start + interval, ring: make([]Point, capacity)}
 }
 
 // Interval reports the sampling period.
 func (s *Sampler) Interval() time.Duration { return s.interval }
 
-// Start arms the periodic sampling; the first point lands one interval
-// from now. Starting a running sampler is a no-op.
-func (s *Sampler) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.arm()
-}
+// Due reports the virtual time the next point is owed at.
+func (s *Sampler) Due() time.Duration { return s.due }
 
-// Stop halts sampling after the currently armed tick is skipped.
-func (s *Sampler) Stop() { s.running = false }
-
-// Reset discards all stored points and stops the sampler; call Start to
-// resume recording (after a scheduler reset has cancelled the
-// previously armed tick).
-func (s *Sampler) Reset() {
-	for i := range s.ring {
-		s.ring[i] = Point{}
-	}
+// Reset discards all stored points; the next is due one interval after
+// start.
+func (s *Sampler) Reset(start time.Duration) {
+	clear(s.ring)
 	s.next = 0
 	s.n = 0
-	s.running = false
+	s.due = start + s.interval
 }
 
-func (s *Sampler) arm() { s.schedule(s.interval, s.tick) }
-
-// Record takes one sample immediately (also used for a final sample at
-// run end, outside the periodic cadence).
-func (s *Sampler) Record() {
-	s.ring[s.next] = Point{At: s.now(), Samples: s.reg.Gather()}
+// Record stores samples as the point due now and makes the next one due
+// an interval later.
+func (s *Sampler) Record(samples []Sample) {
+	s.ring[s.next] = Point{At: s.due, Samples: samples}
 	s.next = (s.next + 1) % len(s.ring)
 	if s.n < len(s.ring) {
 		s.n++
 	}
+	s.due += s.interval
 }
 
 // Len reports how many points are stored.

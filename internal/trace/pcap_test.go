@@ -94,8 +94,8 @@ func TestTapWritesPcapAndTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("new: %v", err)
 			}
-			buf := NewBuffer(0)
-			tap := NewTap(s, "a", buf, pw)
+			buf := NewBuffer(16)
+			tap := NewTap(s, "a", buf.Stage(0), pw)
 			h1.Build(tap)
 			h2.Build()
 			sock, _ := h2.UDP.Bind(9)
@@ -111,6 +111,7 @@ func TestTapWritesPcapAndTrace(t *testing.T) {
 			if err := s.Run(); err != nil {
 				t.Fatalf("run: %v", err)
 			}
+			buf.Flush()
 			if !echoed || len(buf.Entries()) != 2 {
 				t.Errorf("echoed %v, traced %d frames; want the echo and 2", echoed, len(buf.Entries()))
 			}

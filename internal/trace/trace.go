@@ -6,7 +6,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,21 +35,55 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%12v %-8s %-4s %4dB %s", e.At, e.Node, e.Dir, e.Len, e.Summary)
 }
 
-// Buffer is a bounded capture ring shared by any number of Taps.
+// Buffer is a bounded capture ring. Taps do not write to it: each
+// captures into the Stage of the shard it runs on, and Flush — called
+// with every shard parked — moves the staged entries into the ring in
+// (time, node, capture order), an order no partition of the nodes over
+// shards can change.
 type Buffer struct {
 	cap     int
 	entries []Entry // the ring: filled in order, then overwritten from head
 	head    int     // the oldest entry once the ring is full
 	dropped uint64
+	stages  []*Stage
+	merge   []Entry // Flush's scratch
 }
 
-// NewBuffer returns a capture buffer holding up to capEntries entries
-// (<=0 selects 4096). When full, the oldest entries are discarded.
-func NewBuffer(capEntries int) *Buffer {
-	if capEntries <= 0 {
-		capEntries = 4096
+// Stage holds one shard's captures, in capture order, until the next
+// Flush.
+type Stage struct{ entries []Entry }
+
+// NewBuffer returns a capture buffer holding up to capEntries (> 0)
+// entries. When full, the oldest entries are discarded.
+func NewBuffer(capEntries int) *Buffer { return &Buffer{cap: capEntries} }
+
+// Stage returns shard i's staging slice, which every tap on that shard
+// captures into; nil on a nil buffer, so a tap with no trace gets none.
+func (b *Buffer) Stage(i int) *Stage {
+	if b == nil {
+		return nil
 	}
-	return &Buffer{cap: capEntries}
+	for len(b.stages) <= i {
+		b.stages = append(b.stages, &Stage{})
+	}
+	return b.stages[i]
+}
+
+// Flush moves every staged entry into the ring, ordered by time, then
+// node name, then capture order (a node's taps all stage on one shard).
+func (b *Buffer) Flush() {
+	m := b.merge[:0]
+	for _, st := range b.stages {
+		m = append(m, st.entries...)
+		st.entries = st.entries[:0]
+	}
+	slices.SortStableFunc(m, func(x, y Entry) int {
+		return cmp.Or(cmp.Compare(x.At, y.At), strings.Compare(x.Node, y.Node))
+	})
+	for _, e := range m {
+		b.add(e)
+	}
+	b.merge = m[:0]
 }
 
 // add stores e, overwriting the oldest entry when the ring is full.
@@ -63,9 +99,12 @@ func (b *Buffer) add(e Entry) {
 	b.dropped++
 }
 
-// Reset discards all captured entries and the eviction count, keeping
-// the buffer's capacity for reuse.
+// Reset discards all captured and staged entries and the eviction
+// count, keeping the buffer's capacity and stages for reuse.
 func (b *Buffer) Reset() {
+	for _, st := range b.stages {
+		st.entries = st.entries[:0]
+	}
 	b.entries = b.entries[:0]
 	b.head = 0
 	b.dropped = 0
@@ -99,35 +138,25 @@ func (b *Buffer) Filter(substrings ...string) []Entry {
 	return out
 }
 
-// Dump renders all entries, one per line.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for _, e := range b.Entries() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // Tap is a stack.Layer that captures every frame passing through it,
 // without modifying or delaying anything: as a trace entry into a
-// Buffer, as a libpcap record into a PcapWriter (one capture point, like
+// Stage, as a libpcap record into a PcapWriter (one capture point, like
 // tcpdump on one interface), or both.
 type Tap struct {
 	base  stack.Base
 	sched *sim.Scheduler
 	node  string
-	buf   *Buffer     // nil: no trace
+	stage *Stage      // nil: no trace
 	pw    *PcapWriter // nil: no capture
 	err   error       // the first capture write failure
 }
 
 var _ stack.Layer = (*Tap)(nil)
 
-// NewTap returns a capture layer that records into buf under the given
-// node label and writes to pw; either may be nil.
-func NewTap(sched *sim.Scheduler, node string, buf *Buffer, pw *PcapWriter) *Tap {
-	return &Tap{sched: sched, node: node, buf: buf, pw: pw}
+// NewTap returns a capture layer that stages trace entries into stage
+// under the given node label and writes to pw; either may be nil.
+func NewTap(sched *sim.Scheduler, node string, stage *Stage, pw *PcapWriter) *Tap {
+	return &Tap{sched: sched, node: node, stage: stage, pw: pw}
 }
 
 // Err reports the first capture write failure. The tap never blocks the
@@ -154,8 +183,8 @@ func (t *Tap) DeliverUp(fr *ether.Frame) {
 }
 
 func (t *Tap) capture(fr *ether.Frame, dir string) {
-	if t.buf != nil {
-		t.buf.add(Entry{
+	if t.stage != nil {
+		t.stage.entries = append(t.stage.entries, Entry{
 			At:      t.sched.Now(),
 			Node:    t.node,
 			Dir:     dir,

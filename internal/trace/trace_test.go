@@ -22,9 +22,10 @@ func TestTapCapturesBothDirections(t *testing.T) {
 	}
 	bus.Attach(h1.NIC)
 	bus.Attach(h2.NIC)
-	buf := NewBuffer(0)
-	h1.Build(NewTap(s, "node1", buf, nil))
-	h2.Build(NewTap(s, "node2", buf, nil))
+	buf := NewBuffer(16)
+	stage := buf.Stage(0)
+	h1.Build(NewTap(s, "node1", stage, nil))
+	h2.Build(NewTap(s, "node2", stage, nil))
 
 	srv, _ := h2.UDP.Bind(7)
 	srv.OnDatagram = func(src packet.IP, sp uint16, p []byte) {
@@ -39,9 +40,13 @@ func TestTapCapturesBothDirections(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	if n := len(buf.Entries()); n != 0 {
+		t.Fatalf("%d entries reached the ring before Flush", n)
+	}
+	buf.Flush()
 	entries := buf.Entries()
 	if len(entries) != 4 { // send@1, recv@2, send@2, recv@1
-		t.Fatalf("captured %d entries:\n%s", len(entries), buf.Dump())
+		t.Fatalf("captured %d entries: %v", len(entries), entries)
 	}
 	if entries[0].Node != "node1" || entries[0].Dir != "send" {
 		t.Errorf("first entry %+v", entries[0])
@@ -79,13 +84,52 @@ func TestBufferEviction(t *testing.T) {
 			t.Fatalf("after %d adds: Filter gave %+v, want the entries in order", i+1, f)
 		}
 	}
-	if first, _, _ := strings.Cut(buf.Dump(), "\n"); !strings.HasSuffix(first, "frame 6") {
-		t.Errorf("Dump starts %q, want the oldest entry, frame 6", first)
+	if first := buf.Entries()[0].String(); !strings.HasSuffix(first, "frame 6") {
+		t.Errorf("the oldest entry prints %q, want frame 6", first)
 	}
 	// An add into a full ring overwrites in place.
 	e := Entry{FrameID: 99, Summary: "s"}
 	if n := testing.AllocsPerRun(100, func() { buf.add(e) }); n != 0 {
 		t.Errorf("an add into a full buffer allocates %.0f times, want 0", n)
+	}
+}
+
+// TestFlushOrder: Flush merges the stages by time, then node name, then
+// capture order, so how nodes are spread over stages changes nothing,
+// and it empties the stages; Reset drops what is staged.
+func TestFlushOrder(t *testing.T) {
+	captures := []Entry{
+		{At: 2, Node: "b", FrameID: 1}, {At: 1, Node: "c", FrameID: 2},
+		{At: 2, Node: "a", FrameID: 3}, {At: 2, Node: "b", FrameID: 4},
+		{At: 3, Node: "a", FrameID: 5},
+	}
+	want := []uint64{2, 3, 1, 4, 5}
+	for _, stageOf := range []map[string]int{{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 0, "c": 1}, {"a": 2, "b": 1, "c": 0}} {
+		buf := NewBuffer(16)
+		stages := []*Stage{buf.Stage(0), buf.Stage(1), buf.Stage(2)}
+		for _, e := range captures {
+			st := stages[stageOf[e.Node]]
+			st.entries = append(st.entries, e)
+		}
+		buf.Flush()
+		var got []uint64
+		for _, e := range buf.Entries() {
+			got = append(got, e.FrameID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("stages %v: flushed frames %v, want %v", stageOf, got, want)
+		}
+		for i, st := range stages {
+			if len(st.entries) != 0 {
+				t.Errorf("stage %d holds %d entries after Flush", i, len(st.entries))
+			}
+		}
+		stages[0].entries = append(stages[0].entries, captures[0])
+		buf.Reset()
+		buf.Flush()
+		if n := len(buf.Entries()); n != 0 {
+			t.Errorf("stages %v: %d entries after Reset and Flush, want 0", stageOf, n)
+		}
 	}
 }
 

@@ -39,7 +39,9 @@ func (tb *Testbed) Metrics() *MetricsRegistry { return tb.reg }
 
 // MetricsSeries returns the run's sampled time series (empty unless
 // Config.MetricsSampleInterval was set) together with a final gather of
-// every instrument at the current virtual time.
+// every instrument at the current virtual time. A point, taken at a
+// window barrier, holds what every event before its time left, less the
+// warm-pool readings the final gather keeps (see WarmPoolReading).
 func (tb *Testbed) MetricsSeries() MetricsSeries {
 	s := MetricsSeries{FinalAt: tb.sched.Now(), Final: tb.reg.Gather()}
 	if tb.sampler != nil {
@@ -177,7 +179,7 @@ func (n *Node) SnapshotLayers() []string {
 }
 
 // registerMetricSources wires every built layer into the registry with
-// the uniform Snapshot hook and creates the sampler start arms; called
+// the uniform Snapshot hook and creates the sampler; called
 // once from build(). The hosts' layer hooks go in back to back, in node
 // order: the report schema finds a host's rows by those source indices.
 func (tb *Testbed) registerMetricSources() {
@@ -216,10 +218,7 @@ func (tb *Testbed) registerMetricSources() {
 	}
 	tb.nodeSources[1] = tb.reg.Sources()
 	if tb.cfg.MetricsSampleInterval > 0 {
-		tb.sampler = metrics.NewSampler(tb.reg,
-			tb.cfg.MetricsSampleInterval, metrics.DefaultRingCapacity,
-			tb.sched.Now,
-			func(d time.Duration, fn func()) { tb.sched.After(d, "metrics.sample", fn) })
+		tb.sampler = metrics.NewSampler(tb.cfg.MetricsSampleInterval, metrics.DefaultRingCapacity, tb.sched.Now())
 	}
 }
 

@@ -289,7 +289,7 @@ func TestRegistryVisitMatchesGather(t *testing.T) {
 			// (the only kind Snapshot.Counter reports) sum exactly in any
 			// order.
 			for _, r := range want {
-				if r.kind == metrics.KindCounter && !warmPoolReading(r.layer, r.name) {
+				if r.kind == metrics.KindCounter && !WarmPoolReading(MetricsSample{Layer: r.layer, Name: r.name}) {
 					wantTotals[r.layer+"/"+r.name] += r.value
 				}
 			}

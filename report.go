@@ -702,18 +702,18 @@ type sourceSlots struct {
 	vals     int // index in the value array of the source's layer row; -1 when it has none
 }
 
-// warmPoolReading names the readings that depend on whether the run
-// started from a fresh or a reused (Reset) testbed — the free lists of
-// the frame pools and of the scheduler's events, the only observables
-// the warm pools change: their hits and their lengths. The digest leaves
-// them out, which keeps RunReports bit-identical across the two paths;
-// the full readings stay available from Metrics()/MetricsSeries.
-func warmPoolReading(layer, name string) bool {
-	switch layer {
+// WarmPoolReading names the readings that depend on whether the run
+// started from a fresh or a reused (Reset) testbed, and on the shard
+// count — the frame pools' and event free lists' hits and lengths. The
+// digest and sampled points leave them out, which keeps RunReports and
+// series bit-identical across those paths; Metrics() and MetricsSeries'
+// final gather keep them.
+func WarmPoolReading(s MetricsSample) bool {
+	switch s.Layer {
 	case "pool":
-		return name == "hits" || name == "free_frames"
+		return s.Name == "hits" || s.Name == "free_frames"
 	case "scheduler":
-		return name == "events_recycled" || name == "free_list_len"
+		return s.Name == "events_recycled" || s.Name == "free_list_len"
 	}
 	return false
 }
@@ -724,7 +724,7 @@ func (tb *Testbed) buildReportSchema() {
 	sc := reportSchema{}
 	slotOf := make(map[[2]string]int)
 	totalSlot := func(layer, name string, kind metrics.Kind) int {
-		if kind != metrics.KindCounter || warmPoolReading(layer, name) {
+		if kind != metrics.KindCounter || WarmPoolReading(MetricsSample{Layer: layer, Name: name}) {
 			return -1
 		}
 		k := [2]string{layer, name}

@@ -26,7 +26,7 @@ echo "== doc line budget =="
 # docs/*.md and bench/README.md together stay under this ceiling, which
 # only an edit here raises. It is the total when it was last set, within
 # the ROADMAP budget of 2 500.
-DOC_CEILING=2495
+DOC_CEILING=2494
 DOC_LINES="$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md bench/README.md | wc -l)"
 if [ "$DOC_LINES" -gt "$DOC_CEILING" ]; then
     echo "docs are $DOC_LINES lines, over the ceiling of $DOC_CEILING: cut, or raise it here on purpose" >&2
@@ -68,7 +68,7 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (5 x 10 s) =="
+echo "== fuzz (6 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder and its template
@@ -81,10 +81,12 @@ echo "== fuzz (5 x 10 s) =="
 # front end takes tenant-written source and must answer it with an error
 # or a program that builds, dumps and encodes — never a panic; the engine
 # is handed MODIFY-mangled and bit-flipped control frames by design and
-# must drop what it cannot index, loaded or not.
+# must drop what it cannot index, loaded or not — and an INIT blob that
+# a bit error left decodable must be dropped or run, never panic it.
 for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
     ./campaign/service:FuzzScanRecords \
-    ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame; do
+    ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame \
+    ./internal/core:FuzzInitBlob; do
     go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
 done
 
@@ -102,12 +104,15 @@ go run -race ./cmd/vwcampaign \
 echo "== sharded engine identity smoke =="
 # The sharded windowed engine must be byte-identical to its one-shard
 # run: same fat-tree campaign through the real CLI at 1 and 4 shards,
-# diffed record-for-record. (The property over every scenario lives in
-# the shard columns of identity_test.go and campaign/identity_test.go;
-# this catches CLI-level plumbing regressions.)
+# diffed record-for-record — once from quick flags, once from a spec
+# file that samples metrics, series included. (The property over every
+# scenario lives in the shard columns of identity_test.go and
+# campaign/identity_test.go; this catches CLI-level plumbing
+# regressions.)
 SHARD_A="$(mktemp)"
 SHARD_B="$(mktemp)"
-trap 'rm -f "$SHARD_A" "$SHARD_B"' EXIT
+SHARD_SPEC="$(mktemp -d)"
+trap 'rm -f "$SHARD_A" "$SHARD_B"; rm -rf "$SHARD_SPEC"' EXIT
 go run ./cmd/vwcampaign \
     -hosts 64 -topology fattree -manyflow 8:4096 \
     -seeds 2 -horizon 5s -workers 1 -summary none \
@@ -121,7 +126,21 @@ if ! cmp -s "$SHARD_A" "$SHARD_B"; then
     diff "$SHARD_A" "$SHARD_B" >&2 || true
     exit 1
 fi
-echo "sharded identity smoke: 1-shard and 4-shard records identical"
+for K in 1 4; do
+    cat > "$SHARD_SPEC/spec$K.json" <<EOF
+{"name": "sampled-shards", "seed": 3, "seed_count": 2, "hosts": 64, "horizon": "200ms",
+ "configs": [{"label": "fattree", "shards": $K, "metrics_sample_interval": "20ms",
+              "topology": {"kind": "fattree"}}],
+ "workloads": [{"kind": "manyflow", "flows": 8, "bytes": 4096}]}
+EOF
+    go run ./cmd/vwcampaign -spec "$SHARD_SPEC/spec$K.json" -workers 1 -summary none \
+        -out "$SHARD_SPEC/out$K.jsonl"
+done
+if ! grep -q '"series"' "$SHARD_SPEC/out1.jsonl" || ! cmp -s "$SHARD_SPEC/out1.jsonl" "$SHARD_SPEC/out4.jsonl"; then
+    echo "sharded identity smoke: sampled 4-shard records differ from 1-shard, or hold no series" >&2
+    exit 1
+fi
+echo "sharded identity smoke: 1-shard and 4-shard records identical, sampled series included"
 
 echo "== fabric failover smoke =="
 # The fabric fault surface end to end through the real CLI: a 4-switch
@@ -133,7 +152,7 @@ echo "== fabric failover smoke =="
 FAIL_A="$(mktemp)"
 FAIL_B="$(mktemp)"
 FAIL_SUM="$(mktemp)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"' EXIT
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC"' EXIT
 go run ./cmd/vwcampaign \
     -hosts 24 -topology ring:4 -manyflow 12:65536 \
     -trunk-fail 0@5ms \
@@ -186,7 +205,7 @@ echo "== campaign service smoke =="
 # resumed job still produces identical bytes; finally shut down cleanly
 # on SIGTERM. See docs/SERVICE.md.
 SVC_TMP="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
 go build -o "$SVC_TMP/" ./cmd/vwcampaign ./cmd/vwcampaignd
 cat > "$SVC_TMP/spec.json" <<'EOF'
 {
@@ -311,7 +330,7 @@ echo "== vwire smoke (one tap, one reading model) =="
 # like every other reading, reaches the Prometheus export as 10 bounds
 # plus +Inf. A capture that cannot be written fails the run.
 VW_TMP="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SVC_TMP" "$VW_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP" "$VW_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
 go build -o "$VW_TMP/" ./cmd/vwire
 "$VW_TMP/vwire" -script scripts/udp_faults.fsl -scenario dup_one \
     -echo node1-node2:9000:50 -trace -pcap "$VW_TMP/c.pcap" \

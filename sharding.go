@@ -24,7 +24,8 @@ package virtualwire
 // A→B before B→A, FIFO within a direction). Everything that is not a
 // shard's own event happens at a barrier, single-threaded: workload
 // start, topology faults and reconvergence, the scenario-finished and
-// cancellation checks.
+// cancellation checks, and observation — sampled metrics points and the
+// merge of each shard's staged trace entries into the one trace ring.
 //
 // The central design decision is that the engine is *shard-count
 // invariant*: every trunk is a mailbox channel even when both ends land
@@ -45,6 +46,7 @@ import (
 	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
+	"slices"
 	"time"
 
 	"virtualwire/internal/ether"
@@ -53,8 +55,7 @@ import (
 
 // ShardsAuto asks the testbed to pick the shard count: min(GOMAXPROCS,
 // edge switches). On a single-CPU machine, on a single switch or a bus,
-// and whenever tracing or metrics sampling is on, auto resolves to one
-// shard, so auto is always safe to set.
+// auto resolves to one shard, so auto is always safe to set.
 const ShardsAuto = -1
 
 // shardWindowCap bounds a window when the fabric has no trunk channels
@@ -89,16 +90,11 @@ type shardRuntime struct {
 }
 
 // resolveShardCount maps Config.Shards to a concrete count given the
-// number of host-bearing switches. The trace buffer and the metrics
-// sampler are shared, unsynchronized state, so auto yields one shard
-// when either is on (checkConfig rejects an explicit K > 1).
+// number of host-bearing switches.
 func (tb *Testbed) resolveShardCount(edges int) int {
 	k := tb.cfg.Shards
 	if k == ShardsAuto {
 		k = runtime.GOMAXPROCS(0)
-		if tb.cfg.TraceCapacity > 0 || tb.cfg.MetricsSampleInterval > 0 {
-			k = 1
-		}
 	}
 	if k > edges {
 		k = edges
@@ -185,19 +181,11 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 }
 
 // checkConfig is the part of the plan that needs no host: the medium,
-// and shard counts that make no sense — including more than one shard
-// where the trace buffer or the metrics sampler, both shared across
-// shards and neither synchronized, is on. New rejects a configuration
-// with it; plan starts with it.
+// and shard counts that make no sense. New rejects a configuration with
+// it; plan starts with it.
 func checkConfig(cfg *Config) error {
 	if cfg.Shards < ShardsAuto {
 		return rejectf("shards", "invalid shard count %d", cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.TraceCapacity > 0 {
-		return rejectf("shards", "TraceCapacity needs one shard, not %d (the trace buffer is shared across shards)", cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.MetricsSampleInterval > 0 {
-		return rejectf("shards", "MetricsSampleInterval needs one shard, not %d (sampling gathers cross-shard state mid-run)", cfg.Shards)
 	}
 	switch cfg.Medium {
 	case MediumSwitch, MediumSwitchFullDuplex:
@@ -322,8 +310,8 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration, scen
 			// faults due within the horizon still apply — they mutate
 			// fabric state (and journal) even with no traffic, and a
 			// restore could in principle re-arm activity, so re-enter the
-			// loop after applying any.
-			if tb.applyTopoFaultsUpTo(deadline) {
+			// loop after applying any; so are the points due.
+			if tb.observeUpTo(deadline, deadline) {
 				continue
 			}
 			for _, s := range sr.scheds {
@@ -333,11 +321,11 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration, scen
 			}
 			return nil, nil
 		}
-		// Apply topology faults due at or before the window floor, with
-		// every shard parked. Applying before the bound computation
-		// matters: a fault can change the live-trunk set and with it the
-		// lookahead below.
-		tb.applyTopoFaultsUpTo(m)
+		// Apply topology faults and take the sample points due at or
+		// before the window floor, with every shard parked. Applying
+		// before the bound computation matters: a fault can change the
+		// live-trunk set and with it the lookahead below.
+		tb.observeUpTo(m, deadline)
 		end := m + shardWindowCap
 		if sr.lookahead > 0 {
 			if la := m + sr.lookahead; la < end {
@@ -352,16 +340,19 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration, scen
 		if t, ok := sr.trunks.EarliestPending(); ok && t < end {
 			end = t
 		}
-		// Never let a window cross the next fault or reconvergence time:
-		// the live-trunk set (and lookahead) must be constant within a
-		// window for the bound to hold — and for shard-count invariance.
-		if bt, ok := tb.nextTopoBoundary(); ok && bt < end {
+		// Never let a window cross the next fault, reconvergence or
+		// sample time: the live-trunk set (and lookahead) must be
+		// constant within a window for the bound to hold — and for
+		// shard-count invariance — and a point is taken at a barrier.
+		if bt, ok := tb.nextBoundary(); ok && bt < end {
 			end = bt
 		}
 		if end <= m {
-			// Unreachable in practice (every bound above is provably > m),
-			// but a stall here would loop forever; the clamp is computed
-			// from the same global quantities, so it stays shard-invariant.
+			// Unreachable before the deadline (every bound above is then
+			// provably > m; past it a sample time may not be, and the
+			// window is the last), but a stall here would loop forever;
+			// the clamp is computed from the same global quantities, so it
+			// stays shard-invariant.
 			end = m + 1
 		}
 		past := end > deadline
@@ -376,8 +367,23 @@ func (tb *Testbed) runWindowed(ctx context.Context, deadline time.Duration, scen
 			return nil, err
 		}
 		sr.trunks.Drain()
+		if tb.tracing != nil {
+			tb.tracing.Flush()
+		}
 		if past {
 			return nil, nil
 		}
 	}
+}
+
+// observeUpTo applies the topology faults due at or before m and takes
+// the sample points due at or before min(m, deadline), in time order (a
+// point at t follows the faults at t); it reports whether a fault applied.
+func (tb *Testbed) observeUpTo(m, deadline time.Duration) bool {
+	applied := false
+	for s := tb.sampler; s != nil && s.Due() <= min(m, deadline); {
+		applied = tb.applyTopoFaultsUpTo(s.Due()) || applied
+		s.Record(slices.DeleteFunc(tb.reg.Gather(), WarmPoolReading))
+	}
+	return tb.applyTopoFaultsUpTo(m) || applied
 }

@@ -50,39 +50,32 @@ func TestShardedRunForAndAuto(t *testing.T) {
 }
 
 // TestShardConfigValidation pins what New rejects and what it resolves:
-// only a shard count that is no count, or more than one shard with the
-// trace buffer or the sampler they would share.
+// only a shard count that is no count is refused; one segment is one
+// shard at any count, and tracing and sampling hold a fabric to none.
 func TestShardConfigValidation(t *testing.T) {
+	if _, err := New(Config{Shards: -2}); err == nil {
+		t.Fatal("Shards: -2 accepted, want error")
+	}
 	star := &TopologySpec{Kind: TopoStar, Switches: 4}
-	bad := []Config{
-		{Shards: -2},
-		{Shards: 2, TraceCapacity: 64},
-		{Shards: 2, MetricsSampleInterval: time.Millisecond, Topology: star},
-	}
-	for _, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("config %+v accepted, want error", cfg)
-		}
-	}
-	oneShard := []Config{
-		{Shards: 4, Medium: MediumBus},
-		{Shards: 4},
-		{Shards: ShardsAuto, TraceCapacity: 64, Topology: star},
-		{Shards: ShardsAuto, MetricsSampleInterval: time.Millisecond, Topology: star},
-		{TraceCapacity: 64, MetricsSampleInterval: time.Millisecond, Topology: star},
-		{Shards: 1, TraceCapacity: 64, Topology: star},
-	}
-	for _, cfg := range oneShard {
-		tb, err := New(cfg)
+	for _, c := range []struct {
+		cfg    Config
+		shards int
+	}{
+		{Config{Shards: 4, Medium: MediumBus}, 1},
+		{Config{Shards: 4}, 1},
+		{Config{Shards: 2, TraceCapacity: 64, MetricsSampleInterval: time.Millisecond, Topology: star}, 2},
+		{Config{Shards: 4, TraceCapacity: 64, Topology: star}, 4},
+	} {
+		tb, err := New(c.cfg)
 		if err != nil {
-			t.Fatalf("config %+v: %v", cfg, err)
+			t.Fatalf("config %+v: %v", c.cfg, err)
 		}
 		addGroupHosts(t, tb, 8)
 		if err := tb.RunFor(time.Millisecond); err != nil {
-			t.Fatalf("config %+v: %v", cfg, err)
+			t.Fatalf("config %+v: %v", c.cfg, err)
 		}
-		if tb.shards.count != 1 {
-			t.Fatalf("config %+v built %d shards, want 1", cfg, tb.shards.count)
+		if tb.shards.count != c.shards {
+			t.Fatalf("config %+v built %d shards, want %d", c.cfg, tb.shards.count, c.shards)
 		}
 	}
 }

@@ -378,7 +378,7 @@ func (tb *Testbed) logTopoFault(at time.Duration, kind string, trunk, sw int) {
 // applyTopoFaultsUpTo applies every staged fault and pending
 // reconvergence due at or before bound, in time order. The run loop
 // calls it at each window barrier with all shards parked;
-// window ends are capped at nextTopoBoundary so no simulation event at
+// window ends are capped at nextBoundary so no simulation event at
 // or after a fault time can execute before the fault applies. Reports
 // whether anything was applied.
 func (tb *Testbed) applyTopoFaultsUpTo(bound time.Duration) bool {
@@ -404,9 +404,9 @@ func (tb *Testbed) applyTopoFaultsUpTo(bound time.Duration) bool {
 	}
 }
 
-// nextTopoBoundary reports the next unapplied fault or pending
-// reconvergence time (a window bound).
-func (tb *Testbed) nextTopoBoundary() (time.Duration, bool) {
+// nextBoundary reports the next unapplied fault, pending reconvergence
+// or sample time (a window bound).
+func (tb *Testbed) nextBoundary() (time.Duration, bool) {
 	st := &tb.topo
 	t, ok := time.Duration(0), false
 	if st.next < len(st.events) {
@@ -414,6 +414,9 @@ func (tb *Testbed) nextTopoBoundary() (time.Duration, bool) {
 	}
 	if st.reconvergePending && (!ok || st.reconvergeAt < t) {
 		t, ok = st.reconvergeAt, true
+	}
+	if s := tb.sampler; s != nil && (!ok || s.Due() < t) {
+		t, ok = s.Due(), true
 	}
 	return t, ok
 }

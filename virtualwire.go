@@ -118,9 +118,7 @@ type Config struct {
 	// same run: one shard, inline on the calling goroutine. ShardsAuto
 	// picks min(GOMAXPROCS, edge switches); explicit counts are clamped
 	// to the fabric size, so a bus or a single switch is always one
-	// shard. TraceCapacity and MetricsSampleInterval need one shard: an
-	// explicit count above 1 is rejected with either, and ShardsAuto
-	// resolves to 1. See docs/PERFORMANCE.md, "Sharded execution".
+	// shard. See docs/PERFORMANCE.md, "Sharded execution".
 	Shards int
 	// TraceCapacity, when positive, records a tcpdump-like trace of up
 	// to this many frames (tap directly above each NIC).
@@ -506,7 +504,7 @@ func (tb *Testbed) assemble() error {
 			pw = pcapWriter
 		}
 		if tb.tracing != nil || pw != nil {
-			tap := trace.NewTap(sched, n.name, tb.tracing, pw)
+			tap := trace.NewTap(sched, n.name, tb.tracing.Stage(shard), pw)
 			if pw != nil {
 				tb.pcapTap = tap
 			}
@@ -693,7 +691,8 @@ func (tb *Testbed) RunFor(d time.Duration) error {
 func (tb *Testbed) Now() time.Duration { return tb.sched.Now() }
 
 // Trace returns the captured frames (empty unless Config.TraceCapacity
-// was set).
+// was set), oldest first: by time, then node name, then capture order —
+// the same at any shard count.
 func (tb *Testbed) Trace() []TraceEntry {
 	if tb.tracing == nil {
 		return nil
