@@ -301,3 +301,41 @@ func TestTopologyReset1000DoesNotAllocate(t *testing.T) {
 		t.Errorf("Reset + RunFor of the 1000-host fat-tree allocates %.0f times, want 0", n)
 	}
 }
+
+// TestBuildIsLinearInHosts: building the fabric_manyflow fat-tree costs
+// O(hosts) bytes. Every host reads the testbed's one Node Table, so 4×
+// the hosts allocates about 4× the bytes (4.1); a table copied into each
+// host made it 12.5 — one ARP row per pair of hosts. The limit of 6
+// trips on any per-pair cost that comes back.
+func TestBuildIsLinearInHosts(t *testing.T) {
+	const limit = 6.0
+	build := func(n int) (uint64, *virtualwire.Testbed) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tb, err := virtualwire.New(virtualwire.Config{Seed: 1, Topology: &virtualwire.TopologySpec{
+			Kind: virtualwire.TopoFatTree, TrunkPropagation: 10 * time.Microsecond,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.AddHostGroup("h", n); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.RunFor(time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, tb
+	}
+	small, _ := build(250)
+	large, tb := build(1000)
+	if ratio := float64(large) / float64(small); ratio > limit {
+		t.Errorf("building 1000 hosts allocates %d B, 250 hosts %d B: ratio %.1f, limit %v", large, small, ratio, limit)
+	}
+	nodes := tb.Nodes()
+	for _, n := range nodes {
+		if n.NeighborTable() != nodes[0].NeighborTable() {
+			t.Fatalf("%s and %s hold different ARP tables", n.Name(), nodes[0].Name())
+		}
+	}
+}

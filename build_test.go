@@ -268,7 +268,7 @@ func TestHostSetClosesAtBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.AddHost("a", "00:00:00:00:00:01", "10.0.0.1"); err != nil {
+	if _, err := tb.AddHost("a", "00:00:00:00:00:01", "192.168.0.1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.AddHost("a", "00:00:00:00:00:02", "10.0.0.2"); err == nil {
@@ -304,6 +304,72 @@ func TestHostSetClosesAtBuild(t *testing.T) {
 		if rep, err := empty.Run(time.Millisecond); err != nil || len(rep.Nodes) != 0 {
 			t.Errorf("medium %d with no hosts: %v, %d node rows", m, err, len(rep.Nodes))
 		}
+	}
+}
+
+// TestNodeTableRefusesDuplicateIdentity: one IP or one MAC names one
+// host. A second claim on either is refused where the host is declared —
+// by AddHost, AddHostGroup or a script's NODE_TABLE — naming the host and
+// the address, and the refused host is not recorded. (Accepted, every ARP
+// lookup of the shared IP answered with the last host's MAC, and traffic
+// to the first was silently lost.)
+func TestNodeTableRefusesDuplicateIdentity(t *testing.T) {
+	cases := []struct {
+		name    string
+		declare func(tb *Testbed) error
+		want    string
+		kept    int // hosts the declaration recorded before the refusal
+	}{
+		{"duplicate-ip", func(tb *Testbed) error {
+			_, err := tb.AddHost("c", "00:00:00:00:00:03", "10.0.0.2")
+			return err
+		}, `host "c": IP 10.0.0.2 already in use`, 0},
+		{"duplicate-mac", func(tb *Testbed) error {
+			_, err := tb.AddHost("c", "00:00:00:00:00:02", "10.0.0.3")
+			return err
+		}, `host "c": MAC 00:00:00:00:00:02 already in use`, 0},
+		{"group-collides-with-host", func(tb *Testbed) error {
+			_, err := tb.AddHostGroup("h", 2) // h0001 is 10.0.0.1
+			return err
+		}, `host "h0001": IP 10.0.0.1 already in use`, 0},
+		{"script-node-table", func(tb *Testbed) error {
+			return tb.AddNodesFromScript("NODE_TABLE\nnode1 00:00:00:00:01:01 10.0.1.1\nnode2 00:00:00:00:01:02 10.0.0.2\nEND\n")
+		}, `host "node2": IP 10.0.0.2 already in use`, 1},
+		{"script-repeats-its-own-ip", func(tb *Testbed) error {
+			return tb.AddNodesFromScript("NODE_TABLE\nnode1 00:00:00:00:01:01 10.0.1.1\nnode2 00:00:00:00:01:02 10.0.1.1\nEND\n")
+		}, `host "node2": IP 10.0.1.1 already in use`, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range [][3]string{{"a", "00:00:00:00:00:01", "10.0.0.1"}, {"b", "00:00:00:00:00:02", "10.0.0.2"}} {
+				if _, err := tb.AddHost(h[0], h[1], h[2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := len(tb.Nodes())
+			err = tc.declare(tb)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("declare: %v, want an error containing %q", err, tc.want)
+			}
+			if n := len(tb.Nodes()); n != before+tc.kept {
+				t.Fatalf("%d hosts recorded after the refusal, want %d", n, before+tc.kept)
+			}
+			// The hosts that were accepted still reach each other.
+			echo, err := tb.AddUDPEcho(UDPEchoConfig{Client: "a", Server: "b", ServerPort: 7, Count: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.Run(100 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if echo.Sent() != 5 || echo.Received() != 5 {
+				t.Errorf("echo a→b: %d sent, %d received, want 5 and 5", echo.Sent(), echo.Received())
+			}
+		})
 	}
 }
 

@@ -21,8 +21,9 @@ type Host struct {
 	IPv4  *IPStack
 	UDP   *UDPStack
 
-	// Neighbors is the static ARP table (IP → MAC) shared by all hosts
-	// on the testbed, built from the scenario's Node Table.
+	// Neighbors is the static ARP table (IP → MAC), built from the
+	// scenario's Node Table. A testbed hands every host — on every shard
+	// — the same map, read-only once built.
 	Neighbors map[packet.IP]packet.MAC
 
 	down Down

@@ -54,9 +54,9 @@ echo "== go test =="
 # Includes the allocation gates — TestCampaignSerialAllocs,
 # TestFig5SteadyCopiesPerPayloadByte, TestQuickstartSteadyBytesPerRun,
 # TestSteadyAllocsPerEcho, TestSteadyAllocsPerTokenVisit,
-# TestTopologyReset1000DoesNotAllocate — and the pinned work counts of
-# TestWorkCountsArePinned, which are tests because allocation and work
-# counts are deterministic.
+# TestTopologyReset1000DoesNotAllocate, TestBuildIsLinearInHosts — and
+# the pinned work counts of TestWorkCountsArePinned, which are tests
+# because allocation and work counts are deterministic.
 go test ./...
 
 echo "== go test -race =="
@@ -104,28 +104,29 @@ go run -race ./cmd/vwcampaign \
 echo "== sharded engine identity smoke =="
 # The sharded windowed engine must be byte-identical to its one-shard
 # run: same fat-tree campaign through the real CLI at 1 and 4 shards,
-# diffed record-for-record — once from quick flags, once from a spec
-# file that samples metrics, series included. (The property over every
-# scenario lives in the shard columns of identity_test.go and
-# campaign/identity_test.go; this catches CLI-level plumbing
-# regressions.)
-SHARD_A="$(mktemp)"
-SHARD_B="$(mktemp)"
+# diffed record-for-record — from quick flags at 64 and at 4096 hosts,
+# then from a spec file that samples metrics, series included. (The
+# property over every scenario lives in the shard columns of
+# identity_test.go and campaign/identity_test.go; this catches CLI-level
+# plumbing regressions.)
 SHARD_SPEC="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B"; rm -rf "$SHARD_SPEC"' EXIT
-go run ./cmd/vwcampaign \
-    -hosts 64 -topology fattree -manyflow 8:4096 \
-    -seeds 2 -horizon 5s -workers 1 -summary none \
-    -shards 1 -out "$SHARD_A"
-go run ./cmd/vwcampaign \
-    -hosts 64 -topology fattree -manyflow 8:4096 \
-    -seeds 2 -horizon 5s -workers 1 -summary none \
-    -shards 4 -out "$SHARD_B"
-if ! cmp -s "$SHARD_A" "$SHARD_B"; then
-    echo "sharded identity smoke: 4-shard JSONL differs from 1-shard" >&2
-    diff "$SHARD_A" "$SHARD_B" >&2 || true
-    exit 1
-fi
+trap 'rm -rf "$SHARD_SPEC"' EXIT
+go build -o "$SHARD_SPEC/" ./cmd/vwcampaign
+shard_pair() { # hosts, manyflow flows:bytes, horizon
+    for K in 1 4; do
+        "$SHARD_SPEC/vwcampaign" \
+            -hosts "$1" -topology fattree -manyflow "$2" \
+            -seeds 2 -horizon "$3" -workers 1 -summary none \
+            -shards $K -out "$SHARD_SPEC/flags$K.jsonl"
+    done
+    if ! cmp -s "$SHARD_SPEC/flags1.jsonl" "$SHARD_SPEC/flags4.jsonl"; then
+        echo "sharded identity smoke: $1-host 4-shard JSONL differs from 1-shard" >&2
+        diff "$SHARD_SPEC/flags1.jsonl" "$SHARD_SPEC/flags4.jsonl" >&2 || true
+        exit 1
+    fi
+}
+shard_pair 64 8:4096 5s
+shard_pair 4096 32:4096 200ms
 for K in 1 4; do
     cat > "$SHARD_SPEC/spec$K.json" <<EOF
 {"name": "sampled-shards", "seed": 3, "seed_count": 2, "hosts": 64, "horizon": "200ms",
@@ -133,7 +134,7 @@ for K in 1 4; do
               "topology": {"kind": "fattree"}}],
  "workloads": [{"kind": "manyflow", "flows": 8, "bytes": 4096}]}
 EOF
-    go run ./cmd/vwcampaign -spec "$SHARD_SPEC/spec$K.json" -workers 1 -summary none \
+    "$SHARD_SPEC/vwcampaign" -spec "$SHARD_SPEC/spec$K.json" -workers 1 -summary none \
         -out "$SHARD_SPEC/out$K.jsonl"
 done
 if ! grep -q '"series"' "$SHARD_SPEC/out1.jsonl" || ! cmp -s "$SHARD_SPEC/out1.jsonl" "$SHARD_SPEC/out4.jsonl"; then
@@ -152,7 +153,7 @@ echo "== fabric failover smoke =="
 FAIL_A="$(mktemp)"
 FAIL_B="$(mktemp)"
 FAIL_SUM="$(mktemp)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC"' EXIT
+trap 'rm -f "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC"' EXIT
 go run ./cmd/vwcampaign \
     -hosts 24 -topology ring:4 -manyflow 12:65536 \
     -trunk-fail 0@5ms \
@@ -205,7 +206,7 @@ echo "== campaign service smoke =="
 # resumed job still produces identical bytes; finally shut down cleanly
 # on SIGTERM. See docs/SERVICE.md.
 SVC_TMP="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
 go build -o "$SVC_TMP/" ./cmd/vwcampaign ./cmd/vwcampaignd
 cat > "$SVC_TMP/spec.json" <<'EOF'
 {
@@ -330,7 +331,7 @@ echo "== vwire smoke (one tap, one reading model) =="
 # like every other reading, reaches the Prometheus export as 10 bounds
 # plus +Inf. A capture that cannot be written fails the run.
 VW_TMP="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP" "$VW_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SHARD_SPEC" "$SVC_TMP" "$VW_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
 go build -o "$VW_TMP/" ./cmd/vwire
 "$VW_TMP/vwire" -script scripts/udp_faults.fsl -scenario dup_one \
     -echo node1-node2:9000:50 -trace -pcap "$VW_TMP/c.pcap" \

@@ -249,6 +249,11 @@ type Testbed struct {
 
 	nodes  []*Node
 	byName map[string]*Node
+	// arp is the Node Table's IP → MAC column, the one static ARP table
+	// every host is handed at build; macs holds the MACs taken. Both are
+	// wiring: filled by addHost, never written after build.
+	arp  map[packet.IP]packet.MAC
+	macs map[packet.MAC]struct{}
 
 	// The media, constructed by build and kept by Reset: fabric is every
 	// switch in plan order — the classic single switch is the one-switch
@@ -327,6 +332,8 @@ func New(cfg Config) (*Testbed, error) {
 		sched:  sim.NewScheduler(cfg.Seed),
 		pool:   ether.NewFramePool(),
 		byName: make(map[string]*Node),
+		arp:    make(map[packet.IP]packet.MAC),
+		macs:   make(map[packet.MAC]struct{}),
 		reg:    metrics.NewRegistry(),
 	}
 	if cfg.TraceCapacity > 0 {
@@ -359,9 +366,17 @@ func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, er
 	if _, dup := tb.byName[name]; dup {
 		return nil, fmt.Errorf("virtualwire: host %q already added", name)
 	}
+	if _, dup := tb.arp[addr]; dup {
+		return nil, fmt.Errorf("virtualwire: host %q: IP %s already in use", name, addr)
+	}
+	if _, dup := tb.macs[m]; dup {
+		return nil, fmt.Errorf("virtualwire: host %q: MAC %s already in use", name, m)
+	}
 	n := &Node{tb: tb, name: name, mac: m, ip: addr}
 	tb.nodes = append(tb.nodes, n)
 	tb.byName[name] = n
+	tb.arp[addr] = m
+	tb.macs[m] = struct{}{}
 	return n, nil
 }
 
@@ -490,6 +505,7 @@ func (tb *Testbed) assemble() error {
 		sw, shard := segmentOf(i)
 		sched := tb.shards.scheds[shard]
 		n.host = stack.NewHost(sched, n.name, n.mac, n.ip)
+		n.host.Neighbors = tb.arp
 		if sw != nil {
 			sw.AttachHost(n.host.NIC)
 		} else {
@@ -535,12 +551,6 @@ func (tb *Testbed) assemble() error {
 		}
 		n.host.Build(layers...)
 		n.tcp = tcp.NewStack(n.host)
-	}
-	// Static ARP: everyone knows everyone (the Node Table).
-	for _, a := range tb.nodes {
-		for _, b := range tb.nodes {
-			a.host.Neighbors[b.ip] = b.mac
-		}
 	}
 	if tb.script != nil {
 		prog := tb.script.prog

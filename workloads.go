@@ -238,7 +238,7 @@ type UDPEcho struct {
 	cfg     UDPEchoConfig
 	sent    int
 	recvd   int
-	rtts    []time.Duration
+	rttSum  time.Duration
 	pending map[uint64]time.Duration
 }
 
@@ -318,7 +318,7 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 		delete(w.pending, seq)
 		w.recvd++
 		rtt := sched.Now() - sentAt
-		w.rtts = append(w.rtts, rtt)
+		w.rttSum += rtt
 		rttHist.Observe(rtt.Seconds())
 	}
 	run := func() {
@@ -347,23 +347,12 @@ func (w *UDPEcho) Sent() int { return w.sent }
 // Received reports echoes received.
 func (w *UDPEcho) Received() int { return w.recvd }
 
-// RTTs returns all round-trip samples.
-func (w *UDPEcho) RTTs() []time.Duration {
-	out := make([]time.Duration, len(w.rtts))
-	copy(out, w.rtts)
-	return out
-}
-
 // MeanRTT returns the average round-trip time (0 with no samples).
 func (w *UDPEcho) MeanRTT() time.Duration {
-	if len(w.rtts) == 0 {
+	if w.recvd == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, r := range w.rtts {
-		sum += r
-	}
-	return sum / time.Duration(len(w.rtts))
+	return w.rttSum / time.Duration(w.recvd)
 }
 
 // UDPStreamConfig describes a constant-bit-rate datagram stream (no
