@@ -199,16 +199,8 @@ type TrunkFault struct {
 // "trunk_faults[1].kind"); everything else about the values is for the
 // testbed's own plan to accept or reject (Testbed.Check).
 func (o *ConfigOverride) config() (cfg virtualwire.Config, err error) {
-	switch o.Medium {
-	case "":
-	case "switch":
-		cfg.Medium = virtualwire.MediumSwitch
-	case "bus":
-		cfg.Medium = virtualwire.MediumBus
-	case "fdswitch":
-		cfg.Medium = virtualwire.MediumSwitchFullDuplex
-	default:
-		return cfg, fieldErrf("medium", "unknown medium %q (want switch, bus or fdswitch)", o.Medium)
+	if cfg.Medium, err = virtualwire.ParseMedium(o.Medium); err != nil {
+		return cfg, prefixField("medium", err)
 	}
 	if o.RLL != nil {
 		cfg.RLL = *o.RLL

@@ -13,71 +13,94 @@
 //	      -rether node1,node2,node3,node4 -rt 24576:16384 \
 //	      -tcp node1:24576-node4:16384:4194304
 //
+//	# Compile a script and print its six tables and dispatch shape,
+//	# without running it:
+//	vwire -script scripts/fig5_tcp_ss_ca.fsl -tables
+//
 // The exit status is 0 when the scenario passes (started, no FLAG_ERR,
-// and an explicit STOP if the script declares an inactivity timeout).
+// and an explicit STOP if the script declares an inactivity timeout), or,
+// with -tables, when every scenario compiles.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"virtualwire"
+	"virtualwire/internal/cliflag"
+	"virtualwire/internal/fsl"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vwire:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scriptPath := flag.String("script", "", "FSL scenario file (required)")
-	medium := flag.String("medium", "switch", "testbed medium: switch, bus or fdswitch")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	rll := flag.Bool("rll", false, "insert the Reliable Link Layer")
-	ber := flag.Float64("ber", 0, "wire bit error rate (use with -rll)")
-	horizon := flag.Duration("horizon", 60*time.Second, "maximum virtual run time")
-	retherRing := flag.String("rether", "", "comma-separated ring order to run Rether on")
-	rtStream := flag.String("rt", "", "srcport:dstport marked real-time for Rether")
-	tcpSpec := flag.String("tcp", "", "TCP bulk workload: from:port-to:port:bytes")
-	echoSpec := flag.String("echo", "", "UDP echo workload: client-server:port:count")
-	showTrace := flag.Bool("trace", false, "print the captured packet trace")
-	showSummary := flag.Bool("summary", false, "print the per-node engine/protocol summary")
-	scenario := flag.String("scenario", "", "scenario name to run from a multi-scenario script")
-	pcapPath := flag.String("pcap", "", "write a tcpdump-compatible capture of the control node's interface to this file")
-	showTables := flag.Bool("tables", false, "print the compiled six tables before running")
-	counters := flag.String("counters", "", "comma-separated node:counter values to print after the run")
-	metricsOut := flag.String("metrics-out", "", "write the sampled metrics time series to this file (.json, .csv or .prom by extension)")
-	metricsInterval := flag.Duration("metrics-interval", 50*time.Millisecond, "virtual-time sampling interval for -metrics-out")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("vwire", flag.ExitOnError)
+	scriptPath := flags.String("script", "", "FSL scenario file (required)")
+	medium := flags.String("medium", "switch", "testbed medium: switch, bus or fdswitch")
+	seed := flags.Int64("seed", 1, "simulation seed")
+	rll := flags.Bool("rll", false, "insert the Reliable Link Layer")
+	ber := flags.Float64("ber", 0, "wire bit error rate (use with -rll)")
+	horizon := flags.Duration("horizon", 60*time.Second, "maximum virtual run time")
+	retherRing := flags.String("rether", "", "comma-separated ring order to run Rether on")
+	rtStream := flags.String("rt", "", "srcport:dstport marked real-time for Rether (requires -rether)")
+	tcpSpec := flags.String("tcp", "", "TCP bulk workload: from:port-to:port:bytes")
+	echoSpec := flags.String("echo", "", "UDP echo workload: client-server:port:count")
+	showTrace := flags.Bool("trace", false, "print the captured packet trace")
+	showSummary := flags.Bool("summary", false, "print the per-node engine/protocol summary")
+	scenario := flags.String("scenario", "", "scenario name to run from a multi-scenario script")
+	pcapPath := flags.String("pcap", "", "write a tcpdump-compatible capture of the control node's interface to this file")
+	showTables := flags.Bool("tables", false, "compile the script, print every scenario's six tables and dispatch shape (or -scenario's only), and exit without running")
+	counters := flags.String("counters", "", "comma-separated node:counter values to print after the run")
+	metricsOut := flags.String("metrics-out", "", "write the sampled metrics time series to this file (.json, .csv or .prom by extension)")
+	metricsInterval := flags.Duration("metrics-interval", 50*time.Millisecond, "virtual-time sampling interval for -metrics-out")
+	flags.Parse(args)
 
+	// runFlags are the set flags that only a run reads.
+	var runFlags []string
+	flags.Visit(func(f *flag.Flag) {
+		if f.Name != "script" && f.Name != "scenario" && f.Name != "tables" {
+			runFlags = append(runFlags, "-"+f.Name)
+		}
+	})
 	if *scriptPath == "" {
-		flag.Usage()
+		flags.Usage()
 		return fmt.Errorf("-script is required")
+	}
+	if *showTables && len(runFlags) > 0 {
+		return fmt.Errorf("-tables runs nothing, so it takes no %s", strings.Join(runFlags, ", "))
+	}
+	if slices.Contains(runFlags, "-metrics-interval") && *metricsOut == "" {
+		return fmt.Errorf("-metrics-interval requires -metrics-out")
+	}
+	if *rtStream != "" && *retherRing == "" {
+		return fmt.Errorf("-rt requires -rether")
 	}
 	src, err := os.ReadFile(*scriptPath)
 	if err != nil {
 		return err
 	}
 	script := string(src)
-
-	cfg := virtualwire.Config{Seed: *seed, RLL: *rll, BitErrorRate: *ber}
-	switch *medium {
-	case "switch":
-		cfg.Medium = virtualwire.MediumSwitch
-	case "bus":
-		cfg.Medium = virtualwire.MediumBus
-	case "fdswitch":
-		cfg.Medium = virtualwire.MediumSwitchFullDuplex
-	default:
-		return fmt.Errorf("unknown -medium %q", *medium)
+	if *showTables {
+		return printTables(stdout, *scriptPath, script, *scenario)
 	}
+
+	mk, err := virtualwire.ParseMedium(*medium)
+	if err != nil {
+		return fmt.Errorf("-medium: %w", err)
+	}
+	cfg := virtualwire.Config{Seed: *seed, Medium: mk, RLL: *rll, BitErrorRate: *ber}
 	if *showTrace {
 		cfg.TraceCapacity = 100000
 	}
@@ -116,13 +139,10 @@ func run() error {
 	if err := tb.LoadScriptScenario(script, *scenario); err != nil {
 		return err
 	}
-	if *showTables {
-		fmt.Println(tb.DumpTables())
-	}
 
 	var bulk *virtualwire.TCPBulk
 	if *tcpSpec != "" {
-		bc, err := parseTCPSpec(*tcpSpec)
+		bc, err := cliflag.TCP(*tcpSpec)
 		if err != nil {
 			return fmt.Errorf("-tcp: %w", err)
 		}
@@ -133,7 +153,7 @@ func run() error {
 	}
 	var echo *virtualwire.UDPEcho
 	if *echoSpec != "" {
-		ec, err := parseEchoSpec(*echoSpec)
+		ec, err := cliflag.Echo(*echoSpec)
 		if err != nil {
 			return fmt.Errorf("-echo: %w", err)
 		}
@@ -148,21 +168,21 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("scenario: %s\n", rep.Result)
+	fmt.Fprintf(stdout, "scenario: %s\n", rep.Result)
 	if rep.Result.LaunchFailed {
-		fmt.Printf("launch failed; unreachable nodes: %s\n", strings.Join(rep.Unreachable, ", "))
+		fmt.Fprintf(stdout, "launch failed; unreachable nodes: %s\n", strings.Join(rep.Unreachable, ", "))
 	}
-	fmt.Printf("virtual time: %v, events: %d\n", rep.Duration, rep.Events)
+	fmt.Fprintf(stdout, "virtual time: %v, events: %d\n", rep.Duration, rep.Events)
 	for _, e := range rep.Result.Errors {
-		fmt.Printf("  error: %s\n", e)
+		fmt.Fprintf(stdout, "  error: %s\n", e)
 	}
 	if bulk != nil {
-		fmt.Printf("tcp: delivered %d bytes, goodput %.1f Mbps, retransmissions %d\n",
+		fmt.Fprintf(stdout, "tcp: delivered %d bytes, goodput %.1f Mbps, retransmissions %d\n",
 			bulk.DeliveredBytes(), bulk.GoodputBitsPerSecond()/1e6,
 			bulk.SenderStats().Retransmissions)
 	}
 	if echo != nil {
-		fmt.Printf("echo: %d/%d round trips, mean RTT %v\n",
+		fmt.Fprintf(stdout, "echo: %d/%d round trips, mean RTT %v\n",
 			echo.Received(), echo.Sent(), echo.MeanRTT())
 	}
 	if *counters != "" {
@@ -179,33 +199,57 @@ func run() error {
 			if !ok {
 				return fmt.Errorf("-counters: node %s has no counter %q", parts[0], parts[1])
 			}
-			fmt.Printf("counter %s:%s = %d\n", parts[0], parts[1], v)
+			fmt.Fprintf(stdout, "counter %s:%s = %d\n", parts[0], parts[1], v)
 		}
 	}
 	if *showTrace {
-		fmt.Println("--- trace ---")
+		fmt.Fprintln(stdout, "--- trace ---")
 		for _, e := range tb.Trace() {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
 	}
 	if *showSummary {
-		fmt.Println("--- summary ---")
-		fmt.Print(rep.Text())
+		fmt.Fprintln(stdout, "--- summary ---")
+		fmt.Fprint(stdout, rep.Text())
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(tb, *metricsOut); err != nil {
 			return err
 		}
-		fmt.Printf("metrics written to %s (%d instruments, %d sampled points)\n",
+		fmt.Fprintf(stdout, "metrics written to %s (%d instruments, %d sampled points)\n",
 			*metricsOut, rep.Metrics.Instruments, rep.Metrics.SampledPoints)
 	}
 	if pcapFile != nil {
-		fmt.Printf("pcap capture written to %s\n", *pcapPath)
+		fmt.Fprintf(stdout, "pcap capture written to %s\n", *pcapPath)
 	}
 	if !rep.Passed {
 		return fmt.Errorf("scenario FAILED")
 	}
-	fmt.Println("scenario PASSED")
+	fmt.Fprintln(stdout, "scenario PASSED")
+	return nil
+}
+
+// printTables compiles every scenario of the script (or the named one)
+// and prints its six tables (Figure 3 of the paper: filter, node,
+// counter, term, condition, action) followed by the shape of the
+// dispatch tree the engines classify with — the quickest way to validate
+// a script before running it.
+func printTables(stdout io.Writer, path, script, scenario string) error {
+	progs, err := fsl.CompileAll(script)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	found := false
+	for _, p := range progs {
+		if scenario != "" && p.Name != scenario {
+			continue
+		}
+		found = true
+		fmt.Fprintf(stdout, "=== %s: %s ===\n\n%s\n%s\n", path, p.Name, p.Dump(), p.DumpDispatch())
+	}
+	if !found {
+		return fmt.Errorf("%s: script has no scenario %q", path, scenario)
+	}
 	return nil
 }
 
@@ -244,59 +288,4 @@ func parsePortPair(s string) (uint16, uint16, error) {
 		return 0, 0, err
 	}
 	return uint16(sp), uint16(dp), nil
-}
-
-// parseTCPSpec parses from:port-to:port:bytes.
-func parseTCPSpec(s string) (virtualwire.TCPBulkConfig, error) {
-	var cfg virtualwire.TCPBulkConfig
-	halves := strings.SplitN(s, "-", 2)
-	if len(halves) != 2 {
-		return cfg, fmt.Errorf("want from:port-to:port:bytes")
-	}
-	fp := strings.Split(halves[0], ":")
-	tp := strings.Split(halves[1], ":")
-	if len(fp) != 2 || len(tp) != 3 {
-		return cfg, fmt.Errorf("want from:port-to:port:bytes")
-	}
-	sport, err := strconv.ParseUint(fp[1], 0, 16)
-	if err != nil {
-		return cfg, err
-	}
-	dport, err := strconv.ParseUint(tp[1], 0, 16)
-	if err != nil {
-		return cfg, err
-	}
-	bytes, err := strconv.Atoi(tp[2])
-	if err != nil {
-		return cfg, err
-	}
-	cfg.From, cfg.To = fp[0], tp[0]
-	cfg.SrcPort, cfg.DstPort = uint16(sport), uint16(dport)
-	cfg.Bytes = bytes
-	return cfg, nil
-}
-
-// parseEchoSpec parses client-server:port:count.
-func parseEchoSpec(s string) (virtualwire.UDPEchoConfig, error) {
-	var cfg virtualwire.UDPEchoConfig
-	halves := strings.SplitN(s, "-", 2)
-	if len(halves) != 2 {
-		return cfg, fmt.Errorf("want client-server:port:count")
-	}
-	sp := strings.Split(halves[1], ":")
-	if len(sp) != 3 {
-		return cfg, fmt.Errorf("want client-server:port:count")
-	}
-	port, err := strconv.ParseUint(sp[1], 0, 16)
-	if err != nil {
-		return cfg, err
-	}
-	count, err := strconv.Atoi(sp[2])
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Client, cfg.Server = halves[0], sp[0]
-	cfg.ServerPort = uint16(port)
-	cfg.Count = count
-	return cfg, nil
 }

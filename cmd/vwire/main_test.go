@@ -1,48 +1,10 @@
 package main
 
-import "testing"
-
-func TestParseTCPSpec(t *testing.T) {
-	cfg, err := parseTCPSpec("node1:24576-node2:16384:81920")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if cfg.From != "node1" || cfg.To != "node2" {
-		t.Errorf("hosts: %s -> %s", cfg.From, cfg.To)
-	}
-	if cfg.SrcPort != 24576 || cfg.DstPort != 16384 || cfg.Bytes != 81920 {
-		t.Errorf("parsed %+v", cfg)
-	}
-	// Hex ports accepted.
-	cfg, err = parseTCPSpec("a:0x6000-b:0x4000:1")
-	if err != nil {
-		t.Fatalf("hex parse: %v", err)
-	}
-	if cfg.SrcPort != 0x6000 || cfg.DstPort != 0x4000 {
-		t.Errorf("hex ports: %#x %#x", cfg.SrcPort, cfg.DstPort)
-	}
-	for _, bad := range []string{"", "a:1", "a:1-b:2", "a-b:2:3", "a:x-b:2:3", "a:1-b:2:x"} {
-		if _, err := parseTCPSpec(bad); err == nil {
-			t.Errorf("parseTCPSpec(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestParseEchoSpec(t *testing.T) {
-	cfg, err := parseEchoSpec("node1-node2:9000:250")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if cfg.Client != "node1" || cfg.Server != "node2" ||
-		cfg.ServerPort != 9000 || cfg.Count != 250 {
-		t.Errorf("parsed %+v", cfg)
-	}
-	for _, bad := range []string{"", "a", "a-b", "a-b:1", "a-b:x:2", "a-b:1:x"} {
-		if _, err := parseEchoSpec(bad); err == nil {
-			t.Errorf("parseEchoSpec(%q) succeeded", bad)
-		}
-	}
-}
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func TestParsePortPair(t *testing.T) {
 	sp, dp, err := parsePortPair("24576:16384")
@@ -52,6 +14,52 @@ func TestParsePortPair(t *testing.T) {
 	for _, bad := range []string{"", "1", "1:2:3", "x:1", "1:x"} {
 		if _, _, err := parsePortPair(bad); err == nil {
 			t.Errorf("parsePortPair(%q) succeeded", bad)
+		}
+	}
+}
+
+// -tables compiles and prints without running: one block per scenario,
+// or -scenario's only.
+func TestTablesPrintsEveryScenarioWithoutRunning(t *testing.T) {
+	var all, one bytes.Buffer
+	if err := run([]string{"-script", "../../scripts/udp_faults.fsl", "-tables"}, &all); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-script", "../../scripts/udp_faults.fsl", "-scenario", "dup_one", "-tables"}, &one); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(all.String(), "COMPILED DISPATCH"); n < 2 {
+		t.Errorf("%d dispatch blocks for a multi-scenario script", n)
+	}
+	if n := strings.Count(one.String(), "COMPILED DISPATCH"); n != 1 || !strings.Contains(all.String(), one.String()) {
+		t.Errorf("-scenario dup_one printed %d blocks, or a block -tables alone does not print:\n%s", n, one.String())
+	}
+	if strings.Contains(all.String(), "scenario:") {
+		t.Errorf("-tables ran the scenario:\n%s", all.String())
+	}
+	if err := run([]string{"-script", "../../scripts/prologue_tcp.fsl", "-tables"}, new(bytes.Buffer)); err == nil {
+		t.Error("-tables on a script with no scenario succeeded")
+	}
+}
+
+// A flag the chosen mode would ignore is refused by name.
+func TestRefusesIgnoredFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tables", "-tcp", "a:1-b:2:3", "-medium", "bus"}, "takes no -medium, -tcp"},
+		{[]string{"-metrics-interval", "1ms"}, "-metrics-interval requires -metrics-out"},
+		{[]string{"-rt", "1:2"}, "-rt requires -rether"},
+	} {
+		args := append([]string{"-script", "../../scripts/udp_faults.fsl", "-scenario", "dup_one"}, c.args...)
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q before refusing", c.args, out.String())
 		}
 	}
 }

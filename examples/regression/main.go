@@ -1,32 +1,28 @@
 // Regression suite: the paper's envisioned fully automated workflow
-// (Section 8). Scenarios are *generated* — one per (fault kind, packet
-// index) — and each is run against the TCP implementation on a fresh
-// testbed. A case passes when the stream keeps flowing after the fault;
-// it fails when the connection wedges (inactivity timeout) or an analysis
-// rule flags an error. "This trace filtering capability makes it possible
-// to run through a large number of test cases without human
+// (Section 8). Scenarios are *generated* from a prologue — one per (fault
+// kind, packet index) — and each runs, as one variant of a campaign,
+// against the TCP implementation carrying a bulk transfer. A case passes
+// when the stream keeps flowing after the fault (the generated script
+// STOPs); it fails when the connection wedges (inactivity timeout) or an
+// analysis rule flags an error. "This trace filtering capability makes it
+// possible to run through a large number of test cases without human
 // intervention" (Section 1).
+//
+// Run from the repository root; the prologue is scripts/prologue_tcp.fsl:
 //
 //	go run ./examples/regression
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 )
-
-const prologue = `
-FILTER_TABLE
-TCP_data: (34 2 0x6000), (36 2 0x4000), (47 1 0x10 0x10)
-END
-NODE_TABLE
-node1 00:00:00:00:00:01 10.0.0.1
-node2 00:00:00:00:00:02 10.0.0.2
-END
-`
 
 func main() {
 	if err := run(); err != nil {
@@ -35,8 +31,12 @@ func main() {
 }
 
 func run() error {
+	prologue, err := os.ReadFile("scripts/prologue_tcp.fsl")
+	if err != nil {
+		return err
+	}
 	scenarios, err := virtualwire.GenerateScenarios(virtualwire.GenConfig{
-		Prologue:      prologue,
+		Prologue:      string(prologue),
 		PacketType:    "TCP_data",
 		From:          "node1",
 		To:            "node2",
@@ -47,55 +47,48 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("generated %d scenarios; running the regression suite against TCP\n\n", len(scenarios))
+	fmt.Printf("generated %d scenarios for TCP_data node1->node2 RECV\n\n", len(scenarios))
 
-	pass, fail := 0, 0
-	for i, sc := range scenarios {
-		verdict, detail, err := runCase(int64(i), sc.Script)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		fmt.Printf("  %-28s %-6s %s\n", sc.Name, verdict, detail)
-		if verdict == "PASS" {
-			pass++
-		} else {
-			fail++
-		}
+	// One campaign, one variant per generated case: the executor owns the
+	// testbeds, the seeds and the order the records come back in.
+	spec := campaign.Spec{Horizon: campaign.Duration(2 * time.Minute)}
+	workload := campaign.WorkloadSpec{
+		Kind: "tcpbulk", From: "node1", To: "node2",
+		SrcPort: 0x6000, DstPort: 0x4000, Bytes: 256 * 1024,
 	}
-	fmt.Printf("\nsuite result: %d passed, %d failed\n", pass, fail)
-	if fail > 0 {
-		return fmt.Errorf("%d regression case(s) failed", fail)
+	for i := range scenarios {
+		caseSeed := int64(1 + i)
+		spec.Variants = append(spec.Variants, campaign.Variant{
+			Label: scenarios[i].Name, Script: &scenarios[i].Script, Workload: &workload, Seed: &caseSeed,
+		})
+	}
+	failures := 0
+	var caseErr error
+	_, err = campaign.Run(context.Background(), spec, campaign.Options{OnRecord: func(r campaign.RunRecord) {
+		if r.Outcome == campaign.OutcomeError {
+			if caseErr == nil {
+				caseErr = fmt.Errorf("%s: %s", r.Label, r.Error)
+			}
+			return
+		}
+		verdict := "FAIL"
+		if r.Report.Passed && r.Report.Result.Stopped {
+			verdict = "PASS"
+		} else {
+			failures++
+		}
+		fmt.Printf("  %-30s %-5s (%d bytes, %d rtx, %v)\n",
+			r.Label, verdict, r.DeliveredBytes, r.Retransmissions, r.Report.Result)
+	}})
+	if err == nil {
+		err = caseErr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\n%d/%d passed\n", len(scenarios)-failures, len(scenarios))
+	if failures > 0 {
+		return fmt.Errorf("%d case(s) failed", failures)
 	}
 	return nil
-}
-
-func runCase(seed int64, script string) (verdict, detail string, err error) {
-	tb, err := virtualwire.New(virtualwire.Config{Seed: seed})
-	if err != nil {
-		return "", "", err
-	}
-	if err := tb.AddNodesFromScript(script); err != nil {
-		return "", "", err
-	}
-	if err := tb.LoadScript(script); err != nil {
-		return "", "", err
-	}
-	bulk, err := tb.AddTCPBulk(virtualwire.TCPBulkConfig{
-		From: "node1", To: "node2",
-		SrcPort: 0x6000, DstPort: 0x4000,
-		Bytes: 256 * 1024,
-	})
-	if err != nil {
-		return "", "", err
-	}
-	rep, err := tb.Run(2 * time.Minute)
-	if err != nil {
-		return "", "", err
-	}
-	detail = fmt.Sprintf("(%d bytes, %d rtx, %v)",
-		bulk.DeliveredBytes(), bulk.SenderStats().Retransmissions, rep.Result)
-	if rep.Passed && rep.Result.Stopped {
-		return "PASS", detail, nil
-	}
-	return "FAIL", detail, nil
 }

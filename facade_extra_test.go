@@ -134,6 +134,21 @@ func TestTestbedMisuse(t *testing.T) {
 	}
 }
 
+// TestParseMedium: the one parser of medium names, behind vwire -medium
+// and a campaign config's "medium".
+func TestParseMedium(t *testing.T) {
+	for name, want := range map[string]MediumKind{"": 0, "switch": MediumSwitch, "bus": MediumBus, "fdswitch": MediumSwitchFullDuplex} {
+		if got, err := ParseMedium(name); err != nil || got != want {
+			t.Errorf("ParseMedium(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"Switch", "hub", " bus"} {
+		if _, err := ParseMedium(bad); err == nil {
+			t.Errorf("ParseMedium(%q) succeeded", bad)
+		}
+	}
+}
+
 // TestMediumBusEndToEnd runs the plain facade over the shared bus.
 func TestMediumBusEndToEnd(t *testing.T) {
 	tb, err := New(Config{Seed: 54, Medium: MediumBus})

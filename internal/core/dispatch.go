@@ -37,8 +37,8 @@ type dispatchNode struct {
 	candidates  []int32
 }
 
-// DispatchShape summarizes the compiled tree, for tooling (cmd/fslcheck)
-// and degenerate-table diagnostics.
+// DispatchShape summarizes the compiled tree, for tooling
+// (Program.DumpDispatch) and degenerate-table diagnostics.
 type DispatchShape struct {
 	Filters int `json:"filters"`
 	// Nodes counts tree nodes (internal + leaves).

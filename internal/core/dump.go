@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Dump renders the six tables in a human-readable layout (used by
-// cmd/fslcheck and the compiler's golden tests). The format mirrors
-// Figure 3's table organization.
+// Dump renders the six tables in a human-readable layout (printed by
+// vwire -tables and pinned by the compiler's golden tests). The format
+// mirrors Figure 3's table organization.
 func (p *Program) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SCENARIO %s", p.Name)
@@ -106,6 +106,25 @@ func (p *Program) Dump() string {
 			fmt.Fprintf(&b, " %s", p.Counters[a.Counter].Name)
 		}
 		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// DumpDispatch renders the shape of the compiled classifier dispatch
+// tree — how every engine classifies the filter table unless the run
+// charges Cost.PerTuple — and warns when the table has no discriminating
+// literal field at all. vwire -tables prints it after Dump.
+func (p *Program) DumpDispatch() string {
+	s := p.CompiledDispatch().Shape()
+	var b strings.Builder
+	b.WriteString("COMPILED DISPATCH\n")
+	fmt.Fprintf(&b, "  filters           %d\n", s.Filters)
+	fmt.Fprintf(&b, "  tree nodes        %d (%d leaves)\n", s.Nodes, s.Leaves)
+	fmt.Fprintf(&b, "  depth             %d\n", s.Depth)
+	fmt.Fprintf(&b, "  max fanout        %d\n", s.MaxFanout)
+	fmt.Fprintf(&b, "  worst-case tuples %d\n", s.WorstCaseTuples)
+	if s.Degenerate() {
+		b.WriteString("  WARNING: no discriminating literal field — compiled dispatch degenerates to a linear scan\n")
 	}
 	return b.String()
 }

@@ -84,8 +84,7 @@ func TestFig8CampaignMatchesDriver(t *testing.T) {
 	}
 }
 
-// labeledSeries is one record's label and its Series as vwbench
-// -metrics-out would encode it.
+// labeledSeries is one record's label and its Series as encoded JSON.
 type labeledSeries struct {
 	Label string
 	JSON  []byte

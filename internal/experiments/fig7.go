@@ -29,7 +29,7 @@ type Fig7Config struct {
 	FullDuplex bool
 	// MetricsInterval, when positive, samples each sub-run's metrics
 	// registry at this virtual-time cadence; the series rides on the
-	// run's record (vwbench's --metrics-out).
+	// run's record (vwcampaign -fig's -metrics-interval).
 	MetricsInterval time.Duration
 }
 

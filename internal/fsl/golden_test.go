@@ -10,7 +10,7 @@ import (
 // homes, term dedup, dependency wiring, action executors — shows up as a
 // diff here. Regenerate deliberately with:
 //
-//	go run ./cmd/fslcheck scripts/<name>.fsl  (and update testdata)
+//	go run ./cmd/vwire -script scripts/<name>.fsl -tables  (and update testdata)
 func TestGoldenTableDumps(t *testing.T) {
 	for _, name := range []string{"fig5_tcp_ss_ca", "fig6_rether_failure"} {
 		name := name

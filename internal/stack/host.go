@@ -160,8 +160,10 @@ func (s *IPStack) demux(fr *ether.Frame) {
 		return
 	}
 	s.RxPackets++
+	// A total length shorter than the header (MODIFY, bit errors) frames
+	// no payload at all.
 	end := packet.OffIPHeader + int(iph.TotalLen)
-	if end > len(fr.Data) {
+	if int(iph.TotalLen) < packet.IPv4HeaderLen || end > len(fr.Data) {
 		s.RxHeaderErrors++
 		return
 	}

@@ -68,7 +68,7 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (6 x 10 s) =="
+echo "== fuzz (7 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder and its template
@@ -82,12 +82,21 @@ echo "== fuzz (6 x 10 s) =="
 # or a program that builds, dumps and encodes — never a panic; the engine
 # is handed MODIFY-mangled and bit-flipped control frames by design and
 # must drop what it cannot index, loaded or not — and an INIT blob that
-# a bit error left decodable must be dropped or run, never panic it.
+# a bit error left decodable must be dropped or run, never panic it; and
+# the RLL, Rether and IP/TCP layers above the wire get the same mangled
+# headers and must decode or drop them.
 for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
     ./campaign/service:FuzzScanRecords \
     ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame \
-    ./internal/core:FuzzInitBlob; do
+    ./internal/core:FuzzInitBlob ./internal/stack:FuzzFrameHeaders; do
     go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
+done
+
+echo "== examples =="
+# Every example prints its narrative and exits non-zero when a verdict
+# fails, so each one is a smoke test of the public API it shows.
+for EX in examples/*/; do
+    go run "./$EX" > /dev/null
 done
 
 echo "== campaign smoke (-race, small matrix) =="

@@ -77,6 +77,22 @@ const (
 	MediumSwitchFullDuplex
 )
 
+// ParseMedium resolves a medium name ("switch", "bus", "fdswitch"); ""
+// is the zero value, which New defaults to MediumSwitch.
+func ParseMedium(s string) (MediumKind, error) {
+	switch s {
+	case "":
+		return 0, nil
+	case "switch":
+		return MediumSwitch, nil
+	case "bus":
+		return MediumBus, nil
+	case "fdswitch":
+		return MediumSwitchFullDuplex, nil
+	}
+	return 0, fmt.Errorf("unknown medium %q (want switch, bus or fdswitch)", s)
+}
+
 // Config parametrizes a testbed.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical runs.
