@@ -35,34 +35,53 @@ func (r *refScheduler) after(d time.Duration, fn func()) *refEvent {
 	return ev
 }
 
+// step fires the earliest live event, reporting false when none is left.
+func (r *refScheduler) step() bool {
+	min := -1
+	for i, ev := range r.events {
+		if ev.cancelled {
+			continue
+		}
+		if min < 0 || ev.at < r.events[min].at ||
+			(ev.at == r.events[min].at && ev.seq < r.events[min].seq) {
+			min = i
+		}
+	}
+	if min < 0 {
+		return false
+	}
+	ev := r.events[min]
+	r.events = append(r.events[:min], r.events[min+1:]...)
+	r.now = ev.at
+	ev.fn()
+	return true
+}
+
 func (r *refScheduler) run() {
-	for {
-		min := -1
-		for i, ev := range r.events {
-			if ev.cancelled {
-				continue
-			}
-			if min < 0 || ev.at < r.events[min].at ||
-				(ev.at == r.events[min].at && ev.seq < r.events[min].seq) {
-				min = i
-			}
-		}
-		if min < 0 {
-			return
-		}
-		ev := r.events[min]
-		r.events = append(r.events[:min], r.events[min+1:]...)
-		r.now = ev.at
-		ev.fn()
+	for r.step() {
 	}
 }
 
+func (r *refScheduler) pending() int {
+	n := 0
+	for _, ev := range r.events {
+		if !ev.cancelled {
+			n++
+		}
+	}
+	return n
+}
+
 // schedDriver abstracts the two schedulers behind the operations the
-// workload script needs: schedule-after and cancel-by-handle.
+// workload scripts need: schedule-after, cancel-by-handle, firing one
+// event or all of them, Reset, and the clock and pending count.
 type schedDriver struct {
-	after func(d time.Duration, fn func()) (cancel func())
-	run   func()
-	now   func() time.Duration
+	after   func(d time.Duration, fn func()) (cancel func())
+	run     func()
+	step    func() bool
+	reset   func()
+	now     func() time.Duration
+	pending func() int
 }
 
 func realDriver() *schedDriver {
@@ -72,8 +91,11 @@ func realDriver() *schedDriver {
 			ev := s.After(d, "w", fn)
 			return ev.Cancel
 		},
-		run: func() { _ = s.Run() },
-		now: s.Now,
+		run:     func() { _ = s.Run() },
+		step:    s.Step,
+		reset:   func() { s.Reset(1) },
+		now:     s.Now,
+		pending: s.Pending,
 	}
 }
 
@@ -84,8 +106,11 @@ func refDriver() *schedDriver {
 			ev := r.after(d, fn)
 			return func() { ev.cancelled = true; ev.fn = nil }
 		},
-		run: func() { r.run() },
-		now: func() time.Duration { return r.now },
+		run:     r.run,
+		step:    r.step,
+		reset:   func() { *r = refScheduler{} },
+		now:     func() time.Duration { return r.now },
+		pending: r.pending,
 	}
 }
 
@@ -187,6 +212,199 @@ func TestSchedulerMatchesReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(17))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// fuzzDelays are the offsets FuzzSchedulerOrder schedules at: zero twice,
+// so same-instant bursts — runs — are the common case.
+var fuzzDelays = [...]time.Duration{0, 0, time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond}
+
+// runOps decodes ops into scheduler operations against d and returns the
+// trace: (id, at) per firing and (-1, Pending) after each operation.
+// Every callback reads one byte: bit 0 schedules a follow-up, bit 4
+// cancels a live event picked by the next byte.
+func runOps(d *schedDriver, ops []byte) []int64 {
+	type handle struct {
+		id     int
+		at     time.Duration
+		cancel func()
+	}
+	var (
+		live  []handle // in scheduling order
+		trace []int64
+		id    int
+		pos   int
+	)
+	next := func() byte {
+		if pos >= len(ops) {
+			return 0
+		}
+		pos++
+		return ops[pos-1]
+	}
+	// cancel picks among the live events sharing the instant of the one
+	// b's low bits name: the first (a run head), the middle one or the
+	// last (a tail); or, for a top value of 3, the newest run's tail.
+	cancel := func(b byte) {
+		if len(live) == 0 {
+			return
+		}
+		v := len(live) - 1
+		if b>>6 != 3 {
+			at := live[int(b&0x3f)%len(live)].at
+			var same []int
+			for i, h := range live {
+				if h.at == at {
+					same = append(same, i)
+				}
+			}
+			v = same[[3]int{0, len(same) / 2, len(same) - 1}[b>>6]]
+		}
+		live[v].cancel()
+		live = append(live[:v], live[v+1:]...)
+	}
+	var schedule func(delay time.Duration)
+	schedule = func(delay time.Duration) {
+		h := handle{id: id, at: d.now() + delay}
+		id++
+		h.cancel = d.after(delay, func() {
+			for i := range live {
+				if live[i].id == h.id {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+			trace = append(trace, int64(h.id), int64(d.now()))
+			b := next()
+			if b&1 != 0 {
+				schedule(fuzzDelays[(b>>1)%5])
+			}
+			if b&0x10 != 0 {
+				cancel(next())
+			}
+		})
+		live = append(live, h)
+	}
+	for pos < len(ops) {
+		switch op := next() % 8; {
+		case op < 4:
+			schedule(fuzzDelays[next()%5])
+		case op == 4:
+			cancel(next())
+		case op < 7:
+			for n := next()%8 + 1; n > 0 && d.step(); n-- {
+			}
+		default:
+			d.reset()
+			live = nil
+		}
+		trace = append(trace, -1, int64(d.pending()))
+	}
+	d.run()
+	return append(trace, -1, int64(d.pending()))
+}
+
+// FuzzSchedulerOrder: whatever mix of same-instant bursts, cancels of run
+// heads, middles and tails, scheduling from callbacks and Resets the
+// input encodes, the scheduler fires the same events at the same instants
+// as the naive reference, and its Pending count agrees after every step.
+func FuzzSchedulerOrder(f *testing.F) {
+	// Each operation is an op byte (0-3 schedule, 4 cancel, 5-6 step,
+	// 7 Reset) and, but for Reset, an argument byte; each firing reads one
+	// more (see runOps). Five events at one instant, one at 5 µs splitting
+	// the burst, three more at the first instant; cancel a head, a middle
+	// and a tail; fire eight.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0,
+		4, 0x00, 4, 0x40, 4, 0x80, 5, 7})
+	// Callbacks that schedule at zero delay into the run being popped and
+	// cancel the newest run's tail.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 5, 1, 0x15, 0xc0, 0x03, 0, 2,
+		5, 7, 0x15, 0xc0, 0x15, 0x40})
+	// Reset mid-burst, then continue at the same instants.
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 7, 0, 0, 0, 0, 4, 0xc0, 0, 0, 5, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		got := runOps(realDriver(), ops)
+		want := runOps(refDriver(), ops)
+		if len(got) != len(want) {
+			t.Fatalf("trace has %d entries, reference %d\ngot  %v\nwant %v", len(got), len(want), got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trace diverges at entry %d\ngot  %v\nwant %v", i, got, want)
+			}
+		}
+	})
+}
+
+// TestSameInstantBurstIsOneHeapEntry pins the run mechanism: a burst at
+// one instant is one heap entry firing in scheduling order, an event for
+// another instant pushed mid-burst splits it into two runs without
+// disturbing that order, and cancelling a run's head, a middle event and
+// its tail is eager.
+func TestSameInstantBurstIsOneHeapEntry(t *testing.T) {
+	s := NewScheduler(1)
+	var got []int
+	add := func(at time.Duration, id int) *Event {
+		return s.At(at, "burst", func() { got = append(got, id) })
+	}
+	for i := 0; i < 1000; i++ {
+		add(time.Millisecond, i)
+	}
+	if len(s.queue) != 1 || s.Pending() != 1000 {
+		t.Fatalf("1000 same-instant events: %d heap entries, Pending %d; want 1 and 1000", len(s.queue), s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("firing %d was event %d: burst not in seq order", i, id)
+		}
+	}
+
+	// Split: 0..499 and 501..999 at 2 ms, 500 at 3 ms in between.
+	got = got[:0]
+	var evs []*Event
+	for i := 0; i < 1000; i++ {
+		at := 2 * time.Millisecond
+		if i == 500 {
+			at = 3 * time.Millisecond
+		}
+		evs = append(evs, add(at, i))
+	}
+	if len(s.queue) != 3 {
+		t.Fatalf("split burst: %d heap entries, want 3", len(s.queue))
+	}
+	// Cancel the first run's head, a middle event and the second run's
+	// tail (the newest run's, so the cached tail must step back).
+	before := s.Pending()
+	for _, i := range []int{0, 250, 999} {
+		evs[i].Cancel()
+	}
+	if d := before - s.Pending(); d != 3 {
+		t.Fatalf("three cancels dropped Pending by %d, want 3", d)
+	}
+	add(2*time.Millisecond, 1000) // joins after 998
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i := 1; i <= 1000; i++ {
+		if i != 250 && i != 500 && i != 999 {
+			want = append(want, i)
+		}
+	}
+	want = append(want, 500)
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d was event %d, want %d", i, got[i], want[i])
+		}
 	}
 }
 

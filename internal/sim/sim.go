@@ -13,11 +13,15 @@
 // (a strictly increasing sequence number breaks ties), which keeps runs
 // bit-for-bit reproducible for a given RNG seed.
 //
-// The event queue is a monomorphic 4-ary index heap over *Event — no
-// container/heap, no interface boxing — and fired or cancelled events are
-// recycled through a scheduler-owned free list, so steady-state
-// scheduling performs no heap allocation. See docs/PERFORMANCE.md for
-// the invariants this imposes on Event handles.
+// The event queue is a monomorphic 4-ary heap of runs: a run is the
+// FIFO of events due at one instant, and only its head sits in the heap.
+// An event due at the newest run's instant joins that run in O(1) — a
+// switch flooding one frame out of every port schedules a whole burst
+// this way — and popping within a run hands its heap slot to the
+// successor in O(1). Fired or cancelled events are recycled through a
+// scheduler-owned free list, so steady-state scheduling performs no heap
+// allocation. See docs/PERFORMANCE.md for the invariants this imposes on
+// Event handles.
 package sim
 
 import (
@@ -62,14 +66,16 @@ type Event struct {
 	h         Handler
 	recv, arg any
 	n         int
-	index     int // heap index, -1 once removed
-	state     uint8
+	index     int // heap index while a run head, else -1
+	// prev and next link the event into its run (see push).
+	prev, next *Event
+	state      uint8
 	// gen increments every time the struct is recycled for a new
 	// scheduling; holders that retain a handle across firings (Timer)
 	// capture it to detect staleness.
 	gen uint64
 	// s is the owning scheduler, so Cancel can reap the event from the
-	// heap eagerly instead of leaving a tombstone for pop to skip.
+	// queue eagerly instead of leaving a tombstone for pop to skip.
 	s *Scheduler
 }
 
@@ -97,11 +103,8 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.state = stateCancelled
-	e.release()
-	if e.s != nil && e.index >= 0 {
-		e.s.removeAt(e.index)
-		e.s.recycle(e)
-	}
+	e.s.unlink(e)
+	e.s.recycle(e)
 }
 
 // Scheduler is a single-threaded discrete-event scheduler with a virtual
@@ -114,7 +117,9 @@ func (e *Event) Cancel() {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	queue   []*Event // 4-ary min-heap on (at, seq)
+	queue   []*Event // 4-ary min-heap of run heads on (at, seq)
+	tail    *Event   // last event of the newest run, nil once it is gone
+	pending int
 	free    []*Event // recycled Event structs
 	stopped bool
 	running bool
@@ -125,6 +130,10 @@ type Scheduler struct {
 	// recycled counts events served from the free list, for the
 	// allocation-efficiency gauge in Snapshot.
 	recycled uint64
+	// runs counts the runs started and depth sums the heap entries each
+	// pop found, from which the fat-tree's join share and mean heap depth
+	// are read (docs/PERFORMANCE.md, "The event core").
+	runs, depth uint64
 	// Limit, when non-zero, aborts Run with an error after that many
 	// events. It exists so a buggy protocol cannot spin a test forever.
 	Limit uint64
@@ -178,7 +187,7 @@ func (s *Scheduler) FreeListLen() int { return len(s.free) }
 
 // Pending reports how many events are scheduled and not yet fired.
 // Cancelled events are reaped eagerly, so they never linger here.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.pending }
 
 // PeekTime returns the timestamp of the earliest pending event, or false
 // when the queue is empty. It lets an external run loop reproduce
@@ -270,15 +279,22 @@ func (s *Scheduler) Reset(seed int64) {
 	if s.running {
 		panic("sim: Reset called from inside the run loop")
 	}
-	for _, ev := range s.queue {
-		ev.state = stateCancelled
-		s.recycle(ev)
+	for _, head := range s.queue {
+		for ev := head; ev != nil; {
+			next := ev.next
+			ev.state = stateCancelled
+			s.recycle(ev)
+			ev = next
+		}
 	}
 	s.queue = s.queue[:0]
+	s.tail = nil
+	s.pending = 0
 	s.now = 0
 	s.seq = 0
 	s.executed = 0
 	s.recycled = 0
+	s.runs, s.depth = 0, 0
 	s.stopped = false
 	s.seed, s.rngStale = seed, true
 }
@@ -354,10 +370,21 @@ func (s *Scheduler) RunUntil(horizon time.Duration) error {
 func (s *Scheduler) recycle(ev *Event) {
 	ev.release()
 	ev.index = -1
+	ev.prev, ev.next = nil, nil
 	s.free = append(s.free, ev)
 }
 
-// --- 4-ary index heap on (at, seq) ---
+// --- 4-ary heap of same-instant runs on (at, seq) ---
+//
+// A run is a FIFO of events due at one instant, linked through prev/next
+// behind its head; only heads sit in the heap, ordered by the head's
+// (at, seq). Events only ever join the newest run (the one holding the
+// latest-scheduled event, cached as its tail), and seq only grows, so a
+// run's seq range is closed once a newer run exists: two runs due at one
+// instant never overlap in seq, and the older range comes first. A head's
+// successor is therefore still below every event in the head's heap
+// subtree, and it takes the head's slot without a sift — on pop and on
+// cancel alike. The firing order stays exactly (at, seq).
 //
 // A 4-ary layout halves the tree depth of the classic binary heap: pushes
 // compare against a quarter as many ancestors, and though pops compare up
@@ -374,33 +401,77 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the heap property.
+// push links ev at the newest run's tail when it is due at that run's
+// instant, in O(1) and without touching the heap; otherwise ev starts a
+// new run whose head is sifted into the heap.
 func (s *Scheduler) push(ev *Event) {
+	s.pending++
+	t := s.tail
+	s.tail = ev
+	if t != nil && t.at == ev.at {
+		t.next, ev.prev = ev, t
+		ev.index = -1
+		return
+	}
+	s.runs++
 	i := len(s.queue)
 	s.queue = append(s.queue, ev)
 	ev.index = i
 	s.siftUp(i)
 }
 
-// popMin removes and returns the earliest event.
+// popMin removes and returns the earliest event: the head of the run at
+// q[0]. A successor in that run takes the slot unsifted (see above).
 func (s *Scheduler) popMin() *Event {
 	q := s.queue
 	min := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[0].index = 0
-	q[last] = nil
-	s.queue = q[:last]
-	if last > 0 {
-		s.siftDown(0)
+	s.pending--
+	s.depth += uint64(len(q))
+	if n := min.next; n != nil {
+		n.prev = nil
+		q[0], n.index = n, 0
+	} else {
+		if min == s.tail {
+			s.tail = nil
+		}
+		last := len(q) - 1
+		q[0] = q[last]
+		q[0].index = 0
+		q[last] = nil
+		s.queue = q[:last]
+		if last > 0 {
+			s.siftDown(0)
+		}
 	}
 	min.index = -1
 	return min
 }
 
-// removeAt deletes the event at heap index i (eager cancel reap). The
-// index is known, so this is two sifts at worst — no linear scan and no
-// tombstone left for pop to skip over.
+// unlink takes a cancelled event out of the queue (eager reap, no
+// tombstone): out of its run's list, or, as a run head, out of its heap
+// slot — handed unsifted to the successor, or removed with the run.
+func (s *Scheduler) unlink(e *Event) {
+	s.pending--
+	if e == s.tail {
+		s.tail = e.prev
+	}
+	if p := e.prev; p != nil {
+		p.next = e.next
+		if e.next != nil {
+			e.next.prev = p
+		}
+		return
+	}
+	if n := e.next; n != nil {
+		n.prev = nil
+		s.queue[e.index], n.index = n, e.index
+		return
+	}
+	s.removeAt(e.index)
+}
+
+// removeAt deletes the run head at heap index i; the relocated last
+// entry may need to move either way.
 func (s *Scheduler) removeAt(i int) {
 	q := s.queue
 	last := len(q) - 1
@@ -412,7 +483,6 @@ func (s *Scheduler) removeAt(i int) {
 	q[last] = nil
 	s.queue = q[:last]
 	if i < last {
-		// The relocated element may need to move either way.
 		s.siftDown(i)
 		s.siftUp(i)
 	}

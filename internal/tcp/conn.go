@@ -39,6 +39,27 @@ type rtxSeg struct {
 	fin  bool
 }
 
+// end is the sequence number just past the segment; a FIN occupies one.
+func (s rtxSeg) end() uint32 {
+	end := s.seq + uint32(len(s.data))
+	if s.fin {
+		end++
+	}
+	return end
+}
+
+// dropAcked removes the entries ack fully covers from q, in place.
+// Entries are appended in sequence order and never re-inserted, so the
+// covered ones are always a prefix: find its end, then move the
+// remainder down with one copy.
+func dropAcked(q []rtxSeg, ack uint32) []rtxSeg {
+	k := 0
+	for k < len(q) && !seqLT(ack, q[k].end()) {
+		k++
+	}
+	return q[:copy(q, q[k:])]
+}
+
 // Conn is one TCP connection endpoint.
 type Conn struct {
 	stack    *Stack
@@ -317,18 +338,7 @@ func (c *Conn) processAck(hdr packet.TCP, hasData bool) {
 			c.rttSample(c.stack.host.Sched.Now() - c.rttAt)
 			c.rttValid = false
 		}
-		// Drop fully acked retransmission entries.
-		keep := c.rtxQ[:0]
-		for _, s := range c.rtxQ {
-			end := s.seq + uint32(len(s.data))
-			if s.fin {
-				end++
-			}
-			if seqLT(ack, end) {
-				keep = append(keep, s)
-			}
-		}
-		c.rtxQ = keep
+		c.rtxQ = dropAcked(c.rtxQ, ack)
 		c.growCwnd()
 		if len(c.rtxQ) == 0 {
 			c.rtx.Disarm()

@@ -171,3 +171,42 @@ func TestSimultaneousTransfersIndependent(t *testing.T) {
 		t.Errorf("deliveries: A=%d B=%d", *nA, *nB)
 	}
 }
+
+// TestDropAckedLeavesUnackedSuffix: every cumulative ACK, partial ones
+// included, leaves exactly the entries whose end lies past it, in order;
+// the FIN counts for one sequence number. The queue starts just below
+// the sequence wrap so the comparisons cross it.
+func TestDropAckedLeavesUnackedSuffix(t *testing.T) {
+	iss := uint32(0xFFFFF000)
+	var all []rtxSeg
+	seq := iss
+	for _, n := range []int{1460, 1460, 512, 1460, 1} {
+		all = append(all, rtxSeg{seq: seq, data: make([]byte, n)})
+		seq += uint32(n)
+	}
+	all = append(all, rtxSeg{seq: seq, fin: true})
+	finEnd := seq + 1
+
+	q := append([]rtxSeg(nil), all...)
+	for _, ack := range []uint32{iss, iss + 1, iss + 1460, iss + 1460, iss + 2000,
+		iss + 3432, iss + 4892, iss + 4893, finEnd - 1, finEnd} {
+		q = dropAcked(q, ack)
+		var want []rtxSeg
+		for _, s := range all {
+			if seqLT(ack, s.end()) {
+				want = append(want, s)
+			}
+		}
+		if len(q) != len(want) {
+			t.Fatalf("ack %#x: %d entries left, want %d", ack, len(q), len(want))
+		}
+		for i := range q {
+			if q[i].seq != want[i].seq || len(q[i].data) != len(want[i].data) || q[i].fin != want[i].fin {
+				t.Fatalf("ack %#x: entry %d = %+v, want %+v", ack, i, q[i], want[i])
+			}
+		}
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d entries left after the FIN's ACK", len(q))
+	}
+}

@@ -68,7 +68,7 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (7 x 10 s) =="
+echo "== fuzz (8 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder and its template
@@ -84,11 +84,15 @@ echo "== fuzz (7 x 10 s) =="
 # must drop what it cannot index, loaded or not — and an INIT blob that
 # a bit error left decodable must be dropped or run, never panic it; and
 # the RLL, Rether and IP/TCP layers above the wire get the same mangled
-# headers and must decode or drop them.
+# headers and must decode or drop them; and the scheduler's same-instant
+# runs must fire every mix of bursts, cancels and Resets in exactly the
+# (at, seq) order a naive reference does, since every report byte
+# depends on it.
 for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
     ./campaign/service:FuzzScanRecords \
     ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame \
-    ./internal/core:FuzzInitBlob ./internal/stack:FuzzFrameHeaders; do
+    ./internal/core:FuzzInitBlob ./internal/stack:FuzzFrameHeaders \
+    ./internal/sim:FuzzSchedulerOrder; do
     go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
 done
 
