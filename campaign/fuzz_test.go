@@ -181,8 +181,8 @@ func decoderArms(tb testing.TB) []decoderArm {
 		{"members swapped", edit(`"attempts":1,"outcome":"pass",`, `"outcome":"pass","attempts":1,`), false},
 		{"a space", edit(`{"index":0,`, `{"index": 0,`), false},
 		{"escaped label", edit(`"label":"ber=0/s0"`, `"label":"ber=0\/s0"`), false},
-		{"duplicate totals key", edit(`"pool/gets":34,`, `"pool/gets":1,"pool/gets":34,`), false},
-		{"unsorted totals keys", edit(`"pool/gets":34,"pool/puts":34,`, `"pool/puts":34,"pool/gets":34,`), false},
+		{"duplicate totals key", edit(`"pool/gets":32,`, `"pool/gets":1,"pool/gets":32,`), false},
+		{"unsorted totals keys", edit(`"pool/gets":32,"pool/puts":32,`, `"pool/puts":32,"pool/gets":32,`), false},
 		{"unsorted readings", edit(`"syn_retries":0,"timeouts":0}}},{"name":"node2"`, `"timeouts":0,"syn_retries":0}}},{"name":"node2"`), false},
 		{"unsorted layers", edit(node1IP, ``, `{"name":"node1","layers":{`, `{"name":"node1","layers":{`+node1IP), false},
 		{"a layer fewer", edit(node1IP, ``), true},

@@ -14,8 +14,9 @@ import (
 // count. Testbeds are reused across runs, so the reset path, report
 // assembly and record encoding are all inside the hash; see
 // TestGoldenReports in the facade package for the indented-document
-// counterpart. The digests were last recorded when the single-queue
-// engine was removed (OutputGeneration 2), and a second digest covers
+// counterpart. The digests were last recorded when forwarding became
+// planned (OutputGeneration 4), which moved only switch and pool
+// counters, and a second digest covers
 // the same bytes without the frame pool's pool/gets and pool/puts totals,
 // so a change that moves only the mechanism's bookkeeping can show that
 // nothing simulated moved.
@@ -32,7 +33,7 @@ func TestGoldenCampaignJSONL(t *testing.T) {
 	h := sha256.New()
 	h.Write(jsonl)
 	h.Write(sum)
-	const want = "1e3d0e08ffbe091565ec8ca4d30ca81c8b5d0fd5c6dc62f7627d0b378dc4f535"
+	const want = "fc4fbe2340947600f5fa96867e83eb3d3af5c4f9d2899da57f7ee0dfac338f1a"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("campaign digest %s, want %s (%d JSONL bytes)", got, want, len(jsonl))
 	}
@@ -40,7 +41,7 @@ func TestGoldenCampaignJSONL(t *testing.T) {
 	h.Reset()
 	h.Write(poolTotals.ReplaceAll(jsonl, nil))
 	h.Write(poolTotals.ReplaceAll(sum, nil))
-	const wantNoPool = "57900c4da89822709e3cd8f31ed55a7ba1248b6dd6373c1ebe324711f41eda3a"
+	const wantNoPool = "0625d9bb67ad8a95e6e8c145a907a824da57834449c514d40f35df4088593621"
 	if got := hex.EncodeToString(h.Sum(nil)); got != wantNoPool {
 		t.Errorf("campaign digest without pool totals %s, want %s", got, wantNoPool)
 	}

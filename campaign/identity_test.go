@@ -269,13 +269,13 @@ var workKeys = []string{"scheduler/events_executed", "scheduler/events_scheduled
 const workPins = `
 golden-16 scheduler/events_executed 3248
 golden-16 scheduler/events_scheduled 3468
-golden-16 pool/gets 550
+golden-16 pool/gets 517
 golden-16 nic/tx_frames 517
 golden-16 engine/packets_intercepted 898
 golden-16 engine/ctl_bytes 27937
 golden-16 switch/ingress_frames 514
-golden-16 switch/forwarded_frames 481
-golden-16 switch/flooded_frames 33
+golden-16 switch/forwarded_frames 514
+golden-16 switch/flooded_frames 0
 golden-16 tcp/retransmissions 18
 `
 

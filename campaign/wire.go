@@ -52,9 +52,12 @@ const SpecVersion = 3
 // job with it. Generation 1 had a separate single-queue engine behind
 // Shards: 0; generation 2 runs every testbed on the windowed engine;
 // generation 3 samples at window barriers, so a sampled run's events
-// count no sampler tick and its series no warm-pool reading. Raise it in
-// the change that moves the bytes, never otherwise.
-const OutputGeneration = 3
+// count no sampler tick and its series no warm-pool reading; generation
+// 4 forwards by plan instead of by learning, so a switch floods only a
+// broadcast or an unknown MAC, and the switch, fabric, pool and event
+// counters of a run that used to flood to find its hosts move. Raise it
+// in the change that moves the bytes, never otherwise.
+const OutputGeneration = 4
 
 // FieldError is a spec validation error located by its JSON field path,
 // e.g. "configs[2].medium" or "variants[0].workload.kind".

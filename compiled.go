@@ -141,10 +141,11 @@ func (tb *Testbed) Reset(seed int64) error {
 	}
 	tb.shards.set.ResetWindows()
 	for _, sw := range tb.fabric {
-		// Clears learned MACs, counters and fault state (down switches,
-		// failed ports, failed/degraded trunk media); trunk wiring
-		// survives. Spanning-tree blocking is restored to the build-time
-		// layout below — reconvergence may have moved it during the run.
+		// Clears counters and fault state (down switches, failed ports,
+		// failed/degraded trunk media); trunk wiring survives.
+		// Spanning-tree blocking and the routes are restored to the
+		// build-time layout below — reconvergence may have moved them
+		// during the run.
 		sw.Reset()
 	}
 	for i := range tb.trunks {
@@ -155,6 +156,7 @@ func (tb *Testbed) Reset(seed int64) error {
 		}
 		tr.ch.SetProfile(tr.baseProp, tr.baseBER)
 	}
+	tb.forest.walk(never, never)
 	tb.resetTopoFaults()
 	if tb.bus != nil {
 		tb.bus.Reset()

@@ -212,7 +212,9 @@ func TestNICQueueOverflow(t *testing.T) {
 	}
 }
 
-func TestSwitchUnicastAfterLearning(t *testing.T) {
+// TestSwitchForwardsByPlan: one switch forwards by its plan, not by
+// learning — a host is known before it has sent anything.
+func TestSwitchForwardsByPlan(t *testing.T) {
 	s := sim.NewScheduler(1)
 	sw := NewSwitch(s, SwitchConfig{})
 	var nics [3]*NIC
@@ -223,34 +225,41 @@ func TestSwitchUnicastAfterLearning(t *testing.T) {
 		i := i
 		nics[i].SetRecv(func(*Frame) { got[i]++ })
 	}
-	// The bystander observes its wire promiscuously so flooding (which a
+	// The bystander observes its wire promiscuously so a flood (which a
 	// normal NIC would address-filter) is visible to the test.
 	nics[2].Promiscuous = true
-	// First frame to an unknown MAC floods; reply then unicasts.
-	nics[0].Send(testFrame(mac(1), mac(2), 100))
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+	send := func(from int, dst packet.MAC) {
+		t.Helper()
+		nics[from].Send(testFrame(nics[from].MAC, dst, 100))
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
 	}
-	if got[1] != 1 {
-		t.Fatalf("dst got %d", got[1])
+	// The very first frame to a host is unicast: the switch knows every
+	// attached host without having heard from it.
+	send(0, mac(2))
+	if got != [3]int{0, 1, 0} || sw.ForwardedFrames != 1 || sw.FloodedFrames != 0 {
+		t.Fatalf("first frame: deliveries %v, forwarded %d, flooded %d; want [0 1 0], 1, 0",
+			got, sw.ForwardedFrames, sw.FloodedFrames)
 	}
-	flooded := got[2]
-	if flooded != 1 {
-		t.Fatalf("unknown dst should flood; bystander got %d", flooded)
+	// A broadcast floods once, to every other port.
+	send(0, packet.Broadcast)
+	if got != [3]int{0, 2, 1} || sw.FloodedFrames != 1 {
+		t.Fatalf("broadcast: deliveries %v, flooded %d; want [0 2 1], 1", got, sw.FloodedFrames)
 	}
-	nics[1].Send(testFrame(mac(2), mac(1), 100)) // teaches the switch mac(2)
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+	// A MAC no host owns floods too (the destination filter drops it at
+	// host 2; the promiscuous bystander sees it).
+	send(1, mac(99))
+	if got != [3]int{0, 2, 2} || sw.FloodedFrames != 2 {
+		t.Fatalf("unknown MAC: deliveries %v, flooded %d; want [0 2 2], 2", got, sw.FloodedFrames)
 	}
-	nics[0].Send(testFrame(mac(1), mac(2), 100)) // now unicast
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+	// A frame for the host on its own ingress port goes nowhere.
+	send(0, mac(1))
+	if got != [3]int{0, 2, 2} || sw.DroppedFrames != 1 {
+		t.Fatalf("own-port destination: deliveries %v, dropped %d; want [0 2 2], 1", got, sw.DroppedFrames)
 	}
-	if got[2] != flooded {
-		t.Errorf("bystander saw unicast traffic after learning: %d", got[2])
-	}
-	if got[1] != 2 || got[0] != 1 {
-		t.Errorf("delivery counts: %v", got)
+	if sum := sw.ForwardedFrames + sw.FloodedFrames + sw.BlockedFrames + sw.DroppedFrames; sw.IngressFrames != 4 || sum != 4 {
+		t.Errorf("ingress %d, outcomes %d; want 4 and 4", sw.IngressFrames, sum)
 	}
 }
 
@@ -421,48 +430,75 @@ func TestNICFrameIDAssignment(t *testing.T) {
 	}
 }
 
-func TestSwitchTrunkLearningAcrossFabric(t *testing.T) {
-	// Two switches joined by a trunk: unicast reaches a host behind the
-	// remote switch, and after learning, traffic stops flooding.
+func TestSwitchPlannedAcrossFabric(t *testing.T) {
+	// Three switches in a line, 0 - 1 - 2, sharing one plan whose Toward
+	// follows the line. Every switch carries one host, switch 2 also a
+	// promiscuous bystander.
 	s := sim.NewScheduler(1)
-	swA := NewSwitch(s, SwitchConfig{ID: 0})
-	swB := NewSwitch(s, SwitchConfig{ID: 1})
+	routes := NewRoutes()
+	sws := make([]*Switch, 3)
+	for i := range sws {
+		sws[i] = NewSwitch(s, SwitchConfig{ID: i, Routes: routes})
+	}
 	tr := newTrunkRig(s)
-	tr.connect(swA, swB, LinkConfig{})
-	a, b := NewNIC(s, mac(1), 0), NewNIC(s, mac(2), 0)
-	bystander := NewNIC(s, mac(3), 0)
-	bystander.Promiscuous = true
-	swA.AttachHost(a)
-	swB.AttachHost(b)
-	swB.AttachHost(bystander)
-	gotA, gotB, gotBy := 0, 0, 0
-	a.SetRecv(func(*Frame) { gotA++ })
-	b.SetRecv(func(*Frame) { gotB++ })
-	bystander.SetRecv(func(*Frame) { gotBy++ })
-
-	a.Send(testFrame(mac(1), mac(2), 200)) // unknown: floods across the trunk
-	if err := tr.run(nil); err != nil {
-		t.Fatalf("run: %v", err)
+	p01, p10 := tr.connect(sws[0], sws[1], LinkConfig{})
+	p12, p21 := tr.connect(sws[1], sws[2], LinkConfig{})
+	routes.Toward = func(from, to int) int {
+		switch {
+		case from == 0:
+			return p01
+		case from == 2:
+			return p21
+		case to == 0:
+			return p10
+		}
+		return p12
 	}
-	if gotB != 1 || gotBy != 1 {
-		t.Fatalf("flood across trunk: b=%d bystander=%d", gotB, gotBy)
+	var nics [4]*NIC
+	var got [4]int
+	for i := range nics {
+		nics[i] = NewNIC(s, mac(byte(i+1)), 0)
+		sws[min(i, 2)].AttachHost(nics[i])
+		i := i
+		nics[i].SetRecv(func(*Frame) { got[i]++ })
 	}
-	b.Send(testFrame(mac(2), mac(1), 200)) // teaches both switches mac(2)
-	if err := tr.run(nil); err != nil {
-		t.Fatalf("run: %v", err)
+	nics[3].Promiscuous = true
+	send := func(dst packet.MAC) {
+		t.Helper()
+		nics[0].Send(testFrame(mac(1), dst, 200))
+		if err := tr.run(nil); err != nil {
+			t.Fatalf("run: %v", err)
+		}
 	}
-	if gotA != 1 {
-		t.Fatalf("reply not delivered: a=%d", gotA)
+	counts := func(f func(*Switch) uint64) [3]uint64 {
+		return [3]uint64{f(sws[0]), f(sws[1]), f(sws[2])}
 	}
-	a.Send(testFrame(mac(1), mac(2), 200)) // unicast end to end now
-	if err := tr.run(nil); err != nil {
-		t.Fatalf("run: %v", err)
+	flooded := func(sw *Switch) uint64 { return sw.FloodedFrames }
+	forwarded := func(sw *Switch) uint64 { return sw.ForwardedFrames }
+	// The first frame to the far host is unicast on every hop: the
+	// bystander beside it sees nothing.
+	send(mac(3))
+	if got != [4]int{0, 0, 1, 0} || counts(forwarded) != [3]uint64{1, 1, 1} {
+		t.Fatalf("first frame across the fabric: deliveries %v, forwarded %v; want [0 0 1 0], [1 1 1]",
+			got, counts(forwarded))
 	}
-	if gotB != 2 {
-		t.Fatalf("unicast across trunk: b=%d", gotB)
+	// A broadcast floods exactly once per switch and reaches every host.
+	send(packet.Broadcast)
+	if got != [4]int{0, 1, 2, 1} || counts(flooded) != [3]uint64{1, 1, 1} {
+		t.Fatalf("broadcast: deliveries %v, flooded %v; want [0 1 2 1], [1 1 1]", got, counts(flooded))
 	}
-	if gotBy != 1 {
-		t.Errorf("bystander saw post-learning unicast: %d", gotBy)
+	// So does a MAC no host owns.
+	send(mac(99))
+	if got != [4]int{0, 1, 2, 2} || counts(flooded) != [3]uint64{2, 2, 2} {
+		t.Fatalf("unknown MAC: deliveries %v, flooded %v; want [0 1 2 2], [2 2 2]", got, counts(flooded))
+	}
+	// A host the plan cannot reach from here is unknown as well.
+	routes.Toward = func(int, int) int { return -1 }
+	send(mac(3))
+	// It floods until it reaches the switch the host hangs off, which
+	// knows its own port.
+	if got != [4]int{0, 1, 3, 2} || counts(flooded) != [3]uint64{3, 3, 2} {
+		t.Fatalf("unreachable host: deliveries %v, flooded %v; want [0 1 3 2], [3 3 2]", got, counts(flooded))
 	}
 }
 

@@ -106,7 +106,7 @@ func (r *trunkRig) run(done func() bool) error {
 }
 
 // TestSteadyStateHopsDoNotAllocate pins the closure-free hop path: once
-// the event free list, the frame pool and the MAC tables are warm, moving
+// the event free list and the frame pool are warm, moving
 // a frame NIC → switch → NIC, across a shared bus, or across a mailbox
 // trunk between two switches allocates nothing — every per-hop event
 // carries its receiver, frame and port index in the recycled Event.
@@ -143,7 +143,7 @@ func TestSteadyStateHopsDoNotAllocate(t *testing.T) {
 	for name, r := range rigs {
 		r := r
 		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 8; i++ { // learn both MACs, fill pool and free lists
+			for i := 0; i < 8; i++ { // fill pool and free lists
 				r.hop(t)
 			}
 			if allocs := testing.AllocsPerRun(50, func() { r.hop(t) }); allocs != 0 {

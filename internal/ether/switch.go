@@ -32,8 +32,13 @@ type SwitchConfig struct {
 	Pool *FramePool
 	// ID distinguishes switches in a multi-switch fabric; it is baked
 	// into port MAC addresses so every port NIC in a 1000-node testbed
-	// stays unique. Single-switch testbeds can leave it zero.
+	// stays unique, and it names the switch in Routes. Single-switch
+	// testbeds can leave it zero.
 	ID int
+	// Routes, when non-nil, is the forwarding plan the switch shares with
+	// the rest of its fabric; nil gives the switch a plan of its own,
+	// which knows only the hosts attached to it.
+	Routes *Routes
 }
 
 func (c *SwitchConfig) fill() {
@@ -65,14 +70,49 @@ type switchPort struct {
 	failed bool
 }
 
-// Switch is a learning, store-and-forward Ethernet switch. Each attached
+// Routes is the forwarding plan the switches of one fabric share: the
+// switch and port every host hangs off (the Node Table's attachment
+// column, filled as hosts attach) and, for a host on another switch, the
+// port toward that switch. A broadcast, a
+// MAC no host owns, and a host the live forest does not reach are
+// unknown and flood. A plan changes only while every switch is idle: at
+// build, at reset and at a reconvergence barrier.
+type Routes struct {
+	hosts map[packet.MAC]hostPort
+	// Toward reports the port switch from leaves by toward switch to, or
+	// -1 when no live path joins them. Nil knows no other switch.
+	Toward func(from, to int) int
+}
+
+type hostPort struct{ sw, port int32 }
+
+// NewRoutes returns a plan that knows no host yet.
+func NewRoutes() *Routes { return &Routes{hosts: make(map[packet.MAC]hostPort)} }
+
+// port is the port switch sw unicasts a frame for dst out of, or false
+// when dst is unknown there.
+func (r *Routes) port(sw int, dst packet.MAC) (int, bool) {
+	h, ok := r.hosts[dst]
+	switch {
+	case !ok:
+		return 0, false
+	case int(h.sw) == sw:
+		return int(h.port), true
+	case r.Toward == nil:
+		return 0, false
+	}
+	out := r.Toward(sw, int(h.sw))
+	return out, out >= 0
+}
+
+// Switch is a store-and-forward Ethernet switch that forwards by a plan
+// (Routes) and learns nothing from the frames it sees. Each attached
 // host gets a dedicated segment (half-duplex by default) between its NIC
 // and an internal switch port NIC.
 type Switch struct {
 	cfg    SwitchConfig
 	sched  *sim.Scheduler
 	ports  []*switchPort
-	table  map[packet.MAC]int
 	nextID uint64
 	// down marks a crashed switch (fault injection): every ingress frame
 	// is discarded and the forwarding pipeline drops at fire time. Like
@@ -87,7 +127,8 @@ type Switch struct {
 	// IngressFrames counts every frame received on any port.
 	IngressFrames uint64
 	// FloodedFrames counts ingress frames flooded because the
-	// destination was unknown (once per frame, however many copies).
+	// destination was a broadcast or unknown (once per frame, however
+	// many copies).
 	FloodedFrames uint64
 	// ForwardedFrames counts ingress frames unicast out a known port.
 	ForwardedFrames uint64
@@ -103,11 +144,14 @@ type Switch struct {
 // NewSwitch returns an empty switch; attach hosts with AttachHost.
 func NewSwitch(sched *sim.Scheduler, cfg SwitchConfig) *Switch {
 	cfg.fill()
-	return &Switch{cfg: cfg, sched: sched, table: make(map[packet.MAC]int)}
+	if cfg.Routes == nil {
+		cfg.Routes = NewRoutes()
+	}
+	return &Switch{cfg: cfg, sched: sched}
 }
 
-// AttachHost connects a host NIC to a new switch port and returns the
-// port index.
+// AttachHost connects a host NIC to a new switch port, enters the host's
+// MAC into the switch's Routes, and returns the port index.
 func (sw *Switch) AttachHost(host *NIC) int {
 	var seg Medium
 	if sw.cfg.FullDuplex {
@@ -126,7 +170,9 @@ func (sw *Switch) AttachHost(host *NIC) int {
 		})
 	}
 	seg.Attach(host)
-	return sw.addPort(seg, false)
+	idx := sw.addPort(seg, false)
+	sw.cfg.Routes.hosts[host.MAC] = hostPort{int32(sw.cfg.ID), int32(idx)}
+	return idx
 }
 
 // addPort creates the switch-side NIC on a segment and registers it as a
@@ -169,25 +215,10 @@ func (sw *Switch) SetPortFailed(idx int, failed bool) {
 // every ingress frame and drops anything still in its forwarding
 // pipeline at fire time; frames already committed to egress queues
 // drain (they left the forwarding plane before the crash).
-func (sw *Switch) SetDown(down bool) {
-	sw.down = down
-	if down {
-		sw.FlushTable()
-	}
-}
+func (sw *Switch) SetDown(down bool) { sw.down = down }
 
 // Down reports whether the switch is crashed.
 func (sw *Switch) Down() bool { return sw.down }
-
-// FlushTable clears the MAC learning table (spanning-tree topology
-// change): stale entries pointing at a now-blocked port would blackhole
-// unicast traffic until relearned, so reconvergence flushes and lets
-// flooding relearn over the new tree.
-func (sw *Switch) FlushTable() {
-	for k := range sw.table {
-		delete(sw.table, k)
-	}
-}
 
 // ingress handles a frame received on port idx after full reassembly.
 // The ingress frame is owned by the switch (the segment handed it to
@@ -197,13 +228,12 @@ func (sw *Switch) FlushTable() {
 func (sw *Switch) ingress(idx int, fr *Frame) {
 	sw.IngressFrames++
 	if sw.down || sw.ports[idx].blocked || sw.ports[idx].failed {
-		// Spanning-tree / fault discard: nothing is learned or forwarded
-		// from a blocked, failed or crashed port.
+		// Spanning-tree / fault discard: nothing is forwarded from a
+		// blocked, failed or crashed port.
 		sw.BlockedFrames++
 		sw.cfg.Pool.Put(fr)
 		return
 	}
-	sw.table[fr.Src()] = idx
 	sw.sched.AfterCall(sw.cfg.Latency, "switch.forward", switchForward, sw, fr, idx)
 }
 
@@ -213,9 +243,9 @@ func switchForward(recv, arg any, idx int) {
 
 // forward fires after the store-and-forward latency. The forwarding
 // decision is taken here, not at ingress: during the latency the switch
-// can crash, a trunk can fail, and a reconvergence can flush the table
-// or re-block the learned out-port. A decision snapshotted at ingress
-// would forward into a dead port.
+// can crash, a trunk can fail, and a reconvergence can re-plan the
+// routes or re-block the planned out-port. A decision snapshotted at
+// ingress would forward into a dead port.
 func (sw *Switch) forward(idx int, fr *Frame) {
 	if sw.down {
 		sw.DroppedFrames++
@@ -223,7 +253,7 @@ func (sw *Switch) forward(idx int, fr *Frame) {
 		return
 	}
 	dst := fr.Dst()
-	if out, known := sw.table[dst]; known && !dst.IsBroadcast() {
+	if out, known := sw.cfg.Routes.port(sw.cfg.ID, dst); known && !dst.IsBroadcast() {
 		p := sw.ports[out]
 		if out == idx || p.blocked || p.failed {
 			sw.DroppedFrames++
@@ -252,16 +282,14 @@ func (sw *Switch) forward(idx int, fr *Frame) {
 	sw.cfg.Pool.Put(fr)
 }
 
-// Reset clears the learning table, forwarding counters, fault state
-// (down, failed ports) and every port's NIC and segment state. Port
-// wiring (NICs, segments, MAC assignments) and spanning-tree blocking
+// Reset clears the forwarding counters, fault state (down, failed ports)
+// and every port's NIC and segment state. Port wiring (NICs, segments,
+// MAC assignments), the Routes' host entries and spanning-tree blocking
 // persist, so a reset switch forwards for the same topology without
-// reconstruction. Callers reset the scheduler first, which cancels any
-// in-flight forward/deliver events.
+// reconstruction; whoever re-plans the fabric's routes does so beside
+// it. Callers reset the scheduler first, which cancels any in-flight
+// forward/deliver events.
 func (sw *Switch) Reset() {
-	for k := range sw.table {
-		delete(sw.table, k)
-	}
 	sw.IngressFrames = 0
 	sw.FloodedFrames = 0
 	sw.ForwardedFrames = 0

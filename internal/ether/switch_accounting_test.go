@@ -137,11 +137,6 @@ func TestSwitchFireTimeRecheck(t *testing.T) {
 	b.SetRecv(func(*Frame) { gotB++ })
 	sw.AttachHost(a)
 	pb := sw.AttachHost(b)
-	// Teach the switch where b lives.
-	b.Send(testFrame(mac(2), mac(1), 64))
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
 	// Send toward b, then fail b's port while the frame sits in the
 	// switch's forwarding pipeline (the store-and-forward latency is 5us;
 	// the failure lands after ingress but before fire time).

@@ -16,8 +16,9 @@
 // The event queue is a monomorphic 4-ary heap of runs: a run is the
 // FIFO of events due at one instant, and only its head sits in the heap.
 // An event due at the newest run's instant joins that run in O(1) — a
-// switch flooding one frame out of every port schedules a whole burst
-// this way — and popping within a run hands its heap slot to the
+// bus delivering one frame to every station, or a switch flooding a
+// broadcast out of every port, schedules a whole burst this way — and
+// popping within a run hands its heap slot to the
 // successor in O(1). Fired or cancelled events are recycled through a
 // scheduler-owned free list, so steady-state scheduling performs no heap
 // allocation. See docs/PERFORMANCE.md for the invariants this imposes on

@@ -68,7 +68,7 @@ echo "== bench/ module (vet + test) =="
 # has to fail here, not in the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (8 x 10 s) =="
+echo "== fuzz (9 x 10 s) =="
 # Ten seconds of coverage-guided inputs each, on top of the seed corpora
 # `go test` already ran. Minimising each newly covered input is capped,
 # or it would eat the whole budget. The record encoder and its template
@@ -87,12 +87,14 @@ echo "== fuzz (8 x 10 s) =="
 # headers and must decode or drop them; and the scheduler's same-instant
 # runs must fire every mix of bursts, cancels and Resets in exactly the
 # (at, seq) order a naive reference does, since every report byte
-# depends on it.
+# depends on it; and every switch's planned route over a fabric with
+# trunks failed and switches down must be the first hop a breadth-first
+# search of the live forest finds, or unknown across components.
 for FUZZ in ./campaign:FuzzRunRecordJSON ./campaign:FuzzParseSpec \
     ./campaign/service:FuzzScanRecords \
     ./internal/fsl:FuzzCompile ./internal/core:FuzzControlFrame \
     ./internal/core:FuzzInitBlob ./internal/stack:FuzzFrameHeaders \
-    ./internal/sim:FuzzSchedulerOrder; do
+    ./internal/sim:FuzzSchedulerOrder .:FuzzRoutes; do
     go test -run '^$' -fuzz "^${FUZZ#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${FUZZ%%:*}"
 done
 

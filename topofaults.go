@@ -10,10 +10,10 @@ package virtualwire
 //
 // A topology change triggers STP-style reconvergence after the spec's
 // ReconvergeDelay: the spanning forest over live trunks is recomputed
-// (deterministic tie-break by wiring order — see spanningForest), the
-// best redundant trunk unblocks, stale MAC entries flush fabric-wide,
-// and the failover is counted in the fabric metrics and the fault
-// journal. See docs/TOPOLOGIES.md, "Fault axes".
+// (deterministic tie-break by wiring order — see spanningForest), which
+// re-plans every switch's routes, the best redundant trunk unblocks, and
+// the failover is counted in the fabric metrics and the fault journal.
+// See docs/TOPOLOGIES.md, "Fault axes".
 
 import (
 	"fmt"
@@ -321,11 +321,12 @@ func (tb *Testbed) scheduleReconverge(at time.Duration) {
 	st.reconvergeAt = at + st.delay
 }
 
-// activateReconverge recomputes the spanning forest over the live fabric
-// and applies the block/unblock diff: the deterministic wiring-order BFS
-// promotes the best redundant trunk for every lost tree edge. Any change
-// flushes MAC tables fabric-wide (stale entries point into the old tree)
-// and counts as a failover.
+// activateReconverge recomputes the spanning forest over the live fabric,
+// which re-plans every switch's routes, and applies the block/unblock
+// diff: the deterministic wiring-order BFS promotes the best redundant
+// trunk for every lost tree edge. A host the new forest does not reach
+// is unknown, so frames for it flood. Any block change counts as a
+// failover.
 func (tb *Testbed) activateReconverge() {
 	st := &tb.topo
 	if !st.reconvergePending {
@@ -350,14 +351,9 @@ func (tb *Testbed) activateReconverge() {
 	st.reconvergeLast = now - st.reconvergeFrom
 	st.reconvergeTotal += st.reconvergeLast
 	if changed == 0 {
-		// The topology change had no forwarding consequence (a leaf
-		// trunk with no redundant path): not a failover.
+		// No trunk changed state (a leaf trunk with no redundant path):
+		// not a failover.
 		return
-	}
-	for _, sw := range tb.fabric {
-		if !sw.Down() {
-			sw.FlushTable()
-		}
 	}
 	st.failovers++
 	tb.logTopoFault(now, "reconverge", -1, -1)

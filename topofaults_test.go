@@ -21,7 +21,9 @@ func faultJournalKinds(rep RunReport) map[string]int {
 // mid-run and checks STP-style failover: the redundant blocked trunk
 // (trunk 2 on a 4-switch ring) unblocks after the reconvergence delay,
 // the failover is counted and journaled, and traffic completes over the
-// new tree.
+// new tree. The flows open 20 ms apart, so the kill lands among them and
+// the later half starts on the re-planned routes: a fabric still
+// routing over the dead trunk would never finish them.
 func TestTrunkFailoverReconverges(t *testing.T) {
 	tb, err := New(Config{
 		Seed:     7,
@@ -34,7 +36,7 @@ func TestTrunkFailoverReconverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	addGroupHosts(t, tb, 24)
-	mf, err := tb.AddManyFlow(ManyFlowConfig{Flows: 12, Bytes: 2 << 10})
+	mf, err := tb.AddManyFlow(ManyFlowConfig{Flows: 12, Bytes: 2 << 10, Stagger: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

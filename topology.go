@@ -1,11 +1,12 @@
 package virtualwire
 
 // Multi-switch topology generators: star, ring, fat-tree and random
-// fabrics of learning switches joined by full-duplex trunk links, scaling
-// a single testbed to hundreds-to-~1000 hosts. Redundant trunks (ring
-// backlinks, fat-tree multipath) are disabled by a deterministic static
-// spanning tree — BFS from switch 0 in wiring order — blocked on both
-// ends, so MAC learning and flooding stay loop-free. See
+// fabrics of switches joined by full-duplex trunk links, scaling a single
+// testbed to hundreds-to-~1000 hosts. Redundant trunks (ring backlinks,
+// fat-tree multipath) are disabled by a deterministic static spanning
+// tree — BFS from switch 0 in wiring order — blocked on both ends, so
+// flooding stays loop-free, and every switch forwards toward a host along
+// that tree by a plan read from it (spanningForest.hop). See
 // docs/TOPOLOGIES.md.
 
 import (
@@ -106,7 +107,7 @@ type TopologySpec struct {
 	// ReconvergeDelay is the spanning-tree reconvergence latency: how
 	// long after a topology change (trunk failure/restore, switch
 	// crash/restart) the fabric recomputes its tree, unblocks the best
-	// redundant trunk and flushes stale MAC entries. 0 selects
+	// redundant trunk and re-plans its routes. 0 selects
 	// DefaultReconvergeDelay. See Config.TopologyFaults.
 	ReconvergeDelay time.Duration
 }
@@ -304,15 +305,24 @@ func planFabric(spec *TopologySpec, n int) (fabricPlan, error) {
 // each component, adjacency walked in wiring order. A trunk outside it is
 // redundant and blocked on both ends. The build plan walks the planned
 // wiring with everything alive — one tree from switch 0, or the plan is
-// rejected as disconnected; reconvergence walks again over the live
-// fabric, in place and without allocating, and with every trunk and
-// switch alive reproduces the planned layout exactly.
+// rejected as disconnected; reset walks it again, and reconvergence walks
+// over the live fabric, in place and without allocating, and with every
+// trunk and switch alive reproduces the planned layout exactly.
+//
+// The walk also numbers the forest in preorder, which is what the
+// switches route by (hop): a subtree is the interval [pre, end), and the
+// children of a switch, adjacent in BFS order, hold adjacent ascending
+// intervals. That is O(switches) state however large the fabric.
 type spanningForest struct {
 	wires  []trunkWire
 	adj    [][]int // switch index -> trunk indices, wiring order
 	inTree []bool  // per trunk
 	parent []int   // per switch: itself for a root, -1 if not reached
 	order  []int   // reached switches in discovery order
+	// Per switch: the trunk to its parent (-1 for a root), its root, its
+	// preorder interval [pre, end) (pre -1 if not reached), and its
+	// children as order[kids : kids+nkids].
+	up, root, pre, end, kids, nkids []int32
 }
 
 func newSpanningForest(switches int, wires []trunkWire) *spanningForest {
@@ -322,6 +332,12 @@ func newSpanningForest(switches int, wires []trunkWire) *spanningForest {
 		inTree: make([]bool, len(wires)),
 		parent: make([]int, switches),
 		order:  make([]int, 0, switches),
+		up:     make([]int32, switches),
+		root:   make([]int32, switches),
+		pre:    make([]int32, switches),
+		end:    make([]int32, switches),
+		kids:   make([]int32, switches),
+		nkids:  make([]int32, switches),
 	}
 	for ti, w := range wires {
 		f.adj[w.a] = append(f.adj[w.a], ti)
@@ -335,7 +351,7 @@ func newSpanningForest(switches int, wires []trunkWire) *spanningForest {
 func (f *spanningForest) walk(failed, down func(int) bool) (roots int) {
 	clear(f.inTree)
 	for i := range f.parent {
-		f.parent[i] = -1
+		f.parent[i], f.up[i], f.pre[i] = -1, -1, -1
 	}
 	f.order = f.order[:0]
 	for root := range f.adj {
@@ -344,23 +360,79 @@ func (f *spanningForest) walk(failed, down func(int) bool) (roots int) {
 		}
 		roots++
 		f.parent[root] = root
+		f.root[root] = int32(root)
 		head := len(f.order)
 		f.order = append(f.order, root)
 		for ; head < len(f.order); head++ {
 			s := f.order[head]
+			f.kids[s] = int32(len(f.order))
 			for _, ti := range f.adj[s] {
 				other := f.wires[ti].a + f.wires[ti].b - s
 				if failed(ti) || f.parent[other] >= 0 || down(other) {
 					continue
 				}
 				f.parent[other] = s
+				f.up[other] = int32(ti)
+				f.root[other] = int32(root)
 				f.inTree[ti] = true
 				f.order = append(f.order, other)
 			}
+			f.nkids[s] = int32(len(f.order)) - f.kids[s]
+		}
+	}
+	// Preorder: subtree sizes leaves first (held in end), then intervals
+	// root first, each child starting where its elder sibling ends.
+	for _, s := range f.order {
+		f.end[s] = 1
+	}
+	for i := len(f.order) - 1; i >= 0; i-- {
+		if s, p := f.order[i], f.parent[f.order[i]]; p != s {
+			f.end[p] += f.end[s]
+		}
+	}
+	next := int32(0)
+	for _, s := range f.order {
+		if f.parent[s] == s {
+			f.pre[s] = next
+			next += f.end[s]
+		}
+		f.end[s] += f.pre[s]
+		at := f.pre[s] + 1
+		for _, c := range f.order[f.kids[s] : f.kids[s]+f.nkids[s]] {
+			f.pre[c] = at
+			at += f.end[c] // still c's size: c comes later in order
 		}
 	}
 	return roots
 }
+
+// hop is the first trunk on the live forest's path from switch from to
+// switch to, or -1 when there is none: the same switch, either end not
+// reached (down), or the two in different components. It is the
+// child whose interval holds to when to is below from, else the trunk
+// up — O(log children), a binary search.
+func (f *spanningForest) hop(from, to int) int {
+	if from == to || f.pre[from] < 0 || f.pre[to] < 0 || f.root[from] != f.root[to] {
+		return -1
+	}
+	p := f.pre[to]
+	if p < f.pre[from] || p >= f.end[from] {
+		return int(f.up[from])
+	}
+	kids := f.order[f.kids[from] : f.kids[from]+f.nkids[from]]
+	lo, hi := 0, len(kids) // kids[lo] starts at or before p; kids[hi] after it
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; f.pre[kids[mid]] <= p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return int(f.up[kids[lo]])
+}
+
+// never is walk's predicate for a fabric with nothing failed or down.
+func never(int) bool { return false }
 
 // buildPlan is everything build decides before it constructs anything:
 // the wiring (empty on a bus testbed), its spanning tree, the shard
@@ -396,7 +468,6 @@ func (tb *Testbed) plan() (p *buildPlan, err error) {
 			return nil, err
 		}
 	}
-	never := func(int) bool { return false } // nothing planned is failed or down
 	p.forest = newSpanningForest(p.switches, p.trunks)
 	if roots := p.forest.walk(never, never); roots > 1 {
 		return nil, rejectf("topology", "topology %v is disconnected (%d components)", tb.cfg.Topology.Kind, roots)
@@ -443,6 +514,21 @@ func (tb *Testbed) buildMedia(plan *buildPlan) (segmentOf func(i int) (*ether.Sw
 	tb.topo.events = plan.events
 	tb.initShardRuntime(plan.shards)
 	shardOf := plan.shardOf
+	tb.forest = plan.forest
+	// One plan for every switch: hosts enter it as they attach, and a
+	// host on another switch is reached along the live forest.
+	routes := ether.NewRoutes()
+	routes.Toward = func(from, to int) int {
+		ti := tb.forest.hop(from, to)
+		if ti < 0 {
+			return -1
+		}
+		tr := &tb.trunks[ti]
+		if tr.wire.a == from {
+			return tr.pa
+		}
+		return tr.pb
+	}
 	tb.fabric = make([]*ether.Switch, plan.switches)
 	for i := range tb.fabric {
 		tb.fabric[i] = ether.NewSwitch(tb.shards.scheds[shardOf[i]], ether.SwitchConfig{
@@ -452,6 +538,7 @@ func (tb *Testbed) buildMedia(plan *buildPlan) (segmentOf func(i int) (*ether.Sw
 			FullDuplex:    tb.cfg.Medium == MediumSwitchFullDuplex,
 			Pool:          tb.shards.pools[shardOf[i]],
 			ID:            i,
+			Routes:        routes,
 		})
 	}
 	trunkCfg := ether.LinkConfig{
@@ -460,7 +547,6 @@ func (tb *Testbed) buildMedia(plan *buildPlan) (segmentOf func(i int) (*ether.Sw
 		BitErrorRate:  tb.cfg.BitErrorRate,
 	}
 	tb.trunks = make([]fabricTrunk, len(plan.trunks))
-	tb.forest = plan.forest
 	for ti, w := range plan.trunks {
 		tr := &tb.trunks[ti]
 		tr.wire = w
