@@ -118,6 +118,61 @@ func TestQuickstartSteadyBytesPerRun(t *testing.T) {
 	}
 }
 
+// TestFabricManyFlowBytesPerOp is the per-op byte gate on the scale
+// case, the bench's fabric_manyflow op: on a warmed 1000-host fat-tree,
+// Reset + AddManyFlow + Run + WriteJSON into a pre-grown buffer: 282
+// KiB. While the report carried every reading of every host, in a fresh
+// 352 KiB value array and a 1.4 MB document staged in fresh chunks, and
+// the flow list was built by appending every host name, it was 947 KiB.
+// A byte count, so hardware-independent.
+func TestFabricManyFlowBytesPerOp(t *testing.T) {
+	const iterations, limit = 3, 400 << 10
+	tb, err := virtualwire.New(virtualwire.Config{Seed: 1, Shards: 1, Topology: &virtualwire.TopologySpec{
+		Kind: virtualwire.TopoFatTree, TrunkPropagation: 10 * time.Microsecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.AddHostGroup("h", 1000); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	doc.Grow(1 << 20)
+	op := func(seed int64) {
+		if seed > 1 {
+			if err := tb.Reset(seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mf, err := tb.AddManyFlow(virtualwire.ManyFlowConfig{Flows: 100, Bytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tb.Run(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mf.Completed() != 100 {
+			t.Fatalf("seed %d: %d of 100 flows completed", seed, mf.Completed())
+		}
+		doc.Reset()
+		if err := rep.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op(1) // builds the testbed and warms pools and free lists
+	op(2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iterations; i++ {
+		op(int64(i + 3))
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / iterations; perOp > limit {
+		t.Errorf("a steady fabric manyflow op allocates %d B (limit %d)", perOp, limit)
+	}
+}
+
 // steadyAllocsPerUnit is the allocation count of one more unit of
 // traffic on a warmed testbed: run does a whole run of n units and
 // reports the units it saw; the per-run costs (reset, workload, report)

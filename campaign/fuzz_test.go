@@ -257,7 +257,9 @@ func TestRecordDecoderArms(t *testing.T) {
 // through json.Marshal, to exactly the bytes reflection writes for the
 // method-less shadow, fail exactly when it fails, and read back as a
 // record that encodes to the same bytes again. Seeded with the golden
-// campaign's records, one with a sampled series, and decoderArms.
+// campaign's records, one with a sampled series, and decoderArms; the
+// committed corpus adds a three-host record whose report leaves out its
+// idle host and its hosts' all-zero engine rows.
 func FuzzRunRecordJSON(f *testing.F) {
 	sameWireShape(f, RunRecord{}, reflectedRunRecord{})
 	sameWireShape(f, virtualwire.RunReport{}, reflectedRunReport{})

@@ -16,7 +16,8 @@ import (
 // TestGoldenReports in the facade package for the indented-document
 // counterpart. The digests were last recorded when forwarding became
 // planned (OutputGeneration 4), which moved only switch and pool
-// counters, and a second digest covers
+// counters; generation 5 did not move them, as no quickstart record has
+// an all-zero layer row. A second digest covers
 // the same bytes without the frame pool's pool/gets and pool/puts totals,
 // so a change that moves only the mechanism's bookkeeping can show that
 // nothing simulated moved.

@@ -55,9 +55,12 @@ const SpecVersion = 3
 // count no sampler tick and its series no warm-pool reading; generation
 // 4 forwards by plan instead of by learning, so a switch floods only a
 // broadcast or an unknown MAC, and the switch, fabric, pool and event
-// counters of a run that used to flood to find its hosts move. Raise it
-// in the change that moves the bytes, never otherwise.
-const OutputGeneration = 4
+// counters of a run that used to flood to find its hosts move;
+// generation 5 leaves idle layer rows and idle hosts out of the report,
+// so a record lists only the layers with a nonzero reading and only the
+// hosts that have one or crashed. Raise it in the change that moves the
+// bytes, never otherwise.
+const OutputGeneration = 5
 
 // FieldError is a spec validation error located by its JSON field path,
 // e.g. "configs[2].medium" or "variants[0].workload.kind".

@@ -327,11 +327,12 @@ func manyFlowTestbed(t *testing.T, cfg Config, hosts int) *Testbed {
 
 // TestRunEpilogueAllocsIndependentOfSize is the allocation gate on the
 // run epilogue: with no traffic, what one Reset+Run allocates is the
-// report — the node rows' three arrays, the digest's map — and that
-// count must not depend on how many hosts the testbed has nor on how
-// many layers each runs. (Reading every layer into a snapshot of its
-// own, once for the node rows and once for the digest, it grew by
-// 2 × layers × hosts: 74 allocations at 8 hosts, 650 at 64 with RLL.)
+// report — its node rows, the digest's map — and that count must not
+// depend on how many hosts the testbed has nor on how many layers each
+// runs. (Reading every layer into a snapshot of its own, once for the
+// node rows and once for the digest, it grew by 2 × layers × hosts: 74
+// allocations at 8 hosts, 650 at 64 with RLL.) No host of an idle
+// testbed reads anything but zero, so its report lists none.
 func TestRunEpilogueAllocsIndependentOfSize(t *testing.T) {
 	measure := func(hosts int, rll bool) float64 {
 		tb, err := New(Config{Seed: 1, RLL: rll})
@@ -341,8 +342,8 @@ func TestRunEpilogueAllocsIndependentOfSize(t *testing.T) {
 		addGroupHosts(t, tb, hosts)
 		run := func() {
 			rep, err := tb.Run(time.Millisecond)
-			if err != nil || len(rep.Nodes) != hosts {
-				t.Fatalf("run: %v, %d node rows", err, len(rep.Nodes))
+			if err != nil || len(rep.Nodes) != 0 {
+				t.Fatalf("run: %v, %d node rows of an idle testbed", err, len(rep.Nodes))
 			}
 		}
 		run()
@@ -366,4 +367,99 @@ func TestRunEpilogueAllocsIndependentOfSize(t *testing.T) {
 	if small > 16 {
 		t.Errorf("Reset+Run of an idle 8-host testbed allocates %v times", small)
 	}
+}
+
+// TestReportOmitsIdleRows holds the report to what happened: on the
+// 1000-host fat-tree under 100 flows, a host is listed exactly when one
+// of its layers has a nonzero reading, and it lists exactly those
+// layers, each with every reading Node.Snapshot gives. The dense
+// readings are the oracle. A crashed host is listed too: on the fig6
+// bus, node3, crashed by FAIL, keeps its engine row (which reads
+// failed = 1, so a crashed host never reads all zero) and drops its
+// idle ip and tcp rows.
+func TestReportOmitsIdleRows(t *testing.T) {
+	tb, err := New(Config{Seed: 1, Shards: 1, Topology: &TopologySpec{Kind: TopoFatTree, TrunkPropagation: 10 * time.Microsecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, 1000)
+	if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 100, Bytes: 16 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tb.Run(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[string]NodeReport)
+	for _, n := range rep.Nodes {
+		listed[n.Name] = n
+	}
+	active := 0
+	for _, n := range tb.Nodes() {
+		got, ok := listed[n.Name()]
+		var layers []string
+		for _, layer := range n.SnapshotLayers() {
+			sn, _ := n.Snapshot(layer)
+			nonzero := false
+			for _, v := range sn.Values {
+				nonzero = nonzero || v.Value != 0
+			}
+			if !nonzero {
+				continue
+			}
+			layers = append(layers, layer)
+			l, ok := got.Layer(layer)
+			if !ok || len(l.Values) != len(sn.Values) {
+				t.Fatalf("%s: active layer %s listed %v with %d of %d readings", n.Name(), layer, ok, len(l.Values), len(sn.Values))
+			}
+			for _, v := range sn.Values {
+				if l.Value(v.Name) != v.Value {
+					t.Fatalf("%s: %s/%s reads %v in the report, %v in the snapshot", n.Name(), layer, v.Name, l.Value(v.Name), v.Value)
+				}
+			}
+		}
+		if len(layers) > 0 {
+			active++
+		}
+		if ok != (len(layers) > 0) || len(got.Layers) != len(layers) {
+			t.Fatalf("%s: listed %v with %d layers, %d layers active", n.Name(), ok, len(got.Layers), len(layers))
+		}
+	}
+	if active != len(rep.Nodes) || active != 182 {
+		t.Errorf("%d hosts listed, %d active, want 182", len(rep.Nodes), active)
+	}
+	var doc bytes.Buffer
+	if err := rep.WriteJSON(&doc); err != nil || doc.Len() >= 200000 {
+		t.Errorf("report: %v, %d bytes (limit 200000)", err, doc.Len())
+	}
+	// The walked array stays behind as the next walk's; the report must
+	// not share it.
+	if len(tb.reportVals) == 0 {
+		t.Fatal("rows were left out, but the walked array was not kept")
+	}
+	for i := range tb.reportVals {
+		tb.reportVals[i] = -1
+	}
+	var again bytes.Buffer
+	if err := rep.WriteJSON(&again); err != nil || again.String() != doc.String() {
+		t.Error("the report changed when the next walk's array was written")
+	}
+
+	fig6, _ := fig6Testbed(t, 3)
+	if rep, err = fig6.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range rep.Nodes {
+		if n.Name != "node3" {
+			continue
+		}
+		eng, ok := n.Layer("engine")
+		_, ip := n.Layer("ip")
+		_, tcp := n.Layer("tcp")
+		if !n.Crashed || !ok || eng.Value("failed") != 1 || ip || tcp {
+			t.Errorf("node3 listed crashed %v, engine row %v (failed %v), ip row %v, tcp row %v", n.Crashed, ok, eng.Value("failed"), ip, tcp)
+		}
+		return
+	}
+	t.Error("the crashed node3 is not listed")
 }

@@ -48,8 +48,11 @@ type RunReport struct {
 	// Unreachable names the nodes that never acknowledged INIT when the
 	// launch was abandoned (Result.LaunchFailed); empty otherwise.
 	Unreachable []string `json:"unreachable,omitempty"`
-	// Nodes carries each host's per-layer instrument readings at run
-	// end — the data Summary used to render, in a structured form.
+	// Nodes carries the hosts' per-layer instrument readings at run
+	// end — the data Summary used to render, in a structured form. Only
+	// a layer with a nonzero reading is listed, and only a host that
+	// lists a layer or has crashed: a missing host or layer reads as all
+	// zero.
 	Nodes []NodeReport `json:"nodes,omitempty"`
 	// Metrics digests the instrument registry at run end; the full
 	// series is available from Testbed.MetricsSeries.
@@ -57,13 +60,15 @@ type RunReport struct {
 }
 
 // NodeReport is one host's slice of a RunReport: its terminal state and
-// every layer's instrument readings (the same values Node.Snapshot
+// its layers' instrument readings (the same values Node.Snapshot
 // returns). It encodes as {"name", "crashed", "layers": {layer: {name:
-// value}}} with layers and names in sorted order.
+// value}}} with layers and names in sorted order; "crashed" is left out
+// when false and "layers" when empty.
 type NodeReport struct {
 	Name    string
 	Crashed bool
-	// Layers lists the layers the node runs, sorted by name.
+	// Layers lists the layers the node runs that have a nonzero reading,
+	// sorted by name, each with every one of its readings.
 	Layers []LayerReport
 }
 
@@ -220,22 +225,38 @@ const reportChunk = 64 << 10
 // and totals keys are sorted, so equal runs produce byte-identical
 // documents — the bytes json.Encoder with SetIndent("", "  ") writes,
 // produced in one pass and, past reportChunk, handed to w a chunk at a
-// time (at a thousand nodes the document is over a megabyte, nearly all
-// of it per-node readings).
+// time. A chunk is staged in w's own spare capacity when w offers it
+// (bytes.Buffer, bufio.Writer) and has room for it, else in a buffer
+// WriteJSON allocates once per call.
 func (r RunReport) WriteJSON(w io.Writer) error {
 	size := r.jsonSize()
+	chunked := size > reportChunk
+	if chunked {
+		size = reportChunk
+	}
+	var own []byte
+	stage := func() []byte {
+		if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+			if b := ab.AvailableBuffer(); cap(b) >= size {
+				return b
+			}
+		}
+		if own == nil {
+			own = make([]byte, 0, size)
+		}
+		return own[:0]
+	}
 	var flush func([]byte) []byte
 	var werr error
-	if size > reportChunk {
-		size = reportChunk
+	if chunked {
 		flush = func(b []byte) []byte {
 			if werr == nil {
 				_, werr = w.Write(b)
 			}
-			return b[:0]
+			return stage()
 		}
 	}
-	b, err := r.appendJSON(make([]byte, 0, size), 0, flush)
+	b, err := r.appendJSON(stage(), 0, flush)
 	if err == nil {
 		err = werr
 	}
@@ -799,8 +820,11 @@ func (tb *Testbed) buildReportSchema() {
 }
 
 // gatherReport reads every instrument once, at run end, into both halves
-// of the report that carry readings: each host's layer rows (the values
+// of the report that carry readings: the layer rows (the values
 // Node.Snapshot returns, carved from one array) and the metrics digest.
+// A row is kept only when it holds a nonzero reading, a node only when it
+// keeps a row or has crashed: a reader takes a missing node or layer as
+// all zero.
 func (tb *Testbed) gatherReport() ([]NodeReport, MetricsSummary) {
 	vals, n, ok := tb.walkReport()
 	if !ok {
@@ -810,15 +834,59 @@ func (tb *Testbed) gatherReport() ([]NodeReport, MetricsSummary) {
 		}
 	}
 	sc := &tb.schema
-	rows := make([]LayerReport, len(sc.rows))
-	copy(rows, sc.rows)
-	for i := range rows {
-		rows[i].Values = vals[sc.rowVals[i]:sc.rowVals[i+1]:sc.rowVals[i+1]]
-	}
-	nodes := make([]NodeReport, len(tb.nodes))
+	keptRows, keptVals, keptNodes := 0, 0, 0
 	for i, nd := range tb.nodes {
-		nodes[i] = NodeReport{Name: nd.name, Crashed: nd.engine.Failed(),
-			Layers: rows[sc.nodeRows[i]:sc.nodeRows[i+1]:sc.nodeRows[i+1]]}
+		rows := 0
+		for r := sc.nodeRows[i]; r < sc.nodeRows[i+1]; r++ {
+			if row := vals[sc.rowVals[r]:sc.rowVals[r+1]]; !allZero(row) {
+				rows++
+				keptVals += len(row)
+			}
+		}
+		keptRows += rows
+		if rows > 0 || nd.engine.Failed() {
+			keptNodes++
+		}
+	}
+	// With every row kept the walked array is the report's; otherwise the
+	// kept rows move to one of their own size and the walked array stays
+	// behind for the next walk.
+	var kept []float64
+	dropped := keptRows < len(sc.rows)
+	tb.reportVals = nil
+	if dropped {
+		kept = make([]float64, 0, keptVals)
+		tb.reportVals = vals
+	}
+	var nodes []NodeReport
+	if keptNodes > 0 {
+		rows := make([]LayerReport, 0, keptRows)
+		nodes = make([]NodeReport, 0, keptNodes)
+		for i, nd := range tb.nodes {
+			first := len(rows)
+			for r := sc.nodeRows[i]; r < sc.nodeRows[i+1]; r++ {
+				row := sc.rows[r]
+				row.Values = vals[sc.rowVals[r]:sc.rowVals[r+1]:sc.rowVals[r+1]]
+				if allZero(row.Values) {
+					continue
+				}
+				if dropped {
+					at := len(kept)
+					kept = append(kept, row.Values...)
+					row.Values = kept[at:len(kept):len(kept)]
+				}
+				rows = append(rows, row)
+			}
+			crashed := nd.engine.Failed()
+			if len(rows) == first && !crashed {
+				continue
+			}
+			node := NodeReport{Name: nd.name, Crashed: crashed}
+			if len(rows) > first {
+				node.Layers = rows[first:len(rows):len(rows)]
+			}
+			nodes = append(nodes, node)
+		}
 	}
 	sum := MetricsSummary{Instruments: n, Totals: make(map[string]float64, len(sc.totalKeys)), keys: sc.sortedKeys}
 	for i, k := range sc.totalKeys {
@@ -831,16 +899,30 @@ func (tb *Testbed) gatherReport() ([]NodeReport, MetricsSummary) {
 	return nodes, sum
 }
 
-// walkReport is the one registry walk: it fills a fresh value array for
-// the node rows and the schema's totals, summing in walk order so the
-// float sums repeat bit for bit. ok is false when a reading did not
-// match its slot; the results are then meaningless.
+// allZero reports whether a row holds no nonzero reading.
+func allZero(row []float64) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// walkReport is the one registry walk: it fills a value array for the
+// node rows — the one the last gatherReport left behind, else a fresh
+// one; every slot is written — and the schema's totals, summing in walk
+// order so the float sums repeat bit for bit. ok is false when a reading
+// did not match its slot; the results are then meaningless.
 func (tb *Testbed) walkReport() (vals []float64, n int, ok bool) {
 	sc := &tb.schema
 	if len(sc.rowVals) == 0 {
 		return nil, 0, false // never built
 	}
-	vals = make([]float64, sc.rowVals[len(sc.rowVals)-1])
+	vals = tb.reportVals
+	if len(vals) != sc.rowVals[len(sc.rowVals)-1] {
+		vals = make([]float64, sc.rowVals[len(sc.rowVals)-1])
+	}
 	totals := sc.totals
 	for i := range totals {
 		totals[i] = 0

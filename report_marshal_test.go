@@ -1,6 +1,7 @@
 package virtualwire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -216,6 +217,18 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		if chunked := want.Len() > 2*reportChunk; (got.writes > 1) != chunked {
 			t.Errorf("case %d: %d bytes written in %d calls", i, want.Len(), got.writes)
 		}
+		// Staged in the writer's own spare capacity: after what it holds,
+		// and through a buffered writer.
+		var grown, flushed bytes.Buffer
+		grown.Grow(want.Len() + 2*reportChunk)
+		grown.WriteString("x")
+		bw := bufio.NewWriterSize(&flushed, 3*reportChunk)
+		if err := c.WriteJSON(&grown); err != nil || grown.String() != "x"+want.String() {
+			t.Errorf("case %d, into a grown buffer (%v):\n%s", i, err, grown.String())
+		}
+		if err := c.WriteJSON(bw); err != nil || bw.Flush() != nil || flushed.String() != want.String() {
+			t.Errorf("case %d, through a bufio.Writer (%v):\n%s", i, err, flushed.String())
+		}
 
 		compact, err := json.Marshal(c.reflected())
 		if err != nil {
@@ -256,6 +269,45 @@ type writeCounter struct {
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.writes++
 	return w.Buffer.Write(p)
+}
+
+// TestSparseNodeShapesRoundTrip: the shapes a sparse report lists — a
+// crashed host with no active layer, an active host with only some of
+// its layers, and a host with no layers at all, which a reader takes as
+// all zero — read back unchanged through both readers: ReportDecoder
+// and, for a record that is not this build's, json.Unmarshal with
+// NodeReport.UnmarshalJSON.
+func TestSparseNodeShapesRoundTrip(t *testing.T) {
+	rep := RunReport{Verdict: "stopped", Nodes: []NodeReport{
+		{Name: "down", Crashed: true},
+		{Name: "busy", Layers: []LayerReport{{Layer: "nic", Names: []string{"rx_frames", "tx_frames"}, Values: []float64{0, 3}}}},
+		{Name: "idle"},
+	}}
+	written, err := rep.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded RunReport
+	if _, ok := new(ReportDecoder).DecodeJSON(written, &decoded); !ok {
+		t.Fatalf("ReportDecoder refused %s", written)
+	}
+	var unmarshalled struct{ Nodes []NodeReport }
+	if err := json.Unmarshal(written, &unmarshalled); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]NodeReport{"ReportDecoder": decoded.Nodes, "json.Unmarshal": unmarshalled.Nodes} {
+		if len(got) != len(rep.Nodes) {
+			t.Fatalf("%s read %d nodes from %s", name, len(got), written)
+		}
+		for i, n := range got {
+			if !reflect.DeepEqual(n.reflected(), rep.Nodes[i].reflected()) {
+				t.Errorf("%s: node %d read as %+v, want %+v", name, i, n, rep.Nodes[i])
+			}
+			if _, ok := n.Layer("tcp"); ok {
+				t.Errorf("%s: node %s lists a tcp row", name, n.Name)
+			}
+		}
+	}
 }
 
 // TestReportDecoderInvertsAppendJSON holds ReportDecoder to its encoder
@@ -333,14 +385,28 @@ func TestReportDecoderInvertsAppendJSON(t *testing.T) {
 		return
 	}
 	// One four-host report after another: same tables, separate values.
+	// Each lists only its active rows, so rows pair by node and layer.
 	a, b := read[3], read[4]
-	for n := range a.Nodes {
-		for l := range a.Nodes[n].Layers {
-			la, lb := a.Nodes[n].Layers[l], b.Nodes[n].Layers[l]
-			if &la.Names[0] != &lb.Names[0] || &la.Values[0] == &lb.Values[0] {
-				t.Fatalf("node %d layer %s: names shared %v, values shared %v", n, la.Layer, &la.Names[0] == &lb.Names[0], &la.Values[0] == &lb.Values[0])
+	paired := 0
+	for _, na := range a.Nodes {
+		for _, nb := range b.Nodes {
+			if na.Name != nb.Name {
+				continue
+			}
+			for _, la := range na.Layers {
+				lb, ok := nb.Layer(la.Layer)
+				if !ok {
+					continue
+				}
+				paired++
+				if &la.Names[0] != &lb.Names[0] || &la.Values[0] == &lb.Values[0] {
+					t.Fatalf("node %s layer %s: names shared %v, values shared %v", na.Name, la.Layer, &la.Names[0] == &lb.Names[0], &la.Values[0] == &lb.Values[0])
+				}
 			}
 		}
+	}
+	if paired == 0 {
+		t.Fatal("the two fig6 reports share no node layer")
 	}
 	if &a.Metrics.keys[0] != &b.Metrics.keys[0] {
 		t.Error("two reports of one stream do not share their totals keys")

@@ -296,6 +296,7 @@ type Testbed struct {
 
 	snap        metrics.Snapshot // Node.Snapshot's scratch
 	schema      reportSchema     // run-end walk's slot tables (see gatherReport)
+	reportVals  []float64        // walkReport's scratch: the last walk's array when the report did not take it
 	nodeSources [2]int           // registry source indices [first, end) of the hosts' layer hooks
 
 	retherRing []string

@@ -244,7 +244,7 @@ type ManyFlowConfig struct {
 // ManyFlow is a running flow-mesh workload handle.
 type ManyFlow struct {
 	conf  ManyFlowConfig
-	hosts []string
+	hosts []*Node // read-only; without ManyFlowConfig.Hosts, the testbed's own list
 	flows int
 	set   flowSet
 }
@@ -254,16 +254,16 @@ type ManyFlow struct {
 func (tb *Testbed) AddManyFlow(cfg ManyFlowConfig) (*ManyFlow, error) {
 	w := &ManyFlow{conf: cfg}
 	if len(cfg.Hosts) > 0 {
-		for _, name := range cfg.Hosts {
-			if _, ok := tb.byName[name]; !ok {
+		w.hosts = make([]*Node, len(cfg.Hosts))
+		for i, name := range cfg.Hosts {
+			n, ok := tb.byName[name]
+			if !ok {
 				return nil, fmt.Errorf("virtualwire: unknown host %q", name)
 			}
+			w.hosts[i] = n
 		}
-		w.hosts = append([]string(nil), cfg.Hosts...)
 	} else {
-		for _, n := range tb.nodes {
-			w.hosts = append(w.hosts, n.name)
-		}
+		w.hosts = tb.nodes[:len(tb.nodes):len(tb.nodes)]
 	}
 	if len(w.hosts) < 2 {
 		return nil, fmt.Errorf("virtualwire: manyflow needs at least two hosts")
@@ -305,8 +305,7 @@ func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
 		if di >= si {
 			di++
 		}
-		src := tb.byName[w.hosts[si]]
-		dst := tb.byName[w.hosts[di]]
+		src, dst := w.hosts[si], w.hosts[di]
 		port := w.conf.BasePort + uint16(f)
 		if err := w.set.listen(dst, port); err != nil {
 			return nil, err
