@@ -216,7 +216,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 }
 
 // fuzzDelays are the offsets FuzzSchedulerOrder schedules at: zero twice,
-// so same-instant bursts — runs — are the common case.
+// so same-instant bursts are the common case.
 var fuzzDelays = [...]time.Duration{0, 0, time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond}
 
 // runOps decodes ops into scheduler operations against d and returns the
@@ -243,8 +243,8 @@ func runOps(d *schedDriver, ops []byte) []int64 {
 		return ops[pos-1]
 	}
 	// cancel picks among the live events sharing the instant of the one
-	// b's low bits name: the first (a run head), the middle one or the
-	// last (a tail); or, for a top value of 3, the newest run's tail.
+	// b's low bits name: the first, the middle one or the last; or, for a
+	// top value of 3, the newest live event.
 	cancel := func(b byte) {
 		if len(live) == 0 {
 			return
@@ -304,8 +304,8 @@ func runOps(d *schedDriver, ops []byte) []int64 {
 	return append(trace, -1, int64(d.pending()))
 }
 
-// FuzzSchedulerOrder: whatever mix of same-instant bursts, cancels of run
-// heads, middles and tails, scheduling from callbacks and Resets the
+// FuzzSchedulerOrder: whatever mix of same-instant bursts, cancels of the
+// first, middle and last of a burst, scheduling from callbacks and Resets the
 // input encodes, the scheduler fires the same events at the same instants
 // as the naive reference, and its Pending count agrees after every step.
 func FuzzSchedulerOrder(f *testing.F) {
@@ -316,8 +316,8 @@ func FuzzSchedulerOrder(f *testing.F) {
 	// and a tail; fire eight.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0,
 		4, 0x00, 4, 0x40, 4, 0x80, 5, 7})
-	// Callbacks that schedule at zero delay into the run being popped and
-	// cancel the newest run's tail.
+	// Callbacks that schedule at zero delay into the burst being popped
+	// and cancel the newest event.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 5, 1, 0x15, 0xc0, 0x03, 0, 2,
 		5, 7, 0x15, 0xc0, 0x15, 0x40})
 	// Reset mid-burst, then continue at the same instants.
@@ -339,12 +339,11 @@ func FuzzSchedulerOrder(f *testing.F) {
 	})
 }
 
-// TestSameInstantBurstIsOneHeapEntry pins the run mechanism: a burst at
-// one instant is one heap entry firing in scheduling order, an event for
-// another instant pushed mid-burst splits it into two runs without
-// disturbing that order, and cancelling a run's head, a middle event and
-// its tail is eager.
-func TestSameInstantBurstIsOneHeapEntry(t *testing.T) {
+// TestSameInstantBurstOrderAndCancel: a burst at one instant fires in
+// scheduling order, an event for another instant pushed mid-burst does
+// not disturb that order, and cancelling a burst's first, a middle and
+// its last event is eager.
+func TestSameInstantBurstOrderAndCancel(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
 	add := func(at time.Duration, id int) *Event {
@@ -353,8 +352,8 @@ func TestSameInstantBurstIsOneHeapEntry(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		add(time.Millisecond, i)
 	}
-	if len(s.queue) != 1 || s.Pending() != 1000 {
-		t.Fatalf("1000 same-instant events: %d heap entries, Pending %d; want 1 and 1000", len(s.queue), s.Pending())
+	if s.Pending() != 1000 {
+		t.Fatalf("1000 same-instant events: Pending %d, want 1000", s.Pending())
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -375,11 +374,7 @@ func TestSameInstantBurstIsOneHeapEntry(t *testing.T) {
 		}
 		evs = append(evs, add(at, i))
 	}
-	if len(s.queue) != 3 {
-		t.Fatalf("split burst: %d heap entries, want 3", len(s.queue))
-	}
-	// Cancel the first run's head, a middle event and the second run's
-	// tail (the newest run's, so the cached tail must step back).
+	// Cancel the burst's first, a middle and its last (newest) event.
 	before := s.Pending()
 	for _, i := range []int{0, 250, 999} {
 		evs[i].Cancel()
@@ -415,11 +410,11 @@ func TestCancelReleasesCallback(t *testing.T) {
 	s := NewScheduler(1)
 	frame := make([]byte, 1500)
 	ev := s.After(time.Hour, "rto", func() { _ = frame[0] })
-	if ev.fn == nil {
+	if ev.recv == nil {
 		t.Fatal("scheduled event has no callback")
 	}
 	ev.Cancel()
-	if ev.fn != nil {
+	if ev.h != nil || ev.recv != nil {
 		t.Error("Cancel retained the callback closure (frame reference lingers)")
 	}
 	if err := s.Run(); err != nil {

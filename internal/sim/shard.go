@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Conservative parallel execution support: RunWindow executes one
 // shard's events up to a window boundary, and ShardSet runs a group of
@@ -23,27 +19,9 @@ import (
 // advances the clock to clockTo if that is ahead (callers pass the
 // window boundary, capped at the run deadline, so every shard's clock
 // agrees at each barrier). It honors Stop and the event Limit exactly
-// like RunUntil.
+// like RunUntil, through the same loop.
 func (s *Scheduler) RunWindow(end, clockTo time.Duration) error {
-	if s.running {
-		return errors.New("scheduler re-entered")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	s.stopped = false
-	for len(s.queue) > 0 && s.queue[0].at < end {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.Limit > 0 && s.executed >= s.Limit {
-			return fmt.Errorf("event limit %d exceeded at t=%v", s.Limit, s.now)
-		}
-		s.Step()
-	}
-	if clockTo > s.now {
-		s.now = clockTo
-	}
-	return nil
+	return s.run(end-1, clockTo)
 }
 
 // windowCmd asks a worker to run one window.

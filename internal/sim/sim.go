@@ -13,21 +13,16 @@
 // (a strictly increasing sequence number breaks ties), which keeps runs
 // bit-for-bit reproducible for a given RNG seed.
 //
-// The event queue is a monomorphic 4-ary heap of runs: a run is the
-// FIFO of events due at one instant, and only its head sits in the heap.
-// An event due at the newest run's instant joins that run in O(1) — a
-// bus delivering one frame to every station, or a switch flooding a
-// broadcast out of every port, schedules a whole burst this way — and
-// popping within a run hands its heap slot to the
-// successor in O(1). Fired or cancelled events are recycled through a
-// scheduler-owned free list, so steady-state scheduling performs no heap
-// allocation. See docs/PERFORMANCE.md for the invariants this imposes on
-// Event handles.
+// The event queue is a monomorphic 4-ary heap on (at, seq). Fired or
+// cancelled events are recycled through a scheduler-owned free list, so
+// steady-state scheduling performs no heap allocation. See
+// docs/PERFORMANCE.md for the invariants this imposes on Event handles.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -61,16 +56,13 @@ type Event struct {
 
 	at  time.Duration
 	seq uint64
-	// Exactly one of fn (At/After) and h (AtCall/AfterCall) is set while
-	// the event is scheduled; recv, arg and n are h's arguments.
-	fn        func()
+	// h runs with recv, arg and n when the event fires. At and After
+	// schedule callFunc with their func() as recv.
 	h         Handler
 	recv, arg any
 	n         int
-	index     int // heap index while a run head, else -1
-	// prev and next link the event into its run (see push).
-	prev, next *Event
-	state      uint8
+	index     int // heap index while scheduled, else -1
+	state     uint8
 	// gen increments every time the struct is recycled for a new
 	// scheduling; holders that retain a handle across firings (Timer)
 	// capture it to detect staleness.
@@ -104,7 +96,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.state = stateCancelled
-	e.s.unlink(e)
+	e.s.removeAt(e.index)
 	e.s.recycle(e)
 }
 
@@ -118,9 +110,7 @@ func (e *Event) Cancel() {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	queue   []*Event // 4-ary min-heap of run heads on (at, seq)
-	tail    *Event   // last event of the newest run, nil once it is gone
-	pending int
+	queue   []*Event // 4-ary min-heap on (at, seq)
 	free    []*Event // recycled Event structs
 	stopped bool
 	running bool
@@ -131,10 +121,6 @@ type Scheduler struct {
 	// recycled counts events served from the free list, for the
 	// allocation-efficiency gauge in Snapshot.
 	recycled uint64
-	// runs counts the runs started and depth sums the heap entries each
-	// pop found, from which the fat-tree's join share and mean heap depth
-	// are read (docs/PERFORMANCE.md, "The event core").
-	runs, depth uint64
 	// Limit, when non-zero, aborts Run with an error after that many
 	// events. It exists so a buggy protocol cannot spin a test forever.
 	Limit uint64
@@ -188,7 +174,7 @@ func (s *Scheduler) FreeListLen() int { return len(s.free) }
 
 // Pending reports how many events are scheduled and not yet fired.
 // Cancelled events are reaped eagerly, so they never linger here.
-func (s *Scheduler) Pending() int { return s.pending }
+func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // PeekTime returns the timestamp of the earliest pending event, or false
 // when the queue is empty. It lets an external run loop reproduce
@@ -205,46 +191,33 @@ func (s *Scheduler) PeekTime() (time.Duration, bool) {
 // release drops the callback and its arguments so a dead event pins
 // nothing.
 func (e *Event) release() {
-	e.fn, e.h, e.recv, e.arg = nil, nil, nil, nil
+	e.h, e.recv, e.arg = nil, nil, nil
 }
+
+// callFunc is the Handler of At and After. A func value is pointer-shaped,
+// so it rides in recv without boxing.
+func callFunc(recv, _ any, _ int) { recv.(func())() }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) is a programming error and fires immediately at Now
 // instead, preserving the clock's monotonicity.
 func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
-	ev := s.schedule(t, name)
-	ev.fn = fn
-	return ev
+	return s.AtCall(t, name, callFunc, fn, nil, 0)
 }
 
 // AtCall schedules h(recv, arg, n) at absolute virtual time t: At
 // without the closure. The arguments ride in the recycled Event, so a
 // steady-state call allocates nothing.
 func (s *Scheduler) AtCall(t time.Duration, name string, h Handler, recv, arg any, n int) *Event {
-	ev := s.schedule(t, name)
-	ev.h, ev.recv, ev.arg, ev.n = h, recv, arg, n
-	return ev
-}
-
-// AfterCall is AtCall relative to now. A negative d behaves like zero.
-func (s *Scheduler) AfterCall(d time.Duration, name string, h Handler, recv, arg any, n int) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtCall(s.now+d, name, h, recv, arg, n)
-}
-
-// schedule queues a callback-less event at t; the caller fills in fn or h.
-func (s *Scheduler) schedule(t time.Duration, name string) *Event {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
 	var ev *Event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if k := len(s.free); k > 0 {
+		ev = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
 		s.recycled++
 		ev.gen++
 	} else {
@@ -254,8 +227,18 @@ func (s *Scheduler) schedule(t time.Duration, name string) *Event {
 	ev.at = t
 	ev.seq = s.seq
 	ev.state = stateScheduled
-	s.push(ev)
+	ev.h, ev.recv, ev.arg, ev.n = h, recv, arg, n
+	s.queue = append(s.queue, ev)
+	s.siftUp(len(s.queue) - 1)
 	return ev
+}
+
+// AfterCall is AtCall relative to now. A negative d behaves like zero.
+func (s *Scheduler) AfterCall(d time.Duration, name string, h Handler, recv, arg any, n int) *Event {
+	if d < 0 {
+		d = 0
+	}
+	return s.AtCall(s.now+d, name, h, recv, arg, n)
 }
 
 // After schedules fn to run d from now. A negative d behaves like zero.
@@ -280,22 +263,15 @@ func (s *Scheduler) Reset(seed int64) {
 	if s.running {
 		panic("sim: Reset called from inside the run loop")
 	}
-	for _, head := range s.queue {
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.state = stateCancelled
-			s.recycle(ev)
-			ev = next
-		}
+	for _, ev := range s.queue {
+		ev.state = stateCancelled
+		s.recycle(ev)
 	}
 	s.queue = s.queue[:0]
-	s.tail = nil
-	s.pending = 0
 	s.now = 0
 	s.seq = 0
 	s.executed = 0
 	s.recycled = 0
-	s.runs, s.depth = 0, 0
 	s.stopped = false
 	s.seed, s.rngStale = seed, true
 }
@@ -306,17 +282,14 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	ev := s.popMin()
+	ev := s.queue[0]
+	s.removeAt(0)
 	s.now = ev.at
 	s.executed++
 	ev.state = stateFired
-	fn, h, recv, arg := ev.fn, ev.h, ev.recv, ev.arg
+	h, recv, arg := ev.h, ev.recv, ev.arg
 	ev.release()
-	if h != nil {
-		h(recv, arg, ev.n)
-	} else {
-		fn()
-	}
+	h(recv, arg, ev.n)
 	// Recycled only after the callback returns: if it re-arms a timer it
 	// must not be handed the very struct whose firing it is running inside.
 	s.recycle(ev)
@@ -325,42 +298,44 @@ func (s *Scheduler) Step() bool {
 
 // Run executes events until the queue drains, Stop is called, or the
 // event Limit is exceeded. It returns nil on a drained queue, ErrStopped
-// if stopped, and a descriptive error if the limit tripped.
+// if Stop left events unfired, and a descriptive error if the limit
+// tripped.
 func (s *Scheduler) Run() error {
-	return s.RunUntil(-1)
+	return s.run(math.MaxInt64, 0)
 }
 
 // RunUntil executes events with timestamps <= horizon (a negative horizon
-// means "no horizon"). When the horizon is reached the clock is advanced
-// to it so a subsequent RunUntil continues from there.
+// means "no horizon"). The clock then advances to the horizon, if that is
+// ahead of it, so a subsequent RunUntil continues from there.
 func (s *Scheduler) RunUntil(horizon time.Duration) error {
+	if horizon < 0 {
+		return s.Run()
+	}
+	return s.run(horizon, horizon)
+}
+
+// run is the one loop that executes events, behind Run, RunUntil and
+// RunWindow: it fires every event due at or before last unless Stop is
+// called or the Limit trips first, then advances the clock to clockTo if
+// that is ahead.
+func (s *Scheduler) run(last, clockTo time.Duration) error {
 	if s.running {
 		return errors.New("scheduler re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
 	s.stopped = false
-	for {
+	for len(s.queue) > 0 && s.queue[0].at <= last {
 		if s.stopped {
 			return ErrStopped
 		}
 		if s.Limit > 0 && s.executed >= s.Limit {
 			return fmt.Errorf("event limit %d exceeded at t=%v", s.Limit, s.now)
 		}
-		if len(s.queue) == 0 {
-			// Idle: time still passes up to the horizon, so a
-			// subsequent RunUntil continues from there.
-			if horizon >= 0 && horizon > s.now {
-				s.now = horizon
-			}
-			return nil
-		}
-		if horizon >= 0 && s.queue[0].at > horizon {
-			s.now = horizon
-			return nil
-		}
 		s.Step()
 	}
+	s.now = max(s.now, clockTo)
+	return nil
 }
 
 // recycle returns a dead event to the free list. The terminal state
@@ -371,21 +346,10 @@ func (s *Scheduler) RunUntil(horizon time.Duration) error {
 func (s *Scheduler) recycle(ev *Event) {
 	ev.release()
 	ev.index = -1
-	ev.prev, ev.next = nil, nil
 	s.free = append(s.free, ev)
 }
 
-// --- 4-ary heap of same-instant runs on (at, seq) ---
-//
-// A run is a FIFO of events due at one instant, linked through prev/next
-// behind its head; only heads sit in the heap, ordered by the head's
-// (at, seq). Events only ever join the newest run (the one holding the
-// latest-scheduled event, cached as its tail), and seq only grows, so a
-// run's seq range is closed once a newer run exists: two runs due at one
-// instant never overlap in seq, and the older range comes first. A head's
-// successor is therefore still below every event in the head's heap
-// subtree, and it takes the head's slot without a sift — on pop and on
-// cancel alike. The firing order stays exactly (at, seq).
+// --- 4-ary heap on (at, seq) ---
 //
 // A 4-ary layout halves the tree depth of the classic binary heap: pushes
 // compare against a quarter as many ancestors, and though pops compare up
@@ -402,77 +366,8 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// push links ev at the newest run's tail when it is due at that run's
-// instant, in O(1) and without touching the heap; otherwise ev starts a
-// new run whose head is sifted into the heap.
-func (s *Scheduler) push(ev *Event) {
-	s.pending++
-	t := s.tail
-	s.tail = ev
-	if t != nil && t.at == ev.at {
-		t.next, ev.prev = ev, t
-		ev.index = -1
-		return
-	}
-	s.runs++
-	i := len(s.queue)
-	s.queue = append(s.queue, ev)
-	ev.index = i
-	s.siftUp(i)
-}
-
-// popMin removes and returns the earliest event: the head of the run at
-// q[0]. A successor in that run takes the slot unsifted (see above).
-func (s *Scheduler) popMin() *Event {
-	q := s.queue
-	min := q[0]
-	s.pending--
-	s.depth += uint64(len(q))
-	if n := min.next; n != nil {
-		n.prev = nil
-		q[0], n.index = n, 0
-	} else {
-		if min == s.tail {
-			s.tail = nil
-		}
-		last := len(q) - 1
-		q[0] = q[last]
-		q[0].index = 0
-		q[last] = nil
-		s.queue = q[:last]
-		if last > 0 {
-			s.siftDown(0)
-		}
-	}
-	min.index = -1
-	return min
-}
-
-// unlink takes a cancelled event out of the queue (eager reap, no
-// tombstone): out of its run's list, or, as a run head, out of its heap
-// slot — handed unsifted to the successor, or removed with the run.
-func (s *Scheduler) unlink(e *Event) {
-	s.pending--
-	if e == s.tail {
-		s.tail = e.prev
-	}
-	if p := e.prev; p != nil {
-		p.next = e.next
-		if e.next != nil {
-			e.next.prev = p
-		}
-		return
-	}
-	if n := e.next; n != nil {
-		n.prev = nil
-		s.queue[e.index], n.index = n, e.index
-		return
-	}
-	s.removeAt(e.index)
-}
-
-// removeAt deletes the run head at heap index i; the relocated last
-// entry may need to move either way.
+// removeAt deletes the event at heap index i; the relocated last entry
+// may need to move either way.
 func (s *Scheduler) removeAt(i int) {
 	q := s.queue
 	last := len(q) - 1

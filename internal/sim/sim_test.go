@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,44 @@ func TestSchedulerRunUntilHorizon(t *testing.T) {
 	}
 	if len(fired) != 4 {
 		t.Errorf("fired %d events total, want 4", len(fired))
+	}
+}
+
+// TestRunUntilNeverRewindsClock: a horizon at or behind Now leaves the
+// clock where it is, with or without an event beyond it, so a later
+// After(d) still fires d from now.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	s := NewScheduler(1)
+	var fired []time.Duration
+	s.After(15*time.Millisecond, "a", func() { fired = append(fired, s.Now()) })
+	s.After(20*time.Millisecond, "b", func() { fired = append(fired, s.Now()) })
+	if err := s.RunUntil(15 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []time.Duration{15 * time.Millisecond, 5 * time.Millisecond, 0} {
+		if err := s.RunUntil(h); err != nil {
+			t.Fatal(err)
+		}
+		if s.Now() != 15*time.Millisecond {
+			t.Fatalf("RunUntil(%v) at 15ms with an event at 20ms moved the clock to %v", h, s.Now())
+		}
+	}
+	s.After(time.Millisecond, "c", func() { fired = append(fired, s.Now()) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{15 * time.Millisecond, 16 * time.Millisecond, 20 * time.Millisecond}
+	if len(fired) != len(want) || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	// An idle queue behaves the same, and the largest horizon neither
+	// overflows nor skips an event.
+	if err := s.RunUntil(time.Millisecond); err != nil || s.Now() != 20*time.Millisecond {
+		t.Fatalf("idle RunUntil(1ms) at 20ms: clock %v, err %v", s.Now(), err)
+	}
+	s.After(time.Millisecond, "d", func() { fired = append(fired, s.Now()) })
+	if err := s.RunUntil(math.MaxInt64); err != nil || len(fired) != 4 || s.Now() != math.MaxInt64 {
+		t.Fatalf("RunUntil(max): %d fired, clock %v, err %v", len(fired), s.Now(), err)
 	}
 }
 
@@ -322,7 +361,8 @@ func TestAtCallCancelAndReset(t *testing.T) {
 // TestAtCallDoesNotAllocate: with the free list warm, scheduling and
 // firing through the closure-free form allocates nothing, where a
 // closure capturing the same receiver, argument and integer costs one
-// object per event.
+// object per event. At with a closure built beforehand allocates nothing
+// either: the func rides in the event's receiver word.
 func TestAtCallDoesNotAllocate(t *testing.T) {
 	s := NewScheduler(1)
 	l := &callLog{got: make([]int, 0, 1024)}
@@ -339,6 +379,20 @@ func TestAtCallDoesNotAllocate(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Errorf("AfterCall + fire allocates %.1f objects per 8 events, want 0", allocs)
+	}
+	fired := 0
+	fn := func() { fired++ }
+	at := func() {
+		for i := 0; i < 8; i++ {
+			s.At(s.Now()+time.Duration(i), "fn", fn)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at()
+	if allocs := testing.AllocsPerRun(100, at); allocs != 0 || fired != 8*102 {
+		t.Errorf("At + fire allocates %.1f objects per 8 events (%d fired), want 0", allocs, fired)
 	}
 }
 

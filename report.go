@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -742,7 +743,15 @@ func WarmPoolReading(s MetricsSample) bool {
 // buildReportSchema computes the slot tables from a walk of the registry
 // as it stands.
 func (tb *Testbed) buildReportSchema() {
-	sc := reportSchema{}
+	// Every host layer hook fills one row, so the registry's counts size
+	// every table before the walk.
+	hostRows := tb.nodeSources[1] - tb.nodeSources[0]
+	sc := reportSchema{
+		rows:     make([]LayerReport, 0, hostRows),
+		rowVals:  make([]int, 1, hostRows+1),
+		nodeRows: make([]int, 1, len(tb.nodes)+1),
+		sources:  make([]sourceSlots, 0, tb.reg.Sources()),
+	}
 	slotOf := make(map[[2]string]int)
 	totalSlot := func(layer, name string, kind metrics.Kind) int {
 		if kind != metrics.KindCounter || WarmPoolReading(MetricsSample{Layer: layer, Name: name}) {
@@ -758,12 +767,14 @@ func (tb *Testbed) buildReportSchema() {
 		return slot
 	}
 	// A node layer's row, found while walking: which source fills it.
+	// The walk meets them in node order.
 	type nodeRow struct {
+		node  int
 		layer string
 		names []string // sorted
 		src   int
 	}
-	nodeLayers := make([][]nodeRow, len(tb.nodes))
+	nodeLayers := make([]nodeRow, 0, hostRows)
 	type layerTable struct {
 		names    []string
 		readings []readingSlot
@@ -798,14 +809,18 @@ func (tb *Testbed) buildReportSchema() {
 			for tb.nodes[ni].name != node {
 				ni++
 			}
-			nodeLayers[ni] = append(nodeLayers[ni], nodeRow{layer: layer, names: lt.names, src: i})
+			nodeLayers = append(nodeLayers, nodeRow{node: ni, layer: layer, names: lt.names, src: i})
 		}
 		sc.sources = append(sc.sources, sourceSlots{readings: lt.readings, vals: -1})
 	})
-	sc.rowVals = append(sc.rowVals, 0)
-	sc.nodeRows = append(sc.nodeRows, 0)
-	for _, rows := range nodeLayers {
-		sort.Slice(rows, func(a, b int) bool { return rows[a].layer < rows[b].layer })
+	for ni := range tb.nodes {
+		n := 0
+		for n < len(nodeLayers) && nodeLayers[n].node == ni {
+			n++
+		}
+		rows := nodeLayers[:n]
+		nodeLayers = nodeLayers[n:]
+		slices.SortFunc(rows, func(a, b nodeRow) int { return strings.Compare(a.layer, b.layer) })
 		for _, r := range rows {
 			sc.sources[r.src].vals = sc.rowVals[len(sc.rowVals)-1]
 			sc.rows = append(sc.rows, LayerReport{Layer: r.layer, Names: r.names})

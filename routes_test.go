@@ -102,3 +102,24 @@ func FuzzRoutes(f *testing.F) {
 		}
 	})
 }
+
+// TestPlannedFabricDoesNotFlood: on the 1000-host fat-tree every switch
+// knows the port toward every host from the Node Table and the spanning
+// forest, so no frame of the 100 flows floods — not even each flow's
+// first, which a learning fabric flooded to all 1000 hosts.
+func TestPlannedFabricDoesNotFlood(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-host fabric")
+	}
+	r := fabricManyFlowRow()
+	tb := r.build(t, 1, nil)
+	r.run(t, tb, false)
+	var ingress, flooded uint64
+	for _, sw := range tb.fabric {
+		ingress += sw.IngressFrames
+		flooded += sw.FloodedFrames
+	}
+	if ingress == 0 || flooded != 0 {
+		t.Errorf("fabric flooded %d of %d ingress frames, want none of some", flooded, ingress)
+	}
+}

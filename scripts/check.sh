@@ -84,8 +84,8 @@ echo "== fuzz (9 x 10 s) =="
 # must drop what it cannot index, loaded or not — and an INIT blob that
 # a bit error left decodable must be dropped or run, never panic it; and
 # the RLL, Rether and IP/TCP layers above the wire get the same mangled
-# headers and must decode or drop them; and the scheduler's same-instant
-# runs must fire every mix of bursts, cancels and Resets in exactly the
+# headers and must decode or drop them; and the scheduler's event heap
+# must fire every mix of bursts, cancels and Resets in exactly the
 # (at, seq) order a naive reference does, since every report byte
 # depends on it; and every switch's planned route over a fabric with
 # trunks failed and switches down must be the first hop a breadth-first

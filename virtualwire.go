@@ -124,8 +124,9 @@ type Config struct {
 	// switch crash/restart — against the generated Topology. A tree
 	// trunk's death triggers STP-style reconvergence after the spec's
 	// ReconvergeDelay: the best redundant trunk unblocks (deterministic
-	// tie-break by wiring order) and stale MAC entries flush. Requires a
-	// multi-switch Topology. See docs/TOPOLOGIES.md, "Fault axes".
+	// tie-break by wiring order) and every switch's routes are re-planned
+	// over the new forest. Requires a multi-switch Topology. See
+	// docs/TOPOLOGIES.md, "Fault axes".
 	TopologyFaults []TopologyFaultSpec
 	// Shards is how many shards the conservative-windowed engine — the
 	// only engine — partitions the fabric into; each runs its own event
