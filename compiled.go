@@ -134,6 +134,13 @@ func (tb *Testbed) Reset(seed int64) error {
 		}
 		return fmt.Errorf("virtualwire: Reset before the testbed was built (call Run first)")
 	}
+	// A TCPBulk handle outlives the run; its connection is recycled by
+	// the stack resets below.
+	for _, w := range tb.workloads {
+		if bulk, ok := w.(*TCPBulk); ok {
+			bulk.detach()
+		}
+	}
 	tb.cfg.Seed = seed
 	tb.sched.Reset(seed)
 	for i := 1; i < tb.shards.count; i++ {

@@ -115,6 +115,7 @@ type Conn struct {
 
 	rtx        *sim.Timer
 	onRTOFn    func() // c.onRTO, bound once: a method value allocates
+	onSynFn    func() // c.onSynTimeout, likewise
 	synRetries int
 
 	oo       map[uint32][]byte // out-of-order segments, buffers from Stack.ooFree; made on first use
@@ -206,41 +207,64 @@ func (c *Conn) sendSyn(synack bool) {
 	c.sndNxt = c.iss + 1
 	c.Stats.SegmentsSent++
 	c.stack.sendRaw(c.key.remoteIP, hdr, nil)
-	c.armSynTimer(synack)
+	c.armSynTimer()
 }
 
-func (c *Conn) armSynTimer(synack bool) {
+func (c *Conn) armSynTimer() {
 	backoff := c.rto << uint(c.synRetries)
 	if backoff > MaxRTO {
 		backoff = MaxRTO
 	}
-	c.rtx.Arm(backoff, func() {
-		if c.state != StateSynSent && c.state != StateSynReceived {
-			return
-		}
-		c.synRetries++
-		c.Stats.SynRetries++
-		c.Stats.Timeouts++
-		if c.synRetries > 6 {
-			c.fail()
-			return
-		}
-		// A handshake retransmission is a loss event: ssthresh
-		// collapses to its floor of 2 segments and cwnd to 1 — the
-		// behaviour the Figure 5 scenario induces on purpose.
-		c.enterLoss()
-		c.Stats.SegmentsSent++
-		hdr := packet.TCP{
-			SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-			Seq: c.iss, Flags: packet.TCPSyn,
-		}
-		if synack {
-			hdr.Flags |= packet.TCPAck
-			hdr.Ack = c.rcvNxt
-		}
-		c.stack.sendRaw(c.key.remoteIP, hdr, nil)
-		c.armSynTimer(synack)
-	})
+	c.rtx.Arm(backoff, c.onSynFn)
+}
+
+// onSynTimeout retransmits the SYN, or the SYN-ACK of a passive open:
+// the handshake timer's handler.
+func (c *Conn) onSynTimeout() {
+	if c.state != StateSynSent && c.state != StateSynReceived {
+		return
+	}
+	c.synRetries++
+	c.Stats.SynRetries++
+	c.Stats.Timeouts++
+	if c.synRetries > 6 {
+		c.fail()
+		return
+	}
+	// A handshake retransmission is a loss event: ssthresh
+	// collapses to its floor of 2 segments and cwnd to 1 — the
+	// behaviour the Figure 5 scenario induces on purpose.
+	c.enterLoss()
+	c.Stats.SegmentsSent++
+	hdr := packet.TCP{
+		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		Seq: c.iss, Flags: packet.TCPSyn,
+	}
+	if c.state == StateSynReceived {
+		hdr.Flags |= packet.TCPAck
+		hdr.Ack = c.rcvNxt
+	}
+	c.stack.sendRaw(c.key.remoteIP, hdr, nil)
+	c.armSynTimer()
+}
+
+// release returns a discarded connection to its zero state, keeping only
+// what the next connection made from it reuses: the timer and its bound
+// handlers, the retransmission queue's array and the emptied reorder-store
+// map. Every queue entry is cleared first, so no segment of an old send
+// buffer stays reachable from the free list.
+func (c *Conn) release() {
+	c.rtx.Disarm()
+	q := c.rtxQ[:cap(c.rtxQ)]
+	clear(q)
+	*c = Conn{
+		stack:   c.stack,
+		rtxQ:    q[:0],
+		rtx:     c.rtx,
+		onRTOFn: c.onRTOFn,
+		onSynFn: c.onSynFn,
+		oo:      c.oo,
+	}
 }
 
 // enterLoss applies the RTO congestion response.

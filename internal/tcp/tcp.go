@@ -103,6 +103,12 @@ type Stack struct {
 	// ooFree holds released reorder-store buffers (see segmentBuffer).
 	// It survives Reset.
 	ooFree [][]byte
+	// used lists every connection this run handed out, live or retired,
+	// in creation order. A retired one stays here until Reset: it may
+	// still be on the call stack, and handles still read it. Reset moves
+	// them all to free, where newConn takes them from.
+	used []*Conn
+	free []*Conn
 }
 
 // maxOOFree bounds ooFree at a receive window's worth of full segments:
@@ -189,23 +195,32 @@ func (s *Stack) Connect(localPort uint16, dst packet.IP, dstPort uint16) (*Conn,
 	return c, nil
 }
 
+// newConn hands out a connection in its initial state: one recycled by
+// Reset when the stack has one, which keeps its timer, bound handlers and
+// buffers' capacity, else a fresh one.
 func (s *Stack) newConn(key connKey) *Conn {
-	s.isn += 64000
-	c := &Conn{
-		stack:    s,
-		key:      key,
-		state:    StateClosed,
-		iss:      s.isn,
-		sndUna:   s.isn,
-		sndNxt:   s.isn,
-		cwnd:     1,
-		ssthresh: 64, // segments; effectively "64 KB", per the paper
-		rto:      InitialRTO,
-		rwnd:     DefaultWindow,
+	var c *Conn
+	if n := len(s.free); n > 0 {
+		c = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		c = &Conn{stack: s, rtx: sim.NewTimer(s.host.Sched, "tcp.rto")}
+		c.onRTOFn = c.onRTO
+		c.onSynFn = c.onSynTimeout
 	}
-	c.rtx = sim.NewTimer(s.host.Sched, "tcp.rto")
-	c.onRTOFn = c.onRTO
+	s.isn += 64000
+	c.key = key
+	c.state = StateClosed
+	c.iss = s.isn
+	c.sndUna = s.isn
+	c.sndNxt = s.isn
+	c.cwnd = 1
+	c.ssthresh = 64 // segments; effectively "64 KB", per the paper
+	c.rto = InitialRTO
+	c.rwnd = DefaultWindow
 	s.conns[key] = c
+	s.used = append(s.used, c)
 	return c
 }
 
@@ -244,13 +259,19 @@ func (s *Stack) deliver(src, dst packet.IP, payload []byte) {
 // Reset discards every connection and listener and rewinds the ISN
 // generator and retired-counter totals, returning the stack to its
 // just-constructed state. Retransmission timers die with the scheduler
-// reset that precedes this; the IP protocol registration survives.
+// reset that precedes this; the IP protocol registration survives. The
+// discarded connections go to the free list in creation order, so the
+// next run's n-th connection reuses this run's n-th.
 func (s *Stack) Reset() {
-	for key, c := range s.conns {
-		c.rtx.Disarm()
+	for i := len(s.used) - 1; i >= 0; i-- {
+		c := s.used[i]
 		s.releaseReorderStore(c)
-		delete(s.conns, key)
+		c.release()
+		s.free = append(s.free, c)
 	}
+	clear(s.used)
+	s.used = s.used[:0]
+	clear(s.conns)
 	for port := range s.listeners {
 		delete(s.listeners, port)
 	}
@@ -259,7 +280,7 @@ func (s *Stack) Reset() {
 }
 
 // retire removes a torn-down connection, folding its counters into the
-// stack totals first.
+// stack totals first. The connection stays on used until Reset.
 func (s *Stack) retire(c *Conn) {
 	if _, ok := s.conns[c.key]; !ok {
 		return

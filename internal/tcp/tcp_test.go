@@ -53,6 +53,7 @@ func tcpFlagsOf(fr *ether.Frame) byte {
 
 type pair struct {
 	sched  *sim.Scheduler
+	sw     *ether.Switch
 	h1, h2 *stack.Host
 	t1, t2 *Stack
 }
@@ -73,7 +74,7 @@ func newPair(t testing.TB, seed int64, layers1, layers2 []stack.Layer) *pair {
 	sw.AttachHost(h2.NIC)
 	h1.Build(layers1...)
 	h2.Build(layers2...)
-	return &pair{sched: s, h1: h1, h2: h2, t1: NewStack(h1), t2: NewStack(h2)}
+	return &pair{sched: s, sw: sw, h1: h1, h2: h2, t1: NewStack(h1), t2: NewStack(h2)}
 }
 
 // transfer sends n bytes from p.h1 to p.h2 and returns the received

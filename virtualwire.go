@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -314,6 +315,9 @@ type Testbed struct {
 	// zeros is the read-only payload source of the TCP workloads (see
 	// zeroPayload).
 	zeros []byte
+	// pairs is ManyFlow's pair generator, re-seeded from PairSeed by
+	// each run that draws from it (see pairRand).
+	pairs *rand.Rand
 
 	// shards is the windowed engine's runtime; created in build.
 	shards *shardRuntime
@@ -330,6 +334,17 @@ func (tb *Testbed) zeroPayload(n int) []byte {
 		tb.zeros = make([]byte, n)
 	}
 	return tb.zeros[:n:n]
+}
+
+// pairRand returns the testbed's pair generator seeded with seed: the
+// draws of rand.New(rand.NewSource(seed)), without a new source per run.
+func (tb *Testbed) pairRand(seed int64) *rand.Rand {
+	if tb.pairs == nil {
+		tb.pairs = rand.New(rand.NewSource(seed))
+	} else {
+		tb.pairs.Seed(seed)
+	}
+	return tb.pairs
 }
 
 type portPair struct {

@@ -38,6 +38,10 @@ type TCPBulkConfig struct {
 type TCPBulk struct {
 	cfg  TCPBulkConfig
 	conn *tcp.Conn
+	// kept is what the handle reports of its sender once conn is gone:
+	// Reset recycles the connection, so detach copies its final state
+	// here first. Zero when no connection was made.
+	kept senderState
 	// payload is what the sender writes: all of Bytes at once, or one
 	// pacing tick's worth again and again. Cut from the testbed's zero
 	// source while the workload is being started.
@@ -197,23 +201,44 @@ func (w *TCPBulk) GoodputBitsPerSecond() float64 {
 	return float64(w.delivered*8) / dt.Seconds()
 }
 
-// CWND returns the sender's congestion window in segments.
-func (w *TCPBulk) CWND() int { return w.conn.CWND() }
+// senderState is the part of the client connection a TCPBulk reports.
+type senderState struct {
+	cwnd, ssthresh int
+	slowStart      bool
+	stats          tcp.Stats
+}
 
-// Ssthresh returns the sender's slow-start threshold in segments.
-func (w *TCPBulk) Ssthresh() int { return w.conn.Ssthresh() }
+// sender reads the client connection, or what detach kept of it.
+func (w *TCPBulk) sender() senderState {
+	if w.conn == nil {
+		return w.kept
+	}
+	return senderState{w.conn.CWND(), w.conn.Ssthresh(), w.conn.InSlowStart(), w.conn.Stats}
+}
 
-// InSlowStart reports the sender's congestion regime.
-func (w *TCPBulk) InSlowStart() bool { return w.conn.InSlowStart() }
+// detach keeps the sender's final state and lets go of the connection,
+// which the testbed's Reset recycles for its next run.
+func (w *TCPBulk) detach() {
+	w.kept = w.sender()
+	w.conn = nil
+}
+
+// CWND returns the sender's congestion window in segments (zero if no
+// connection was made).
+func (w *TCPBulk) CWND() int { return w.sender().cwnd }
+
+// Ssthresh returns the sender's slow-start threshold in segments (zero
+// if no connection was made).
+func (w *TCPBulk) Ssthresh() int { return w.sender().ssthresh }
+
+// InSlowStart reports the sender's congestion regime (false if no
+// connection was made).
+func (w *TCPBulk) InSlowStart() bool { return w.sender().slowStart }
 
 // SenderStats returns the client connection's protocol counters (zero
-// if the run was interrupted before the workload started).
-func (w *TCPBulk) SenderStats() tcp.Stats {
-	if w.conn == nil {
-		return tcp.Stats{}
-	}
-	return w.conn.Stats
-}
+// if no connection was made: before Run, on a failed connect, or when
+// the run was interrupted before the workload started).
+func (w *TCPBulk) SenderStats() tcp.Stats { return w.sender().stats }
 
 // UDPEchoConfig describes the UDP ping/echo workload behind Figure 8's
 // round-trip-latency measurement.

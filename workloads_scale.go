@@ -2,7 +2,6 @@ package virtualwire
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"virtualwire/internal/tcp"
@@ -297,7 +296,7 @@ func (tb *Testbed) AddManyFlow(cfg ManyFlowConfig) (*ManyFlow, error) {
 // its source's shard that schedules the staggered connect locally.
 func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
 	w.set.start(w.flows, w.flows)
-	rng := rand.New(rand.NewSource(w.conf.PairSeed))
+	rng := tb.pairRand(w.conf.PairSeed)
 	n := len(w.hosts)
 	for f := 0; f < w.flows; f++ {
 		si := rng.Intn(n)
