@@ -340,6 +340,5 @@ func (m *Manager) restoreJob(j *Job, generation int) error {
 	j.state = StateQueued
 	j.firstIndex = p.runs
 	j.prior = p.records
-	j.resumed = j.firstIndex > 0
 	return nil
 }

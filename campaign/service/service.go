@@ -104,7 +104,6 @@ type Job struct {
 	passed     int
 	failed     int
 	errText    string
-	resumed    bool
 	firstIndex int
 	prior      []campaign.RunRecord
 	summary    *campaign.Summary

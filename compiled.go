@@ -144,7 +144,7 @@ func (tb *Testbed) Reset(seed int64) error {
 	tb.cfg.Seed = seed
 	tb.sched.Reset(seed)
 	for i := 1; i < tb.shards.count; i++ {
-		tb.shards.scheds[i].Reset(deriveShardSeed(seed, uint64(i)))
+		tb.shards.scheds[i].Reset(deriveStreamSeed(seed, uint64(i)))
 	}
 	tb.shards.set.ResetWindows()
 	for _, sw := range tb.fabric {

@@ -36,15 +36,9 @@ func (c *BusConfig) fill() {
 }
 
 type activeTx struct {
-	nic      *NIC
-	frame    *Frame
-	start    time.Duration
-	end      *sim.Event
-	collided bool
-	// fire is the pre-bound completion callback, created once per
-	// activeTx so recycled transmissions (see SharedBus.free) schedule
-	// their end without a fresh closure.
-	fire func()
+	nic   *NIC
+	start time.Duration
+	end   *sim.Event
 }
 
 // SharedBus is a CSMA/CD shared segment: every attached NIC sees every
@@ -58,8 +52,6 @@ type SharedBus struct {
 	active  []*activeTx
 	free    []*activeTx // finished transmissions, ready for reuse
 	waiting []*NIC
-	// releaseFn is the pre-bound release callback (see scheduleRelease).
-	releaseFn func()
 	// idleAt is the earliest instant a deferred station may begin
 	// transmitting (end of last activity plus inter-frame gap).
 	idleAt time.Duration
@@ -84,9 +76,7 @@ var _ Medium = (*SharedBus)(nil)
 // configuration (zero values select defaults).
 func NewSharedBus(sched *sim.Scheduler, cfg BusConfig) *SharedBus {
 	cfg.fill()
-	b := &SharedBus{cfg: cfg, sched: sched}
-	b.releaseFn = b.release
-	return b
+	return &SharedBus{cfg: cfg, sched: sched}
 }
 
 // SetRand pins the random source for backoff and bit-error draws. When
@@ -145,12 +135,13 @@ func (b *SharedBus) kick(n *NIC) {
 // still occur when stations begin transmitting within the propagation
 // window of each other (see kick).
 func (b *SharedBus) scheduleRelease() {
-	b.sched.At(b.idleAt, "bus.release", b.releaseFn)
+	b.sched.AtCall(b.idleAt, "bus.release", busRelease, b, nil, 0)
 }
 
-// release is scheduleRelease's pre-bound callback (releaseFn): binding
-// it once in NewSharedBus keeps the per-frame schedule allocation-free.
-func (b *SharedBus) release() {
+// busRelease starts the next deferring station on bus recv, if the
+// medium is idle by now.
+func busRelease(recv, _ any, _ int) {
+	b := recv.(*SharedBus)
 	if len(b.active) > 0 || b.sched.Now() < b.idleAt {
 		return
 	}
@@ -177,13 +168,11 @@ func (b *SharedBus) startTx(n *NIC) {
 		tx = b.free[l-1]
 		b.free[l-1] = nil
 		b.free = b.free[:l-1]
-		tx.nic, tx.frame, tx.start, tx.collided = n, fr, now, false
+		tx.nic, tx.start = n, now
 	} else {
-		tx = &activeTx{nic: n, frame: fr, start: now}
-		self := tx
-		tx.fire = func() { b.finishTx(self) }
+		tx = &activeTx{nic: n, start: now}
 	}
-	tx.end = b.sched.At(now+dur, "bus.txEnd", tx.fire)
+	tx.end = b.sched.AtCall(now+dur, "bus.txEnd", busTxEnd, b, tx, 0)
 	b.active = append(b.active, tx)
 	if len(b.active) > 1 {
 		b.collide()
@@ -242,6 +231,11 @@ func busDeliver(recv, arg any, i int) {
 	b.nics[i].deliver(cp)
 }
 
+// busTxEnd completes transmission arg on bus recv.
+func busTxEnd(recv, arg any, _ int) {
+	recv.(*SharedBus).finishTx(arg.(*activeTx))
+}
+
 func (b *SharedBus) finishTx(tx *activeTx) {
 	// Remove from active.
 	for i, a := range b.active {
@@ -294,7 +288,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 
 // recycle returns a finished or aborted transmission to the free list.
 func (b *SharedBus) recycle(tx *activeTx) {
-	tx.nic, tx.frame, tx.end = nil, nil, nil
+	tx.nic, tx.end = nil, nil
 	b.free = append(b.free, tx)
 }
 

@@ -18,8 +18,7 @@ import "time"
 // RunWindow executes events with timestamps strictly below end, then
 // advances the clock to clockTo if that is ahead (callers pass the
 // window boundary, capped at the run deadline, so every shard's clock
-// agrees at each barrier). It honors Stop and the event Limit exactly
-// like RunUntil, through the same loop.
+// agrees at each barrier). It runs the same loop as RunUntil.
 func (s *Scheduler) RunWindow(end, clockTo time.Duration) error {
 	return s.run(end-1, clockTo)
 }

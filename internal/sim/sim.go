@@ -21,15 +21,10 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
 )
-
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// before the event queue drained or the horizon was reached.
-var ErrStopped = errors.New("simulation stopped")
 
 // Event lifecycle states. An event is scheduled exactly once; after it
 // fires or is cancelled it returns to the scheduler's free list (keeping
@@ -52,8 +47,6 @@ const (
 // encapsulates the safe retained-handle pattern via a generation check;
 // use it for anything that re-arms.
 type Event struct {
-	Name string
-
 	at  time.Duration
 	seq uint64
 	// h runs with recv, arg and n when the event fires. At and After
@@ -112,18 +105,13 @@ type Scheduler struct {
 	seq     uint64
 	queue   []*Event // 4-ary min-heap on (at, seq)
 	free    []*Event // recycled Event structs
-	stopped bool
 	running bool
 
-	// executed counts events that have fired, for diagnostics and to
-	// guard against runaway simulations in tests.
+	// executed counts events that have fired.
 	executed uint64
 	// recycled counts events served from the free list, for the
 	// allocation-efficiency gauge in Snapshot.
 	recycled uint64
-	// Limit, when non-zero, aborts Run with an error after that many
-	// events. It exists so a buggy protocol cannot spin a test forever.
-	Limit uint64
 
 	// The random source is seeded by the first Rand call after
 	// NewScheduler or Reset, not by them: seeding math/rand fills 607
@@ -144,10 +132,11 @@ func NewScheduler(seed int64) *Scheduler {
 // Now returns the current virtual time, measured from simulation start.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Rand returns the scheduler's deterministic random source. Components
-// must draw all randomness (backoff jitter, bit errors, byte perturbation)
-// from this source to stay reproducible, asking for it at each draw: the
-// stream restarts at the first call after a Reset.
+// Rand returns the scheduler's deterministic random source, for a
+// component built without a generator of its own (the testbed pins one
+// per component, so only bare media in tests and benchmarks draw here).
+// Ask for it at each draw: the stream restarts at the first call after a
+// Reset.
 func (s *Scheduler) Rand() *rand.Rand {
 	if s.rngStale {
 		s.rngStale = false
@@ -207,7 +196,8 @@ func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
 
 // AtCall schedules h(recv, arg, n) at absolute virtual time t: At
 // without the closure. The arguments ride in the recycled Event, so a
-// steady-state call allocates nothing.
+// steady-state call allocates nothing. The name, like every label
+// parameter here, is not stored.
 func (s *Scheduler) AtCall(t time.Duration, name string, h Handler, recv, arg any, n int) *Event {
 	if t < s.now {
 		t = s.now
@@ -223,7 +213,6 @@ func (s *Scheduler) AtCall(t time.Duration, name string, h Handler, recv, arg an
 	} else {
 		ev = &Event{s: s}
 	}
-	ev.Name = name
 	ev.at = t
 	ev.seq = s.seq
 	ev.state = stateScheduled
@@ -249,9 +238,6 @@ func (s *Scheduler) After(d time.Duration, name string, fn func()) *Event {
 	return s.At(s.now+d, name, fn)
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Reset rewinds the scheduler to its pristine post-NewScheduler state,
 // reseeded with seed: the clock returns to zero, every pending event is
 // cancelled, and the executed/scheduled/recycled counters restart. The
@@ -272,7 +258,6 @@ func (s *Scheduler) Reset(seed int64) {
 	s.seq = 0
 	s.executed = 0
 	s.recycled = 0
-	s.stopped = false
 	s.seed, s.rngStale = seed, true
 }
 
@@ -296,10 +281,8 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, Stop is called, or the
-// event Limit is exceeded. It returns nil on a drained queue, ErrStopped
-// if Stop left events unfired, and a descriptive error if the limit
-// tripped.
+// Run executes events until the queue drains. It fails only when called
+// from inside an event callback.
 func (s *Scheduler) Run() error {
 	return s.run(math.MaxInt64, 0)
 }
@@ -315,23 +298,15 @@ func (s *Scheduler) RunUntil(horizon time.Duration) error {
 }
 
 // run is the one loop that executes events, behind Run, RunUntil and
-// RunWindow: it fires every event due at or before last unless Stop is
-// called or the Limit trips first, then advances the clock to clockTo if
-// that is ahead.
+// RunWindow: it fires every event due at or before last, then advances
+// the clock to clockTo if that is ahead.
 func (s *Scheduler) run(last, clockTo time.Duration) error {
 	if s.running {
 		return errors.New("scheduler re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
 	for len(s.queue) > 0 && s.queue[0].at <= last {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.Limit > 0 && s.executed >= s.Limit {
-			return fmt.Errorf("event limit %d exceeded at t=%v", s.Limit, s.now)
-		}
 		s.Step()
 	}
 	s.now = max(s.now, clockTo)
@@ -444,19 +419,18 @@ type Timer struct {
 	sched *Scheduler
 	ev    *Event
 	gen   uint64
-	name  string
 }
 
-// NewTimer returns a timer bound to s. The name labels scheduled events
-// for diagnostics.
-func NewTimer(s *Scheduler, name string) *Timer {
-	return &Timer{sched: s, name: name}
+// NewTimer returns a timer bound to s. The name, like the scheduling
+// labels, is not stored.
+func NewTimer(s *Scheduler, _ string) *Timer {
+	return &Timer{sched: s}
 }
 
 // Arm (re)schedules fn to fire after d, cancelling any previous schedule.
 func (t *Timer) Arm(d time.Duration, fn func()) {
 	t.Disarm()
-	t.ev = t.sched.After(d, t.name, fn)
+	t.ev = t.sched.After(d, "", fn)
 	t.gen = t.ev.gen
 }
 

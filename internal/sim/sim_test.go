@@ -76,26 +76,6 @@ func TestSchedulerPastSchedulingClamped(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	for i := 1; i <= 5; i++ {
-		d := time.Duration(i) * time.Millisecond
-		s.After(d, "tick", func() {
-			n++
-			if n == 2 {
-				s.Stop()
-			}
-		})
-	}
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run() = %v, want ErrStopped", err)
-	}
-	if n != 2 {
-		t.Errorf("executed %d events after stop, want 2", n)
-	}
-}
-
 func TestSchedulerRunUntilHorizon(t *testing.T) {
 	s := NewScheduler(1)
 	var fired []time.Duration
@@ -156,17 +136,6 @@ func TestRunUntilNeverRewindsClock(t *testing.T) {
 	s.After(time.Millisecond, "d", func() { fired = append(fired, s.Now()) })
 	if err := s.RunUntil(math.MaxInt64); err != nil || len(fired) != 4 || s.Now() != math.MaxInt64 {
 		t.Fatalf("RunUntil(max): %d fired, clock %v, err %v", len(fired), s.Now(), err)
-	}
-}
-
-func TestSchedulerEventLimit(t *testing.T) {
-	s := NewScheduler(1)
-	s.Limit = 10
-	var tick func()
-	tick = func() { s.After(time.Millisecond, "tick", tick) }
-	s.After(time.Millisecond, "tick", tick)
-	if err := s.Run(); err == nil {
-		t.Fatal("infinite event chain did not trip the limit")
 	}
 }
 

@@ -116,17 +116,22 @@ func (tb *Testbed) initShardRuntime(k int) {
 	for i := 1; i < k; i++ {
 		// Schedulers never serve Rand() draws (components carry pinned
 		// generators), but seed them deterministically anyway.
-		sr.scheds[i] = sim.NewScheduler(deriveShardSeed(tb.cfg.Seed, uint64(i)))
+		sr.scheds[i] = sim.NewScheduler(deriveStreamSeed(tb.cfg.Seed, uint64(i)))
 		sr.pools[i] = ether.NewFramePool()
 	}
 	sr.set = sim.NewShardSet(sr.scheds)
 	tb.shards = sr
 }
 
-// deriveShardSeed is the splitmix64 finalizer over (seed, id): fixed,
-// platform-independent, and scrambling enough that per-component
-// streams are uncorrelated.
-func deriveShardSeed(seed int64, id uint64) int64 {
+// deriveStreamSeed seeds stream id of a run with the given seed: the
+// shard schedulers (id = shard) and the component generators (id =
+// construction order, see assignComponentRands). It has splitmix64's
+// shape, but its second multiplier is 0xBF58476D1CE4E9B5, not
+// splitmix64's 0xBF58476D1CE4E5B9 (which campaign.DeriveSeed uses). The
+// constant stays: every component stream, and with it every pinned
+// digest, derives from it. It is fixed, platform-independent, and
+// scrambles enough that per-component streams are uncorrelated.
+func deriveStreamSeed(seed int64, id uint64) int64 {
 	z := uint64(seed) + 0x9E3779B97F4A7C15*(id+1)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E9B5
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -163,7 +168,7 @@ func (tb *Testbed) assignComponentRands(seed int64) {
 			sr.rands = append(sr.rands, rand.New(new(pcgSource)))
 		}
 		r := sr.rands[id]
-		r.Seed(deriveShardSeed(seed, id))
+		r.Seed(deriveStreamSeed(seed, id))
 		id++
 		return r
 	}
@@ -236,40 +241,28 @@ func (tb *Testbed) shardPoolSnapshot(out *MetricsSnapshot) {
 	out.Gauge("free_frames", float64(free))
 }
 
-// dispatchWorkloads runs every workload's setup at a barrier (shards
-// parked, all clocks equal) and schedules its per-node run parts onto
-// the owning shards. Setup — Listen/Bind registrations, histogram
-// creation — executes single-threaded here in workload order, so
+// dispatchWorkloads starts every workload at a barrier (shards parked,
+// all clocks equal), in workload order. Setup — Listen/Bind
+// registrations, histogram creation — executes single-threaded here, so
 // registry and socket-table mutations stay deterministic and race-free;
-// only the traffic-driving closures run on shard goroutines.
+// only the traffic-driving events run on shard goroutines.
 func (tb *Testbed) dispatchWorkloads() error {
 	at := tb.sched.Now()
 	for _, w := range tb.workloads {
-		parts, err := w.parts(tb)
-		if err != nil {
+		if err := w.start(tb, at); err != nil {
 			return err
-		}
-		for _, p := range parts {
-			run := p.run
-			p.node.host.Sched.At(at, "vw.workload", run)
 		}
 	}
 	return nil
 }
 
-// workloadPart is one shard-local piece of a workload: run fires on the
-// named node's shard at start time and must only touch state owned by
-// that node's side of the workload.
-type workloadPart struct {
-	node *Node
-	run  func()
-}
-
-// workload is a traffic source decomposed into per-shard parts. parts is
-// called at a barrier: setup may touch any testbed state; the returned
-// run closures may not reach across shards.
+// workload is a traffic source. start is called at a barrier: its setup
+// may touch any testbed state, and it schedules its traffic at `at` on
+// the scheduler of each node that drives it. A scheduled event must only
+// touch state owned by that node's side of the workload, never reach
+// across shards.
 type workload interface {
-	parts(tb *Testbed) ([]workloadPart, error)
+	start(tb *Testbed, at time.Duration) error
 }
 
 // runWindowed drives the conservative window loop until the deadline,

@@ -106,17 +106,16 @@ func (w *TCPBulk) stagePayload(tb *Testbed) {
 	w.payload = tb.zeroPayload(n)
 }
 
-// parts decomposes the transfer: the listener is installed here at the
-// barrier (every shard parked), the connect-and-send loop runs on the
-// client's shard. Server-side callbacks touch
-// only server-written fields and read the server shard's clock; the
-// client side owns everything else.
-func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
+// start installs the listener here at the barrier (every shard parked)
+// and schedules the connect-and-send loop on the client's shard.
+// Server-side callbacks touch only server-written fields and read the
+// server shard's clock; the client side owns everything else.
+func (w *TCPBulk) start(tb *Testbed, at time.Duration) error {
 	from := tb.byName[w.cfg.From]
 	to := tb.byName[w.cfg.To]
 	lst, err := to.tcp.Listen(w.cfg.DstPort)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	srvSched := to.host.Sched
 	lst.OnAccept = func(c *tcp.Conn) {
@@ -154,7 +153,8 @@ func (w *TCPBulk) parts(tb *Testbed) ([]workloadPart, error) {
 			w.pace(cliSched, cliSched.Now())
 		}
 	}
-	return []workloadPart{{node: from, run: run}}, nil
+	cliSched.At(at, "vw.workload", run)
+	return nil
 }
 
 // pace writes at the offered rate, one payload per tick, on the client
@@ -311,24 +311,24 @@ func (tb *Testbed) echoRTTHistogram(client string) *metrics.Histogram {
 	return h
 }
 
-// parts decomposes the echo workload: both sockets bind here at the
-// barrier, the ping loop runs on the client's shard. The server handler
-// only reflects datagrams; every workload field is client-written, with
-// RTTs stamped from the client shard's clock.
-func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
+// start binds both sockets here at the barrier and schedules the ping
+// loop on the client's shard. The server handler only reflects
+// datagrams; every workload field is client-written, with RTTs stamped
+// from the client shard's clock.
+func (w *UDPEcho) start(tb *Testbed, at time.Duration) error {
 	client := tb.byName[w.cfg.Client]
 	server := tb.byName[w.cfg.Server]
 	rttHist := tb.echoRTTHistogram(w.cfg.Client)
 	srv, err := server.host.UDP.Bind(w.cfg.ServerPort)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	srv.OnDatagram = func(src packet.IP, srcPort uint16, payload []byte) {
 		_ = srv.SendTo(src, srcPort, payload)
 	}
 	cli, err := client.host.UDP.Bind(w.cfg.ClientPort)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sched := client.host.Sched
 	cli.OnDatagram = func(_ packet.IP, _ uint16, payload []byte) {
@@ -363,7 +363,8 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 		}
 		ping()
 	}
-	return []workloadPart{{node: client, run: run}}, nil
+	sched.At(at, "vw.workload", run)
+	return nil
 }
 
 // Sent reports pings transmitted.
@@ -427,15 +428,15 @@ func (tb *Testbed) AddUDPStream(cfg UDPStreamConfig) (*UDPStream, error) {
 	return w, nil
 }
 
-// parts decomposes the stream: the sink binds here at the barrier and
-// owns the receive-side fields (recvd, gap tracking) on its own shard
-// and clock; the tick loop runs on the sender's shard and owns sent.
-func (w *UDPStream) parts(tb *Testbed) ([]workloadPart, error) {
+// start binds the sink here at the barrier, where it owns the
+// receive-side fields (recvd, gap tracking) on its own shard and clock,
+// and schedules the tick loop on the sender's shard, which owns sent.
+func (w *UDPStream) start(tb *Testbed, at time.Duration) error {
 	from := tb.byName[w.cfg.From]
 	to := tb.byName[w.cfg.To]
 	sink, err := to.host.UDP.Bind(w.cfg.Port)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sinkSched := to.host.Sched
 	sink.OnDatagram = func(packet.IP, uint16, []byte) {
@@ -451,7 +452,7 @@ func (w *UDPStream) parts(tb *Testbed) ([]workloadPart, error) {
 	}
 	src, err := from.host.UDP.Bind(w.cfg.SrcPort)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sched := from.host.Sched
 	run := func() {
@@ -467,7 +468,8 @@ func (w *UDPStream) parts(tb *Testbed) ([]workloadPart, error) {
 		}
 		tick()
 	}
-	return []workloadPart{{node: from, run: run}}, nil
+	sched.At(at, "vw.workload", run)
+	return nil
 }
 
 // Sent reports datagrams transmitted.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"virtualwire/internal/sim"
 	"virtualwire/internal/tcp"
 )
 
@@ -20,21 +21,18 @@ import (
 // share a counter: a listener's delivered/completed are written by its
 // destination's shard, a flow's failed slot by its source's shard.
 type flowSet struct {
-	bytes     int    // per-flow transfer size
-	label     string // event label of the staggered connects
+	bytes     int // per-flow transfer size
 	listeners []flowListener
 	failed    []int // per flow, in connect order
-	parts     []workloadPart
 }
 
 type flowListener struct{ delivered, completed int }
 
-// start begins a run's flow set, sized for its flows and listeners. It
+// begin starts a run's flow set, sized for its flows and listeners. It
 // runs at the barrier, as listen and connect do.
-func (s *flowSet) start(flows, listeners int) {
+func (s *flowSet) begin(flows, listeners int) {
 	s.listeners = make([]flowListener, 0, listeners)
 	s.failed = make([]int, 0, flows)
-	s.parts = make([]workloadPart, 0, flows)
 }
 
 // listen installs a counting listener on dst:port, for any number of
@@ -63,11 +61,11 @@ func (s *flowSet) listen(dst *Node, port uint16) error {
 }
 
 // connect adds one flow from src:srcPort to dst:dstPort, where a listener
-// of this set waits: a part on the source's shard that schedules the
-// connect delay after the workload starts. The connect closure touches
-// only source-local TCP state and the flow's own failure slot; the
-// payload is cut here, while the workload is being started.
-func (s *flowSet) connect(src, dst *Node, srcPort, dstPort uint16, delay time.Duration) {
+// of this set waits: an event at the workload's start on the source's
+// shard that schedules the connect delay later. The connect closure
+// touches only source-local TCP state and the flow's own failure slot;
+// the payload is cut here, while the workload is being started.
+func (s *flowSet) connect(src, dst *Node, srcPort, dstPort uint16, at, delay time.Duration) {
 	f := len(s.failed)
 	s.failed = append(s.failed, 0)
 	payload := src.tb.zeroPayload(s.bytes)
@@ -84,9 +82,13 @@ func (s *flowSet) connect(src, dst *Node, srcPort, dstPort uint16, delay time.Du
 		}
 	}
 	sched := src.host.Sched
-	s.parts = append(s.parts, workloadPart{node: src, run: func() {
-		sched.After(delay, s.label, connect)
-	}})
+	sched.AtCall(at, "vw.workload", flowStart, connect, sched, int(delay))
+}
+
+// flowStart is a flow's event at the workload's start: it schedules the
+// connect (recv) delay (n) later on the source's scheduler (arg).
+func flowStart(recv, arg any, delay int) {
+	arg.(*sim.Scheduler).After(time.Duration(delay), "flow.connect", recv.(func()))
 }
 
 func (s *flowSet) deliveredBytes() (n int) {
@@ -162,7 +164,7 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 	if cfg.Stagger <= 0 {
 		cfg.Stagger = 100 * time.Microsecond
 	}
-	w := &Incast{cfg: cfg, set: flowSet{bytes: cfg.Bytes, label: "incast.connect"}}
+	w := &Incast{cfg: cfg, set: flowSet{bytes: cfg.Bytes}}
 	if len(cfg.Senders) > 0 {
 		for _, name := range cfg.Senders {
 			if _, ok := tb.byName[name]; !ok {
@@ -191,20 +193,20 @@ func (tb *Testbed) AddIncast(cfg IncastConfig) (*Incast, error) {
 	return w, nil
 }
 
-// parts decomposes the incast: the receiver's one listener is installed
-// at the barrier; each sender gets one part on its own shard that
-// schedules the staggered connect locally.
-func (w *Incast) parts(tb *Testbed) ([]workloadPart, error) {
+// start installs the receiver's one listener at the barrier; each sender
+// gets one event on its own shard that schedules the staggered connect
+// locally.
+func (w *Incast) start(tb *Testbed, at time.Duration) error {
 	to := tb.byName[w.cfg.To]
-	w.set.start(len(w.senders), 1)
+	w.set.begin(len(w.senders), 1)
 	if err := w.set.listen(to, w.cfg.DstPort); err != nil {
-		return nil, err
+		return err
 	}
 	for i, name := range w.senders {
 		w.set.connect(tb.byName[name], to, w.cfg.SrcPort, w.cfg.DstPort,
-			time.Duration(i)*w.cfg.Stagger)
+			at, time.Duration(i)*w.cfg.Stagger)
 	}
-	return w.set.parts, nil
+	return nil
 }
 
 // Senders reports how many senders the workload targets.
@@ -286,16 +288,16 @@ func (tb *Testbed) AddManyFlow(cfg ManyFlowConfig) (*ManyFlow, error) {
 	if w.conf.Stagger <= 0 {
 		w.conf.Stagger = 50 * time.Microsecond
 	}
-	w.set = flowSet{bytes: w.conf.Bytes, label: "manyflow.connect"}
+	w.set = flowSet{bytes: w.conf.Bytes}
 	tb.workloads = append(tb.workloads, w)
 	return w, nil
 }
 
-// parts decomposes the mesh: pair selection (from PairSeed) and every
-// flow's own listener happen at the barrier; each flow gets one part on
-// its source's shard that schedules the staggered connect locally.
-func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
-	w.set.start(w.flows, w.flows)
+// start selects pairs (from PairSeed) and installs every flow's own
+// listener at the barrier; each flow gets one event on its source's
+// shard that schedules the staggered connect locally.
+func (w *ManyFlow) start(tb *Testbed, at time.Duration) error {
+	w.set.begin(w.flows, w.flows)
 	rng := tb.pairRand(w.conf.PairSeed)
 	n := len(w.hosts)
 	for f := 0; f < w.flows; f++ {
@@ -307,11 +309,11 @@ func (w *ManyFlow) parts(tb *Testbed) ([]workloadPart, error) {
 		src, dst := w.hosts[si], w.hosts[di]
 		port := w.conf.BasePort + uint16(f)
 		if err := w.set.listen(dst, port); err != nil {
-			return nil, err
+			return err
 		}
-		w.set.connect(src, dst, port, port, time.Duration(f)*w.conf.Stagger)
+		w.set.connect(src, dst, port, port, at, time.Duration(f)*w.conf.Stagger)
 	}
-	return w.set.parts, nil
+	return nil
 }
 
 // Flows reports the number of staged flows.
