@@ -101,11 +101,12 @@ func quickstartSteady(b testing.TB) (iterate func(seed int64)) {
 
 // TestQuickstartSteadyBytesPerRun is the per-run reuse gate: a run on a
 // warmed testbed allocates only what is new in it (its workload, its
-// report), not the INIT reassembly, reorder store, window arrays or TCP
-// connections the previous run already built — 3.9 KB a run, where
-// rebuilding the two connections cost 5.3 KB and re-allocating the rest
-// 14.3 KB. The limit leaves 1.1 KB (30 %) above the figure, less than
-// one rebuilt connection pair. A byte count, so hardware-independent.
+// report), not the INIT reassembly, reorder store, window arrays, TCP
+// connections or listener the previous run already built — 3.8 KB a
+// run, where rebuilding the two connections cost 5.3 KB and
+// re-allocating the rest 14.3 KB. The limit leaves 1.3 KB (34 %) above
+// the figure, less than one rebuilt connection pair. A byte count, so
+// hardware-independent.
 func TestQuickstartSteadyBytesPerRun(t *testing.T) {
 	const iterations, limit = 8, 5 << 10
 	iterate := quickstartSteady(t)
@@ -124,16 +125,19 @@ func TestQuickstartSteadyBytesPerRun(t *testing.T) {
 
 // TestFabricManyFlowBytesPerOp is the per-op byte gate on the scale
 // case, the bench's fabric_manyflow op: on a warmed 1000-host fat-tree,
-// Reset + AddManyFlow + Run + WriteJSON into a pre-grown buffer: 126
-// KiB. While every run built its 200 TCP connections afresh (each with
-// its RTO timer, a closure per SYN arm and a retransmission queue grown
-// from nil) and a new pair generator, it was 282 KiB; while the report
-// carried every reading of every host, in a fresh 352 KiB value array
-// and a 1.4 MB document staged in fresh chunks, and the flow list was
-// built by appending every host name, it was 947 KiB. A byte count, so
-// hardware-independent.
+// Reset + AddManyFlow + Run + WriteJSON into a pre-grown buffer: 92 KiB,
+// of which the report's kept rows are 91 KiB and the workload handle
+// 156 B. The limit is the report's share plus 5 KiB, a fifth of what the
+// flows cost while every run made their closures, listeners and result
+// slices afresh (120 KiB then). While every run built its 200 TCP
+// connections afresh (each with its RTO timer, a closure per SYN arm and
+// a retransmission queue grown from nil) and a new pair generator, it
+// was 282 KiB; while the report carried every reading of every host, in
+// a fresh 352 KiB value array and a 1.4 MB document staged in fresh
+// chunks, and the flow list was built by appending every host name, it
+// was 947 KiB. A byte count, so hardware-independent.
 func TestFabricManyFlowBytesPerOp(t *testing.T) {
-	const iterations, limit = 3, 160 << 10
+	const iterations, limit = 3, 96 << 10
 	tb, err := virtualwire.New(virtualwire.Config{Seed: 1, Shards: 1, Topology: &virtualwire.TopologySpec{
 		Kind: virtualwire.TopoFatTree, TrunkPropagation: 10 * time.Microsecond,
 	}})

@@ -91,6 +91,9 @@ func TestValidateNamesFieldPaths(t *testing.T) {
 		{"retries", func(s *Spec) { s.Retries = -1 }, "retries"},
 		{"medium", func(s *Spec) { s.Configs[1].Medium = "pigeon" }, "configs[1].medium"},
 		{"workload", func(s *Spec) { s.Workloads[0].Kind = "stampede" }, "workloads[0].kind"},
+		{"manyflow-ports", func(s *Spec) {
+			s.Workloads[0].Flows, s.Workloads[0].DstPort = 40, 0xFFF0
+		}, "workloads[0].dst_port"},
 		{"trunkfault", func(s *Spec) {
 			s.Configs[0].Topology = &TopologyOverride{Kind: "ring"}
 			s.Configs[0].TrunkFaults = []TrunkFault{{Kind: "melt"}}

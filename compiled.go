@@ -134,11 +134,11 @@ func (tb *Testbed) Reset(seed int64) error {
 		}
 		return fmt.Errorf("virtualwire: Reset before the testbed was built (call Run first)")
 	}
-	// A TCPBulk handle outlives the run; its connection is recycled by
-	// the stack resets below.
+	// A TCP workload's handle outlives the run; its connections and flow
+	// records are recycled below.
 	for _, w := range tb.workloads {
-		if bulk, ok := w.(*TCPBulk); ok {
-			bulk.detach()
+		if d, ok := w.(detacher); ok {
+			d.detach()
 		}
 	}
 	tb.cfg.Seed = seed
@@ -196,6 +196,7 @@ func (tb *Testbed) Reset(seed int64) error {
 	if tb.ctl != nil {
 		tb.ctl.Reset()
 	}
+	tb.flowRecs.rewind()
 	for _, h := range tb.echoRTT {
 		h.Reset()
 	}

@@ -181,8 +181,11 @@ func assertSameBytes(t *testing.T, r *identityRow, column string, seed int64, wa
 // and then Reset to each of the row's seeds in turn, gives a fresh
 // testbed's report bytes and final readings. The rewind allocates nothing, leaves no trunk mailbox
 // holding a frame, and restores every trunk to its build-time state. Wide
-// rows are rewound at four shards.
+// rows are rewound at four shards. The flow records, receive slots and
+// listeners each Reset takes back are poisoned, so a flow workload that
+// reads or fails to set one afresh shows in the bytes.
 func TestResetMatchesFreshAcrossSeeds(t *testing.T) {
+	defer poisonFlows()()
 	eachIdentityRow(t, nil, func(t *testing.T, r *identityRow) {
 		tb := r.build(t, r.seeds[len(r.seeds)-1]+1, func(c *Config) {
 			if r.wide() {
@@ -836,10 +839,20 @@ func identityRows(t *testing.T) []identityRow {
 			return err
 		}),
 		starLoad("udpstream", udpStream),
-		starLoad("incast", func(tb *Testbed) error {
-			_, err := tb.AddIncast(IncastConfig{Bytes: 4 << 10})
-			return err
-		}),
+		{name: "incast", cfg: Config{Topology: star}, seeds: []int64{21}, horizon: 2 * time.Second,
+			stage: hosts(16), family: "workload",
+			arm: func(t *testing.T, tb *Testbed) func(*testing.T, RunReport) {
+				inc, err := tb.AddIncast(IncastConfig{Bytes: 4 << 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return func(t *testing.T, _ RunReport) {
+					if n := inc.Senders(); inc.Completed() != n || inc.DeliveredBytes() != n*4<<10 || inc.Failed() != 0 {
+						t.Fatalf("%d of %d senders completed, %d bytes delivered, %d failed",
+							inc.Completed(), n, inc.DeliveredBytes(), inc.Failed())
+					}
+				}
+			}},
 		{name: "bus-rether", cfg: Config{Medium: MediumBus}, seeds: []int64{21}, horizon: 2 * time.Second, family: "workload",
 			stage: func(t *testing.T, tb *Testbed) {
 				addGroupHosts(t, tb, 4)

@@ -161,3 +161,53 @@ func TestResetRecyclesConnsAsFresh(t *testing.T) {
 		t.Errorf("recycled run ends at %v, fresh at %v", got, want)
 	}
 }
+
+// TestResetRecyclesListeners: Reset zeroes every listener of the run,
+// closed or not, and drops it from the port table; the next run's n-th
+// Listen takes this run's n-th listener back, bound to its new port, and
+// allocates nothing.
+func TestResetRecyclesListeners(t *testing.T) {
+	p := newPair(t, 1, nil, nil)
+	ports := []uint16{0x4000, 0x4001, 0x4002}
+	listen := func() []*Listener {
+		var ls []*Listener
+		for _, port := range ports {
+			l, err := p.t2.Listen(port)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.OnAccept = func(*Conn) {}
+			ls = append(ls, l)
+		}
+		return ls
+	}
+	first := listen()
+	first[1].Close()
+	resetPair(p, 1)
+	for i, l := range first {
+		if l.stack != nil || l.Port != 0 || l.OnAccept != nil {
+			t.Errorf("listener %d is not zero after Reset: port %d", i, l.Port)
+		}
+	}
+	if len(p.t2.listeners) != 0 {
+		t.Fatalf("%d ports still listening after Reset", len(p.t2.listeners))
+	}
+	ports[0], ports[2] = ports[2], ports[0]
+	for i, l := range listen() {
+		if l != first[i] {
+			t.Errorf("Listen %d after Reset made a new listener, want the run's %d-th back", i, i)
+		}
+		if l.Port != ports[i] || l.stack != p.t2 || p.t2.listeners[ports[i]] != l {
+			t.Errorf("recycled listener %d is bound to port %d, want %d", i, l.Port, ports[i])
+		}
+	}
+	resetPair(p, 1)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := p.t2.Listen(0x5000); err != nil {
+			t.Fatal(err)
+		}
+		p.t2.Reset()
+	}); allocs != 0 {
+		t.Errorf("Listen on a reset stack allocates %.0f objects", allocs)
+	}
+}

@@ -109,6 +109,10 @@ type Stack struct {
 	// them all to free, where newConn takes them from.
 	used []*Conn
 	free []*Conn
+	// lstUsed and lstFree are the same for listeners, closed or not:
+	// Reset moves lstUsed to lstFree, where Listen takes them from.
+	lstUsed []*Listener
+	lstFree []*Listener
 }
 
 // maxOOFree bounds ooFree at a receive window's worth of full segments:
@@ -156,7 +160,8 @@ func NewStack(h *stack.Host) *Stack {
 	return s
 }
 
-// Listener accepts inbound connections on a port.
+// Listener accepts inbound connections on a port. It is valid until the
+// stack's Reset, which recycles it.
 type Listener struct {
 	stack *Stack
 	Port  uint16
@@ -165,13 +170,23 @@ type Listener struct {
 	OnAccept func(c *Conn)
 }
 
-// Listen binds a passive socket.
+// Listen binds a passive socket: a listener recycled by Reset when the
+// stack has one, else a fresh one.
 func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, taken := s.listeners[port]; taken {
 		return nil, fmt.Errorf("tcp: port %d already listening on %s", port, s.host.Name)
 	}
-	l := &Listener{stack: s, Port: port}
+	var l *Listener
+	if n := len(s.lstFree); n > 0 {
+		l = s.lstFree[n-1]
+		s.lstFree[n-1] = nil
+		s.lstFree = s.lstFree[:n-1]
+	} else {
+		l = new(Listener)
+	}
+	*l = Listener{stack: s, Port: port}
 	s.listeners[port] = l
+	s.lstUsed = append(s.lstUsed, l)
 	return l, nil
 }
 
@@ -261,7 +276,8 @@ func (s *Stack) deliver(src, dst packet.IP, payload []byte) {
 // just-constructed state. Retransmission timers die with the scheduler
 // reset that precedes this; the IP protocol registration survives. The
 // discarded connections go to the free list in creation order, so the
-// next run's n-th connection reuses this run's n-th.
+// next run's n-th connection reuses this run's n-th; the listeners go
+// to theirs the same way, zeroed.
 func (s *Stack) Reset() {
 	for i := len(s.used) - 1; i >= 0; i-- {
 		c := s.used[i]
@@ -271,10 +287,15 @@ func (s *Stack) Reset() {
 	}
 	clear(s.used)
 	s.used = s.used[:0]
-	clear(s.conns)
-	for port := range s.listeners {
-		delete(s.listeners, port)
+	for i := len(s.lstUsed) - 1; i >= 0; i-- {
+		l := s.lstUsed[i]
+		*l = Listener{}
+		s.lstFree = append(s.lstFree, l)
 	}
+	clear(s.lstUsed)
+	s.lstUsed = s.lstUsed[:0]
+	clear(s.conns)
+	clear(s.listeners)
 	s.isn = 0
 	s.retired = Stats{}
 }

@@ -135,3 +135,129 @@ func TestTCPBulkWithoutConnectionReadsZero(t *testing.T) {
 	}
 	check("after Reset")
 }
+
+// poisonFlows turns on the poisoning of released flow records, receive
+// slots and listeners; the returned func turns it off.
+func poisonFlows() (off func()) {
+	poisonReleasedFlows = true
+	return func() { poisonReleasedFlows = false }
+}
+
+// flowReading is what a flow workload handle reports.
+type flowReading struct{ completed, delivered, failed int }
+
+// addFlowLoads stages a ManyFlow of flows transfers and an Incast whose
+// two senders are one host named twice, so its second connect fails.
+func addFlowLoads(t *testing.T, tb *Testbed, flows, bytes int) (read func() [2]flowReading) {
+	t.Helper()
+	mf, err := tb.AddManyFlow(ManyFlowConfig{Flows: flows, Bytes: bytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := tb.AddIncast(IncastConfig{To: "h0001", Senders: []string{"h0002", "h0002"}, Bytes: 2 * bytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() [2]flowReading {
+		return [2]flowReading{
+			{mf.Completed(), mf.DeliveredBytes(), mf.Failed()},
+			{inc.Completed(), inc.DeliveredBytes(), inc.Failed()},
+		}
+	}
+}
+
+// TestManyFlowReadAfterResetAnswersFromItsRun: Reset takes a run's flow
+// records back for the next run, so a ManyFlow or Incast handle read
+// after it must report its own run's totals, not the records' next use.
+// The released records are poisoned, so a handle still reading them
+// would read garbage.
+func TestManyFlowReadAfterResetAnswersFromItsRun(t *testing.T) {
+	defer poisonFlows()()
+	tb, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, 6)
+	run := func(flows, bytes int) func() [2]flowReading {
+		read := addFlowLoads(t, tb, flows, bytes)
+		if _, err := tb.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return read
+	}
+	first := run(4, 4<<10)
+	want := first()
+	if want != [2]flowReading{{4, 4 * 4 << 10, 0}, {1, 8 << 10, 1}} {
+		t.Fatalf("first run reads %+v", want)
+	}
+	if err := tb.Reset(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := first(); got != want {
+		t.Errorf("first run's handles read %+v after Reset, want their own run's %+v", got, want)
+	}
+	second := run(6, 1<<10)
+	if got := first(); got != want {
+		t.Errorf("first run's handles read %+v after the next run, want their own run's %+v", got, want)
+	}
+	if other := second(); other == want {
+		t.Fatalf("both runs read %+v: the test tells nothing", other)
+	}
+}
+
+// TestFlowWorkloadStartAllocatesOnlyItsHandle is the start-allocation
+// gate of the flow workloads: on a warmed testbed, Reset + AddManyFlow +
+// AddIncast + their start — listeners installed, every flow's start
+// event scheduled — allocates the two handles and nothing else. Each
+// flow and listener takes back a record kept across Reset, with its
+// callbacks bound; the TCP stacks take back their listeners.
+func TestFlowWorkloadStartAllocatesOnlyItsHandle(t *testing.T) {
+	tb, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, 8)
+	add := func() {
+		if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 16, Bytes: 1 << 10}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.AddIncast(IncastConfig{Bytes: 1 << 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add()
+	if _, err := tb.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := tb.Reset(2); err != nil {
+			t.Fatal(err)
+		}
+		add()
+		if err := tb.dispatchWorkloads(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("Reset + two flow workloads' add and start allocate %.0f objects, want 2 (the handles)", allocs)
+	}
+}
+
+// TestManyFlowPortRangeMustFit: flow f listens and connects on
+// BasePort+f, so a range that passes 65535 is refused at the field a
+// campaign spec names, not wrapped onto ports 0 and up.
+func TestManyFlowPortRangeMustFit(t *testing.T) {
+	tb, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGroupHosts(t, tb, 4)
+	_, err = tb.AddManyFlow(ManyFlowConfig{Flows: 40, BasePort: 0xFFF0})
+	var rej *rejection
+	if !errors.As(err, &rej) || rej.Field() != "dst_port" {
+		t.Fatalf("40 flows from port %d: err = %v, want a rejection at dst_port", 0xFFF0, err)
+	}
+	if _, err := tb.AddManyFlow(ManyFlowConfig{Flows: 16, BasePort: 0xFFF0}); err != nil {
+		t.Fatalf("16 flows ending at port 65535 refused: %v", err)
+	}
+}

@@ -53,9 +53,9 @@ fi
 echo "== go test =="
 # Includes the allocation gates — TestCampaignSerialAllocs,
 # TestFig5SteadyCopiesPerPayloadByte, TestQuickstartSteadyBytesPerRun,
-# TestFabricManyFlowBytesPerOp, TestSteadyAllocsPerEcho,
-# TestSteadyAllocsPerTokenVisit, TestTopologyReset1000DoesNotAllocate,
-# TestBuildIsLinearInHosts — and
+# TestFabricManyFlowBytesPerOp, TestFlowWorkloadStartAllocatesOnlyItsHandle,
+# TestSteadyAllocsPerEcho, TestSteadyAllocsPerTokenVisit,
+# TestTopologyReset1000DoesNotAllocate, TestBuildIsLinearInHosts — and
 # the pinned work counts of TestWorkCountsArePinned, which are tests
 # because allocation and work counts are deterministic.
 go test ./...

@@ -265,6 +265,11 @@ type workload interface {
 	start(tb *Testbed, at time.Duration) error
 }
 
+// detacher is a workload whose handle reads state that Reset recycles —
+// a TCP connection, flow records. Reset calls detach first, and the
+// handle answers from what it kept from then on.
+type detacher interface{ detach() }
+
 // runWindowed drives the conservative window loop until the deadline,
 // the context fires or — for a scenario run, not for RunFor, which
 // advances the clock regardless — the scenario finishes. It returns

@@ -306,14 +306,15 @@ type Testbed struct {
 	rtStreams  []portPair
 
 	workloads []workload
+	flowRecs  flowRecords                   // Incast's and ManyFlow's, kept across Reset
 	echoRTT   map[string]*metrics.Histogram // per echo client (see echoRTTHistogram)
 	// built is set by the one successful build; buildErr by the one
 	// failed build, which every later Run/RunFor/Reset returns again.
 	built    bool
 	buildErr error
 
-	// zeros is the read-only payload source of the TCP workloads (see
-	// zeroPayload).
+	// zeros is the read-only payload source of the TCP workloads and
+	// UDPStream (see zeroPayload).
 	zeros []byte
 	// pairs is ManyFlow's pair generator, re-seeded from PairSeed by
 	// each run that draws from it (see pairRand).
@@ -323,12 +324,12 @@ type Testbed struct {
 	shards *shardRuntime
 }
 
-// zeroPayload returns n zero bytes for a TCP workload to send. Every
-// connection of the testbed is handed a slice of the same array —
-// tcp.Conn.Send never writes to what it is given — which grows to the
-// largest request made of this testbed and dies with it. Workloads call
-// this while they are being started, before any shard runs; the slice
-// they get is only ever read.
+// zeroPayload returns n zero bytes for a workload to send. Every sender
+// of the testbed is handed a slice of the same array — tcp.Conn.Send and
+// UDPSocket.SendTo never write to what they are given — which grows to
+// the largest request made of this testbed and dies with it. Workloads
+// call this while they are being started, before any shard runs; the
+// slice they get is only ever read.
 func (tb *Testbed) zeroPayload(n int) []byte {
 	if n > len(tb.zeros) {
 		tb.zeros = make([]byte, n)

@@ -7,6 +7,7 @@ import (
 	"virtualwire/internal/metrics"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/sim"
+	"virtualwire/internal/stack"
 	"virtualwire/internal/tcp"
 )
 
@@ -36,8 +37,9 @@ type TCPBulkConfig struct {
 
 // TCPBulk is a running bulk-transfer workload handle.
 type TCPBulk struct {
-	cfg  TCPBulkConfig
-	conn *tcp.Conn
+	cfg      TCPBulkConfig
+	from, to *Node
+	conn     *tcp.Conn
 	// kept is what the handle reports of its sender once conn is gone:
 	// Reset recycles the connection, so detach copies its final state
 	// here first. Zero when no connection was made.
@@ -47,10 +49,10 @@ type TCPBulk struct {
 	// source while the workload is being started.
 	payload []byte
 
-	connected   bool
 	delivered   int
 	firstByteAt time.Duration
 	lastByteAt  time.Duration
+	connected   bool
 	failed      bool
 
 	// clientClosed is the client-side "transfer finished" marker the pace
@@ -111,74 +113,86 @@ func (w *TCPBulk) stagePayload(tb *Testbed) {
 // Server-side callbacks touch only server-written fields and read the
 // server shard's clock; the client side owns everything else.
 func (w *TCPBulk) start(tb *Testbed, at time.Duration) error {
-	from := tb.byName[w.cfg.From]
-	to := tb.byName[w.cfg.To]
-	lst, err := to.tcp.Listen(w.cfg.DstPort)
+	w.from, w.to = tb.byName[w.cfg.From], tb.byName[w.cfg.To]
+	lst, err := w.to.tcp.Listen(w.cfg.DstPort)
 	if err != nil {
 		return err
 	}
-	srvSched := to.host.Sched
-	lst.OnAccept = func(c *tcp.Conn) {
-		c.OnData = func(d []byte) {
-			if w.delivered == 0 {
-				w.firstByteAt = srvSched.Now()
-			}
-			w.delivered += len(d)
-			w.lastByteAt = srvSched.Now()
-		}
-		c.OnClose = func() { c.Close() }
-	}
-	cliSched := from.host.Sched
+	lst.OnAccept = w.onAccept
 	w.stagePayload(tb)
-	run := func() {
-		conn, err := from.tcp.Connect(w.cfg.SrcPort, to.host.IP, w.cfg.DstPort)
-		if err != nil {
-			w.failed = true
-			return
-		}
-		w.conn = conn
-		if w.cfg.DisableCongestionControl {
-			conn.DisableCongestionControl()
-		}
-		conn.OnFail = func() { w.failed = true }
-		conn.OnConnected = func() {
-			w.connected = true
-			if w.cfg.Bytes > 0 {
-				conn.Send(w.payload)
-				if w.cfg.CloseWhenDone {
-					conn.Close()
-				}
-				return
-			}
-			w.pace(cliSched, cliSched.Now())
-		}
-	}
-	cliSched.At(at, "vw.workload", run)
+	sched := w.from.host.Sched
+	sched.AtCall(at, "vw.workload", bulkConnect, w, nil, 0)
 	return nil
 }
 
-// pace writes at the offered rate, one payload per tick, on the client
-// shard's scheduler. It stops on the client-local clientClosed flag, set
-// when this loop itself closes the connection.
-func (w *TCPBulk) pace(sched *sim.Scheduler, started time.Duration) {
-	var step func()
-	step = func() {
-		if w.failed || w.clientClosed {
-			return
-		}
-		if w.cfg.Duration > 0 && sched.Now()-started >= w.cfg.Duration {
-			if w.cfg.CloseWhenDone {
-				w.clientClosed = true
-				w.conn.Close()
-			}
-			return
-		}
-		if w.conn.BufferedBytes() < paceMaxBuffered {
-			w.conn.Send(w.payload)
-		}
-		sched.After(paceTick, "tcpbulk.pace", step)
+// onAccept hands an accepted connection its handlers: count what
+// arrives, close on the client's FIN.
+func (w *TCPBulk) onAccept(c *tcp.Conn) {
+	c.OnData, c.OnClose = w.serverData, c.Close
+}
+
+func (w *TCPBulk) serverData(d []byte) {
+	now := w.to.host.Sched.Now()
+	if w.delivered == 0 {
+		w.firstByteAt = now
 	}
-	step()
+	w.delivered += len(d)
+	w.lastByteAt = now
+}
+
+// bulkConnect is the workload's event at its start (recv is the
+// handle): connect, then send or pace once the handshake completes.
+func bulkConnect(recv, _ any, _ int) {
+	w := recv.(*TCPBulk)
+	conn, err := w.from.tcp.Connect(w.cfg.SrcPort, w.to.ip, w.cfg.DstPort)
+	if err != nil {
+		w.failed = true
+		return
+	}
+	w.conn = conn
+	if w.cfg.DisableCongestionControl {
+		conn.DisableCongestionControl()
+	}
+	conn.OnFail = w.onFail
+	conn.OnConnected = w.onConnected
+}
+
+func (w *TCPBulk) onFail() { w.failed = true }
+
+func (w *TCPBulk) onConnected() {
+	w.connected = true
+	if w.cfg.Bytes > 0 {
+		w.conn.Send(w.payload)
+		if w.cfg.CloseWhenDone {
+			w.conn.Close()
+		}
+		return
+	}
+	bulkPace(w, nil, int(w.from.host.Sched.Now()))
+}
+
+// bulkPace is the pace loop's tick: it writes at the offered rate, one
+// payload per tick, on the client shard's scheduler, for the handle
+// (recv) whose loop started at virtual time started. It stops on the
+// client-local clientClosed flag, set when this loop itself closes the
+// connection.
+func bulkPace(recv, _ any, started int) {
+	w := recv.(*TCPBulk)
+	if w.failed || w.clientClosed {
+		return
+	}
+	sched := w.from.host.Sched
+	if w.cfg.Duration > 0 && sched.Now()-time.Duration(started) >= w.cfg.Duration {
+		if w.cfg.CloseWhenDone {
+			w.clientClosed = true
+			w.conn.Close()
+		}
+		return
+	}
+	if w.conn.BufferedBytes() < paceMaxBuffered {
+		w.conn.Send(w.payload)
+	}
+	sched.AfterCall(paceTick, "tcpbulk.pace", bulkPace, w, nil, started)
 }
 
 // Connected reports whether the handshake completed.
@@ -265,6 +279,13 @@ type UDPEcho struct {
 	recvd   int
 	rttSum  time.Duration
 	pending map[uint64]time.Duration
+
+	// The client side, set by start: its socket, its scheduler, and the
+	// ping it rewrites and sends.
+	cli     *stack.UDPSocket
+	sched   *sim.Scheduler
+	server  packet.IP
+	payload []byte
 }
 
 // AddUDPEcho stages a UDP echo workload.
@@ -346,25 +367,25 @@ func (w *UDPEcho) start(tb *Testbed, at time.Duration) error {
 		w.rttSum += rtt
 		rttHist.Observe(rtt.Seconds())
 	}
-	run := func() {
-		// One payload for every ping: SendTo copies it into the frame.
-		payload := make([]byte, w.cfg.Size)
-		var ping func()
-		ping = func() {
-			if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
-				return
-			}
-			w.sent++
-			seq := uint64(w.sent)
-			binary.BigEndian.PutUint64(payload, seq)
-			w.pending[seq] = sched.Now()
-			_ = cli.SendTo(server.host.IP, w.cfg.ServerPort, payload)
-			sched.After(w.cfg.Interval, "udpecho.ping", ping)
-		}
-		ping()
-	}
-	sched.At(at, "vw.workload", run)
+	// One payload for every ping: SendTo copies it into the frame.
+	w.cli, w.sched, w.server, w.payload = cli, sched, server.ip, make([]byte, w.cfg.Size)
+	sched.AtCall(at, "vw.workload", echoPing, w, nil, 0)
 	return nil
+}
+
+// echoPing sends the handle's (recv) next ping and schedules the one
+// after it.
+func echoPing(recv, _ any, _ int) {
+	w := recv.(*UDPEcho)
+	if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
+		return
+	}
+	w.sent++
+	seq := uint64(w.sent)
+	binary.BigEndian.PutUint64(w.payload, seq)
+	w.pending[seq] = w.sched.Now()
+	_ = w.cli.SendTo(w.server, w.cfg.ServerPort, w.payload)
+	w.sched.AfterCall(w.cfg.Interval, "udpecho.ping", echoPing, w, nil, 0)
 }
 
 // Sent reports pings transmitted.
@@ -407,6 +428,13 @@ type UDPStream struct {
 	lastAt   time.Duration
 	maxGap   time.Duration
 	firstSet bool
+
+	// The sender side, set by start: its socket, its scheduler, the sink's
+	// address and the zero payload it sends.
+	src     *stack.UDPSocket
+	sched   *sim.Scheduler
+	dst     packet.IP
+	payload []byte
 }
 
 // AddUDPStream stages a one-way constant-bit-rate datagram stream.
@@ -454,22 +482,21 @@ func (w *UDPStream) start(tb *Testbed, at time.Duration) error {
 	if err != nil {
 		return err
 	}
-	sched := from.host.Sched
-	run := func() {
-		payload := make([]byte, w.cfg.Size)
-		var tick func()
-		tick = func() {
-			if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
-				return
-			}
-			w.sent++
-			_ = src.SendTo(to.host.IP, w.cfg.Port, payload)
-			sched.After(w.cfg.Interval, "udpstream.tick", tick)
-		}
-		tick()
-	}
-	sched.At(at, "vw.workload", run)
+	w.src, w.sched, w.dst, w.payload = src, from.host.Sched, to.ip, tb.zeroPayload(w.cfg.Size)
+	w.sched.AtCall(at, "vw.workload", streamTick, w, nil, 0)
 	return nil
+}
+
+// streamTick sends the handle's (recv) next datagram and schedules the
+// one after it.
+func streamTick(recv, _ any, _ int) {
+	w := recv.(*UDPStream)
+	if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
+		return
+	}
+	w.sent++
+	_ = w.src.SendTo(w.dst, w.cfg.Port, w.payload)
+	w.sched.AfterCall(w.cfg.Interval, "udpstream.tick", streamTick, w, nil, 0)
 }
 
 // Sent reports datagrams transmitted.
